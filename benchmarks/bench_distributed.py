@@ -8,8 +8,9 @@ Measured: rounds, total messages, and the largest message (in words) from
 the simulator, across graph sizes and bundle sizes.
 
 Run directly, this file is also the round-engine benchmark: it times the
-reference per-node simulator against the columnar engine
-(:mod:`repro.parallel.congest`) on banded and power-law graphs up to
+reference per-node simulator (:mod:`repro.spanners._reference`) against
+the columnar engine (:mod:`repro.parallel.congest`) on banded and
+power-law graphs up to
 n = 4096, hard-asserts bit-identical spanner selections and identical
 cost triples per pair, and persists ``BENCH_distributed.json``.  Timing
 *assertions* (>= 5x at n = 2048) are gated on
@@ -39,6 +40,10 @@ from repro.analysis.reporting import ExperimentTable
 from repro.core.config import SparsifierConfig
 from repro.core.distributed_sparsify import distributed_parallel_sample
 from repro.graphs import generators as gen
+from repro.spanners._reference import (
+    reference_distributed_bundle_spanner,
+    reference_distributed_spanner,
+)
 from repro.spanners.distributed_spanner import (
     distributed_baswana_sen_spanner,
     distributed_bundle_spanner,
@@ -188,8 +193,8 @@ def _timed(fn, *args, **kwargs):
 def run_spanner_case(scenario: str, n: int) -> dict:
     """Time one distributed spanner on both engines; assert exact parity."""
     graph = build_graph(scenario, n)
-    ref, ref_s = _timed(distributed_baswana_sen_spanner, graph, seed=SEED + n, engine="reference")
-    col, col_s = _timed(distributed_baswana_sen_spanner, graph, seed=SEED + n, engine="columnar")
+    ref, ref_s = _timed(reference_distributed_spanner, graph, seed=SEED + n)
+    col, col_s = _timed(distributed_baswana_sen_spanner, graph, seed=SEED + n)
     assert np.array_equal(ref.edge_indices, col.edge_indices), (
         f"engine outputs drifted on {scenario} n={n}"
     )
@@ -212,8 +217,8 @@ def run_spanner_case(scenario: str, n: int) -> dict:
 def run_bundle_case(scenario: str, n: int, t: int) -> dict:
     """Time one t-bundle peel on both engines; assert exact parity."""
     graph = build_graph(scenario, n).coalesce()
-    ref, ref_s = _timed(distributed_bundle_spanner, graph, t=t, seed=SEED + t, engine="reference")
-    col, col_s = _timed(distributed_bundle_spanner, graph, t=t, seed=SEED + t, engine="columnar")
+    ref, ref_s = _timed(reference_distributed_bundle_spanner, graph, t=t, seed=SEED + t)
+    col, col_s = _timed(distributed_bundle_spanner, graph, t=t, seed=SEED + t)
     assert np.array_equal(ref.edge_indices, col.edge_indices), (
         f"bundle outputs drifted on {scenario} n={n} t={t}"
     )
@@ -235,8 +240,8 @@ def run_bundle_case(scenario: str, n: int, t: int) -> dict:
 
 def check_determinism(graph) -> bool:
     """Two columnar runs with one seed must select identical edges."""
-    first = distributed_baswana_sen_spanner(graph, seed=SEED, engine="columnar")
-    second = distributed_baswana_sen_spanner(graph, seed=SEED, engine="columnar")
+    first = distributed_baswana_sen_spanner(graph, seed=SEED)
+    second = distributed_baswana_sen_spanner(graph, seed=SEED)
     return bool(np.array_equal(first.edge_indices, second.edge_indices)) and (
         first.cost == second.cost
     )

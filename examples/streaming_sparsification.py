@@ -1,14 +1,15 @@
-"""Streaming sparsification: ingest edge batches, snapshot, crash, resume.
+"""Streaming sparsification: ingest edge batches, snapshot, crash, recover.
 
 Run with:  PYTHONPATH=src python examples/streaming_sparsification.py
 
 Walks the ``repro.streaming`` surface end to end:
 
 1. feed a graph's edges to a :class:`~repro.streaming.StreamingSparsifier`
-   in batches, with every batch journaled to disk *before* ingestion,
+   in batches, with every batch journaled into a durable state store
+   *before* ingestion and a checksummed snapshot every two batches,
 2. take a pure :meth:`snapshot` and certify it against the exact live
    graph through the blocked solver stack,
-3. simulate a crash and rebuild the stream bit-exactly from the journal,
+3. simulate a crash and rebuild the stream bit-exactly with ``recover()``,
 4. show a sliding ``window`` stream forgetting old batches.
 """
 
@@ -47,13 +48,14 @@ def main() -> None:
     config = SparsifierConfig(bundle_t=1, spanner_k=2)
 
     with tempfile.TemporaryDirectory() as tmp:
-        journal = Path(tmp) / "stream.journal"
+        store = Path(tmp) / "stream-store"
         stream = StreamingSparsifier(
             graph.num_vertices,
             config=config,
             seed=7,
             compaction_interval=400,
-            journal=journal,
+            store=store,
+            snapshot_every=2,
         )
         for edges, weights in batches_of(graph, NUM_BATCHES):
             record = stream.ingest(edges, weights)
@@ -74,16 +76,19 @@ def main() -> None:
               f"{cert.resistances.ratio_max:.3f}]")
         print(f"holds(0.8): {cert.holds(0.8)}")
 
-        # Crash simulation: drop the live object, rebuild from the journal.
+        # Crash simulation: drop the live object, recover from the store
+        # (newest snapshot, then the journal suffix written after it).
         del stream
-        resumed = StreamingSparsifier.resume(journal, config=config)
+        resumed, report = StreamingSparsifier.recover(store, config=config)
         resumed_snap = resumed.snapshot()
         identical = (
             np.array_equal(resumed_snap.graph.edge_u, snap.graph.edge_u)
             and np.array_equal(resumed_snap.graph.edge_v, snap.graph.edge_v)
             and np.array_equal(resumed_snap.graph.edge_weights, snap.graph.edge_weights)
         )
-        print(f"resumed from journal: snapshot bit-identical = {identical}")
+        print(f"recovered ({'bit-exact' if report.bit_exact else 'LOSSY'}, "
+              f"{report.batches_restored} batches from the snapshot, "
+              f"{report.batches_replayed} replayed): snapshot bit-identical = {identical}")
 
     # Sliding window: only the last 2 batches stay live; earlier edges
     # (and their exact-reference copies) are evicted on ingest.

@@ -122,7 +122,6 @@ from repro.api import (
 # Parallel / distributed models and execution backends.
 from repro.parallel import (
     PRAMTracker,
-    DistributedSimulator,
     PRAMCost,
     DistributedCost,
     ExecutionBackend,
@@ -183,7 +182,6 @@ __all__ = [
     "available_method_names",
     "method_descriptions",
     "PRAMTracker",
-    "DistributedSimulator",
     "PRAMCost",
     "DistributedCost",
     "ExecutionBackend",

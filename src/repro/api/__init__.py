@@ -27,7 +27,6 @@ The built-in methods (registered by :mod:`repro.core.methods` and
 
     koutis               PARALLELSPARSIFY (Algorithm 2, the paper)
     koutis-distributed   the CONGEST-simulated distributed driver
-    koutis-batch         the batch API, run as a single-job batch
     spielman-srivastava  effective-resistance sampling [23]
     uniform              certificate-free uniform sampling
     kapralov-panigrahi   spanner-oversampling baseline [7]

@@ -1,17 +1,15 @@
-"""Shared accessor mixins for the baseline result types.
+"""Shared accessor mixin for the baseline result types.
 
 Every baseline result exposes the same unified accessor set
 (``sparsifier`` / ``input_edges`` / ``output_edges`` / ``num_edges`` /
 ``reduction_factor``) so the engine and the comparison tables treat them
-interchangeably; these mixins keep the edge-case conventions (empty
-graphs, deprecation text) in exactly one place.
+interchangeably; this mixin keeps the edge-case conventions (empty
+graphs) in exactly one place.
 """
 
 from __future__ import annotations
 
-import warnings
-
-__all__ = ["UnifiedResultAccessors", "DeprecatedDistinctEdges"]
+__all__ = ["UnifiedResultAccessors"]
 
 
 class UnifiedResultAccessors:
@@ -29,22 +27,3 @@ class UnifiedResultAccessors:
             return float("inf") if self.input_edges else 1.0
         return self.input_edges / self.output_edges
 
-
-class DeprecatedDistinctEdges:
-    """Back-compat shim for the pre-unification ``distinct_edges`` name."""
-
-    @property
-    def distinct_edges(self) -> int:
-        """Deprecated alias of ``output_edges``.
-
-        .. deprecated::
-            Use ``output_edges`` (or ``num_edges``); the baseline results
-            now share one accessor set.
-        """
-        warnings.warn(
-            f"{type(self).__name__}.distinct_edges is deprecated; "
-            "use output_edges (or num_edges)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.sparsifier.num_edges

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines._shared import DeprecatedDistinctEdges, UnifiedResultAccessors
+from repro.baselines._shared import UnifiedResultAccessors
 from repro.exceptions import SparsificationError
 from repro.graphs.graph import Graph
 from repro.resistance.stretch import stretch_over_subgraph
@@ -45,13 +45,12 @@ __all__ = ["KPResult", "kapralov_panigrahi_sparsify", "kp_sample_count"]
 
 
 @dataclass
-class KPResult(UnifiedResultAccessors, DeprecatedDistinctEdges):
+class KPResult(UnifiedResultAccessors):
     """Output of the Kapralov–Panigrahi-style sampler.
 
     Exposes the unified accessor set shared by every baseline result:
     ``sparsifier`` / ``input_edges`` / ``output_edges`` / ``num_edges`` /
-    ``reduction_factor``.  The pre-unification ``distinct_edges`` name
-    remains as a deprecated alias of ``output_edges``.
+    ``reduction_factor``.
     """
 
     sparsifier: Graph

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines._shared import DeprecatedDistinctEdges, UnifiedResultAccessors
+from repro.baselines._shared import UnifiedResultAccessors
 from repro.exceptions import SparsificationError
 from repro.graphs.graph import Graph
 from repro.resistance.approx import approximate_effective_resistances_detailed
@@ -34,13 +34,12 @@ __all__ = ["SSResult", "spielman_srivastava_sparsify", "ss_sample_count"]
 
 
 @dataclass
-class SSResult(UnifiedResultAccessors, DeprecatedDistinctEdges):
+class SSResult(UnifiedResultAccessors):
     """Output of the Spielman–Srivastava sampler.
 
     Exposes the unified accessor set shared by every baseline result:
     ``sparsifier`` / ``input_edges`` / ``output_edges`` / ``num_edges`` /
-    ``reduction_factor``.  The pre-unification ``distinct_edges`` name
-    remains as a deprecated alias of ``output_edges``.
+    ``reduction_factor``.
 
     ``resistance_delta_effective`` records the JL accuracy the sketch
     actually achieved (None on the exact path).

@@ -33,11 +33,10 @@ Subcommands
     snapshot as an edge list.  Each input line is either a JSON object
     ``{"edges": [[u, v], ...], "weights": [...]}`` (weights optional) or
     a bare array of ``[u, v]`` / ``[u, v, w]`` edges; ``-`` reads from
-    stdin.  ``--journal`` makes the stream crash-resumable
-    (``--resume`` picks it back up, replaying journaled batches before
-    ingesting any new input); ``--store`` upgrades the journal to a full
-    durable state store with ``--snapshot-every`` checksummed snapshots,
-    so resume replays only the post-snapshot suffix.
+    stdin.  ``--store`` journals every batch into a durable state store
+    (``--resume`` recovers it before ingesting any new input), and
+    ``--snapshot-every`` adds checksummed snapshots so recovery replays
+    only the post-snapshot suffix.
 ``recover``
     Walk the recovery ladder of a ``--store`` directory after a crash —
     snapshot, journal suffix, valid-prefix salvage — print the
@@ -275,17 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="k-out presample ingest batches larger than K * n edges")
     stream.add_argument("--levels", type=int, default=None,
                         help="LSM-style retained levels (default 1 = classic single pool)")
-    stream.add_argument("--journal", default=None, metavar="DIR",
-                        help="journal every batch before processing (crash-resumable)")
     stream.add_argument("--store", default=None, metavar="DIR",
-                        help="durable state store (journal + checksummed snapshots); "
-                             "with --resume, recovers via the snapshot/salvage ladder")
+                        help="durable state store: journal every batch before processing "
+                             "(plus checksummed snapshots with --snapshot-every); with "
+                             "--resume, recovers via the snapshot/salvage ladder")
     stream.add_argument("--snapshot-every", type=int, default=None, metavar="N",
                         help="with --store: snapshot state every N ingested batches and "
                              "truncate journal segments the snapshots cover")
     stream.add_argument("--resume", action="store_true",
-                        help="resume the stream recorded in --journal or --store "
-                             "before reading input")
+                        help="recover the stream recorded in --store before reading input")
     stream.add_argument("--certify-resistances", type=int, default=None, metavar="PAIRS",
                         help="certify the snapshot against the exact live graph over "
                              "PAIRS probe pairs via the blocked multi-RHS solver")
@@ -468,22 +465,15 @@ def _run_stream(args: argparse.Namespace) -> int:
     from repro.streaming import StreamingSparsifier
 
     config = SparsifierConfig(solver=args.solver) if args.solver else None
-    if args.journal and args.store:
-        raise ReproError("pass either --journal or --store, not both")
     if args.snapshot_every is not None and not args.store:
         raise ReproError("--snapshot-every requires --store")
     if args.resume:
-        if args.store:
-            stream, report = StreamingSparsifier.recover(
-                args.store, config=config, snapshot_every=args.snapshot_every
-            )
-            print(report.summary())
-        elif args.journal:
-            stream = StreamingSparsifier.resume(args.journal, config=config)
-        else:
-            raise ReproError(
-                "--resume needs --journal or --store pointing at the stream's state"
-            )
+        if not args.store:
+            raise ReproError("--resume needs --store pointing at the stream's state")
+        stream, report = StreamingSparsifier.recover(
+            args.store, config=config, snapshot_every=args.snapshot_every
+        )
+        print(report.summary())
         print(f"resumed: {stream.batches_ingested} batches, "
               f"{stream.edges_ingested} edges, {stream.compactions} compactions")
     else:
@@ -501,7 +491,6 @@ def _run_stream(args: argparse.Namespace) -> int:
             compaction_interval=args.compaction_interval,
             kout_presample=args.kout_presample,
             levels=args.levels,
-            journal=args.journal,
             store=args.store,
             snapshot_every=args.snapshot_every,
         )

@@ -15,9 +15,9 @@
   accounting (the distributed halves of Theorems 4–5).
 * :mod:`repro.core.batch` — fan many independent sparsification jobs out
   across an execution backend (the serving-many-workloads entry point).
-* :mod:`repro.core.methods` — engine adapters registering the three core
-  entry points (``koutis`` / ``koutis-distributed`` / ``koutis-batch``)
-  with the unified method registry of :mod:`repro.api`.
+* :mod:`repro.core.methods` — engine adapters registering the two core
+  entry points (``koutis`` / ``koutis-distributed``) with the unified
+  method registry of :mod:`repro.api`.
 """
 
 from repro.core.config import SparsifierConfig

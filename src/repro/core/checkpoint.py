@@ -169,8 +169,8 @@ def read_journal_records(path: Path) -> List[Dict[str, Any]]:
     if not path.exists():
         return []
     try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint journal {path}: {exc}") from exc
     records: List[Dict[str, Any]] = []
     for line_number, line in enumerate(lines):

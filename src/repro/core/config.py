@@ -91,13 +91,6 @@ class SparsifierConfig:
         Note that the shard count (unlike the backend) is part of the
         algorithm: different ``num_shards`` values give different (equally
         valid) sparsifiers.
-    distributed_engine:
-        Round engine for the synchronous CONGEST simulation backing the
-        distributed pipeline: ``"columnar"`` (default, the vectorized
-        engine of :mod:`repro.parallel.congest`) or ``"reference"`` (the
-        per-node object simulator).  Like the backend, the engine never
-        changes outputs or measured rounds/messages — only wall-clock —
-        which the engine-parity tests pin down.
     solver:
         Inner Laplacian-solver choice for the resistance/certification
         routes that consume this config: ``"cg"`` (plain blocked CG, the
@@ -122,7 +115,6 @@ class SparsifierConfig:
     backend: Optional[str] = None
     max_workers: Optional[int] = None
     num_shards: int = 1
-    distributed_engine: str = "columnar"
     solver: str = "cg"
 
     def __post_init__(self) -> None:
@@ -152,11 +144,6 @@ class SparsifierConfig:
             raise SparsificationError("max_workers must be >= 1 when given")
         if self.num_shards < 1:
             raise SparsificationError("num_shards must be >= 1")
-        if self.distributed_engine not in ("columnar", "reference"):
-            raise SparsificationError(
-                "distributed_engine must be 'columnar' or 'reference', "
-                f"got {self.distributed_engine!r}"
-            )
         if self.solver not in ("cg", "chain", "auto"):
             raise SparsificationError(
                 f"solver must be 'cg', 'chain', or 'auto', got {self.solver!r}"

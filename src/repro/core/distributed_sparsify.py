@@ -8,9 +8,7 @@ synchronous simulator:
 
 * each bundle component is built by the distributed Baswana–Sen protocol
   (:func:`repro.spanners.distributed_spanner.distributed_bundle_spanner`),
-  whose rounds/messages the simulator counts — on the columnar round
-  engine by default (``config.distributed_engine``), with the per-node
-  reference simulator available for cross-checks;
+  whose rounds/messages the columnar round engine counts;
 * the uniform sampling step is embarrassingly local — the lower-id endpoint
   of each surviving edge flips the coin and informs the other endpoint in
   a single round, which we account for explicitly.
@@ -128,7 +126,6 @@ def _shard_sample_worker(item: Tuple[int, List[RandomState], RandomState], share
         t=t,
         k=config.spanner_k,
         component_seeds=component_seeds,
-        engine=config.distributed_engine,
     )
     kept, outside = sample_nonbundle_edges(
         idx, bundle.edge_indices, sample_rng, config.sampling_probability
@@ -278,7 +275,6 @@ def distributed_parallel_sample(
         t=t,
         k=config.spanner_k,
         component_seeds=component_seeds[:t],
-        engine=config.distributed_engine,
     )
     bundle_indices = bundle.edge_indices
     total_cost = bundle.cost

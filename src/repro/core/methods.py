@@ -1,6 +1,6 @@
 """Engine adapters for the paper's sparsifiers.
 
-Registers the three core entry points with the unified method registry
+Registers the two core entry points with the unified method registry
 (:mod:`repro.api.registry`):
 
 ``koutis``
@@ -9,14 +9,10 @@ Registers the three core entry points with the unified method registry
 ``koutis-distributed``
     :func:`repro.core.distributed_sparsify.distributed_parallel_sparsify`
     — the same pipeline executed on the synchronous CONGEST simulator,
-    with measured rounds/messages.  Runs on the columnar round engine by
-    default; pass a config with ``distributed_engine="reference"`` to
-    execute on the per-node object simulator instead (identical outputs
-    and cost triples, slower wall-clock).
-``koutis-batch``
-    :func:`repro.core.batch.sparsify_many` run as a single-job batch —
-    registered so the batch API participates in method comparisons and
-    parity tests through the same front door.
+    with measured rounds/messages.
+
+Batches of graphs go through :meth:`repro.api.Engine.run_many` (or
+:func:`repro.core.batch.sparsify_many`), not through a method.
 
 Each adapter is a thin delegation: the legacy function remains the
 implementation, the adapter only translates the engine's uniform calling
@@ -30,7 +26,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 from repro.api.registry import register_method
-from repro.core.batch import sparsify_many
 from repro.core.config import SparsifierConfig
 from repro.core.distributed_sparsify import (
     DistributedSampleResult,
@@ -39,7 +34,7 @@ from repro.core.distributed_sparsify import (
 from repro.core.sparsify import RoundRecord, parallel_sparsify
 from repro.graphs.graph import Graph
 
-__all__ = ["run_koutis", "run_koutis_distributed", "run_koutis_batch"]
+__all__ = ["run_koutis", "run_koutis_distributed"]
 
 
 @register_method(
@@ -114,39 +109,3 @@ def run_koutis_distributed(
         on_round=on_round,
         **options,
     )
-
-
-@register_method(
-    "koutis-batch",
-    description="PARALLELSPARSIFY through the batch API (single-job batch fan-out)",
-    aliases=("batch",),
-)
-def run_koutis_batch(
-    graph: Graph,
-    *,
-    config: SparsifierConfig,
-    epsilon: Optional[float],
-    rho: float,
-    seed: Any,
-    options: Dict[str, Any],
-    emit: Callable[..., None],
-):
-    """Engine adapter delegating to :func:`sparsify_many` with one job.
-
-    The single job receives the first RNG sub-stream of the seed, exactly
-    as ``sparsify_many([graph], seed=seed)`` would hand it out, so the
-    output matches the legacy batch API bit for bit.
-    """
-    batch = sparsify_many(
-        [graph], epsilon=epsilon, rho=rho, config=config, seed=seed, **options
-    )
-    job = batch.results[0]
-    for record in job.rounds:
-        emit(
-            "round",
-            round_index=record.round_index,
-            input_edges=record.input_edges,
-            output_edges=record.output_edges,
-            degenerate=record.degenerate,
-        )
-    return job

@@ -16,7 +16,8 @@ REP003    durability-seam bypass: raw filesystem mutation in the
 REP004    ``warnings.warn`` without ``stacklevel=``
 REP005    broad ``except`` without a reason pragma
 REP006    per-edge Python loops over edge arrays in hot-path modules
-REP007    text-mode ``open`` without an explicit ``encoding=``
+REP007    text-mode ``open`` / ``Path.read_text`` / ``Path.write_text``
+          without an explicit ``encoding=``
 ========  ==========================================================
 
 Each rule documents its exact scope and allowlist inline; suppressing a
@@ -130,7 +131,6 @@ def check_rng_discipline(ctx: FileContext) -> Iterator[Finding]:
 # measures durations or schedules backoff; everywhere else it is state
 # that silently differs between runs.
 TIMING_ALLOWLIST_MODULES = (
-    "repro.utils.timing",
     "repro.parallel.failure",
     "repro.testing.faults",
 )
@@ -409,13 +409,17 @@ def check_per_edge_loops(ctx: FileContext) -> Iterator[Finding]:
 
 
 # --------------------------------------------------------------------- #
-# REP007 — text-mode open must pin its encoding
+# REP007 — text-mode file I/O must pin its encoding
 # --------------------------------------------------------------------- #
+
+# Path's whole-file text helpers and the positional index of their
+# ``encoding`` parameter.
+_TEXT_HELPERS = {"read_text": 0, "write_text": 1}
 
 
 @register_rule(
     "REP007",
-    title="text-mode open() must pass encoding=",
+    title="text-mode open() / read_text() / write_text() must pass encoding=",
     rationale=(
         "Journals, snapshots and edge lists must parse identically on every "
         "machine that recovers them; locale-dependent default encodings make "
@@ -425,6 +429,15 @@ def check_per_edge_loops(ctx: FileContext) -> Iterator[Finding]:
 def check_open_encoding(ctx: FileContext) -> Iterator[Finding]:
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in _TEXT_HELPERS:
+            if len(node.args) <= _TEXT_HELPERS[func.attr] and not _has_keyword(node, "encoding"):
+                yield ctx.finding(
+                    "REP007", node,
+                    f"{func.attr}() without encoding= depends on the platform "
+                    'locale; pass encoding="utf-8"',
+                )
             continue
         resolved = ctx.resolve_call(node)
         if resolved is None:

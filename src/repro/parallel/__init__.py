@@ -16,18 +16,15 @@ this subpackage provides the cost models themselves:
 * :mod:`repro.parallel.pram` — a tracker that algorithm implementations
   charge as they execute their (vectorised) steps, reproducing the
   quantities bounded by Corollary 2 and Theorems 4–5;
-* :mod:`repro.parallel.distributed` — an actual synchronous message-passing
-  simulator: per-node programs exchange size-limited messages in lock-step
-  rounds, and the simulator counts rounds/messages/sizes (Corollary 3);
-* :mod:`repro.parallel.congest` — the columnar round engine for the same
-  model: one round is a handful of flat NumPy passes over struct-of-arrays
-  message buffers, with identical accounting and word-limit enforcement
-  (the reference simulator above stays as the semantic ground truth);
+* :mod:`repro.parallel.congest` — the synchronous message-passing (CONGEST)
+  round engine: one round is a handful of flat NumPy passes over
+  struct-of-arrays message buffers, and the engine counts
+  rounds/messages/sizes and enforces the word limit (Corollary 3); the
+  per-node object simulator it replaced is kept in
+  :mod:`repro.spanners._reference` as the parity tests' ground truth;
 * :mod:`repro.parallel.backends` — pluggable execution backends
   (serial / thread / process) that actually run shard- and job-level
-  fan-outs concurrently, with a process-wide default registry;
-* :mod:`repro.parallel.scheduler` — the legacy thread-pool executor, now
-  a thin adapter over the backend layer (kept for API compatibility).
+  fan-outs concurrently, with a process-wide default registry.
 """
 
 from repro.parallel.metrics import (
@@ -38,12 +35,6 @@ from repro.parallel.metrics import (
     combine_sequential,
 )
 from repro.parallel.pram import PRAMTracker
-from repro.parallel.distributed import (
-    DistributedSimulator,
-    Message,
-    NodeContext,
-    NodeProgram,
-)
 from repro.parallel.congest import (
     ColumnarProgram,
     ColumnarSimulationResult,
@@ -65,7 +56,6 @@ from repro.parallel.failure import (
     FailureRecord,
     MapOutcome,
 )
-from repro.parallel.scheduler import ParallelExecutor
 
 __all__ = [
     "PRAMCost",
@@ -74,10 +64,6 @@ __all__ = [
     "combine_sequential",
     "combine_concurrent",
     "PRAMTracker",
-    "DistributedSimulator",
-    "Message",
-    "NodeContext",
-    "NodeProgram",
     "ColumnarProgram",
     "ColumnarSimulationResult",
     "ColumnarSimulator",
@@ -93,5 +79,4 @@ __all__ = [
     "FailurePolicy",
     "FailureRecord",
     "MapOutcome",
-    "ParallelExecutor",
 ]

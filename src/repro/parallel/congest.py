@@ -1,7 +1,8 @@
 """Columnar round engine for the synchronous CONGEST model.
 
-:mod:`repro.parallel.distributed` simulates the paper's synchronous
-message-passing model faithfully but object-at-a-time: every round steps
+The per-node simulator in :mod:`repro.spanners._reference` models the
+paper's synchronous message-passing model faithfully but
+object-at-a-time: every round steps
 ``n`` Python ``NodeProgram`` objects and shuttles per-message ``Message``
 dataclasses between per-node inbox lists.  That is the right *reference*
 semantics, but it caps the headline distributed experiments (Theorem 2 /
@@ -87,7 +88,7 @@ class MessageBlock:
         Per-message payload size in machine words — the quantity the
         CONGEST model bounds by O(log n).  Programs declare it explicitly
         (there is no Python payload object to measure), mirroring
-        :func:`repro.parallel.distributed.payload_words` for the
+        :func:`repro.spanners._reference.payload_words` for the
         equivalent object payload.
     columns:
         Named payload columns, each an array of the block's length.
@@ -132,7 +133,7 @@ class ColumnarSimulationResult:
     """Output of a columnar simulation run.
 
     Field-compatible with the reference engine's
-    :class:`repro.parallel.distributed.SimulationResult` except that
+    :class:`repro.spanners._reference.SimulationResult` except that
     ``outputs`` is whatever the program's :meth:`ColumnarProgram.finalize`
     returns (one global array-shaped result rather than a per-node dict).
     """
@@ -172,7 +173,7 @@ class ColumnarSimulator:
     """Synchronous round-based execution of a :class:`ColumnarProgram`.
 
     Drop-in counterpart of
-    :class:`repro.parallel.distributed.DistributedSimulator` — same
+    :class:`repro.spanners._reference.DistributedSimulator` — same
     constructor signature, same default ``message_word_limit``
     (``4 * ceil(log2 n) + 16``), same per-node RNG spawning — but one
     round is a handful of flat array passes instead of ``n`` Python

@@ -14,8 +14,8 @@ Modules
     the paper adapt their Theorems 5.4 / 5.1), sequential reference
     implementation with PRAM cost accounting.
 ``distributed_spanner``
-    The same algorithm expressed as a per-node program on the synchronous
-    distributed simulator, with a selectable round engine.
+    The same algorithm as a synchronous distributed (CONGEST) protocol,
+    and the t-bundle peel on top of it.
 ``congest_spanner``
     The protocol as a columnar array program on
     :mod:`repro.parallel.congest` — bit-identical outputs and cost

@@ -1,12 +1,12 @@
 """Baswana–Sen CONGEST protocol as a columnar array program.
 
-This is the vectorized twin of
-:class:`repro.spanners.distributed_spanner._BaswanaSenProgram`: the same
-synchronous protocol (flood phases, decision rounds, final exchange — see
-that module's docstring for the protocol itself), but executed on
-:class:`repro.parallel.congest.ColumnarSimulator` where one round is a
-constant number of flat NumPy passes instead of ``n`` Python ``step()``
-calls.
+This is the vectorized twin of the per-node
+``repro.spanners._reference._BaswanaSenProgram``: the same synchronous
+protocol (flood phases, decision rounds, final exchange — see
+:mod:`repro.spanners.distributed_spanner` for the protocol itself), but
+executed on :class:`repro.parallel.congest.ColumnarSimulator` where one
+round is a constant number of flat NumPy passes instead of ``n`` Python
+``step()`` calls.
 
 The program is engineered for *bit-identical* equivalence with the
 reference per-node implementation, which the golden parity tests pin

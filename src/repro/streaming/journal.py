@@ -4,8 +4,9 @@ A stream that dies mid-ingest should resume *bit-exactly*: the
 :class:`~repro.streaming.sparsifier.StreamingSparsifier` is deterministic
 given its construction parameters and the exact batch sequence, so it is
 enough to persist those two things.  :class:`StreamJournal` does exactly
-that, sharing machinery with the batch checkpoint journal
-(:mod:`repro.core.checkpoint`):
+that as the ``journal/`` half of a
+:class:`~repro.streaming.store.StreamStateStore`, sharing machinery with
+the batch checkpoint journal (:mod:`repro.core.checkpoint`):
 
 * **A directory of sealed segments** — the journal is a directory of
   size-bounded JSON-lines segment files (``segment-00000000.jsonl`` …).
@@ -132,7 +133,8 @@ class JournalScanReport:
     batch records that could not be applied because they sit behind a
     corruption point; ``salvaged`` holds the valid batches of the corrupt
     segment's prefix so the recovery ladder can rewrite them into a fresh
-    segment after quarantining the damaged file.
+    segment after quarantining the damaged file; ``corrupt_batch`` is the
+    index of the first batch the journal could not supply.
     """
 
     segments_seen: int = 0
@@ -143,6 +145,7 @@ class JournalScanReport:
     batches_lost: int = 0
     torn_tail_dropped: bool = False
     corrupt_segment: Optional[str] = None
+    corrupt_batch: Optional[int] = None
     corruption: Optional[str] = None
     salvaged: List[Batch] = field(default_factory=list)
 
@@ -171,15 +174,25 @@ def _segment_files(path: Path) -> List[Path]:
     )
 
 
+def _decode_record(line: bytes) -> Optional[Dict[str, Any]]:
+    """One journal line as a JSON object, or ``None`` when it is damaged."""
+    try:
+        record = json.loads(line)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return None
+    return record if isinstance(record, dict) else None
+
+
 def _parse_segment(path: Path) -> Tuple[List[Dict[str, Any]], int, str]:
     """Parse one segment's lines: ``(records, valid_end_offset, status)``.
 
     ``valid_end_offset`` is the byte offset just past the last complete,
-    JSON-decodable, newline-terminated line.  ``status`` is ``"clean"``
-    (every byte parsed), ``"torn"`` (the *final* line is undecodable or
-    unterminated — the signature of a crash mid-append, droppable), or
-    ``"interior"`` (an undecodable line with valid data after it — that
-    is not a torn append but real corruption).
+    decodable, newline-terminated line.  ``status`` is ``"clean"`` (every
+    byte parsed), ``"torn"`` (an unterminated final fragment — the
+    signature of a crash mid-append, droppable), or ``"interior"`` (a
+    complete line that does not decode to a record: an append that
+    finished and was then damaged, which is real corruption wherever it
+    sits).
     """
     data = path.read_bytes()
     records: List[Dict[str, Any]] = []
@@ -192,17 +205,25 @@ def _parse_segment(path: Path) -> Tuple[List[Dict[str, Any]], int, str]:
             return records, offset, "torn"
         line = data[offset:newline]
         if line.strip():
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                is_final_line = newline == len(data) - 1
-                return records, offset, "torn" if is_final_line else "interior"
+            record = _decode_record(line)
+            if record is None:
+                return records, offset, "interior"
+            records.append(record)
         offset = newline + 1
     return records, offset, "clean"
 
 
-def _validate_header(record: Dict[str, Any], path: Path) -> Dict[str, Any]:
-    if record.get("kind") != "header":
+def _record_lines(path: Path) -> int:
+    """Best-effort count of the records after a segment's header, damaged ones included."""
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return 0
+    return max(0, sum(1 for line in data.split(b"\n") if line.strip()) - 1)
+
+
+def _validate_header(record: Optional[Dict[str, Any]], path: Path) -> Dict[str, Any]:
+    if record is None or record.get("kind") != "header":
         raise CheckpointError(
             f"stream journal segment {path} has no header line; "
             "refusing to resume from an unrecognized file"
@@ -218,9 +239,9 @@ def _validate_header(record: Dict[str, Any], path: Path) -> Dict[str, Any]:
             f"stream journal segment {path} header is missing keys: "
             f"{', '.join(missing)}"
         )
-    if "first_batch" not in record:
+    if not isinstance(record.get("first_batch"), int):
         raise CheckpointError(
-            f"stream journal segment {path} header is missing first_batch"
+            f"stream journal segment {path} header has no integer first_batch"
         )
     return record
 
@@ -228,17 +249,29 @@ def _validate_header(record: Dict[str, Any], path: Path) -> Dict[str, Any]:
 def _batch_from_record(
     record: Dict[str, Any], num_vertices: int, expected_index: int, path: Path
 ) -> Batch:
-    index = int(record["index"])
+    if record.get("kind") != "batch":
+        raise CheckpointError(
+            f"stream journal segment {path}: the record where batch "
+            f"{expected_index} was expected is not a batch record"
+        )
+    try:
+        index = int(record["index"])
+        u = np.asarray(record["u"], dtype=np.int64)
+        v = np.asarray(record["v"], dtype=np.int64)
+        w = np.asarray(record["w"], dtype=np.float64)
+        digest = record["digest"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"stream journal segment {path}: malformed batch record where batch "
+            f"{expected_index} was expected ({exc!r})"
+        ) from exc
     if index != expected_index:
         raise CheckpointError(
             f"stream journal segment {path} records batch {index} where batch "
             f"{expected_index} was expected — the journal is not an "
             "uninterrupted prefix of one stream"
         )
-    u = np.asarray(record["u"], dtype=np.int64)
-    v = np.asarray(record["v"], dtype=np.int64)
-    w = np.asarray(record["w"], dtype=np.float64)
-    if record.get("digest") != edge_array_digest(num_vertices, u, v, w):
+    if digest != edge_array_digest(num_vertices, u, v, w):
         raise CheckpointError(
             f"stream journal segment {path}: batch {index} does not match its "
             "recorded digest — refusing to replay corrupted edges"
@@ -274,8 +307,8 @@ class StreamJournal:
         if self.has_content(self.path):
             raise CheckpointError(
                 f"stream journal {self.path} already has content; use "
-                "StreamingSparsifier.resume()/recover() to continue it or "
-                "pass a fresh path"
+                "StreamingSparsifier.recover() to continue it or pass a "
+                "fresh path"
             )
         # Append cursor.  ``start_index`` > 0 starts a fresh journal midway
         # through a stream (recovery after total journal loss with a valid
@@ -457,10 +490,7 @@ class StreamJournal:
             with open(entry, "rb") as handle:
                 first_line = handle.readline()
             if first_line.endswith(b"\n") and first_line.strip():
-                try:
-                    header = json.loads(first_line)
-                except json.JSONDecodeError:
-                    header = None
+                header = _decode_record(first_line)
             if header is None:
                 if last:
                     continue  # torn rotation: the tail segment never got a header
@@ -491,9 +521,8 @@ class StreamJournal:
         if not infos:
             raise CheckpointError(f"stream journal {path} is missing or empty")
         with open(infos[0].path, "rb") as handle:
-            header = json.loads(handle.readline())
-        _validate_header(header, infos[0].path)
-        return canonical_stream_params(header)
+            header = _decode_record(handle.readline())
+        return canonical_stream_params(_validate_header(header, infos[0].path))
 
     @staticmethod
     def iter_batches(
@@ -544,6 +573,7 @@ class StreamJournal:
             )
             if salvage:
                 report.corrupt_segment = infos[first_replayed].path.name
+                report.corrupt_batch = start_batch
                 report.corruption = message
                 report.batches_lost += _count_remaining_batches(infos[first_replayed:])
                 return
@@ -567,8 +597,6 @@ class StreamJournal:
                 records, _, status = _parse_segment(info.path)
                 report.segments_replayed += 1
                 for record in records[1:]:  # records[0] is the header
-                    if record.get("kind") != "batch":
-                        continue
                     try:
                         batch = _batch_from_record(record, num_vertices, expected, info.path)
                     except CheckpointError as exc:
@@ -591,11 +619,11 @@ class StreamJournal:
                 if not salvage:
                     raise CheckpointError(f"stream journal {path}: {failure}")
                 report.corrupt_segment = info.path.name
+                report.corrupt_batch = expected
                 report.corruption = failure
                 report.salvaged = segment_batches
                 processed = expected - info.first_batch if records else 0
-                total = sum(1 for r in records if r.get("kind") == "batch")
-                report.batches_lost += max(0, total - processed)
+                report.batches_lost += max(0, _record_lines(info.path) - processed)
                 report.batches_lost += _count_remaining_batches(infos[position + 1 :])
                 for batch in segment_batches:
                     if batch[0] < start_batch:
@@ -611,29 +639,7 @@ class StreamJournal:
                 report.batches_replayed += 1
                 yield batch
 
-    @staticmethod
-    def load(path: Union[str, Path]) -> Tuple[Dict[str, Any], Iterator[Batch]]:
-        """Read a journal back as ``(params, batch iterator)``.
-
-        The iterator streams one segment at a time (resume memory is
-        bounded by one segment, not the journal), validates every batch
-        digest and index, drops a torn trailing append, and raises
-        :class:`CheckpointError` on anything else.
-        """
-        path = Path(path)
-        if not StreamJournal.has_content(path):
-            raise CheckpointError(f"stream journal {path} is missing or empty")
-        params = StreamJournal.read_params(path)
-        return params, StreamJournal.iter_batches(path)
-
 
 def _count_remaining_batches(infos: List[SegmentInfo]) -> int:
     """Best-effort count of batch records in segments behind a corruption."""
-    count = 0
-    for info in infos:
-        try:
-            records, _, _ = _parse_segment(info.path)
-        except OSError:
-            continue
-        count += sum(1 for r in records if r.get("kind") == "batch")
-    return count
+    return sum(_record_lines(info.path) for info in infos)

@@ -38,14 +38,16 @@ Design
   last ``w`` ingest batches (older edges are evicted from state and
   reference alike); ``decay=gamma`` scales an edge arriving in batch
   ``a`` by ``gamma^(b - a)`` at current batch ``b`` (applied lazily, so
-  resume replay is bit-exact).
-* **Resilient ingestion.**  Each batch is journaled *before* it is
-  processed (:class:`~repro.streaming.journal.StreamJournal`), so a
-  crashed stream resumes losing at most the one batch whose append was
-  torn; compaction work runs through the configured execution backend
-  under an optional :class:`~repro.parallel.failure.FailurePolicy`, and
-  retries are output-neutral because every compaction rebuilds its RNG
-  from ``(seed, index)`` on each attempt.
+  recovery replay is bit-exact).
+* **Resilient ingestion.**  With ``store=``, each batch is journaled
+  *before* it is processed (:class:`~repro.streaming.journal.StreamJournal`
+  inside a :class:`~repro.streaming.store.StreamStateStore`), so
+  :meth:`~StreamingSparsifier.recover` rebuilds a crashed stream losing at
+  most the one batch whose append was torn; compaction work runs through
+  the configured execution backend under an optional
+  :class:`~repro.parallel.failure.FailurePolicy`, and retries are
+  output-neutral because every compaction rebuilds its RNG from
+  ``(seed, index)`` on each attempt.
 """
 
 from __future__ import annotations
@@ -118,6 +120,22 @@ def _presample_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(int(seed), spawn_key=(_PRESAMPLE_KEY, int(batch_index)))
     )
+
+
+def _check_execution(
+    config: Optional[SparsifierConfig], failure_policy: Optional[FailurePolicy]
+) -> None:
+    """Reject execution settings no stream can run with (caller errors, not damage)."""
+    if config is not None and config.use_tree_bundle:
+        raise StreamingError(
+            "streaming ingestion maintains spanner bundles; "
+            "use_tree_bundle is not supported"
+        )
+    if failure_policy is not None and failure_policy.on_error == "collect":
+        raise StreamingError(
+            "a stream cannot skip a failed compaction without diverging; "
+            'use on_error="raise" or "retry"'
+        )
 
 
 def _compaction_worker(item: int, shared: Dict[str, Any]) -> Dict[str, Any]:
@@ -316,10 +334,16 @@ class StreamingSparsifier:
         num_vertices`` edges are first reduced by a random k-out sample
         with Horvitz–Thompson reweighting
         (:mod:`repro.graphs.kout`) — the ultra-cheap dense-burst guard.
-    journal:
-        Path to a :class:`~repro.streaming.journal.StreamJournal`; every
-        batch is appended *before* processing, so a crash loses at most
-        one batch.  Use :meth:`resume` to pick a journal back up.
+    store:
+        Directory of a fresh :class:`~repro.streaming.store.StreamStateStore`.
+        Every batch is journaled *before* processing, so a crash loses at
+        most one batch; :meth:`recover` picks the stream back up.  Without
+        ``snapshot_every`` the store is just that journal.
+    snapshot_every / segment_bytes / keep_snapshots:
+        Store cadence: snapshot the full state every ``snapshot_every``
+        ingested batches (default: only on :meth:`checkpoint`), seal a
+        journal segment past ``segment_bytes``, and keep the newest
+        ``keep_snapshots`` snapshots.
     failure_policy:
         :class:`~repro.parallel.failure.FailurePolicy` governing the
         compaction work (``raise`` / ``retry``; ``collect`` is rejected —
@@ -346,7 +370,6 @@ class StreamingSparsifier:
         kout_presample: Optional[int] = None,
         levels: Optional[int] = None,
         level_capacity: Optional[int] = None,
-        journal: Optional[Union[str, Path]] = None,
         store: Optional[Union[str, Path]] = None,
         snapshot_every: Optional[int] = None,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
@@ -360,11 +383,7 @@ class StreamingSparsifier:
             raise GraphError(f"num_vertices must be >= 0, got {num_vertices}")
         self._n = int(num_vertices)
         self._config = config if config is not None else SparsifierConfig()
-        if self._config.use_tree_bundle:
-            raise StreamingError(
-                "streaming ingestion maintains spanner bundles; "
-                "use_tree_bundle is not supported"
-            )
+        _check_execution(self._config, failure_policy)
         eps = self._config.epsilon if epsilon is None else float(epsilon)
         self._epsilon = eps
         self._t = int(t) if t is not None else self._config.bundle_size(self._n, eps)
@@ -412,11 +431,6 @@ class StreamingSparsifier:
             raise StreamingError(
                 f"level_capacity must be >= 1, got {level_capacity}"
             )
-        if failure_policy is not None and failure_policy.on_error == "collect":
-            raise StreamingError(
-                "a stream cannot skip a failed compaction without diverging; "
-                'use on_error="raise" or "retry"'
-            )
         self._failure_policy = failure_policy
         self._track_exact = bool(track_exact)
 
@@ -443,11 +457,6 @@ class StreamingSparsifier:
         self.records: List[CompactionRecord] = []
         self._replaying = False
 
-        if journal is not None and store is not None:
-            raise StreamingError(
-                "pass either journal= (journal only) or store= (journal + "
-                "snapshots), not both"
-            )
         if snapshot_every is not None and store is None:
             raise StreamingError("snapshot_every requires store=")
         if snapshot_every is not None and int(snapshot_every) < 1:
@@ -471,13 +480,6 @@ class StreamingSparsifier:
                 io=io,
             )
             self._journal = self._store.create_journal(self._journal_params())
-        elif journal is not None:
-            self._journal = StreamJournal(
-                journal,
-                self._journal_params(),
-                segment_bytes=segment_bytes,
-                io=io,
-            )
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -501,7 +503,7 @@ class StreamingSparsifier:
         if seed is None:
             # The one sanctioned entropy draw: the resulting seed is
             # recorded (journal header, StreamStats.seed), so even an
-            # auto-seeded stream resumes and recovers bit-exactly.
+            # auto-seeded stream recovers bit-exactly.
             return fresh_entropy_seed()
         return int(seed)
 
@@ -522,40 +524,6 @@ class StreamingSparsifier:
         }
 
     @classmethod
-    def resume(
-        cls,
-        journal: Union[str, Path],
-        *,
-        config: Optional[SparsifierConfig] = None,
-        failure_policy: Optional[FailurePolicy] = None,
-        track_exact: bool = True,
-    ) -> "StreamingSparsifier":
-        """Rebuild a crashed stream from its journal, bit-exactly.
-
-        Reads the journal header (which pins every parameter the state
-        depends on), replays the journaled batches through a fresh
-        sparsifier, and re-attaches the journal so subsequent ``ingest``
-        calls continue appending to it.  ``config`` only supplies
-        *execution* knobs (backend, workers, default solver); the
-        algorithmic parameters come from the header.
-        """
-        params, batches = StreamJournal.load(journal)
-        stream = cls.from_stream_params(
-            params,
-            config=config,
-            failure_policy=failure_policy,
-            track_exact=track_exact,
-        )
-        stream._replaying = True
-        try:
-            for _, u, v, w in batches:
-                stream.ingest(np.column_stack([u, v]), w)
-        finally:
-            stream._replaying = False
-        stream._journal = StreamJournal.attach(journal)
-        return stream
-
-    @classmethod
     def from_stream_params(
         cls,
         params: Dict[str, Any],
@@ -564,23 +532,33 @@ class StreamingSparsifier:
         failure_policy: Optional[FailurePolicy] = None,
         track_exact: bool = True,
     ) -> "StreamingSparsifier":
-        """Build a fresh, unattached stream from pinned journal parameters."""
-        stream = cls(
-            params["num_vertices"],
-            t=params["t"],
-            k=params["k"],
-            sampling_probability=params["sampling_probability"],
-            seed=params["seed"],
-            window=params["window"],
-            decay=params["decay"],
-            compaction_interval=params["compaction_interval"],
-            kout_presample=params["kout_presample"],
-            levels=params.get("levels"),
-            level_capacity=params.get("level_capacity"),
-            config=config,
-            failure_policy=failure_policy,
-            track_exact=track_exact,
-        )
+        """Build a fresh, unattached stream from pinned journal parameters.
+
+        The parameters come off disk, so missing or out-of-range values are
+        damage, raised as :class:`CheckpointError` for the recovery ladder;
+        a bad ``config`` / ``failure_policy`` is the caller's error and
+        stays a :class:`StreamingError`.
+        """
+        _check_execution(config, failure_policy)
+        try:
+            stream = cls(
+                params["num_vertices"],
+                t=params["t"],
+                k=params["k"],
+                sampling_probability=params["sampling_probability"],
+                seed=params["seed"],
+                window=params["window"],
+                decay=params["decay"],
+                compaction_interval=params["compaction_interval"],
+                kout_presample=params["kout_presample"],
+                levels=params.get("levels"),
+                level_capacity=params.get("level_capacity"),
+                config=config,
+                failure_policy=failure_policy,
+                track_exact=track_exact,
+            )
+        except (KeyError, TypeError, ValueError, GraphError, StreamingError) as exc:
+            raise CheckpointError(f"pinned stream parameters are unusable: {exc!r}") from exc
         # The header pins the *resolved* seed, so the rebuilt stream is
         # constructed from an explicit int; restore the provenance flag
         # (absent in pre-auto_seeded journals → False).
@@ -751,13 +729,12 @@ class StreamingSparsifier:
         """Force a durable snapshot now (requires a store); returns its manifest.
 
         Also truncates journal segments wholly covered by the oldest
-        retained snapshot, which is what bounds future resume replay to
+        retained snapshot, which is what bounds future recovery replay to
         the recent suffix.
         """
         if self._store is None:
             raise StreamingError(
-                "checkpoint() requires the stream to be built with store=; "
-                "journal-only streams have nothing to snapshot into"
+                "checkpoint() requires the stream to be built with store="
             )
         return self._store.checkpoint(self)
 
@@ -853,10 +830,10 @@ class StreamingSparsifier:
             self._evicted = int(counters["evicted"])
             self._presampled_away = int(counters["presampled_away"])
             self._ingest_seconds = float(counters.get("ingest_seconds", 0.0))
-        except KeyError as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
-                f"snapshot payload is missing field {exc} — incompatible or "
-                "damaged snapshot"
+                f"snapshot payload is missing or has a malformed field {exc} — "
+                "incompatible or damaged snapshot"
             ) from exc
         self.records = []
 

@@ -33,7 +33,6 @@ silently wrong.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
@@ -46,8 +45,9 @@ from repro.streaming.journal import (
     DEFAULT_SEGMENT_BYTES,
     JournalScanReport,
     StreamJournal,
-    _parse_segment,
+    _decode_record,
     _QUARANTINE_SUFFIX,
+    _record_lines,
     _segment_files,
     _validate_header,
     canonical_stream_params,
@@ -125,12 +125,17 @@ def _quarantine(io: DurableIO, path: Path) -> Path:
     return target
 
 
-def _count_batch_records(path: Path) -> int:
-    try:
-        records, _, _ = _parse_segment(path)
-    except OSError:
-        return 0
-    return sum(1 for record in records if record.get("kind") == "batch")
+def _check_store_options(
+    segment_bytes: int, keep_snapshots: int, snapshot_every: Optional[int] = None
+) -> None:
+    """Reject bad store options before anything touches the disk."""
+    for name, value in (
+        ("segment_bytes", segment_bytes),
+        ("keep_snapshots", keep_snapshots),
+        ("snapshot_every", snapshot_every),
+    ):
+        if value is not None and int(value) < 1:
+            raise CheckpointError(f"{name} must be >= 1, got {value}")
 
 
 def _quarantine_unscannable(
@@ -154,8 +159,8 @@ def _quarantine_unscannable(
         header: Optional[Dict[str, Any]] = None
         if first_line.endswith(b"\n") and first_line.strip():
             try:
-                header = _validate_header(json.loads(first_line), entry)
-            except (json.JSONDecodeError, CheckpointError):
+                header = _validate_header(_decode_record(first_line), entry)
+            except CheckpointError:
                 header = None
         if header is None or int(header["first_batch"]) < previous_first:
             bad_from = position
@@ -166,7 +171,7 @@ def _quarantine_unscannable(
     quarantined = 0
     lost = 0
     for entry in files[bad_from:]:
-        lost += _count_batch_records(entry)
+        lost += _record_lines(entry)
         _quarantine(io, entry)
         quarantined += 1
         notes.append(
@@ -196,10 +201,7 @@ class StreamStateStore:
         self.path = Path(path)
         self.journal_dir = self.path / _JOURNAL_DIR
         self.snapshot_dir = self.path / _SNAPSHOT_DIR
-        if int(keep_snapshots) < 1:
-            raise CheckpointError(
-                f"keep_snapshots must be >= 1, got {keep_snapshots}"
-            )
+        _check_store_options(segment_bytes, keep_snapshots)
         self._segment_bytes = int(segment_bytes)
         self._keep_snapshots = int(keep_snapshots)
         self._io = io if io is not None else DEFAULT_IO
@@ -282,8 +284,12 @@ class StreamStateStore:
         nothing to recover at all (no valid snapshot *and* no readable
         journal parameters).
         """
-        from repro.streaming.sparsifier import StreamingSparsifier
+        from repro.streaming.sparsifier import StreamingSparsifier, _check_execution
 
+        # Every rung below can quarantine or rewrite files, so a call that
+        # is going to be refused must be refused first.
+        _check_store_options(segment_bytes, keep_snapshots, snapshot_every)
+        _check_execution(config, failure_policy)
         io = io if io is not None else DEFAULT_IO
         path = Path(path)
         journal_dir = path / _JOURNAL_DIR
@@ -298,6 +304,12 @@ class StreamStateStore:
         for info in reversed(list_snapshots(snapshot_dir)):
             try:
                 snap_params, counters, arrays = load_snapshot(info)
+                # Read before the restore validates the rest: a damaged
+                # batch count or exact-tracking flag must not be trusted.
+                if counters.get("batches_ingested") != info.sequence or not isinstance(
+                    counters.get("track_exact"), bool
+                ):
+                    raise CheckpointError("counters are damaged")
                 snap_track = track_exact and bool(counters.get("track_exact"))
                 candidate = StreamingSparsifier.from_stream_params(
                     snap_params,
@@ -350,7 +362,7 @@ class StreamStateStore:
             # snapshot that restored — its batches cannot be replayed into
             # this state without diverging.  Quarantine it wholesale.
             for entry in _segment_files(journal_dir):
-                header_lost += _count_batch_records(entry)
+                header_lost += _record_lines(entry)
                 _quarantine(io, entry)
                 segments_quarantined += 1
             notes.append(
@@ -373,12 +385,17 @@ class StreamStateStore:
             stream._replaying = False
         if scan.corruption is not None:
             notes.append(f"journal corruption: {scan.corruption}")
-            salvaged_to_rewrite = scan.salvaged
             # The corrupt segment and everything after it are no longer a
             # contiguous suffix — quarantine them, then rewrite the
-            # salvaged prefix into a fresh segment below.
+            # salvaged prefix into a fresh segment below.  Damage inside
+            # batches the restored snapshot already covers leaves no
+            # journal that runs contiguously up to the restored state, so
+            # then the whole journal is quarantined and restarts there.
+            restart = scan.corrupt_batch is None or scan.corrupt_batch < stream._batches_ingested
+            if not restart:
+                salvaged_to_rewrite = scan.salvaged
             for entry in _segment_files(journal_dir):
-                if entry.name >= scan.corrupt_segment:
+                if restart or entry.name >= scan.corrupt_segment:
                     _quarantine(io, entry)
                     segments_quarantined += 1
 
@@ -412,10 +429,6 @@ class StreamStateStore:
         )
         stream._journal = journal
         stream._store = store
-        if snapshot_every is not None and int(snapshot_every) < 1:
-            raise CheckpointError(
-                f"snapshot_every must be >= 1 batches, got {snapshot_every}"
-            )
         stream._snapshot_every = (
             None if snapshot_every is None else int(snapshot_every)
         )

@@ -1,4 +1,4 @@
-"""Shared utilities: RNG management, validation, timing, and logging.
+"""Shared utilities: RNG management and validation.
 
 These helpers are deliberately dependency-light so that every other
 subpackage can import them without creating cycles.
@@ -13,8 +13,6 @@ from repro.utils.validation import (
     check_symmetric,
     require,
 )
-from repro.utils.timing import Timer, timed
-from repro.utils.logging import get_logger
 
 __all__ = [
     "RandomState",
@@ -27,7 +25,4 @@ __all__ = [
     "check_square",
     "check_symmetric",
     "require",
-    "Timer",
-    "timed",
-    "get_logger",
 ]

@@ -1,8 +1,8 @@
 """Generate golden outputs for the columnar CONGEST engine parity tests.
 
 Freezes, per (graph, seed) case, what the *reference* per-node simulator
-(:mod:`repro.parallel.distributed` running
-``distributed_spanner._BaswanaSenProgram``) produces for the distributed
+(:mod:`repro.spanners._reference`, driven by
+``reference_distributed_spanner``) produces for the distributed
 Baswana–Sen protocol:
 
 * the selected spanner edge indices (into the coalesced graph),
@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
-from repro.spanners.distributed_spanner import distributed_baswana_sen_spanner
+from repro.spanners._reference import reference_distributed_spanner
 
 OUT = Path(__file__).resolve().parent / "congest_goldens.json"
 
@@ -60,7 +60,7 @@ def cases() -> list:
 def main() -> None:
     goldens = {}
     for name, graph, seed, k in cases():
-        result = distributed_baswana_sen_spanner(graph, k=k, seed=seed, engine="reference")
+        result = reference_distributed_spanner(graph, k=k, seed=seed)
         goldens[name] = {
             "num_vertices": graph.num_vertices,
             "num_edges": graph.num_edges,

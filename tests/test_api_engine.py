@@ -38,7 +38,6 @@ from repro.graphs.graph import Graph
 BUILTIN_METHODS = (
     "koutis",
     "koutis-distributed",
-    "koutis-batch",
     "spielman-srivastava",
     "uniform",
     "kapralov-panigrahi",
@@ -63,7 +62,6 @@ class TestRegistry:
         assert get_method("ss").name == "spielman-srivastava"
         assert get_method("kp").name == "kapralov-panigrahi"
         assert get_method("distributed").name == "koutis-distributed"
-        assert get_method("batch").name == "koutis-batch"
 
     def test_unknown_method_raises_with_listing(self):
         with pytest.raises(MethodError, match="koutis"):
@@ -84,7 +82,7 @@ class TestRegistry:
 
     def test_aliases_listed_in_method_names(self):
         names = available_method_names()
-        for alias in ("ss", "kp", "distributed", "batch", "parallel-sparsify"):
+        for alias in ("ss", "kp", "distributed", "parallel-sparsify"):
             assert alias in names
         # Canonical listing stays alias-free.
         assert "ss" not in available_methods()
@@ -156,14 +154,6 @@ class TestParity:
         )
         assert_same_edges(unified.sparsifier, legacy.sparsifier)
         assert unified.cost == legacy.cost
-
-    def test_koutis_batch(self, small_er_graph):
-        config = SparsifierConfig(bundle_t=2)
-        unified = sparsify(
-            small_er_graph, method="koutis-batch", epsilon=0.5, seed=5, config=config
-        )
-        legacy = sparsify_many([small_er_graph], epsilon=0.5, seed=5, config=config)
-        assert_same_edges(unified.sparsifier, legacy.results[0].sparsifier)
 
     def test_spielman_srivastava(self, medium_er_graph):
         unified = sparsify(medium_er_graph, method="spielman-srivastava", epsilon=0.5, seed=2)

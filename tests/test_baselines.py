@@ -21,7 +21,7 @@ class TestSpielmanSrivastava:
         assert cert.epsilon_achieved < 0.5
         assert is_connected(result.sparsifier)
 
-    def test_distinct_edges_bounded_by_samples(self, medium_er_graph):
+    def test_output_edges_bounded_by_samples(self, medium_er_graph):
         result = spielman_srivastava_sparsify(medium_er_graph, epsilon=0.5, num_samples=500, seed=2)
         assert result.output_edges <= 500
         assert result.sparsifier.num_edges == result.output_edges
@@ -146,13 +146,6 @@ class TestUnifiedResultAccessors:
             assert result.output_edges == result.sparsifier.num_edges
             assert result.num_edges == result.sparsifier.num_edges
             assert result.reduction_factor >= 1.0
-
-    def test_deprecated_distinct_edges_shims(self, small_er_graph):
-        ss = spielman_srivastava_sparsify(small_er_graph, epsilon=0.5, seed=1)
-        kp = kapralov_panigrahi_sparsify(small_er_graph, epsilon=0.5, seed=1)
-        for result in (ss, kp):
-            with pytest.warns(DeprecationWarning, match="distinct_edges"):
-                assert result.distinct_edges == result.output_edges
 
 
 class TestKapralovPanigrahi:

@@ -1,22 +1,25 @@
-"""Engine-parity tests: columnar CONGEST engine vs the reference simulator.
+"""Engine-parity tests: the columnar CONGEST engine vs the per-node reference.
 
 The columnar engine (:mod:`repro.parallel.congest` running
 :class:`repro.spanners.congest_spanner.ColumnarBaswanaSenProgram`) must be
-indistinguishable from the per-node reference simulator on everything the
-paper measures: spanner edge sets, the exact (rounds, messages,
-max_message_words) triple, the per-round message histogram, and the word
-limit's trigger behaviour.  Three layers of guards:
+indistinguishable from the per-node reference simulator kept in
+:mod:`repro.spanners._reference` on everything the paper measures:
+spanner edge sets, the exact (rounds, messages, max_message_words)
+triple, the per-round message histogram, and the word limit's trigger
+behaviour.  Three layers of guards:
 
 * live parity — both engines run on the same inputs in-test;
 * frozen goldens — ``tests/golden/congest_goldens.json`` pins the
   reference outputs, so both engines are compared against values that
   cannot drift with the code (regenerable via
   ``tests/golden/generate_congest_goldens.py``);
-* pipeline parity — the distributed sparsifier produces bit-identical
-  results under ``config.distributed_engine`` = reference / columnar,
-  sharded or not.
+* pipeline parity — the t-bundle peel and the distributed sparsifier
+  reproduce, bit for bit, what they produced on the per-node engine
+  (``PER_NODE_OUTPUTS`` below, stored when the pipeline could still
+  select that engine), sharded or not.
 """
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -38,15 +41,66 @@ from repro.parallel.congest import (
     MessageBlock,
     concat_ranges,
 )
-from repro.parallel.distributed import DistributedSimulator
+from repro.spanners._reference import (
+    DistributedSimulator,
+    _BaswanaSenProgram,
+    reference_distributed_bundle_spanner,
+    reference_distributed_spanner,
+)
 from repro.spanners.congest_spanner import ColumnarBaswanaSenProgram, build_schedule
 from repro.spanners.distributed_spanner import (
-    _BaswanaSenProgram,
     distributed_baswana_sen_spanner,
     distributed_bundle_spanner,
 )
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "congest_goldens.json"
+
+ENGINES = {
+    "reference": reference_distributed_spanner,
+    "columnar": distributed_baswana_sen_spanner,
+}
+
+# What the per-node engine produced for the pipeline cases of
+# TestBundleAndPipelineParity: sha256 prefixes (see ``digest``) of the
+# selected index arrays and of the sparsifier's edge arrays, plus the
+# exact (rounds, messages, max_message_words) triple.
+PER_NODE_OUTPUTS = {
+    "bundle": {
+        "edges": "526cb3657eab1ab5",
+        "num_edges": 350,
+        "components": ["fa630532fad70755", "ba0bfb1928edc69b", "2475851589fea0c7"],
+        "cost": (105, 5170, 3),
+    },
+    "sample-1": {
+        "bundle": "0ab2f10ed0e6f51c",
+        "sampled": "89b4ef3c8a8f9cfd",
+        "sparsifier": "b20cbd49f40c0e4f",
+        "cost": (71, 7499, 3),
+    },
+    "sample-4": {
+        "bundle": "065790b344af44d0",
+        "sampled": "d75e852588afabc3",
+        "sparsifier": "04cd41a0b94be99b",
+        "cost": (71, 6799, 3),
+    },
+    "sparsify": {
+        "sparsifier": "7fe2dd5315a3d511",
+        "output_edges": 454,
+        "cost": (142, 21868, 3),
+    },
+}
+
+
+def digest(*arrays) -> str:
+    """sha256 prefix over the raw bytes of ``arrays``, in order."""
+    hasher = hashlib.sha256()
+    for array in arrays:
+        hasher.update(np.ascontiguousarray(array).tobytes())
+    return hasher.hexdigest()[:16]
+
+
+def cost_triple(cost):
+    return (cost.rounds, cost.messages, cost.max_message_words)
 
 
 @pytest.fixture(scope="module")
@@ -90,12 +144,8 @@ class TestSpannerParity:
     @pytest.mark.parametrize("seed_offset", [0, 100])
     def test_driver_parity(self, golden_cases, case_index, seed_offset):
         name, graph, seed, k = golden_cases[case_index]
-        reference = distributed_baswana_sen_spanner(
-            graph, k=k, seed=seed + seed_offset, engine="reference"
-        )
-        columnar = distributed_baswana_sen_spanner(
-            graph, k=k, seed=seed + seed_offset, engine="columnar"
-        )
+        reference = reference_distributed_spanner(graph, k=k, seed=seed + seed_offset)
+        columnar = distributed_baswana_sen_spanner(graph, k=k, seed=seed + seed_offset)
         assert np.array_equal(reference.edge_indices, columnar.edge_indices), name
         assert reference.cost == columnar.cost, name
         assert reference.completed == columnar.completed
@@ -115,14 +165,10 @@ class TestSpannerParity:
         reference, columnar = run_both_simulators(graph, seed=4, max_rounds=5)
         assert not reference.completed and not columnar.completed
         assert reference.messages_per_round == columnar.messages_per_round
-        ref_spanner = distributed_baswana_sen_spanner(graph, seed=4, max_rounds=5, engine="reference")
-        col_spanner = distributed_baswana_sen_spanner(graph, seed=4, max_rounds=5, engine="columnar")
+        ref_spanner = reference_distributed_spanner(graph, seed=4, max_rounds=5)
+        col_spanner = distributed_baswana_sen_spanner(graph, seed=4, max_rounds=5)
         assert np.array_equal(ref_spanner.edge_indices, col_spanner.edge_indices)
         assert ref_spanner.cost == col_spanner.cost
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SimulationError):
-            distributed_baswana_sen_spanner(gen.cycle_graph(5), seed=0, engine="quantum")
 
 
 class TestGoldens:
@@ -135,7 +181,7 @@ class TestGoldens:
         golden = goldens[name]
         assert golden["num_vertices"] == graph.num_vertices
         assert golden["num_edges"] == graph.num_edges
-        result = distributed_baswana_sen_spanner(graph, k=k, seed=seed, engine=engine)
+        result = ENGINES[engine](graph, k=k, seed=seed)
         assert result.edge_indices.tolist() == golden["edge_indices"], name
         assert result.cost.rounds == golden["rounds"]
         assert result.cost.messages == golden["messages"]
@@ -144,54 +190,47 @@ class TestGoldens:
 
 
 class TestBundleAndPipelineParity:
-    """The t-bundle driver and the sparsifier pipeline are engine-invariant."""
+    """The t-bundle peel and the sparsifier pipeline match the per-node engine."""
 
     def test_bundle_parity(self):
-        graph = gen.barabasi_albert_graph(90, 4, seed=2)
-        reference = distributed_bundle_spanner(graph.coalesce(), t=3, seed=8, engine="reference")
-        columnar = distributed_bundle_spanner(graph.coalesce(), t=3, seed=8, engine="columnar")
+        graph = gen.barabasi_albert_graph(90, 4, seed=2).coalesce()
+        expected = PER_NODE_OUTPUTS["bundle"]
+        columnar = distributed_bundle_spanner(graph, t=3, seed=8)
+        assert digest(columnar.edge_indices) == expected["edges"]
+        assert columnar.edge_indices.size == expected["num_edges"]
+        assert [digest(c) for c in columnar.component_edge_indices] == expected["components"]
+        assert cost_triple(columnar.cost) == expected["cost"]
+        assert columnar.components_built == 3
+        # The live reference peels through the same loop and agrees.
+        reference = reference_distributed_bundle_spanner(graph, t=3, seed=8)
         assert np.array_equal(reference.edge_indices, columnar.edge_indices)
-        assert len(reference.component_edge_indices) == len(columnar.component_edge_indices)
-        for ref_c, col_c in zip(reference.component_edge_indices, columnar.component_edge_indices):
-            assert np.array_equal(ref_c, col_c)
         assert reference.cost == columnar.cost
-        assert reference.components_built == columnar.components_built
 
     @pytest.mark.parametrize("num_shards", [1, 4])
     def test_parallel_sample_parity(self, num_shards):
         graph = gen.banded_graph(72, 6)
-        results = {}
-        for engine in ("reference", "columnar"):
-            config = SparsifierConfig.practical(
-                bundle_t=2, num_shards=num_shards, distributed_engine=engine
-            )
-            results[engine] = distributed_parallel_sample(graph, epsilon=0.5, config=config, seed=9)
-        assert np.array_equal(
-            results["reference"].bundle_edge_indices, results["columnar"].bundle_edge_indices
+        config = SparsifierConfig.practical(bundle_t=2, num_shards=num_shards)
+        result = distributed_parallel_sample(graph, epsilon=0.5, config=config, seed=9)
+        expected = PER_NODE_OUTPUTS[f"sample-{num_shards}"]
+        assert digest(result.bundle_edge_indices) == expected["bundle"]
+        assert digest(result.sampled_edge_indices) == expected["sampled"]
+        sparsifier = result.sparsifier
+        assert digest(sparsifier.edge_u, sparsifier.edge_v, sparsifier.edge_weights) == (
+            expected["sparsifier"]
         )
-        assert np.array_equal(
-            results["reference"].sampled_edge_indices, results["columnar"].sampled_edge_indices
-        )
-        assert results["reference"].cost == results["columnar"].cost
-        assert results["reference"].sparsifier.same_edge_set(results["columnar"].sparsifier)
+        assert cost_triple(result.cost) == expected["cost"]
 
     def test_parallel_sparsify_parity(self):
         graph = gen.erdos_renyi_graph(70, 0.2, seed=6, ensure_connected=True)
-        outputs = {}
-        for engine in ("reference", "columnar"):
-            config = SparsifierConfig.practical(bundle_t=2, distributed_engine=engine)
-            outputs[engine] = distributed_parallel_sparsify(
-                graph, epsilon=0.5, rho=4.0, config=config, seed=3
-            )
-        assert outputs["reference"].cost == outputs["columnar"].cost
-        assert outputs["reference"].output_edges == outputs["columnar"].output_edges
-        assert outputs["reference"].sparsifier.same_edge_set(outputs["columnar"].sparsifier)
-
-    def test_config_rejects_unknown_engine(self):
-        from repro.exceptions import SparsificationError
-
-        with pytest.raises(SparsificationError):
-            SparsifierConfig(distributed_engine="fancy")
+        config = SparsifierConfig.practical(bundle_t=2)
+        result = distributed_parallel_sparsify(graph, epsilon=0.5, rho=4.0, config=config, seed=3)
+        expected = PER_NODE_OUTPUTS["sparsify"]
+        sparsifier = result.sparsifier
+        assert digest(sparsifier.edge_u, sparsifier.edge_v, sparsifier.edge_weights) == (
+            expected["sparsifier"]
+        )
+        assert result.output_edges == expected["output_edges"]
+        assert cost_triple(result.cost) == expected["cost"]
 
 
 def _limit_outcome(graph: Graph, seed: int, limit: int, engine: str):

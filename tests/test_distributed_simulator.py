@@ -1,4 +1,4 @@
-"""Tests for the synchronous distributed simulator and the distributed spanner."""
+"""Tests for the per-node reference simulator and the distributed spanner."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.exceptions import MessageTooLargeError, SimulationError
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
-from repro.parallel.distributed import (
+from repro.spanners._reference import (
     DistributedSimulator,
     NodeProgram,
     payload_words,

@@ -12,12 +12,17 @@ The contract under test (``repro/streaming/store.py`` + the harness in
   all three crash modes (clean kill, torn write, bit-flipped write).
 * **Torn-write fuzz** — truncating a journal at *every byte offset*
   yields either a bit-exact prefix replay or a clean refusal, for both
-  the stream journal and the batch checkpoint journal.
+  the stream store's journal and the batch checkpoint journal.
 * **Media corruption** — a flipped bit mid-journal is never silently
   replayed: strict readers refuse, the recovery ladder quarantines and
   accounts for the loss; a flipped bit in the newest snapshot makes the
   ladder fall back to the previous snapshot (whose journal suffix the
-  store deliberately retained).
+  store deliberately retained).  Every damaged record — a bit-7 flip at
+  any byte of a batch record, a flipped key name in a record, a segment
+  header or a snapshot manifest, an out-of-range pinned parameter — ends
+  bit-exact or declared lossy, never in a crash.
+* **Arguments first** — a ``recover()`` call with a bad option is refused
+  before it touches a single byte of the store.
 * **Bounded resume** — after a snapshot, recovery replays only the
   post-snapshot journal suffix, proven through the scan's read
   accounting, not timing.
@@ -29,6 +34,9 @@ Run with ``-m durability`` to select only this file.
 """
 
 from __future__ import annotations
+
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -170,38 +178,40 @@ class TestKillPointSweep:
 
 class TestTornWriteFuzz:
     def test_stream_journal_truncated_at_every_offset(self, tmp_path):
-        journal_dir = tmp_path / "journal"
+        pristine_store = tmp_path / "pristine"
         stream = StreamingSparsifier(
-            12, seed=0, compaction_interval=10**6, journal=journal_dir
+            12, seed=0, compaction_interval=10**6, store=pristine_store
         )
+        reference = StreamingSparsifier(12, seed=0, compaction_interval=10**6)
+        prefixes = {0: state_fingerprint(reference)}
         rng = np.random.default_rng(1)
-        reference = []
-        for index in range(5):
+        for _ in range(5):
             edges = rng.integers(0, 12, size=(4, 2))
             edges[:, 1] = (edges[:, 0] + 1 + edges[:, 1] % 10) % 12
             weights = rng.uniform(0.5, 2.0, size=4).round(3)
             stream.ingest(edges, weights)
-            reference.append(index)
-        _, replayed = StreamJournal.load(journal_dir)
-        full = list(replayed)
-        assert [batch[0] for batch in full] == reference
-        segment = sorted(journal_dir.glob("segment-*.jsonl"))[-1]
-        pristine = segment.read_bytes()
+            reference.ingest(edges, weights)
+            prefixes[reference.batches_ingested] = state_fingerprint(reference)
+        segment_name = "segment-00000000.jsonl"
+        pristine = (pristine_store / "journal" / segment_name).read_bytes()
+        store = tmp_path / "store"
         for offset in range(len(pristine)):
-            segment.write_bytes(pristine)
-            truncate_file_at(segment, offset)
+            shutil.rmtree(store, ignore_errors=True)
+            (store / "journal").mkdir(parents=True)
+            (store / "journal" / segment_name).write_bytes(pristine[:offset])
             try:
-                _, batches = StreamJournal.load(journal_dir)
-                got = list(batches)
-            except CheckpointError:
-                continue  # refused loudly: acceptable, never silent
-            # Whatever survives is an exact prefix of the original batches.
-            assert len(got) <= len(full)
-            for actual, expected in zip(got, full):
-                assert actual[0] == expected[0]
-                for a, b in zip(actual[1:], expected[1:]):
-                    assert np.array_equal(a, b)
-        segment.write_bytes(pristine)
+                recovered, report = StreamStateStore.recover(store)
+            except CheckpointError as exc:
+                # Cut inside the header: no parameters survive, nothing to
+                # recover — refused loudly, never silent.
+                assert "nothing to recover" in str(exc)
+                assert b"\n" not in pristine[:offset]
+                continue
+            # Whatever survives is exactly the prefix of complete appends.
+            complete = pristine[:offset].count(b"\n") - 1
+            assert report.bit_exact
+            assert recovered.batches_ingested == complete
+            assert_same_state(state_fingerprint(recovered), prefixes[complete])
 
     def test_batch_journal_truncated_at_every_offset(self, tmp_path):
         graphs = [
@@ -317,6 +327,156 @@ class TestBitFlipCorruption:
         assert_same_state(
             state_fingerprint(stream), clean_references[len(torture_batches)]
         )
+
+
+# --------------------------------------------------------------------- #
+# Damaged records end bit-exact or declared lossy, never in a crash
+# --------------------------------------------------------------------- #
+
+SEGMENT = "journal/segment-00000000.jsonl"
+_KEY = re.compile(rb'"([A-Za-z_]+)":')
+
+
+def store_files(path):
+    """Every byte of a store, by relative path."""
+    return {
+        entry.relative_to(path).as_posix(): entry.read_bytes()
+        for entry in sorted(path.rglob("*"))
+        if entry.is_file()
+    }
+
+
+def line_span(data, line):
+    """``(start, end)`` byte offsets of ``line`` (end = its newline)."""
+    start = 0
+    for _ in range(line):
+        start = data.index(b"\n", start) + 1
+    return start, data.index(b"\n", start)
+
+
+def key_name_offsets(data, start=0, end=None):
+    """Byte offsets of every character of each distinct JSON key in ``data[start:end]``.
+
+    Repeated keys (the manifest's per-array ``name``/``dtype``/``length``)
+    are flipped at their first occurrence only: every repeat takes the
+    same code path.
+    """
+    first = {}
+    for match in _KEY.finditer(data[start:end]):
+        first.setdefault(match.group(1), start + match.start(1))
+    return [offset + i for key, offset in first.items() for i in range(len(key))]
+
+
+def newest_manifest(store):
+    return sorted((store / "snapshots").glob("snap-*.json"))[-1].relative_to(store).as_posix()
+
+
+def recover_flipped(pristine, work, victim, offset, bit):
+    """Recover a fresh copy of ``pristine`` with one bit of ``victim`` flipped."""
+    shutil.rmtree(work, ignore_errors=True)
+    shutil.copytree(pristine, work)
+    flip_bit(work / victim, offset, bit)
+    return StreamStateStore.recover(work)
+
+
+def assert_exact_or_declared(stream, report, original, clean_references):
+    """The corruption contract: a clean-run prefix, and any loss declared."""
+    assert_same_state(state_fingerprint(stream), clean_references[stream.batches_ingested])
+    assert stream._journal_params() == original._journal_params()
+    if report.bit_exact:
+        assert stream.batches_ingested == original.batches_ingested
+    else:
+        assert report.batches_lost > 0
+
+
+class TestRecoverArguments:
+    @pytest.mark.parametrize("option", ["segment_bytes", "keep_snapshots", "snapshot_every"])
+    def test_rejected_call_leaves_every_byte_unchanged(
+        self, option, torture_graph, torture_batches, clean_references, tmp_path
+    ):
+        # A 4-batch journal-only store with one flipped digit in batch 2.
+        store = tmp_path / "store"
+        run_store_stream(
+            store, torture_graph, torture_batches[:4], snapshot_every=None, segment_bytes=10**6
+        )
+        data = (store / SEGMENT).read_bytes()
+        start, _ = line_span(data, 3)
+        flip_bit(store / SEGMENT, data.index(b'"w": [', start) + len(b'"w": ['))
+        before = store_files(store)
+        with pytest.raises(CheckpointError, match=option):
+            StreamStateStore.recover(store, **{option: 0})
+        assert store_files(store) == before
+        # So the next, valid call still finds and declares the loss.
+        stream, report = StreamStateStore.recover(store)
+        assert not report.bit_exact and report.batches_lost == 2
+        assert_same_state(state_fingerprint(stream), clean_references[2])
+
+
+class TestCorruptRecords:
+    @pytest.mark.parametrize(
+        "line, snapshot_every", [(3, None), (0, SNAPSHOT_EVERY)], ids=["batch-record", "header"]
+    )
+    def test_bit7_at_every_byte(
+        self, line, snapshot_every, torture_graph, torture_batches, clean_references, tmp_path
+    ):
+        # Batch 2's record of a journal-only store, or the segment header
+        # of a store whose snapshots are all that survive the flip.
+        pristine = tmp_path / "pristine"
+        original = run_store_stream(
+            pristine, torture_graph, torture_batches,
+            snapshot_every=snapshot_every, segment_bytes=10**6,
+        )
+        start, end = line_span((pristine / SEGMENT).read_bytes(), line)
+        for offset in range(start, end + 1):
+            stream, report = recover_flipped(pristine, tmp_path / "work", SEGMENT, offset, 7)
+            assert_exact_or_declared(stream, report, original, clean_references)
+            if snapshot_every is None:
+                # Nothing stands in for the damaged batch: the loss is real.
+                assert not report.bit_exact, offset
+
+    @pytest.mark.parametrize("target", ["record", "header", "manifest"])
+    def test_bit0_on_every_key_name(
+        self, target, torture_graph, torture_batches, clean_references, tmp_path
+    ):
+        pristine = tmp_path / "pristine"
+        original = run_store_stream(pristine, torture_graph, torture_batches, segment_bytes=10**6)
+        victim = newest_manifest(pristine) if target == "manifest" else SEGMENT
+        data = (pristine / victim).read_bytes()
+        if target == "manifest":
+            offsets = key_name_offsets(data)
+        else:
+            offsets = key_name_offsets(data, *line_span(data, 3 if target == "record" else 0))
+        assert offsets
+        for offset in offsets:
+            stream, report = recover_flipped(pristine, tmp_path / "work", victim, offset, 0)
+            assert_exact_or_declared(stream, report, original, clean_references)
+            # The previous snapshot's journal suffix is retained, so a bad
+            # newest manifest costs nothing.
+            assert report.bit_exact or target != "manifest"
+
+    @pytest.mark.parametrize("target", ["header", "manifest", "journal-only header"])
+    def test_out_of_range_parameter_value(
+        self, target, torture_graph, torture_batches, clean_references, tmp_path
+    ):
+        pristine = tmp_path / "pristine"
+        original = run_store_stream(
+            pristine, torture_graph, torture_batches, segment_bytes=10**6,
+            snapshot_every=None if target == "journal-only header" else SNAPSHOT_EVERY,
+        )
+        victim = newest_manifest(pristine) if target == "manifest" else SEGMENT
+        data = (pristine / victim).read_bytes()
+        field = b'"sampling_probability": '
+        offset = data.index(field + b"0.25") + len(field)  # 0.25 -> 1.25
+        if target == "journal-only header":
+            # No snapshot and no usable parameters: nothing valid remains.
+            with pytest.raises(CheckpointError, match="unusable"):
+                recover_flipped(pristine, tmp_path / "work", victim, offset, 0)
+            return
+        stream, report = recover_flipped(pristine, tmp_path / "work", victim, offset, 0)
+        assert_exact_or_declared(stream, report, original, clean_references)
+        # A bad manifest falls back to the previous snapshot, bit-exactly;
+        # a bad journal header is quarantined with its batches declared lost.
+        assert report.bit_exact == (target == "manifest")
 
 
 # --------------------------------------------------------------------- #

@@ -110,7 +110,7 @@ class TestNondeterminism:
             import time
             stamp = time.time()
         """
-        assert rules_hit(src, module="repro.utils.timing", rules=["REP002"]) == []
+        assert rules_hit(src, module="repro.parallel.failure", rules=["REP002"]) == []
 
     def test_perf_counter_clean(self):
         src = """
@@ -347,6 +347,24 @@ class TestOpenEncoding:
         src = """
             with open("notes.txt", encoding="utf-8") as fh:
                 fh.read()
+        """
+        assert rules_hit(src, rules=["REP007"]) == []
+
+    def test_read_text_and_write_text_without_encoding_fire(self):
+        src = """
+            from pathlib import Path
+
+            def copy(path):
+                Path("copy.txt").write_text(path.read_text())
+        """
+        assert rules_hit(src, rules=["REP007"]) == ["REP007", "REP007"]
+
+    def test_read_text_and_write_text_with_encoding_clean(self):
+        src = """
+            def copy(path, target):
+                target.write_text(path.read_text(encoding="utf-8"), "utf-8")
+                target.write_text("x", encoding="utf-8")
+                return path.read_bytes()
         """
         assert rules_hit(src, rules=["REP007"]) == []
 

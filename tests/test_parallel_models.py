@@ -1,8 +1,5 @@
-"""Tests for repro.parallel: cost records, PRAM tracker, executor."""
+"""Tests for repro.parallel: cost records and the PRAM tracker."""
 
-import time
-
-import numpy as np
 import pytest
 
 from repro.parallel.metrics import (
@@ -13,7 +10,6 @@ from repro.parallel.metrics import (
     combine_sequential,
 )
 from repro.parallel.pram import PRAMTracker
-from repro.parallel.scheduler import ParallelExecutor
 
 
 class TestPRAMCost:
@@ -167,76 +163,3 @@ class TestPRAMTracker:
         tracker = PRAMTracker()
         tracker.charge_cost(PRAMCost(work=3, depth=2))
         assert tracker.total == PRAMCost(3, 2)
-
-
-class TestParallelExecutor:
-    def test_sequential_map_order(self):
-        ex = ParallelExecutor(max_workers=1)
-        assert ex.map(lambda x: x * x, [1, 2, 3]) == [1, 4, 9]
-        assert not ex.is_parallel
-
-    def test_threaded_map_order(self):
-        ex = ParallelExecutor(max_workers=4)
-        assert ex.map(lambda x: x + 1, list(range(20))) == list(range(1, 21))
-        assert ex.is_parallel
-
-    def test_disabled_flag(self):
-        ex = ParallelExecutor(max_workers=4, enabled=False)
-        assert not ex.is_parallel
-        assert ex.map(lambda x: x, [1]) == [1]
-
-    def test_empty_input(self):
-        assert ParallelExecutor(max_workers=2).map(lambda x: x, []) == []
-
-    def test_exception_propagates(self):
-        ex = ParallelExecutor(max_workers=2)
-
-        def boom(x):
-            raise RuntimeError("fail")
-
-        with pytest.raises(RuntimeError):
-            ex.map(boom, [1, 2])
-
-    def test_starmap(self):
-        ex = ParallelExecutor(max_workers=2)
-        assert ex.starmap(lambda a, b: a + b, [(1, 2), (3, 4)]) == [3, 7]
-
-    def test_run_all(self):
-        ex = ParallelExecutor(max_workers=2)
-        assert ex.run_all([lambda: 1, lambda: 2]) == [1, 2]
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(max_workers=0)
-
-    def test_results_match_sequential_for_numpy_work(self):
-        rng = np.random.default_rng(0)
-        arrays = [rng.standard_normal(100) for _ in range(8)]
-        seq = ParallelExecutor(max_workers=1).map(np.sum, arrays)
-        par = ParallelExecutor(max_workers=4).map(np.sum, arrays)
-        assert np.allclose(seq, par)
-
-    def test_first_error_cancels_pending_tasks(self):
-        # Failing first item, slow tail items, one worker: without
-        # fail-fast cancellation every tail item would still run during
-        # pool shutdown; with it only already-dequeued items may finish.
-        executed = []
-
-        def job(x):
-            if x == 0:
-                raise RuntimeError("fail first")
-            time.sleep(0.02)
-            executed.append(x)
-            return x
-
-        ex = ParallelExecutor(max_workers=2)
-        with pytest.raises(RuntimeError, match="fail first"):
-            ex.map(job, list(range(30)))
-        assert len(executed) < 29
-
-    def test_delegates_to_backend_layer(self):
-        from repro.parallel.backends import SerialBackend, ThreadBackend
-
-        assert isinstance(ParallelExecutor(max_workers=1).backend, SerialBackend)
-        assert isinstance(ParallelExecutor(max_workers=3).backend, ThreadBackend)
-        assert isinstance(ParallelExecutor(max_workers=3, enabled=False).backend, SerialBackend)

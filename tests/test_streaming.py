@@ -8,8 +8,8 @@ The contract under test (see ``repro/streaming/sparsifier.py``):
 * **Split invariance** — in the default mode the snapshot after a given
   edge sequence does not depend on how the sequence was chopped into
   ``ingest`` calls.
-* **Crash resumability** — journaled streams resume bit-exactly, losing
-  at most the one batch whose journal append was torn.
+* **Crash recovery** — streams built with ``store=`` recover bit-exactly,
+  losing at most the one batch whose journal append was torn.
 * **Retry neutrality** — compactions rebuild their RNG per attempt, so a
   crashed-and-retried stream equals a never-crashed one bit for bit.
 """
@@ -241,13 +241,15 @@ class TestEndToEnd:
 
 
 class TestJournalResume:
+    """``store=`` + ``recover()``: the one way to persist and restore a stream."""
+
     def test_resume_is_bit_exact_and_reattaches(self, stream_graph, tmp_path):
-        journal = tmp_path / "stream.jsonl"
+        store = tmp_path / "store"
         stream = run_stream(
-            stream_graph, batch_size=400, seed=9, compaction_interval=500,
-            journal=journal,
+            stream_graph, batch_size=400, seed=9, compaction_interval=500, store=store,
         )
-        resumed = StreamingSparsifier.resume(journal)
+        resumed, report = StreamingSparsifier.recover(store)
+        assert report.bit_exact and report.batches_replayed == stream.batches_ingested
         assert resumed.batches_ingested == stream.batches_ingested
         assert resumed.compactions == stream.compactions
         a, b = stream.snapshot(), resumed.snapshot()
@@ -256,19 +258,19 @@ class TestJournalResume:
         assert np.array_equal(a.graph.edge_weights, b.graph.edge_weights)
         # The journal is reattached: new batches keep appending.
         resumed.ingest(np.array([[0, 1]]), np.array([1.0]))
-        again = StreamingSparsifier.resume(journal)
+        again, _ = StreamingSparsifier.recover(store)
         assert again.batches_ingested == resumed.batches_ingested
 
     def test_torn_trailing_append_loses_at_most_one_batch(self, stream_graph, tmp_path):
-        journal = tmp_path / "stream.jsonl"
+        store = tmp_path / "store"
         run_stream(
-            stream_graph, batch_size=400, seed=9, compaction_interval=500,
-            journal=journal,
+            stream_graph, batch_size=400, seed=9, compaction_interval=500, store=store,
         )
-        active = sorted(journal.glob("segment-*.jsonl"))[-1]
-        with open(active, "a") as handle:
+        active = sorted((store / "journal").glob("segment-*.jsonl"))[-1]
+        with open(active, "a", encoding="utf-8") as handle:
             handle.write('{"kind": "batch", "index": 99, "u": [1')  # crash mid-append
-        resumed = StreamingSparsifier.resume(journal)
+        resumed, report = StreamingSparsifier.recover(store)
+        assert report.bit_exact and report.torn_tail_dropped
         reference = run_stream(
             stream_graph, batch_size=400, seed=9, compaction_interval=500
         )
@@ -279,42 +281,54 @@ class TestJournalResume:
         )
 
     def test_corruption_and_misuse_are_refused(self, stream_graph, tmp_path):
-        journal = tmp_path / "stream.jsonl"
+        store = tmp_path / "store"
         run_stream(
-            stream_graph, batch_size=700, seed=9, compaction_interval=500,
-            journal=journal,
+            stream_graph, batch_size=700, seed=9, compaction_interval=500, store=store,
         )
-        # A fresh stream must not silently append to an existing journal.
-        with pytest.raises(CheckpointError, match="resume"):
-            StreamingSparsifier(stream_graph.num_vertices, journal=journal)
-        # Mid-segment corruption is not a torn append.
-        active = sorted(journal.glob("segment-*.jsonl"))[-1]
-        lines = active.read_text().splitlines()
+        # A fresh stream must not silently append to an existing store.
+        with pytest.raises(CheckpointError, match="recover"):
+            StreamingSparsifier(stream_graph.num_vertices, store=store)
+        # Mid-segment corruption is not a torn append: the strict reader
+        # refuses it, and recovery declares the loss instead of replaying.
+        active = sorted((store / "journal").glob("segment-*.jsonl"))[-1]
+        lines = active.read_text(encoding="utf-8").splitlines()
         lines[1] = lines[1][:20]
-        active.write_text("\n".join(lines) + "\n")
+        active.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(CheckpointError, match="corrupt"):
-            StreamingSparsifier.resume(journal)
+            StreamJournal.attach(store / "journal")
+        resumed, report = StreamingSparsifier.recover(store)
+        assert not report.bit_exact and report.batches_lost == len(lines) - 1
+        assert resumed.batches_ingested == 0
 
     def test_digest_mismatch_refused(self, tmp_path):
-        journal_path = tmp_path / "stream.jsonl"
-        stream = StreamingSparsifier(6, seed=0, journal=journal_path)
+        store = tmp_path / "store"
+        stream = StreamingSparsifier(6, seed=0, store=store)
         stream.ingest(np.array([[0, 1], [2, 3]]))
-        active = sorted(journal_path.glob("segment-*.jsonl"))[-1]
-        record = json.loads(active.read_text().splitlines()[1])
+        active = sorted((store / "journal").glob("segment-*.jsonl"))[-1]
+        lines = active.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
         record["w"] = [2.0, 2.0]  # tamper with the edges, keep the digest
-        lines = active.read_text().splitlines()
         lines[1] = json.dumps(record)
-        active.write_text("\n".join(lines) + "\n")
+        active.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(CheckpointError, match="digest"):
-            StreamingSparsifier.resume(journal_path)
+            list(StreamJournal.iter_batches(store / "journal"))
+        resumed, report = StreamingSparsifier.recover(store)
+        assert not report.bit_exact and report.batches_lost == 1
+        assert any("digest" in note for note in report.notes)
+        assert resumed.batches_ingested == 0
 
     def test_missing_or_headerless_journal_refused(self, tmp_path):
-        with pytest.raises(CheckpointError, match="missing or empty"):
-            StreamJournal.load(tmp_path / "absent.jsonl")
-        bogus = tmp_path / "bogus.jsonl"
-        bogus.write_text('{"kind": "batch", "index": 0}\n')
+        with pytest.raises(CheckpointError, match="nothing to recover"):
+            StreamingSparsifier.recover(tmp_path / "absent")
+        journal = tmp_path / "bogus" / "journal"
+        journal.mkdir(parents=True)
+        (journal / "segment-00000000.jsonl").write_text(
+            '{"kind": "batch", "index": 0}\n', encoding="utf-8"
+        )
         with pytest.raises(CheckpointError, match="header"):
-            StreamJournal.load(bogus)
+            StreamJournal.read_params(journal)
+        with pytest.raises(CheckpointError, match="nothing to recover"):
+            StreamingSparsifier.recover(tmp_path / "bogus")
 
 
 class TestWindowAndDecay:
@@ -390,13 +404,14 @@ class TestKOutPresampling:
 
     def test_presample_is_deterministic_and_journal_replayable(self, tmp_path):
         graph = gen.erdos_renyi_graph(60, 0.6, seed=4)
-        journal = tmp_path / "stream.jsonl"
+        store = tmp_path / "store"
         stream = StreamingSparsifier(
             graph.num_vertices, seed=3, kout_presample=2, compaction_interval=800,
-            journal=journal,
+            store=store,
         )
         stream.ingest(np.column_stack([graph.edge_u, graph.edge_v]), graph.edge_weights)
-        resumed = StreamingSparsifier.resume(journal)
+        resumed, report = StreamingSparsifier.recover(store)
+        assert report.bit_exact and report.batches_replayed == 1
         assert np.array_equal(
             stream.snapshot().graph.edge_weights,
             resumed.snapshot().graph.edge_weights,
@@ -478,9 +493,10 @@ class TestRegistryMethod:
 
 
 class TestStreamCLI:
-    def write_batches(self, graph, path, batch_size):
-        with open(path, "w") as handle:
-            for edges, weights in edge_batches(graph, batch_size):
+    def write_batches(self, graph, path, batch_size, lo=0, hi=None):
+        batches = list(edge_batches(graph, batch_size))[lo:hi]
+        with open(path, "w", encoding="utf-8") as handle:
+            for edges, weights in batches:
                 handle.write(
                     json.dumps({"edges": edges.tolist(), "weights": weights.tolist()})
                     + "\n"
@@ -492,32 +508,71 @@ class TestStreamCLI:
 
         batches = tmp_path / "batches.jsonl"
         output = tmp_path / "snapshot.txt"
-        journal = tmp_path / "journal.jsonl"
+        store = tmp_path / "store"
         self.write_batches(stream_graph, batches, 400)
         code = main([
             "stream", str(batches), str(output),
             "--n", str(stream_graph.num_vertices),
             "--seed", "3", "--compaction-interval", "500",
-            "--journal", str(journal), "--certify-resistances", "6",
+            "--store", str(store), "--snapshot-every", "3",
+            "--certify-resistances", "6",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "resistance certificate" in out
+        assert list((store / "snapshots").glob("snap-*.json"))
         written = read_edge_list(output)
 
         resumed_output = tmp_path / "resumed.txt"
-        code = main(["stream", str(resumed_output), "--resume", "--journal", str(journal)])
+        code = main(["stream", str(resumed_output), "--resume", "--store", str(store)])
         assert code == 0
+        assert "bit-exact" in capsys.readouterr().out
         resumed = read_edge_list(resumed_output)
         assert np.array_equal(written.edge_weights, resumed.edge_weights)
+
+    def test_resume_continuation_equals_one_shot_run(self, stream_graph, tmp_path):
+        from repro.cli import main
+
+        flags = ["--seed", "3", "--compaction-interval", "500"]
+        both, first, second = (tmp_path / f"{name}.jsonl" for name in ("both", "first", "second"))
+        self.write_batches(stream_graph, both, 400)
+        self.write_batches(stream_graph, first, 400, hi=4)
+        self.write_batches(stream_graph, second, 400, lo=4)
+        n = ["--n", str(stream_graph.num_vertices)]
+        assert main(["stream", str(both), str(tmp_path / "one-shot.txt"), *n, *flags]) == 0
+        store = ["--store", str(tmp_path / "store"), "--snapshot-every", "2"]
+        assert main(["stream", str(first), str(tmp_path / "part.txt"), *n, *flags, *store]) == 0
+        assert main(["stream", str(second), str(tmp_path / "continued.txt"), *store, "--resume"]) == 0
+        one_shot = (tmp_path / "one-shot.txt").read_bytes()
+        assert (tmp_path / "continued.txt").read_bytes() == one_shot
+        assert (tmp_path / "part.txt").read_bytes() != one_shot
+
+    def test_recover_subcommand_exit_codes(self, stream_graph, tmp_path, capsys):
+        from repro.cli import main
+        from repro.testing.faults import flip_bit
+
+        store = tmp_path / "store"
+        run_stream(stream_graph, batch_size=700, seed=9, compaction_interval=500, store=store)
+        recovered = tmp_path / "recovered.txt"
+        assert main(["recover", str(store), "--output", str(recovered)]) == 0
+        assert "bit-exact" in capsys.readouterr().out and recovered.exists()
+        # A bit-7 flip inside a mid-journal batch record: recovered, but lossy.
+        segment = sorted((store / "journal").glob("segment-*.jsonl"))[0]
+        data = segment.read_bytes()
+        middle_record = data.index(b"\n", data.index(b"\n") + 1) + 10
+        flip_bit(segment, middle_record, bit=7)
+        assert main(["recover", str(store)]) == 1
+        assert "LOSSY" in capsys.readouterr().out
 
     def test_stream_subcommand_validation(self, tmp_path):
         from repro.cli import main
         from repro.exceptions import ReproError
 
         batches = tmp_path / "bad.jsonl"
-        batches.write_text('{"no_edges": []}\n')
+        batches.write_text('{"no_edges": []}\n', encoding="utf-8")
         with pytest.raises(ReproError, match="--n"):
             main(["stream", str(batches), str(tmp_path / "out.txt")])
         with pytest.raises(ReproError, match="edges"):
             main(["stream", str(batches), str(tmp_path / "out.txt"), "--n", "5"])
+        with pytest.raises(ReproError, match="--store"):
+            main(["stream", str(tmp_path / "out.txt"), "--resume"])

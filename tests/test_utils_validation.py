@@ -1,14 +1,9 @@
-"""Tests for repro.utils.validation and repro.utils.timing / logging."""
-
-import logging
-import time
+"""Tests for repro.utils.validation."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.utils.logging import enable_console_logging, get_logger
-from repro.utils.timing import Timer, timed
 from repro.utils.validation import (
     check_epsilon,
     check_integer,
@@ -116,54 +111,3 @@ class TestMatrixChecks:
             check_vector([1, 2], 3)
         with pytest.raises(ValueError):
             check_vector(np.ones((2, 2)), 4)
-
-
-class TestTimer:
-    def test_section_records_time(self):
-        timer = Timer()
-        with timer.section("work"):
-            time.sleep(0.001)
-        assert timer.totals["work"] > 0
-        assert timer.counts["work"] == 1
-
-    def test_mean_and_summary(self):
-        timer = Timer()
-        for _ in range(3):
-            with timer.section("x"):
-                pass
-        assert timer.counts["x"] == 3
-        assert timer.mean("x") >= 0
-        assert timer.summary()[0][0] == "x"
-
-    def test_mean_missing_section(self):
-        with pytest.raises(KeyError):
-            Timer().mean("nope")
-
-    def test_reset(self):
-        timer = Timer()
-        with timer.section("x"):
-            pass
-        timer.reset()
-        assert timer.totals == {}
-
-    def test_timed_decorator(self):
-        @timed
-        def add(a, b):
-            return a + b
-
-        result, elapsed = add(2, 3)
-        assert result == 5
-        assert elapsed >= 0
-
-
-class TestLogging:
-    def test_get_logger_namespace(self):
-        assert get_logger("spanners").name == "repro.spanners"
-        assert get_logger("repro.core").name == "repro.core"
-        assert get_logger().name == "repro"
-
-    def test_enable_console_logging_idempotent(self):
-        enable_console_logging(logging.DEBUG)
-        handlers_before = len(get_logger().handlers)
-        enable_console_logging(logging.DEBUG)
-        assert len(get_logger().handlers) == handlers_before
