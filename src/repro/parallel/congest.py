@@ -11,20 +11,27 @@ Corollary 3) at toy sizes.
 This module keeps the model and changes the representation: one round is
 a constant number of flat NumPy passes over struct-of-arrays message
 buffers.  A :class:`MessageBlock` holds every message of a round as
-parallel columns (``src``, ``dst``, a per-message word count, and named
-payload columns); a :class:`ColumnarProgram` consumes the previous
-round's block and emits the next one; the :class:`ColumnarSimulator`
-drives the lock-step loop and does exactly the accounting the legacy
-simulator does:
+parallel columns (the incidence *slot* each message leaves on, a
+per-message word count, and named payload columns); a
+:class:`ColumnarProgram` consumes the previous round's block and emits
+the next one; the :class:`ColumnarSimulator` drives the lock-step loop
+and does exactly the accounting the legacy simulator does:
 
 * rounds executed,
 * messages per round (and their total),
 * the largest message payload in words, enforced against the same
   ``message_word_limit`` budget — an oversized message raises
   :class:`repro.exceptions.MessageTooLargeError` in the round it is
-  sent, and a message along a non-edge raises
-  :class:`repro.exceptions.SimulationError`, just as in the reference
-  engine.
+  sent, just as in the reference engine.
+
+Messages are addressed by port, as in the port-numbering CONGEST model:
+a node sends on one of its incidence slots (an entry of the CSR
+adjacency), so every message travels along an existing edge by
+construction, and a slot outside ``[0, 2m)`` raises
+:class:`repro.exceptions.SimulationError`.  The simulator pairs the two
+slots of every edge once per network in ``reverse_slot``; a message sent
+on slot ``s`` arrives on the receiver's slot ``reverse_slot[s]``, with no
+search per message.
 
 Per-node RNG streams are spawned exactly as the reference simulator
 spawns them (same seed normalisation, same ``spawn_rngs`` call), so a
@@ -82,8 +89,11 @@ class MessageBlock:
 
     Attributes
     ----------
-    src, dst:
-        Sender / receiver vertex ids, one entry per message.
+    slot:
+        Incidence slot (sending port) of each message: an index into the
+        simulator's CSR adjacency.  The sender is ``slot_owner[slot]``,
+        the receiver ``adj[slot]``, and the receiver's port for the same
+        edge ``reverse_slot[slot]``.
     words:
         Per-message payload size in machine words — the quantity the
         CONGEST model bounds by O(log n).  Programs declare it explicitly
@@ -94,20 +104,18 @@ class MessageBlock:
         Named payload columns, each an array of the block's length.
     """
 
-    src: np.ndarray
-    dst: np.ndarray
+    slot: np.ndarray
     words: np.ndarray
     columns: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.src = np.asarray(self.src, dtype=np.int64)
-        self.dst = np.asarray(self.dst, dtype=np.int64)
+        self.slot = np.asarray(self.slot, dtype=np.int64)
         self.words = np.asarray(self.words, dtype=np.int64)
-        size = self.src.shape[0]
-        if self.dst.shape[0] != size or self.words.shape[0] != size:
+        size = self.slot.shape[0]
+        if self.words.shape[0] != size:
             raise SimulationError(
-                f"message block columns disagree on length: src {size}, "
-                f"dst {self.dst.shape[0]}, words {self.words.shape[0]}"
+                f"message block columns disagree on length: slot {size}, "
+                f"words {self.words.shape[0]}"
             )
         for name, col in self.columns.items():
             if np.asarray(col).shape[0] != size:
@@ -117,12 +125,12 @@ class MessageBlock:
                 )
 
     def __len__(self) -> int:
-        return int(self.src.shape[0])
+        return int(self.slot.shape[0])
 
     @classmethod
     def empty(cls) -> "MessageBlock":
         e = np.empty(0, dtype=np.int64)
-        return cls(src=e, dst=e.copy(), words=e.copy())
+        return cls(slot=e, words=e.copy())
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
@@ -183,8 +191,10 @@ class ColumnarSimulator:
     ``adj`` / ``adj_weights`` / ``adj_edge_ids`` are the CSR neighbour
     structure of :meth:`repro.graphs.graph.Graph.neighbor_lists` (so
     incidence-slot order matches the reference simulator's per-node
-    neighbour arrays exactly — tie-breaking code can rely on it), and
-    ``slot_owner[s]`` names the vertex owning incidence slot ``s``.
+    neighbour arrays exactly — tie-breaking code can rely on it),
+    ``slot_owner[s]`` names the vertex owning incidence slot ``s``, and
+    ``reverse_slot[s]`` is the other slot of the same edge (an involution:
+    ``adj[reverse_slot] == slot_owner``).
     """
 
     def __init__(
@@ -208,11 +218,14 @@ class ColumnarSimulator:
         self.adj_edge_ids = edge_ids
         self.degrees = np.diff(indptr)
         self.slot_owner = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
-        # Sorted directed-edge keys (owner * n + neighbour) power both the
-        # engine's topology check and the programs' receiver-slot lookup.
-        dir_keys = self.slot_owner * np.int64(max(n, 1)) + adj
-        self._slot_order = np.argsort(dir_keys, kind="stable")
-        self._sorted_dir_keys = dir_keys[self._slot_order]
+        # Pair the two ports of every edge: edge e leaves its u end as
+        # directed row e and its v end as row e + m, so a slot's partner is
+        # the slot holding the opposite row (self loops are not allowed).
+        m = graph.num_edges
+        rows = edge_ids + np.int64(m) * (self.slot_owner != graph.edge_u[edge_ids])
+        slot_of_row = np.empty(2 * m, dtype=np.int64)
+        slot_of_row[rows] = np.arange(2 * m, dtype=np.int64)
+        self.reverse_slot = slot_of_row[np.where(rows < m, rows + m, rows - m)]
 
         self._total_messages = 0
         self._max_message_words = 0
@@ -222,38 +235,6 @@ class ColumnarSimulator:
     # ------------------------------------------------------------------ #
     # Topology helpers for programs
     # ------------------------------------------------------------------ #
-
-    def _dir_key_positions(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Positions of directed-edge ``keys`` in the sorted key table.
-
-        Returns ``(pos, missing)`` where ``missing`` flags keys with no
-        matching incidence.
-        """
-        table = self._sorted_dir_keys
-        if table.size == 0:
-            return np.zeros(keys.shape[0], dtype=np.int64), np.ones(keys.shape[0], dtype=bool)
-        pos = np.searchsorted(table, keys)
-        clipped = np.minimum(pos, table.size - 1)
-        return clipped, table[clipped] != keys
-
-    def receiver_slots(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """CSR slot (owned by ``dst``) holding the incidence ``dst -> src``.
-
-        This is the columnar analogue of a node locating a message's
-        sender in its own adjacency list.  Requires a simple graph (one
-        incidence per (owner, neighbour) pair); raises
-        :class:`SimulationError` for a (src, dst) pair with no edge.
-        """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        keys = dst * np.int64(max(self.num_vertices, 1)) + src
-        pos, missing = self._dir_key_positions(keys)
-        if np.any(missing):
-            i = int(np.flatnonzero(missing)[0])
-            raise SimulationError(
-                f"no incidence slot for message from {int(src[i])} to {int(dst[i])}"
-            )
-        return self._slot_order[pos]
 
     def broadcast_block(
         self, nodes: np.ndarray, words: int, **node_columns: np.ndarray
@@ -268,14 +249,12 @@ class ColumnarSimulator:
         nodes = np.asarray(nodes, dtype=np.int64)
         counts = self.degrees[nodes]
         slots = concat_ranges(self.indptr[nodes], counts)
-        src = np.repeat(nodes, counts)
         columns = {
             name: np.repeat(np.asarray(values), counts) for name, values in node_columns.items()
         }
         return MessageBlock(
-            src=src,
-            dst=self.adj[slots],
-            words=np.full(src.shape[0], int(words), dtype=np.int64),
+            slot=slots,
+            words=np.full(slots.shape[0], int(words), dtype=np.int64),
             columns=columns,
         )
 
@@ -287,6 +266,8 @@ class ColumnarSimulator:
         Counters are reset at the start of every call, so ``cost`` always
         describes the most recent run (per-run-delta accounting).
         """
+        if max_rounds < 1:
+            raise SimulationError(f"max_rounds must be >= 1, got {max_rounds}")
         self.reset_counters()
         program.setup(self)
         inbox = MessageBlock.empty()
@@ -315,23 +296,24 @@ class ColumnarSimulator:
         """Validate one round's outbox and fold it into the counters."""
         count = len(outbox)
         if count:
-            oversized = outbox.words > self.message_word_limit
-            if np.any(oversized):
-                i = int(np.flatnonzero(oversized)[0])
-                raise MessageTooLargeError(
-                    f"node {int(outbox.src[i])} sent a {int(outbox.words[i])}-word message "
-                    f"(limit {self.message_word_limit}) in round {round_number}"
-                )
-            # The model only allows communication along graph edges.
-            keys = outbox.src * np.int64(max(self.num_vertices, 1)) + outbox.dst
-            _, bad = self._dir_key_positions(keys)
-            if np.any(bad):
-                i = int(np.flatnonzero(bad)[0])
+            # The model only allows communication along graph edges, and a
+            # message names its edge by the slot it leaves on.
+            slot = outbox.slot
+            num_slots = self.adj.shape[0]
+            if slot.min() < 0 or slot.max() >= num_slots:
+                i = int(np.flatnonzero((slot < 0) | (slot >= num_slots))[0])
                 raise SimulationError(
-                    f"node {int(outbox.src[i])} attempted to send to "
-                    f"non-neighbour {int(outbox.dst[i])}"
+                    f"message sent on slot {int(slot[i])} in round {round_number}, "
+                    f"outside the network's {num_slots} incidence slots"
                 )
-            self._max_message_words = max(self._max_message_words, int(outbox.words.max()))
+            largest = int(outbox.words.max())
+            if largest > self.message_word_limit:
+                i = int(np.argmax(outbox.words > self.message_word_limit))
+                raise MessageTooLargeError(
+                    f"node {int(self.slot_owner[slot[i]])} sent a {int(outbox.words[i])}-word "
+                    f"message (limit {self.message_word_limit}) in round {round_number}"
+                )
+            self._max_message_words = max(self._max_message_words, largest)
         self._total_messages += count
         self._messages_per_round.append(count)
 

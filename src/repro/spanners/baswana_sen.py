@@ -32,18 +32,21 @@ The per-iteration clustering logic follows Baswana–Sen phase 1/phase 2:
    remains adjacent to it through one lightest edge.
 
 Every per-vertex decision is a *segmented reduction* over the (vertex,
-cluster) groups produced by one lexsort — ``np.minimum.reduceat`` /
-``np.logical_or.reduceat`` over group boundaries — so one clustering
-iteration is a small constant number of flat NumPy passes with no Python
-loop over vertices.  The pre-vectorization implementation is preserved in
-:mod:`repro.spanners._reference` for golden tests and benchmarking; both
-select bit-identical edge sets for a fixed seed.
+cluster) groups produced by one stable integer sort of the directed edge
+rows — ``np.minimum.reduceat`` / ``np.logical_or.reduceat`` over group
+boundaries.  Covered edges are then marked by edge id: each kept group's
+verdict is scattered back to its directed rows through the row -> group
+map of that same sort, so no step binary-searches a key table, and one
+clustering iteration is a small constant number of flat NumPy passes with
+no Python loop over vertices.  The pre-vectorization implementation is
+preserved in :mod:`repro.spanners._reference` for golden tests and
+benchmarking; both select bit-identical edge sets for a fixed seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -127,11 +130,12 @@ def _segmented_argmin(
 
 def _lightest_per_group(
     group_a: np.ndarray, group_b: np.ndarray, lengths: np.ndarray, payload: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """For each (a, b) group return the row of minimum length.
 
     Returns arrays (a, b, min_length, payload_at_min) with one entry per
-    distinct (a, b) pair, sorted lexicographically by (a, b).  Ties on
+    distinct (a, b) pair, sorted lexicographically by (a, b), followed by
+    the row -> group map (the group index of every input row).  Ties on
     length resolve to the earliest input row, which is the tie-breaking
     order the golden tests pin down.
 
@@ -141,29 +145,16 @@ def _lightest_per_group(
     """
     if group_a.size == 0:
         empty = np.array([], dtype=np.int64)
-        return empty, empty, np.array([]), empty
+        return empty, empty, np.array([]), empty, empty
     base_a = np.int64(group_a.min())
     base_b = np.int64(group_b.min())
     span = np.int64(group_b.max()) - base_b + 1
     key = (group_a - base_a) * span + (group_b - base_b)
-    order, _, _, _, best = _segmented_argmin(key, lengths)
+    order, _, seg_of, _, best = _segmented_argmin(key, lengths)
     sel = order[best]
-    return group_a[sel], group_b[sel], lengths[sel], payload[sel]
-
-
-def _sorted_membership(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Membership mask of ``keys`` in the sorted unique array ``sorted_keys``.
-
-    Two binary searches replace the ``np.isin`` sort-per-call: O(|keys|
-    log |sorted_keys|) with no temporary sort of the haystack.
-    """
-    if sorted_keys.size == 0:
-        return np.zeros(keys.shape[0], dtype=bool)
-    pos = np.searchsorted(sorted_keys, keys)
-    inside = pos < sorted_keys.size
-    out = np.zeros(keys.shape[0], dtype=bool)
-    out[inside] = sorted_keys[pos[inside]] == keys[inside]
-    return out
+    group_of = np.empty_like(seg_of)
+    group_of[order] = seg_of
+    return group_a[sel], group_b[sel], lengths[sel], payload[sel], group_of
 
 
 def _spanner_select(
@@ -192,13 +183,15 @@ def _spanner_select(
     cluster = np.arange(n, dtype=np.int64)
     sample_probability = float(n) ** (-1.0 / k) if n > 1 else 1.0
 
-    chosen: List[np.ndarray] = []
+    chosen = np.zeros(m, dtype=bool)
 
     for _iteration in range(k - 1):
         if edge_idx.size == 0:
             break
         # --- sample clusters -------------------------------------------------
-        active_centers = np.unique(cluster[cluster >= 0])
+        is_center = np.zeros(n, dtype=bool)
+        is_center[cluster[cluster >= 0]] = True
+        active_centers = np.flatnonzero(is_center)
         sampled_flags = rng.random(active_centers.shape[0]) < sample_probability
         center_sampled = np.zeros(n, dtype=bool)
         center_sampled[active_centers[sampled_flags]] = True
@@ -230,7 +223,9 @@ def _spanner_select(
             cluster = np.where(in_sampled, cluster, -1)
             continue
 
-        grp_v, grp_c, grp_len, grp_edge = _lightest_per_group(du, head_cluster, dlen, didx)
+        grp_v, grp_c, grp_len, grp_edge, grp_of = _lightest_per_group(
+            du, head_cluster, dlen, didx
+        )
         # PRAM: grouping/minimum per (v, c) pair is a segmented reduction.
         tracker.charge_reduction(du.size, label="spanner/group-min")
 
@@ -272,26 +267,20 @@ def _spanner_select(
         # log-depth min over the vertex's adjacent clusters).
         tracker.charge_reduction(num_entries, label="spanner/vertex-decisions")
 
-        chosen.append(grp_edge[keep_entry])
+        chosen[grp_edge[keep_entry]] = True
 
         # --- remove covered edges -------------------------------------------
         # An edge (x, y) is removed if the pair (x, cluster_old(y)) or
         # (y, cluster_old(x)) was scheduled for removal, or if both endpoints
         # now share a cluster (it is covered inside that cluster).  The
-        # removal pairs are exactly the kept (vertex, cluster) entries.
-        removal_keys = np.unique(grp_v[keep_entry] * np.int64(n) + grp_c[keep_entry])
-
-        old_cluster_u = cluster[edge_u]
-        old_cluster_v = cluster[edge_v]
-        key_uv = np.where(
-            old_cluster_v >= 0, edge_u * np.int64(n) + old_cluster_v, np.int64(-1)
-        )
-        key_vu = np.where(
-            old_cluster_u >= 0, edge_v * np.int64(n) + old_cluster_u, np.int64(-1)
-        )
-        removed = _sorted_membership(removal_keys, key_uv) | _sorted_membership(
-            removal_keys, key_vu
-        )
+        # removal pairs are exactly the kept (vertex, cluster) groups, and
+        # the directed rows carrying a pair are exactly that group's rows
+        # (vertices of sampled clusters never act, unclustered heads name
+        # no cluster), so scattering each group's verdict back through the
+        # row -> group map marks every covered direction of every edge.
+        covered = np.zeros(valid.shape[0], dtype=bool)
+        covered[valid] = keep_entry[grp_of]
+        removed = covered[: edge_idx.size] | covered[edge_idx.size :]
         same_new_cluster = (
             (new_cluster[edge_u] >= 0) & (new_cluster[edge_u] == new_cluster[edge_v])
         )
@@ -315,13 +304,11 @@ def _spanner_select(
         valid = head_cluster >= 0
         du, dlen, didx, head_cluster = du[valid], dlen[valid], didx[valid], head_cluster[valid]
         if du.size:
-            _, _, _, phase2_edges = _lightest_per_group(du, head_cluster, dlen, didx)
-            chosen.append(phase2_edges)
+            _, _, _, phase2_edges, _ = _lightest_per_group(du, head_cluster, dlen, didx)
+            chosen[phase2_edges] = True
         tracker.charge_reduction(max(du.size, 1), label="spanner/phase2")
 
-    if chosen:
-        return np.unique(np.concatenate(chosen))
-    return np.array([], dtype=np.int64)
+    return np.flatnonzero(chosen)
 
 
 def _materialize_selection(graph: GraphLike, indices: np.ndarray) -> Graph:

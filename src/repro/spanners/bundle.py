@@ -145,7 +145,8 @@ def bundle_select(
     cur_u = np.asarray(edge_u)
     cur_v = np.asarray(edge_v)
     cur_w = np.asarray(edge_weights)
-    cur_idx = np.arange(cur_u.shape[0], dtype=np.int64)
+    m = cur_u.shape[0]
+    cur_idx = np.arange(m, dtype=np.int64)
     component_indices: List[np.ndarray] = []
     built = 0
     exhausted = False
@@ -159,7 +160,8 @@ def bundle_select(
             built += 1
             continue
         local = _spanner_select(n, cur_u, cur_v, cur_w, k_eff, component_rngs[i], tracker)
-        component_indices.append(np.sort(cur_idx[local]))
+        # Both ascending (``cur_idx`` is only ever masked), so already sorted.
+        component_indices.append(cur_idx[local])
         built += 1
         if local.size == cur_idx.size:
             exhausted = True
@@ -184,8 +186,11 @@ def bundle_select(
 
     if component_indices:
         num_chosen = int(sum(c.shape[0] for c in component_indices))
-        all_indices = np.unique(np.concatenate(component_indices))
-        # One sort-based dedup assembles the bundle from its components.
+        # One mask over the input edges assembles the bundle from its components.
+        in_bundle = np.zeros(m, dtype=bool)
+        for indices in component_indices:
+            in_bundle[indices] = True
+        all_indices = np.flatnonzero(in_bundle)
         tracker.charge_reduction(max(num_chosen, 1), label="bundle/assemble")
     else:
         all_indices = np.array([], dtype=np.int64)

@@ -29,10 +29,10 @@ down.  The equivalence rests on four invariants:
   the minimum, and the candidate target cluster with the smallest
   first-occurrence slot wins.
 * **Knowledge locality.**  Cluster/sampled knowledge about a neighbour
-  is only ever updated from a delivered message (via
-  ``ColumnarSimulator.receiver_slots``), never read from global state,
-  so the program remains a faithful CONGEST protocol rather than a
-  shared-memory shortcut.
+  is only ever updated from a delivered message, on the port it arrives
+  at (``ColumnarSimulator.reverse_slot`` of the sending slot), never
+  read from global state, so the program remains a faithful CONGEST
+  protocol rather than a shared-memory shortcut.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
         if len(inbox) == 0:
             return
         tags = inbox.column("tag")
-        slots = net.receiver_slots(inbox.src, inbox.dst)
+        slots = net.reverse_slot[inbox.slot]
 
         removals = tags == _TAG_REMOVE
         if np.any(removals):
@@ -142,7 +142,7 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
             self.known_center[f_slots] = f_center
             self.known_sampled[f_slots] = f_sampled
             if learn_membership:
-                dst = inbox.dst[floods]
+                dst = net.slot_owner[f_slots]
                 matches = (
                     ~self.informed[dst] & (self.center[dst] >= 0) & (f_center == self.center[dst])
                 )
@@ -281,14 +281,9 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
         killed_slots = s_sorted[recorded[seg_of]]
         self.edge_alive[net.adj_edge_ids[killed_slots]] = False
         return MessageBlock(
-            src=net.slot_owner[killed_slots],
-            dst=net.adj[killed_slots],
+            slot=killed_slots,
             words=np.full(killed_slots.shape[0], _REMOVE_WORDS, dtype=np.int64),
-            columns={
-                "tag": np.full(killed_slots.shape[0], _TAG_REMOVE, dtype=np.int64),
-                "center": np.full(killed_slots.shape[0], -1, dtype=np.int64),
-                "sampled": np.zeros(killed_slots.shape[0], dtype=bool),
-            },
+            columns={"tag": np.full(killed_slots.shape[0], _TAG_REMOVE, dtype=np.int64)},
         )
 
     def _final_exchange(self, net: ColumnarSimulator, inbox: MessageBlock) -> MessageBlock:

@@ -45,7 +45,6 @@ from repro.graphs.graph import Graph
 from repro.graphs.views import EdgeSubset
 from repro.parallel.congest import ColumnarSimulator
 from repro.parallel.metrics import DistributedCost
-from repro.spanners.baswana_sen import _sorted_membership
 from repro.spanners.congest_spanner import ColumnarBaswanaSenProgram, build_schedule
 from repro.utils.rng import RandomState, SeedLike, as_rng, split_rng
 
@@ -88,10 +87,27 @@ class DistributedSpannerResult:
     completed: bool
 
 
+def _sorted_membership(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Membership mask of ``keys`` in the sorted unique array ``sorted_keys``.
+
+    Two binary searches replace the ``np.isin`` sort-per-call: O(|keys|
+    log |sorted_keys|) with no temporary sort of the haystack.
+    """
+    if sorted_keys.size == 0:
+        return np.zeros(keys.shape[0], dtype=bool)
+    pos = np.searchsorted(sorted_keys, keys)
+    inside = pos < sorted_keys.size
+    out = np.zeros(keys.shape[0], dtype=bool)
+    out[inside] = sorted_keys[pos[inside]] == keys[inside]
+    return out
+
+
 def _protocol_inputs(
     graph: Graph, k: Optional[int], max_rounds: Optional[int]
 ) -> Tuple[Graph, int, int]:
     """``(coalesced graph, k, round cap)`` for one protocol run."""
+    if max_rounds is not None and max_rounds < 1:
+        raise GraphError(f"max_rounds must be >= 1, got {max_rounds}")
     simple = graph.coalesce()
     if k is None:
         k = max(1, int(np.ceil(np.log2(max(simple.num_vertices, 2)))))
@@ -135,8 +151,8 @@ def distributed_baswana_sen_spanner(
     seed:
         Simulator seed (drives every node's private RNG stream).
     max_rounds:
-        Safety cap on rounds; defaults to a generous multiple of the
-        schedule length.
+        Safety cap on rounds, at least 1 (:class:`GraphError` otherwise);
+        defaults to a generous multiple of the schedule length.
     """
     simple, k, cap = _protocol_inputs(graph, k, max_rounds)
     run = ColumnarSimulator(simple, seed=seed).run(

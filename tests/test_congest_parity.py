@@ -32,7 +32,7 @@ from repro.core.distributed_sparsify import (
     distributed_parallel_sample,
     distributed_parallel_sparsify,
 )
-from repro.exceptions import MessageTooLargeError, SimulationError
+from repro.exceptions import GraphError, MessageTooLargeError, SimulationError
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 from repro.parallel.congest import (
@@ -170,6 +170,12 @@ class TestSpannerParity:
         assert np.array_equal(ref_spanner.edge_indices, col_spanner.edge_indices)
         assert ref_spanner.cost == col_spanner.cost
 
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("max_rounds", [0, -3])
+    def test_round_cap_below_one_rejected(self, engine, max_rounds):
+        with pytest.raises(GraphError, match="max_rounds"):
+            ENGINES[engine](gen.grid_graph(6, 6), seed=0, max_rounds=max_rounds)
+
 
 class TestGoldens:
     """Both engines must reproduce the frozen reference outputs."""
@@ -290,7 +296,7 @@ class _ColumnarEcho(ColumnarProgram):
         if round_number == 1:
             nodes = np.arange(net.num_vertices, dtype=np.int64)
             return net.broadcast_block(nodes, 1, tag=np.zeros(net.num_vertices, np.int64)), False
-        self.heard = np.sort(inbox.src)
+        self.heard = np.sort(net.slot_owner[inbox.slot])
         return None, True
 
     def finalize(self, net):
@@ -298,12 +304,10 @@ class _ColumnarEcho(ColumnarProgram):
 
 
 class _ColumnarRogue(ColumnarProgram):
-    """Attempts to message a non-neighbour on a cycle."""
+    """Attempts to send on a slot the network does not have."""
 
     def round(self, net, round_number, inbox):
-        block = MessageBlock(
-            src=np.array([0]), dst=np.array([2]), words=np.array([1])
-        )
+        block = MessageBlock(slot=np.array([net.adj.shape[0]]), words=np.array([1]))
         return block, True
 
 
@@ -311,9 +315,7 @@ class _ColumnarChatty(ColumnarProgram):
     """Sends one over-long message."""
 
     def round(self, net, round_number, inbox):
-        block = MessageBlock(
-            src=np.array([0]), dst=np.array([1]), words=np.array([10_000])
-        )
+        block = MessageBlock(slot=np.array([0]), words=np.array([10_000]))
         return block, True
 
 
@@ -339,6 +341,11 @@ class TestColumnarEngine:
         with pytest.raises(MessageTooLargeError):
             ColumnarSimulator(gen.cycle_graph(4), seed=0).run(_ColumnarChatty())
 
+    @pytest.mark.parametrize("max_rounds", [0, -3])
+    def test_round_cap_below_one_rejected(self, max_rounds):
+        with pytest.raises(SimulationError, match="max_rounds"):
+            ColumnarSimulator(gen.cycle_graph(4), seed=0).run(_ColumnarEcho(), max_rounds=max_rounds)
+
     def test_empty_graph(self):
         result = ColumnarSimulator(Graph(0), seed=0).run(_ColumnarEcho())
         assert result.completed
@@ -354,25 +361,24 @@ class TestColumnarEngine:
 
     def test_message_block_validates_lengths(self):
         with pytest.raises(SimulationError):
-            MessageBlock(src=np.array([0, 1]), dst=np.array([1]), words=np.array([1, 1]))
+            MessageBlock(slot=np.array([0, 1]), words=np.array([1]))
         with pytest.raises(SimulationError):
             MessageBlock(
-                src=np.array([0]),
-                dst=np.array([1]),
+                slot=np.array([0]),
                 words=np.array([1]),
                 columns={"tag": np.array([0, 1])},
             )
 
-    def test_receiver_slots_roundtrip(self):
+    def test_reverse_slot_roundtrip(self):
         g = gen.grid_graph(4, 4)
         net = ColumnarSimulator(g, seed=0)
-        # For every incidence slot (owner -> neighbour), the reverse lookup
-        # must land on the slot owned by the neighbour pointing back.
-        slots = net.receiver_slots(src=net.slot_owner, dst=net.adj)
-        assert np.array_equal(net.slot_owner[slots], net.adj)
-        assert np.array_equal(net.adj[slots], net.slot_owner)
-        with pytest.raises(SimulationError):
-            net.receiver_slots(src=np.array([0]), dst=np.array([15]))
+        rev = net.reverse_slot
+        # For every incidence slot (owner -> neighbour), the reverse slot
+        # is the one owned by the neighbour pointing back, on the same edge.
+        assert np.array_equal(rev[rev], np.arange(net.adj.shape[0]))
+        assert np.array_equal(net.slot_owner[rev], net.adj)
+        assert np.array_equal(net.adj[rev], net.slot_owner)
+        assert np.array_equal(net.adj_edge_ids[rev], net.adj_edge_ids)
 
     def test_concat_ranges(self):
         starts = np.array([5, 0, 9, 9])

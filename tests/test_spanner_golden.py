@@ -116,6 +116,43 @@ class TestAgainstReference:
         for a, b in zip(fast.component_edge_indices, slow.component_edge_indices):
             assert np.array_equal(a, b)
 
+    @staticmethod
+    def _multigraph(seed):
+        """ER graph plus parallel copies of a third of its edges, shuffled in.
+
+        Half of the copies tie their original's weight and half draw a new
+        one, so covered-edge removal and the earliest-row tie-break both
+        see parallel classes (stream working sets and multigraph inputs
+        reach the spanner kernel with them).
+        """
+        g = gen.erdos_renyi_graph(
+            80, 0.2, seed=seed, weight_range=(0.5, 3.0), ensure_connected=True
+        )
+        rng = np.random.default_rng(seed)
+        dup = rng.choice(g.num_edges, size=g.num_edges // 3, replace=False)
+        tied = rng.random(dup.size) < 0.5
+        dup_w = np.where(tied, g.edge_weights[dup], rng.uniform(0.5, 3.0, dup.size))
+        order = rng.permutation(g.num_edges + dup.size)
+        u = np.concatenate([g.edge_u, g.edge_u[dup]])[order]
+        v = np.concatenate([g.edge_v, g.edge_v[dup]])[order]
+        w = np.concatenate([g.edge_weights, dup_w])[order]
+        return Graph(g.num_vertices, u, v, w)
+
+    @pytest.mark.parametrize("seed", [2, 17])
+    @pytest.mark.parametrize("k", [2, 3, None])
+    def test_parallel_edges_bit_identical(self, seed, k):
+        g = self._multigraph(seed)
+        fast = baswana_sen_spanner(g, k=k, seed=seed + 1)
+        slow = reference_baswana_sen_spanner(g, k=k, seed=seed + 1)
+        assert np.array_equal(fast.edge_indices, slow.edge_indices)
+        fast_bundle = t_bundle_spanner(g, t=4, k=k, seed=seed)
+        slow_bundle = reference_t_bundle_spanner(g, t=4, k=k, seed=seed)
+        assert np.array_equal(fast_bundle.edge_indices, slow_bundle.edge_indices)
+        assert fast_bundle.t == slow_bundle.t
+        assert fast_bundle.exhausted == slow_bundle.exhausted
+        for a, b in zip(fast_bundle.component_edge_indices, slow_bundle.component_edge_indices):
+            assert np.array_equal(a, b)
+
 
 class TestZeroValidationPeel:
     """The t-round peel must not run a single validated Graph construction."""
