@@ -193,7 +193,7 @@ def main() -> None:
             "section": "solver-comparison",
             "n": 22 * 22,
             "plain_iterations": plain.iterations,
-            "jacobi_iterations": jacobi.iterations,
+            "jacobi_pcg_iterations": jacobi.iterations,
             "chain_iterations": chained.result.iterations,
             "chain_work": chained.result.work,
             "plain_work": plain.work,

@@ -72,8 +72,6 @@ from repro.core import (
     ResistanceCertificate,
     distributed_parallel_sample,
     distributed_parallel_sparsify,
-    sparsify_many,
-    BatchSparsifyResult,
 )
 
 # Resistances.
@@ -150,8 +148,6 @@ __all__ = [
     "ResistanceCertificate",
     "distributed_parallel_sample",
     "distributed_parallel_sparsify",
-    "sparsify_many",
-    "BatchSparsifyResult",
     "effective_resistance",
     "effective_resistances_all_edges",
     "leverage_scores",

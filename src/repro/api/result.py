@@ -119,16 +119,18 @@ class UnifiedResult:
 class UnifiedBatchResult:
     """Outcome of :meth:`repro.api.Engine.run_many` over many graphs.
 
-    Mirrors :class:`repro.core.batch.BatchSparsifyResult`'s aggregate
-    accessors but holds :class:`UnifiedResult` objects, so batch
-    workloads of *any* registered method report uniformly.
+    Holds one :class:`UnifiedResult` per job in input order, so batch
+    workloads of *any* registered method report uniformly; for
+    ``method="koutis"`` each ``results[i].native`` is the job's
+    :class:`~repro.core.sparsify.SparsifyResult`.
 
     Under a ``failure_policy`` with ``on_error="collect"`` a permanently
     failed job leaves ``None`` in its ``results`` slot and a
     :class:`~repro.parallel.failure.FailureRecord` in ``failures``; the
     aggregate accessors skip the ``None`` slots.  ``attempts`` holds
     per-job attempt counts when a policy governed the run (``None``
-    otherwise).
+    otherwise).  ``resumed_jobs`` counts the jobs restored from the
+    ``checkpoint=`` journal instead of recomputed (0 without one).
     """
 
     results: List[Optional[UnifiedResult]] = field(default_factory=list)
@@ -137,6 +139,7 @@ class UnifiedBatchResult:
     max_workers: int = 1
     failures: List[FailureRecord] = field(default_factory=list)
     attempts: Optional[List[int]] = None
+    resumed_jobs: int = 0
 
     def __iter__(self):
         return iter(self.results)
@@ -180,9 +183,8 @@ class UnifiedBatchResult:
         """Aggregate measured cost across the jobs (they ran concurrently).
 
         PRAM costs combine with the fork/join rule (work adds, depth is
-        the max) exactly like
-        :attr:`repro.core.batch.BatchSparsifyResult.cost`; distributed
-        costs combine with max-rounds / sum-messages.  ``None`` when the
+        the max, as for independent jobs); distributed costs combine with
+        max-rounds / sum-messages.  ``None`` when the
         method reports no cost (the baselines).
         """
         costs = [r.cost for r in self.results if r is not None and r.cost is not None]

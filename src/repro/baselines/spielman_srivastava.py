@@ -118,8 +118,8 @@ def spielman_srivastava_sparsify(
         Columns per chunk of the blocked solves (both paths).
     solver:
         Inner blocked-solver choice for the resistance computation on
-        either path — ``"cg"`` (plain blocked CG, the default),
-        ``"chain"`` (chain-preconditioned), or ``"auto"``; see
+        either path — ``"cg"`` (plain blocked CG, the default) or
+        ``"chain"`` (chain-preconditioned); see
         :mod:`repro.resistance.solver_select`.
     """
     if graph.num_edges == 0:

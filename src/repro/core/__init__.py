@@ -13,8 +13,8 @@
 * :mod:`repro.core.distributed_sparsify` — the same pipeline driven
   through the synchronous distributed simulator, with round/message
   accounting (the distributed halves of Theorems 4–5).
-* :mod:`repro.core.batch` — fan many independent sparsification jobs out
-  across an execution backend (the serving-many-workloads entry point).
+* :mod:`repro.core.checkpoint` — the durable-write seam and the batch
+  checkpoint journal behind ``Engine.run_many(checkpoint=...)``.
 * :mod:`repro.core.methods` — engine adapters registering the two core
   entry points (``koutis`` / ``koutis-distributed``) with the unified
   method registry of :mod:`repro.api`.
@@ -35,7 +35,6 @@ from repro.core.distributed_sparsify import (
     distributed_parallel_sample,
     distributed_parallel_sparsify,
 )
-from repro.core.batch import BatchSparsifyResult, sparsify_many
 
 __all__ = [
     "SparsifierConfig",
@@ -52,6 +51,4 @@ __all__ = [
     "DistributedSparsifyResult",
     "distributed_parallel_sample",
     "distributed_parallel_sparsify",
-    "BatchSparsifyResult",
-    "sparsify_many",
 ]

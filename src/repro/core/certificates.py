@@ -168,8 +168,8 @@ def certify_resistances(
     resistances are computed through the blocked solver paths, so the
     certificate is usable far past the dense-eigensolve limit.
 
-    ``solver`` selects the inner blocked solver (``"cg"``, ``"chain"``,
-    or ``"auto"`` — see :mod:`repro.resistance.solver_select`); with the
+    ``solver`` selects the inner blocked solver (``"cg"`` or ``"chain"``
+    — see :mod:`repro.resistance.solver_select`); with the
     chain-preconditioned choice the original's and the sparsifier's
     chains are each built at most once per process thanks to the shared
     chain cache, so repeated certification stays cheap.

@@ -1,25 +1,29 @@
-"""Checkpoint journal for batch sparsification fan-outs.
+"""Durable I/O, the shared journal line reader, and the batch checkpoint.
 
-A long ``sparsify_many`` batch that dies at job 900 of 1000 should not
-re-pay the first 900 jobs on the next run.  :class:`BatchJournal` is the
-persistence layer behind ``sparsify_many(checkpoint=...)``:
+Both persistence layers — the segmented stream journal
+(:mod:`repro.streaming.journal`) and the batch checkpoint behind
+``Engine.run_many(checkpoint=...)`` — build on this module:
 
-* **Append-only JSON lines.**  The journal is one JSON object per line —
-  a header line describing the batch followed by one line per completed
-  job.  Appends are atomic enough for this purpose (a crash mid-write
-  corrupts at most the trailing line, which is detected and dropped on
-  load); the header is validated so a journal from a different batch
-  shape is refused instead of silently merged.
-* **Content-addressed jobs.**  Each job line carries a digest of its
-  input graph (vertex count + exact edge arrays).  On resume the digest
-  is recomputed from the submitted graph; a mismatch at the same index
-  means the caller is replaying a *different* batch against an old
-  journal, which raises :class:`~repro.exceptions.CheckpointError` rather
-  than returning another graph's sparsifier.
-* **Bit-exact round-trip.**  Edge weights and cost scalars survive the
-  JSON round-trip exactly (Python serializes floats with shortest
-  round-trip repr), so a resumed batch's results are bit-identical to the
-  run that wrote the journal.
+* **One mutation seam.**  Every write goes through :class:`DurableIO`
+  (default :data:`DEFAULT_IO`: real, fsync'd filesystem operations), which
+  is where the crash harness (:class:`repro.testing.faults.CrashPointIO`)
+  kills or tears each write.
+* **One line reader, one rule.**  :func:`_parse_segment` reads a JSON-lines
+  file.  Only an unterminated final fragment is a torn append (the crash
+  signature), which the writer cuts off through :meth:`DurableIO.truncate`
+  before its next append; any other line that does not decode is
+  corruption, a :class:`~repro.exceptions.CheckpointError`.
+* **The batch checkpoint.**  :class:`BatchJournal` is a header line
+  pinning every request field that can change a job's output, then one
+  line per completed job.  A job line carries a digest of its input graph
+  (a different batch at that index is refused) and a digest over
+  everything it restores (a damaged result is refused, not returned).
+  Weights and cost scalars survive the JSON round trip exactly (shortest
+  round-trip float repr), so a resumed batch is bit-identical to the run
+  that wrote the journal.
+
+Batch jobs finish out of order while stream batches are contiguous, so
+the two journals share the reader and the seam, not a segment format.
 """
 
 from __future__ import annotations
@@ -27,9 +31,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,10 +48,9 @@ __all__ = [
     "batch_graph_digest",
     "edge_array_digest",
     "fsync_directory",
-    "read_journal_records",
 ]
 
-_JOURNAL_VERSION = 1
+_JOURNAL_VERSION = 2
 
 
 def fsync_directory(path: Union[str, Path]) -> None:
@@ -158,34 +160,49 @@ def batch_graph_digest(graph: Graph) -> str:
     )
 
 
-def read_journal_records(path: Path) -> List[Dict[str, Any]]:
-    """Parse a JSON-lines journal, dropping a torn trailing line.
-
-    A crash mid-append corrupts at most the final line, which is detected
-    and silently dropped; corruption anywhere *before* the final line
-    means the file is not an append-only journal of ours and raises
-    :class:`CheckpointError`.  Missing or empty file returns ``[]``.
-    """
-    if not path.exists():
-        return []
+def _decode_record(line: bytes) -> Optional[Dict[str, Any]]:
+    """One journal line as a JSON object, or ``None`` when it is damaged."""
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"cannot read checkpoint journal {path}: {exc}") from exc
+        record = json.loads(line)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return None
+    return record if isinstance(record, dict) else None
+
+
+def _parse_segment(path: Path) -> Tuple[List[Dict[str, Any]], int, str]:
+    """Parse one segment's lines: ``(records, valid_end_offset, status)``.
+
+    ``valid_end_offset`` is the byte offset just past the last complete,
+    decodable, newline-terminated line.  ``status`` is ``"clean"`` (every
+    byte parsed), ``"torn"`` (an unterminated final fragment — the
+    signature of a crash mid-append, droppable), or ``"interior"`` (a
+    complete line that does not decode to a record: an append that
+    finished and was then damaged, which is real corruption wherever it
+    sits).
+    """
+    data = path.read_bytes()
     records: List[Dict[str, Any]] = []
-    for line_number, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            if line_number == len(lines) - 1:
-                break  # torn trailing append from a crash: drop it
-            raise CheckpointError(
-                f"checkpoint journal {path} is corrupt at line "
-                f"{line_number + 1}: {exc}"
-            ) from exc
-    return records
+    offset = 0
+    while offset < len(data):
+        newline = data.find(b"\n", offset)
+        if newline < 0:
+            # Unterminated tail (even if it happens to decode): the
+            # append never completed, so the batch was never processed.
+            return records, offset, "torn"
+        line = data[offset:newline]
+        if line.strip():
+            record = _decode_record(line)
+            if record is None:
+                return records, offset, "interior"
+            records.append(record)
+        offset = newline + 1
+    return records, offset, "clean"
+
+
+def _record_digest(body: Mapping[str, Any]) -> str:
+    """Content hash of a journal record's canonical JSON form."""
+    text = json.dumps(body, sort_keys=True)
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
 
 
 def _serialize_result(result: SparsifyResult) -> Dict[str, Any]:
@@ -227,110 +244,136 @@ def _deserialize_result(payload: Dict[str, Any]) -> SparsifyResult:
     )
 
 
-@dataclass(frozen=True)
-class _Header:
-    version: int
-    epsilon: Optional[float]
-    rho: float
-    num_jobs: int
-
-
 class BatchJournal:
     """Append-only JSON-lines journal of completed batch jobs.
 
-    One journal belongs to one logical batch: the header pins the batch
-    shape (job count and shared ``epsilon`` / ``rho``), and each recorded
-    job pins its input graph by digest.  ``load_completed`` returns the
-    jobs that can be skipped on resume; ``record`` appends a newly
-    finished one.
+    One journal belongs to one logical batch.  ``pins`` holds every
+    request field that can change a job's output (``Engine.run_many``
+    passes the canonical method, ``epsilon``, ``rho``, ``seed``,
+    ``options``, the resolved config without ``backend``/``max_workers``,
+    and the job count); the header stores them and a resume under any
+    other value is refused.  :meth:`load_completed` returns the jobs that
+    can be skipped on resume; :meth:`record` appends a newly finished one.
     """
 
     def __init__(
         self,
         path: Union[str, Path],
-        epsilon: Optional[float],
-        rho: float,
-        num_jobs: int,
+        pins: Mapping[str, Any],
         io: Optional[DurableIO] = None,
     ) -> None:
         self.path = Path(path)
         self._io = io if io is not None else DEFAULT_IO
-        self._header = _Header(
-            version=_JOURNAL_VERSION,
-            epsilon=None if epsilon is None else float(epsilon),
-            rho=float(rho),
-            num_jobs=int(num_jobs),
-        )
+        try:
+            # The JSON round trip puts the pins in the form the header is
+            # read back in, so tuples, numpy scalars and float reprs
+            # cannot cause a spurious mismatch.
+            canonical = json.loads(json.dumps(dict(pins)))
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"batch checkpoint parameters are not JSON-serialisable: {exc}"
+            ) from exc
+        self._header = {"kind": "header", "version": _JOURNAL_VERSION, **canonical}
+        self._header_written = False
 
-    def load_completed(self, graphs: List[Graph]) -> Dict[int, SparsifyResult]:
+    def load_completed(self, graphs: Sequence[Graph]) -> Dict[int, SparsifyResult]:
         """Read the journal and return ``{job index: result}`` for resumable jobs.
 
-        Missing file → empty dict (fresh batch).  A header that does not
-        match this batch's shape, or a job line whose graph digest does
-        not match the graph now submitted at that index, raises
-        :class:`CheckpointError` — the journal belongs to a different
-        batch and silently reusing it would return wrong sparsifiers.
-        A truncated trailing line (crash mid-append) is dropped.
+        Missing file → empty dict (fresh batch).  A header that pins a
+        different request, a job line whose graph digest does not match
+        the graph now submitted at that index, a job line that does not
+        match its own digest, and a complete line that does not decode
+        all raise :class:`CheckpointError`.  An unterminated final
+        fragment (crash mid-append) is cut off through the journal's
+        :class:`DurableIO`, so the next append starts on a clean line.
         """
-        records = read_journal_records(self.path)
-        if not records:
+        if not self.path.exists():
             return {}
-        header = records[0]
+        try:
+            records, valid_end, status = _parse_segment(self.path)
+        except OSError as exc:
+            raise CheckpointError(f"cannot read checkpoint journal {self.path}: {exc}") from exc
+        if status == "interior":
+            raise CheckpointError(
+                f"checkpoint journal {self.path} is corrupt at byte {valid_end}: "
+                "a complete line does not decode (not a torn trailing append)"
+            )
+        completed: Dict[int, SparsifyResult] = {}
+        if records:
+            self._check_header(records[0])
+            for record in records[1:]:
+                index, result = self._decode_job(record, graphs)
+                completed[index] = result
+            self._header_written = True
+        if status == "torn":
+            self._io.truncate(self.path, valid_end)
+        return completed
+
+    def _check_header(self, header: Dict[str, Any]) -> None:
         if header.get("kind") != "header":
             raise CheckpointError(
                 f"checkpoint journal {self.path} has no header line; "
                 "refusing to resume from an unrecognized file"
             )
-        if header.get("version") != self._header.version:
+        if header.get("version") != _JOURNAL_VERSION:
             raise CheckpointError(
                 f"checkpoint journal {self.path} has version {header.get('version')}, "
-                f"expected {self._header.version}"
+                f"expected {_JOURNAL_VERSION}"
             )
-        for key in ("epsilon", "rho", "num_jobs"):
-            if header.get(key) != getattr(self._header, key):
+        for key in sorted(set(header) | set(self._header)):
+            if header.get(key) != self._header.get(key):
                 raise CheckpointError(
                     f"checkpoint journal {self.path} was written for a different "
-                    f"batch: {key}={header.get(key)!r} vs {getattr(self._header, key)!r}"
+                    f"batch: {key}={header.get(key)!r} vs {self._header.get(key)!r}"
                 )
-        completed: Dict[int, SparsifyResult] = {}
-        for record in records[1:]:
-            if record.get("kind") != "job":
-                continue
+
+    def _decode_job(
+        self, record: Dict[str, Any], graphs: Sequence[Graph]
+    ) -> Tuple[int, SparsifyResult]:
+        try:
+            if record["kind"] != "job":
+                raise ValueError(f"record kind {record['kind']!r} is not 'job'")
+            body = {key: value for key, value in record.items() if key != "digest"}
+            if record["digest"] != _record_digest(body):
+                raise ValueError("the record does not match its digest")
             index = int(record["index"])
-            if not 0 <= index < len(graphs):
-                raise CheckpointError(
-                    f"checkpoint journal {self.path} records job {index} but the "
-                    f"batch has {len(graphs)} jobs"
-                )
-            digest = batch_graph_digest(graphs[index])
-            if record.get("graph_digest") != digest:
-                raise CheckpointError(
-                    f"checkpoint journal {self.path}: graph at job {index} does not "
-                    "match the recorded digest — the journal belongs to a different "
-                    "batch (delete it or pass a fresh checkpoint path)"
-                )
-            completed[index] = _deserialize_result(record["result"])
-        return completed
+            graph_digest = record["graph_digest"]
+            result = _deserialize_result(record["result"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"checkpoint journal {self.path}: damaged job record ({exc}); "
+                "refusing to restore it"
+            ) from exc
+        if not 0 <= index < len(graphs):
+            raise CheckpointError(
+                f"checkpoint journal {self.path} records job {index} but the "
+                f"batch has {len(graphs)} jobs"
+            )
+        if graph_digest != batch_graph_digest(graphs[index]):
+            raise CheckpointError(
+                f"checkpoint journal {self.path}: graph at job {index} does not "
+                "match the recorded digest — the journal belongs to a different "
+                "batch (delete it or pass a fresh checkpoint path)"
+            )
+        return index, result
 
     def record(self, index: int, graph: Graph, result: SparsifyResult) -> None:
         """Append one completed job (writing the header first if needed)."""
-        line = json.dumps(
-            {
-                "kind": "job",
-                "index": int(index),
-                "graph_digest": batch_graph_digest(graph),
-                "result": _serialize_result(result),
-            }
-        )
-        new_file = not self.path.exists() or self.path.stat().st_size == 0
+        body = {
+            "kind": "job",
+            "index": int(index),
+            "graph_digest": batch_graph_digest(graph),
+            "result": _serialize_result(result),
+        }
+        line = json.dumps({**body, "digest": _record_digest(body)})
         # Both appends route through the DurableIO seam so the crash
         # harness can kill or tear each one.  A crash between them leaves
         # a header-only journal, which load_completed reads as an empty
         # (but valid) batch.
+        new_file = not self._header_written
         if new_file:
-            self._io.append_line(
-                self.path, json.dumps({"kind": "header", **vars(self._header)}) + "\n"
-            )
+            self._io.append_line(self.path, json.dumps(self._header) + "\n")
+            self._header_written = True
         self._io.append_line(self.path, line + "\n")
         if new_file:
             # The file's bytes are durable, but its *directory entry* is

@@ -94,10 +94,9 @@ class SparsifierConfig:
     solver:
         Inner Laplacian-solver choice for the resistance/certification
         routes that consume this config: ``"cg"`` (plain blocked CG, the
-        default), ``"chain"`` (blocked CG preconditioned with a cached
+        default) or ``"chain"`` (blocked CG preconditioned with a cached
         Peng–Spielman chain — the paper's own machinery accelerating its
-        certification), or ``"auto"`` (chain past the size/conditioning
-        thresholds of :mod:`repro.resistance.solver_select`).  Never
+        certification; see :mod:`repro.resistance.solver_select`).  Never
         changes *what* is computed — only how fast the inner solves
         converge.
     """
@@ -144,9 +143,9 @@ class SparsifierConfig:
             raise SparsificationError("max_workers must be >= 1 when given")
         if self.num_shards < 1:
             raise SparsificationError("num_shards must be >= 1")
-        if self.solver not in ("cg", "chain", "auto"):
+        if self.solver not in ("cg", "chain"):
             raise SparsificationError(
-                f"solver must be 'cg', 'chain', or 'auto', got {self.solver!r}"
+                f"solver must be 'cg' or 'chain', got {self.solver!r}"
             )
 
     # ------------------------------------------------------------------ #

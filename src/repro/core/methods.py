@@ -11,8 +11,8 @@ Registers the two core entry points with the unified method registry
     — the same pipeline executed on the synchronous CONGEST simulator,
     with measured rounds/messages.
 
-Batches of graphs go through :meth:`repro.api.Engine.run_many` (or
-:func:`repro.core.batch.sparsify_many`), not through a method.
+Batches of graphs go through :meth:`repro.api.Engine.run_many`, not
+through a method.
 
 Each adapter is a thin delegation: the legacy function remains the
 implementation, the adapter only translates the engine's uniform calling

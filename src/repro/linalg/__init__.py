@@ -5,8 +5,8 @@ resistance computations and the Peng--Spielman solver framework depend on:
 
 * :mod:`repro.linalg.sdd` — recognising SDD matrices and reducing an SDD
   system to a Laplacian system (the classical reduction).
-* :mod:`repro.linalg.cg` — conjugate gradient, preconditioned CG, Jacobi,
-  and Chebyshev iterations with explicit iteration/work accounting.
+* :mod:`repro.linalg.cg` — conjugate gradient, preconditioned CG and
+  blocked multi-RHS CG with explicit iteration/work accounting.
 * :mod:`repro.linalg.pseudoinverse` — dense pseudoinverse helpers for exact
   small-scale reference computations.
 * :mod:`repro.linalg.eigen` — extreme (generalised) eigenvalue estimation
@@ -25,8 +25,6 @@ from repro.linalg.cg import (
     BatchSolveResult,
     SolveResult,
     conjugate_gradient,
-    jacobi_iteration,
-    chebyshev_iteration,
     laplacian_solve,
     laplacian_solve_many,
 )
@@ -48,8 +46,6 @@ __all__ = [
     "BatchSolveResult",
     "SolveResult",
     "conjugate_gradient",
-    "jacobi_iteration",
-    "chebyshev_iteration",
     "laplacian_solve",
     "laplacian_solve_many",
     "laplacian_pseudoinverse",

@@ -31,8 +31,6 @@ __all__ = [
     "ColumnFailure",
     "BatchSolveResult",
     "conjugate_gradient",
-    "jacobi_iteration",
-    "chebyshev_iteration",
     "laplacian_solve",
     "laplacian_solve_many",
     "deflate_constant",
@@ -260,123 +258,6 @@ def conjugate_gradient(
             residual=residual,
         )
     return result
-
-
-def jacobi_iteration(
-    matrix: Union[sp.spmatrix, np.ndarray],
-    rhs: np.ndarray,
-    tol: float = 1e-8,
-    max_iterations: int = 1000,
-    damping: float = 1.0,
-) -> SolveResult:
-    """(Damped) Jacobi iteration for diagonally dominant systems.
-
-    Used as the smoother inside multigrid-style comparisons and as a cheap
-    baseline in the solver benchmarks.  Requires a strictly positive
-    diagonal.
-    """
-    mat = matrix.tocsr() if sp.issparse(matrix) else sp.csr_matrix(np.asarray(matrix, dtype=float))
-    n = mat.shape[0]
-    b = np.asarray(rhs, dtype=float).ravel()
-    diag = mat.diagonal()
-    if np.any(diag <= 0):
-        raise ValueError("Jacobi iteration requires a strictly positive diagonal")
-    inv_diag = 1.0 / diag
-    off = mat - sp.diags(diag)
-
-    x = np.zeros(n)
-    b_norm = float(np.linalg.norm(b)) or 1.0
-    history = []
-    matvecs = 0
-    converged = False
-    residual = float(np.linalg.norm(b - mat @ x)) / b_norm
-    matvecs += 1
-    history.append(residual)
-    iterations = 0
-    while residual > tol and iterations < max_iterations:
-        x_new = inv_diag * (b - off @ x)
-        x = (1.0 - damping) * x + damping * x_new
-        residual = float(np.linalg.norm(b - mat @ x)) / b_norm
-        matvecs += 2
-        iterations += 1
-        history.append(residual)
-        if residual <= tol:
-            converged = True
-    return SolveResult(
-        x=x,
-        converged=converged or residual <= tol,
-        iterations=iterations,
-        residual_norm=residual,
-        matvecs=matvecs,
-        work=float(mat.nnz) * matvecs,
-        residual_history=history,
-    )
-
-
-def chebyshev_iteration(
-    matrix: Union[sp.spmatrix, np.ndarray],
-    rhs: np.ndarray,
-    eig_min: float,
-    eig_max: float,
-    tol: float = 1e-8,
-    max_iterations: int = 1000,
-    preconditioner: Optional[Preconditioner] = None,
-) -> SolveResult:
-    """Chebyshev semi-iteration given eigenvalue bounds ``[eig_min, eig_max]``.
-
-    Chebyshev iteration is the standard way to apply a fixed polynomial of
-    the (preconditioned) matrix without inner products, which is what the
-    Peng--Spielman framework uses between chain levels; it is exposed here
-    both as a solver and for use by :mod:`repro.solvers.chain`.
-    """
-    if eig_min <= 0 or eig_max <= 0 or eig_max < eig_min:
-        raise ValueError("need 0 < eig_min <= eig_max")
-    mat = matrix.tocsr() if sp.issparse(matrix) else sp.csr_matrix(np.asarray(matrix, dtype=float))
-    n = mat.shape[0]
-    b = np.asarray(rhs, dtype=float).ravel()
-    b_norm = float(np.linalg.norm(b)) or 1.0
-
-    # Standard Chebyshev recurrence (Saad, "Iterative Methods", Alg. 12.1):
-    # centre d and half-width c of the eigenvalue interval.
-    center = 0.5 * (eig_max + eig_min)
-    half_width = 0.5 * (eig_max - eig_min)
-    x = np.zeros(n)
-    r = b.copy()
-    p = np.zeros(n)
-    alpha = 0.0
-    matvecs = 0
-    precond_apps = 0
-    history = [float(np.linalg.norm(r)) / b_norm]
-    converged = history[-1] <= tol
-    iterations = 0
-    while not converged and iterations < max_iterations:
-        z = preconditioner(r) if preconditioner is not None else r
-        if preconditioner is not None:
-            precond_apps += 1
-        if iterations == 0:
-            p = z.copy()
-            alpha = 1.0 / center
-        else:
-            beta = (half_width * alpha / 2.0) ** 2
-            alpha = 1.0 / (center - beta / alpha)
-            p = z + beta * p
-        x = x + alpha * p
-        r = b - mat @ x
-        matvecs += 1
-        residual = float(np.linalg.norm(r)) / b_norm
-        history.append(residual)
-        iterations += 1
-        converged = residual <= tol
-    return SolveResult(
-        x=x,
-        converged=converged,
-        iterations=iterations,
-        residual_norm=history[-1],
-        matvecs=matvecs,
-        precond_applications=precond_apps,
-        work=float(mat.nnz) * matvecs,
-        residual_history=history,
-    )
 
 
 def laplacian_solve(

@@ -3,7 +3,7 @@
 The sparsification pipeline contains several *embarrassingly parallel*
 fan-outs: per-shard spanner construction inside ``PARALLELSAMPLE``, the
 per-shard protocols of the distributed driver, and independent jobs in a
-batch workload (:func:`repro.core.batch.sparsify_many`).  This module
+batch workload (:meth:`repro.api.Engine.run_many`).  This module
 provides the shared substrate those fan-outs run on:
 
 * :class:`SerialBackend` — in-process sequential execution (the default:

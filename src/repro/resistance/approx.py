@@ -149,9 +149,9 @@ def approximate_effective_resistances_detailed(
         Directions solved simultaneously per chunk (bounds peak memory at
         ``O((n + m) * block_size)``).
     solver:
-        Inner blocked-solver choice — ``"cg"`` (plain, the default),
-        ``"chain"`` (chain-preconditioned, chain cached per graph), or
-        ``"auto"``; see :mod:`repro.resistance.solver_select`.
+        Inner blocked-solver choice — ``"cg"`` (plain, the default) or
+        ``"chain"`` (chain-preconditioned, chain cached per graph); see
+        :mod:`repro.resistance.solver_select`.
     stats:
         Optional :class:`~repro.resistance.solver_select.ResistanceSolveStats`
         accumulating iteration/matvec/work counts of the inner solves.
@@ -203,7 +203,7 @@ def approximate_effective_resistances_detailed(
     # of it is ever materialized (int8: +-1), keeping memory bounded.
     direction_rngs = split_rng(rng, num_directions)
 
-    resolved = resolve_solver(solver, graph, num_directions)
+    resolved = resolve_solver(solver)
     # The degradation ladder reports its rungs on a stats accumulator; run
     # one locally when the caller passed none so fallbacks still reach the
     # result's ``fallbacks`` field.

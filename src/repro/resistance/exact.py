@@ -97,10 +97,9 @@ def _blocked_pair_resistances(
 ) -> np.ndarray:
     """Resistances for deduplicated pairs ``(lo[j], hi[j])`` via blocked (P)CG.
 
-    ``solver`` selects plain blocked CG (``"cg"``), chain-preconditioned
+    ``solver`` selects plain blocked CG (``"cg"``) or chain-preconditioned
     blocked CG (``"chain"`` — the preconditioner chain comes from the
-    process-wide cache and is built at most once per graph), or the
-    size/conditioning heuristic (``"auto"``); see
+    process-wide cache and is built at most once per graph); see
     :mod:`repro.resistance.solver_select`.  ``stats`` optionally
     accumulates per-column iteration/matvec/work counts across every
     inner solve.
@@ -162,9 +161,7 @@ def _blocked_pair_resistances(
         and vertex_path_pays
         and n * vertices.size * 8 <= _VERTEX_BLOCK_BUDGET
     )
-    # Resolve the solver once per (sub)graph against the *total* column
-    # count — the chain build amortizes across all chunks via the cache.
-    resolved = resolve_solver(solver, graph, vertices.size if use_vertex_columns else k)
+    resolved = resolve_solver(solver)
     if stats is not None:
         stats.solver = resolved
     if use_vertex_columns:
@@ -245,9 +242,8 @@ def effective_resistances_of_pairs(
         Columns per chunk of the blocked solve (bounds peak memory).
     solver:
         ``"cg"`` (plain blocked CG — the default, identical to prior
-        behavior), ``"chain"`` (chain-preconditioned blocked CG with a
-        cached Peng–Spielman chain), or ``"auto"`` (chain only past the
-        size/conditioning thresholds of
+        behavior) or ``"chain"`` (chain-preconditioned blocked CG with a
+        cached Peng–Spielman chain; see
         :mod:`repro.resistance.solver_select`).  Ignored on the pinv path.
     stats:
         Optional :class:`~repro.resistance.solver_select.ResistanceSolveStats`

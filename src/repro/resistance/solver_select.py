@@ -9,19 +9,11 @@ solver; this module decides *which* blocked solver each call uses:
   (:func:`repro.solvers.chain.build_preconditioner_chain`).  This closes
   the paper's loop: the sparsification machinery accelerates the very
   solves that certify sparsifiers.
-* ``"auto"`` — pick ``"chain"`` only when it is expected to pay *in the
-  paper's cost model* (iteration count ~ sequential PCG rounds, each
-  chain application a polylog-depth parallel operation): the graph is
-  large, the solve has enough right-hand-side columns to amortize the
-  chain build, and a cheap power-iteration estimate of the
-  normalized-Laplacian spectral gap says plain CG would grind.  On one
-  CPU a chain application costs ~25 graph-matvecs of arithmetic, so
-  plain CG can still win wall-clock where it converges in a few hundred
-  iterations — ``BENCH_resistance.json`` records both sides.  Gap
-  estimates at the estimator's saturation floor
-  (:data:`repro.solvers.chain.LAMBDA_MIN_SATURATION_FLOOR`, ~8e-3) are
-  treated as "gap unknown": ``auto`` warns and keeps the plain-CG
-  default instead of silently picking a side.
+
+The chain is an explicit opt-in.  On one CPU a chain application costs
+~25 graph-matvecs of arithmetic, so plain CG still wins wall-clock where
+it converges in a few hundred iterations — ``BENCH_resistance.json``
+records both sides.
 
 Chains are reused through the process-wide
 :func:`repro.solvers.chain.default_chain_cache`, keyed by
@@ -60,32 +52,13 @@ __all__ = [
     "solve_with_degradation",
 ]
 
-SOLVER_CHOICES = ("cg", "chain", "auto")
+SOLVER_CHOICES = ("cg", "chain")
 
 # Largest graph for which the last rung of the degradation ladder (dense
 # pseudoinverse) is allowed to fire — an O(n^3) factorization past this is
 # worse than admitting approximate values.  Matches the exact layer's
 # pinv-vs-solve crossover.
 DENSE_FALLBACK_LIMIT = 2500
-
-# The "auto" rule: chain preconditioning must amortize a super-linear build
-# over many columns, and only pays when plain CG would need many iterations.
-# Below these floors the plain solver finishes before a chain could even be
-# constructed (measured in benchmarks/bench_resistance.py).
-CHAIN_MIN_VERTICES = 4096
-CHAIN_MIN_COLUMNS = 32
-# Normalized-Laplacian gap under which plain CG iteration counts blow up
-# (iterations scale like 1/sqrt(lambda_min)); above it CG converges in a
-# few dozen iterations and preconditioning cannot win.  The estimator
-# itself saturates around LAMBDA_MIN_SATURATION_FLOOR (~8e-3, below this
-# threshold): an estimate at or under the floor means "gap unmeasurably
-# small", not a point value, and resolve_solver treats it as unknown —
-# it warns and keeps the plain-CG default rather than silently betting
-# the chain build cost on a number the estimator cannot distinguish
-# from 10x smaller.  Callers who know their graphs are genuinely
-# ill-conditioned should pass solver="chain" explicitly.
-CHAIN_LAMBDA_THRESHOLD = 0.02
-
 
 @dataclass(frozen=True)
 class FallbackEvent:
@@ -178,41 +151,13 @@ class ResistanceSolveStats:
         }
 
 
-def resolve_solver(solver: str, graph: Graph, num_columns: int) -> str:
-    """Resolve a ``solver=`` knob to ``"cg"`` or ``"chain"`` for one call.
-
-    ``"cg"`` and ``"chain"`` pass through unchanged; ``"auto"`` applies the
-    size/columns/conditioning rule documented at module level.
-    """
+def resolve_solver(solver: str) -> str:
+    """Validate a ``solver=`` knob: ``"cg"`` or ``"chain"``, returned unchanged."""
     if solver not in SOLVER_CHOICES:
         raise ValueError(
             f"unknown solver {solver!r}; expected one of {', '.join(SOLVER_CHOICES)}"
         )
-    if solver != "auto":
-        return solver
-    if graph.num_vertices < CHAIN_MIN_VERTICES or num_columns < CHAIN_MIN_COLUMNS:
-        return "cg"
-    from repro.solvers.chain import (
-        LAMBDA_MIN_SATURATION_FLOOR,
-        estimate_normalized_lambda_min,
-    )
-
-    gap = estimate_normalized_lambda_min(graph)
-    if gap <= LAMBDA_MIN_SATURATION_FLOOR:
-        # The estimator is saturated: the true gap is anywhere at or
-        # below the floor, so "is preconditioning worth it" is unknown.
-        # Keep the plain-CG default rather than silently picking a side.
-        warnings.warn(
-            f"solver='auto': normalized lambda_min estimate {gap:.2e} is at the "
-            f"estimator's saturation floor ({LAMBDA_MIN_SATURATION_FLOOR:.0e}) — "
-            "the spectral gap is too small to measure cheaply, so the gap is "
-            "unknown; defaulting to plain CG. Pass solver='chain' explicitly "
-            "if this graph is known to be ill-conditioned.",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "cg"
-    return "chain" if gap < CHAIN_LAMBDA_THRESHOLD else "cg"
+    return solver
 
 
 def chain_preconditioner_for(

@@ -31,7 +31,6 @@ from repro.solvers.chain import (
     build_preconditioner_chain,
     chain_preconditioner,
     default_chain_cache,
-    estimate_normalized_lambda_min,
     graph_fingerprint,
 )
 from repro.solvers.peng_spielman import (
@@ -52,7 +51,6 @@ __all__ = [
     "build_preconditioner_chain",
     "chain_preconditioner",
     "default_chain_cache",
-    "estimate_normalized_lambda_min",
     "graph_fingerprint",
     "SDDSolveReport",
     "solve_laplacian",

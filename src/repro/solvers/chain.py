@@ -55,8 +55,6 @@ __all__ = [
     "graph_fingerprint",
     "ChainCache",
     "default_chain_cache",
-    "estimate_normalized_lambda_min",
-    "LAMBDA_MIN_SATURATION_FLOOR",
 ]
 
 
@@ -410,46 +408,6 @@ def chain_preconditioner(
         return apply_chain(chain, residual, smoothing_steps=smoothing_steps)
 
     return precondition
-
-
-# The estimator's resolution limit.  The power iteration below runs a
-# fixed 60 iterations on B = I - N/2 and converges to lambda_min *from
-# above* (mu converges to its eigenvalue from below, and the estimate is
-# 2(1 - mu)), at a rate governed by the gap between the top two
-# eigenvalues of B.  For genuinely ill-conditioned graphs that gap is
-# itself tiny, so the iteration stalls and the returned estimate
-# saturates around this floor regardless of how much smaller the true
-# lambda_min is: long paths (true gap ~1e-4) and moderately banded
-# graphs (true gap ~1e-2) both report ~8e-3.  An estimate at or below
-# the floor therefore means "too ill-conditioned to measure cheaply",
-# NOT a trustworthy point estimate — consumers (the resistance layer's
-# ``solver="auto"`` rule) must treat it as "gap unknown".
-LAMBDA_MIN_SATURATION_FLOOR = 8e-3
-
-
-def estimate_normalized_lambda_min(graph_or_laplacian: Graph | sp.spmatrix) -> float:
-    """Cheap power-iteration estimate of the smallest nonzero eigenvalue of
-    the normalized Laplacian ``D^{-1/2} L D^{-1/2}``.
-
-    This is the condition proxy the ``solver="auto"`` rule in the
-    resistance layer uses: a small value means plain CG will need many
-    iterations and chain preconditioning is worth its build cost.
-
-    .. warning::
-       The estimate saturates at roughly
-       :data:`LAMBDA_MIN_SATURATION_FLOOR` (~8e-3): 60 power iterations
-       cannot resolve a smaller gap, so any graph whose true
-       ``lambda_min`` is *at or below* that scale — a long path at
-       ~1e-4 as much as a banded graph at ~8e-3 — reports a value near
-       the floor.  Values at or below the floor are an "ill-conditioned,
-       magnitude unknown" signal, not a measurement; values comfortably
-       above it are trustworthy.
-    """
-    if isinstance(graph_or_laplacian, Graph):
-        laplacian = graph_or_laplacian.laplacian()
-    else:
-        laplacian = sp.csr_matrix(graph_or_laplacian)
-    return float(_normalized_lambda_min(_split_level(laplacian)))
 
 
 # Preconditioner-chain defaults, tuned empirically (see DESIGN notes in the

@@ -5,8 +5,9 @@ A stream that dies mid-ingest should resume *bit-exactly*: the
 given its construction parameters and the exact batch sequence, so it is
 enough to persist those two things.  :class:`StreamJournal` does exactly
 that as the ``journal/`` half of a
-:class:`~repro.streaming.store.StreamStateStore`, sharing machinery with
-the batch checkpoint journal (:mod:`repro.core.checkpoint`):
+:class:`~repro.streaming.store.StreamStateStore`, sharing the
+:class:`~repro.core.checkpoint.DurableIO` write seam and the JSON-lines
+reader with the batch checkpoint journal (:mod:`repro.core.checkpoint`):
 
 * **A directory of sealed segments** — the journal is a directory of
   size-bounded JSON-lines segment files (``segment-00000000.jsonl`` …).
@@ -45,7 +46,13 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.checkpoint import DEFAULT_IO, DurableIO, edge_array_digest
+from repro.core.checkpoint import (
+    DEFAULT_IO,
+    DurableIO,
+    _decode_record,
+    _parse_segment,
+    edge_array_digest,
+)
 from repro.exceptions import CheckpointError
 
 __all__ = [
@@ -172,45 +179,6 @@ def _segment_files(path: Path) -> List[Path]:
         for entry in path.glob(f"{_SEGMENT_PREFIX}*{_SEGMENT_SUFFIX}")
         if entry.is_file()
     )
-
-
-def _decode_record(line: bytes) -> Optional[Dict[str, Any]]:
-    """One journal line as a JSON object, or ``None`` when it is damaged."""
-    try:
-        record = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    return record if isinstance(record, dict) else None
-
-
-def _parse_segment(path: Path) -> Tuple[List[Dict[str, Any]], int, str]:
-    """Parse one segment's lines: ``(records, valid_end_offset, status)``.
-
-    ``valid_end_offset`` is the byte offset just past the last complete,
-    decodable, newline-terminated line.  ``status`` is ``"clean"`` (every
-    byte parsed), ``"torn"`` (an unterminated final fragment — the
-    signature of a crash mid-append, droppable), or ``"interior"`` (a
-    complete line that does not decode to a record: an append that
-    finished and was then damaged, which is real corruption wherever it
-    sits).
-    """
-    data = path.read_bytes()
-    records: List[Dict[str, Any]] = []
-    offset = 0
-    while offset < len(data):
-        newline = data.find(b"\n", offset)
-        if newline < 0:
-            # Unterminated tail (even if it happens to decode): the
-            # append never completed, so the batch was never processed.
-            return records, offset, "torn"
-        line = data[offset:newline]
-        if line.strip():
-            record = _decode_record(line)
-            if record is None:
-                return records, offset, "interior"
-            records.append(record)
-        offset = newline + 1
-    return records, offset, "clean"
 
 
 def _record_lines(path: Path) -> int:

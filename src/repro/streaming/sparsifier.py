@@ -1120,7 +1120,7 @@ class StreamingSparsifier:
         Runs the full :func:`~repro.analysis.spectral.approximation_report`
         quality gates plus a probe-pair resistance certificate whose
         inner Laplacian solves are routed through the blocked solver
-        stack (``solver="cg"|"chain"|"auto"``, default the config's);
+        stack (``solver="cg"|"chain"``, default the config's);
         the returned certificate carries the
         :class:`~repro.resistance.solver_select.ResistanceSolveStats` so
         degraded solves are auditable.

@@ -39,13 +39,12 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.checkpoint import DEFAULT_IO, DurableIO
+from repro.core.checkpoint import DEFAULT_IO, DurableIO, _decode_record
 from repro.exceptions import CheckpointError
 from repro.streaming.journal import (
     DEFAULT_SEGMENT_BYTES,
     JournalScanReport,
     StreamJournal,
-    _decode_record,
     _QUARANTINE_SUFFIX,
     _record_lines,
     _segment_files,

@@ -27,13 +27,14 @@ from repro.api import (
 from repro.baselines.kapralov_panigrahi import kapralov_panigrahi_sparsify
 from repro.baselines.spielman_srivastava import spielman_srivastava_sparsify
 from repro.baselines.uniform import uniform_sparsify
-from repro.core.batch import sparsify_many
 from repro.core.config import SparsifierConfig
 from repro.core.distributed_sparsify import distributed_parallel_sparsify
 from repro.core.sparsify import parallel_sparsify
 from repro.exceptions import MethodError
 from repro.graphs import generators
 from repro.graphs.graph import Graph
+from repro.parallel.metrics import combine_parallel
+from repro.utils.rng import as_rng, split_rng
 
 BUILTIN_METHODS = (
     "koutis",
@@ -209,8 +210,16 @@ class TestRunMany:
             for i in range(3)
         ]
 
+    def _solo_runs(self, graphs, seed, config):
+        """Solo ``parallel_sparsify`` runs on the pre-split batch streams."""
+        job_rngs = split_rng(as_rng(seed), len(graphs))
+        return [
+            parallel_sparsify(graph, epsilon=0.5, config=config, seed=job_rngs[i])
+            for i, graph in enumerate(graphs)
+        ]
+
     @pytest.mark.parametrize("backend,workers", [(None, None), ("thread", 2)])
-    def test_matches_sparsify_many(self, backend, workers):
+    def test_matches_solo_runs(self, backend, workers):
         graphs = self._graphs()
         config = SparsifierConfig(bundle_t=2)
         engine = Engine(
@@ -220,15 +229,12 @@ class TestRunMany:
             )
         )
         batch = engine.run_many(graphs)
-        legacy = sparsify_many(
-            graphs, epsilon=0.5, seed=21, config=config,
-            backend=backend, max_workers=workers,
-        )
-        assert batch.num_jobs == legacy.num_jobs == 3
-        for unified, job in zip(batch.results, legacy.results):
+        solo = self._solo_runs(graphs, 21, config)
+        assert batch.num_jobs == len(solo) == 3
+        for unified, job in zip(batch.results, solo):
             assert_same_edges(unified.sparsifier, job.sparsifier)
-        assert batch.total_input_edges == legacy.total_input_edges
-        assert batch.total_output_edges == legacy.total_output_edges
+        assert batch.total_input_edges == sum(job.input_edges for job in solo)
+        assert batch.total_output_edges == sum(job.output_edges for job in solo)
 
     def test_backend_metadata_and_iteration(self):
         graphs = self._graphs()
@@ -254,8 +260,8 @@ class TestRunMany:
         batch = Engine(
             SparsifyRequest(method="koutis", epsilon=0.5, seed=21, config=config)
         ).run_many(graphs)
-        legacy = sparsify_many(graphs, epsilon=0.5, seed=21, config=config)
-        assert batch.cost == legacy.cost
+        solo = self._solo_runs(graphs, 21, config)
+        assert batch.cost == combine_parallel(job.cost for job in solo)
 
     def test_aggregate_cost_none_for_baselines(self):
         batch = Engine(SparsifyRequest(method="uniform", seed=1)).run_many(

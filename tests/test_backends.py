@@ -212,10 +212,17 @@ class TestBackendDeterminism:
 
     def test_worker_count_does_not_change_batch_output(self):
         graphs = [gen.erdos_renyi_graph(40, 0.2, seed=i, ensure_connected=True) for i in range(4)]
-        from repro.core.batch import sparsify_many
+        from repro.api import Engine, SparsifyRequest
 
-        one = sparsify_many(graphs, epsilon=0.5, rho=4, seed=3, backend="thread", max_workers=1)
-        four = sparsify_many(graphs, epsilon=0.5, rho=4, seed=3, backend="thread", max_workers=4)
+        def run(workers):
+            request = SparsifyRequest(
+                method="koutis", epsilon=0.5, rho=4, seed=3, backend="thread",
+                max_workers=workers,
+            )
+            return Engine(request).run_many(graphs)
+
+        one = run(1)
+        four = run(4)
         for a, b in zip(one.results, four.results):
             assert _edge_tuple(a.sparsifier) == _edge_tuple(b.sparsifier)
 

@@ -1,8 +1,13 @@
-"""Tests for the batch sparsification API (repro.core.batch)."""
+"""Tests for the batch fan-out: ``Engine.run_many`` on the koutis method.
+
+Job ``i`` of a batch must be bit-identical to a solo ``parallel_sparsify``
+run on the ``i``-th pre-split RNG stream of the batch seed, on every
+backend and worker count, with and without a checkpoint journal.
+"""
 
 import pytest
 
-from repro.core.batch import BatchSparsifyResult, sparsify_many
+from repro.api import Engine, SparsifyRequest, UnifiedBatchResult
 from repro.core.config import SparsifierConfig
 from repro.core.sparsify import parallel_sparsify
 from repro.graphs import generators as gen
@@ -20,16 +25,34 @@ def _edge_tuple(graph):
     return (g.edge_u.tolist(), g.edge_v.tolist(), g.edge_weights.tolist())
 
 
+def sparsify_batch(graphs, *, epsilon=0.5, rho=4, seed=None, config=None,
+                   backend=None, max_workers=None, checkpoint=None):
+    request = SparsifyRequest(
+        method="koutis", epsilon=epsilon, rho=rho, seed=seed, config=config,
+        backend=backend, max_workers=max_workers,
+    )
+    return Engine(request).run_many(graphs, checkpoint=checkpoint)
+
+
+def _solo_edges(graphs, seed):
+    """Solo ``parallel_sparsify`` runs on the pre-split batch streams."""
+    job_rngs = split_rng(as_rng(seed), len(graphs))
+    return [
+        _edge_tuple(parallel_sparsify(graph, epsilon=0.5, rho=4, seed=job_rngs[i]).sparsifier)
+        for i, graph in enumerate(graphs)
+    ]
+
+
 class TestSparsifyMany:
     def test_results_in_input_order(self, graph_batch):
-        result = sparsify_many(graph_batch, epsilon=0.5, rho=4, seed=1)
+        result = sparsify_batch(graph_batch, seed=1)
         assert result.num_jobs == len(graph_batch)
         for graph, job in zip(graph_batch, result.results):
             assert job.input_edges == graph.num_edges
             assert 0 < job.output_edges <= graph.num_edges
 
     def test_matches_individual_runs_bit_exactly(self, graph_batch):
-        batch = sparsify_many(graph_batch, epsilon=0.5, rho=4, seed=42)
+        batch = sparsify_batch(graph_batch, seed=42)
         job_rngs = split_rng(as_rng(42), len(graph_batch))
         for i, graph in enumerate(graph_batch):
             solo = parallel_sparsify(graph, epsilon=0.5, rho=4, seed=job_rngs[i])
@@ -37,16 +60,41 @@ class TestSparsifyMany:
 
     @pytest.mark.parametrize("backend,workers", [("thread", 4), ("process", 2)])
     def test_backends_match_serial(self, graph_batch, backend, workers):
-        serial = sparsify_many(graph_batch, epsilon=0.5, rho=4, seed=7, backend="serial")
-        other = sparsify_many(
-            graph_batch, epsilon=0.5, rho=4, seed=7, backend=backend, max_workers=workers
-        )
+        serial = sparsify_batch(graph_batch, seed=7, backend="serial")
+        other = sparsify_batch(graph_batch, seed=7, backend=backend, max_workers=workers)
         assert other.backend_name == backend
         for a, b in zip(serial.results, other.results):
             assert _edge_tuple(a.sparsifier) == _edge_tuple(b.sparsifier)
 
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    @pytest.mark.parametrize(
+        "backend,workers", [("serial", None), ("thread", 4), ("process", 2)]
+    )
+    def test_matches_solo_runs_on_every_backend(
+        self, graph_batch, backend, workers, checkpoint, tmp_path
+    ):
+        expected = _solo_edges(graph_batch, seed=5)
+        journal = tmp_path / "batch.jsonl" if checkpoint else None
+        batch = sparsify_batch(
+            graph_batch, seed=5, backend=backend, max_workers=workers, checkpoint=journal
+        )
+        assert batch.resumed_jobs == 0
+        assert [_edge_tuple(r.sparsifier) for r in batch.results] == expected
+        if not checkpoint:
+            return
+        # A partial journal (header + job 0) resumes the rest bit-identically,
+        # and a full one restores every job.
+        lines = journal.read_text().splitlines()
+        journal.write_text("\n".join(lines[:2]) + "\n")
+        for resumed_jobs in (1, len(graph_batch)):
+            resumed = sparsify_batch(
+                graph_batch, seed=5, backend=backend, max_workers=workers, checkpoint=journal
+            )
+            assert resumed.resumed_jobs == resumed_jobs
+            assert [_edge_tuple(r.sparsifier) for r in resumed.results] == expected
+
     def test_aggregate_cost_is_fork_join(self, graph_batch):
-        result = sparsify_many(graph_batch, epsilon=0.5, rho=4, seed=1)
+        result = sparsify_batch(graph_batch, seed=1)
         expected = combine_parallel(r.cost for r in result.results)
         assert result.cost.work == pytest.approx(expected.work)
         assert result.cost.depth == pytest.approx(expected.depth)
@@ -55,7 +103,7 @@ class TestSparsifyMany:
         assert result.cost.depth == pytest.approx(max(r.cost.depth for r in result.results))
 
     def test_totals_and_reduction_factor(self, graph_batch):
-        result = sparsify_many(graph_batch, epsilon=0.5, rho=4, seed=1)
+        result = sparsify_batch(graph_batch, seed=1)
         assert result.total_input_edges == sum(g.num_edges for g in graph_batch)
         assert result.total_output_edges == sum(r.output_edges for r in result.results)
         assert result.reduction_factor == pytest.approx(
@@ -63,22 +111,22 @@ class TestSparsifyMany:
         )
 
     def test_empty_batch(self):
-        result = sparsify_many([], epsilon=0.5, seed=0)
-        assert isinstance(result, BatchSparsifyResult)
+        result = sparsify_batch([], seed=0)
+        assert isinstance(result, UnifiedBatchResult)
         assert result.num_jobs == 0
         assert result.total_input_edges == 0
         assert result.reduction_factor == 1.0
 
     def test_config_backend_fields_are_used(self, graph_batch):
         config = SparsifierConfig.practical(backend="thread", max_workers=2)
-        result = sparsify_many(graph_batch[:2], epsilon=0.5, rho=4, config=config, seed=3)
+        result = sparsify_batch(graph_batch[:2], config=config, seed=3)
         assert result.backend_name == "thread"
         assert result.max_workers == 2
 
     def test_jobs_with_sharded_config(self, graph_batch):
         # num_shards flows into each job; the batch still matches solo runs.
         config = SparsifierConfig.practical(bundle_t=2, num_shards=2)
-        batch = sparsify_many(graph_batch[:2], epsilon=0.5, rho=4, config=config, seed=9)
+        batch = sparsify_batch(graph_batch[:2], config=config, seed=9)
         job_rngs = split_rng(as_rng(9), 2)
         for i in range(2):
             solo = parallel_sparsify(

@@ -43,10 +43,11 @@ class TestValidation:
 
     def test_solver_choices(self):
         assert SparsifierConfig().solver == "cg"
-        for choice in ("cg", "chain", "auto"):
+        for choice in ("cg", "chain"):
             assert SparsifierConfig(solver=choice).solver == choice
-        with pytest.raises(SparsificationError):
-            SparsifierConfig(solver="gaussian")
+        for retired in ("auto", "gaussian"):
+            with pytest.raises(SparsificationError):
+                SparsifierConfig(solver=retired)
 
     def test_frozen(self):
         with pytest.raises(Exception):

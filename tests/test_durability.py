@@ -41,7 +41,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.core.batch import sparsify_many
+from repro.api import Engine, SparsifyRequest
 from repro.core.checkpoint import BatchJournal
 from repro.exceptions import CheckpointError
 from repro.graphs import generators as gen
@@ -171,6 +171,54 @@ class TestKillPointSweep:
             StreamStateStore.recover(tmp_path / "void")
 
 
+def batch_edges(result):
+    g = result.sparsifier
+    return (g.edge_u.tolist(), g.edge_v.tolist(), g.edge_weights.tolist())
+
+
+class TestBatchCheckpointKillPoints:
+    """Every write point of a checkpointed 4-job ``Engine.run_many``."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        graphs = [
+            gen.erdos_renyi_graph(20, 0.3, seed=40 + i, ensure_connected=True)
+            for i in range(4)
+        ]
+        engine = Engine(SparsifyRequest(method="koutis", epsilon=0.5, seed=7))
+        reference = [batch_edges(r) for r in engine.run_many(graphs)]
+        return engine, graphs, reference
+
+    @pytest.mark.parametrize("mode", ["clean", "torn", "flip"])
+    def test_every_kill_point_resumes_or_refuses(self, mode, batch, tmp_path):
+        engine, graphs, reference = batch
+        journal = tmp_path / "batch.jsonl"
+
+        def workload(io: CrashPointIO):
+            journal.unlink(missing_ok=True)
+            engine.run_many(graphs, checkpoint=journal, checkpoint_io=io)
+
+        def verify(point: int) -> None:
+            resumed = []
+            for _ in range(3):
+                try:
+                    result = engine.run_many(graphs, checkpoint=journal)
+                except CheckpointError:
+                    resumed.append(None)  # refused loudly: never silent
+                    continue
+                # Never a different result.
+                assert [batch_edges(r) for r in result.results] == reference
+                resumed.append(result.resumed_jobs)
+            if mode != "flip":
+                # A crash loses at most the torn append: the first resume
+                # completes the batch and the next ones restore all of it.
+                assert resumed[0] is not None, f"kill point {point}: resume refused"
+                assert resumed[1:] == [len(graphs)] * 2, f"kill point {point}: {resumed}"
+
+        points = kill_point_sweep(workload, verify, mode=mode)
+        assert points == 6  # header, four job appends and one directory fsync
+
+
 # --------------------------------------------------------------------- #
 # Satellite: torn-write fuzz at every byte offset, both journals
 # --------------------------------------------------------------------- #
@@ -219,31 +267,23 @@ class TestTornWriteFuzz:
             for i in range(3)
         ]
         journal = tmp_path / "batch.jsonl"
-        full = sparsify_many(graphs, epsilon=0.5, seed=7, checkpoint=journal)
-        reference = {
-            i: (
-                r.sparsifier.edge_u.tolist(),
-                r.sparsifier.edge_v.tolist(),
-                r.sparsifier.edge_weights.tolist(),
-            )
-            for i, r in enumerate(full.results)
-        }
+        engine = Engine(SparsifyRequest(method="koutis", epsilon=0.5, seed=7))
+        full = engine.run_many(graphs, checkpoint=journal)
+        reference = {i: batch_edges(r) for i, r in enumerate(full.results)}
         pristine = journal.read_bytes()
-        loader = BatchJournal(journal, epsilon=0.5, rho=4.0, num_jobs=len(graphs))
+        loader = BatchJournal(journal, engine._checkpoint_pins(len(graphs)))
         for offset in range(len(pristine)):
             journal.write_bytes(pristine)
             truncate_file_at(journal, offset)
-            try:
-                completed = loader.load_completed(graphs)
-            except CheckpointError:
-                continue  # refused loudly: acceptable, never silent
+            # A cut is always a torn append: the complete prefix resumes.
+            completed = loader.load_completed(graphs)
+            whole_jobs = max(0, pristine[:offset].count(b"\n") - 1)
+            assert sorted(completed) == list(range(whole_jobs))
             # Whatever resumes is bit-identical to the clean run's results.
             for index, result in completed.items():
-                assert (
-                    result.sparsifier.edge_u.tolist(),
-                    result.sparsifier.edge_v.tolist(),
-                    result.sparsifier.edge_weights.tolist(),
-                ) == reference[index]
+                assert batch_edges(result) == reference[index]
+            # The torn fragment is gone before anything appends after it.
+            assert journal.read_bytes() == pristine[: pristine.rfind(b"\n", 0, offset) + 1]
         journal.write_bytes(pristine)
 
 

@@ -16,12 +16,11 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Engine, SparsifyRequest
-from repro.core.batch import sparsify_many
 from repro.core.certificates import certify_resistances
 from repro.core.sparsify import parallel_sparsify
 from repro.exceptions import FaultInjectionError
 from repro.graphs import generators
-from repro.parallel.backends import available_backends, get_backend
+from repro.parallel.backends import available_backends, get_backend, set_default_backend
 from repro.parallel.failure import FailurePolicy
 from repro.resistance import solver_select
 from repro.resistance.solver_select import ResistanceSolveStats
@@ -54,6 +53,23 @@ def _batch_graphs(count=4):
 def _edges(result):
     g = result.sparsifier
     return (g.edge_u.tolist(), g.edge_v.tolist(), g.edge_weights.tolist())
+
+
+def _run_many(graphs, backend=None, **kwargs):
+    """``Engine.run_many`` of ``koutis`` at epsilon 0.5 and seed 7.
+
+    A request names its backend by string, so a backend *instance* (an
+    :class:`InjectingBackend` with its own plan) is installed as the
+    process-wide default for the duration of the call.
+    """
+    if backend is not None and not isinstance(backend, str):
+        previous = set_default_backend(backend)
+        try:
+            return _run_many(graphs, **kwargs)
+        finally:
+            set_default_backend(previous)
+    request = SparsifyRequest(method="koutis", epsilon=0.5, seed=7, backend=backend)
+    return Engine(request).run_many(graphs, **kwargs)
 
 
 class TestInjectingBackend:
@@ -148,40 +164,36 @@ class TestBackendFailFastParity:
 class TestBatchRecovery:
     """Acceptance scenario (a): injected crash in a process-backend batch."""
 
-    def test_sparsify_many_recovers_bit_identically_on_process_backend(self):
+    def test_run_many_recovers_bit_identically_on_process_backend(self):
         graphs = _batch_graphs()
-        baseline = sparsify_many(graphs, epsilon=0.5, seed=7, backend="serial")
+        baseline = _run_many(graphs, backend="serial")
 
         backend = InjectingBackend(
             inner="process", plan=FaultPlan(crash_index=1, crash_attempts=1)
         )
         policy = FailurePolicy(on_error="retry", max_attempts=3, **FAST_RETRY)
-        recovered = sparsify_many(
-            graphs, epsilon=0.5, seed=7, backend=backend, failure_policy=policy
-        )
+        recovered = _run_many(graphs, backend=backend, failure_policy=policy)
 
         assert recovered.all_succeeded
         assert recovered.attempts == [1, 2, 1, 1]
         for expected, actual in zip(baseline.results, recovered.results):
             assert _edges(expected) == _edges(actual)
 
-    def test_sparsify_many_fail_fast_without_policy(self):
+    def test_run_many_fail_fast_without_policy(self):
         graphs = _batch_graphs()
         backend = InjectingBackend(
             inner="serial", plan=FaultPlan(crash_index=1, crash_attempts=99)
         )
         with pytest.raises(FaultInjectionError):
-            sparsify_many(graphs, epsilon=0.5, seed=7, backend=backend)
+            _run_many(graphs, backend=backend)
 
-    def test_sparsify_many_collect_records_permanent_failure(self):
+    def test_run_many_collect_records_permanent_failure(self):
         graphs = _batch_graphs()
         backend = InjectingBackend(
             inner="serial", plan=FaultPlan(crash_index=2, crash_attempts=99)
         )
         policy = FailurePolicy(on_error="collect", max_attempts=2, **FAST_RETRY)
-        batch = sparsify_many(
-            graphs, epsilon=0.5, seed=7, backend=backend, failure_policy=policy
-        )
+        batch = _run_many(graphs, backend=backend, failure_policy=policy)
         assert batch.num_failed == 1
         assert batch.results[2] is None
         assert [r is not None for r in batch.results] == [True, True, False, True]
@@ -190,7 +202,7 @@ class TestBatchRecovery:
         assert record.error_type == "FaultInjectionError"
         assert record.attempts == 2
         # Surviving jobs are bit-identical to a fault-free run.
-        baseline = sparsify_many(graphs, epsilon=0.5, seed=7, backend="serial")
+        baseline = _run_many(graphs, backend="serial")
         for i in (0, 1, 3):
             assert _edges(batch.results[i]) == _edges(baseline.results[i])
 
@@ -201,17 +213,16 @@ class TestBatchRecovery:
             inner="serial", plan=FaultPlan(crash_index=3, crash_attempts=99)
         )
         policy = FailurePolicy(on_error="collect", max_attempts=1)
-        first = sparsify_many(
-            graphs, epsilon=0.5, seed=7, backend=crashing,
-            failure_policy=policy, checkpoint=journal,
+        first = _run_many(
+            graphs, backend=crashing, failure_policy=policy, checkpoint=journal
         )
         assert first.num_failed == 1
 
         # Second run: fault gone; only the crashed job is recomputed.
-        second = sparsify_many(graphs, epsilon=0.5, seed=7, checkpoint=journal)
+        second = _run_many(graphs, checkpoint=journal)
         assert second.resumed_jobs == 3
         assert second.all_succeeded
-        baseline = sparsify_many(graphs, epsilon=0.5, seed=7)
+        baseline = _run_many(graphs)
         for expected, actual in zip(baseline.results, second.results):
             assert _edges(expected) == _edges(actual)
 

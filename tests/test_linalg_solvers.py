@@ -7,10 +7,8 @@ import scipy.sparse as sp
 from repro.exceptions import ConvergenceError
 from repro.graphs import generators as gen
 from repro.linalg.cg import (
-    chebyshev_iteration,
     conjugate_gradient,
     deflate_constant,
-    jacobi_iteration,
     laplacian_solve,
 )
 from repro.linalg.eigen import (
@@ -115,31 +113,6 @@ class TestLaplacianSolve:
 
     def test_deflate_constant(self):
         assert abs(deflate_constant(np.array([1.0, 2.0, 3.0])).mean()) < 1e-15
-
-
-class TestJacobiAndChebyshev:
-    def test_jacobi_converges_on_dominant_system(self):
-        mat = _spd_matrix(20, 5) + 50 * np.eye(20)
-        result = jacobi_iteration(mat, np.ones(20), tol=1e-8, max_iterations=500)
-        assert result.converged
-
-    def test_jacobi_requires_positive_diagonal(self):
-        mat = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError):
-            jacobi_iteration(mat, np.ones(2))
-
-    def test_chebyshev_converges_with_good_bounds(self):
-        mat = _spd_matrix(25, 6)
-        eigs = np.linalg.eigvalsh(mat)
-        result = chebyshev_iteration(
-            mat, np.ones(25), eig_min=float(eigs[0]), eig_max=float(eigs[-1]),
-            tol=1e-8, max_iterations=400,
-        )
-        assert result.converged
-
-    def test_chebyshev_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            chebyshev_iteration(np.eye(3), np.ones(3), eig_min=2.0, eig_max=1.0)
 
 
 class TestPseudoinverse:

@@ -1,7 +1,7 @@
 """Resilience-layer tests: failure policies, checkpoints, solver statuses.
 
 Covers the policy vocabulary (`repro.parallel.failure`), the checkpoint
-journal behind ``sparsify_many(checkpoint=...)``, the blocked solver's
+journal behind ``Engine.run_many(checkpoint=...)``, the blocked solver's
 per-column :class:`SolveStatus` detection, and the input-validation
 hardening (non-finite edge weights / right-hand sides).  The end-to-end
 fault-injection scenarios live in ``test_faults.py`` (``-m faults``).
@@ -9,11 +9,13 @@ fault-injection scenarios live in ``test_faults.py`` (``-m faults``).
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.core.batch import sparsify_many
-from repro.core.checkpoint import BatchJournal, batch_graph_digest
+from repro.api import Engine, SparsifyRequest
+from repro.core.checkpoint import batch_graph_digest
 from repro.core.config import SparsifierConfig
 from repro.core.distributed_sparsify import distributed_parallel_sample
 from repro.exceptions import (
@@ -21,6 +23,7 @@ from repro.exceptions import (
     CheckpointError,
     ConvergenceError,
     GraphError,
+    MethodError,
 )
 from repro.graphs import generators
 from repro.graphs.graph import Graph
@@ -190,6 +193,14 @@ class TestMapOutcomes:
         assert values == [1, 2, 3]
 
 
+def checkpointed_batch(graphs, *, checkpoint, epsilon=0.5, seed=7, method="koutis", **request):
+    """A checkpointed ``Engine.run_many`` batch (koutis, epsilon 0.5, seed 7)."""
+    engine = Engine(
+        SparsifyRequest(method=method, epsilon=epsilon, seed=seed, **request)
+    )
+    return engine.run_many(graphs, checkpoint=checkpoint)
+
+
 class TestCheckpointJournal:
     @pytest.fixture()
     def graphs(self):
@@ -204,56 +215,174 @@ class TestCheckpointJournal:
 
     def test_resume_skips_completed_jobs_bit_identically(self, graphs, tmp_path):
         journal = tmp_path / "batch.jsonl"
-        first = sparsify_many(graphs, epsilon=0.5, seed=7, checkpoint=journal)
+        first = checkpointed_batch(graphs, checkpoint=journal)
         assert first.resumed_jobs == 0
-        second = sparsify_many(graphs, epsilon=0.5, seed=7, checkpoint=journal)
+        second = checkpointed_batch(graphs, checkpoint=journal)
         assert second.resumed_jobs == len(graphs)
         for a, b in zip(first.results, second.results):
             assert self._edges(a) == self._edges(b)
 
     def test_partial_journal_resumes_prefix(self, graphs, tmp_path):
         journal = tmp_path / "batch.jsonl"
-        full = sparsify_many(graphs, epsilon=0.5, seed=7, checkpoint=journal)
+        full = checkpointed_batch(graphs, checkpoint=journal)
         lines = journal.read_text().splitlines()
         journal.write_text("\n".join(lines[:2]) + "\n")  # header + job 0
-        resumed = sparsify_many(graphs, epsilon=0.5, seed=7, checkpoint=journal)
+        resumed = checkpointed_batch(graphs, checkpoint=journal)
         assert resumed.resumed_jobs == 1
         for a, b in zip(full.results, resumed.results):
             assert self._edges(a) == self._edges(b)
 
     def test_torn_trailing_line_is_dropped(self, graphs, tmp_path):
         journal = tmp_path / "batch.jsonl"
-        sparsify_many(graphs, epsilon=0.5, seed=7, checkpoint=journal)
+        checkpointed_batch(graphs, checkpoint=journal)
         with open(journal, "a") as handle:
             handle.write('{"kind": "job", "index": 2, "resu')  # crash mid-append
-        resumed = sparsify_many(graphs, epsilon=0.5, seed=7, checkpoint=journal)
+        resumed = checkpointed_batch(graphs, checkpoint=journal)
         assert resumed.resumed_jobs == len(graphs)
 
     def test_digest_mismatch_refuses_resume(self, graphs, tmp_path):
         journal = tmp_path / "batch.jsonl"
-        sparsify_many(graphs, epsilon=0.5, seed=7, checkpoint=journal)
+        checkpointed_batch(graphs, checkpoint=journal)
         different = [
             generators.erdos_renyi_graph(30, 0.3, seed=100 + i, ensure_connected=True)
             for i in range(3)
         ]
         with pytest.raises(CheckpointError, match="digest"):
-            sparsify_many(different, epsilon=0.5, seed=7, checkpoint=journal)
+            checkpointed_batch(different, checkpoint=journal)
 
     def test_batch_shape_mismatch_refuses_resume(self, graphs, tmp_path):
         journal = tmp_path / "batch.jsonl"
-        sparsify_many(graphs, epsilon=0.5, seed=7, checkpoint=journal)
+        checkpointed_batch(graphs, checkpoint=journal)
         with pytest.raises(CheckpointError, match="different"):
-            sparsify_many(graphs, epsilon=0.25, seed=7, checkpoint=journal)
+            checkpointed_batch(graphs, checkpoint=journal, epsilon=0.25)
 
     def test_headerless_file_refused(self, graphs, tmp_path):
         journal = tmp_path / "batch.jsonl"
         journal.write_text('{"kind": "job", "index": 0}\n{"kind": "job", "index": 1}\n')
         with pytest.raises(CheckpointError, match="header"):
-            BatchJournal(journal, epsilon=0.5, rho=4.0, num_jobs=3).load_completed(graphs)
+            checkpointed_batch(graphs, checkpoint=journal)
 
     def test_digest_is_content_addressed(self, graphs):
         assert batch_graph_digest(graphs[0]) == batch_graph_digest(graphs[0])
         assert batch_graph_digest(graphs[0]) != batch_graph_digest(graphs[1])
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"seed": 8},
+            {"config": SparsifierConfig(bundle_t=1)},
+            {"epsilon": 0.25},
+            {"rho": 8.0},
+            {"options": {"coalesce_between_rounds": False}},
+            {"num_shards": 2},
+        ],
+        ids=["seed", "config", "epsilon", "rho", "option", "request-shards"],
+    )
+    def test_resume_under_another_request_is_refused(self, graphs, tmp_path, change):
+        journal = tmp_path / "batch.jsonl"
+        checkpointed_batch(graphs[:2], checkpoint=journal)
+        lines = journal.read_text().splitlines()
+        journal.write_text(lines[0] + "\n" + lines[1] + "\n")  # header + job 0
+        with pytest.raises(CheckpointError, match="different batch"):
+            checkpointed_batch(graphs[:2], checkpoint=journal, **change)
+        # The refused resume left the journal untouched.
+        assert journal.read_text().splitlines() == lines[:2]
+
+    def test_resume_with_another_job_count_is_refused(self, graphs, tmp_path):
+        journal = tmp_path / "batch.jsonl"
+        checkpointed_batch(graphs[:2], checkpoint=journal)
+        with pytest.raises(CheckpointError, match="num_jobs"):
+            checkpointed_batch(graphs, checkpoint=journal)
+
+    @pytest.mark.parametrize(
+        "execution",
+        [
+            {"backend": "thread", "max_workers": 2},
+            {"config": SparsifierConfig(backend="thread", max_workers=3)},
+            {"backend": "process", "max_workers": 2},
+        ],
+        ids=["request-thread", "config-thread", "request-process"],
+    )
+    def test_backend_and_workers_are_not_pinned(self, graphs, tmp_path, execution):
+        journal = tmp_path / "batch.jsonl"
+        full = checkpointed_batch(graphs, checkpoint=journal)
+        lines = journal.read_text().splitlines()
+        journal.write_text("\n".join(lines[:2]) + "\n")  # header + job 0
+        resumed = checkpointed_batch(graphs, checkpoint=journal, **execution)
+        assert resumed.resumed_jobs == 1
+        again = checkpointed_batch(graphs, checkpoint=journal, **execution)
+        assert again.resumed_jobs == len(graphs)
+        for a, b, c in zip(full.results, resumed.results, again.results):
+            assert self._edges(a) == self._edges(b) == self._edges(c)
+
+    def test_version_one_journal_refused(self, graphs, tmp_path):
+        journal = tmp_path / "batch.jsonl"
+        journal.write_text(
+            json.dumps({"kind": "header", "version": 1, "epsilon": 0.5, "rho": 4.0,
+                        "num_jobs": 3}) + "\n"
+        )
+        with pytest.raises(CheckpointError, match="version"):
+            checkpointed_batch(graphs, checkpoint=journal)
+
+    def test_edited_stored_weight_refused(self, graphs, tmp_path):
+        journal = tmp_path / "batch.jsonl"
+        full = checkpointed_batch(graphs, checkpoint=journal)
+        largest = max(float(r.sparsifier.edge_weights.max()) for r in full.results)
+        assert largest < 13.0
+        lines = journal.read_text().splitlines()
+        record = json.loads(lines[1])
+        assert record["result"]["sparsifier"]["edge_weights"][0] == 1.0
+        record["result"]["sparsifier"]["edge_weights"][0] = 13.0  # still valid JSON
+        lines[1] = json.dumps(record)
+        journal.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match="digest"):
+            checkpointed_batch(graphs, checkpoint=journal)
+
+    @pytest.mark.parametrize(
+        "key", ["edge_weights", "rounds", "cost", "graph_digest", "index", "digest", "kind"]
+    )
+    def test_flipped_key_name_refused(self, graphs, tmp_path, key):
+        journal = tmp_path / "batch.jsonl"
+        checkpointed_batch(graphs, checkpoint=journal)
+        lines = journal.read_text().splitlines()
+        assert f'"{key}":' in lines[1]
+        lines[1] = lines[1].replace(f'"{key}":', f'"{key}X":', 1)
+        journal.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError):
+            checkpointed_batch(graphs, checkpoint=journal)
+
+    def test_torn_tail_is_cut_before_the_next_append(self, graphs, tmp_path):
+        journal = tmp_path / "batch.jsonl"
+        full = checkpointed_batch(graphs, checkpoint=journal)
+        lines = journal.read_text().splitlines()
+        # Header, job 0, then half of job 1's append: a crash mid-write.
+        journal.write_text(lines[0] + "\n" + lines[1] + "\n" + lines[2][: len(lines[2]) // 2])
+        for resumed_jobs in (1, len(graphs), len(graphs)):
+            resumed = checkpointed_batch(graphs, checkpoint=journal)
+            assert resumed.resumed_jobs == resumed_jobs
+            for a, b in zip(full.results, resumed.results):
+                assert self._edges(a) == self._edges(b)
+        # Every line of the journal is whole again: no append merged into
+        # the torn fragment.
+        assert [json.loads(line)["kind"] for line in journal.read_text().splitlines()] == [
+            "header", "job", "job", "job",
+        ]
+
+    def test_damaged_complete_final_line_refused(self, graphs, tmp_path):
+        journal = tmp_path / "batch.jsonl"
+        checkpointed_batch(graphs, checkpoint=journal)
+        text = journal.read_text()
+        assert text.endswith("}\n")
+        # A terminated line that does not decode is damage, not a torn append.
+        journal.write_text(text[:-2] + "\n")
+        with pytest.raises(CheckpointError, match="corrupt"):
+            checkpointed_batch(graphs, checkpoint=journal)
+
+    def test_checkpoint_needs_the_koutis_method(self, graphs, tmp_path):
+        journal = tmp_path / "batch.jsonl"
+        with pytest.raises(MethodError, match="koutis"):
+            checkpointed_batch(graphs, checkpoint=journal, method="uniform")
+        assert not journal.exists()
 
 
 class TestSolveStatusDetection:

@@ -652,79 +652,3 @@ class TestPengSpielmanBlockedDelegation:
 
         with pytest.raises(ValueError, match="1-D or 2-D"):
             solve_laplacian(small_er_graph, np.zeros((4, 2, 2)))
-
-
-class TestLambdaMinSaturationFloor:
-    """The lambda_min estimator's resolution limit and the auto rule around it.
-
-    60 power iterations cannot resolve a normalized spectral gap much
-    below ~8e-3 (LAMBDA_MIN_SATURATION_FLOOR): the estimate converges to
-    lambda_min from above at a rate governed by the gap itself, so
-    genuinely ill-conditioned graphs all report ~the floor regardless of
-    their true gap.  These tests pin the floor empirically and pin
-    resolve_solver's "gap unknown" handling of floor-level estimates.
-    """
-
-    def test_path_graph_estimates_saturate_at_floor(self):
-        """Paths with true gaps of 1e-4..1e-6 all report ~the floor."""
-        from repro.solvers.chain import (
-            LAMBDA_MIN_SATURATION_FLOOR,
-            estimate_normalized_lambda_min,
-        )
-
-        for n in (400, 1000, 3000):
-            graph = gen.path_graph(n)
-            estimate = estimate_normalized_lambda_min(graph)
-            true_gap = 2.0 * (1.0 - np.cos(np.pi / n))  # ~ (pi/n)^2
-            assert true_gap < LAMBDA_MIN_SATURATION_FLOOR / 5
-            assert (
-                LAMBDA_MIN_SATURATION_FLOOR / 3
-                <= estimate
-                <= 3 * LAMBDA_MIN_SATURATION_FLOOR
-            ), f"path n={n}: estimate {estimate} escaped the documented floor band"
-
-    def test_floor_is_below_chain_threshold(self):
-        """The floor must stay inside the "chain" band or auto could never warn."""
-        from repro.resistance.solver_select import CHAIN_LAMBDA_THRESHOLD
-        from repro.solvers.chain import LAMBDA_MIN_SATURATION_FLOOR
-
-        assert LAMBDA_MIN_SATURATION_FLOOR < CHAIN_LAMBDA_THRESHOLD
-
-    def test_auto_treats_floor_level_estimate_as_unknown(self, monkeypatch):
-        """gap <= floor -> warn + plain-CG default instead of silently chain."""
-        from repro.resistance.solver_select import resolve_solver
-        from repro.solvers import chain as chain_module
-
-        big = gen.banded_graph(5000, 3)
-        monkeypatch.setattr(
-            chain_module, "estimate_normalized_lambda_min", lambda g: 5e-3
-        )
-        with pytest.warns(RuntimeWarning, match="saturation floor"):
-            assert resolve_solver("auto", big, 64) == "cg"
-        # Exactly at the floor is still "unknown".
-        monkeypatch.setattr(
-            chain_module, "estimate_normalized_lambda_min", lambda g: 8e-3
-        )
-        with pytest.warns(RuntimeWarning, match="gap is unknown"):
-            assert resolve_solver("auto", big, 64) == "cg"
-
-    def test_auto_still_picks_sides_above_the_floor(self, monkeypatch):
-        """Measurable estimates route exactly as before (no new warnings)."""
-        import warnings
-
-        from repro.resistance.solver_select import resolve_solver
-        from repro.solvers import chain as chain_module
-
-        big = gen.banded_graph(5000, 3)
-        monkeypatch.setattr(
-            chain_module, "estimate_normalized_lambda_min", lambda g: 0.01
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_solver("auto", big, 64) == "chain"
-        monkeypatch.setattr(
-            chain_module, "estimate_normalized_lambda_min", lambda g: 0.5
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_solver("auto", big, 64) == "cg"
