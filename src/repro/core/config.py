@@ -30,6 +30,7 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import SparsificationError
+from repro.spanners.bundle import bundle_size_for_epsilon
 from repro.utils.validation import check_epsilon, check_probability
 
 __all__ = ["SparsifierConfig"]
@@ -160,10 +161,9 @@ class SparsifierConfig:
         check_epsilon(eps, "epsilon")
         if self.bundle_t is not None:
             return self.bundle_t
-        log_n = np.log2(max(num_vertices, 2))
         if self.mode == "theory":
-            return max(1, int(np.ceil(self.bundle_constant * log_n * log_n / (eps * eps))))
-        return max(1, int(np.ceil(self.practical_scale * log_n)))
+            return bundle_size_for_epsilon(num_vertices, eps, self.bundle_constant)
+        return max(1, int(np.ceil(self.practical_scale * np.log2(max(num_vertices, 2)))))
 
     @property
     def weight_multiplier(self) -> float:

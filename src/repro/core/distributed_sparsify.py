@@ -19,18 +19,22 @@ out, as the paper puts it), so the distributed and sequential pipelines
 produce statistically identical outputs; tests check that equivalence on
 fixed seeds at the level of the certified spectral quality.
 
-Shard-parallel execution
-------------------------
-With ``config.num_shards > 1`` the graph is decomposed into vertex-range
-shards (:mod:`repro.graphs.sharding`); each shard runs the full bundle
-peeling *and* its sampling pass as an independent simulated network, and
-those per-shard jobs are dispatched through the configured execution
-backend (:mod:`repro.parallel.backends`).  Cross-shard boundary edges are
-kept in the bundle outright — they are the inter-machine backbone, and
-keeping an edge exactly never weakens the spectral certificate.  Shard
-networks run concurrently, so their costs combine with max-rounds /
-sum-messages semantics (``DistributedCost.alongside``).  RNG sub-streams
-are split per shard *before* dispatch, making the output bit-identical on
+One round function
+------------------
+:func:`_distributed_bundle_and_sample` is the whole distributed round:
+it splits one stream into ``t`` component streams plus the coin stream,
+peels the bundle on the graph's simulated network and flips the coins.
+With ``config.num_shards == 1`` it runs inline on the coalesced input,
+on the caller's generator.  With ``config.num_shards > 1`` the graph is
+decomposed into vertex-range shards (:mod:`repro.graphs.sharding`) and
+the same function runs on each shard as an independent simulated
+network, dispatched through the configured execution backend
+(:mod:`repro.parallel.backends`).  Cross-shard boundary edges are kept in
+the bundle outright — they are the inter-machine backbone, and keeping
+an edge exactly never weakens the spectral certificate.  Shard networks
+run concurrently, so their costs combine with max-rounds /
+sum-messages semantics (``DistributedCost.alongside``).  One RNG stream
+per shard is split *before* dispatch, making the output bit-identical on
 every backend and worker count for a fixed seed.
 """
 
@@ -47,6 +51,7 @@ from repro.core.sample import (
     merge_shard_samples,
     sample_nonbundle_edges,
 )
+from repro.core.sparsify import sparsify_rounds
 from repro.exceptions import BackendError, SparsificationError
 from repro.graphs.graph import Graph
 from repro.graphs.sharding import GraphShards, shard_edges
@@ -98,40 +103,25 @@ class DistributedSparsifyResult:
     stopped_early: bool = False
 
 
-def _shard_sample_worker(item: Tuple[int, List[RandomState], RandomState], shared: Dict[str, Any]) -> Dict[str, Any]:
-    """Bundle peeling + Bernoulli sampling on one shard's simulated network.
+def _distributed_bundle_and_sample(
+    graph: Graph, t: int, config: SparsifierConfig, stream: RandomState
+) -> Dict[str, Any]:
+    """One distributed ``PARALLELSAMPLE`` round on ``graph``'s network.
 
-    Module-level (not a closure) so the process backend can pickle it; the
-    bulky payload — the coalesced graph and the per-shard edge index
-    arrays — arrives through ``shared`` and is transmitted once per
-    worker.
+    ``stream`` splits into ``t`` bundle-component streams plus the coin
+    stream.  Returns the bundle and kept positions in ``graph``'s edge
+    order, the number of candidates outside the bundle, the bundle's
+    measured network cost and the number of components built.
     """
-    shard_id, component_seeds, sample_rng = item
-    simple: Graph = shared["graph"]
-    config: SparsifierConfig = shared["config"]
-    t: int = shared["t"]
-    idx: np.ndarray = shared["shards"].shard_edge_indices[shard_id]
-    empty = np.array([], dtype=np.int64)
-    if idx.size == 0:
-        return {
-            "bundle": empty,
-            "kept": empty,
-            "outside": 0,
-            "cost": DistributedCost(),
-            "components": 0,
-        }
-    sub = simple.select_edges(idx)
+    streams = split_rng(stream, t + 1)
     bundle: DistributedBundleResult = distributed_bundle_spanner(
-        sub,
-        t=t,
-        k=config.spanner_k,
-        component_seeds=component_seeds,
+        graph, t=t, k=config.spanner_k, component_seeds=streams[:t]
     )
     kept, outside = sample_nonbundle_edges(
-        idx, bundle.edge_indices, sample_rng, config.sampling_probability
+        graph.num_edges, bundle.edge_indices, streams[t], config.sampling_probability
     )
     return {
-        "bundle": idx[bundle.edge_indices],
+        "bundle": bundle.edge_indices,
         "kept": kept,
         "outside": outside,
         "cost": bundle.cost,
@@ -139,28 +129,33 @@ def _shard_sample_worker(item: Tuple[int, List[RandomState], RandomState], share
     }
 
 
-def _sharded_distributed_sample(
+def _distributed_sample_shard(item: Tuple[int, RandomState], shared: Dict[str, Any]) -> Dict[str, Any]:
+    """:func:`_distributed_bundle_and_sample` on one shard, as a backend job.
+
+    Module-level (not a closure) so the process backend can pickle it; the
+    bulky payload — the coalesced graph and the per-shard edge index
+    arrays — arrives through ``shared`` and is transmitted once per
+    worker.
+    """
+    shard_id, stream = item
+    idx: np.ndarray = shared["shards"].shard_edge_indices[shard_id]
+    if idx.size == 0:
+        empty = np.array([], dtype=np.int64)
+        return {"bundle": empty, "kept": empty, "outside": 0, "cost": DistributedCost(), "components": 0}
+    result = _distributed_bundle_and_sample(
+        shared["graph"].select_edges(idx), shared["t"], shared["config"], stream
+    )
+    return {**result, "bundle": idx[result["bundle"]], "kept": idx[result["kept"]]}
+
+
+def _distributed_sample_shards(
     simple: Graph,
-    eps: float,
     t: int,
     config: SparsifierConfig,
     rng: RandomState,
-    failure_policy: Optional[FailurePolicy] = None,
-) -> DistributedSampleResult:
-    """Shard-parallel ``PARALLELSAMPLE`` on the distributed simulator."""
-    m = simple.num_edges
-    shards: GraphShards = shard_edges(simple, config.num_shards)
-    backend = config.execution_backend()
-
-    # One RNG stream per shard, split *before* dispatch; each shard stream
-    # then yields its t component streams plus the sampling stream, so the
-    # outcome does not depend on scheduling order, backend, or workers.
-    shard_streams = split_rng(rng, shards.num_shards)
-    items = []
-    for s in range(shards.num_shards):
-        streams = split_rng(shard_streams[s], t + 1)
-        items.append((s, streams[:t], streams[t]))
-    shared = {"graph": simple, "config": config, "t": t, "shards": shards}
+    failure_policy: Optional[FailurePolicy],
+) -> Tuple[GraphShards, List[Dict[str, Any]]]:
+    """Fan :func:`_distributed_sample_shard` out over the backend."""
     # Every shard's output is required to assemble the round, so a policy
     # may retry a crashed shard (output-neutral: the shard re-runs with its
     # pre-split stream) but never skip one — "collect" would silently drop
@@ -170,53 +165,13 @@ def _sharded_distributed_sample(
             "distributed sharding cannot run with on_error='collect': every "
             "shard's output is required; use on_error='retry' (or 'raise')"
         )
-    results = backend.map(_shard_sample_worker, items, shared=shared, policy=failure_policy)
-
-    bundle_indices, kept_outside, total_outside = merge_shard_samples(
-        results, shards.boundary_edge_indices
+    shards: GraphShards = shard_edges(simple, config.num_shards)
+    items = list(enumerate(split_rng(rng, shards.num_shards)))
+    shared = {"graph": simple, "config": config, "t": t, "shards": shards}
+    results = config.execution_backend().map(
+        _distributed_sample_shard, items, shared=shared, policy=failure_policy
     )
-    components_built = max((r["components"] for r in results), default=0)
-
-    # Shard networks run concurrently: rounds max, messages add.  The
-    # sampling coin-flips happen inside the shards in the same single
-    # synchronous round, one one-word message per surviving edge.
-    total_cost = combine_concurrent(r["cost"] for r in results)
-    if total_outside:
-        total_cost = total_cost + DistributedCost(
-            rounds=1, messages=int(total_outside), max_message_words=1
-        )
-
-    if total_outside == 0:
-        return DistributedSampleResult(
-            sparsifier=simple,
-            bundle_edge_indices=bundle_indices,
-            sampled_edge_indices=np.array([], dtype=np.int64),
-            t=t,
-            epsilon=eps,
-            input_edges=m,
-            output_edges=m,
-            degenerate=True,
-            cost=total_cost,
-            components_built=components_built,
-            num_shards=shards.num_shards,
-            boundary_edges=shards.num_boundary_edges,
-        )
-
-    sparsifier = assemble_sample_output(simple, bundle_indices, kept_outside, config.weight_multiplier)
-    return DistributedSampleResult(
-        sparsifier=sparsifier,
-        bundle_edge_indices=bundle_indices,
-        sampled_edge_indices=kept_outside,
-        t=t,
-        epsilon=eps,
-        input_edges=m,
-        output_edges=sparsifier.num_edges,
-        degenerate=False,
-        cost=total_cost,
-        components_built=components_built,
-        num_shards=shards.num_shards,
-        boundary_edges=shards.num_boundary_edges,
-    )
+    return shards, results
 
 
 def distributed_parallel_sample(
@@ -233,8 +188,8 @@ def distributed_parallel_sample(
     rounds/messages/max-message-size across all bundle components and the
     sampling round.  With ``config.num_shards > 1`` the per-shard work is
     fanned out through ``config``'s execution backend (see the module
-    docstring); the default single-shard path preserves the historical
-    RNG stream exactly.
+    docstring); with one shard the round runs inline on ``seed``'s
+    generator.
 
     ``failure_policy`` governs transient shard-worker crashes in the
     sharded fan-out: ``on_error="retry"`` re-runs a crashed shard with its
@@ -248,77 +203,44 @@ def distributed_parallel_sample(
     rng = as_rng(seed)
 
     simple = graph.coalesce()
-    n = simple.num_vertices
     m = simple.num_edges
-    t = config.bundle_size(n, eps)
-
+    sparsifier, cost, components, num_shards, boundary_edges = simple, DistributedCost(), 0, 1, 0
     if m <= config.min_edges_to_sparsify:
-        return DistributedSampleResult(
-            sparsifier=simple,
-            bundle_edge_indices=np.array([], dtype=np.int64),
-            sampled_edge_indices=np.arange(m, dtype=np.int64),
-            t=0,
-            epsilon=eps,
-            input_edges=m,
-            output_edges=m,
-            degenerate=True,
-        )
+        t, outside = 0, 0
+        bundle_indices, kept = np.array([], dtype=np.int64), np.arange(m, dtype=np.int64)
+    else:
+        t = config.bundle_size(simple.num_vertices, eps)
+        if config.num_shards == 1:
+            whole = _distributed_bundle_and_sample(simple, t, config, rng)
+            bundle_indices, kept, outside = whole["bundle"], whole["kept"], whole["outside"]
+            results = [whole]
+        else:
+            shards, results = _distributed_sample_shards(simple, t, config, rng, failure_policy)
+            bundle_indices, kept, outside = merge_shard_samples(results, shards.boundary_edge_indices)
+            num_shards, boundary_edges = shards.num_shards, shards.num_boundary_edges
+        # Shard networks run concurrently: rounds max, messages add.
+        cost = combine_concurrent(r["cost"] for r in results)
+        components = max(r["components"] for r in results)
+        if outside:
+            # Sampling round: the lower-id endpoint of every surviving edge
+            # draws the coin and informs the other endpoint — one synchronous
+            # round, one single-word message per non-bundle edge.
+            cost = cost + DistributedCost(rounds=1, messages=int(outside), max_message_words=1)
+            sparsifier = assemble_sample_output(simple, bundle_indices, kept, config.weight_multiplier)
 
-    if config.num_shards > 1:
-        return _sharded_distributed_sample(
-            simple, eps, t, config, rng, failure_policy=failure_policy
-        )
-
-    component_seeds = split_rng(rng, t + 1)
-    bundle = distributed_bundle_spanner(
-        simple,
-        t=t,
-        k=config.spanner_k,
-        component_seeds=component_seeds[:t],
-    )
-    bundle_indices = bundle.edge_indices
-    total_cost = bundle.cost
-
-    in_bundle = np.zeros(m, dtype=bool)
-    in_bundle[bundle_indices] = True
-    outside = np.flatnonzero(~in_bundle)
-
-    if outside.size == 0:
-        return DistributedSampleResult(
-            sparsifier=simple,
-            bundle_edge_indices=bundle_indices,
-            sampled_edge_indices=np.array([], dtype=np.int64),
-            t=t,
-            epsilon=eps,
-            input_edges=m,
-            output_edges=m,
-            degenerate=True,
-            cost=total_cost,
-            components_built=bundle.components_built,
-        )
-
-    # Sampling round: the lower-id endpoint of every surviving edge draws the
-    # coin and informs the other endpoint — one synchronous round, one
-    # single-word message per non-bundle edge.
-    sample_rng = component_seeds[t]
-    keep_mask = sample_rng.random(outside.size) < config.sampling_probability
-    kept_outside = outside[keep_mask]
-    total_cost = total_cost + DistributedCost(
-        rounds=1, messages=int(outside.size), max_message_words=1
-    )
-
-    sparsifier = assemble_sample_output(simple, bundle_indices, kept_outside, config.weight_multiplier)
     return DistributedSampleResult(
         sparsifier=sparsifier,
         bundle_edge_indices=bundle_indices,
-        sampled_edge_indices=kept_outside,
+        sampled_edge_indices=kept,
         t=t,
         epsilon=eps,
         input_edges=m,
         output_edges=sparsifier.num_edges,
-        degenerate=False,
-        cost=total_cost,
-        components_built=bundle.components_built,
+        degenerate=not outside,
+        cost=cost,
+        components_built=components,
+        num_shards=num_shards,
+        boundary_edges=boundary_edges,
     )
 
 
@@ -328,12 +250,13 @@ def distributed_parallel_sparsify(
     rho: float = 4.0,
     config: Optional[SparsifierConfig] = None,
     seed: SeedLike = None,
-    stop_on_degenerate: bool = True,
     on_round: Optional[Callable[[int, DistributedSampleResult], None]] = None,
     failure_policy: Optional[FailurePolicy] = None,
 ) -> DistributedSparsifyResult:
     """Distributed Algorithm 2: iterate distributed ``PARALLELSAMPLE``.
 
+    Runs the same loop as :func:`repro.core.sparsify.parallel_sparsify`
+    (:func:`repro.core.sparsify.sparsify_rounds`) on the coalesced input.
     The rounds are inherently sequential (round ``i+1`` consumes round
     ``i``'s output); the parallelism lives inside each round's shard
     fan-out when ``config.num_shards > 1``.  ``failure_policy`` is passed
@@ -346,42 +269,27 @@ def distributed_parallel_sparsify(
     hook the unified engine (:mod:`repro.api`) exposes for serving.  It
     never affects the output.
     """
-    config = config if config is not None else SparsifierConfig()
-    eps = config.epsilon if epsilon is None else float(epsilon)
-    if rho < 1:
-        raise SparsificationError(f"rho must be >= 1, got {rho}")
-    num_rounds = SparsifierConfig.num_rounds(rho)
-    per_round_eps = eps / max(num_rounds, 1)
-    rng = as_rng(seed)
-    round_rngs = split_rng(rng, max(num_rounds, 1))
 
-    current = graph.coalesce()
-    input_edges = current.num_edges
-    rounds: List[DistributedSampleResult] = []
-    total = DistributedCost()
-    stopped_early = False
-
-    for i in range(num_rounds):
+    def sample_round(round_index, current, round_eps, round_config, rng):
         result = distributed_parallel_sample(
-            current, epsilon=per_round_eps, config=config, seed=round_rngs[i],
+            current, epsilon=round_eps, config=round_config, seed=rng,
             failure_policy=failure_policy,
         )
-        rounds.append(result)
         if on_round is not None:
-            on_round(i + 1, result)
-        total = total + result.cost
-        current = result.sparsifier.coalesce()
-        if result.degenerate and stop_on_degenerate:
-            stopped_early = True
-            break
+            on_round(round_index, result)
+        return result
 
+    simple = graph.coalesce()
+    eps, final, rounds, stopped_early = sparsify_rounds(
+        simple, epsilon, rho, config, seed, sample_round
+    )
     return DistributedSparsifyResult(
-        sparsifier=current,
+        sparsifier=final,
         rounds=rounds,
         epsilon=eps,
         rho=float(rho),
-        input_edges=input_edges,
-        output_edges=current.num_edges,
-        cost=total,
+        input_edges=simple.num_edges,
+        output_edges=final.num_edges,
+        cost=sum((r.cost for r in rounds), DistributedCost()),
         stopped_early=stopped_early,
     )

@@ -18,9 +18,12 @@ parallel algorithm; the PRAM cost of each step is charged to the tracker
 (Corollary 2 + an O(m) sampling pass), and the distributed execution lives
 in :mod:`repro.core.distributed_sparsify`.
 
-With ``config.num_shards > 1`` the graph is decomposed into vertex-range
-shards (:mod:`repro.graphs.sharding`) and each shard's bundle construction
-and sampling pass run as one job on the configured execution backend
+Algorithm 1 is one round function, :func:`_bundle_and_sample`: build the
+bundle and draw the coins.  With ``config.num_shards == 1`` it runs inline
+on the whole graph, consuming the caller's generator and charging the
+caller's tracker.  With ``config.num_shards > 1`` the graph is decomposed
+into vertex-range shards (:mod:`repro.graphs.sharding`) and the same
+function runs once per shard as a job on the configured execution backend
 (:mod:`repro.parallel.backends`); cross-shard boundary edges join the
 bundle outright.  RNG sub-streams are split per shard before dispatch, so
 a fixed seed gives bit-identical output on every backend and worker
@@ -31,7 +34,7 @@ depth is the max).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -39,9 +42,10 @@ from repro.core.config import SparsifierConfig
 from repro.exceptions import SparsificationError
 from repro.graphs.graph import Graph
 from repro.graphs.sharding import GraphShards, shard_edges
-from repro.parallel.metrics import PRAMCost, combine_parallel
+from repro.graphs.views import EdgeSubset
+from repro.parallel.metrics import PRAMCost
 from repro.parallel.pram import PRAMTracker
-from repro.spanners.bundle import BundleResult, t_bundle_spanner
+from repro.spanners.bundle import t_bundle_spanner
 from repro.spanners.low_stretch_tree import tree_bundle
 from repro.spanners.verification import repair_spanner
 from repro.utils.rng import RandomState, SeedLike, as_rng, split_rng
@@ -75,25 +79,24 @@ def assemble_sample_output(
 
 
 def sample_nonbundle_edges(
-    idx: np.ndarray,
-    local_bundle: np.ndarray,
-    sample_rng: RandomState,
-    sampling_probability: float,
+    num_edges: int, bundle: np.ndarray, rng: RandomState, p: float
 ) -> Tuple[np.ndarray, int]:
-    """Bernoulli-sample the shard edges outside the shard's bundle.
+    """Step 3, the Bernoulli step: keep each edge outside ``bundle`` with probability ``p``.
 
-    ``idx`` maps the shard's edge positions to original-graph indices and
-    ``local_bundle`` lists the bundle picks in shard-local positions.
-    Returns the kept survivors as original-graph indices plus the number
-    of non-bundle candidates (for the degenerate check and the
-    distributed message count).  Shared by the PRAM and distributed shard
-    workers so the sampling rule cannot drift between them.
+    ``bundle`` lists positions among ``num_edges`` edges.  Returns the
+    kept positions (ascending) and the number of candidates outside the
+    bundle (for the degenerate check and the distributed message count).
+    When the bundle holds every edge no coin is drawn, so ``rng`` is left
+    untouched.  The one coin-flipping rule of the PRAM and distributed
+    rounds and of the streaming compaction.
     """
-    in_bundle = np.zeros(idx.size, dtype=bool)
-    in_bundle[local_bundle] = True
-    outside_local = np.flatnonzero(~in_bundle)
-    keep_mask = sample_rng.random(outside_local.size) < sampling_probability
-    return idx[outside_local[keep_mask]], int(outside_local.size)
+    in_bundle = np.zeros(num_edges, dtype=bool)
+    in_bundle[bundle] = True
+    outside = np.flatnonzero(~in_bundle)
+    if outside.size == 0:
+        return outside, 0
+    keep_mask = rng.random(outside.size) < p
+    return outside[keep_mask], int(outside.size)
 
 
 def merge_shard_samples(
@@ -125,8 +128,6 @@ class SampleResult:
         The output graph ``G~`` (bundle edges at original weight plus the
         surviving non-bundle edges at ``weight_multiplier`` times their
         original weight).
-    bundle:
-        The bundle construction result (``H`` and its components).
     bundle_edge_indices / sampled_edge_indices:
         Indices (into the input graph) of the edges kept via the bundle
         and via sampling respectively.
@@ -146,7 +147,6 @@ class SampleResult:
     """
 
     sparsifier: Graph
-    bundle: BundleResult
     bundle_edge_indices: np.ndarray
     sampled_edge_indices: np.ndarray
     epsilon: float
@@ -164,10 +164,50 @@ class SampleResult:
         return self.output_edges / self.input_edges
 
 
-def _shard_bundle_and_sample_worker(
-    item: Tuple[int, RandomState, RandomState], shared: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Bundle construction + Bernoulli sampling on one shard's edge subset.
+def _as_graph(graph: Union[Graph, EdgeSubset]) -> Graph:
+    return graph.materialize() if isinstance(graph, EdgeSubset) else graph
+
+
+def _bundle_and_sample(
+    graph: Union[Graph, EdgeSubset],
+    t: int,
+    config: SparsifierConfig,
+    bundle_rng: RandomState,
+    sample_rng: RandomState,
+    tracker: PRAMTracker,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """One ``PARALLELSAMPLE`` round on ``graph``: Step 1, then the Bernoulli step.
+
+    ``graph`` is the whole input or a shard's trusted edge view.  Builds
+    the ``t``-bundle (spanner or tree components, repaired against the
+    per-component stretch target under ``config.certify_stretch``) from
+    ``bundle_rng``, then samples the edges outside it from
+    ``sample_rng``.  Returns the bundle and kept positions in ``graph``'s
+    edge order and the number of candidates outside the bundle; the
+    Bernoulli pass is charged only when there was something to sample.
+    """
+    if config.use_tree_bundle:
+        bundle = tree_bundle(_as_graph(graph), t=t, seed=bundle_rng, tracker=tracker)
+    else:
+        bundle = t_bundle_spanner(graph, t=t, k=config.spanner_k, seed=bundle_rng, tracker=tracker)
+    bundle_indices = bundle.edge_indices
+    if config.certify_stretch and bundle.component_edge_indices:
+        # Repair the *union* against the per-component stretch target so the
+        # Lemma 1 certificate holds deterministically: any edge whose stretch
+        # over the full bundle exceeds the single-spanner target joins the
+        # bundle outright.
+        stretch_target = 2.0 * np.log2(max(graph.num_vertices, 2))
+        bundle_indices = repair_spanner(_as_graph(graph), bundle_indices, stretch_target)
+    kept, outside = sample_nonbundle_edges(
+        graph.num_edges, bundle_indices, sample_rng, config.sampling_probability
+    )
+    if outside:
+        tracker.charge_parallel_for(outside, label="sample/bernoulli")
+    return bundle_indices, kept, outside
+
+
+def _sample_shard(item: Tuple[int, RandomState, RandomState], shared: Dict[str, Any]) -> Dict[str, Any]:
+    """:func:`_bundle_and_sample` on one shard's edges, as a backend job.
 
     Module-level (not a closure) so the process backend can pickle it; the
     graph and shard index arrays travel through ``shared`` once per
@@ -176,113 +216,42 @@ def _shard_bundle_and_sample_worker(
     """
     shard_id, bundle_rng, sample_rng = item
     graph: Graph = shared["graph"]
-    config: SparsifierConfig = shared["config"]
-    t: int = shared["t"]
     idx: np.ndarray = shared["shards"].shard_edge_indices[shard_id]
-    empty = np.array([], dtype=np.int64)
     if idx.size == 0:
-        return {"bundle": empty, "kept": empty, "outside": 0, "cost": PRAMCost(), "components": 0}
-
+        empty = np.array([], dtype=np.int64)
+        return {"bundle": empty, "kept": empty, "outside": 0, "cost": PRAMCost()}
     tracker = PRAMTracker()
-    # Trusted view of the shard's edges: the t-round peel inside
-    # ``t_bundle_spanner`` then runs entirely on raw arrays, and a real
-    # ``Graph`` is materialised only where graph semantics are needed.
-    sub = graph.edge_subset(idx)
-    if config.use_tree_bundle:
-        bundle = tree_bundle(sub.materialize(), t=t, seed=bundle_rng, tracker=tracker)
-    else:
-        bundle = t_bundle_spanner(sub, t=t, k=config.spanner_k, seed=bundle_rng, tracker=tracker)
-    local_bundle = bundle.edge_indices
-    if config.certify_stretch and bundle.component_edge_indices:
-        stretch_target = 2.0 * np.log2(max(graph.num_vertices, 2))
-        local_bundle = repair_spanner(sub.materialize(), local_bundle, stretch_target)
-
-    kept, outside = sample_nonbundle_edges(
-        idx, local_bundle, sample_rng, config.sampling_probability
+    bundle, kept, outside = _bundle_and_sample(
+        graph.edge_subset(idx), shared["t"], shared["config"], bundle_rng, sample_rng, tracker
     )
-    tracker.charge_parallel_for(outside, label="sample/bernoulli")
-    return {
-        "bundle": idx[local_bundle],
-        "kept": kept,
-        "outside": outside,
-        "cost": tracker.total,
-        "components": bundle.t,
-    }
+    if not outside:
+        # A shard's fork/join branch spawns its Bernoulli loop even when
+        # the loop is empty: one parallel step of depth.
+        tracker.charge_parallel_for(0, label="sample/bernoulli")
+    return {"bundle": idx[bundle], "kept": idx[kept], "outside": outside, "cost": tracker.total}
 
 
-def _sharded_parallel_sample(
+def _sample_shards(
     graph: Graph,
-    eps: float,
+    t: int,
     config: SparsifierConfig,
     rng: RandomState,
     tracker: PRAMTracker,
-) -> SampleResult:
-    """Shard-parallel Algorithm 1: fan shard jobs out over the backend."""
-    n = graph.num_vertices
-    m = graph.num_edges
-    t = config.bundle_size(n, eps)
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Fan :func:`_sample_shard` out over the backend and merge the shards."""
     shards: GraphShards = shard_edges(graph, config.num_shards)
-    backend = config.execution_backend()
-
     # Two streams per shard (bundle + sampling), split before dispatch so
     # scheduling order / backend / worker count cannot change the output.
     streams = split_rng(rng, 2 * shards.num_shards)
     items = [(s, streams[2 * s], streams[2 * s + 1]) for s in range(shards.num_shards)]
     shared = {"graph": graph, "config": config, "t": t, "shards": shards}
-    results = backend.map(_shard_bundle_and_sample_worker, items, shared=shared)
+    results = config.execution_backend().map(_sample_shard, items, shared=shared)
 
     # Shards execute concurrently: PRAM fork/join (work adds, depth max).
     with tracker.parallel_region():
         for r in results:
             tracker.charge(r["cost"].work, r["cost"].depth, label="sample/shard")
-
-    bundle_indices, kept_outside, total_outside = merge_shard_samples(
-        results, shards.boundary_edge_indices
-    )
-    bundle_result = BundleResult(
-        bundle=graph.select_edges(bundle_indices),
-        edge_indices=bundle_indices,
-        # Per-shard (not per-component) breakdown in shard order.
-        component_edge_indices=[r["bundle"] for r in results],
-        t=max((r["components"] for r in results), default=0),
-        requested_t=t,
-        exhausted=total_outside == 0,
-        # Fork/join over the concurrent shards; slightly over-counts the
-        # bundle share (each shard's cost includes its sampling pass).
-        cost=combine_parallel(r["cost"] for r in results),
-    )
-
-    if total_outside == 0:
-        # Bundle + boundary absorbed every edge: threshold of applicability.
-        return SampleResult(
-            sparsifier=graph,
-            bundle=bundle_result,
-            bundle_edge_indices=bundle_indices,
-            sampled_edge_indices=np.array([], dtype=np.int64),
-            epsilon=eps,
-            t=t,
-            input_edges=m,
-            output_edges=m,
-            degenerate=True,
-            cost=tracker.total,
-        )
-
-    sparsifier = assemble_sample_output(
-        graph, bundle_indices, kept_outside, config.weight_multiplier
-    )
-    tracker.charge_parallel_for(sparsifier.num_edges, label="sample/assemble-output")
-    return SampleResult(
-        sparsifier=sparsifier,
-        bundle=bundle_result,
-        bundle_edge_indices=bundle_indices,
-        sampled_edge_indices=kept_outside,
-        epsilon=eps,
-        t=t,
-        input_edges=m,
-        output_edges=sparsifier.num_edges,
-        degenerate=False,
-        cost=tracker.total,
-    )
+    return merge_shard_samples(results, shards.boundary_edge_indices)
 
 
 def parallel_sample(
@@ -322,96 +291,34 @@ def parallel_sample(
     tracker = tracker if tracker is not None else PRAMTracker()
     rng = as_rng(seed)
 
-    n = graph.num_vertices
     m = graph.num_edges
+    sparsifier = graph
     if m <= config.min_edges_to_sparsify:
-        # Nothing to do: below the applicability threshold.
-        return SampleResult(
-            sparsifier=graph,
-            bundle=BundleResult(
-                bundle=Graph(n),
-                edge_indices=np.array([], dtype=np.int64),
-                component_edge_indices=[],
-                t=0,
-                requested_t=0,
-                exhausted=False,
-                cost=PRAMCost(),
-            ),
-            bundle_edge_indices=np.array([], dtype=np.int64),
-            sampled_edge_indices=np.arange(m, dtype=np.int64),
-            epsilon=eps,
-            t=0,
-            input_edges=m,
-            output_edges=m,
-            degenerate=True,
-            cost=tracker.total,
-        )
-
-    if config.num_shards > 1:
-        return _sharded_parallel_sample(graph, eps, config, rng, tracker)
-
-    # ------------------------------------------------------------------ #
-    # Step 1: the t-bundle spanner H.
-    # ------------------------------------------------------------------ #
-    t = config.bundle_size(n, eps)
-    if config.use_tree_bundle:
-        bundle = tree_bundle(graph, t=t, seed=rng, tracker=tracker)
+        # Below the applicability threshold: the input comes back unchanged.
+        t, outside = 0, 0
+        bundle_indices, kept = np.array([], dtype=np.int64), np.arange(m, dtype=np.int64)
     else:
-        bundle = t_bundle_spanner(
-            graph, t=t, k=config.spanner_k, seed=rng, tracker=tracker
-        )
-
-    bundle_indices = bundle.edge_indices
-    if config.certify_stretch and bundle.component_edge_indices:
-        # Repair the *union* against the per-component stretch target so the
-        # Lemma 1 certificate holds deterministically: any edge whose stretch
-        # over the full bundle exceeds the single-spanner target joins the
-        # bundle outright.
-        stretch_target = 2.0 * np.log2(max(n, 2))
-        bundle_indices = repair_spanner(graph, bundle_indices, stretch_target)
-
-    in_bundle = np.zeros(m, dtype=bool)
-    in_bundle[bundle_indices] = True
-    outside = np.flatnonzero(~in_bundle)
-
-    # Degenerate case: the bundle swallowed every edge (theory-mode constants
-    # on a small graph, or a graph sparser than the bundle target).
-    if outside.size == 0:
-        return SampleResult(
-            sparsifier=graph,
-            bundle=bundle,
-            bundle_edge_indices=bundle_indices,
-            sampled_edge_indices=np.array([], dtype=np.int64),
-            epsilon=eps,
-            t=t,
-            input_edges=m,
-            output_edges=m,
-            degenerate=True,
-            cost=tracker.total,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Steps 2–3: keep H, sample the rest uniformly, reweight by 1/p.
-    # ------------------------------------------------------------------ #
-    p = config.sampling_probability
-    keep_mask = rng.random(outside.size) < p
-    kept_outside = outside[keep_mask]
-    tracker.charge_parallel_for(outside.size, label="sample/bernoulli")
-
-    sparsifier = assemble_sample_output(
-        graph, bundle_indices, kept_outside, config.weight_multiplier
-    )
-    tracker.charge_parallel_for(sparsifier.num_edges, label="sample/assemble-output")
+        t = config.bundle_size(graph.num_vertices, eps)
+        if config.num_shards == 1:
+            bundle_indices, kept, outside = _bundle_and_sample(graph, t, config, rng, rng, tracker)
+        else:
+            bundle_indices, kept, outside = _sample_shards(graph, t, config, rng, tracker)
+        # outside == 0: the bundle swallowed every edge (theory-mode constants
+        # on a small graph, or a graph sparser than the bundle target).
+        if outside:
+            sparsifier = assemble_sample_output(
+                graph, bundle_indices, kept, config.weight_multiplier
+            )
+            tracker.charge_parallel_for(sparsifier.num_edges, label="sample/assemble-output")
 
     return SampleResult(
         sparsifier=sparsifier,
-        bundle=bundle,
         bundle_edge_indices=bundle_indices,
-        sampled_edge_indices=kept_outside,
+        sampled_edge_indices=kept,
         epsilon=eps,
         t=t,
         input_edges=m,
         output_edges=sparsifier.num_edges,
-        degenerate=False,
+        degenerate=not outside,
         cost=tracker.total,
     )

@@ -23,15 +23,13 @@ epsilon budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
-
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.config import SparsifierConfig
-from repro.core.sample import SampleResult, parallel_sample
+from repro.core.sample import parallel_sample
 from repro.exceptions import SparsificationError
 from repro.graphs.graph import Graph
 from repro.parallel.metrics import PRAMCost
-from repro.parallel.pram import PRAMTracker
 from repro.utils.rng import SeedLike, as_rng, split_rng
 
 __all__ = ["RoundRecord", "SparsifyResult", "parallel_sparsify"]
@@ -91,14 +89,58 @@ class SparsifyResult:
         return self.input_edges / self.output_edges
 
 
+def sparsify_rounds(
+    graph: Graph,
+    epsilon: Optional[float],
+    rho: float,
+    config: Optional[SparsifierConfig],
+    seed: SeedLike,
+    sample_round: Callable[..., Any],
+) -> Tuple[float, Graph, List[Any], bool]:
+    """Algorithm 2's loop, shared by :func:`parallel_sparsify` and its distributed twin.
+
+    Checks ``epsilon`` (default ``config.epsilon``) lies in ``(0, 1]`` and
+    ``rho >= 1``, then runs ``ceil(log2 rho)`` rounds of
+    ``sample_round(round_index, graph, round_epsilon, config, rng)``, a
+    ``PARALLELSAMPLE`` round returning a result with ``sparsifier`` and
+    ``degenerate`` attributes.  ``round_index`` is 1-based; every round
+    gets ``epsilon / ceil(log2 rho)`` and its own stream split from
+    ``seed``.  A round's output is coalesced before the next round
+    consumes it (the multigraph and the coalesced graph are spectrally
+    identical; coalescing keeps the working arrays, and so the measured
+    work, small), and a degenerate round — its bundle absorbed every
+    edge, so no further reduction is possible — ends the loop.
+
+    Returns ``(epsilon, output graph, round results, stopped_early)``;
+    with ``rho == 1`` no round runs and the output is ``graph`` itself.
+    """
+    config = config if config is not None else SparsifierConfig()
+    eps = config.epsilon if epsilon is None else float(epsilon)
+    if not 0 < eps <= 1:
+        raise SparsificationError(f"epsilon must lie in (0, 1], got {eps}")
+    if rho < 1:
+        raise SparsificationError(f"rho must be >= 1, got {rho}")
+
+    num_rounds = SparsifierConfig.num_rounds(rho)
+    per_round_eps = eps / max(num_rounds, 1)
+    round_rngs = split_rng(as_rng(seed), max(num_rounds, 1))
+    current = graph
+    results: List[Any] = []
+    for round_index in range(num_rounds):
+        result = sample_round(round_index + 1, current, per_round_eps, config, round_rngs[round_index])
+        results.append(result)
+        current = result.sparsifier.coalesce()
+        if result.degenerate:
+            return eps, current, results, True
+    return eps, current, results, False
+
+
 def parallel_sparsify(
     graph: Graph,
     epsilon: Optional[float] = None,
     rho: float = 4.0,
     config: Optional[SparsifierConfig] = None,
     seed: SeedLike = None,
-    coalesce_between_rounds: bool = True,
-    stop_on_degenerate: bool = True,
     on_round: Optional[Callable[[RoundRecord], None]] = None,
 ) -> SparsifyResult:
     """Run Algorithm 2 (``PARALLELSPARSIFY``) on ``graph``.
@@ -111,7 +153,8 @@ def parallel_sparsify(
         Overall spectral approximation parameter (default from config).
     rho:
         Sparsification factor of choice; ``ceil(log2 rho)`` sampling rounds
-        are executed.
+        are executed (see :func:`sparsify_rounds`: each round's output is
+        coalesced, and a degenerate round stops the iteration).
     config:
         :class:`SparsifierConfig` controlling bundle sizes and sampling.
         Its ``backend`` / ``max_workers`` / ``num_shards`` fields also
@@ -123,14 +166,6 @@ def parallel_sparsify(
         algorithm).
     seed:
         RNG seed; each round gets an independent sub-stream.
-    coalesce_between_rounds:
-        Merge parallel edges between rounds.  The multigraph and the
-        coalesced graph are spectrally identical; coalescing keeps the
-        working edge arrays (and therefore the measured work) smaller,
-        matching how an implementation would store the intermediate graphs.
-    stop_on_degenerate:
-        Stop iterating once a round cannot reduce the graph any further
-        (its bundle absorbed every edge).
     on_round:
         Optional progress callback invoked with each :class:`RoundRecord`
         as soon as its round completes — the telemetry hook the unified
@@ -141,56 +176,30 @@ def parallel_sparsify(
     -------
     SparsifyResult
     """
-    config = config if config is not None else SparsifierConfig()
-    eps = config.epsilon if epsilon is None else float(epsilon)
-    if not 0 < eps <= 1:
-        raise SparsificationError(f"epsilon must lie in (0, 1], got {eps}")
-    if rho < 1:
-        raise SparsificationError(f"rho must be >= 1, got {rho}")
-
-    num_rounds = SparsifierConfig.num_rounds(rho)
-    per_round_eps = eps / max(num_rounds, 1)
-    rng = as_rng(seed)
-    round_rngs = split_rng(rng, max(num_rounds, 1))
-    tracker = PRAMTracker()
-
-    current = graph
     records: List[RoundRecord] = []
-    stopped_early = False
 
-    for round_index in range(num_rounds):
-        round_tracker = PRAMTracker()
-        result: SampleResult = parallel_sample(
-            current,
-            epsilon=per_round_eps,
-            config=config,
-            seed=round_rngs[round_index],
-            tracker=round_tracker,
-        )
+    def sample_round(round_index, current, round_eps, round_config, rng):
+        result = parallel_sample(current, epsilon=round_eps, config=round_config, seed=rng)
         record = RoundRecord(
-            round_index=round_index + 1,
-            epsilon=per_round_eps,
+            round_index=round_index,
+            epsilon=round_eps,
             t=result.t,
             input_edges=result.input_edges,
             output_edges=result.output_edges,
             bundle_edges=int(result.bundle_edge_indices.shape[0]),
             sampled_edges=int(result.sampled_edge_indices.shape[0]),
             degenerate=result.degenerate,
-            work=round_tracker.total.work,
-            depth=round_tracker.total.depth,
+            work=result.cost.work,
+            depth=result.cost.depth,
         )
         records.append(record)
         if on_round is not None:
             on_round(record)
-        tracker.merge_from(round_tracker)
-        current = result.sparsifier
-        if coalesce_between_rounds:
-            current = current.coalesce()
-        if result.degenerate and stop_on_degenerate:
-            stopped_early = True
-            break
+        return result
 
-    final = current.coalesce() if not coalesce_between_rounds else current
+    eps, final, results, stopped_early = sparsify_rounds(
+        graph, epsilon, rho, config, seed, sample_round
+    )
     return SparsifyResult(
         sparsifier=final,
         rounds=records,
@@ -198,6 +207,6 @@ def parallel_sparsify(
         rho=float(rho),
         input_edges=graph.num_edges,
         output_edges=final.num_edges,
-        cost=tracker.total,
+        cost=sum((r.cost for r in results), PRAMCost()),
         stopped_early=stopped_early,
     )

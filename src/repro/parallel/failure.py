@@ -28,9 +28,12 @@ Design invariants
    three integers (via :mod:`repro.utils.rng`), so a retried run sleeps
    the same schedule every time — tests can assert on it.
 3. **Retries are output-neutral.**  Callers split RNG streams per item
-   *before* dispatch (the package-wide determinism contract), so an item
-   that fails transiently and is retried produces bit-identical output to
-   a run that never failed.
+   *before* dispatch (the package-wide determinism contract), and the
+   attempt loop rewinds every generator the item carries (directly or in
+   nested tuples and lists) to its state before the first attempt, so an
+   item that fails transiently — even part-way through, after drawing
+   from its stream — and is retried produces bit-identical output to a
+   run that never failed.
 4. **Timeouts are soft.**  A worker thread cannot be killed; an attempt
    whose wall time exceeds ``timeout`` has its result discarded and is
    treated as a failed attempt (:class:`~repro.exceptions.WorkerTimeoutError`).
@@ -247,6 +250,15 @@ class _ItemOutcome:
 _NO_SHARED = object()
 
 
+def _generators_in(item: Any) -> List[np.random.Generator]:
+    """Every ``numpy.random.Generator`` in ``item``, itself or nested in tuples and lists."""
+    if isinstance(item, np.random.Generator):
+        return [item]
+    if isinstance(item, (tuple, list)):
+        return [rng for part in item for rng in _generators_in(part)]
+    return []
+
+
 class _PolicyCall:
     """Picklable wrapper running one item's full attempt loop in the worker.
 
@@ -273,11 +285,17 @@ class _PolicyCall:
         policy = self.policy
         started = time.perf_counter()
         last_error: Optional[BaseException] = None
+        rngs = _generators_in(item)
+        initial_states = [rng.bit_generator.state for rng in rngs]
         attempt = 0
         for attempt in range(1, policy.max_attempts + 1):
             delay = policy.delay_before(index, attempt)
             if delay > 0.0:
                 time.sleep(delay)
+            if attempt > 1:
+                # A failed attempt may have drawn from the item's streams.
+                for rng, state in zip(rngs, initial_states):
+                    rng.bit_generator.state = state
             attempt_start = time.perf_counter()
             try:
                 value = self._invoke(item, shared, index, attempt)

@@ -64,6 +64,7 @@ from repro.api.result import UnifiedResult
 from repro.core.certificates import ResistanceCertificate, certify_resistances
 from repro.core.checkpoint import DurableIO
 from repro.core.config import SparsifierConfig
+from repro.core.sample import sample_nonbundle_edges
 from repro.exceptions import CheckpointError, GraphError, StreamingError
 from repro.graphs.graph import Graph
 from repro.graphs.kout import k_out_keep_probabilities, k_out_select
@@ -142,10 +143,11 @@ def _compaction_worker(item: int, shared: Dict[str, Any]) -> Dict[str, Any]:
     """One PARALLELSAMPLE-style pass over the working edge arrays.
 
     Module-level (not a closure) so process backends can pickle it and
-    fault-injection wrappers can intercept it.  Mirrors the unsharded
-    :func:`repro.core.sample.parallel_sample` operation order exactly:
-    bundle selection consumes the stream via ``split_rng``, then the
-    Bernoulli pass continues on the same generator.
+    fault-injection wrappers can intercept it.  Bundle selection consumes
+    the compaction's stream via ``split_rng``, then the batch path's
+    Bernoulli step (:func:`repro.core.sample.sample_nonbundle_edges`)
+    continues on the same generator — the one-shard
+    :func:`repro.core.sample.parallel_sample` draw order.
     """
     index = int(item)
     rng = compaction_rng(shared["seed"], index)
@@ -158,25 +160,13 @@ def _compaction_worker(item: int, shared: Dict[str, Any]) -> Dict[str, Any]:
         k=shared["k"],
         seed=rng,
     )
-    m = int(shared["u"].shape[0])
-    in_bundle = np.zeros(m, dtype=bool)
-    in_bundle[bundle] = True
-    outside = np.flatnonzero(~in_bundle)
-    if outside.size == 0:
-        return {
-            "bundle": bundle,
-            "kept": np.array([], dtype=np.int64),
-            "outside": 0,
-            "built": built,
-            "exhausted": True,
-        }
-    keep_mask = rng.random(outside.size) < shared["p"]
+    kept, outside = sample_nonbundle_edges(int(shared["u"].shape[0]), bundle, rng, shared["p"])
     return {
         "bundle": bundle,
-        "kept": outside[keep_mask],
-        "outside": int(outside.size),
+        "kept": kept,
+        "outside": outside,
         "built": built,
-        "exhausted": exhausted,
+        "exhausted": exhausted or outside == 0,
     }
 
 

@@ -13,6 +13,7 @@ pinned environment); on platforms without ``SIGALRM`` the hook is a no-op.
 
 from __future__ import annotations
 
+import itertools
 import signal
 
 import numpy as np
@@ -53,6 +54,35 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def fail_once_part_way(monkeypatch):
+    """Make the ``call``-th call of ``owner.name`` run, then raise ``MemoryError``.
+
+    The failure lands part-way through the work item that made the call,
+    after the call has drawn from the item's RNG streams.  ``install``
+    returns a list that records the failure once it has fired.  The count
+    is global, so on a thread backend which item fails depends on the
+    schedule; a retry must be output-neutral whichever it is.
+    """
+
+    def install(owner, name, call=2):
+        original = getattr(owner, name)
+        calls = itertools.count(1)
+        fired = []
+
+        def flaky(*args, **kwargs):
+            result = original(*args, **kwargs)
+            if next(calls) == call:
+                fired.append(name)
+                raise MemoryError(f"injected failure after call {call} of {name}")
+            return result
+
+        monkeypatch.setattr(owner, name, flaky)
+        return fired
+
+    return install
 
 
 @pytest.fixture(scope="session")

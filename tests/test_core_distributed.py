@@ -91,6 +91,12 @@ class TestDistributedSparsify:
         with pytest.raises(SparsificationError):
             distributed_parallel_sparsify(small_er_graph, rho=0.1)
 
+    @pytest.mark.parametrize("epsilon", [5.0, -1])
+    def test_epsilon_validation_without_rounds(self, small_er_graph, epsilon):
+        # rho=1 runs no round, so no round can check epsilon.
+        with pytest.raises(SparsificationError, match="epsilon"):
+            distributed_parallel_sparsify(small_er_graph, epsilon=epsilon, rho=1)
+
     def test_stops_early_on_tree(self):
         tree = gen.path_graph(30)
         result = distributed_parallel_sparsify(tree, epsilon=0.5, rho=8, config=CONFIG, seed=0)

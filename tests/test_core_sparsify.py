@@ -53,13 +53,6 @@ class TestRounds:
         assert result.stopped_early
         assert result.sparsifier.same_edge_set(tree)
 
-    def test_no_early_stop_flag(self):
-        tree = gen.path_graph(30)
-        result = parallel_sparsify(
-            tree, epsilon=0.5, rho=4, config=PRACTICAL, seed=0, stop_on_degenerate=False
-        )
-        assert len(result.rounds) == 2
-
     def test_validation(self, medium_er_graph):
         with pytest.raises(SparsificationError):
             parallel_sparsify(medium_er_graph, epsilon=0.5, rho=0.5)

@@ -8,7 +8,11 @@ certification run, and the chain cache surviving an eviction storm.
 
 Everything here is seeded and schedule-independent: fault plans are pure
 functions of ``(item index, attempt number)``, so the same test is the
-same test on every backend and machine.
+same test on every backend and machine.  The one exception is where a
+failure part-way through a job lands (``fail_once_part_way`` counts calls
+across jobs): on the thread backend that depends on the schedule, but
+what the test asserts — one retry, outputs equal to the fault-free
+run — does not.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Engine, SparsifyRequest
+from repro.core import sparsify as sparsify_module
 from repro.core.certificates import certify_resistances
+from repro.core.config import SparsifierConfig
 from repro.core.sparsify import parallel_sparsify
 from repro.exceptions import FaultInjectionError
 from repro.graphs import generators
@@ -243,6 +249,34 @@ class TestBatchRecovery:
         assert batch.failures[0].index == 0
         assert batch.attempts is not None and batch.attempts[0] == 2
         assert all(r is not None for r in batch.results[1:])
+
+
+    @pytest.mark.parametrize(
+        "execution",
+        [{"backend": "serial"}, {"backend": "thread", "max_workers": 2}],
+        ids=["serial", "thread"],
+    )
+    def test_retry_after_failure_part_way_through_a_job(self, execution, fail_once_part_way):
+        # On the serial backend the second call is job 0's round 2: the
+        # job has already split its stream into round streams.
+        graphs = [
+            generators.erdos_renyi_graph(120, 0.2, seed=s, ensure_connected=True)
+            for s in range(3)
+        ]
+        request = SparsifyRequest(
+            method="koutis", rho=4, seed=7, config=SparsifierConfig(bundle_t=2), **execution
+        )
+        baseline = Engine(request).run_many(graphs)
+
+        fired = fail_once_part_way(sparsify_module, "parallel_sample")
+        policy = FailurePolicy(on_error="retry", max_attempts=3, **FAST_RETRY)
+        recovered = Engine(request).run_many(graphs, failure_policy=policy)
+
+        assert fired
+        assert recovered.all_succeeded
+        assert sorted(recovered.attempts) == [1, 1, 2]
+        for expected, actual in zip(baseline.results, recovered.results):
+            assert _edges(expected) == _edges(actual)
 
 
 class TestSolverDegradation:

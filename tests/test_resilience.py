@@ -30,6 +30,7 @@ from repro.graphs.graph import Graph
 from repro.linalg.cg import SolveStatus, laplacian_solve_many
 from repro.parallel.backends import get_backend
 from repro.parallel.failure import FailurePolicy, FailureRecord, backoff_delay
+from repro.spanners import distributed_spanner
 from repro.testing.faults import NaNPoisonedOperator
 
 
@@ -508,3 +509,27 @@ class TestDistributedPolicyRouting:
         assert np.array_equal(
             baseline.sparsifier.edge_weights, with_policy.sparsifier.edge_weights
         )
+
+    @pytest.mark.faults
+    @pytest.mark.parametrize(
+        "execution",
+        [{"backend": "serial"}, {"backend": "thread", "max_workers": 2}],
+        ids=["serial", "thread"],
+    )
+    def test_retry_after_failure_part_way_through_a_shard(self, execution, fail_once_part_way):
+        # On the serial backend the second call is shard 0's second bundle
+        # component: the shard has already drawn from its streams.
+        graph = generators.banded_graph(200, 6)
+        config = SparsifierConfig(bundle_t=3, num_shards=2, **execution)
+        baseline = distributed_parallel_sample(graph, config=config, seed=3)
+
+        fired = fail_once_part_way(distributed_spanner, "distributed_baswana_sen_spanner")
+        policy = FailurePolicy(on_error="retry", max_attempts=3, **FAST_RETRY)
+        recovered = distributed_parallel_sample(
+            graph, config=config, seed=3, failure_policy=policy
+        )
+
+        assert fired
+        assert np.array_equal(baseline.bundle_edge_indices, recovered.bundle_edge_indices)
+        assert np.array_equal(baseline.sampled_edge_indices, recovered.sampled_edge_indices)
+        assert baseline.cost == recovered.cost
