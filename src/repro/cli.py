@@ -45,9 +45,8 @@ Subcommands
 ``lint``
     Run the AST invariant checker (:mod:`repro.lint`) — the machine
     enforcement of the repo's determinism / durability / degradation
-    contracts — against ``src/`` (or explicit paths), ratcheted by the
-    committed ``lint-baseline.json``.  ``--check`` is the strict CI
-    gate; ``--list-rules`` prints the rule table.
+    contracts — against ``src/`` (or explicit paths).  Any finding exits
+    1; ``--list-rules`` prints the rule table.
 
 ``sparsify`` / ``batch`` accept ``--backend`` / ``--workers`` /
 ``--shards`` to choose where the work executes; backends never change the

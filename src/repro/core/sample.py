@@ -34,7 +34,7 @@ depth is the max).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from repro.core.config import SparsifierConfig
 from repro.exceptions import SparsificationError
 from repro.graphs.graph import Graph
 from repro.graphs.sharding import GraphShards, shard_edges
-from repro.graphs.views import EdgeSubset
 from repro.parallel.metrics import PRAMCost
 from repro.parallel.pram import PRAMTracker
 from repro.spanners.bundle import t_bundle_spanner
@@ -164,12 +163,8 @@ class SampleResult:
         return self.output_edges / self.input_edges
 
 
-def _as_graph(graph: Union[Graph, EdgeSubset]) -> Graph:
-    return graph.materialize() if isinstance(graph, EdgeSubset) else graph
-
-
 def _bundle_and_sample(
-    graph: Union[Graph, EdgeSubset],
+    graph: Graph,
     t: int,
     config: SparsifierConfig,
     bundle_rng: RandomState,
@@ -178,7 +173,7 @@ def _bundle_and_sample(
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """One ``PARALLELSAMPLE`` round on ``graph``: Step 1, then the Bernoulli step.
 
-    ``graph`` is the whole input or a shard's trusted edge view.  Builds
+    ``graph`` is the whole input or one shard's subgraph.  Builds
     the ``t``-bundle (spanner or tree components, repaired against the
     per-component stretch target under ``config.certify_stretch``) from
     ``bundle_rng``, then samples the edges outside it from
@@ -187,7 +182,7 @@ def _bundle_and_sample(
     Bernoulli pass is charged only when there was something to sample.
     """
     if config.use_tree_bundle:
-        bundle = tree_bundle(_as_graph(graph), t=t, seed=bundle_rng, tracker=tracker)
+        bundle = tree_bundle(graph, t=t, seed=bundle_rng, tracker=tracker)
     else:
         bundle = t_bundle_spanner(graph, t=t, k=config.spanner_k, seed=bundle_rng, tracker=tracker)
     bundle_indices = bundle.edge_indices
@@ -197,7 +192,7 @@ def _bundle_and_sample(
         # over the full bundle exceeds the single-spanner target joins the
         # bundle outright.
         stretch_target = 2.0 * np.log2(max(graph.num_vertices, 2))
-        bundle_indices = repair_spanner(_as_graph(graph), bundle_indices, stretch_target)
+        bundle_indices = repair_spanner(graph, bundle_indices, stretch_target)
     kept, outside = sample_nonbundle_edges(
         graph.num_edges, bundle_indices, sample_rng, config.sampling_probability
     )
@@ -222,7 +217,7 @@ def _sample_shard(item: Tuple[int, RandomState, RandomState], shared: Dict[str, 
         return {"bundle": empty, "kept": empty, "outside": 0, "cost": PRAMCost()}
     tracker = PRAMTracker()
     bundle, kept, outside = _bundle_and_sample(
-        graph.edge_subset(idx), shared["t"], shared["config"], bundle_rng, sample_rng, tracker
+        graph.select_edges(idx), shared["t"], shared["config"], bundle_rng, sample_rng, tracker
     )
     if not outside:
         # A shard's fork/join branch spawns its Bernoulli loop even when

@@ -6,7 +6,6 @@ the package (spanners, sparsifiers, solvers) operates on this type.
 """
 
 from repro.graphs.graph import Graph
-from repro.graphs.views import EdgeSubset
 from repro.graphs.laplacian import (
     edge_laplacian,
     incidence_matrix,
@@ -46,7 +45,6 @@ __all__ = [
     "partition_vertex_ranges",
     "shard_edges",
     "Graph",
-    "EdgeSubset",
     "edge_laplacian",
     "incidence_matrix",
     "is_laplacian",

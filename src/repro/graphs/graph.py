@@ -167,9 +167,10 @@ class Graph:
         endpoint arrays already oriented ``u < v`` and in range, float64
         positive finite weights, all three of equal length.  Every edge
         transformation below that merely permutes/slices/concatenates
-        already-validated arrays funnels through here, as does
-        :meth:`repro.graphs.views.EdgeSubset.materialize` — this is what
-        makes bundle peeling free of per-round validation passes.
+        already-validated arrays funnels through here — in particular
+        :meth:`select_edges`, which the bundle peel loops call once per
+        component on an index array into the input, so peeling runs no
+        per-round validation pass.
         """
         graph = cls.__new__(cls)
         graph._n = num_vertices
@@ -357,20 +358,6 @@ class Graph:
                     f"edge mask must have length {self.num_edges}, got {idx.shape[0]}"
                 )
         return Graph._from_trusted(self._n, self._u[idx], self._v[idx], self._w[idx])
-
-    def edge_subset(self, mask_or_index: Optional[np.ndarray] = None) -> "EdgeSubset":
-        """Trusted :class:`~repro.graphs.views.EdgeSubset` view of this graph.
-
-        With no argument the view covers every edge (sharing this graph's
-        arrays); otherwise it is restricted to the given mask/index array.
-        Iterative peeling code uses these views to avoid rebuilding a
-        validated ``Graph`` per round.
-        """
-        from repro.graphs.views import EdgeSubset
-
-        if mask_or_index is None:
-            return EdgeSubset.full(self)
-        return EdgeSubset.from_indices(self, mask_or_index)
 
     def remove_edges(self, mask: np.ndarray) -> "Graph":
         """Graph with the edges flagged ``True`` in ``mask`` removed."""

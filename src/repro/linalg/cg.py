@@ -393,6 +393,24 @@ def _densify_block(rhs, start: int, stop: int) -> np.ndarray:
 _DEFLATE_EVERY = 50
 
 
+def _precondition(preconditioner: Preconditioner, r: np.ndarray, deflate: bool) -> np.ndarray:
+    """``z = M r`` for a residual block, checked to keep the block's ``(n, c)`` shape.
+
+    A vector-style callable (``lambda r: r / diag``) broadcasts a block to
+    the wrong shape; naming both shapes here beats an ``IndexError`` or a
+    broadcast error deep in the recurrence.
+    """
+    z = np.asarray(preconditioner(r), dtype=float)
+    if z.shape != r.shape:
+        raise ValueError(
+            f"preconditioner returned shape {z.shape} for a residual block of shape "
+            f"{r.shape}; it must map an (n, c) block to an (n, c) block"
+        )
+    if deflate:
+        z = z - z.mean(axis=0, keepdims=True)
+    return z
+
+
 def _block_cg(
     matvec,
     block: np.ndarray,
@@ -475,10 +493,8 @@ def _block_cg(
         rz = np.einsum("ij,ij->j", r, z)
         rr = rz
     else:
-        z = np.asarray(preconditioner(r), dtype=float)
+        z = _precondition(preconditioner, r, deflate)
         column_precond_apps += r.shape[1]
-        if deflate:
-            z = z - z.mean(axis=0, keepdims=True)
         rz = np.einsum("ij,ij->j", r, z)
         rr = np.einsum("ij,ij->j", r, r)
     p = z.copy()
@@ -552,10 +568,8 @@ def _block_cg(
             z = r
             rz_new = rr
         else:
-            z = np.asarray(preconditioner(r), dtype=float)
+            z = _precondition(preconditioner, r, deflate)
             column_precond_apps += r.shape[1]
-            if deflate:
-                z = z - z.mean(axis=0, keepdims=True)
             rz_new = np.einsum("ij,ij->j", r, z)
         beta = np.where(frozen, 0.0, rz_new / np.where(rz > 0.0, rz, 1.0))
         rz = rz_new
@@ -644,8 +658,10 @@ def laplacian_solve_many(
     preconditioner:
         Optional callable approximating ``A^+`` applied to an ``(n, c)``
         dense block (e.g. :func:`repro.solvers.chain.chain_preconditioner`).
-        Must be symmetric positive definite on the relevant subspace.
-        ``None`` keeps the solver on the exact unpreconditioned code path.
+        Must be symmetric positive definite on the relevant subspace and
+        return an ``(n, c)`` block (``ValueError`` naming both shapes
+        otherwise).  ``None`` keeps the solver on the exact
+        unpreconditioned code path.
     precond_work_per_application:
         Work units charged per *column* preconditioner application (e.g.
         ``2 * total_nnz`` of an approximate-inverse chain); feeds the

@@ -9,39 +9,21 @@ package checks the conventions themselves, statically, on every change:
 >>> report = lint_paths(["src"])          # doctest: +SKIP
 >>> [f.format() for f in report.findings] # doctest: +SKIP
 
-Run it as ``repro-sparsify lint`` or ``python -m repro.lint``; rules are
-listed by ``--list-rules`` and extensible through :func:`register_rule`
-(the same plugin idiom as :func:`repro.api.register_method`).
+Run it as ``repro-sparsify lint`` or ``python -m repro.lint``; any
+finding fails the run.  The rules live in one table,
+:data:`~repro.lint.rules.RULES`, which ``--list-rules`` prints.
 """
 
-from repro.lint.baseline import Baseline, BaselineDelta, BaselineError, DEFAULT_BASELINE_NAME
 from repro.lint.engine import LintReport, lint_paths, lint_source
 from repro.lint.model import FileContext, Finding
-from repro.lint.registry import (
-    LintRuleError,
-    RuleSpec,
-    available_rules,
-    get_rule,
-    register_rule,
-    rule_descriptions,
-    unregister_rule,
-)
+from repro.lint.rules import RULES, RuleSpec
 
 __all__ = [
-    "Baseline",
-    "BaselineDelta",
-    "BaselineError",
-    "DEFAULT_BASELINE_NAME",
     "FileContext",
     "Finding",
     "LintReport",
-    "LintRuleError",
+    "RULES",
     "RuleSpec",
-    "available_rules",
-    "get_rule",
     "lint_paths",
     "lint_source",
-    "register_rule",
-    "rule_descriptions",
-    "unregister_rule",
 ]

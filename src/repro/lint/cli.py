@@ -6,9 +6,8 @@ Reachable two ways with identical behavior:
 * ``python -m repro.lint ...`` — standalone, importable without the rest
   of the CLI.
 
-Exit codes: 0 clean (every finding baselined, baseline tight), 1
-violations (new findings, or — under ``--check`` — a stale baseline
-needing a ratchet update), 2 usage errors.
+Exit codes: 0 clean (no finding after suppressions), 1 any finding,
+2 usage errors (no such path, unknown rule id).
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.lint.baseline import DEFAULT_BASELINE_NAME, Baseline, BaselineError
 from repro.lint.engine import lint_paths
-from repro.lint.registry import rule_descriptions
+from repro.lint.rules import RULES
 
 __all__ = ["add_lint_arguments", "run_lint_command", "build_parser", "main"]
 
@@ -33,28 +31,12 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="files/directories to lint (default: src/ under the current directory)",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="FILE.json",
-        help=f"ratchet baseline file (default: ./{DEFAULT_BASELINE_NAME})",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file: report every finding",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to the current findings (the only way counts change)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="strict CI mode: fail on new findings AND on a stale (over-generous) baseline",
-    )
-    parser.add_argument(
         "--json", action="store_true", dest="as_json",
         help="machine-readable report on stdout",
     )
     parser.add_argument(
         "--rules", nargs="+", default=None, metavar="REPnnn",
-        help="run only these rule ids (default: all registered rules)",
+        help="run only these rule ids (default: every rule)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -63,10 +45,9 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _print_rules() -> None:
-    specs = rule_descriptions()
-    width = max(len(spec.title) for spec in specs.values())
+    width = max(len(spec.title) for spec in RULES.values())
     print(f"{'ID':<8}{'CONTRACT':<{width + 2}}RATIONALE")
-    for rule_id, spec in specs.items():
+    for rule_id, spec in RULES.items():
         print(f"{rule_id:<8}{spec.title:<{width + 2}}{spec.rationale}")
     print()
     print("Suppress one deliberate violation with `# repro: noqa[REPnnn]` on its line;")
@@ -78,6 +59,15 @@ def run_lint_command(args: argparse.Namespace) -> int:
     if args.list_rules:
         _print_rules()
         return 0
+
+    unknown = [rule_id for rule_id in args.rules or [] if rule_id not in RULES]
+    if unknown:
+        print(
+            f"repro-lint: unknown rule id(s): {', '.join(unknown)}; "
+            f"available: {', '.join(RULES)}",
+            file=sys.stderr,
+        )
+        return 2
 
     paths: Sequence[str] = args.paths or []
     if not paths:
@@ -97,62 +87,27 @@ def run_lint_command(args: argparse.Namespace) -> int:
         return 2
 
     report = lint_paths(paths, rules=args.rules)
-
-    baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE_NAME)
-    if args.no_baseline:
-        baseline = Baseline()
-    else:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except BaselineError as exc:
-            print(f"repro-lint: {exc}", file=sys.stderr)
-            return 2
-
-    if args.update_baseline:
-        Baseline.from_report(report).save(baseline_path)
-        print(
-            f"repro-lint: baseline {baseline_path} updated: "
-            f"{len(report.findings)} finding(s) across {report.files_checked} file(s)"
-        )
-        return 0
-
-    delta = baseline.compare(report)
-    stale_matters = args.check and not args.no_baseline
-    failed = bool(delta.new_findings) or (stale_matters and bool(delta.stale))
+    failed = bool(report.findings)
 
     if args.as_json:
         payload = {
             "files_checked": report.files_checked,
             "rules_run": list(report.rules_run),
-            "findings": [finding.to_dict() for finding in delta.new_findings],
-            "baselined": delta.baselined_count,
+            "findings": [finding.to_dict() for finding in report.findings],
             "suppressed": [finding.to_dict() for finding in report.suppressed],
-            "stale_baseline": [
-                {"rule": rule, "path": path, "baselined": ceiling, "current": current}
-                for rule, path, ceiling, current in delta.stale
-            ],
             "ok": not failed,
         }
         print(json.dumps(payload, indent=2))
         return 1 if failed else 0
 
-    for finding in delta.new_findings:
+    for finding in report.findings:
         print(finding.format())
-    for rule, path, ceiling, current in delta.stale:
-        print(
-            f"{path}: stale baseline for {rule}: {ceiling} baselined but only "
-            f"{current} found — run --update-baseline to ratchet down"
-        )
-    summary = (
+    print(
         f"repro-lint: {report.files_checked} file(s), "
         f"{len(report.rules_run)} rule(s): "
-        f"{len(delta.new_findings)} new finding(s), "
-        f"{delta.baselined_count} baselined, "
+        f"{len(report.findings)} finding(s), "
         f"{len(report.suppressed)} suppressed"
     )
-    if delta.stale:
-        summary += f", {len(delta.stale)} stale baseline entr{'y' if len(delta.stale) == 1 else 'ies'}"
-    print(summary)
     return 1 if failed else 0
 
 

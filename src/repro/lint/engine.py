@@ -14,6 +14,10 @@ The engine is deliberately dumb about *what* is checked — rules own that
 * **Syntax errors** are reported as ``REP999`` findings rather than
   crashing the run: a file the linter cannot parse is a file whose
   invariants are unchecked, which is exactly what the report must say.
+
+The rules come from the one table :data:`repro.lint.rules.RULES`; a
+``rules=`` selection names ids in it.  Every finding left after
+suppression counts.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.lint.model import FileContext, Finding
-from repro.lint.registry import available_rules, get_rule
+from repro.lint.rules import RULES
 
 __all__ = [
     "LintReport",
@@ -41,7 +45,7 @@ __all__ = [
 # "repro: noqa[REP001, REP006]" (hash prefix required).
 SUPPRESSION_PATTERN = re.compile(r"#\s*repro:\s*noqa\[([A-Z0-9,\s]+)\]")
 
-# Engine-emitted pseudo-rules (not in the registry, not suppressible).
+# Engine-emitted pseudo-rules (not in RULES, not suppressible).
 UNUSED_SUPPRESSION_RULE = "REP000"
 SYNTAX_ERROR_RULE = "REP999"
 
@@ -59,14 +63,6 @@ class LintReport:
     suppressed: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     rules_run: Tuple[str, ...] = ()
-
-    def counts(self) -> Dict[str, Dict[str, int]]:
-        """Nested ``{rule: {path: count}}`` — the baseline's currency."""
-        counts: Dict[str, Dict[str, int]] = {}
-        for finding in self.findings:
-            by_path = counts.setdefault(finding.rule, {})
-            by_path[finding.path] = by_path.get(finding.path, 0) + 1
-        return counts
 
     def extend(self, other: "LintReport") -> None:
         self.findings.extend(other.findings)
@@ -130,7 +126,7 @@ def lint_source(
                 message=f"file does not parse, invariants unchecked: {exc.msg}",
             )
         )
-        report.rules_run = tuple(rules if rules is not None else available_rules())
+        report.rules_run = _rule_ids(rules)
         return report
 
     from repro.lint.model import _collect_imports, _module_name_for  # local: private helpers
@@ -146,13 +142,17 @@ def lint_source(
     return _lint_context(ctx, rules=rules)
 
 
+def _rule_ids(rules: Optional[Sequence[str]]) -> Tuple[str, ...]:
+    """The selected rule ids, or every id in :data:`RULES`."""
+    return tuple(RULES) if rules is None else tuple(rules)
+
+
 def _lint_context(ctx: FileContext, *, rules: Optional[Sequence[str]] = None) -> LintReport:
-    rule_ids = tuple(rules if rules is not None else available_rules())
+    rule_ids = _rule_ids(rules)
     report = LintReport(files_checked=1, rules_run=rule_ids)
     raw: List[Finding] = []
     for rule_id in rule_ids:
-        spec = get_rule(rule_id)
-        raw.extend(spec.checker(ctx))
+        raw.extend(RULES[rule_id].checker(ctx))
 
     suppressions = _parse_suppressions(ctx.source)
     used: Dict[int, Set[str]] = {}
@@ -212,11 +212,12 @@ def lint_paths(
     """Lint every ``.py`` file under ``paths``.
 
     Finding paths are reported relative to ``root`` (default: the current
-    working directory) in POSIX form, which is what the committed
-    baseline keys on — so the baseline is stable across machines.
+    working directory) in POSIX form, so reports are stable across
+    machines.  ``rules`` must name ids in :data:`RULES` (``KeyError``
+    otherwise).
     """
     root_path = Path(root) if root is not None else Path.cwd()
-    combined = LintReport(rules_run=tuple(rules if rules is not None else available_rules()))
+    combined = LintReport(rules_run=_rule_ids(rules))
     for file_path in iter_python_files(paths):
         try:
             display = file_path.resolve().relative_to(root_path.resolve()).as_posix()

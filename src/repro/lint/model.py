@@ -8,7 +8,7 @@ a rule), and the file's dotted module name (so rules can scope themselves
 to packages — ``repro.streaming`` — instead of brittle path fragments).
 
 A :class:`Finding` is one violation: rule id, location, message.  The
-engine owns suppression and baselines; rules only ever *yield* findings.
+engine owns suppressions; rules only ever *yield* findings.
 """
 
 from __future__ import annotations

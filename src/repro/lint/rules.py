@@ -24,18 +24,51 @@ Each rule documents its exact scope and allowlist inline; suppressing a
 single deliberate violation is ``# repro: noqa[REPnnn]`` on the flagged
 line (the engine reports suppressions that stop matching anything, so
 they cannot outlive their reason).
+
+:data:`RULES` is the one rule table: each checker below adds itself to
+it through the module-private ``_rule`` decorator, and the engine,
+``--list-rules`` and ``--rules`` all read it.  A rule is a pure function
+of the :class:`~repro.lint.model.FileContext` that yields
+:class:`~repro.lint.model.Finding` objects; the engine applies the
+suppressions.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence
 
 from repro.lint.model import FileContext, Finding, walk_with_scopes
-from repro.lint.registry import register_rule
 
-__all__ = ["HOT_PATH_MODULES", "TIMING_ALLOWLIST_MODULES"]
+__all__ = ["RULES", "RuleSpec", "HOT_PATH_MODULES", "TIMING_ALLOWLIST_MODULES"]
+
+RuleChecker = Callable[[FileContext], Iterable[Finding]]
+
+
+@dataclass(frozen=True)
+class RuleSpec:
+    """An invariant rule: the checker plus its contract text."""
+
+    rule_id: str
+    checker: RuleChecker
+    title: str
+    rationale: str
+
+
+#: Every rule the engine runs, keyed by id (in id order, as defined below).
+RULES: Dict[str, RuleSpec] = {}
+
+
+def _rule(rule_id: str, *, title: str, rationale: str) -> Callable[[RuleChecker], RuleChecker]:
+    """Add the decorated checker to :data:`RULES` under ``rule_id``."""
+
+    def decorator(checker: RuleChecker) -> RuleChecker:
+        RULES[rule_id] = RuleSpec(rule_id, checker, title, rationale)
+        return checker
+
+    return decorator
 
 
 def _mode_argument(node: ast.Call, position: int) -> Optional[ast.expr]:
@@ -72,7 +105,7 @@ def _literal_str(node: Optional[ast.expr]) -> Optional[str]:
 _RNG_SEAM_MODULE = "repro.utils.rng"
 
 
-@register_rule(
+@_rule(
     "REP001",
     title="RNG construction must be seeded or routed through repro.utils.rng",
     rationale=(
@@ -152,7 +185,7 @@ def _is_set_expression(node: ast.expr) -> bool:
     return False
 
 
-@register_rule(
+@_rule(
     "REP002",
     title="nondeterminism hazards (wall clock, os.urandom, uuid, set-fed arrays)",
     rationale=(
@@ -231,7 +264,7 @@ _OS_MUTATIONS = (
 _WRITE_MODE_CHARS = set("wax+")
 
 
-@register_rule(
+@_rule(
     "REP003",
     title="durable-state writes must route through the DurableIO seam",
     rationale=(
@@ -277,7 +310,7 @@ def check_durability_seam(ctx: FileContext) -> Iterator[Finding]:
 # --------------------------------------------------------------------- #
 
 
-@register_rule(
+@_rule(
     "REP004",
     title="warnings.warn must pass stacklevel=",
     rationale=(
@@ -318,7 +351,7 @@ def _is_broad_exception(node: Optional[ast.expr], ctx: FileContext) -> bool:
     return False
 
 
-@register_rule(
+@_rule(
     "REP005",
     title="broad except clauses must carry a reason pragma",
     rationale=(
@@ -355,7 +388,6 @@ HOT_PATH_MODULES = (
     "repro.core.sample",
     "repro.core.sparsify",
     "repro.graphs.kout",
-    "repro.graphs.views",
     "repro.parallel.congest",
     "repro.spanners.baswana_sen",
     "repro.spanners.bundle",
@@ -376,7 +408,7 @@ def _mentions_edge_array(node: ast.expr) -> bool:
     return False
 
 
-@register_rule(
+@_rule(
     "REP006",
     title="no per-edge Python loops over edge arrays in hot-path modules",
     rationale=(
@@ -417,7 +449,7 @@ def check_per_edge_loops(ctx: FileContext) -> Iterator[Finding]:
 _TEXT_HELPERS = {"read_text": 0, "write_text": 1}
 
 
-@register_rule(
+@_rule(
     "REP007",
     title="text-mode open() / read_text() / write_text() must pass encoding=",
     rationale=(

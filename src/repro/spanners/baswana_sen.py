@@ -46,20 +46,17 @@ benchmarking; both select bit-identical edge sets for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
-from repro.graphs.views import EdgeSubset
 from repro.parallel.metrics import PRAMCost
 from repro.parallel.pram import PRAMTracker
 from repro.utils.rng import RandomState, SeedLike, as_rng
 
 __all__ = ["SpannerResult", "baswana_sen_spanner"]
-
-GraphLike = Union[Graph, EdgeSubset]
 
 
 @dataclass
@@ -311,12 +308,6 @@ def _spanner_select(
     return np.flatnonzero(chosen)
 
 
-def _materialize_selection(graph: GraphLike, indices: np.ndarray) -> Graph:
-    """Selected subgraph as a real :class:`Graph` (views materialise once)."""
-    sub = graph.select_edges(indices)
-    return sub if isinstance(sub, Graph) else sub.materialize()
-
-
 def _cost_delta(tracker: PRAMTracker, before: PRAMCost) -> PRAMCost:
     """Cost charged to ``tracker`` since ``before`` was snapshotted."""
     after = tracker.total
@@ -324,7 +315,7 @@ def _cost_delta(tracker: PRAMTracker, before: PRAMCost) -> PRAMCost:
 
 
 def baswana_sen_spanner(
-    graph: GraphLike,
+    graph: Graph,
     k: Optional[int] = None,
     seed: SeedLike = None,
     tracker: Optional[PRAMTracker] = None,
@@ -334,9 +325,7 @@ def baswana_sen_spanner(
     Parameters
     ----------
     graph:
-        Weighted input graph, or a trusted :class:`EdgeSubset` view (the
-        bundle/shard pipelines peel on views so no intermediate ``Graph``
-        is validated).  Parallel edges are allowed; each is treated
+        Weighted input graph.  Parallel edges are allowed; each is treated
         independently (only one of a parallel class can enter the spanner).
     k:
         Number of clustering levels; defaults to ``ceil(log2 n)`` which
@@ -376,7 +365,7 @@ def baswana_sen_spanner(
         n, graph.edge_u, graph.edge_v, graph.edge_weights, k, rng, tracker
     )
     return SpannerResult(
-        spanner=_materialize_selection(graph, selected),
+        spanner=graph.select_edges(selected),
         edge_indices=selected,
         stretch_target=float(2 * k - 1),
         k=k,

@@ -16,9 +16,12 @@ score at most ``~log n / t``.
 The peel loop operates directly on the working ``(u, v, w, index)``
 arrays: each round calls the raw-array spanner core
 (:func:`repro.spanners.baswana_sen._spanner_select`) and slices the
-arrays down by a boolean mask.  No intermediate :class:`Graph` is
+arrays down by a boolean mask, the index array mapping every surviving
+position back to the input.  No intermediate :class:`Graph` is
 constructed or validated during the ``t`` rounds; the bundle subgraph is
-materialised exactly once at the end.
+built exactly once at the end, by :meth:`Graph.select_edges` on the
+bundle's indices.  The tree bundle and the CONGEST bundle peel the same
+way, on an index array into the input graph.
 """
 
 from __future__ import annotations
@@ -32,12 +35,7 @@ from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
 from repro.parallel.metrics import PRAMCost
 from repro.parallel.pram import PRAMTracker
-from repro.spanners.baswana_sen import (
-    GraphLike,
-    _cost_delta,
-    _materialize_selection,
-    _spanner_select,
-)
+from repro.spanners.baswana_sen import _cost_delta, _spanner_select
 from repro.utils.rng import SeedLike, as_rng, split_rng
 
 __all__ = [
@@ -198,7 +196,7 @@ def bundle_select(
 
 
 def t_bundle_spanner(
-    graph: GraphLike,
+    graph: Graph,
     t: int,
     k: Optional[int] = None,
     seed: SeedLike = None,
@@ -210,9 +208,9 @@ def t_bundle_spanner(
     Parameters
     ----------
     graph:
-        Input weighted graph, or a trusted :class:`~repro.graphs.views.EdgeSubset`
-        view of one (the sharded sampling path peels shard views directly).
-        ``edge_indices`` are relative to the given graph/view.
+        Input weighted graph (a shard worker passes its shard's
+        :meth:`~repro.graphs.graph.Graph.select_edges` subgraph).
+        ``edge_indices`` are relative to the given graph.
     t:
         Number of edge-disjoint spanner components requested.
     k:
@@ -244,9 +242,8 @@ def t_bundle_spanner(
         tracker=tracker,
         stop_when_exhausted=stop_when_exhausted,
     )
-    bundle = _materialize_selection(graph, all_indices)
     return BundleResult(
-        bundle=bundle,
+        bundle=graph.select_edges(all_indices),
         edge_indices=all_indices,
         component_edge_indices=component_indices,
         t=built,

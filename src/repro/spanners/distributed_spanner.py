@@ -30,7 +30,10 @@ the final clustering.
 
 The protocol identifies edges by endpoint pairs, so the input is
 coalesced to a simple graph first; the result records both the coalesced
-graph and the selected edge indices into it.
+graph and the selected edge indices into it.  :func:`distributed_bundle_spanner`
+peels ``t`` protocol runs off one graph the way the shared-memory bundle
+does: it keeps an index array of the input edges no component has taken
+and builds each run's input once with :meth:`Graph.select_edges`.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
-from repro.graphs.views import EdgeSubset
 from repro.parallel.congest import ColumnarSimulator
 from repro.parallel.metrics import DistributedCost
 from repro.spanners.congest_spanner import ColumnarBaswanaSenProgram, build_schedule
@@ -248,30 +250,29 @@ def _peel_bundle(
             f"need {t} component seeds, got {len(component_seeds)}"
         )
 
-    # Peel on a trusted view: the per-round restriction never re-validates
-    # the edge arrays, and the simulator input materialises zero-copy.
-    remaining = EdgeSubset.full(graph)
-    n = graph.num_vertices
+    # Indices of the input edges no component has taken yet; each round
+    # builds its protocol input once through the trusted ``select_edges``.
+    remaining = np.arange(graph.num_edges, dtype=np.int64)
     component_indices: List[np.ndarray] = []
     total_cost = DistributedCost()
     components_built = 0
     completed = True
 
     for i in range(t):
-        if remaining.num_edges == 0:
+        if remaining.size == 0:
             break
-        result = spanner(remaining.materialize(), k=k, seed=component_seeds[i])
+        sub = graph.select_edges(remaining)
+        result = spanner(sub, k=k, seed=component_seeds[i])
         total_cost = total_cost + result.cost
         completed = completed and result.completed
         components_built += 1
         # ``result.edge_indices`` refer to ``result.simple_graph`` (the
         # coalesced, key-sorted view the protocol ran on), which need not
-        # share ``remaining``'s edge order — translate through edge keys.
+        # share ``sub``'s edge order — translate through edge keys.
         selected_keys = result.simple_graph.edge_keys()[result.edge_indices]
-        remaining_keys = remaining.edge_u * np.int64(n) + remaining.edge_v
-        in_spanner = _sorted_membership(selected_keys, remaining_keys)
-        component_indices.append(remaining.parent_indices[in_spanner])
-        remaining = remaining.select_edges(~in_spanner)
+        in_spanner = _sorted_membership(selected_keys, sub.edge_keys())
+        component_indices.append(remaining[in_spanner])
+        remaining = remaining[~in_spanner]
 
     if component_indices:
         edge_indices = np.unique(np.concatenate(component_indices))

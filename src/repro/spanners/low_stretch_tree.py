@@ -18,7 +18,9 @@ Abraham–Bartal–Neiman machinery (which would be its own paper):
   assumes, the stretch actually achieved.
 * :func:`tree_bundle` — the t-bundle construction with tree components:
   ``T_i`` is a low-stretch tree (actually a spanning forest, for
-  robustness) of ``G - (T_1 + ... + T_{i-1})``.
+  robustness) of ``G - (T_1 + ... + T_{i-1})``.  The peel keeps an index
+  array of the remaining input edges and builds each component's graph
+  once through the validation-free :meth:`Graph.select_edges`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
-from repro.graphs.views import EdgeSubset
 from repro.parallel.pram import PRAMTracker
 from repro.spanners.bundle import BundleResult
 from repro.utils.rng import SeedLike, as_rng, split_rng
@@ -147,27 +148,25 @@ def tree_bundle(
     rng = as_rng(seed)
     component_rngs = split_rng(rng, t)
 
-    # Peel on a trusted view (no per-round Graph validation); the tree
-    # routine itself needs graph semantics, so each round materialises
-    # zero-copy via the trusted constructor.
-    remaining = EdgeSubset.full(graph)
+    # Indices of the input edges no component has taken yet.
+    remaining = np.arange(graph.num_edges, dtype=np.int64)
     component_indices: List[np.ndarray] = []
     built = 0
     exhausted = False
 
     for i in range(t):
-        if remaining.num_edges == 0:
+        if remaining.size == 0:
             exhausted = True
             break
-        local_indices = low_stretch_tree(remaining.materialize(), seed=component_rngs[i])
-        tracker.charge_reduction(max(remaining.num_edges, 1), label="tree-bundle/dijkstra")
-        component_indices.append(np.sort(remaining.to_parent_indices(local_indices)))
+        local_indices = low_stretch_tree(graph.select_edges(remaining), seed=component_rngs[i])
+        tracker.charge_reduction(max(remaining.size, 1), label="tree-bundle/dijkstra")
+        component_indices.append(np.sort(remaining[local_indices]))
         built += 1
-        keep_mask = np.ones(remaining.num_edges, dtype=bool)
+        keep_mask = np.ones(remaining.size, dtype=bool)
         keep_mask[local_indices] = False
-        remaining = remaining.select_edges(keep_mask)
+        remaining = remaining[keep_mask]
 
-    if remaining.num_edges == 0:
+    if remaining.size == 0:
         exhausted = True
     if component_indices:
         all_indices = np.unique(np.concatenate(component_indices))

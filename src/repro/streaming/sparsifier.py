@@ -53,7 +53,7 @@ Design
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -1113,7 +1113,8 @@ class StreamingSparsifier:
         stack (``solver="cg"|"chain"``, default the config's);
         the returned certificate carries the
         :class:`~repro.resistance.solver_select.ResistanceSolveStats` so
-        degraded solves are auditable.
+        degraded solves are auditable.  The resistance certificate runs
+        once: the report's resistance fields are copied from it.
         """
         reference = self.reference_graph()
         snap = snapshot if snapshot is not None else self.snapshot()
@@ -1125,6 +1126,7 @@ class StreamingSparsifier:
             num_vectors=num_vectors,
             num_pairs=num_pairs,
             seed=seed,
+            include_resistances=False,
         )
         resistances = certify_resistances(
             reference,
@@ -1135,7 +1137,12 @@ class StreamingSparsifier:
             stats=stats,
         )
         return StreamCertificate(
-            report=report,
+            report=replace(
+                report,
+                resistance_ratio_min=resistances.ratio_min,
+                resistance_ratio_max=resistances.ratio_max,
+                num_resistance_pairs_used=resistances.num_pairs_used,
+            ),
             resistances=resistances,
             solver=chosen,
             stats=stats,

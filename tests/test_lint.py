@@ -2,10 +2,10 @@
 
 Structure mirrors the package: one test class per rule (positive fixture
 that must fire, negative fixture that must not), then the engine
-machinery (suppressions and their audit, syntax errors), the baseline
-ratchet semantics, the CLI exit codes, the plugin registry — and finally
-the meta-test: the linter run over the real ``src/`` tree must report
-zero non-baselined findings, i.e. the repo obeys its own contracts.
+machinery (suppressions and their audit, syntax errors), the CLI exit
+codes, the ``RULES`` table — and finally the meta-test: the linter run
+over the real ``src/`` tree must report zero findings, i.e. the repo
+obeys its own contracts.
 """
 
 import json
@@ -14,18 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    Baseline,
-    BaselineError,
-    Finding,
-    LintRuleError,
-    available_rules,
-    lint_paths,
-    lint_source,
-    register_rule,
-    rule_descriptions,
-    unregister_rule,
-)
+from repro.lint import RULES, lint_paths, lint_source
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import SYNTAX_ERROR_RULE, UNUSED_SUPPRESSION_RULE
 
@@ -420,81 +409,6 @@ class TestSuppressions:
 
 
 # --------------------------------------------------------------------- #
-# Baseline ratchet
-# --------------------------------------------------------------------- #
-
-VIOLATION = textwrap.dedent("""
-    import numpy as np
-    a = np.random.default_rng()
-    b = np.random.default_rng()
-""")
-
-
-def report_for(source, module="repro.somewhere"):
-    return lint_source(source, display_path="pkg/mod.py", module=module, rules=["REP001"])
-
-
-class TestBaselineRatchet:
-    def test_at_ceiling_is_clean(self):
-        report = report_for(VIOLATION)
-        baseline = Baseline.from_report(report)
-        delta = baseline.compare(report)
-        assert delta.clean
-        assert delta.baselined_count == 2
-        assert delta.new_findings == [] and delta.stale == []
-
-    def test_above_ceiling_fails(self):
-        baseline = Baseline.from_report(report_for(VIOLATION))
-        worse = report_for(VIOLATION + "c = np.random.default_rng()\n")
-        delta = baseline.compare(worse)
-        # The whole bucket is suspect once its ceiling is exceeded.
-        assert len(delta.new_findings) == 3
-        assert not delta.clean
-
-    def test_below_ceiling_is_stale(self):
-        baseline = Baseline.from_report(report_for(VIOLATION))
-        better = report_for("import numpy as np\na = np.random.default_rng()\n")
-        delta = baseline.compare(better)
-        assert delta.new_findings == []
-        assert delta.stale == [("REP001", "pkg/mod.py", 2, 1)]
-
-    def test_fixed_entirely_is_stale(self):
-        baseline = Baseline.from_report(report_for(VIOLATION))
-        clean = report_for("import numpy as np\na = np.random.default_rng(7)\n")
-        delta = baseline.compare(clean)
-        assert delta.new_findings == []
-        assert delta.stale == [("REP001", "pkg/mod.py", 2, 0)]
-
-    def test_save_load_roundtrip(self, tmp_path):
-        baseline = Baseline.from_report(report_for(VIOLATION))
-        path = tmp_path / "lint-baseline.json"
-        baseline.save(path)
-        assert Baseline.load(path).counts == baseline.counts
-        # Deterministic serialization: saving twice is byte-identical.
-        first = path.read_bytes()
-        baseline.save(path)
-        assert path.read_bytes() == first
-
-    def test_missing_file_is_empty_baseline(self, tmp_path):
-        assert Baseline.load(tmp_path / "absent.json").counts == {}
-
-    def test_corrupt_baseline_raises(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(BaselineError):
-            Baseline.load(path)
-        path.write_text(json.dumps({"version": 99, "counts": {}}), encoding="utf-8")
-        with pytest.raises(BaselineError):
-            Baseline.load(path)
-        path.write_text(
-            json.dumps({"version": 1, "counts": {"REP001": {"a.py": 0}}}),
-            encoding="utf-8",
-        )
-        with pytest.raises(BaselineError):
-            Baseline.load(path)
-
-
-# --------------------------------------------------------------------- #
 # CLI
 # --------------------------------------------------------------------- #
 
@@ -518,24 +432,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "REP001" in out and "dirty.py" in out
 
-    def test_update_baseline_then_check_exits_0(self, lint_tree, capsys):
-        assert lint_main(["src", "--update-baseline"]) == 0
-        assert (lint_tree / "lint-baseline.json").exists()
-        assert lint_main(["src", "--check"]) == 0
-
-    def test_stale_baseline_fails_only_under_check(self, lint_tree, capsys):
-        assert lint_main(["src", "--update-baseline"]) == 0
-        dirty = lint_tree / "src" / "pkg" / "dirty.py"
-        dirty.write_text("import numpy as np\nrng = np.random.default_rng(3)\n", encoding="utf-8")
-        assert lint_main(["src"]) == 0  # advisory run: paying debt is fine
-        assert lint_main(["src", "--check"]) == 1  # CI: ratchet must be tightened
-        assert lint_main(["src", "--update-baseline"]) == 0
-        assert lint_main(["src", "--check"]) == 0
-
-    def test_no_baseline_reports_everything(self, lint_tree, capsys):
-        assert lint_main(["src", "--update-baseline"]) == 0
-        assert lint_main(["src", "--no-baseline"]) == 1
-
     def test_json_output_shape(self, lint_tree, capsys):
         code = lint_main(["src", "--json"])
         payload = json.loads(capsys.readouterr().out)
@@ -557,52 +453,28 @@ class TestCli:
         # REP001 violation present, but only REP007 requested → clean.
         assert lint_main(["src", "--rules", "REP007"]) == 0
 
+    def test_unknown_rule_id_exits_2(self, lint_tree, capsys):
+        assert lint_main(["src", "--rules", "REP001", "REP123"]) == 2
+        err = capsys.readouterr().err
+        assert "REP123" in err and "REP001," in err  # names the unknown id, lists the table
+
 
 # --------------------------------------------------------------------- #
-# Registry plugin surface
+# The RULES table
 # --------------------------------------------------------------------- #
 
 
 class TestRegistry:
     def test_builtin_rules_registered(self):
-        ids = available_rules()
+        ids = tuple(RULES)
         for rule_id in ("REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP007"):
             assert rule_id in ids
         assert len(ids) >= 6
 
     def test_descriptions_have_titles(self):
-        for rule_id, spec in rule_descriptions().items():
+        for rule_id, spec in RULES.items():
             assert spec.title, rule_id
-
-    def test_register_and_unregister_custom_rule(self):
-        @register_rule("REP901", title="no TODO markers (demo)")
-        def check_todos(ctx):
-            for lineno, line in enumerate(ctx.lines, 1):
-                if "TODO-DEMO" in line:
-                    yield Finding(
-                        path=ctx.path, line=lineno, col=1,
-                        rule="REP901", message="demo finding",
-                    )
-
-        try:
-            assert "REP901" in available_rules()
-            report = lint_source("x = 1  # TODO-DEMO\n", module="m", rules=["REP901"])
-            assert [f.rule for f in report.findings] == ["REP901"]
-        finally:
-            unregister_rule("REP901")
-        assert "REP901" not in available_rules()
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(LintRuleError):
-            @register_rule("REP001", title="clash")
-            def clash(ctx):  # pragma: no cover - never runs
-                return iter(())
-
-    def test_invalid_rule_id_rejected(self):
-        with pytest.raises(LintRuleError):
-            @register_rule("NOPE1", title="bad id")
-            def bad(ctx):  # pragma: no cover - never runs
-                return iter(())
+            assert spec.rule_id == rule_id
 
 
 # --------------------------------------------------------------------- #
@@ -613,12 +485,8 @@ class TestRegistry:
 class TestRepoIsClean:
     def test_src_has_zero_nonbaselined_findings(self):
         report = lint_paths([REPO_ROOT / "src"], root=REPO_ROOT)
-        baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-        delta = baseline.compare(report)
-        new = "\n".join(f.format() for f in delta.new_findings)
-        assert not delta.new_findings, f"non-baselined invariant violations:\n{new}"
-        stale = "\n".join(str(entry) for entry in delta.stale)
-        assert not delta.stale, f"stale baseline entries (ratchet down):\n{stale}"
+        found = "\n".join(f.format() for f in report.findings)
+        assert report.findings == [], f"invariant violations:\n{found}"
 
     def test_all_rules_ran(self):
         report = lint_paths([REPO_ROOT / "src" / "repro" / "lint"], root=REPO_ROOT)

@@ -388,6 +388,39 @@ class TestSampleComponentPairs:
         assert np.all(labels[pairs[:, 0]] == labels[pairs[:, 1]])
 
 
+class TestPreconditionerShape:
+    """A preconditioner must map an ``(n, c)`` residual block to ``(n, c)``."""
+
+    def test_vector_style_preconditioner_on_one_column(self, small_er_graph):
+        # r / diag broadcasts an (n, 1) block to (n, n).
+        lap = small_er_graph.laplacian()
+        diag = lap.diagonal()
+        n = small_er_graph.num_vertices
+        rhs = np.random.default_rng(5).standard_normal((n, 1))
+        rhs -= rhs.mean(axis=0)
+        expected = rf"shape \({n}, {n}\) for a residual block of shape \({n}, 1\)"
+        with pytest.raises(ValueError, match=expected):
+            laplacian_solve_many(lap, rhs, preconditioner=lambda r: r / diag)
+
+    def test_shape_checked_after_the_first_application(self, small_er_graph):
+        lap = small_er_graph.laplacian()
+        diag = lap.diagonal()[:, None]
+        n = small_er_graph.num_vertices
+        calls = []
+
+        def drops_a_row_later(r):
+            calls.append(r.shape)
+            z = r / diag
+            return z if len(calls) == 1 else z[:-1]
+
+        rhs = np.random.default_rng(6).standard_normal((n, 3))
+        rhs -= rhs.mean(axis=0)
+        expected = rf"shape \({n - 1}, 3\) for a residual block of shape \({n}, 3\)"
+        with pytest.raises(ValueError, match=expected):
+            laplacian_solve_many(lap, rhs, preconditioner=drops_a_row_later)
+        assert len(calls) == 2
+
+
 class TestChainPreconditionedBlockCG:
     """PR 6: the blocked solver with a Peng–Spielman chain preconditioner."""
 

@@ -20,6 +20,10 @@ from repro.spanners.verification import (
 )
 
 
+def banded_graph(n: int, band: int, seed: int = 0) -> Graph:
+    return gen.banded_graph(n, band, weight_range=(0.5, 2.0), seed=seed)
+
+
 class TestBaswanaSen:
     def test_stretch_guarantee_er(self, medium_er_graph):
         result = baswana_sen_spanner(medium_er_graph, seed=1)
@@ -106,6 +110,13 @@ class TestBaswanaSen:
         result = baswana_sen_spanner(g, seed=seed + 1)
         max_stretch, _ = max_stretch_of_nonspanner_edges(g, result.edge_indices)
         assert max_stretch <= result.stretch_target + 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_stretch_verification_still_certifies_on_banded(self, seed):
+        """End-to-end: vectorized spanner on a banded graph passes verification."""
+        g = banded_graph(120, 6, seed=seed)
+        result = baswana_sen_spanner(g, seed=seed + 1)
+        assert verify_spanner(g, result)
 
 
 class TestGreedySpanner:
@@ -206,6 +217,22 @@ class TestBundle:
         one = t_bundle_spanner(medium_er_graph, t=1, seed=5)
         three = t_bundle_spanner(medium_er_graph, t=3, seed=5)
         assert three.cost.work > one.cost.work
+
+    def test_bundle_components_on_banded_certify(self):
+        g = banded_graph(60, 4, seed=5)
+        bundle = t_bundle_spanner(g, t=2, seed=3)
+        target = 2 * np.ceil(np.log2(g.num_vertices)) - 1
+        removed = np.zeros(g.num_edges, dtype=bool)
+        for component in bundle.component_edge_indices:
+            remaining = g.select_edges(~removed)
+            remaining_ids = np.flatnonzero(~removed)
+            local = np.flatnonzero(np.isin(remaining_ids, component))
+            spanner = remaining.select_edges(local)
+            outside_local = np.setdiff1d(np.arange(remaining.num_edges), local)
+            if outside_local.size:
+                stretches = stretch_over_subgraph(remaining, spanner, outside_local)
+                assert stretches.max() <= target + 1e-9
+            removed[component] = True
 
 
 class TestLowStretchTree:

@@ -221,6 +221,32 @@ class TestEndToEnd:
         assert certificate.reference_edges == stream_graph.num_edges
         assert certificate.stats.solver == "cg"
 
+    def test_certify_measures_resistances_once(self, stream_graph, monkeypatch):
+        """The report's resistance fields come from the one certificate."""
+        import repro.analysis.spectral as spectral
+        import repro.streaming.sparsifier as sparsifier
+
+        calls = []
+
+        def counting(original):
+            def wrapper(*args, **kwargs):
+                calls.append(kwargs.get("solver"))
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for module in (spectral, sparsifier):
+            monkeypatch.setattr(
+                module, "certify_resistances", counting(module.certify_resistances)
+            )
+        stream = run_stream(stream_graph, batch_size=500, seed=4, compaction_interval=700)
+        certificate = stream.certify(num_pairs=12, num_vectors=8, seed=2, solver="chain")
+        assert calls == ["chain"]
+        report, rc = certificate.report, certificate.resistances
+        assert report.resistance_ratio_min == rc.ratio_min
+        assert report.resistance_ratio_max == rc.ratio_max
+        assert report.num_resistance_pairs_used == rc.num_pairs_used == 12
+
     def test_unified_result_wiring(self, stream_graph):
         stream = run_stream(stream_graph, batch_size=500, seed=1, compaction_interval=700)
         snap = stream.snapshot()
