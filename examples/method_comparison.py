@@ -2,8 +2,8 @@
 
 Run with:  python examples/method_comparison.py
 
-Every sparsifier in the package (and any you register yourself with
-``repro.register_method``) is reachable through one front door::
+Every sparsifier in the package — the seven rows of the method table in
+``repro/api/registry.py`` — is reachable through one front door::
 
     repro.sparsify(graph, method="koutis", epsilon=0.5, seed=7)
 
@@ -23,7 +23,7 @@ from repro.core.config import SparsifierConfig
 def main() -> None:
     graph = repro.generators.erdos_renyi_graph(300, 0.3, seed=7, ensure_connected=True)
     print(f"input graph: n={graph.num_vertices}, m={graph.num_edges}")
-    print(f"registered methods: {', '.join(repro.available_methods())}\n")
+    print(f"methods: {', '.join(repro.available_methods())}\n")
 
     # Identical epsilon / seed / config for every method: a fair comparison.
     results = repro.compare_methods(

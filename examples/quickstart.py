@@ -7,7 +7,7 @@ Demonstrates the three-line workflow of the library:
 1. build (or load) a weighted graph,
 2. run ``PARALLELSPARSIFY`` (Algorithm 2 of the paper) through the
    unified front door ``repro.sparsify`` (swap ``method=`` to run any
-   registered sparsifier — see ``examples/method_comparison.py``),
+   other built-in sparsifier — see ``examples/method_comparison.py``),
 3. measure the spectral approximation certificate of the output.
 """
 

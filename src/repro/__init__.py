@@ -22,14 +22,14 @@ Graph Sparsification* (Ioannis Koutis, SPAA 2014).  The package provides
   (:mod:`repro.streaming`),
 * measurement/reporting helpers for the experiment harness
   (:mod:`repro.analysis`), and
-* the unified method API (:mod:`repro.api`): a registry-driven engine
-  exposing every sparsifier — including yours, via
-  :func:`repro.api.register_method` — through ``repro.sparsify(g,
-  method=...)`` with one request/result model.
+* the unified method API (:mod:`repro.api`): an engine that resolves a
+  method name through one fixed table of the seven built-in sparsifiers
+  and runs it through ``repro.sparsify(g, method=...)`` with one
+  request/result model.
 
 Quick start
 -----------
-The unified front door (:mod:`repro.api`) runs any registered method —
+The unified front door (:mod:`repro.api`) runs any built-in method —
 the paper's algorithm, its distributed driver, or a baseline — through
 one call:
 
@@ -112,9 +112,7 @@ from repro.api import (
     compare_methods,
     get_method,
     method_descriptions,
-    register_method,
     sparsify,
-    unregister_method,
 )
 
 # Parallel / distributed models and execution backends.
@@ -171,8 +169,6 @@ __all__ = [
     "UnifiedResult",
     "UnifiedBatchResult",
     "ProgressEvent",
-    "register_method",
-    "unregister_method",
     "get_method",
     "available_methods",
     "available_method_names",

@@ -13,8 +13,8 @@ True
 
 Pieces
 ------
-* :mod:`repro.api.registry` — ``register_method`` and lookup helpers; the
-  public extension point for third-party sparsifiers.
+* :mod:`repro.api.registry` — the fixed method table and its lookup
+  helpers (:func:`get_method`, :func:`available_methods`, ...).
 * :mod:`repro.api.request` — the immutable, JSON-round-trippable
   :class:`SparsifyRequest`.
 * :mod:`repro.api.result` — :class:`UnifiedResult` /
@@ -22,14 +22,16 @@ Pieces
 * :mod:`repro.api.engine` — :class:`Engine`, :func:`sparsify`,
   :func:`compare_methods`.
 
-The built-in methods (registered by :mod:`repro.core.methods` and
-:mod:`repro.baselines.methods`) are::
+The table's seven methods (runners in :mod:`repro.core.methods`,
+:mod:`repro.baselines.methods` and :mod:`repro.streaming.method`) are::
 
     koutis               PARALLELSPARSIFY (Algorithm 2, the paper)
     koutis-distributed   the CONGEST-simulated distributed driver
     spielman-srivastava  effective-resistance sampling [23]
     uniform              certificate-free uniform sampling
     kapralov-panigrahi   spanner-oversampling baseline [7]
+    k-out                random k-out sampling (connectivity baseline)
+    streaming            batched replay through StreamingSparsifier
 """
 
 from repro.api.engine import Engine, compare_methods, sparsify
@@ -39,8 +41,6 @@ from repro.api.registry import (
     available_methods,
     get_method,
     method_descriptions,
-    register_method,
-    unregister_method,
 )
 from repro.api.request import SparsifyRequest
 from repro.api.result import ProgressEvent, UnifiedBatchResult, UnifiedResult
@@ -50,8 +50,6 @@ __all__ = [
     "sparsify",
     "compare_methods",
     "MethodSpec",
-    "register_method",
-    "unregister_method",
     "get_method",
     "available_methods",
     "available_method_names",

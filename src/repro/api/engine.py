@@ -1,4 +1,4 @@
-"""The engine: one front door over every registered sparsifier method.
+"""The engine: one front door over every sparsifier method of the table.
 
 :class:`Engine` resolves a :class:`~repro.api.request.SparsifyRequest`
 once — method adapter, effective config, execution backend — and then
@@ -48,26 +48,6 @@ ProgressCallback = Callable[[ProgressEvent], None]
 
 def _noop_emit(kind: str, **fields: Any) -> None:
     """Runner-side emit used when nobody is listening (also in workers)."""
-
-
-def _extract_counts(native: Any, method: str) -> Tuple[Graph, int, int]:
-    """Pull the unified-protocol fields out of a native result."""
-    try:
-        sparsifier = native.sparsifier
-        input_edges = int(native.input_edges)
-        output_edges = int(native.output_edges)
-    except AttributeError as exc:
-        raise MethodError(
-            f"method {method!r} returned {type(native).__name__}, which does not "
-            "expose the unified result protocol (sparsifier / input_edges / "
-            "output_edges)"
-        ) from exc
-    if not isinstance(sparsifier, Graph):
-        raise MethodError(
-            f"method {method!r} returned a sparsifier of type "
-            f"{type(sparsifier).__name__}, expected repro.graphs.Graph"
-        )
-    return sparsifier, input_edges, output_edges
 
 
 def _run_adapter(
@@ -171,15 +151,14 @@ class Engine:
     def _wrap(
         self, graph: Graph, native: Any, wall_seconds: float
     ) -> UnifiedResult:
-        sparsifier, input_edges, output_edges = _extract_counts(native, self._spec.name)
         certificate = (
-            certify_approximation(graph, sparsifier) if self.request.certify else None
+            certify_approximation(graph, native.sparsifier) if self.request.certify else None
         )
         return UnifiedResult(
             method=self._spec.name,
-            sparsifier=sparsifier,
-            input_edges=input_edges,
-            output_edges=output_edges,
+            sparsifier=native.sparsifier,
+            input_edges=native.input_edges,
+            output_edges=native.output_edges,
             wall_time_seconds=wall_seconds,
             request=self.request,
             native=native,
@@ -379,7 +358,7 @@ def sparsify(
     progress: Optional[ProgressCallback] = None,
     **options: Any,
 ) -> UnifiedResult:
-    """Sparsify ``graph`` with any registered method — the package front door.
+    """Sparsify ``graph`` with any method of the table — the package front door.
 
     Builds a :class:`SparsifyRequest` from the keyword arguments, resolves
     it through an :class:`Engine`, and returns the
@@ -420,7 +399,7 @@ def compare_methods(
     options_by_method: Optional[Dict[str, Dict[str, Any]]] = None,
     progress: Optional[ProgressCallback] = None,
 ) -> List[UnifiedResult]:
-    """Run several registered methods on one graph with identical parameters.
+    """Run several methods on one graph with identical parameters.
 
     Every method receives the *same* epsilon / rho / config / seed, so the
     resulting :class:`UnifiedResult` objects are a fair side-by-side
@@ -430,7 +409,7 @@ def compare_methods(
     Parameters
     ----------
     methods:
-        Registered method names (at least one; the CLI ``compare``
+        Method names or aliases (at least one; the CLI ``compare``
         subcommand requires two or more).
     options_by_method:
         Optional per-method options, keyed by the name used in

@@ -1,28 +1,19 @@
-"""Sparsifier-method registry: one namespace for every sparsification algorithm.
+"""Sparsifier-method table: one namespace for every sparsification algorithm.
 
-This mirrors the execution-backend registry of
-:mod:`repro.parallel.backends`, but for *what* is computed rather than
-*where*: each registered method is a callable adapter that runs one
-sparsification algorithm against the engine's uniform calling convention,
-so ``repro.sparsify(g, method="koutis")`` and
+Each method is a callable adapter that runs one sparsification algorithm
+against the engine's uniform calling convention, so
+``repro.sparsify(g, method="koutis")`` and
 ``repro.sparsify(g, method="uniform")`` are the same call with one string
 changed — which is exactly the method-ablation workflow the paper's
 experiments need.
 
-Registering a method
---------------------
-:func:`register_method` is a public extension point.  Third-party
-sparsifiers get the full engine — request validation, backend fan-out,
-batching, unified results — by registering a runner::
+The methods live in one fixed table (:func:`_method_table`) of seven
+rows: name, runner, description and aliases.  Adding a built-in method
+means writing its runner next to the others in its adapter module
+(:mod:`repro.core.methods`, :mod:`repro.baselines.methods` or
+:mod:`repro.streaming.method`) and adding one row here.
 
-    from repro.api import register_method
-
-    @register_method("top-k-weight", description="keep the k heaviest edges")
-    def run_top_k(graph, *, config, epsilon, rho, seed, options, emit):
-        ...
-        return result        # anything exposing .sparsifier / .input_edges / .output_edges
-
-The runner is called with keyword arguments only:
+Every runner is called with keyword arguments only:
 
 ``config``
     The fully resolved :class:`repro.core.config.SparsifierConfig`
@@ -31,7 +22,7 @@ The runner is called with keyword arguments only:
     The request's epsilon, or ``None`` meaning "use ``config.epsilon``"
     (the same convention the legacy entry points use).
 ``rho``
-    Sparsification factor; methods without a multi-round structure may
+    Sparsification factor; methods without a multi-round structure
     ignore it.
 ``seed``
     An ``int``, ``None``, or a :class:`numpy.random.Generator` (batch
@@ -41,28 +32,28 @@ The runner is called with keyword arguments only:
     :attr:`repro.api.SparsifyRequest.options`, as a plain dict.
 ``emit``
     Progress callback ``emit(kind, *, round_index=None, input_edges=0,
-    output_edges=0, degenerate=False)``; call it with ``"round"`` once
-    per round (single-shot methods simply never call it — the engine
-    emits the final ``"result"`` event itself).  Never ``None``: the
-    engine installs a no-op when the caller did not ask for telemetry.
+    output_edges=0, degenerate=False)``; called with ``"round"`` once per
+    round (single-shot methods never call it — the engine emits the final
+    ``"result"`` event itself).  Never ``None``: the engine installs a
+    no-op when the caller did not ask for telemetry.
 
-The returned object must expose ``sparsifier`` (a
-:class:`repro.graphs.graph.Graph`), ``input_edges`` and ``output_edges``;
-``cost`` and ``rounds`` are picked up when present.
+Every runner returns a native result exposing ``sparsifier`` (a
+:class:`repro.graphs.graph.Graph`), ``input_edges`` and ``output_edges``
+as ints, and ``cost`` where it has one; ``tests/test_api_engine.py``
+checks this for every table entry.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Tuple
+from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
+from typing import Callable, Dict, Mapping, Tuple
 
 from repro.exceptions import MethodError
 
 __all__ = [
     "MethodSpec",
-    "register_method",
-    "unregister_method",
     "get_method",
     "available_methods",
     "available_method_names",
@@ -72,151 +63,61 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A registered sparsifier method: the runner plus its metadata."""
+    """One method of the table: the runner plus its metadata."""
 
     name: str
     runner: Callable[..., object]
     description: str = ""
-    aliases: Tuple[str, ...] = field(default_factory=tuple)
+    aliases: Tuple[str, ...] = ()
 
 
-_METHODS: Dict[str, MethodSpec] = {}
-_ALIASES: Dict[str, str] = {}
-_REGISTRY_LOCK = threading.Lock()
-# Separate lock for the builtin import: the adapter modules call
-# register_method at import time, which takes _REGISTRY_LOCK, so the
-# loader must not hold it.  RLock so a re-entrant import cannot deadlock.
-_BUILTIN_LOCK = threading.RLock()
-_BUILTINS_LOADED = False
+@cache
+def _method_table() -> Mapping[str, MethodSpec]:
+    """Every accepted name (canonical or alias) mapped to its spec, read-only.
 
-
-def _ensure_builtin_methods() -> None:
-    """Import the modules that register the built-in methods (idempotent).
-
-    The loaded flag is set only *after* both imports succeed, under a
-    lock: a concurrent first caller blocks until registration is
-    complete, and a failed import is retried on the next call instead of
-    poisoning the registry.
+    Built on first lookup: the adapter modules reach
+    :mod:`repro.api.result` (through :mod:`repro.streaming`), so
+    importing them while this module loads would be an import cycle.
     """
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    with _BUILTIN_LOCK:
-        if _BUILTINS_LOADED:
-            return
-        import repro.baselines.methods  # noqa: F401  (registers on import)
-        import repro.core.methods  # noqa: F401  (registers on import)
-        import repro.streaming.method  # noqa: F401  (registers on import)
-        _BUILTINS_LOADED = True
+    from repro.baselines.methods import (
+        run_k_out,
+        run_kapralov_panigrahi,
+        run_spielman_srivastava,
+        run_uniform,
+    )
+    from repro.core.methods import run_koutis, run_koutis_distributed
+    from repro.streaming.method import run_streaming
 
-
-def _release_name_locked(candidate: str) -> None:
-    """Free ``candidate`` for re-registration (caller holds _REGISTRY_LOCK).
-
-    A canonical method under that name is removed together with its
-    aliases; an alias pointing at another method is detached from its
-    owner (the owner itself stays registered under its canonical name).
-    """
-    old = _METHODS.pop(candidate, None)
-    if old is not None:
-        for alias in old.aliases:
-            if _ALIASES.get(alias) == candidate:
-                del _ALIASES[alias]
-    target = _ALIASES.pop(candidate, None)
-    if target is not None:
-        owner = _METHODS.get(target)
-        if owner is not None:
-            _METHODS[target] = replace(
-                owner, aliases=tuple(a for a in owner.aliases if a != candidate)
-            )
-
-
-def register_method(
-    name: str,
-    *,
-    description: str = "",
-    aliases: Tuple[str, ...] = (),
-    replace: bool = False,
-):
-    """Register a sparsifier method under ``name`` (usable as a decorator).
-
-    Parameters
-    ----------
-    name:
-        Canonical method name (what :func:`available_methods` lists).
-    description:
-        One-line human-readable summary (shown by the CLI).
-    aliases:
-        Alternative names resolving to the same method.
-    replace:
-        Allow overwriting an existing registration (default: a duplicate
-        name raises :class:`repro.exceptions.MethodError`).
-
-    Returns
-    -------
-    The decorator returns the runner unchanged, so the function stays
-    directly callable and testable.
-    """
-    if not isinstance(name, str) or not name:
-        raise MethodError(f"method name must be a non-empty string, got {name!r}")
-
-    def decorator(runner: Callable[..., object]) -> Callable[..., object]:
-        if not callable(runner):
-            raise MethodError(f"method runner must be callable, got {runner!r}")
-        spec = MethodSpec(
-            name=name, runner=runner, description=description, aliases=tuple(aliases)
-        )
-        with _REGISTRY_LOCK:
-            if replace:
-                # Free every name this spec claims: canonical entries go
-                # (with their aliases), and aliases owned by other methods
-                # are detached so the new registration cannot be shadowed.
-                for candidate in (name, *spec.aliases):
-                    _release_name_locked(candidate)
-            else:
-                taken = [
-                    candidate
-                    for candidate in (name, *spec.aliases)
-                    if candidate in _METHODS or candidate in _ALIASES
-                ]
-                if taken:
-                    raise MethodError(
-                        f"method name(s) already registered: {', '.join(sorted(taken))}; "
-                        "pass replace=True to overwrite"
-                    )
-            _METHODS[name] = spec
-            for alias in spec.aliases:
-                _ALIASES[alias] = name
-        return runner
-
-    return decorator
-
-
-def unregister_method(name: str) -> bool:
-    """Remove a registered method (and its aliases); returns True if found.
-
-    Intended for tests and plugin teardown; the built-in methods can be
-    restored simply by re-importing :mod:`repro.core.methods` /
-    :mod:`repro.baselines.methods` with ``register_method(replace=True)``.
-    """
-    with _REGISTRY_LOCK:
-        canonical = _ALIASES.get(name, name)
-        spec = _METHODS.pop(canonical, None)
-        if spec is None:
-            return False
-        for alias in spec.aliases:
-            _ALIASES.pop(alias, None)
-        return True
+    specs = (
+        MethodSpec("koutis", run_koutis,
+                   "PARALLELSPARSIFY: spanner-bundle sampling (Koutis SPAA'14, Algorithm 2)",
+                   ("parallel-sparsify",)),
+        MethodSpec("koutis-distributed", run_koutis_distributed,
+                   "PARALLELSPARSIFY on the synchronous CONGEST simulator (Theorems 4-5 costs)",
+                   ("distributed",)),
+        MethodSpec("spielman-srivastava", run_spielman_srivastava,
+                   "effective-resistance importance sampling (Spielman-Srivastava [23])",
+                   ("ss",)),
+        MethodSpec("uniform", run_uniform,
+                   "uniform edge sampling without a certificate (counter-example baseline)"),
+        MethodSpec("kapralov-panigrahi", run_kapralov_panigrahi,
+                   "spanner oversampling with 1/eps^4 size (Kapralov-Panigrahi [7])",
+                   ("kp",)),
+        MethodSpec("k-out", run_k_out,
+                   "random k-out sampling, Horvitz-Thompson reweighted (Holm et al.)",
+                   ("kout",)),
+        MethodSpec("streaming", run_streaming,
+                   "incremental ingest via StreamingSparsifier (batched replay of the input)",
+                   ("stream",)),
+    )
+    return MappingProxyType({name: spec for spec in specs for name in (spec.name, *spec.aliases)})
 
 
 def get_method(name: str) -> MethodSpec:
     """Resolve ``name`` (canonical or alias) into a :class:`MethodSpec`."""
-    _ensure_builtin_methods()
     if not isinstance(name, str):
         raise MethodError(f"method must be a string name, got {name!r}")
-    with _REGISTRY_LOCK:
-        canonical = _ALIASES.get(name, name)
-        spec = _METHODS.get(canonical)
+    spec = _method_table().get(name)
     if spec is None:
         raise MethodError(
             f"unknown sparsifier method {name!r}; available: "
@@ -226,21 +127,15 @@ def get_method(name: str) -> MethodSpec:
 
 
 def available_methods() -> Tuple[str, ...]:
-    """Canonical names of all registered methods, sorted."""
-    _ensure_builtin_methods()
-    with _REGISTRY_LOCK:
-        return tuple(sorted(_METHODS))
+    """Canonical names of all methods, sorted."""
+    return tuple(sorted({spec.name for spec in _method_table().values()}))
 
 
 def available_method_names() -> Tuple[str, ...]:
     """Every name :func:`get_method` accepts: canonical names plus aliases."""
-    _ensure_builtin_methods()
-    with _REGISTRY_LOCK:
-        return tuple(sorted(set(_METHODS) | set(_ALIASES)))
+    return tuple(sorted(_method_table()))
 
 
 def method_descriptions() -> Dict[str, str]:
     """Mapping of canonical method name to its one-line description."""
-    _ensure_builtin_methods()
-    with _REGISTRY_LOCK:
-        return {name: spec.description for name, spec in sorted(_METHODS.items())}
+    return {name: get_method(name).description for name in available_methods()}

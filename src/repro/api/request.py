@@ -28,12 +28,10 @@ class SparsifyRequest:
     Attributes
     ----------
     method:
-        Registered method name (see :func:`repro.api.available_methods`).
-        Existence is checked when an :class:`repro.api.Engine` resolves
-        the request, not here, so requests can be built before custom
-        methods register — mirroring how
-        :meth:`repro.core.config.SparsifierConfig.execution_backend`
-        treats backend names.
+        Method name or alias (see
+        :func:`repro.api.available_method_names`).  Existence is checked
+        when an :class:`repro.api.Engine` resolves the request, not here,
+        so building a request never imports the method runners.
     epsilon:
         Target spectral parameter; ``None`` defers to ``config.epsilon``
         (the legacy entry points' convention).
@@ -55,7 +53,7 @@ class SparsifyRequest:
         Measure the spectral certificate of the output (dense eigensolve
         — small graphs only).
     options:
-        Method-specific keyword arguments forwarded to the registered
+        Method-specific keyword arguments forwarded to the method's
         runner (e.g. ``probability`` for ``uniform``,
         ``use_approximate_resistances`` for ``spielman-srivastava``).
         Must be JSON-serialisable for :meth:`to_dict` round-tripping.

@@ -1,6 +1,6 @@
 """The unified result model and the telemetry event type.
 
-Every registered method returns its own native result type
+Every method returns its own native result type
 (:class:`~repro.core.sparsify.SparsifyResult`,
 :class:`~repro.baselines.spielman_srivastava.SSResult`, ...).  The engine
 wraps each of them in a :class:`UnifiedResult` exposing the fields the
@@ -120,7 +120,7 @@ class UnifiedBatchResult:
     """Outcome of :meth:`repro.api.Engine.run_many` over many graphs.
 
     Holds one :class:`UnifiedResult` per job in input order, so batch
-    workloads of *any* registered method report uniformly; for
+    workloads of *any* method report uniformly; for
     ``method="koutis"`` each ``results[i].native`` is the job's
     :class:`~repro.core.sparsify.SparsifyResult`.
 

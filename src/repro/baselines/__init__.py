@@ -15,8 +15,8 @@
 
 All three result types share one accessor set (``sparsifier`` /
 ``input_edges`` / ``output_edges`` / ``num_edges`` /
-``reduction_factor``), and every baseline is registered with the unified
-method registry (see :mod:`repro.baselines.methods`), so
+``reduction_factor``), and every baseline is a row of the unified method
+table (runners in :mod:`repro.baselines.methods`), so
 ``repro.sparsify(g, method="uniform")`` and friends go through the same
 engine as the paper's algorithm.
 """

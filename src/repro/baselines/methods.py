@@ -1,6 +1,6 @@
 """Engine adapters for the baseline sparsifiers.
 
-Registers the three baselines with the unified method registry
+The runners of the four baseline rows of the method table
 (:mod:`repro.api.registry`):
 
 ``spielman-srivastava``
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-from repro.api.registry import register_method
 from repro.baselines.kapralov_panigrahi import kapralov_panigrahi_sparsify
 from repro.baselines.spielman_srivastava import spielman_srivastava_sparsify
 from repro.baselines.uniform import uniform_sparsify
@@ -53,11 +52,6 @@ def _resolve_epsilon(epsilon: Optional[float], config: SparsifierConfig) -> floa
     return config.epsilon if epsilon is None else float(epsilon)
 
 
-@register_method(
-    "spielman-srivastava",
-    description="effective-resistance importance sampling (Spielman-Srivastava [23])",
-    aliases=("ss",),
-)
 def run_spielman_srivastava(
     graph: Graph,
     *,
@@ -80,10 +74,6 @@ def run_spielman_srivastava(
     )
 
 
-@register_method(
-    "uniform",
-    description="uniform edge sampling without a certificate (counter-example baseline)",
-)
 def run_uniform(
     graph: Graph,
     *,
@@ -113,11 +103,6 @@ def run_uniform(
     )
 
 
-@register_method(
-    "kapralov-panigrahi",
-    description="spanner oversampling with 1/eps^4 size (Kapralov-Panigrahi [7])",
-    aliases=("kp",),
-)
 def run_kapralov_panigrahi(
     graph: Graph,
     *,
@@ -134,11 +119,6 @@ def run_kapralov_panigrahi(
     )
 
 
-@register_method(
-    "k-out",
-    description="random k-out sampling, Horvitz-Thompson reweighted (Holm et al.)",
-    aliases=("kout",),
-)
 def run_k_out(
     graph: Graph,
     *,

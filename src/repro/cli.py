@@ -3,14 +3,14 @@
 Installed as the ``repro-sparsify`` console script (see ``pyproject.toml``)
 and also runnable as ``python -m repro.cli``.  The sparsification
 subcommands are built on the unified engine (:mod:`repro.api`): every
-registered method — the paper's algorithm, its distributed driver, and the
-baselines — is reachable through ``--method``, and a whole request can be
+method of its table — the paper's algorithm, its distributed driver, and
+the baselines — is reachable through ``--method``, and a whole request can be
 loaded from JSON with ``--config`` (explicit flags override file values).
 
 Subcommands
 -----------
 ``sparsify``
-    Run any registered method on a weighted edge-list file and write the
+    Run any method on a weighted edge-list file and write the
     sparsifier to another edge-list file, printing a summary (edge counts,
     rounds, and — with ``--certify`` — the measured spectral certificate;
     ``--certify-resistances N`` adds a probe-pair resistance certificate
@@ -20,7 +20,7 @@ Subcommands
     Run one method on many edge-list files at once, fanning the jobs out
     across the selected execution backend (``Engine.run_many``).
 ``compare``
-    Run two or more registered methods on one input with identical
+    Run two or more methods on one input with identical
     parameters and print a side-by-side table (edges kept, reduction,
     certificate bounds, wall time) — the paper's method comparison as a
     one-liner.
@@ -114,7 +114,7 @@ def _add_request_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_method_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=list(available_method_names()), default=None,
-                        help="registered sparsifier method, canonical name or alias "
+                        help="sparsifier method, canonical name or alias "
                              "(default koutis)")
 
 
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     sparsify = subparsers.add_parser(
-        "sparsify", help="run a registered sparsifier method on an edge list"
+        "sparsify", help="run a sparsifier method on an edge list"
     )
     sparsify.add_argument("input", help="input edge-list file (# n m header, 'u v w' lines)")
     sparsify.add_argument("output", help="output edge-list file for the sparsifier")
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = subparsers.add_parser(
         "compare",
-        help="run >= 2 registered methods on one input and print a side-by-side table",
+        help="run >= 2 methods on one input and print a side-by-side table",
     )
     compare.add_argument("input", help="input edge-list file")
     compare.add_argument("--methods", nargs="+", default=None,

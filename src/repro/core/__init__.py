@@ -15,9 +15,9 @@
   accounting (the distributed halves of Theorems 4–5).
 * :mod:`repro.core.checkpoint` — the durable-write seam and the batch
   checkpoint journal behind ``Engine.run_many(checkpoint=...)``.
-* :mod:`repro.core.methods` — engine adapters registering the two core
-  entry points (``koutis`` / ``koutis-distributed``) with the unified
-  method registry of :mod:`repro.api`.
+* :mod:`repro.core.methods` — the engine runners of the two core
+  entry points (``koutis`` / ``koutis-distributed``), two rows of the
+  method table of :mod:`repro.api`.
 """
 
 from repro.core.config import SparsifierConfig

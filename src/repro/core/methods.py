@@ -1,6 +1,6 @@
 """Engine adapters for the paper's sparsifiers.
 
-Registers the two core entry points with the unified method registry
+The runners of the two core rows of the method table
 (:mod:`repro.api.registry`):
 
 ``koutis``
@@ -16,16 +16,17 @@ through a method.
 
 Each adapter is a thin delegation: the legacy function remains the
 implementation, the adapter only translates the engine's uniform calling
-convention (see :func:`repro.api.registry.register_method`) and forwards
-per-round telemetry.  Outputs are bit-identical to calling the legacy
-function with the same seed.
+convention (see :mod:`repro.api.registry`) and forwards per-round
+telemetry.  Outputs are bit-identical to calling the legacy
+function with the same seed.  Both runners look the legacy functions up
+as globals of this module at call time: ``e2ebench/tracing.py`` wraps
+those two attributes to time the sparsify layer.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-from repro.api.registry import register_method
 from repro.core.config import SparsifierConfig
 from repro.core.distributed_sparsify import (
     DistributedSampleResult,
@@ -37,11 +38,6 @@ from repro.graphs.graph import Graph
 __all__ = ["run_koutis", "run_koutis_distributed"]
 
 
-@register_method(
-    "koutis",
-    description="PARALLELSPARSIFY: spanner-bundle sampling (Koutis SPAA'14, Algorithm 2)",
-    aliases=("parallel-sparsify",),
-)
 def run_koutis(
     graph: Graph,
     *,
@@ -74,11 +70,6 @@ def run_koutis(
     )
 
 
-@register_method(
-    "koutis-distributed",
-    description="PARALLELSPARSIFY on the synchronous CONGEST simulator (Theorems 4-5 costs)",
-    aliases=("distributed",),
-)
 def run_koutis_distributed(
     graph: Graph,
     *,

@@ -81,7 +81,7 @@ class FaultInjectionError(ReproError):
 
 
 class MethodError(ReproError):
-    """A sparsifier method name could not be resolved or was registered twice."""
+    """A sparsifier method name could not be resolved, or the method cannot serve the call."""
 
 
 class RequestError(ReproError):

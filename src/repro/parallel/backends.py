@@ -170,30 +170,8 @@ class ExecutionBackend(ABC):
         raw = self._map(_PolicyCall(func, policy), indexed, shared)
         return collect_outcomes(raw)
 
-    def starmap(self, func: Callable[..., R], argument_tuples: Sequence[tuple]) -> List[R]:
-        """Apply ``func(*args)`` to every argument tuple, preserving order."""
-        return self.map(_StarCall(func), list(argument_tuples))
-
-    def run_all(self, thunks: Sequence[Callable[[], R]]) -> List[R]:
-        """Run a list of zero-argument callables, preserving order."""
-        return self.map(_call_thunk, list(thunks))
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(max_workers={self.max_workers})"
-
-
-class _StarCall:
-    """Picklable ``func(*args)`` adapter (lambdas cannot cross processes)."""
-
-    def __init__(self, func: Callable[..., Any]) -> None:
-        self.func = func
-
-    def __call__(self, args: tuple) -> Any:
-        return self.func(*args)
-
-
-def _call_thunk(thunk: Callable[[], R]) -> R:
-    return thunk()
 
 
 class SerialBackend(ExecutionBackend):

@@ -17,7 +17,7 @@ records both sides.
 
 Chains are reused through the process-wide
 :func:`repro.solvers.chain.default_chain_cache`, keyed by
-``(graph_fingerprint, rho, seed)`` — a certification run touching the
+``(batch_graph_digest(graph), rho, seed)`` — a certification run touching the
 same graph repeatedly builds its chain exactly once.
 
 :class:`ResistanceSolveStats` is the optional accumulator the benchmark

@@ -31,7 +31,6 @@ from repro.solvers.chain import (
     build_preconditioner_chain,
     chain_preconditioner,
     default_chain_cache,
-    graph_fingerprint,
 )
 from repro.solvers.peng_spielman import (
     SDDSolveReport,
@@ -51,7 +50,6 @@ __all__ = [
     "build_preconditioner_chain",
     "chain_preconditioner",
     "default_chain_cache",
-    "graph_fingerprint",
     "SDDSolveReport",
     "solve_laplacian",
     "solve_sdd",

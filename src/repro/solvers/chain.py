@@ -27,7 +27,6 @@ DESIGN.md:
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -37,6 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
+from repro.core.checkpoint import batch_graph_digest
 from repro.core.config import SparsifierConfig
 from repro.core.sparsify import parallel_sparsify
 from repro.exceptions import SparsificationError
@@ -52,7 +52,6 @@ __all__ = [
     "apply_chain",
     "chain_preconditioner",
     "build_preconditioner_chain",
-    "graph_fingerprint",
     "ChainCache",
     "default_chain_cache",
 ]
@@ -449,33 +448,19 @@ def build_preconditioner_chain(
     )
 
 
-def graph_fingerprint(graph: Graph) -> str:
-    """Content hash of a graph (vertex count + exact edge arrays).
-
-    :class:`~repro.graphs.graph.Graph` is deliberately unhashable, so the
-    chain cache keys on this digest instead.  Two graphs with the same
-    edge list in the same order (bit-equal weights) share a fingerprint;
-    a reordered but Laplacian-equal edge list hashes differently, which
-    merely costs a redundant chain build — never a stale hit.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(np.int64(graph.num_vertices).tobytes())
-    digest.update(np.ascontiguousarray(graph.edge_u, dtype=np.int64).tobytes())
-    digest.update(np.ascontiguousarray(graph.edge_v, dtype=np.int64).tobytes())
-    digest.update(np.ascontiguousarray(graph.edge_weights, dtype=np.float64).tobytes())
-    return digest.hexdigest()
-
-
 class ChainCache:
     """Build-once cache of preconditioner chains.
 
     A certification run solves against the same one or two Laplacians for
     *every* probe pair / edge / JL direction; the chain build is the only
     super-linear piece, so it must be amortized across all of those
-    columns.  Chains are keyed by ``(graph_fingerprint, rho, seed)`` and
-    evicted LRU beyond ``max_entries`` (each cached chain holds
+    columns.  Chains are keyed by ``(batch_graph_digest(graph), rho,
+    seed)`` and evicted LRU beyond ``max_entries`` (each cached chain holds
     ``total_nnz`` CSR entries, roughly ``25 * total_nnz`` bytes across its
-    Laplacian + adjacency copies).
+    Laplacian + adjacency copies).  The digest is the batch journal's
+    content hash: blake2b-128 over the vertex count and the exact edge
+    arrays.  A reordered but Laplacian-equal edge list hashes
+    differently, which costs a redundant build, never a stale hit.
 
     ``builds`` counts chain constructions over the cache's lifetime and is
     asserted on in tests: repeated certification of the same graph must
@@ -527,7 +512,7 @@ class ChainCache:
                 f"ChainCache needs an integer seed for a stable cache key, got {type(seed).__name__}"
             )
         effective_rho = float(_PRECOND_RHO if rho is None else rho)
-        key = (graph_fingerprint(graph), effective_rho, int(seed))
+        key = (batch_graph_digest(graph), effective_rho, int(seed))
         with self._lock:
             chain = self._entries.get(key)
             if chain is not None:

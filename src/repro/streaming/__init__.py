@@ -4,7 +4,7 @@ The entry point is :class:`StreamingSparsifier` — see
 :mod:`repro.streaming.sparsifier` for the design and
 :mod:`repro.streaming.journal` for crash-resilient persistence.  A
 ``"streaming"`` method (:mod:`repro.streaming.method`) exposes the same
-machinery through the unified method registry and the CLI.
+machinery through the unified method table and the CLI.
 """
 
 from repro.streaming.journal import (

@@ -156,11 +156,6 @@ class JournalScanReport:
     corruption: Optional[str] = None
     salvaged: List[Batch] = field(default_factory=list)
 
-    @property
-    def clean(self) -> bool:
-        """True when no mid-journal corruption was encountered."""
-        return self.corrupt_segment is None
-
 
 def _segment_name(sequence: int) -> str:
     return f"{_SEGMENT_PREFIX}{sequence:08d}{_SEGMENT_SUFFIX}"
@@ -346,23 +341,9 @@ class StreamJournal:
         return journal
 
     @property
-    def params(self) -> Dict[str, Any]:
-        return dict(self._params)
-
-    @property
     def next_index(self) -> int:
         """Index the next appended batch must carry."""
         return self._next_index
-
-    def matches(self, params: Dict[str, Any]) -> bool:
-        """True when ``params`` pins the same stream as this journal.
-
-        Both sides are normalized through the same JSON float round trip
-        the on-disk header goes through, so numpy scalar types or float
-        repr quirks cannot cause a spurious mismatch.
-        """
-        candidate = canonical_stream_params(params)
-        return all(self._params[key] == candidate[key] for key in _PINNED_KEYS)
 
     # ------------------------------------------------------------------ #
     # Appending

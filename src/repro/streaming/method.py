@@ -1,9 +1,9 @@
 """Engine adapter for the streaming sparsifier.
 
-Registers ``"streaming"`` (alias ``"stream"``) with the unified method
-registry: the input graph's edge list is replayed through a
-:class:`~repro.streaming.sparsifier.StreamingSparsifier` in
-``num_batches`` consecutive batches and the final snapshot is returned.
+The runner of the ``"streaming"`` row (alias ``"stream"``) of the method
+table (:mod:`repro.api.registry`): the input graph's edge list is
+replayed through a :class:`~repro.streaming.sparsifier.StreamingSparsifier`
+in ``num_batches`` consecutive batches and the final snapshot is returned.
 This makes the streaming path a first-class citizen of ``compare`` runs —
 the same graph, seed and quality gates as every batch method — and is
 also the parity bridge the tests lean on: with ``num_batches=1`` and a
@@ -18,7 +18,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.api.registry import register_method
 from repro.core.config import SparsifierConfig
 from repro.exceptions import StreamingError
 from repro.graphs.graph import Graph
@@ -45,7 +44,7 @@ _KNOWN_OPTIONS = (
 
 @dataclass(frozen=True)
 class StreamMethodResult:
-    """Registry-shaped result of a streamed run (plus the live objects).
+    """Engine-shaped result of a streamed run (plus the live objects).
 
     ``rounds`` holds one :class:`IngestRecord` per ingested batch, so
     the engine's ``num_rounds`` reports the batch count.
@@ -59,11 +58,6 @@ class StreamMethodResult:
     stream: StreamingSparsifier
 
 
-@register_method(
-    "streaming",
-    description="incremental ingest via StreamingSparsifier (batched replay of the input)",
-    aliases=("stream",),
-)
 def run_streaming(
     graph: Graph,
     *,

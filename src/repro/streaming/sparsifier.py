@@ -382,6 +382,8 @@ class StreamingSparsifier:
         self._k = None if k is None and self._config.spanner_k is None else int(
             k if k is not None else self._config.spanner_k
         )
+        if self._k is not None and self._k < 1:
+            raise GraphError(f"spanner parameter k must be >= 1, got {self._k}")
         self._p = float(
             self._config.sampling_probability
             if sampling_probability is None
@@ -709,7 +711,16 @@ class StreamingSparsifier:
         Consumes the next compaction index, so — unlike plain ingestion —
         the resulting state depends on *when* flush was called.  Returns
         the compaction record, or ``None`` when nothing was pending.
+
+        Raises :class:`StreamingError` on a stream with a store: the
+        journal records ingested batches only, so recovery could not
+        replay the flush and would rebuild a different state.
         """
+        if self._store is not None:
+            raise StreamingError(
+                "flush() is refused on a stream with a store: the journal cannot "
+                "replay a flush, so recovery would rebuild a different state"
+            )
         if self._pen_u.shape[0] == 0:
             return None
         self._compact(int(self._pen_u.shape[0]))

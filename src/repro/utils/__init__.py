@@ -7,10 +7,8 @@ subpackage can import them without creating cycles.
 from repro.utils.rng import RandomState, as_rng, split_rng, spawn_rngs
 from repro.utils.validation import (
     check_integer,
-    check_positive,
     check_probability,
     check_square,
-    check_symmetric,
     require,
 )
 
@@ -20,9 +18,7 @@ __all__ = [
     "split_rng",
     "spawn_rngs",
     "check_integer",
-    "check_positive",
     "check_probability",
     "check_square",
-    "check_symmetric",
     "require",
 ]

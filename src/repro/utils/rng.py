@@ -14,7 +14,7 @@ for reproducible parallel Monte Carlo.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -85,29 +85,3 @@ def spawn_rngs(seed: SeedLike, n: int) -> List[RandomState]:
         return split_rng(seed, n)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(n)]
-
-
-def random_permutation(rng: RandomState, n: int) -> np.ndarray:
-    """Uniformly random permutation of ``range(n)`` as an int64 array."""
-    return rng.permutation(n).astype(np.int64)
-
-
-def bernoulli_mask(rng: RandomState, n: int, p: float) -> np.ndarray:
-    """Vector of ``n`` independent Bernoulli(p) trials as a boolean mask."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    return rng.random(n) < p
-
-
-def choose_without_replacement(
-    rng: RandomState, population: Sequence[int], k: int
-) -> np.ndarray:
-    """Sample ``k`` distinct elements from ``population`` uniformly."""
-    population = np.asarray(population)
-    if k > population.size:
-        raise ValueError(
-            f"cannot draw {k} samples from population of size {population.size}"
-        )
-    return rng.choice(population, size=k, replace=False)

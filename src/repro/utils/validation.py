@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def require(condition: bool, message: str, exc_type: type = ValueError) -> None:
@@ -30,21 +29,6 @@ def check_integer(value: Any, name: str, minimum: Optional[int] = None) -> int:
     return value
 
 
-def check_positive(value: Any, name: str, strict: bool = True) -> float:
-    """Validate that ``value`` is a positive (or non-negative) finite number."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise TypeError(f"{name} must be a number, got {type(value).__name__}") from exc
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    if strict and value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
-    if not strict and value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
-
-
 def check_probability(value: Any, name: str) -> float:
     """Validate that ``value`` lies in the closed interval [0, 1]."""
     value = float(value)
@@ -58,31 +42,6 @@ def check_square(matrix: Any, name: str = "matrix") -> None:
     shape = matrix.shape
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"{name} must be square, got shape {shape}")
-
-
-def check_symmetric(matrix: Any, name: str = "matrix", tol: float = 1e-8) -> None:
-    """Validate (approximate) symmetry of a dense or sparse matrix."""
-    check_square(matrix, name)
-    if sp.issparse(matrix):
-        diff = abs(matrix - matrix.T)
-        max_diff = diff.max() if diff.nnz else 0.0
-    else:
-        arr = np.asarray(matrix)
-        max_diff = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
-    if max_diff > tol:
-        raise ValueError(
-            f"{name} must be symmetric (max asymmetry {max_diff:.3e} > tol {tol:.3e})"
-        )
-
-
-def check_vector(vector: Any, n: int, name: str = "vector") -> np.ndarray:
-    """Validate that ``vector`` is a 1-D float array of length ``n``."""
-    arr = np.asarray(vector, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got ndim={arr.ndim}")
-    if arr.shape[0] != n:
-        raise ValueError(f"{name} must have length {n}, got {arr.shape[0]}")
-    return arr
 
 
 def check_epsilon(epsilon: Any, name: str = "epsilon") -> float:

@@ -1,8 +1,8 @@
-"""Tests for the unified engine (repro.api): parity, telemetry, extension.
+"""Tests for the unified engine (repro.api): parity, telemetry, the method table.
 
 The parity tests are the load-bearing guarantee of the API redesign:
 ``Engine.run`` must produce *bit-identical* edge selections to the legacy
-entry point of every registered method at the same seed.  (The legacy
+entry point of every method at the same seed.  (The legacy
 koutis pipeline is itself pinned to the seed implementation by
 ``tests/golden/spanner_goldens.json`` / ``tests/test_spanner_golden.py``,
 so engine == legacy == golden transitively.)
@@ -20,9 +20,7 @@ from repro.api import (
     compare_methods,
     get_method,
     method_descriptions,
-    register_method,
     sparsify,
-    unregister_method,
 )
 from repro.baselines.kapralov_panigrahi import kapralov_panigrahi_sparsify
 from repro.baselines.spielman_srivastava import spielman_srivastava_sparsify
@@ -36,13 +34,23 @@ from repro.graphs.graph import Graph
 from repro.parallel.metrics import combine_parallel
 from repro.utils.rng import as_rng, split_rng
 
-BUILTIN_METHODS = (
-    "koutis",
-    "koutis-distributed",
-    "spielman-srivastava",
-    "uniform",
-    "kapralov-panigrahi",
-)
+# Every name the table accepts, mapped to the canonical method it resolves to.
+METHOD_NAMES = {
+    "koutis": "koutis",
+    "parallel-sparsify": "koutis",
+    "koutis-distributed": "koutis-distributed",
+    "distributed": "koutis-distributed",
+    "spielman-srivastava": "spielman-srivastava",
+    "ss": "spielman-srivastava",
+    "uniform": "uniform",
+    "kapralov-panigrahi": "kapralov-panigrahi",
+    "kp": "kapralov-panigrahi",
+    "k-out": "k-out",
+    "kout": "k-out",
+    "streaming": "streaming",
+    "stream": "streaming",
+}
+BUILTIN_METHODS = tuple(sorted(set(METHOD_NAMES.values())))
 
 
 def assert_same_edges(a: Graph, b: Graph) -> None:
@@ -55,14 +63,11 @@ def assert_same_edges(a: Graph, b: Graph) -> None:
 
 class TestRegistry:
     def test_all_builtin_methods_registered(self):
-        names = available_methods()
-        for method in BUILTIN_METHODS:
-            assert method in names
+        assert available_methods() == BUILTIN_METHODS
 
     def test_aliases_resolve_to_canonical(self):
-        assert get_method("ss").name == "spielman-srivastava"
-        assert get_method("kp").name == "kapralov-panigrahi"
-        assert get_method("distributed").name == "koutis-distributed"
+        for name, canonical in METHOD_NAMES.items():
+            assert get_method(name).name == canonical
 
     def test_unknown_method_raises_with_listing(self):
         with pytest.raises(MethodError, match="koutis"):
@@ -73,57 +78,56 @@ class TestRegistry:
         for method in BUILTIN_METHODS:
             assert descriptions[method]
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(MethodError, match="already registered"):
-            register_method("koutis")(lambda *a, **k: None)
-
     def test_engine_resolves_method_eagerly(self):
         with pytest.raises(MethodError):
             Engine(SparsifyRequest(method="no-such-method"))
 
     def test_aliases_listed_in_method_names(self):
-        names = available_method_names()
-        for alias in ("ss", "kp", "distributed", "parallel-sparsify"):
-            assert alias in names
+        assert available_method_names() == tuple(sorted(METHOD_NAMES))
         # Canonical listing stays alias-free.
         assert "ss" not in available_methods()
 
-    def test_replace_over_alias_is_reachable_and_reversible(self):
-        # Registering on top of an existing *alias* must not be shadowed
-        # by the alias table, and must not delete the alias's owner.
-        def runner(graph, **kwargs):
-            raise NotImplementedError
 
-        register_method("ss", replace=True)(runner)
-        try:
-            assert get_method("ss").runner is runner
-            assert get_method("spielman-srivastava").name == "spielman-srivastava"
-        finally:
-            assert unregister_method("ss")
-        # Restore the builtin alias for the rest of the suite.
-        import repro.baselines.methods as baseline_methods
+class TestMethodTable:
+    """Every table entry runs through the engine with the unified result shape."""
 
-        register_method(
-            "spielman-srivastava", aliases=("ss",), replace=True,
-            description=get_method("spielman-srivastava").description,
-        )(baseline_methods.run_spielman_srivastava)
-        assert get_method("ss").name == "spielman-srivastava"
+    @pytest.mark.parametrize("method", available_methods())
+    def test_runs_through_the_engine(self, method):
+        # At this size uniform's epsilon budget keeps every edge; a fixed
+        # probability makes its output depend on the seed.
+        options = {"probability": 0.5} if method == "uniform" else {}
+        graph = generators.erdos_renyi_graph(40, 0.3, seed=5, ensure_connected=True)
+        config = SparsifierConfig(bundle_t=2)
+        events = []
+        result = repro.sparsify(
+            graph, method=method, seed=3, config=config, certify=True,
+            progress=events.append, **options,
+        )
+        native = result.native
+        assert isinstance(native.sparsifier, Graph)
+        assert isinstance(native.input_edges, int)
+        assert isinstance(native.output_edges, int)
+        assert result.certificate is not None
+        kinds = [event.kind for event in events]
+        assert kinds.count("result") == 1 and kinds[-1] == "result"
 
-    def test_replace_canonical_cleans_stale_aliases(self):
-        def first(graph, **kwargs):
-            raise NotImplementedError
-
-        def second(graph, **kwargs):
-            raise NotImplementedError
-
-        register_method("tmp-method", aliases=("tmp-alias",))(first)
-        try:
-            register_method("tmp-method", replace=True)(second)
-            assert get_method("tmp-method").runner is second
-            with pytest.raises(MethodError):
-                get_method("tmp-alias")  # stale alias must not survive
-        finally:
-            unregister_method("tmp-method")
+        graphs = [
+            generators.erdos_renyi_graph(40, 0.3, seed=i, ensure_connected=True)
+            for i in range(3)
+        ]
+        batch = Engine(
+            SparsifyRequest(
+                method=method, seed=21, config=config, backend="thread",
+                max_workers=2, options=options,
+            )
+        ).run_many(graphs)
+        runner = get_method(method).runner
+        for job, graph_i, rng in zip(batch.results, graphs, split_rng(as_rng(21), len(graphs))):
+            solo = runner(
+                graph_i, config=config, epsilon=None, rho=4.0, seed=rng,
+                options=dict(options), emit=lambda kind, **fields: None,
+            )
+            assert_same_edges(job.sparsifier, solo.sparsifier)
 
 
 class TestParity:
@@ -362,85 +366,3 @@ class TestUnifiedResult:
         with pytest.raises(MethodError):
             compare_methods(small_er_graph, [])
 
-
-def _run_top_k(graph, *, config, epsilon, rho, seed, options, emit):
-    """Toy third-party method: keep the k heaviest edges (deterministic)."""
-    k = int(options.get("k", max(1, graph.num_edges // 2)))
-    order = np.argsort(graph.edge_weights, kind="stable")[::-1][:k]
-    kept = np.sort(order)
-    sparsifier = Graph(
-        graph.num_vertices,
-        graph.edge_u[kept],
-        graph.edge_v[kept],
-        graph.edge_weights[kept],
-    )
-    emit("round", round_index=1, input_edges=graph.num_edges,
-         output_edges=sparsifier.num_edges)
-
-    class TopKResult:
-        def __init__(self):
-            self.sparsifier = sparsifier
-            self.input_edges = graph.num_edges
-            self.output_edges = sparsifier.num_edges
-
-    return TopKResult()
-
-
-class TestCustomMethodExtension:
-    """register_method is a public extension point: a third-party method
-    gets the full engine — requests, telemetry, batching, unified results."""
-
-    @pytest.fixture()
-    def top_k(self):
-        register_method("top-k-weight", description="keep the k heaviest edges")(
-            _run_top_k
-        )
-        yield "top-k-weight"
-        assert unregister_method("top-k-weight")
-
-    def test_registered_method_runs_through_front_door(self, top_k, weighted_er_graph):
-        result = repro.sparsify(weighted_er_graph, method=top_k, seed=0, k=40)
-        assert result.method == top_k
-        assert result.output_edges == 40
-        heaviest = np.sort(weighted_er_graph.edge_weights)[-40:]
-        np.testing.assert_allclose(
-            np.sort(result.sparsifier.edge_weights), heaviest
-        )
-
-    def test_custom_method_listed_and_unlisted(self, top_k):
-        assert top_k in available_methods()
-        assert unregister_method(top_k)
-        assert top_k not in available_methods()
-        # Re-register so the fixture teardown's unregister still succeeds.
-        register_method(top_k)(_run_top_k)
-
-    def test_custom_method_gets_batching_and_backends(self, top_k):
-        graphs = [
-            generators.erdos_renyi_graph(
-                40, 0.3, seed=i, weight_range=(0.5, 5.0), ensure_connected=True
-            )
-            for i in range(4)
-        ]
-        engine = Engine(
-            SparsifyRequest(
-                method=top_k, seed=1, backend="thread", max_workers=2,
-                options={"k": 25},
-            )
-        )
-        batch = engine.run_many(graphs)
-        assert batch.num_jobs == 4
-        assert batch.backend_name == "thread"
-        assert all(result.output_edges == 25 for result in batch.results)
-
-    def test_custom_method_gets_telemetry_and_certificates(self, top_k, weighted_er_graph):
-        events = []
-        result = repro.sparsify(
-            weighted_er_graph, method=top_k, seed=0, certify=True,
-            k=weighted_er_graph.num_edges, progress=events.append,
-        )
-        # Keeping every edge is a perfect sparsifier: certificate == 1.
-        assert result.certificate.epsilon_achieved < 1e-9
-        assert [event.kind for event in events] == ["round", "result"]
-
-    def test_unregister_unknown_returns_false(self):
-        assert not unregister_method("never-registered")

@@ -133,11 +133,6 @@ class TestMapSemantics:
         with pytest.raises(RuntimeError, match="job failed"):
             backend.map(_boom, [0, 1, 2])
 
-    def test_starmap_and_run_all(self):
-        backend = ThreadBackend(max_workers=2)
-        assert backend.starmap(pow, [(2, 3), (3, 2)]) == [8, 9]
-        assert backend.run_all([lambda: 1, lambda: 2]) == [1, 2]
-
     def test_thread_error_cancels_pending_items(self):
         # One worker, failing first item, slow tail items.  Without
         # fail-fast cancellation every tail item would run during pool

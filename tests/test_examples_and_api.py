@@ -5,6 +5,7 @@ The examples double as end-to-end integration tests; running their
 Output is captured by pytest, so the suite stays quiet.
 """
 
+import doctest
 import importlib
 import pathlib
 
@@ -14,6 +15,14 @@ import repro
 
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
+PACKAGE_DIR = pathlib.Path(repro.__file__).resolve().parent
+
+# Every package module whose docstrings carry ``>>>`` examples.
+DOCTEST_MODULES = sorted(
+    ".".join(("repro", *path.relative_to(PACKAGE_DIR).with_suffix("").parts)).removesuffix(".__init__")
+    for path in PACKAGE_DIR.rglob("*.py")
+    if ">>>" in path.read_text(encoding="utf-8")
+)
 
 
 def _load_example(name: str):
@@ -85,3 +94,10 @@ def test_example_scripts_run(script, capsys):
     module.main()
     captured = capsys.readouterr()
     assert captured.out.strip(), f"{script} produced no output"
+
+
+@pytest.mark.parametrize("module_name", DOCTEST_MODULES)
+def test_docstring_examples_run(module_name):
+    results = doctest.testmod(importlib.import_module(module_name))
+    assert results.attempted > 0
+    assert results.failed == 0

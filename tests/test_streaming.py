@@ -114,6 +114,11 @@ class TestIngestValidation:
         with pytest.raises(StreamingError, match="use_tree_bundle"):
             StreamingSparsifier(5, config=SparsifierConfig(use_tree_bundle=True))
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_spanner_k_below_one_rejected(self, k):
+        with pytest.raises(GraphError, match="spanner parameter k must be >= 1"):
+            StreamingSparsifier(5, k=k)
+
 
 class TestBatchParity:
     """The streaming path vs. the batch path, bit for bit."""
@@ -342,6 +347,52 @@ class TestJournalResume:
         assert not report.bit_exact and report.batches_lost == 1
         assert any("digest" in note for note in report.notes)
         assert resumed.batches_ingested == 0
+
+    def test_out_of_range_pinned_k_is_damage(self, tmp_path):
+        # A header pinning k=0, written directly: recovery must refuse the
+        # parameters, not replay into a compaction that raises.
+        params = {
+            "num_vertices": 6, "t": 1, "k": 0, "sampling_probability": 0.5,
+            "seed": 0, "auto_seeded": False, "window": None, "decay": None,
+            "compaction_interval": 2, "kout_presample": None, "levels": 1,
+            "level_capacity": 4,
+        }
+        journal = StreamJournal(tmp_path / "store" / "journal", params)
+        journal.append_batch(
+            0, np.array([0, 2]), np.array([1, 3]), np.array([1.0, 1.0])
+        )
+        with pytest.raises(CheckpointError, match="pinned stream parameters"):
+            StreamingSparsifier.recover(tmp_path / "store")
+
+    def test_flush_is_refused_with_a_store(self, tmp_path):
+        rng = as_rng(1)
+        batches = []
+        for _ in range(3):
+            u = rng.integers(0, 60, 300)
+            v = (u + rng.integers(1, 60, 300)) % 60
+            batches.append((np.column_stack([u, v]), rng.uniform(0.5, 2.0, 300)))
+        store = tmp_path / "store"
+        stream = StreamingSparsifier(60, seed=1, compaction_interval=500, store=store)
+        for edges, weights in batches[:2]:
+            stream.ingest(edges, weights)
+        before = stream.snapshot().graph
+        # The journal holds batches only: a flush it cannot replay would
+        # make recovery rebuild another state and still call it bit-exact.
+        with pytest.raises(StreamingError, match="cannot replay a flush"):
+            stream.flush()
+        recovered, report = StreamingSparsifier.recover(store)
+        assert report.bit_exact
+        after = recovered.snapshot().graph
+        assert np.array_equal(before.edge_u, after.edge_u)
+        assert np.array_equal(before.edge_v, after.edge_v)
+        assert np.array_equal(before.edge_weights, after.edge_weights)
+        recovered.ingest(*batches[2])
+        reference = StreamingSparsifier(60, seed=1, compaction_interval=500)
+        for edges, weights in batches:
+            reference.ingest(edges, weights)
+        assert np.array_equal(
+            recovered.snapshot().graph.edge_weights, reference.snapshot().graph.edge_weights
+        )
 
     def test_missing_or_headerless_journal_refused(self, tmp_path):
         with pytest.raises(CheckpointError, match="nothing to recover"):

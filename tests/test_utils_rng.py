@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import (
-    as_rng,
-    bernoulli_mask,
-    choose_without_replacement,
-    random_permutation,
-    spawn_rngs,
-    split_rng,
-)
+from repro.utils.rng import as_rng, spawn_rngs, split_rng
 
 
 class TestAsRng:
@@ -66,36 +59,3 @@ class TestSplitAndSpawn:
         rngs = spawn_rngs(np.random.default_rng(3), 2)
         assert len(rngs) == 2
 
-
-class TestSamplingHelpers:
-    def test_random_permutation_is_permutation(self):
-        perm = random_permutation(as_rng(0), 20)
-        assert sorted(perm.tolist()) == list(range(20))
-
-    def test_bernoulli_mask_shape_and_dtype(self):
-        mask = bernoulli_mask(as_rng(0), 100, 0.5)
-        assert mask.shape == (100,)
-        assert mask.dtype == bool
-
-    def test_bernoulli_mask_extremes(self):
-        assert not bernoulli_mask(as_rng(0), 50, 0.0).any()
-        assert bernoulli_mask(as_rng(0), 50, 1.0).all()
-
-    def test_bernoulli_mask_empty(self):
-        assert bernoulli_mask(as_rng(0), 0, 0.5).shape == (0,)
-
-    def test_bernoulli_mask_invalid_probability(self):
-        with pytest.raises(ValueError):
-            bernoulli_mask(as_rng(0), 10, 1.5)
-
-    def test_bernoulli_rate_roughly_correct(self):
-        mask = bernoulli_mask(as_rng(0), 20000, 0.25)
-        assert 0.2 < mask.mean() < 0.3
-
-    def test_choose_without_replacement_distinct(self):
-        chosen = choose_without_replacement(as_rng(0), np.arange(30), 10)
-        assert len(np.unique(chosen)) == 10
-
-    def test_choose_without_replacement_too_many(self):
-        with pytest.raises(ValueError):
-            choose_without_replacement(as_rng(0), np.arange(5), 6)

@@ -2,16 +2,12 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.utils.validation import (
     check_epsilon,
     check_integer,
-    check_positive,
     check_probability,
     check_square,
-    check_symmetric,
-    check_vector,
     require,
 )
 
@@ -49,26 +45,6 @@ class TestCheckInteger:
             check_integer(1, "x", minimum=2)
 
 
-class TestCheckPositive:
-    def test_accepts_positive(self):
-        assert check_positive(0.5, "x") == 0.5
-
-    def test_rejects_zero_when_strict(self):
-        with pytest.raises(ValueError):
-            check_positive(0.0, "x")
-
-    def test_accepts_zero_when_not_strict(self):
-        assert check_positive(0.0, "x", strict=False) == 0.0
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            check_positive(float("nan"), "x")
-
-    def test_rejects_non_number(self):
-        with pytest.raises(TypeError):
-            check_positive("abc", "x")
-
-
 class TestCheckProbabilityEpsilon:
     def test_probability_bounds(self):
         assert check_probability(0.0, "p") == 0.0
@@ -91,23 +67,3 @@ class TestMatrixChecks:
     def test_square_rejects_rectangular(self):
         with pytest.raises(ValueError):
             check_square(np.ones((2, 3)))
-
-    def test_symmetric_dense(self):
-        check_symmetric(np.eye(4))
-
-    def test_symmetric_sparse(self):
-        check_symmetric(sp.identity(5, format="csr"))
-
-    def test_symmetric_rejects_asymmetric(self):
-        mat = np.zeros((2, 2))
-        mat[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            check_symmetric(mat)
-
-    def test_vector_check(self):
-        out = check_vector([1, 2, 3], 3)
-        assert out.dtype == float
-        with pytest.raises(ValueError):
-            check_vector([1, 2], 3)
-        with pytest.raises(ValueError):
-            check_vector(np.ones((2, 2)), 4)
