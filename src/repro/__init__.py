@@ -123,7 +123,6 @@ from repro.parallel import (
     ExecutionBackend,
     available_backends,
     get_backend,
-    set_default_backend,
 )
 
 __all__ = [
@@ -179,5 +178,4 @@ __all__ = [
     "ExecutionBackend",
     "available_backends",
     "get_backend",
-    "set_default_backend",
 ]

@@ -1,11 +1,11 @@
 """The engine: one front door over every sparsifier method of the table.
 
 :class:`Engine` resolves a :class:`~repro.api.request.SparsifyRequest`
-once — method adapter, effective config, execution backend — and then
-runs it against one graph (:meth:`Engine.run`) or many
-(:meth:`Engine.run_many`), emitting :class:`~repro.api.result.ProgressEvent`
-telemetry and returning :class:`~repro.api.result.UnifiedResult` objects
-that are directly comparable across methods.
+once — method adapter and config — and then runs it against one graph
+(:meth:`Engine.run`) or many (:meth:`Engine.run_many`), emitting
+:class:`~repro.api.result.ProgressEvent` telemetry and returning
+:class:`~repro.api.result.UnifiedResult` objects that are directly
+comparable across methods.
 
 The one-liner most callers want::
 
@@ -20,6 +20,10 @@ baselines), and job ``i`` of ``Engine.run_many`` matches a solo run on
 the ``i``-th pre-split RNG stream of the seed — the engine adds a
 uniform surface, never new randomness.  The parity tests in
 ``tests/test_api_engine.py`` and ``tests/test_batch.py`` pin this.
+
+Where the work runs is the config's business alone: ``run_many`` fans
+its jobs out on ``config.execution_backend()``, the same call the shard
+and compaction fan-outs inside the methods use.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from repro.core.checkpoint import BatchJournal, DurableIO
 from repro.core.config import SparsifierConfig
 from repro.exceptions import MethodError
 from repro.graphs.graph import Graph
-from repro.parallel.backends import get_backend
 from repro.parallel.failure import FailurePolicy, FailureRecord
 from repro.utils.rng import as_rng, split_rng
 
@@ -123,7 +126,7 @@ class Engine:
         self.request = request
         self.progress = progress
         self._spec = get_method(request.method)
-        self._config = request.resolved_config()
+        self._config = request.config if request.config is not None else SparsifierConfig()
 
     # ------------------------------------------------------------------ #
 
@@ -134,7 +137,7 @@ class Engine:
 
     @property
     def config(self) -> SparsifierConfig:
-        """The effective config (request-level execution overrides applied)."""
+        """The effective config (the request's, or the default one)."""
         return self._config
 
     def _make_emit(self, job_index: Optional[int] = None) -> Callable[..., None]:
@@ -196,9 +199,9 @@ class Engine:
     def _checkpoint_pins(self, num_jobs: int) -> Dict[str, Any]:
         """Every request field that can change a job's output.
 
-        ``backend`` and ``max_workers`` are left out (request and config
-        level alike): outputs are bit-identical across them.  ``certify``
-        is left out because certificates are recomputed on every run.
+        The config's ``backend`` and ``max_workers`` are left out: outputs
+        are bit-identical across them.  ``certify`` is left out because
+        certificates are recomputed on every run.
         """
         config = asdict(self._config)
         del config["backend"], config["max_workers"]
@@ -221,7 +224,7 @@ class Engine:
     ) -> UnifiedBatchResult:
         """Execute the request independently on many graphs.
 
-        The job fan-out runs on the request's backend; job ``i`` receives
+        The job fan-out runs on the config's backend; job ``i`` receives
         the ``i``-th RNG sub-stream of the seed (split *before* dispatch)
         and runs its internal work serially, so job ``i`` is bit-identical
         to a solo run on that sub-stream, on every backend and worker
@@ -261,7 +264,7 @@ class Engine:
                 f"with a journal codec), not {self._spec.name!r}"
             )
         graph_list = list(graphs)
-        backend = get_backend(self._config.backend, self._config.max_workers)
+        backend = self._config.execution_backend()
         attempts = [1] * len(graph_list)
         failures: List[FailureRecord] = []
         journal: Optional[BatchJournal] = None
@@ -350,9 +353,6 @@ def sparsify(
     epsilon: Optional[float] = None,
     rho: float = 4.0,
     config: Optional[SparsifierConfig] = None,
-    backend: Optional[str] = None,
-    max_workers: Optional[int] = None,
-    num_shards: Optional[int] = None,
     seed: Optional[int] = None,
     certify: bool = False,
     progress: Optional[ProgressCallback] = None,
@@ -364,7 +364,8 @@ def sparsify(
     it through an :class:`Engine`, and returns the
     :class:`~repro.api.result.UnifiedResult`.  Extra keyword arguments are
     forwarded to the method as its ``options`` (e.g. ``probability=0.3``
-    for ``method="uniform"``).
+    for ``method="uniform"``).  ``config`` says where the work runs
+    (``SparsifierConfig(backend=..., max_workers=..., num_shards=...)``).
 
     >>> import repro
     >>> g = repro.generators.erdos_renyi_graph(200, 0.2, seed=1, ensure_connected=True)
@@ -377,9 +378,6 @@ def sparsify(
         epsilon=epsilon,
         rho=rho,
         config=config,
-        backend=backend,
-        max_workers=max_workers,
-        num_shards=num_shards,
         seed=seed,
         certify=certify,
         options=options,

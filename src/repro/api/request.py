@@ -2,8 +2,9 @@
 
 A :class:`SparsifyRequest` captures *everything* about a sparsification
 call except the graph itself: the method, the spectral parameters, the
-algorithm config, the execution substrate (backend / workers / shards),
-the seed, and any method-specific options.  Requests are immutable
+algorithm config (which also says where the work runs: backend, workers
+and shards live in the config and nowhere else), the seed, and any
+method-specific options.  Requests are immutable
 (frozen dataclass), validate eagerly at construction, and round-trip
 through plain JSON-compatible dicts via :meth:`to_dict` /
 :meth:`from_dict` — which is what lets a serving layer log, replay, and
@@ -40,11 +41,9 @@ class SparsifyRequest:
         single-shot baselines).
     config:
         Optional :class:`~repro.core.config.SparsifierConfig`; ``None``
-        means the practical defaults.
-    backend / max_workers / num_shards:
-        Execution-substrate overrides applied on top of ``config`` (a
-        convenience so callers don't have to build a config just to pick
-        a backend).  ``None`` leaves the config's value in place.
+        means the practical defaults (serial, one shard).  Its
+        ``backend`` / ``max_workers`` / ``num_shards`` fields choose
+        where the work runs.
     seed:
         Integer RNG seed or ``None`` (OS entropy).  Restricted to ints so
         requests stay JSON-serialisable; pass generators to the legacy
@@ -63,9 +62,6 @@ class SparsifyRequest:
     epsilon: Optional[float] = None
     rho: float = 4.0
     config: Optional[SparsifierConfig] = None
-    backend: Optional[str] = None
-    max_workers: Optional[int] = None
-    num_shards: Optional[int] = None
     seed: Optional[int] = None
     certify: bool = False
     options: Dict[str, Any] = field(default_factory=dict)
@@ -88,18 +84,6 @@ class SparsifyRequest:
             raise RequestError(
                 f"config must be a SparsifierConfig or None, got {type(self.config).__name__}"
             )
-        if self.backend is not None and not isinstance(self.backend, str):
-            raise RequestError(f"backend must be a backend name or None, got {self.backend!r}")
-        if self.max_workers is not None:
-            if not isinstance(self.max_workers, int) or isinstance(self.max_workers, bool):
-                raise RequestError(f"max_workers must be an int or None, got {self.max_workers!r}")
-            if self.max_workers < 1:
-                raise RequestError(f"max_workers must be >= 1, got {self.max_workers}")
-        if self.num_shards is not None:
-            if not isinstance(self.num_shards, int) or isinstance(self.num_shards, bool):
-                raise RequestError(f"num_shards must be an int or None, got {self.num_shards!r}")
-            if self.num_shards < 1:
-                raise RequestError(f"num_shards must be >= 1, got {self.num_shards}")
         if self.seed is not None and (
             not isinstance(self.seed, int) or isinstance(self.seed, bool)
         ):
@@ -119,22 +103,6 @@ class SparsifyRequest:
 
     # ------------------------------------------------------------------ #
 
-    def resolved_config(self) -> SparsifierConfig:
-        """The effective algorithm config: request-level execution overrides
-        (``backend`` / ``max_workers`` / ``num_shards``) applied on top of
-        ``config`` (or the default config)."""
-        config = self.config if self.config is not None else SparsifierConfig()
-        overrides = {
-            key: value
-            for key, value in (
-                ("backend", self.backend),
-                ("max_workers", self.max_workers),
-                ("num_shards", self.num_shards),
-            )
-            if value is not None
-        }
-        return config.with_overrides(**overrides) if overrides else config
-
     def with_overrides(self, **kwargs: Any) -> "SparsifyRequest":
         """Copy with selected fields replaced (frozen-dataclass convenience)."""
         return replace(self, **kwargs)
@@ -150,9 +118,6 @@ class SparsifyRequest:
             "epsilon": self.epsilon,
             "rho": self.rho,
             "config": asdict(self.config) if self.config is not None else None,
-            "backend": self.backend,
-            "max_workers": self.max_workers,
-            "num_shards": self.num_shards,
             "seed": self.seed,
             "certify": self.certify,
             "options": dict(self.options),

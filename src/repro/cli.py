@@ -34,9 +34,10 @@ Subcommands
     ``{"edges": [[u, v], ...], "weights": [...]}`` (weights optional) or
     a bare array of ``[u, v]`` / ``[u, v, w]`` edges; ``-`` reads from
     stdin.  ``--store`` journals every batch into a durable state store
-    (``--resume`` recovers it before ingesting any new input), and
-    ``--snapshot-every`` adds checksummed snapshots so recovery replays
-    only the post-snapshot suffix.
+    (``--resume`` recovers it before ingesting any new input, and refuses
+    the stream-shaping flags the store pins), and ``--snapshot-every``
+    adds checksummed snapshots so recovery replays only the post-snapshot
+    suffix.
 ``recover``
     Walk the recovery ladder of a ``--store`` directory after a crash —
     snapshot, journal suffix, valid-prefix salvage — print the
@@ -49,8 +50,10 @@ Subcommands
     1; ``--list-rules`` prints the rule table.
 
 ``sparsify`` / ``batch`` accept ``--backend`` / ``--workers`` /
-``--shards`` to choose where the work executes; backends never change the
-output for a fixed seed, while the shard count is part of the algorithm.
+``--shards`` to choose where the work executes; they write the request's
+``config`` payload (the one home of execution settings).  Backends never
+change the output for a fixed seed, while the shard count is part of the
+algorithm.
 
 The edge-list format is the one produced by
 :func:`repro.graphs.io.write_edge_list`: a ``# n m`` header followed by
@@ -159,9 +162,6 @@ def _request_from_args(args: argparse.Namespace) -> SparsifyRequest:
         "method": method_flag,
         "epsilon": args.epsilon,
         "rho": args.rho,
-        "backend": getattr(args, "backend", None),
-        "max_workers": getattr(args, "workers", None),
-        "num_shards": getattr(args, "shards", None),
         "seed": args.seed,
     }
     for key, value in flag_fields.items():
@@ -169,16 +169,20 @@ def _request_from_args(args: argparse.Namespace) -> SparsifyRequest:
             data[key] = value
     if getattr(args, "certify", False):
         data["certify"] = True
-    # Algorithm-config flags go into the nested SparsifierConfig payload.
+    # Algorithm and execution flags go into the nested SparsifierConfig payload.
     config_payload = dict(data.get("config") or {})
-    if args.mode is not None:
-        config_payload["mode"] = args.mode
-    if args.bundle_t is not None:
-        config_payload["bundle_t"] = args.bundle_t
-    if args.tree_bundle:
-        config_payload["use_tree_bundle"] = True
-    if getattr(args, "solver", None) is not None:
-        config_payload["solver"] = args.solver
+    config_fields = {
+        "mode": args.mode,
+        "bundle_t": args.bundle_t,
+        "use_tree_bundle": True if args.tree_bundle else None,
+        "solver": args.solver,
+        "backend": getattr(args, "backend", None),
+        "max_workers": getattr(args, "workers", None),
+        "num_shards": getattr(args, "shards", None),
+    }
+    for key, value in config_fields.items():
+        if value is not None:
+            config_payload[key] = value
     if config_payload:
         data["config"] = config_payload
     data.setdefault("seed", _DEFAULT_SEED)
@@ -338,7 +342,7 @@ def _run_sparsify(args: argparse.Namespace) -> int:
         rc = certify_resistances(
             graph, result.sparsifier,
             num_pairs=args.certify_resistances, seed=request.seed,
-            solver=request.resolved_config().solver,
+            solver=engine.config.solver,
         )
         print(f"resistance certificate: R_H/R_G in [{rc.ratio_min:.4f}, {rc.ratio_max:.4f}] "
               f"over {rc.num_pairs_used} probe pairs "
@@ -409,11 +413,11 @@ def _run_compare(args: argparse.Namespace) -> int:
         methods,
         epsilon=request.epsilon,
         rho=request.rho,
-        # Resolved: backend / workers / shards from the request apply to
-        # every method (the shard count is part of the algorithm, so
-        # compare must see the same sparsifier the sparsify subcommand
-        # writes for the same --config).
-        config=request.resolved_config(),
+        # The config's backend / workers / shards apply to every method
+        # (the shard count is part of the algorithm, so compare must see
+        # the same sparsifier the sparsify subcommand writes for the same
+        # --config).
+        config=request.config,
         seed=request.seed,
         certify=request.certify,
     )
@@ -423,8 +427,10 @@ def _run_compare(args: argparse.Namespace) -> int:
 
 
 def _run_spanner(args: argparse.Namespace) -> int:
+    if args.t < 1:
+        raise ReproError(f"--t is the bundle size and must be >= 1, got {args.t}")
     graph = read_edge_list(args.input)
-    if args.t <= 1:
+    if args.t == 1:
         result = baswana_sen_spanner(graph, k=args.k, seed=args.seed)
         spanner = result.spanner
         print(f"spanner: {spanner.num_edges} of {graph.num_edges} edges "
@@ -468,6 +474,26 @@ def _run_stream(args: argparse.Namespace) -> int:
     if args.resume:
         if not args.store:
             raise ReproError("--resume needs --store pointing at the stream's state")
+        pinned = [
+            flag
+            for flag, value in (
+                ("--n", args.n),
+                ("--epsilon", args.epsilon),
+                ("--bundle-t", args.bundle_t),
+                ("--k", args.k),
+                ("--window", args.window),
+                ("--decay", args.decay),
+                ("--compaction-interval", args.compaction_interval),
+                ("--kout-presample", args.kout_presample),
+                ("--levels", args.levels),
+            )
+            if value is not None
+        ]
+        if pinned:
+            raise ReproError(
+                f"--resume continues the stream in --store, and the store pins these "
+                f"parameters: drop {', '.join(pinned)}, or start a new --store"
+            )
         stream, report = StreamingSparsifier.recover(
             args.store, config=config, snapshot_every=args.snapshot_every
         )

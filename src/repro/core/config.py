@@ -20,6 +20,12 @@ The configuration therefore exposes two modes:
 Everything else (sampling probability, spanner parameter, tree bundles,
 stretch certification) is also configurable so the ablations in
 EXPERIMENTS.md are driven by config values rather than code edits.
+
+The config is also the one place that says where work runs: ``backend``,
+``max_workers`` and ``num_shards`` live here and nowhere else, and
+:meth:`SparsifierConfig.execution_backend` is the one call every fan-out
+(shards, stream compactions, ``Engine.run_many`` jobs) uses to get its
+backend.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import SparsificationError
+from repro.parallel.backends import ExecutionBackend, available_backends, get_backend
 from repro.spanners.bundle import bundle_size_for_epsilon
 from repro.utils.validation import check_epsilon, check_probability
 
@@ -72,16 +79,14 @@ class SparsifierConfig:
         Inputs with fewer edges are returned unchanged — mirrors the
         "threshold of applicability" logic of Section 4.
     backend:
-        Execution backend name (``"serial"``, ``"thread"``, ``"process"``,
-        or any name registered with
-        :func:`repro.parallel.backends.register_backend`); ``None`` uses
-        the process-wide default.  Backends only change *where* shard/job
-        work runs — outputs are bit-identical for a fixed seed on every
-        backend and worker count.
+        Execution backend name: ``"serial"``, ``"thread"`` or
+        ``"process"``; ``None`` means serial.  Backends only change
+        *where* shard/job work runs — outputs are bit-identical for a
+        fixed seed on every backend and worker count.
     max_workers:
         Worker count for the backend; ``None`` uses the backend default.
-        Setting ``max_workers > 1`` while ``backend`` is ``None`` and the
-        process-wide default is serial raises at use time instead of
+        Setting ``max_workers > 1`` while ``backend`` is ``None`` raises
+        :class:`~repro.exceptions.BackendError` at use time instead of
         silently running sequentially.
     num_shards:
         Vertex-range shards for the shard-parallel execution paths of
@@ -136,9 +141,10 @@ class SparsifierConfig:
             raise SparsificationError("spanner_k must be >= 1 when given")
         if self.min_edges_to_sparsify < 0:
             raise SparsificationError("min_edges_to_sparsify must be non-negative")
-        if self.backend is not None and not isinstance(self.backend, str):
+        if self.backend is not None and self.backend not in available_backends():
             raise SparsificationError(
-                f"backend must be a registered backend name or None, got {self.backend!r}"
+                f"backend must be one of {', '.join(available_backends())} or None, "
+                f"got {self.backend!r}"
             )
         if self.max_workers is not None and self.max_workers < 1:
             raise SparsificationError("max_workers must be >= 1 when given")
@@ -184,15 +190,14 @@ class SparsifierConfig:
             return 0
         return int(np.ceil(np.log2(rho)))
 
-    def execution_backend(self):
-        """Resolve the configured :class:`repro.parallel.backends.ExecutionBackend`.
+    def execution_backend(self) -> ExecutionBackend:
+        """The backend every fan-out of this config runs on.
 
-        Invalid backend names raise :class:`repro.exceptions.BackendError`
-        here (at use time) rather than at config construction, so configs
-        can be built before custom backends are registered.
+        Shard fan-outs, stream compactions and ``Engine.run_many`` jobs
+        all get their backend here, so a test can substitute one (e.g. a
+        :class:`repro.testing.faults.InjectingBackend`) by patching this
+        one method.
         """
-        from repro.parallel.backends import get_backend
-
         return get_backend(self.backend, self.max_workers)
 
     def with_overrides(self, **kwargs) -> "SparsifierConfig":

@@ -59,15 +59,6 @@ class BackendError(ReproError):
     """An execution backend was misconfigured or could not be resolved."""
 
 
-class WorkerTimeoutError(BackendError):
-    """A work item exceeded the failure policy's per-item soft timeout.
-
-    "Soft": the item's computation is not killed (threads cannot be), but
-    its result is discarded and the attempt is treated as failed, so the
-    retry/collect machinery sees timeouts exactly like crashes.
-    """
-
-
 class CheckpointError(BackendError):
     """A batch checkpoint journal is unreadable or inconsistent with the batch."""
 

@@ -22,9 +22,11 @@ this subpackage provides the cost models themselves:
   rounds/messages/sizes and enforces the word limit (Corollary 3); the
   per-node object simulator it replaced is kept in
   :mod:`repro.spanners._reference` as the parity tests' ground truth;
-* :mod:`repro.parallel.backends` — pluggable execution backends
+* :mod:`repro.parallel.backends` — the three execution backends
   (serial / thread / process) that actually run shard- and job-level
-  fan-outs concurrently, with a process-wide default registry.
+  fan-outs concurrently; a :class:`~repro.core.config.SparsifierConfig`
+  names the one a fan-out uses, and
+  :meth:`~repro.core.config.SparsifierConfig.execution_backend` builds it.
 """
 
 from repro.parallel.metrics import (
@@ -48,8 +50,6 @@ from repro.parallel.backends import (
     ThreadBackend,
     available_backends,
     get_backend,
-    register_backend,
-    set_default_backend,
 )
 from repro.parallel.failure import (
     FailurePolicy,
@@ -74,8 +74,6 @@ __all__ = [
     "ProcessBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
-    "set_default_backend",
     "FailurePolicy",
     "FailureRecord",
     "MapOutcome",

@@ -34,22 +34,20 @@ Design invariants
 
 Subclasses implement the raw execution primitive :meth:`_map`; the
 policy-aware :meth:`map` / :meth:`map_outcomes` layer on the base class
-wraps it and is shared by every backend (including registered custom
-ones).
+wraps it and is shared by every backend.
 
-A module-level registry maps backend names to classes; algorithms resolve
-:class:`repro.core.config.SparsifierConfig` fields through
-:func:`get_backend`, and :func:`set_default_backend` changes what a bare
-``backend=None`` means process-wide.
+The three backends are one fixed table: :func:`get_backend` builds one
+from its name (``None`` means serial), and
+:meth:`repro.core.config.SparsifierConfig.execution_backend` is the one
+call every fan-out uses to get its backend.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import os
-import threading
 from abc import ABC, abstractmethod
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Type, TypeVar, Union
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple, Type, TypeVar
 
 from repro.exceptions import BackendError
 from repro.parallel.failure import (
@@ -64,19 +62,12 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "BackendSpec",
     "available_backends",
-    "register_backend",
     "get_backend",
-    "set_default_backend",
 ]
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Anything :func:`get_backend` can resolve: ``None`` (process default), a
-#: registered name, or an already-constructed backend instance.
-BackendSpec = Union[None, str, "ExecutionBackend"]
 
 
 def _available_cpus() -> int:
@@ -281,97 +272,37 @@ class ProcessBackend(ExecutionBackend):
             return _drain_ordered(futures)
 
 
-# --------------------------------------------------------------------- #
-# Registry
-# --------------------------------------------------------------------- #
-
 _BACKEND_CLASSES: Dict[str, Type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     ThreadBackend.name: ThreadBackend,
     ProcessBackend.name: ProcessBackend,
 }
-_REGISTRY_LOCK = threading.Lock()
-_default_backend: ExecutionBackend = SerialBackend()
 
 
-def available_backends() -> tuple:
-    """Registered backend names, sorted."""
+def available_backends() -> Tuple[str, ...]:
+    """Backend names, sorted."""
     return tuple(sorted(_BACKEND_CLASSES))
 
 
-def register_backend(cls: Type[ExecutionBackend]) -> Type[ExecutionBackend]:
-    """Register a custom :class:`ExecutionBackend` subclass under ``cls.name``.
+def get_backend(name: Optional[str] = None, max_workers: Optional[int] = None) -> ExecutionBackend:
+    """Build the backend called ``name`` with ``max_workers`` workers.
 
-    Usable as a class decorator; returns ``cls`` unchanged.
+    ``name`` is ``"serial"``, ``"thread"``, ``"process"`` or ``None``
+    (serial); ``max_workers=None`` keeps the backend's own default.
     """
-    if not (isinstance(cls, type) and issubclass(cls, ExecutionBackend)):
-        raise BackendError(f"expected an ExecutionBackend subclass, got {cls!r}")
-    if not cls.name or cls.name == "abstract":
-        raise BackendError("backend classes must define a non-default 'name'")
-    with _REGISTRY_LOCK:
-        _BACKEND_CLASSES[cls.name] = cls
-    return cls
-
-
-def get_backend(spec: BackendSpec = None, max_workers: Optional[int] = None) -> ExecutionBackend:
-    """Resolve ``spec`` into an :class:`ExecutionBackend` instance.
-
-    Parameters
-    ----------
-    spec:
-        ``None`` for the process-wide default (see
-        :func:`set_default_backend`), a registered name such as
-        ``"serial"`` / ``"thread"`` / ``"process"``, or an instance
-        (returned as-is unless ``max_workers`` disagrees, in which case a
-        same-type copy with the requested worker count is returned).
-    max_workers:
-        Worker count override; ``None`` keeps the spec's / backend's own.
-    """
-    if spec is None:
-        with _REGISTRY_LOCK:
-            default = _default_backend
-        if max_workers is None or max_workers == default.max_workers:
-            return default
-        if isinstance(default, SerialBackend) and max_workers > 1:
+    if name is None:
+        if max_workers is not None and max_workers > 1:
             # Asking for workers without naming a backend would otherwise
             # silently run everything sequentially.
             raise BackendError(
-                f"max_workers={max_workers} requested but no backend was named and "
-                "the default backend is 'serial' (single-worker); pass "
-                "backend='thread' or 'process', or set_default_backend(...), "
-                "to actually run in parallel"
+                f"max_workers={max_workers} requested but no backend was named, and "
+                "no backend means 'serial' (single-worker); pass backend='thread' "
+                "or 'process' to actually run in parallel"
             )
-        return type(default)(max_workers)
-    if isinstance(spec, ExecutionBackend):
-        if max_workers is None or max_workers == spec.max_workers:
-            return spec
-        return type(spec)(max_workers)
-    if isinstance(spec, str):
-        with _REGISTRY_LOCK:
-            cls = _BACKEND_CLASSES.get(spec)
-        if cls is None:
-            raise BackendError(
-                f"unknown execution backend {spec!r}; available: {', '.join(available_backends())}"
-            )
-        return cls(max_workers)
-    raise BackendError(f"cannot resolve backend from {spec!r}")
-
-
-def set_default_backend(
-    spec: BackendSpec, max_workers: Optional[int] = None
-) -> ExecutionBackend:
-    """Set the process-wide default backend; returns the *previous* default.
-
-    The previous backend is returned so callers can restore it::
-
-        previous = set_default_backend("thread", max_workers=4)
-        try:
-            ...
-        finally:
-            set_default_backend(previous)
-    """
-    global _default_backend
-    backend = get_backend(spec if spec is not None else "serial", max_workers)
-    with _REGISTRY_LOCK:
-        previous, _default_backend = _default_backend, backend
-    return previous
+        return SerialBackend(max_workers)
+    cls = _BACKEND_CLASSES.get(name)
+    if cls is None:
+        raise BackendError(
+            f"unknown execution backend {name!r}; available: {', '.join(available_backends())}"
+        )
+    return cls(max_workers)

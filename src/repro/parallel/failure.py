@@ -10,7 +10,9 @@ the vocabulary the backends use to do better:
   (fail fast, the default), ``"retry"`` (re-run the item up to
   ``max_attempts`` with deterministic seeded exponential backoff, then
   fail fast), or ``"collect"`` (retry, then record a
-  :class:`FailureRecord` and keep going with the other items).
+  :class:`FailureRecord` and keep going with the other items).  Those
+  two fields are all a policy sets; the backoff schedule is fixed
+  (:func:`backoff_delay`).
 * :class:`FailureRecord` — one failed item: its index, exception type and
   message, attempts spent, and elapsed seconds.
 * :class:`MapOutcome` — what :meth:`ExecutionBackend.map_outcomes`
@@ -23,10 +25,10 @@ Design invariants
    executes in the worker that owns the item (:class:`_PolicyCall`), so
    the semantics are identical on the serial, thread, and process
    backends and a transient crash never round-trips through the caller.
-2. **Backoff is deterministic.**  The jittered delay for
-   ``(policy.seed, item index, attempt)`` is a pure function of those
-   three integers (via :mod:`repro.utils.rng`), so a retried run sleeps
-   the same schedule every time — tests can assert on it.
+2. **Backoff is deterministic.**  The jittered delay before attempt
+   ``a`` of item ``i`` is a pure function of ``(i, a)`` (via
+   :mod:`repro.utils.rng`), so a retried run sleeps the same schedule
+   every time — tests can assert on it.
 3. **Retries are output-neutral.**  Callers split RNG streams per item
    *before* dispatch (the package-wide determinism contract), and the
    attempt loop rewinds every generator the item carries (directly or in
@@ -34,9 +36,6 @@ Design invariants
    item that fails transiently — even part-way through, after drawing
    from its stream — and is retried produces bit-identical output to a
    run that never failed.
-4. **Timeouts are soft.**  A worker thread cannot be killed; an attempt
-   whose wall time exceeds ``timeout`` has its result discarded and is
-   treated as a failed attempt (:class:`~repro.exceptions.WorkerTimeoutError`).
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import BackendError, WorkerTimeoutError
+from repro.exceptions import BackendError
 from repro.utils.rng import as_rng
 
 __all__ = [
@@ -60,6 +59,15 @@ __all__ = [
 ]
 
 ON_ERROR_CHOICES = ("raise", "retry", "collect")
+
+#: The retry backoff schedule: attempt ``a >= 2`` waits
+#: ``BACKOFF_BASE * BACKOFF_FACTOR**(a - 2)`` seconds, capped at
+#: ``BACKOFF_MAX``, scaled by ``1 + BACKOFF_JITTER * u`` with
+#: ``u ~ Uniform[0, 1)`` drawn from ``(item index, attempt)``.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 5.0
+BACKOFF_JITTER = 0.1
 
 #: Marker attribute for *attempt-aware* callables: when a mapped function
 #: (or an injector wrapping one) sets this attribute truthy, the policy
@@ -86,33 +94,11 @@ class FailurePolicy:
         its slot in the results is ``None``.
     max_attempts:
         Total attempts per item (1 = no retry).  Must be 1 when
-        ``on_error="raise"``.
-    backoff_base:
-        Sleep before attempt 2, in seconds; attempt ``a`` waits
-        ``backoff_base * backoff_factor**(a - 2)``, capped at
-        ``backoff_max``.
-    backoff_factor / backoff_max:
-        Exponential growth factor and cap for the backoff schedule.
-    jitter:
-        Fraction of the delay added as deterministic seeded noise:
-        the delay is scaled by ``1 + jitter * u`` with
-        ``u ~ Uniform[0, 1)`` drawn from ``(seed, index, attempt)``.
-    seed:
-        Seed of the jitter stream (independent of all algorithm RNG).
-    timeout:
-        Per-item soft timeout in seconds (``None`` = unlimited); an
-        attempt exceeding it counts as failed with
-        :class:`~repro.exceptions.WorkerTimeoutError`.
+        ``on_error="raise"``.  Retries wait :func:`backoff_delay`.
     """
 
     on_error: str = "raise"
     max_attempts: int = 1
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 5.0
-    jitter: float = 0.1
-    seed: int = 0
-    timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.on_error not in ON_ERROR_CHOICES:
@@ -126,14 +112,6 @@ class FailurePolicy:
                 "on_error='raise' is fail-fast and cannot retry; use "
                 "on_error='retry' (or 'collect') with max_attempts > 1"
             )
-        if self.backoff_base < 0 or self.backoff_factor < 1 or self.backoff_max < 0:
-            raise BackendError(
-                "backoff parameters must satisfy base >= 0, factor >= 1, max >= 0"
-            )
-        if self.jitter < 0:
-            raise BackendError(f"jitter must be >= 0, got {self.jitter}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise BackendError(f"timeout must be positive, got {self.timeout}")
 
     @property
     def is_fail_fast(self) -> bool:
@@ -142,25 +120,20 @@ class FailurePolicy:
         Backends skip the policy wrapper entirely for such policies, so the
         default path stays zero-overhead (and bit-for-bit unchanged).
         """
-        return self.on_error == "raise" and self.max_attempts == 1 and self.timeout is None
-
-    def delay_before(self, index: int, attempt: int) -> float:
-        """Deterministic jittered backoff before ``attempt`` of item ``index``.
-
-        ``attempt`` is 1-based; the first attempt never waits.
-        """
-        return backoff_delay(self, index, attempt)
+        return self.on_error == "raise"
 
 
-def backoff_delay(policy: FailurePolicy, index: int, attempt: int) -> float:
-    """Pure function ``(policy, index, attempt) -> seconds`` (see FailurePolicy)."""
+def backoff_delay(index: int, attempt: int) -> float:
+    """Seconds to wait before ``attempt`` (1-based) of item ``index``.
+
+    A pure function of its two arguments (see the ``BACKOFF_*``
+    constants); the first attempt never waits.
+    """
     if attempt <= 1:
         return 0.0
-    base = min(policy.backoff_max, policy.backoff_base * policy.backoff_factor ** (attempt - 2))
-    if policy.jitter == 0.0 or base == 0.0:
-        return float(base)
-    rng = as_rng(np.random.SeedSequence([int(policy.seed), int(index), int(attempt)]))
-    return float(base * (1.0 + policy.jitter * rng.random()))
+    base = min(BACKOFF_MAX, BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 2))
+    rng = as_rng(np.random.SeedSequence([0, int(index), int(attempt)]))
+    return float(base * (1.0 + BACKOFF_JITTER * rng.random()))
 
 
 @dataclass(frozen=True)
@@ -218,11 +191,6 @@ class MapOutcome:
     @property
     def all_succeeded(self) -> bool:
         return not self.failures
-
-    def successful_values(self) -> List[Any]:
-        """The values of the items that succeeded, input order preserved."""
-        failed = {record.index for record in self.failures}
-        return [value for i, value in enumerate(self.values) if i not in failed]
 
 
 @dataclass(frozen=True)
@@ -282,29 +250,19 @@ class _PolicyCall:
 
     def __call__(self, indexed: Tuple[int, Any], shared: Any = _NO_SHARED) -> _ItemOutcome:
         index, item = indexed
-        policy = self.policy
         started = time.perf_counter()
         last_error: Optional[BaseException] = None
         rngs = _generators_in(item)
         initial_states = [rng.bit_generator.state for rng in rngs]
         attempt = 0
-        for attempt in range(1, policy.max_attempts + 1):
-            delay = policy.delay_before(index, attempt)
-            if delay > 0.0:
-                time.sleep(delay)
+        for attempt in range(1, self.policy.max_attempts + 1):
             if attempt > 1:
+                time.sleep(backoff_delay(index, attempt))
                 # A failed attempt may have drawn from the item's streams.
                 for rng, state in zip(rngs, initial_states):
                     rng.bit_generator.state = state
-            attempt_start = time.perf_counter()
             try:
                 value = self._invoke(item, shared, index, attempt)
-                attempt_elapsed = time.perf_counter() - attempt_start
-                if policy.timeout is not None and attempt_elapsed > policy.timeout:
-                    raise WorkerTimeoutError(
-                        f"item {index} attempt {attempt} took {attempt_elapsed:.3f}s, "
-                        f"over the {policy.timeout:.3f}s soft timeout"
-                    )
                 return _ItemOutcome(
                     index=index,
                     ok=True,
@@ -314,7 +272,7 @@ class _PolicyCall:
                 )
             except Exception as exc:  # noqa: BLE001 - policy layer must see every failure
                 last_error = exc
-        if policy.on_error == "collect":
+        if self.policy.on_error == "collect":
             return _ItemOutcome(
                 index=index,
                 ok=False,

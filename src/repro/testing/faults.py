@@ -4,16 +4,20 @@ Every retry / degradation path in the package is exercised by tests
 rather than trusted on faith; this module provides the machinery those
 tests (and downstream game-day rehearsals) drive:
 
-* :class:`FaultPlan` — a declarative description of which item crashes,
-  on which attempts, and which item runs slow.  Plans are plain frozen
-  data, picklable, and their behavior is a pure function of
-  ``(item index, attempt number)`` — no hidden state, so the same plan
-  produces the same faults on the serial, thread, and process backends.
-* :class:`InjectingBackend` — an execution backend wrapping any inner
-  backend and applying a plan's faults *underneath* the failure-policy
-  retry loop (crash on attempt 1, succeed on attempt 2).  Registered in
-  the backend registry as ``"injecting"`` so it is reachable through
-  every ``backend=`` knob in the package.
+* :class:`FaultPlan` — a declarative description of which item crashes
+  and on which attempts.  Plans are plain frozen data, picklable, and
+  their behavior is a pure function of ``(item index, attempt number)``
+  — no hidden state, so the same plan produces the same faults on the
+  serial, thread, and process backends.
+* :class:`InjectingBackend` — an execution backend wrapping one of the
+  three backends and applying a plan's faults *underneath* the
+  failure-policy retry loop (crash on attempt 1, succeed on attempt 2).
+  Built directly, never by name: a test substitutes it for a fan-out's
+  backend by patching
+  :meth:`repro.core.config.SparsifierConfig.execution_backend`, the one
+  call every fan-out uses to get its backend, e.g. with pytest's
+  ``monkeypatch.setattr(SparsifierConfig, "execution_backend",
+  lambda self: backend)``.
 * :class:`NaNPoisonedOperator` / :func:`nan_poisoned_preconditioner` —
   matvec/preconditioner wrappers that start emitting NaNs after a set
   number of applications, for driving the solver tier's non-finite
@@ -38,7 +42,6 @@ fault be transient rather than permanent.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence, Union
@@ -47,7 +50,7 @@ import numpy as np
 
 from repro.core.checkpoint import DurableIO
 from repro.exceptions import FaultInjectionError
-from repro.parallel.backends import ExecutionBackend, get_backend, register_backend
+from repro.parallel.backends import ExecutionBackend, get_backend
 from repro.parallel.failure import ATTEMPT_AWARE_ATTR, FailurePolicy, MapOutcome
 
 __all__ = [
@@ -60,7 +63,6 @@ __all__ = [
     "kill_point_sweep",
     "nan_poisoned_preconditioner",
     "cache_eviction_storm",
-    "set_default_fault_plan",
     "truncate_file_at",
 ]
 
@@ -91,11 +93,6 @@ class FaultPlan:
         so a plan with ``crash_attempts=1`` under ``max_attempts>=2``
         exercises exactly one retry.  Use a value ``>= max_attempts`` for
         a permanent failure.
-    slow_index:
-        Item index that sleeps ``delay`` seconds before running
-        (``None`` = nobody is slow); drives soft-timeout handling.
-    delay:
-        Sleep in seconds for ``slow_index``.
     message:
         Text of the injected exception (part of the deterministic
         failure identity tests compare across backends).
@@ -103,8 +100,6 @@ class FaultPlan:
 
     crash_index: Optional[int] = None
     crash_attempts: int = 1
-    slow_index: Optional[int] = None
-    delay: float = 0.0
     message: str = "injected worker crash"
 
     def wrap(self, func: Callable[..., Any]) -> "_FaultyCall":
@@ -130,8 +125,6 @@ class _FaultyCall:
 
     def __call__(self, *args: Any, index: int = 0, attempt: int = 1) -> Any:
         plan = self.plan
-        if plan.slow_index is not None and index == plan.slow_index and plan.delay > 0.0:
-            time.sleep(plan.delay)
         if plan.crash_index is not None and index == plan.crash_index and attempt <= plan.crash_attempts:
             raise FaultInjectionError(f"{plan.message} (item {index}, attempt {attempt})")
         if self.inner_attempt_aware:
@@ -139,34 +132,11 @@ class _FaultyCall:
         return self.func(*args)
 
 
-# Plan used by InjectingBackend instances constructed through the registry
-# (get_backend("injecting") cannot pass constructor arguments).
-_DEFAULT_PLAN = FaultPlan()
-_PLAN_LOCK = threading.Lock()
-
-
-def set_default_fault_plan(plan: FaultPlan) -> FaultPlan:
-    """Set the plan registry-constructed ``"injecting"`` backends use.
-
-    Returns the previous plan so tests can restore it::
-
-        previous = set_default_fault_plan(FaultPlan(crash_index=2))
-        try:
-            ...
-        finally:
-            set_default_fault_plan(previous)
-    """
-    global _DEFAULT_PLAN
-    with _PLAN_LOCK:
-        previous, _DEFAULT_PLAN = _DEFAULT_PLAN, plan
-    return previous
-
-
-@register_backend
 class InjectingBackend(ExecutionBackend):
     """Backend wrapper injecting a :class:`FaultPlan` under the retry loop.
 
-    Delegates actual execution to an ``inner`` backend (default serial),
+    Delegates actual execution to the ``inner`` backend (a name for
+    :func:`~repro.parallel.backends.get_backend`; default serial),
     wrapping the mapped function so the plan's faults fire inside the
     worker — *underneath* any :class:`~repro.parallel.failure.FailurePolicy`
     attempt loop, which is the point: a transient crash on attempt 1 is
@@ -184,12 +154,11 @@ class InjectingBackend(ExecutionBackend):
     def __init__(
         self,
         max_workers: Optional[int] = None,
-        inner: Any = "serial",
+        inner: str = "serial",
         plan: Optional[FaultPlan] = None,
     ) -> None:
         self.inner = get_backend(inner, max_workers)
-        with _PLAN_LOCK:
-            self.plan = plan if plan is not None else _DEFAULT_PLAN
+        self.plan = plan if plan is not None else FaultPlan()
         super().__init__(self.inner.max_workers)
 
     def _map(self, func: Callable[..., Any], items: Sequence[Any], shared: Any = None) -> List[Any]:

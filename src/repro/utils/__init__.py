@@ -5,12 +5,7 @@ subpackage can import them without creating cycles.
 """
 
 from repro.utils.rng import RandomState, as_rng, split_rng, spawn_rngs
-from repro.utils.validation import (
-    check_integer,
-    check_probability,
-    check_square,
-    require,
-)
+from repro.utils.validation import check_integer, check_probability
 
 __all__ = [
     "RandomState",
@@ -19,6 +14,4 @@ __all__ = [
     "spawn_rngs",
     "check_integer",
     "check_probability",
-    "check_square",
-    "require",
 ]

@@ -13,12 +13,6 @@ from typing import Any, Optional
 import numpy as np
 
 
-def require(condition: bool, message: str, exc_type: type = ValueError) -> None:
-    """Raise ``exc_type(message)`` unless ``condition`` holds."""
-    if not condition:
-        raise exc_type(message)
-
-
 def check_integer(value: Any, name: str, minimum: Optional[int] = None) -> int:
     """Validate that ``value`` is an integer (optionally ``>= minimum``)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -35,13 +29,6 @@ def check_probability(value: Any, name: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
     return value
-
-
-def check_square(matrix: Any, name: str = "matrix") -> None:
-    """Validate that ``matrix`` is 2-D and square."""
-    shape = matrix.shape
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"{name} must be square, got shape {shape}")
 
 
 def check_epsilon(epsilon: Any, name: str = "epsilon") -> float:

@@ -117,8 +117,8 @@ class TestMethodTable:
         ]
         batch = Engine(
             SparsifyRequest(
-                method=method, seed=21, config=config, backend="thread",
-                max_workers=2, options=options,
+                method=method, seed=21, config=config.with_overrides(backend="thread", max_workers=2),
+                options=options,
             )
         ).run_many(graphs)
         runner = get_method(method).runner
@@ -228,8 +228,8 @@ class TestRunMany:
         config = SparsifierConfig(bundle_t=2)
         engine = Engine(
             SparsifyRequest(
-                method="koutis", epsilon=0.5, seed=21, config=config,
-                backend=backend, max_workers=workers,
+                method="koutis", epsilon=0.5, seed=21,
+                config=config.with_overrides(backend=backend, max_workers=workers),
             )
         )
         batch = engine.run_many(graphs)
@@ -243,7 +243,9 @@ class TestRunMany:
     def test_backend_metadata_and_iteration(self):
         graphs = self._graphs()
         engine = Engine(
-            SparsifyRequest(method="uniform", seed=2, backend="thread", max_workers=2)
+            SparsifyRequest(
+                method="uniform", seed=2, config=SparsifierConfig(backend="thread", max_workers=2)
+            )
         )
         batch = engine.run_many(graphs)
         assert batch.backend_name == "thread"

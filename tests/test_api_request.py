@@ -38,12 +38,6 @@ class TestValidation:
         with pytest.raises(RequestError):
             SparsifyRequest(config={"epsilon": 0.5})
 
-    def test_rejects_bad_workers_and_shards(self):
-        with pytest.raises(RequestError):
-            SparsifyRequest(max_workers=0)
-        with pytest.raises(RequestError):
-            SparsifyRequest(num_shards=0)
-
     def test_rejects_non_integer_seed(self):
         with pytest.raises(RequestError):
             SparsifyRequest(seed="entropy")
@@ -66,31 +60,13 @@ class TestValidation:
         assert request.options == {"probability": 0.5}
 
     def test_unknown_method_allowed_at_construction(self):
-        # Mirrors SparsifierConfig.backend: existence is checked when the
-        # engine resolves the request, so requests can predate registration.
+        # Existence is checked when the engine resolves the request, so
+        # building a request never imports the method runners.
         request = SparsifyRequest(method="not-yet-registered")
         assert request.method == "not-yet-registered"
 
 
-class TestResolvedConfig:
-    def test_default_config(self):
-        assert SparsifyRequest().resolved_config() == SparsifierConfig()
-
-    def test_execution_overrides_apply(self):
-        request = SparsifyRequest(backend="thread", max_workers=3, num_shards=4)
-        config = request.resolved_config()
-        assert config.backend == "thread"
-        assert config.max_workers == 3
-        assert config.num_shards == 4
-
-    def test_config_fields_survive_overrides(self):
-        base = SparsifierConfig(bundle_t=2, mode="practical", num_shards=2)
-        request = SparsifyRequest(config=base, backend="thread")
-        config = request.resolved_config()
-        assert config.bundle_t == 2
-        assert config.backend == "thread"
-        assert config.num_shards == 2  # not overridden: request.num_shards is None
-
+class TestWithOverrides:
     def test_with_overrides(self):
         request = SparsifyRequest(seed=1).with_overrides(seed=2, method="uniform")
         assert request.seed == 2
@@ -107,10 +83,7 @@ class TestRoundTrip:
             method="koutis-distributed",
             epsilon=0.25,
             rho=8.0,
-            config=SparsifierConfig(bundle_t=3, num_shards=2, backend="thread"),
-            backend="serial",
-            max_workers=2,
-            num_shards=4,
+            config=SparsifierConfig(bundle_t=3, num_shards=2, backend="thread", max_workers=2),
             seed=123,
             certify=True,
             options={"stop_on_degenerate": False},
@@ -132,6 +105,10 @@ class TestRoundTrip:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(RequestError, match="sharls"):
             SparsifyRequest.from_dict({"method": "koutis", "sharls": 4})
+        # Execution settings live under "config" alone.
+        for key, value in [("backend", "thread"), ("max_workers", 2), ("num_shards", 2)]:
+            with pytest.raises(RequestError, match=f"unknown SparsifyRequest key.*{key}"):
+                SparsifyRequest.from_dict({key: value})
 
     def test_from_dict_rejects_bad_config_payload(self):
         with pytest.raises(RequestError):

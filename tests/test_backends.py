@@ -1,15 +1,22 @@
-"""Tests for the pluggable execution-backend layer (repro.parallel.backends)."""
+"""Tests for the execution-backend layer (repro.parallel.backends)."""
 
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+from repro.api import Engine, SparsifyRequest
 from repro.core.config import SparsifierConfig
-from repro.core.distributed_sparsify import distributed_parallel_sparsify
+from repro.core.distributed_sparsify import distributed_parallel_sample, distributed_parallel_sparsify
+from repro.core.sample import parallel_sample
 from repro.core.sparsify import parallel_sparsify
-from repro.exceptions import BackendError
+from repro.exceptions import BackendError, SparsificationError
 from repro.graphs import generators as gen
 from repro.parallel.backends import (
     ProcessBackend,
@@ -17,9 +24,8 @@ from repro.parallel.backends import (
     ThreadBackend,
     available_backends,
     get_backend,
-    register_backend,
-    set_default_backend,
 )
+from repro.streaming import StreamingSparsifier
 
 
 def _square(x):
@@ -42,7 +48,7 @@ ALL_BACKENDS = ["serial", "thread", "process"]
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"serial", "thread", "process"} <= set(available_backends())
+        assert available_backends() == ("process", "serial", "thread")
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_get_backend_by_name(self, name):
@@ -60,17 +66,6 @@ class TestRegistry:
             get_backend(None, max_workers=8)
         # Explicitly naming 'serial' is a deliberate choice and stays OK.
         assert get_backend("serial", max_workers=8).name == "serial"
-        previous = set_default_backend("thread", max_workers=2)
-        try:
-            assert get_backend(None, max_workers=8).max_workers == 8
-        finally:
-            set_default_backend(previous)
-
-    def test_get_backend_passthrough_instance(self):
-        backend = ThreadBackend(max_workers=3)
-        assert get_backend(backend) is backend
-        rebuilt = get_backend(backend, max_workers=5)
-        assert isinstance(rebuilt, ThreadBackend) and rebuilt.max_workers == 5
 
     def test_unknown_name_raises(self):
         with pytest.raises(BackendError):
@@ -83,32 +78,6 @@ class TestRegistry:
     def test_invalid_max_workers(self):
         with pytest.raises(BackendError):
             ThreadBackend(max_workers=0)
-
-    def test_set_default_backend_round_trip(self):
-        previous = set_default_backend("thread", max_workers=2)
-        try:
-            assert get_backend().name == "thread"
-            assert get_backend().max_workers == 2
-        finally:
-            set_default_backend(previous)
-        assert get_backend().name == "serial"
-
-    def test_register_backend_rejects_non_backend(self):
-        with pytest.raises(BackendError):
-            register_backend(int)
-
-    def test_register_custom_backend(self):
-        @register_backend
-        class _EchoBackend(SerialBackend):
-            name = "echo-test"
-
-        try:
-            assert "echo-test" in available_backends()
-            assert get_backend("echo-test").map(_square, [3]) == [9]
-        finally:
-            from repro.parallel import backends as backends_module
-
-            backends_module._BACKEND_CLASSES.pop("echo-test", None)
 
 
 class TestMapSemantics:
@@ -207,12 +176,11 @@ class TestBackendDeterminism:
 
     def test_worker_count_does_not_change_batch_output(self):
         graphs = [gen.erdos_renyi_graph(40, 0.2, seed=i, ensure_connected=True) for i in range(4)]
-        from repro.api import Engine, SparsifyRequest
 
         def run(workers):
             request = SparsifyRequest(
-                method="koutis", epsilon=0.5, rho=4, seed=3, backend="thread",
-                max_workers=workers,
+                method="koutis", epsilon=0.5, rho=4, seed=3,
+                config=SparsifierConfig(backend="thread", max_workers=workers),
             )
             return Engine(request).run_many(graphs)
 
@@ -259,11 +227,76 @@ class TestShardedPipelines:
         assert _edge_tuple(a.sparsifier) != _edge_tuple(b.sparsifier)
 
     def test_config_validates_execution_fields(self):
-        from repro.exceptions import SparsificationError
-
         with pytest.raises(SparsificationError):
             SparsifierConfig(num_shards=0)
         with pytest.raises(SparsificationError):
             SparsifierConfig(max_workers=0)
-        with pytest.raises(BackendError):
-            SparsifierConfig(backend="warp-drive").execution_backend()
+        with pytest.raises(SparsificationError, match="warp-drive"):
+            SparsifierConfig(backend="warp-drive")
+
+
+class _CountingBackend(SerialBackend):
+    """Serial backend counting the fan-outs routed through it."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def map(self, *args, **kwargs):
+        self.calls += 1
+        return super().map(*args, **kwargs)
+
+    def map_outcomes(self, *args, **kwargs):
+        self.calls += 1
+        return super().map_outcomes(*args, **kwargs)
+
+
+def _stream_with_a_compaction():
+    graph = gen.banded_graph(60, 6)
+    stream = StreamingSparsifier(graph.num_vertices, compaction_interval=100, seed=1)
+    record = stream.ingest(np.column_stack([graph.edge_u, graph.edge_v]), graph.edge_weights)
+    assert record.compactions_run >= 1
+
+
+SHARDED_2 = SparsifierConfig(bundle_t=2, num_shards=2)
+FAN_OUTS = {
+    "parallel_sample": lambda: parallel_sample(DENSE, config=SHARDED_2, seed=1),
+    "distributed_parallel_sample": lambda: distributed_parallel_sample(DENSE, config=SHARDED_2, seed=1),
+    "stream-compaction": _stream_with_a_compaction,
+    "run_many": lambda: Engine(SparsifyRequest(method="koutis", seed=1)).run_many([DENSE, DENSE]),
+}
+
+
+class TestBackendSeam:
+    """Every fan-out gets its backend from ``SparsifierConfig.execution_backend``."""
+
+    @pytest.mark.parametrize("fan_out", list(FAN_OUTS))
+    def test_fan_out_runs_on_the_config_backend(self, fan_out, monkeypatch):
+        backend = _CountingBackend()
+        monkeypatch.setattr(SparsifierConfig, "execution_backend", lambda config: backend)
+        FAN_OUTS[fan_out]()
+        assert backend.calls >= 1
+
+    def test_injecting_is_not_a_backend_name(self):
+        # In a fresh interpreter, so "before the import" really is before it.
+        script = (
+            "import sys\n"
+            "import pytest\n"
+            "from repro.core.config import SparsifierConfig\n"
+            "from repro.exceptions import SparsificationError\n"
+            "from repro.parallel import available_backends\n"
+            "def check():\n"
+            "    with pytest.raises(SparsificationError, match='injecting'):\n"
+            "        SparsifierConfig(backend='injecting')\n"
+            "    assert available_backends() == ('process', 'serial', 'thread')\n"
+            "assert 'repro.testing.faults' not in sys.modules\n"
+            "check()\n"
+            "import repro.testing.faults\n"
+            "check()\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr

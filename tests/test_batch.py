@@ -25,11 +25,9 @@ def _edge_tuple(graph):
     return (g.edge_u.tolist(), g.edge_v.tolist(), g.edge_weights.tolist())
 
 
-def sparsify_batch(graphs, *, epsilon=0.5, rho=4, seed=None, config=None,
-                   backend=None, max_workers=None, checkpoint=None):
+def sparsify_batch(graphs, *, epsilon=0.5, rho=4, seed=None, config=None, checkpoint=None):
     request = SparsifyRequest(
         method="koutis", epsilon=epsilon, rho=rho, seed=seed, config=config,
-        backend=backend, max_workers=max_workers,
     )
     return Engine(request).run_many(graphs, checkpoint=checkpoint)
 
@@ -60,8 +58,10 @@ class TestSparsifyMany:
 
     @pytest.mark.parametrize("backend,workers", [("thread", 4), ("process", 2)])
     def test_backends_match_serial(self, graph_batch, backend, workers):
-        serial = sparsify_batch(graph_batch, seed=7, backend="serial")
-        other = sparsify_batch(graph_batch, seed=7, backend=backend, max_workers=workers)
+        serial = sparsify_batch(graph_batch, seed=7, config=SparsifierConfig(backend="serial"))
+        other = sparsify_batch(
+            graph_batch, seed=7, config=SparsifierConfig(backend=backend, max_workers=workers)
+        )
         assert other.backend_name == backend
         for a, b in zip(serial.results, other.results):
             assert _edge_tuple(a.sparsifier) == _edge_tuple(b.sparsifier)
@@ -75,9 +75,8 @@ class TestSparsifyMany:
     ):
         expected = _solo_edges(graph_batch, seed=5)
         journal = tmp_path / "batch.jsonl" if checkpoint else None
-        batch = sparsify_batch(
-            graph_batch, seed=5, backend=backend, max_workers=workers, checkpoint=journal
-        )
+        config = SparsifierConfig(backend=backend, max_workers=workers)
+        batch = sparsify_batch(graph_batch, seed=5, config=config, checkpoint=journal)
         assert batch.resumed_jobs == 0
         assert [_edge_tuple(r.sparsifier) for r in batch.results] == expected
         if not checkpoint:
@@ -87,9 +86,7 @@ class TestSparsifyMany:
         lines = journal.read_text().splitlines()
         journal.write_text("\n".join(lines[:2]) + "\n")
         for resumed_jobs in (1, len(graph_batch)):
-            resumed = sparsify_batch(
-                graph_batch, seed=5, backend=backend, max_workers=workers, checkpoint=journal
-            )
+            resumed = sparsify_batch(graph_batch, seed=5, config=config, checkpoint=journal)
             assert resumed.resumed_jobs == resumed_jobs
             assert [_edge_tuple(r.sparsifier) for r in resumed.results] == expected
 

@@ -347,7 +347,7 @@ class TestCompareCommand:
         in_path, _ = edge_list_file
         request_path = tmp_path / "req.json"
         request_path.write_text(json.dumps({
-            "num_shards": 4, "seed": 6, "config": {"bundle_t": 2},
+            "seed": 6, "config": {"bundle_t": 2, "num_shards": 4},
         }))
         out_path = tmp_path / "sharded.txt"
         assert main(["sparsify", str(in_path), str(out_path),
@@ -406,3 +406,13 @@ class TestSpannerCommand:
         bundle = read_edge_list(out_path)
         assert bundle.num_edges <= graph.num_edges
         assert "bundle" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("t", [0, -4])
+    def test_rejects_bundle_size_below_one(self, edge_list_file, tmp_path, t):
+        from repro.exceptions import ReproError
+
+        in_path, _ = edge_list_file
+        out_path = tmp_path / "spanner.txt"
+        with pytest.raises(ReproError, match="--t"):
+            main(["spanner", str(in_path), str(out_path), "--t", str(t)])
+        assert not out_path.exists()

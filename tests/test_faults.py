@@ -26,7 +26,7 @@ from repro.core.config import SparsifierConfig
 from repro.core.sparsify import parallel_sparsify
 from repro.exceptions import FaultInjectionError
 from repro.graphs import generators
-from repro.parallel.backends import available_backends, get_backend, set_default_backend
+from repro.parallel.backends import ExecutionBackend
 from repro.parallel.failure import FailurePolicy
 from repro.resistance import solver_select
 from repro.resistance.solver_select import ResistanceSolveStats
@@ -36,12 +36,10 @@ from repro.testing.faults import (
     InjectingBackend,
     cache_eviction_storm,
     nan_poisoned_preconditioner,
-    set_default_fault_plan,
 )
 
 pytestmark = pytest.mark.faults
 
-FAST_RETRY = dict(backoff_base=0.0, jitter=0.0)
 PARITY_BACKENDS = ["serial", "thread", "process"]
 
 
@@ -64,35 +62,21 @@ def _edges(result):
 def _run_many(graphs, backend=None, **kwargs):
     """``Engine.run_many`` of ``koutis`` at epsilon 0.5 and seed 7.
 
-    A request names its backend by string, so a backend *instance* (an
-    :class:`InjectingBackend` with its own plan) is installed as the
-    process-wide default for the duration of the call.
+    A config names its backend by string, so a backend *instance* (an
+    :class:`InjectingBackend` with its own plan) is substituted through
+    ``SparsifierConfig.execution_backend`` for the duration of the call.
     """
-    if backend is not None and not isinstance(backend, str):
-        previous = set_default_backend(backend)
-        try:
+    if isinstance(backend, ExecutionBackend):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SparsifierConfig, "execution_backend", lambda config: backend)
             return _run_many(graphs, **kwargs)
-        finally:
-            set_default_backend(previous)
-    request = SparsifyRequest(method="koutis", epsilon=0.5, seed=7, backend=backend)
+    request = SparsifyRequest(
+        method="koutis", epsilon=0.5, seed=7, config=SparsifierConfig(backend=backend)
+    )
     return Engine(request).run_many(graphs, **kwargs)
 
 
 class TestInjectingBackend:
-    def test_registered_in_backend_registry(self):
-        assert "injecting" in available_backends()
-
-    def test_registry_construction_uses_default_plan(self):
-        plan = FaultPlan(crash_index=0, crash_attempts=99, message="default-plan crash")
-        previous = set_default_fault_plan(plan)
-        try:
-            backend = get_backend("injecting")
-            assert backend.plan is plan
-            with pytest.raises(FaultInjectionError, match="default-plan crash"):
-                backend.map(_double, [1, 2, 3])
-        finally:
-            set_default_fault_plan(previous)
-
     def test_plain_map_without_policy_fails_fast(self):
         backend = InjectingBackend(plan=FaultPlan(crash_index=1, crash_attempts=99))
         with pytest.raises(FaultInjectionError, match="item 1"):
@@ -100,7 +84,7 @@ class TestInjectingBackend:
 
     def test_transient_crash_recovered_under_retry(self):
         backend = InjectingBackend(plan=FaultPlan(crash_index=2, crash_attempts=1))
-        policy = FailurePolicy(on_error="retry", max_attempts=2, **FAST_RETRY)
+        policy = FailurePolicy(on_error="retry", max_attempts=2)
         outcome = backend.map_outcomes(_double, [0, 1, 2, 3], policy=policy)
         assert outcome.values == [0, 2, 4, 6]
         assert outcome.attempts == [1, 1, 2, 1]
@@ -108,21 +92,12 @@ class TestInjectingBackend:
 
     def test_permanent_crash_collected(self):
         backend = InjectingBackend(plan=FaultPlan(crash_index=1, crash_attempts=99))
-        policy = FailurePolicy(on_error="collect", max_attempts=2, **FAST_RETRY)
+        policy = FailurePolicy(on_error="collect", max_attempts=2)
         outcome = backend.map_outcomes(_double, [0, 1, 2], policy=policy)
         assert outcome.values == [0, None, 4]
         assert outcome.failures[0].describe() == (
             1, "FaultInjectionError", "injected worker crash (item 1, attempt 2)", 2,
         )
-
-    def test_slow_item_trips_soft_timeout(self):
-        backend = InjectingBackend(plan=FaultPlan(slow_index=1, delay=0.05))
-        policy = FailurePolicy(
-            on_error="collect", max_attempts=1, timeout=0.005, **FAST_RETRY
-        )
-        outcome = backend.map_outcomes(_double, [0, 1, 2], policy=policy)
-        assert outcome.values == [0, None, 4]
-        assert outcome.failures[0].error_type == "WorkerTimeoutError"
 
 
 class TestBackendFailFastParity:
@@ -139,7 +114,7 @@ class TestBackendFailFastParity:
 
     def test_collect_failure_identity_is_backend_independent(self):
         plan = FaultPlan(crash_index=3, crash_attempts=99, message="parity crash")
-        policy = FailurePolicy(on_error="collect", max_attempts=2, **FAST_RETRY)
+        policy = FailurePolicy(on_error="collect", max_attempts=2)
         described = {}
         values = {}
         for inner in PARITY_BACKENDS:
@@ -155,7 +130,7 @@ class TestBackendFailFastParity:
 
     def test_retry_values_are_backend_independent(self):
         plan = FaultPlan(crash_index=1, crash_attempts=1)
-        policy = FailurePolicy(on_error="retry", max_attempts=3, **FAST_RETRY)
+        policy = FailurePolicy(on_error="retry", max_attempts=3)
         results = {
             inner: InjectingBackend(inner=inner, plan=plan).map_outcomes(
                 _double, list(range(5)), policy=policy
@@ -177,7 +152,7 @@ class TestBatchRecovery:
         backend = InjectingBackend(
             inner="process", plan=FaultPlan(crash_index=1, crash_attempts=1)
         )
-        policy = FailurePolicy(on_error="retry", max_attempts=3, **FAST_RETRY)
+        policy = FailurePolicy(on_error="retry", max_attempts=3)
         recovered = _run_many(graphs, backend=backend, failure_policy=policy)
 
         assert recovered.all_succeeded
@@ -198,11 +173,13 @@ class TestBatchRecovery:
         backend = InjectingBackend(
             inner="serial", plan=FaultPlan(crash_index=2, crash_attempts=99)
         )
-        policy = FailurePolicy(on_error="collect", max_attempts=2, **FAST_RETRY)
+        policy = FailurePolicy(on_error="collect", max_attempts=2)
         batch = _run_many(graphs, backend=backend, failure_policy=policy)
         assert batch.num_failed == 1
         assert batch.results[2] is None
         assert [r is not None for r in batch.results] == [True, True, False, True]
+        assert batch.backend_name == "injecting"
+        assert batch.attempts == [1, 1, 2, 1]
         record = batch.failures[0]
         assert record.index == 2
         assert record.error_type == "FaultInjectionError"
@@ -232,25 +209,6 @@ class TestBatchRecovery:
         for expected, actual in zip(baseline.results, second.results):
             assert _edges(expected) == _edges(actual)
 
-    def test_engine_run_many_collects_injected_failures(self):
-        graphs = _batch_graphs(3)
-        plan = FaultPlan(crash_index=0, crash_attempts=99)
-        previous = set_default_fault_plan(plan)
-        try:
-            request = SparsifyRequest(
-                method="koutis", epsilon=0.5, seed=7, backend="injecting"
-            )
-            policy = FailurePolicy(on_error="collect", max_attempts=2, **FAST_RETRY)
-            batch = Engine(request).run_many(graphs, failure_policy=policy)
-        finally:
-            set_default_fault_plan(previous)
-        assert batch.num_failed == 1
-        assert batch.results[0] is None
-        assert batch.failures[0].index == 0
-        assert batch.attempts is not None and batch.attempts[0] == 2
-        assert all(r is not None for r in batch.results[1:])
-
-
     @pytest.mark.parametrize(
         "execution",
         [{"backend": "serial"}, {"backend": "thread", "max_workers": 2}],
@@ -264,12 +222,12 @@ class TestBatchRecovery:
             for s in range(3)
         ]
         request = SparsifyRequest(
-            method="koutis", rho=4, seed=7, config=SparsifierConfig(bundle_t=2), **execution
+            method="koutis", rho=4, seed=7, config=SparsifierConfig(bundle_t=2, **execution)
         )
         baseline = Engine(request).run_many(graphs)
 
         fired = fail_once_part_way(sparsify_module, "parallel_sample")
-        policy = FailurePolicy(on_error="retry", max_attempts=3, **FAST_RETRY)
+        policy = FailurePolicy(on_error="retry", max_attempts=3)
         recovered = Engine(request).run_many(graphs, failure_policy=policy)
 
         assert fired

@@ -29,7 +29,7 @@ from repro.graphs import generators
 from repro.graphs.graph import Graph
 from repro.linalg.cg import SolveStatus, laplacian_solve_many
 from repro.parallel.backends import get_backend
-from repro.parallel.failure import FailurePolicy, FailureRecord, backoff_delay
+from repro.parallel.failure import BACKOFF_JITTER, BACKOFF_MAX, FailurePolicy, FailureRecord, backoff_delay
 from repro.spanners import distributed_spanner
 from repro.testing.faults import NaNPoisonedOperator
 
@@ -52,16 +52,6 @@ def _flaky(x, index=0, attempt=1):
 _flaky.__repro_attempt_aware__ = True
 
 
-def _slow(x):
-    import time
-
-    time.sleep(0.05)
-    return x
-
-
-FAST_RETRY = dict(backoff_base=0.0, jitter=0.0)
-
-
 class TestFailurePolicyValidation:
     def test_default_is_fail_fast(self):
         policy = FailurePolicy()
@@ -69,9 +59,6 @@ class TestFailurePolicyValidation:
 
     def test_retry_policy_is_not_fail_fast(self):
         assert not FailurePolicy(on_error="retry", max_attempts=2).is_fail_fast
-
-    def test_timeout_disables_fail_fast_shortcut(self):
-        assert not FailurePolicy(on_error="raise", timeout=1.0).is_fail_fast
 
     def test_unknown_on_error_rejected(self):
         with pytest.raises(BackendError, match="on_error"):
@@ -85,61 +72,31 @@ class TestFailurePolicyValidation:
         with pytest.raises(BackendError, match="fail-fast"):
             FailurePolicy(on_error="raise", max_attempts=3)
 
-    def test_bad_backoff_rejected(self):
-        with pytest.raises(BackendError, match="backoff"):
-            FailurePolicy(on_error="retry", max_attempts=2, backoff_factor=0.5)
-
-    def test_negative_jitter_rejected(self):
-        with pytest.raises(BackendError, match="jitter"):
-            FailurePolicy(on_error="retry", max_attempts=2, jitter=-0.1)
-
-    def test_nonpositive_timeout_rejected(self):
-        with pytest.raises(BackendError, match="timeout"):
-            FailurePolicy(timeout=0.0)
-
 
 class TestBackoffDeterminism:
     def test_first_attempt_never_waits(self):
-        policy = FailurePolicy(on_error="retry", max_attempts=5)
-        assert backoff_delay(policy, index=3, attempt=1) == 0.0
+        assert backoff_delay(index=3, attempt=1) == 0.0
 
     def test_same_inputs_same_delay(self):
-        policy = FailurePolicy(on_error="retry", max_attempts=5, seed=11)
-        delays = [backoff_delay(policy, index=2, attempt=3) for _ in range(4)]
+        delays = [backoff_delay(index=2, attempt=3) for _ in range(4)]
         assert len(set(delays)) == 1
 
-    def test_zero_jitter_is_exact_exponential(self):
-        policy = FailurePolicy(
-            on_error="retry", max_attempts=6,
-            backoff_base=0.1, backoff_factor=2.0, backoff_max=100.0, jitter=0.0,
-        )
-        assert backoff_delay(policy, 0, 2) == pytest.approx(0.1)
-        assert backoff_delay(policy, 0, 3) == pytest.approx(0.2)
-        assert backoff_delay(policy, 0, 4) == pytest.approx(0.4)
+    def test_exponential_base_capped_with_bounded_jitter(self):
+        # Bases 0.05 s, 0.1 s, 0.2 s, ... doubling up to the 5 s cap; the
+        # jitter adds at most 10%.
+        bases = {2: 0.05, 3: 0.1, 4: 0.2, 8: 3.2, 9: BACKOFF_MAX, 30: BACKOFF_MAX}
+        for attempt, base in bases.items():
+            delay = backoff_delay(index=0, attempt=attempt)
+            assert base <= delay <= base * (1.0 + BACKOFF_JITTER)
 
-    def test_backoff_cap_applies(self):
-        policy = FailurePolicy(
-            on_error="retry", max_attempts=20,
-            backoff_base=1.0, backoff_factor=10.0, backoff_max=2.5, jitter=0.0,
-        )
-        assert backoff_delay(policy, 0, 10) == pytest.approx(2.5)
-
-    def test_jitter_bounded_and_index_dependent(self):
-        policy = FailurePolicy(
-            on_error="retry", max_attempts=5,
-            backoff_base=0.1, backoff_factor=1.0, jitter=0.5, seed=0,
-        )
-        d1 = backoff_delay(policy, index=1, attempt=2)
-        d2 = backoff_delay(policy, index=2, attempt=2)
-        for d in (d1, d2):
-            assert 0.1 <= d <= 0.1 * 1.5
-        assert d1 != d2
+    def test_delays_depend_on_the_item_index(self):
+        assert backoff_delay(index=1, attempt=2) != backoff_delay(index=2, attempt=2)
 
 
 class TestMapOutcomes:
     def test_retry_recovers_transient_failures(self):
         backend = get_backend("serial")
-        policy = FailurePolicy(on_error="retry", max_attempts=2, **FAST_RETRY)
+        policy = FailurePolicy(on_error="retry", max_attempts=2)
         outcome = backend.map_outcomes(_flaky, [0, 1, 2], policy=policy)
         assert outcome.values == [0, 10, 20]
         assert outcome.attempts == [2, 2, 2]
@@ -147,13 +104,13 @@ class TestMapOutcomes:
 
     def test_retry_exhausted_raises_last_error(self):
         backend = get_backend("serial")
-        policy = FailurePolicy(on_error="retry", max_attempts=2, **FAST_RETRY)
+        policy = FailurePolicy(on_error="retry", max_attempts=2)
         with pytest.raises(ValueError, match="permanent failure"):
             backend.map_outcomes(_always_boom, [0, 1], policy=policy)
 
     def test_collect_records_failures_and_continues(self):
         backend = get_backend("serial")
-        policy = FailurePolicy(on_error="collect", max_attempts=2, **FAST_RETRY)
+        policy = FailurePolicy(on_error="collect", max_attempts=2)
         outcome = backend.map_outcomes(_always_boom, [7, 8], policy=policy)
         assert outcome.values == [None, None]
         assert outcome.num_failed == 2
@@ -174,18 +131,6 @@ class TestMapOutcomes:
         )
         assert outcome.values == [0, None, 4]
         assert [r.index for r in outcome.failures] == [1]
-        assert outcome.successful_values() == [0, 4]
-
-    def test_soft_timeout_counts_as_failure(self):
-        backend = get_backend("serial")
-        policy = FailurePolicy(
-            on_error="collect", max_attempts=1, timeout=0.005, **FAST_RETRY
-        )
-        outcome = backend.map_outcomes(_slow, [0], policy=policy)
-        # The sleep is 10x the soft timeout: the attempt must be discarded.
-        assert outcome.values == [None]
-        assert outcome.num_failed == 1
-        assert outcome.failures[0].error_type == "WorkerTimeoutError"
 
     def test_map_with_policy_returns_values_only(self):
         backend = get_backend("serial")
@@ -275,9 +220,9 @@ class TestCheckpointJournal:
             {"epsilon": 0.25},
             {"rho": 8.0},
             {"options": {"coalesce_between_rounds": False}},
-            {"num_shards": 2},
+            {"config": SparsifierConfig(num_shards=2)},
         ],
-        ids=["seed", "config", "epsilon", "rho", "option", "request-shards"],
+        ids=["seed", "config", "epsilon", "rho", "option", "config-shards"],
     )
     def test_resume_under_another_request_is_refused(self, graphs, tmp_path, change):
         journal = tmp_path / "batch.jsonl"
@@ -298,11 +243,10 @@ class TestCheckpointJournal:
     @pytest.mark.parametrize(
         "execution",
         [
-            {"backend": "thread", "max_workers": 2},
             {"config": SparsifierConfig(backend="thread", max_workers=3)},
-            {"backend": "process", "max_workers": 2},
+            {"config": SparsifierConfig(backend="process", max_workers=2)},
         ],
-        ids=["request-thread", "config-thread", "request-process"],
+        ids=["config-thread", "config-process"],
     )
     def test_backend_and_workers_are_not_pinned(self, graphs, tmp_path, execution):
         journal = tmp_path / "batch.jsonl"
@@ -489,7 +433,7 @@ class TestValidationHardening:
 class TestDistributedPolicyRouting:
     def test_sharded_fanout_rejects_collect(self, small_er_graph):
         config = SparsifierConfig(num_shards=2)
-        policy = FailurePolicy(on_error="collect", max_attempts=2, **FAST_RETRY)
+        policy = FailurePolicy(on_error="collect", max_attempts=2)
         with pytest.raises(BackendError, match="collect"):
             distributed_parallel_sample(
                 small_er_graph, epsilon=0.5, config=config, seed=3,
@@ -498,7 +442,7 @@ class TestDistributedPolicyRouting:
 
     def test_sharded_fanout_accepts_retry(self, small_er_graph):
         config = SparsifierConfig(num_shards=2)
-        policy = FailurePolicy(on_error="retry", max_attempts=2, **FAST_RETRY)
+        policy = FailurePolicy(on_error="retry", max_attempts=2)
         baseline = distributed_parallel_sample(
             small_er_graph, epsilon=0.5, config=config, seed=3
         )
@@ -524,7 +468,7 @@ class TestDistributedPolicyRouting:
         baseline = distributed_parallel_sample(graph, config=config, seed=3)
 
         fired = fail_once_part_way(distributed_spanner, "distributed_baswana_sen_spanner")
-        policy = FailurePolicy(on_error="retry", max_attempts=3, **FAST_RETRY)
+        policy = FailurePolicy(on_error="retry", max_attempts=3)
         recovered = distributed_parallel_sample(
             graph, config=config, seed=3, failure_policy=policy
         )

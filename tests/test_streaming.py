@@ -41,9 +41,7 @@ from repro.utils.rng import as_rng
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-FAST_RETRY = FailurePolicy(
-    on_error="retry", max_attempts=3, backoff_base=0.0, jitter=0.0
-)
+RETRY = FailurePolicy(on_error="retry", max_attempts=3)
 
 
 @pytest.fixture(scope="module")
@@ -514,7 +512,7 @@ class TestResilience:
             stream_graph, batch_size=300, t=1, k=2, seed=5, compaction_interval=400
         ).snapshot()
         faulted = self.run_fault_stream(
-            stream_graph, monkeypatch, FAST_RETRY,
+            stream_graph, monkeypatch, RETRY,
             FaultPlan(crash_index=0, crash_attempts=1),
         ).snapshot()
         assert np.array_equal(clean.graph.edge_u, faulted.graph.edge_u)
@@ -531,7 +529,7 @@ class TestResilience:
     def test_permanent_fault_exhausts_retries(self, stream_graph, monkeypatch):
         with pytest.raises(FaultInjectionError):
             self.run_fault_stream(
-                stream_graph, monkeypatch, FAST_RETRY,
+                stream_graph, monkeypatch, RETRY,
                 FaultPlan(crash_index=0, crash_attempts=99),
             )
 
@@ -653,3 +651,27 @@ class TestStreamCLI:
             main(["stream", str(batches), str(tmp_path / "out.txt"), "--n", "5"])
         with pytest.raises(ReproError, match="--store"):
             main(["stream", str(tmp_path / "out.txt"), "--resume"])
+
+    def test_resume_refuses_the_flags_the_store_pins(self, stream_graph, tmp_path, capsys):
+        from repro.cli import main
+        from repro.exceptions import ReproError
+
+        batches = tmp_path / "batches.jsonl"
+        self.write_batches(stream_graph, batches, 400)
+        store = ["--store", str(tmp_path / "store")]
+        n = ["--n", str(stream_graph.num_vertices)]
+        assert main(["stream", str(batches), str(tmp_path / "out.txt"), *n, *store]) == 0
+        resume = ["stream", str(tmp_path / "resumed.txt"), *store, "--resume"]
+        pinned = [
+            ["--n", "7"], ["--epsilon", "0.25"], ["--bundle-t", "1"], ["--k", "2"],
+            ["--window", "1"], ["--decay", "0.5"], ["--compaction-interval", "150"],
+            ["--kout-presample", "2"], ["--levels", "3"],
+        ]
+        for flag in pinned:
+            with pytest.raises(ReproError, match=f"store pins.*{flag[0]}"):
+                main([*resume, *flag])
+        with pytest.raises(ReproError, match="--n, --window, --levels"):
+            main([*resume, "--window", "1", "--n", "7", "--levels", "3"])
+        # The probe seed, the solver and the snapshot cadence still apply.
+        assert main([*resume, "--seed", "4", "--solver", "chain", "--snapshot-every", "2"]) == 0
+        assert "bit-exact" in capsys.readouterr().out

@@ -3,26 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.validation import (
-    check_epsilon,
-    check_integer,
-    check_probability,
-    check_square,
-    require,
-)
-
-
-class TestRequire:
-    def test_passes(self):
-        require(True, "never raised")
-
-    def test_raises_value_error(self):
-        with pytest.raises(ValueError, match="boom"):
-            require(False, "boom")
-
-    def test_custom_exception(self):
-        with pytest.raises(TypeError):
-            require(False, "boom", exc_type=TypeError)
+from repro.utils.validation import check_epsilon, check_integer, check_probability
 
 
 class TestCheckInteger:
@@ -58,12 +39,3 @@ class TestCheckProbabilityEpsilon:
             check_epsilon(0.0)
         with pytest.raises(ValueError):
             check_epsilon(1.5)
-
-
-class TestMatrixChecks:
-    def test_square_ok(self):
-        check_square(np.eye(3))
-
-    def test_square_rejects_rectangular(self):
-        with pytest.raises(ValueError):
-            check_square(np.ones((2, 3)))
