@@ -6,9 +6,10 @@ Graph Sparsification* (Ioannis Koutis, SPAA 2014).  The package provides
 * the paper's sparsification algorithms ``PARALLELSAMPLE`` and
   ``PARALLELSPARSIFY`` with measured spectral certificates
   (:mod:`repro.core`),
-* every substrate they depend on: weighted graph containers and
-  generators (:mod:`repro.graphs`), Baswana–Sen spanners and t-bundles
-  (:mod:`repro.spanners`), effective resistances and stretch
+* every substrate they depend on: the weighted graph container, whose
+  methods are the graph algebra of Section 2 (``g1 + g2``, ``a * g``,
+  the Laplacian), and generators (:mod:`repro.graphs`), Baswana–Sen
+  spanners and t-bundles (:mod:`repro.spanners`), effective resistances and stretch
   (:mod:`repro.resistance`), PRAM work/depth accounting and a synchronous
   distributed simulator (:mod:`repro.parallel`), and the numerical tools
   (:mod:`repro.linalg`),
@@ -51,7 +52,6 @@ from repro._version import __version__
 
 # Graph substrate.
 from repro.graphs import Graph, generators
-from repro.graphs.operations import graph_sum, graph_difference, graph_scale
 
 # Spanners.
 from repro.spanners import (
@@ -129,9 +129,6 @@ __all__ = [
     "__version__",
     "Graph",
     "generators",
-    "graph_sum",
-    "graph_difference",
-    "graph_scale",
     "baswana_sen_spanner",
     "greedy_spanner",
     "t_bundle_spanner",

@@ -1,33 +1,25 @@
-"""Graph substrate: containers, Laplacians, generators, algebra, connectivity.
+"""Graph substrate: the ``Graph`` container, generators, IO, connectivity, sharding.
 
 The central type is :class:`repro.graphs.Graph`, an immutable weighted
 undirected multigraph stored as parallel edge arrays.  Everything else in
-the package (spanners, sparsifiers, solvers) operates on this type.
+the package (spanners, sparsifiers, solvers) operates on this type, and
+each graph operation has one implementation: the Laplacian, incidence
+matrix, quadratic form, weighted degrees, ``+``, ``*``, ``select_edges``
+and ``coalesce`` are ``Graph`` methods.  The modules here hold only what
+no method covers: single-edge Laplacians (:mod:`~repro.graphs.laplacian`),
+connected components (:mod:`~repro.graphs.connectivity`), induced
+subgraphs and disjoint unions (:mod:`~repro.graphs.operations`), and
+networkx / Laplacian conversion (:mod:`~repro.graphs.conversion`).
 """
 
 from repro.graphs.graph import Graph
-from repro.graphs.laplacian import (
-    edge_laplacian,
-    incidence_matrix,
-    is_laplacian,
-    laplacian_from_edges,
-    laplacian_quadratic_form,
-    weighted_degrees,
-)
+from repro.graphs.laplacian import edge_laplacian, is_laplacian
 from repro.graphs.connectivity import (
-    UnionFind,
     connected_components,
     is_connected,
     sample_component_pairs,
-    spanning_forest,
 )
-from repro.graphs.operations import (
-    graph_difference,
-    graph_scale,
-    graph_sum,
-    induced_subgraph,
-    reweighted,
-)
+from repro.graphs.operations import induced_subgraph
 from repro.graphs.sharding import GraphShards, partition_vertex_ranges, shard_edges
 from repro.graphs.kout import (
     KOutResult,
@@ -46,21 +38,11 @@ __all__ = [
     "shard_edges",
     "Graph",
     "edge_laplacian",
-    "incidence_matrix",
     "is_laplacian",
-    "laplacian_from_edges",
-    "laplacian_quadratic_form",
-    "weighted_degrees",
-    "UnionFind",
     "connected_components",
     "is_connected",
     "sample_component_pairs",
-    "spanning_forest",
-    "graph_difference",
-    "graph_scale",
-    "graph_sum",
     "induced_subgraph",
-    "reweighted",
     "KOutResult",
     "default_k_out",
     "k_out_keep_probabilities",

@@ -1,87 +1,21 @@
-"""Connectivity primitives: union-find, components, spanning forests.
+"""Connectivity primitives: component labels and in-component vertex pairs.
 
 The sparsification pipeline relies on connectivity in two places:
 
 * Spanner construction must keep every component spanned (a disconnected
   input simply decomposes into independent problems).
 * Effective-resistance computations require the two endpoints to be in the
-  same component; the exact solvers restrict to components.
+  same component; the exact solvers restrict to components, taking each
+  one's subgraph with :func:`repro.graphs.operations.induced_subgraph`.
 """
 
 from __future__ import annotations
-
-from typing import List, Tuple
 
 import numpy as np
 
 from repro.graphs.graph import Graph
 
-__all__ = [
-    "UnionFind",
-    "connected_components",
-    "is_connected",
-    "spanning_forest",
-    "component_subgraphs",
-    "sample_component_pairs",
-    "bfs_order",
-]
-
-
-class UnionFind:
-    """Disjoint-set forest with union by rank and path compression.
-
-    Vectorless but O(alpha(n)) amortised per operation; used for spanning
-    forests, Kruskal-style tree construction, and connectivity checks in
-    tests.
-    """
-
-    __slots__ = ("parent", "rank", "_num_components")
-
-    def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        self.parent = np.arange(n, dtype=np.int64)
-        self.rank = np.zeros(n, dtype=np.int64)
-        self._num_components = n
-
-    def find(self, x: int) -> int:
-        """Representative of the set containing ``x`` (with path compression)."""
-        root = x
-        parent = self.parent
-        while parent[root] != root:
-            root = parent[root]
-        # Path compression pass.
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return int(root)
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of ``a`` and ``b``; returns True if they were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        self._num_components -= 1
-        return True
-
-    def connected(self, a: int, b: int) -> bool:
-        """True if ``a`` and ``b`` are currently in the same set."""
-        return self.find(a) == self.find(b)
-
-    @property
-    def num_components(self) -> int:
-        """Current number of disjoint sets."""
-        return self._num_components
-
-    def component_labels(self) -> np.ndarray:
-        """Array mapping each element to a compact component label in [0, c)."""
-        roots = np.array([self.find(i) for i in range(len(self.parent))], dtype=np.int64)
-        _, labels = np.unique(roots, return_inverse=True)
-        return labels.astype(np.int64)
+__all__ = ["connected_components", "is_connected", "sample_component_pairs"]
 
 
 def connected_components(graph: Graph) -> np.ndarray:
@@ -119,46 +53,6 @@ def is_connected(graph: Graph) -> bool:
         return True
     labels = connected_components(graph)
     return int(labels.max()) == 0
-
-
-def spanning_forest(graph: Graph) -> Graph:
-    """A maximal spanning forest of ``graph`` (arbitrary edge choice).
-
-    Returned as a subgraph containing one tree per connected component.
-    Used as the connectivity safety net for ``PARALLELSAMPLE``-style
-    sampling when callers ask for guaranteed connectivity.
-    """
-    uf = UnionFind(graph.num_vertices)
-    keep = np.zeros(graph.num_edges, dtype=bool)
-    for idx, (a, b, _) in enumerate(graph.edges()):
-        if uf.union(a, b):
-            keep[idx] = True
-    return graph.select_edges(keep)
-
-
-def component_subgraphs(graph: Graph) -> List[Tuple[np.ndarray, Graph]]:
-    """Split a graph into its connected components.
-
-    Returns a list of ``(vertex_ids, subgraph)`` pairs where ``subgraph``
-    is relabelled to ``0..k-1`` and ``vertex_ids[i]`` is the original id of
-    the subgraph's vertex ``i``.
-    """
-    labels = connected_components(graph)
-    num_components = int(labels.max()) + 1 if graph.num_vertices else 0
-    results: List[Tuple[np.ndarray, Graph]] = []
-    for comp in range(num_components):
-        vertex_ids = np.flatnonzero(labels == comp)
-        remap = -np.ones(graph.num_vertices, dtype=np.int64)
-        remap[vertex_ids] = np.arange(vertex_ids.shape[0])
-        edge_mask = labels[graph.edge_u] == comp
-        sub = Graph(
-            vertex_ids.shape[0],
-            remap[graph.edge_u[edge_mask]],
-            remap[graph.edge_v[edge_mask]],
-            graph.edge_weights[edge_mask],
-        )
-        results.append((vertex_ids, sub))
-    return results
 
 
 def sample_component_pairs(
@@ -207,22 +101,3 @@ def sample_component_pairs(
     )
     return pairs.astype(np.int64)
 
-
-def bfs_order(graph: Graph, source: int = 0) -> np.ndarray:
-    """Vertices of the component of ``source`` in BFS order."""
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
-    indptr, neighbors, _, _ = graph.neighbor_lists()
-    visited = np.zeros(n, dtype=bool)
-    order: List[int] = [source]
-    visited[source] = True
-    head = 0
-    while head < len(order):
-        vertex = order[head]
-        head += 1
-        for nbr in neighbors[indptr[vertex]:indptr[vertex + 1]]:
-            if not visited[nbr]:
-                visited[nbr] = True
-                order.append(int(nbr))
-    return np.asarray(order, dtype=np.int64)

@@ -1,28 +1,27 @@
-"""Conversions between :class:`repro.graphs.Graph` and external formats.
+"""Conversions between :class:`repro.graphs.Graph` and other representations.
 
-Supported targets: ``networkx`` graphs (for visual inspection and as an
-independent implementation to cross-check algorithms against in tests) and
-SciPy sparse adjacency / Laplacian matrices.
+``networkx`` graphs serve visual inspection and an independent
+implementation to cross-check algorithms against in tests; networkx is
+not a dependency of the package, and only :func:`to_networkx` imports it.
+A Laplacian matrix becomes a graph through :func:`from_laplacian`.  The
+SciPy adjacency and Laplacian are :meth:`Graph.adjacency`,
+:meth:`Graph.laplacian` and :meth:`Graph.from_sparse_adjacency`.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
 
-__all__ = [
-    "to_networkx",
-    "from_networkx",
-    "to_scipy_adjacency",
-    "from_scipy_adjacency",
-    "to_scipy_laplacian",
-    "from_laplacian",
-]
+if TYPE_CHECKING:
+    import networkx as nx
+
+__all__ = ["to_networkx", "from_networkx", "from_laplacian"]
 
 
 def to_networkx(graph: Graph, coalesce: bool = True) -> nx.Graph:
@@ -32,6 +31,8 @@ def to_networkx(graph: Graph, coalesce: bool = True) -> nx.Graph:
     ``networkx.Graph`` is a simple graph; pass ``coalesce=False`` to get a
     ``networkx.MultiGraph`` preserving multiplicities instead.
     """
+    import networkx as nx
+
     if coalesce:
         source = graph.coalesce()
         out: nx.Graph = nx.Graph()
@@ -63,26 +64,12 @@ def from_networkx(nx_graph: nx.Graph, weight_attr: str = "weight") -> Graph:
     return Graph(len(nodes), us, vs, ws)
 
 
-def to_scipy_adjacency(graph: Graph) -> sp.csr_matrix:
-    """Symmetric CSR adjacency matrix (parallel edges summed)."""
-    return graph.adjacency()
-
-
-def from_scipy_adjacency(adjacency: sp.spmatrix) -> Graph:
-    """Graph from a symmetric sparse adjacency matrix (upper triangle read)."""
-    return Graph.from_sparse_adjacency(adjacency)
-
-
-def to_scipy_laplacian(graph: Graph) -> sp.csr_matrix:
-    """CSR Laplacian ``D - A``."""
-    return graph.laplacian()
-
-
 def from_laplacian(laplacian: sp.spmatrix, tol: float = 0.0) -> Graph:
     """Graph whose Laplacian equals ``laplacian`` (off-diagonals negated).
 
     Positive off-diagonal entries (which cannot come from a graph) raise a
-    :class:`repro.exceptions.GraphError`.
+    :class:`repro.exceptions.GraphError`.  Edges of weight ``<= tol`` are
+    dropped, which clears numerical noise left by matrix products.
     """
     lap = sp.coo_matrix(laplacian)
     if lap.shape[0] != lap.shape[1]:

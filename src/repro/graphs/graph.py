@@ -20,7 +20,7 @@ Design goals, in order:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +31,20 @@ from repro.utils.validation import check_integer
 __all__ = ["Graph"]
 
 
+def _endpoint_array(values: Optional[Sequence[int]]) -> np.ndarray:
+    """Endpoint input as a flat int64 array; non-integer values raise."""
+    if values is None:
+        return np.empty(0, dtype=np.int64)
+    raw = np.asarray(values)
+    if raw.dtype.kind in "iu":
+        return raw.astype(np.int64, copy=False).ravel()
+    with np.errstate(invalid="ignore"):
+        ints = raw.astype(np.int64).ravel()
+    if not np.array_equal(ints, raw.ravel()):
+        raise GraphError("edge endpoints must be integers")
+    return ints
+
+
 class Graph:
     """Weighted undirected multigraph on vertices ``0 .. n-1``.
 
@@ -39,8 +53,10 @@ class Graph:
     num_vertices:
         Number of vertices ``n``.  Vertices are integers ``0..n-1``.
     u, v:
-        Integer arrays of equal length giving edge endpoints.  Self loops
-        are rejected; orientation is normalised so ``u < v`` internally.
+        Integer arrays of equal length giving edge endpoints (integral
+        floats such as ``2.0`` are accepted, ``0.7`` is rejected).  Self
+        loops are rejected; orientation is normalised so ``u < v``
+        internally.
     w:
         Positive edge weights.  If omitted, all weights are 1.
 
@@ -61,8 +77,8 @@ class Graph:
         w: Optional[Sequence[float]] = None,
     ) -> None:
         self._n = check_integer(num_vertices, "num_vertices", minimum=0)
-        u_arr = np.asarray(u if u is not None else [], dtype=np.int64).ravel()
-        v_arr = np.asarray(v if v is not None else [], dtype=np.int64).ravel()
+        u_arr = _endpoint_array(u)
+        v_arr = _endpoint_array(v)
         if u_arr.shape != v_arr.shape:
             raise GraphError(
                 f"edge endpoint arrays must have equal length, got {u_arr.shape} and {v_arr.shape}"
@@ -116,39 +132,20 @@ class Graph:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def from_edge_list(
-        cls,
-        num_vertices: int,
-        edges: Iterable[Tuple[int, int]] | Iterable[Tuple[int, int, float]],
-    ) -> "Graph":
-        """Build a graph from an iterable of ``(u, v)`` or ``(u, v, w)`` tuples."""
-        us: List[int] = []
-        vs: List[int] = []
-        ws: List[float] = []
-        for edge in edges:
-            if len(edge) == 2:
-                a, b = edge  # type: ignore[misc]
-                weight = 1.0
-            elif len(edge) == 3:
-                a, b, weight = edge  # type: ignore[misc]
-            else:
-                raise GraphError(f"edges must be (u, v) or (u, v, w); got {edge!r}")
-            us.append(int(a))
-            vs.append(int(b))
-            ws.append(float(weight))
-        return cls(num_vertices, us, vs, ws)
-
-    @classmethod
     def from_sparse_adjacency(cls, adjacency: sp.spmatrix) -> "Graph":
         """Build a graph from a symmetric sparse adjacency matrix.
 
-        Only the strictly upper triangle is read; the matrix is assumed
-        symmetric (this is checked cheaply via the nonzero pattern count).
+        The inverse of :meth:`adjacency` (parallel edges come back merged).
+        A matrix that is not square, or not symmetric up to rounding, raises
+        :class:`GraphError`; the strictly upper triangle gives the edges.
         """
         adjacency = sp.csr_matrix(adjacency)
         n_rows, n_cols = adjacency.shape
         if n_rows != n_cols:
             raise GraphError(f"adjacency matrix must be square, got {adjacency.shape}")
+        asymmetry = abs(adjacency - adjacency.T)
+        if asymmetry.nnz and asymmetry.max() > 1e-12 * abs(adjacency).max():
+            raise GraphError("adjacency matrix must be symmetric")
         upper = sp.triu(adjacency, k=1).tocoo()
         return cls(n_rows, upper.row, upper.col, upper.data)
 
@@ -222,14 +219,6 @@ class Graph:
         """Iterate over edges as ``(u, v, w)`` tuples with ``u < v``."""
         for a, b, weight in zip(self._u, self._v, self._w):
             yield int(a), int(b), float(weight)
-
-    def edge_array(self) -> np.ndarray:
-        """Edges as an ``(m, 3)`` float array ``[u, v, w]`` (copy)."""
-        out = np.empty((self.num_edges, 3), dtype=np.float64)
-        out[:, 0] = self._u
-        out[:, 1] = self._v
-        out[:, 2] = self._w
-        return out
 
     def edge_keys(self) -> np.ndarray:
         """Canonical integer key ``u * n + v`` per edge (vectorised identity)."""
@@ -358,15 +347,6 @@ class Graph:
                     f"edge mask must have length {self.num_edges}, got {idx.shape[0]}"
                 )
         return Graph._from_trusted(self._n, self._u[idx], self._v[idx], self._w[idx])
-
-    def remove_edges(self, mask: np.ndarray) -> "Graph":
-        """Graph with the edges flagged ``True`` in ``mask`` removed."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape[0] != self.num_edges:
-            raise GraphError(
-                f"edge mask must have length {self.num_edges}, got {mask.shape[0]}"
-            )
-        return self.select_edges(~mask)
 
     def with_weights(self, new_weights: np.ndarray) -> "Graph":
         """Graph with the same edges but new weights."""

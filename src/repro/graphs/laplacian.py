@@ -1,70 +1,22 @@
-"""Laplacian and incidence-matrix utilities.
+"""Laplacian helpers that no :class:`repro.graphs.Graph` method covers.
 
-These functions operate directly on edge arrays or sparse matrices and are
-used both by the :class:`repro.graphs.Graph` methods and by code paths
-(e.g. the Peng--Spielman chain construction) that manipulate Laplacians
-without materialising a ``Graph`` object.
+A graph's Laplacian, incidence matrix, weighted degrees and quadratic
+form are :meth:`Graph.laplacian`, :meth:`Graph.incidence`,
+:meth:`Graph.weighted_degrees` and :meth:`Graph.quadratic_form`; from raw
+edge arrays, build ``Graph(n, u, v, w)`` first.  This module keeps the
+single-edge Laplacian ``B_e`` of the matrix-Chernoff argument and the
+check that a matrix is a graph Laplacian
+(:func:`repro.graphs.conversion.from_laplacian` turns one into a graph).
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import GraphError
 
-__all__ = [
-    "laplacian_from_edges",
-    "incidence_matrix",
-    "edge_laplacian",
-    "weighted_degrees",
-    "laplacian_quadratic_form",
-    "is_laplacian",
-    "laplacian_to_graph_arrays",
-]
-
-
-def laplacian_from_edges(
-    num_vertices: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
-) -> sp.csr_matrix:
-    """Assemble the Laplacian ``L = D - A`` from parallel edge arrays.
-
-    Parallel edges are summed.  This is the vectorised assembly used
-    throughout the package; it never loops over edges in Python.
-    """
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    w = np.asarray(w, dtype=np.float64)
-    if not (u.shape == v.shape == w.shape):
-        raise GraphError("edge arrays u, v, w must have identical shapes")
-    rows = np.concatenate([u, v, u, v])
-    cols = np.concatenate([v, u, u, v])
-    data = np.concatenate([-w, -w, w, w])
-    lap = sp.coo_matrix((data, (rows, cols)), shape=(num_vertices, num_vertices))
-    return lap.tocsr()
-
-
-def incidence_matrix(
-    num_vertices: int, u: np.ndarray, v: np.ndarray
-) -> sp.csr_matrix:
-    """Signed incidence matrix ``B`` with one row per edge.
-
-    Row ``e`` has ``+1`` at column ``u[e]`` and ``-1`` at column ``v[e]``,
-    so ``B.T @ diag(w) @ B`` is the weighted Laplacian.
-    """
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    m = u.shape[0]
-    rows = np.repeat(np.arange(m, dtype=np.int64), 2)
-    cols = np.empty(2 * m, dtype=np.int64)
-    data = np.empty(2 * m, dtype=np.float64)
-    cols[0::2] = u
-    cols[1::2] = v
-    data[0::2] = 1.0
-    data[1::2] = -1.0
-    return sp.csr_matrix((data, (rows, cols)), shape=(m, num_vertices))
+__all__ = ["edge_laplacian", "is_laplacian"]
 
 
 def edge_laplacian(num_vertices: int, a: int, b: int, weight: float = 1.0) -> sp.csr_matrix:
@@ -80,26 +32,6 @@ def edge_laplacian(num_vertices: int, a: int, b: int, weight: float = 1.0) -> sp
     cols = np.array([a, b, b, a], dtype=np.int64)
     data = np.array([weight, weight, -weight, -weight], dtype=np.float64)
     return sp.csr_matrix((data, (rows, cols)), shape=(num_vertices, num_vertices))
-
-
-def weighted_degrees(num_vertices: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted degree vector from parallel edge arrays."""
-    deg = np.zeros(num_vertices, dtype=np.float64)
-    if len(u):
-        np.add.at(deg, np.asarray(u, dtype=np.int64), np.asarray(w, dtype=float))
-        np.add.at(deg, np.asarray(v, dtype=np.int64), np.asarray(w, dtype=float))
-    return deg
-
-
-def laplacian_quadratic_form(
-    u: np.ndarray, v: np.ndarray, w: np.ndarray, x: np.ndarray
-) -> float:
-    """Evaluate ``x^T L x = sum_e w_e (x_u - x_v)^2`` from edge arrays."""
-    x = np.asarray(x, dtype=float)
-    if len(u) == 0:
-        return 0.0
-    diff = x[np.asarray(u, dtype=np.int64)] - x[np.asarray(v, dtype=np.int64)]
-    return float(np.dot(np.asarray(w, dtype=float), diff * diff))
 
 
 def is_laplacian(matrix: sp.spmatrix | np.ndarray, tol: float = 1e-8) -> bool:
@@ -132,21 +64,3 @@ def is_laplacian(matrix: sp.spmatrix | np.ndarray, tol: float = 1e-8) -> bool:
         row_sums = arr.sum(axis=1)
     return bool(np.all(np.abs(row_sums) <= tol * max(1.0, float(np.max(np.abs(row_sums), initial=0.0)))))
 
-
-def laplacian_to_graph_arrays(
-    laplacian: sp.spmatrix, weight_tol: float = 0.0
-) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Extract ``(n, u, v, w)`` edge arrays from a Laplacian matrix.
-
-    Off-diagonal entries ``L[i, j] = -w_ij`` become edges; entries with
-    weight ``<= weight_tol`` are dropped (useful for clearing numerical
-    noise after forming products like ``A D^{-1} A``).
-    """
-    lap = sp.coo_matrix(laplacian)
-    n = lap.shape[0]
-    mask = lap.row < lap.col
-    rows = lap.row[mask]
-    cols = lap.col[mask]
-    weights = -lap.data[mask]
-    keep = weights > weight_tol
-    return n, rows[keep].astype(np.int64), cols[keep].astype(np.int64), weights[keep].astype(float)

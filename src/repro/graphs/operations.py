@@ -1,94 +1,33 @@
-"""Graph algebra used by the sparsification and solver pipelines.
+"""Vertex-level graph operations that no :class:`repro.graphs.Graph` method covers.
 
-The paper applies algebraic operators on graphs in the standard way
-(Section 2): for graphs on the same vertex set, ``G1 + G2`` sums weights
-and ``a * G1`` scales weights.  The sparsification algorithm additionally
-peels edge sets (``G - sum_j H_j`` when building bundles), which is a pure
-edge-set difference rather than a weight subtraction; :func:`graph_difference`
-implements that edge-set semantics explicitly.
+The paper's graph algebra (Section 2) is on ``Graph`` itself: ``G1 + G2``
+concatenates edge sets on a shared vertex set (``.coalesce()`` merges the
+parallel edges), ``a * G`` scales weights, and the bundle peel
+``G - (H_1 + ... + H_{i-1})`` is ``G.select_edges(remaining)`` on an index
+array.  This module keeps the two operations that change the vertex set:
+the relabelled vertex-induced subgraph and the disjoint union.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
 
-__all__ = [
-    "graph_sum",
-    "graph_scale",
-    "graph_difference",
-    "induced_subgraph",
-    "reweighted",
-    "disjoint_union",
-    "edge_membership_mask",
-]
+__all__ = ["induced_subgraph", "disjoint_union"]
 
 
-def graph_sum(graphs: Sequence[Graph], coalesce: bool = False) -> Graph:
-    """Sum of graphs on a shared vertex set: ``G1 + G2 + ...``.
-
-    With ``coalesce=True`` parallel edges are merged (weights added), which
-    produces the simple graph whose Laplacian equals the sum of Laplacians.
-    """
-    graphs = list(graphs)
-    if not graphs:
-        raise GraphError("graph_sum requires at least one graph")
-    n = graphs[0].num_vertices
-    for g in graphs[1:]:
-        if g.num_vertices != n:
-            raise GraphError("all graphs in a sum must share the vertex count")
-    total = Graph(
-        n,
-        np.concatenate([g.edge_u for g in graphs]) if any(g.num_edges for g in graphs) else [],
-        np.concatenate([g.edge_v for g in graphs]) if any(g.num_edges for g in graphs) else [],
-        np.concatenate([g.edge_weights for g in graphs]) if any(g.num_edges for g in graphs) else [],
-    )
-    return total.coalesce() if coalesce else total
-
-
-def graph_scale(graph: Graph, factor: float) -> Graph:
-    """Scalar multiple ``factor * G``."""
-    return graph.scaled(factor)
-
-
-def edge_membership_mask(graph: Graph, subgraph: Graph) -> np.ndarray:
-    """Boolean mask over ``graph``'s edges marking those present in ``subgraph``.
-
-    Membership is by endpoint pair (u, v), ignoring weights and
-    multiplicities — exactly the notion needed when a spanner ``H`` (a
-    subgraph of ``G``) must be removed from ``G`` before computing the next
-    spanner in a bundle.
-    """
-    if subgraph.num_vertices != graph.num_vertices:
-        raise GraphError("subgraph must share the vertex set of the parent graph")
-    if subgraph.num_edges == 0 or graph.num_edges == 0:
-        return np.zeros(graph.num_edges, dtype=bool)
-    sub_keys = np.unique(subgraph.edge_keys())
-    return np.isin(graph.edge_keys(), sub_keys, assume_unique=False)
-
-
-def graph_difference(graph: Graph, subgraph: Graph) -> Graph:
-    """Edge-set difference ``G - H``: drop every edge of G whose endpoint pair is in H.
-
-    This matches the paper's usage ``G - sum_j H_j`` when peeling spanners
-    off the graph to build a t-bundle; the weights of retained edges are
-    unchanged.
-    """
-    mask = edge_membership_mask(graph, subgraph)
-    return graph.remove_edges(mask)
-
-
-def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
+def induced_subgraph(graph: Graph, vertices: Sequence[int] | np.ndarray) -> Graph:
     """Vertex-induced subgraph relabelled to ``0..k-1``.
 
-    The ``i``-th entry of ``sorted(set(vertices))`` becomes vertex ``i`` of
-    the result.
+    The ``i``-th entry of ``np.unique(vertices)`` becomes vertex ``i`` of
+    the result, and the kept edges stay in the order they have in
+    ``graph``.
     """
-    vertex_ids = np.unique(np.asarray(list(vertices), dtype=np.int64))
+    vertex_ids = np.unique(np.asarray(vertices, dtype=np.int64))
     if vertex_ids.size and (vertex_ids[0] < 0 or vertex_ids[-1] >= graph.num_vertices):
         raise GraphError("vertex ids out of range for induced_subgraph")
     remap = -np.ones(graph.num_vertices, dtype=np.int64)
@@ -100,16 +39,6 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
         remap[graph.edge_v[keep]],
         graph.edge_weights[keep],
     )
-
-
-def reweighted(graph: Graph, weights: np.ndarray) -> Graph:
-    """Same edge structure with new positive weights."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape[0] != graph.num_edges:
-        raise GraphError(
-            f"need {graph.num_edges} weights, got {weights.shape[0]}"
-        )
-    return graph.with_weights(weights)
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:

@@ -34,6 +34,7 @@ import scipy.sparse as sp
 from repro.exceptions import DisconnectedGraphError, GraphError
 from repro.graphs.connectivity import connected_components
 from repro.graphs.graph import Graph
+from repro.graphs.operations import induced_subgraph
 from repro.linalg.pseudoinverse import laplacian_pseudoinverse
 from repro.resistance.solver_select import (
     ResistanceSolveStats,
@@ -135,19 +136,10 @@ def _blocked_pair_resistances(
         for component in np.unique(pair_component):
             pair_mask = pair_component == component
             ids = np.flatnonzero(labels == component)
-            remap = np.full(n, -1, dtype=np.int64)
-            remap[ids] = np.arange(ids.size)
-            edge_mask = labels[graph.edge_u] == component
-            subgraph = Graph(
-                ids.size,
-                remap[graph.edge_u[edge_mask]],
-                remap[graph.edge_v[edge_mask]],
-                graph.edge_weights[edge_mask],
-            )
             results[pair_mask] = _blocked_pair_resistances(
-                subgraph,
-                remap[lo[pair_mask]],
-                remap[hi[pair_mask]],
+                induced_subgraph(graph, ids),
+                np.searchsorted(ids, lo[pair_mask]),
+                np.searchsorted(ids, hi[pair_mask]),
                 tol,
                 block_size,
                 np.zeros(ids.size, dtype=np.int64),

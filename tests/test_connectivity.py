@@ -1,75 +1,20 @@
 """Tests for repro.graphs.connectivity."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs.connectivity import (
-    UnionFind,
-    bfs_order,
-    component_subgraphs,
-    connected_components,
-    is_connected,
-    spanning_forest,
-)
+from repro.graphs.connectivity import connected_components, is_connected
 from repro.graphs.graph import Graph
-from repro.graphs.operations import disjoint_union
+from repro.graphs.operations import disjoint_union, induced_subgraph
 
 
-class TestUnionFind:
-    def test_initial_components(self):
-        uf = UnionFind(5)
-        assert uf.num_components == 5
-
-    def test_union_reduces_components(self):
-        uf = UnionFind(4)
-        assert uf.union(0, 1)
-        assert uf.num_components == 3
-
-    def test_union_same_set_returns_false(self):
-        uf = UnionFind(4)
-        uf.union(0, 1)
-        assert not uf.union(1, 0)
-        assert uf.num_components == 3
-
-    def test_connected(self):
-        uf = UnionFind(5)
-        uf.union(0, 1)
-        uf.union(1, 2)
-        assert uf.connected(0, 2)
-        assert not uf.connected(0, 3)
-
-    def test_component_labels_compact(self):
-        uf = UnionFind(6)
-        uf.union(0, 3)
-        uf.union(1, 4)
-        labels = uf.component_labels()
-        assert labels.shape == (6,)
-        assert labels.max() == 3  # 4 components labelled 0..3
-        assert labels[0] == labels[3]
-        assert labels[1] == labels[4]
-
-    def test_rejects_negative_size(self):
-        with pytest.raises(ValueError):
-            UnionFind(-1)
-
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_naive_connectivity(self, seed):
-        """Union-find answers match transitive closure of the union operations."""
-        rng = np.random.default_rng(seed)
-        n = 15
-        uf = UnionFind(n)
-        naive = {i: {i} for i in range(n)}
-        for _ in range(20):
-            a, b = rng.integers(0, n, size=2)
-            uf.union(int(a), int(b))
-            merged = naive[a] | naive[b]
-            for member in merged:
-                naive[member] = merged
-        for i in range(n):
-            for j in range(n):
-                assert uf.connected(i, j) == (j in naive[i])
+def _component_subgraphs(graph):
+    """``(vertex_ids, subgraph)`` per component, built from the kept primitives."""
+    labels = connected_components(graph)
+    return [
+        (ids, induced_subgraph(graph, ids))
+        for ids in (np.flatnonzero(labels == c) for c in range(int(labels.max()) + 1))
+    ]
 
 
 class TestComponents:
@@ -101,50 +46,26 @@ class TestComponents:
 
     def test_component_subgraphs(self, triangle_graph, weighted_path):
         combined = disjoint_union(triangle_graph, weighted_path)
-        parts = component_subgraphs(combined)
+        parts = _component_subgraphs(combined)
         assert len(parts) == 2
         sizes = sorted(sub.num_vertices for _, sub in parts)
         assert sizes == [3, 4]
         total_edges = sum(sub.num_edges for _, sub in parts)
         assert total_edges == combined.num_edges
+        assert all(is_connected(sub) for _, sub in parts)
 
-    def test_component_subgraph_vertex_ids_map_back(self, triangle_graph):
-        combined = disjoint_union(triangle_graph, Graph(2))
-        parts = component_subgraphs(combined)
+    def test_component_subgraph_vertex_ids_map_back(self, triangle_graph, weighted_path):
+        combined = disjoint_union(disjoint_union(triangle_graph, Graph(2)), weighted_path)
+        parts = _component_subgraphs(combined)
         all_ids = np.concatenate([ids for ids, _ in parts])
-        assert sorted(all_ids.tolist()) == list(range(5))
-
-
-class TestSpanningForestAndBFS:
-    def test_spanning_forest_connected_graph(self, small_er_graph):
-        forest = spanning_forest(small_er_graph)
-        assert forest.num_edges == small_er_graph.num_vertices - 1
-        assert is_connected(forest)
-
-    def test_spanning_forest_disconnected(self, triangle_graph):
-        g = disjoint_union(triangle_graph, triangle_graph)
-        forest = spanning_forest(g)
-        assert forest.num_edges == 6 - 2  # n - c
-
-    def test_spanning_forest_preserves_components(self, dumbbell):
-        forest = spanning_forest(dumbbell)
-        assert np.array_equal(
-            connected_components(forest), connected_components(dumbbell)
-        )
-
-    def test_bfs_order_visits_component(self, small_er_graph):
-        order = bfs_order(small_er_graph, source=0)
-        assert order[0] == 0
-        assert len(np.unique(order)) == small_er_graph.num_vertices
-
-    def test_bfs_order_partial_for_disconnected(self, triangle_graph):
-        g = disjoint_union(triangle_graph, triangle_graph)
-        order = bfs_order(g, source=0)
-        assert len(order) == 3
-
-    def test_bfs_order_bad_source(self, triangle_graph):
-        with pytest.raises(ValueError):
-            bfs_order(triangle_graph, source=10)
+        assert sorted(all_ids.tolist()) == list(range(combined.num_vertices))
+        # Subgraph vertex i is ids[i]: mapped back, the edges are the input's.
+        mapped = {
+            (int(ids[a]), int(ids[b])): weight
+            for ids, sub in parts
+            for (a, b), weight in sub.edge_weight_map().items()
+        }
+        assert mapped == combined.edge_weight_map()
 
     @given(seed=st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=20, deadline=None)

@@ -7,7 +7,10 @@ Output is captured by pytest, so the suite stays quiet.
 
 import doctest
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -17,12 +20,33 @@ import repro
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 PACKAGE_DIR = pathlib.Path(repro.__file__).resolve().parent
 
+
+def _module_name(path: pathlib.Path) -> str:
+    return ".".join(("repro", *path.relative_to(PACKAGE_DIR).with_suffix("").parts)).removesuffix(".__init__")
+
+
 # Every package module whose docstrings carry ``>>>`` examples.
 DOCTEST_MODULES = sorted(
-    ".".join(("repro", *path.relative_to(PACKAGE_DIR).with_suffix("").parts)).removesuffix(".__init__")
-    for path in PACKAGE_DIR.rglob("*.py")
-    if ">>>" in path.read_text(encoding="utf-8")
+    _module_name(path) for path in PACKAGE_DIR.rglob("*.py") if ">>>" in path.read_text(encoding="utf-8")
 )
+
+# Every package module that declares ``__all__`` (entry-point ``__main__`` modules are not imported).
+EXPORTING_MODULES = sorted(
+    name
+    for name in map(_module_name, PACKAGE_DIR.rglob("*.py"))
+    if not name.endswith(".__main__") and hasattr(importlib.import_module(name), "__all__")
+)
+
+# Imports the package and runs the front door with networkx unimportable:
+# the runtime needs only the dependencies pyproject.toml declares.
+NO_NETWORKX_SMOKE = """
+import sys
+sys.modules["networkx"] = None
+import repro
+g = repro.generators.erdos_renyi_graph(60, 0.3, seed=1, ensure_connected=True)
+result = repro.sparsify(g, method="koutis", epsilon=0.5, seed=2)
+assert 0 < result.sparsifier.num_edges <= g.num_edges
+"""
 
 
 def _load_example(name: str):
@@ -39,9 +63,22 @@ class TestPublicAPI:
         assert isinstance(repro.__version__, str)
         assert repro.__version__.count(".") == 2
 
-    def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), f"__all__ lists {name} but it is missing"
+    @pytest.mark.parametrize("module_name", EXPORTING_MODULES)
+    def test_all_exports_resolve(self, module_name):
+        module = importlib.import_module(module_name)
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module_name}.__all__ lists {name} but it is missing"
+
+    def test_runs_without_networkx(self):
+        pythonpath = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_NETWORKX_SMOKE],
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_key_entry_points_are_callable(self):
         for name in (

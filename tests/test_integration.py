@@ -12,7 +12,8 @@ from repro import (
 from repro.analysis.spectral import approximation_report
 from repro.core.distributed_sparsify import distributed_parallel_sparsify
 from repro.graphs import generators as gen
-from repro.graphs.connectivity import is_connected
+from repro.graphs.connectivity import connected_components, is_connected
+from repro.graphs.operations import induced_subgraph
 from repro.solvers.peng_spielman import baseline_cg_solve
 
 
@@ -76,11 +77,9 @@ class TestPipelineComparisons:
 
     def test_full_report_pipeline(self):
         g = gen.random_geometric_graph(150, 0.25, seed=11)
-        from repro.graphs.connectivity import component_subgraphs
-
         # Work on the largest component so resistances are defined.
-        parts = component_subgraphs(g)
-        largest = max(parts, key=lambda item: item[1].num_vertices)[1]
+        labels = connected_components(g)
+        largest = induced_subgraph(g, np.flatnonzero(labels == np.argmax(np.bincount(labels))))
         result = parallel_sparsify(
             largest, epsilon=0.5, rho=4, config=SparsifierConfig.practical(bundle_t=2), seed=12
         )

@@ -1,47 +1,48 @@
-"""Tests for repro.graphs.laplacian."""
+"""Tests for repro.graphs.laplacian and Laplacian assembly from edge arrays."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import GraphError
+from repro.graphs.conversion import from_laplacian
 from repro.graphs.graph import Graph
-from repro.graphs.laplacian import (
-    edge_laplacian,
-    incidence_matrix,
-    is_laplacian,
-    laplacian_from_edges,
-    laplacian_quadratic_form,
-    laplacian_to_graph_arrays,
-    weighted_degrees,
-)
+from repro.graphs.laplacian import edge_laplacian, is_laplacian
 
 
 class TestLaplacianFromEdges:
+    """``Graph(n, u, v, w).laplacian()`` is the one assembly from edge arrays."""
+
     def test_matches_graph_laplacian(self, weighted_er_graph):
         g = weighted_er_graph
-        lap = laplacian_from_edges(g.num_vertices, g.edge_u, g.edge_v, g.edge_weights)
-        assert np.allclose(lap.toarray(), g.laplacian().toarray())
+        adjacency = np.zeros((g.num_vertices, g.num_vertices))
+        np.add.at(adjacency, (g.edge_u, g.edge_v), g.edge_weights)
+        adjacency += adjacency.T
+        expected = np.diag(adjacency.sum(axis=1)) - adjacency
+        lap = Graph(g.num_vertices, g.edge_u, g.edge_v, g.edge_weights).laplacian()
+        assert np.allclose(lap.toarray(), expected)
 
     def test_parallel_edges_summed(self):
-        lap = laplacian_from_edges(2, np.array([0, 0]), np.array([1, 1]), np.array([1.0, 2.0]))
+        lap = Graph(2, np.array([0, 0]), np.array([1, 1]), np.array([1.0, 2.0])).laplacian()
         assert lap[0, 1] == pytest.approx(-3.0)
         assert lap[0, 0] == pytest.approx(3.0)
 
     def test_empty_edges(self):
-        lap = laplacian_from_edges(3, np.array([], dtype=int), np.array([], dtype=int), np.array([]))
-        assert lap.nnz == 0
+        lap = Graph(3, np.array([], dtype=int), np.array([], dtype=int), np.array([])).laplacian()
         assert lap.shape == (3, 3)
+        assert not lap.toarray().any()
 
     def test_shape_mismatch(self):
         with pytest.raises(GraphError):
-            laplacian_from_edges(3, np.array([0]), np.array([1, 2]), np.array([1.0]))
+            Graph(3, np.array([0]), np.array([1, 2]), np.array([1.0]))
 
 
 class TestIncidenceAndEdgeLaplacian:
     def test_incidence_reconstruction(self, small_er_graph):
-        g = small_er_graph
-        inc = incidence_matrix(g.num_vertices, g.edge_u, g.edge_v)
+        # One incidence row per edge, parallel copies included.
+        g = small_er_graph + small_er_graph
+        inc = g.incidence()
+        assert inc.shape == (g.num_edges, g.num_vertices)
         reconstructed = inc.T @ sp.diags(g.edge_weights) @ inc
         assert np.allclose(reconstructed.toarray(), g.laplacian().toarray())
 
@@ -77,18 +78,24 @@ class TestIncidenceAndEdgeLaplacian:
 
 
 class TestHelpers:
+    """Per-vertex and per-vector Graph methods on a multigraph."""
+
     def test_weighted_degrees(self, weighted_path):
-        deg = weighted_degrees(4, weighted_path.edge_u, weighted_path.edge_v, weighted_path.edge_weights)
-        assert np.allclose(deg, [1.0, 3.0, 6.0, 4.0])
+        doubled = weighted_path + weighted_path
+        deg = doubled.weighted_degrees()
+        assert np.allclose(deg, [2.0, 6.0, 12.0, 8.0])
+        assert np.allclose(deg, doubled.laplacian().diagonal())
 
     def test_quadratic_form_from_arrays(self, weighted_er_graph, rng):
-        g = weighted_er_graph
+        g = weighted_er_graph + weighted_er_graph.scaled(0.5)
         x = rng.standard_normal(g.num_vertices)
-        val = laplacian_quadratic_form(g.edge_u, g.edge_v, g.edge_weights, x)
-        assert val == pytest.approx(g.quadratic_form(x))
+        val = g.quadratic_form(x)
+        assert val == pytest.approx(g.coalesce().quadratic_form(x))
+        assert val == pytest.approx(float(x @ g.laplacian() @ x))
 
     def test_quadratic_form_empty(self):
-        assert laplacian_quadratic_form(np.array([]), np.array([]), np.array([]), np.array([1.0])) == 0.0
+        assert Graph(1).quadratic_form(np.array([1.0])) == 0.0
+        assert Graph(3).quadratic_form(np.array([1.0, -2.0, 5.0])) == 0.0
 
 
 class TestIsLaplacian:
@@ -115,13 +122,18 @@ class TestIsLaplacian:
 
 
 class TestLaplacianToGraphArrays:
+    """``from_laplacian`` turns a Laplacian back into a graph."""
+
     def test_roundtrip(self, weighted_er_graph):
-        lap = weighted_er_graph.laplacian()
-        n, u, v, w = laplacian_to_graph_arrays(lap)
-        rebuilt = Graph(n, u, v, w)
-        assert rebuilt.same_edge_set(weighted_er_graph)
+        # Parallel edges come back merged.
+        doubled = weighted_er_graph + weighted_er_graph
+        rebuilt = from_laplacian(doubled.laplacian())
+        assert rebuilt.num_edges == weighted_er_graph.num_edges
+        assert rebuilt.same_edge_set(weighted_er_graph.scaled(2.0))
 
     def test_weight_tolerance_drops_noise(self):
         g = Graph(3, [0, 1], [1, 2], [1.0, 1e-15])
-        n, u, v, w = laplacian_to_graph_arrays(g.laplacian(), weight_tol=1e-12)
-        assert len(w) == 1
+        assert from_laplacian(g.laplacian()).num_edges == 2
+        rebuilt = from_laplacian(g.laplacian(), tol=1e-12)
+        assert rebuilt.num_edges == 1
+        assert rebuilt.has_edge(0, 1)

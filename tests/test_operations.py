@@ -1,4 +1,4 @@
-"""Tests for repro.graphs.operations (graph algebra)."""
+"""Tests for the graph algebra: Graph's ``+``/``*`` and repro.graphs.operations."""
 
 import numpy as np
 import pytest
@@ -6,79 +6,46 @@ import pytest
 from repro.exceptions import GraphError
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
-from repro.graphs.operations import (
-    disjoint_union,
-    edge_membership_mask,
-    graph_difference,
-    graph_scale,
-    graph_sum,
-    induced_subgraph,
-    reweighted,
-)
+from repro.graphs.operations import disjoint_union, induced_subgraph
 
 
 class TestGraphSum:
+    """``G1 + G2`` and ``a * G`` on a shared vertex set (Section 2)."""
+
     def test_sum_of_laplacians(self, triangle_graph, rng):
-        doubled = graph_sum([triangle_graph, triangle_graph], coalesce=True)
+        doubled = (triangle_graph + triangle_graph).coalesce()
         assert np.allclose(
             doubled.laplacian().toarray(), 2 * triangle_graph.laplacian().toarray()
         )
 
     def test_sum_preserves_multigraph_without_coalesce(self, triangle_graph):
-        result = graph_sum([triangle_graph, triangle_graph])
+        result = triangle_graph + triangle_graph
         assert result.num_edges == 6
+        assert result.coalesce().num_edges == 3
 
     def test_sum_requires_matching_vertex_counts(self, triangle_graph):
         with pytest.raises(GraphError):
-            graph_sum([triangle_graph, Graph(4)])
-
-    def test_sum_empty_list(self):
-        with pytest.raises(GraphError):
-            graph_sum([])
+            triangle_graph + Graph(4)
 
     def test_sum_with_empty_graphs(self):
-        result = graph_sum([Graph(3), Graph(3)])
+        result = Graph(3) + Graph(3)
         assert result.num_edges == 0
+        assert result.coalesce().num_edges == 0
 
     def test_scale(self, weighted_path):
-        assert graph_scale(weighted_path, 3.0).total_weight == pytest.approx(21.0)
+        tripled = 3.0 * weighted_path
+        assert tripled.total_weight == pytest.approx(21.0)
+        assert np.allclose(tripled.laplacian().toarray(), 3.0 * weighted_path.laplacian().toarray())
 
 
 class TestMembershipAndDifference:
-    def test_membership_mask(self, weighted_path):
-        sub = weighted_path.select_edges(np.array([0, 2]))
-        mask = edge_membership_mask(weighted_path, sub)
-        assert mask.tolist() == [True, False, True]
-
-    def test_membership_with_empty_subgraph(self, weighted_path):
-        mask = edge_membership_mask(weighted_path, Graph(4))
-        assert not mask.any()
-
-    def test_membership_requires_same_vertex_set(self, weighted_path):
-        with pytest.raises(GraphError):
-            edge_membership_mask(weighted_path, Graph(5))
-
-    def test_difference_removes_subgraph_edges(self, small_er_graph):
-        sub = small_er_graph.select_edges(np.arange(10))
-        remaining = graph_difference(small_er_graph, sub)
-        assert remaining.num_edges == small_er_graph.num_edges - 10
-        mask = edge_membership_mask(remaining, sub)
-        assert not mask.any()
-
-    def test_difference_with_itself_is_empty(self, small_er_graph):
-        assert graph_difference(small_er_graph, small_er_graph).num_edges == 0
-
-    def test_difference_ignores_weights(self):
-        g = Graph(3, [0, 1], [1, 2], [1.0, 1.0])
-        h = Graph(3, [0], [1], [99.0])  # same endpoints, different weight
-        assert graph_difference(g, h).num_edges == 1
-
     def test_bundle_peeling_identity(self, small_er_graph):
-        """G = H + (G - H) at the edge-set level (what the bundle construction relies on)."""
-        h = small_er_graph.select_edges(np.arange(0, small_er_graph.num_edges, 3))
-        rest = graph_difference(small_er_graph, h)
-        recombined = graph_sum([h, rest])
-        assert recombined.same_edge_set(small_er_graph)
+        """G = H + (G - H) when the peel selects the complement of H's edge indices."""
+        taken = np.arange(0, small_er_graph.num_edges, 3)
+        h = small_er_graph.select_edges(taken)
+        rest = small_er_graph.select_edges(np.setdiff1d(np.arange(small_er_graph.num_edges), taken))
+        assert rest.num_edges == small_er_graph.num_edges - h.num_edges
+        assert (h + rest).same_edge_set(small_er_graph)
 
 
 class TestSubgraphAndReweight:
@@ -98,12 +65,14 @@ class TestSubgraphAndReweight:
         assert sub.num_edges == 0
 
     def test_reweighted(self, weighted_path):
-        new = reweighted(weighted_path, np.array([1.0, 1.0, 1.0]))
+        new = weighted_path.with_weights(np.array([1.0, 1.0, 1.0]))
         assert new.total_weight == pytest.approx(3.0)
+        assert np.array_equal(new.edge_u, weighted_path.edge_u)
+        assert np.array_equal(new.edge_v, weighted_path.edge_v)
 
     def test_reweighted_wrong_length(self, weighted_path):
         with pytest.raises(GraphError):
-            reweighted(weighted_path, np.array([1.0]))
+            weighted_path.with_weights(np.array([1.0]))
 
     def test_disjoint_union(self, triangle_graph, weighted_path):
         combined = disjoint_union(triangle_graph, weighted_path)
