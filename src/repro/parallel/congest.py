@@ -33,10 +33,12 @@ slots of every edge once per network in ``reverse_slot``; a message sent
 on slot ``s`` arrives on the receiver's slot ``reverse_slot[s]``, with no
 search per message.
 
-Per-node RNG streams are spawned exactly as the reference simulator
-spawns them (same seed normalisation, same ``spawn_rngs`` call), so a
-columnar program that draws from ``node_rngs[v]`` whenever the reference
-program's node ``v`` draws reproduces the reference run bit for bit.
+Per-node RNG streams are the reference simulator's streams in array
+form: ``node_streams`` is a :class:`repro.utils.rng.NodeStreams` over the
+same normalised seed, bit-identical to the ``spawn_rngs`` generators the
+reference hands its nodes, so a columnar program that draws for node
+``v`` whenever the reference program's node ``v`` draws reproduces the
+reference run bit for bit — and draws for every such node in one call.
 The golden parity tests in ``tests/test_congest_parity.py`` pin that
 equivalence for the Baswana–Sen protocol: identical spanner edge sets
 and identical (rounds, messages, max_message_words) triples, including
@@ -53,7 +55,7 @@ import numpy as np
 from repro.exceptions import MessageTooLargeError, SimulationError
 from repro.graphs.graph import Graph
 from repro.parallel.metrics import DistributedCost
-from repro.utils.rng import RandomState, SeedLike, spawn_rngs
+from repro.utils.rng import NodeStreams, SeedLike
 
 __all__ = [
     "MessageBlock",
@@ -183,9 +185,9 @@ class ColumnarSimulator:
     Drop-in counterpart of
     :class:`repro.spanners._reference.DistributedSimulator` — same
     constructor signature, same default ``message_word_limit``
-    (``4 * ceil(log2 n) + 16``), same per-node RNG spawning — but one
-    round is a handful of flat array passes instead of ``n`` Python
-    ``step()`` calls.
+    (``4 * ceil(log2 n) + 16``), the same per-node RNG streams (held as
+    arrays in ``node_streams``) — but one round is a handful of flat array
+    passes instead of ``n`` Python ``step()`` calls.
 
     The topology is exposed to programs in columnar form: ``indptr`` /
     ``adj`` / ``adj_weights`` / ``adj_edge_ids`` are the CSR neighbour
@@ -209,7 +211,7 @@ class ColumnarSimulator:
         if message_word_limit is None:
             message_word_limit = 4 * int(np.ceil(np.log2(max(n, 2)))) + 16
         self.message_word_limit = int(message_word_limit)
-        self.node_rngs: List[RandomState] = spawn_rngs(seed if seed is not None else 0, max(n, 1))
+        self.node_streams = NodeStreams(seed if seed is not None else 0, max(n, 1))
 
         indptr, adj, weights, edge_ids = graph.neighbor_lists()
         self.indptr = indptr

@@ -13,14 +13,20 @@ reference per-node implementation, which the golden parity tests pin
 down.  The equivalence rests on four invariants:
 
 * **RNG.**  Exactly the nodes that draw in the reference engine draw
-  here — current cluster centres, once per clustering iteration, from
-  the same per-node streams the simulator spawns — so every sampling
-  coin lands the same way.
+  here — current cluster centres, once per clustering iteration — from
+  the simulator's ``node_streams``, which are bit-identical to the
+  reference's per-node ``spawn_rngs`` generators.  All centres draw in
+  one call; the order across nodes is irrelevant because the streams
+  are independent, so every sampling coin lands the same way.
 * **Message schedule.**  Flood tuples propagate one hop per round
   (frontier expansion), every clustered node forwards its cluster's
   tuple to *all* neighbours exactly once per phase, and removal
   notifications are sent per killed incidence in the decision round:
-  message counts match the reference engine round by round.
+  message counts match the reference engine round by round.  The
+  schedule also fixes every inbox's kind — removals in the round after
+  a decision round, flood tuples otherwise — so messages carry no kind
+  column; their word counts stay those of the reference payloads, whose
+  kind tag is one of the words.
 * **Tie-breaking.**  The reference node scans its incident slots in CSR
   order, keeping the *earliest* slot on equal lengths, and its
   per-cluster minima dict iterates in first-occurrence order, which is
@@ -62,8 +68,6 @@ def build_schedule(k: int) -> List[Tuple[str, int]]:
     schedule.append(("final_decide", k))
     return schedule
 
-_TAG_FLOOD = 0
-_TAG_REMOVE = 1
 # payload_words of the reference payloads: ("F", centre, sampled) and ("R",).
 _FLOOD_WORDS = 3
 _REMOVE_WORDS = 1
@@ -113,48 +117,44 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
     def _process_inbox(
         self,
         net: ColumnarSimulator,
+        round_number: int,
         inbox: MessageBlock,
         learn_membership: bool,
         set_pending: bool,
     ) -> None:
         """Apply one round's delivered messages to the state arrays.
 
-        Removal notifications kill the edge (idempotent — the sending
-        side already killed it); flood tuples update the receiver's
-        per-incidence knowledge and, when ``learn_membership``, inform
-        cluster members of their sampled bit (``set_pending`` arms their
-        forwarding broadcast, flood rounds only).
+        The inbox holds what the previous round sent, so its phase fixes
+        the kind.  Removal notifications (after a decision round) kill
+        the edge (idempotent — the sending side already killed it); flood
+        tuples update the receiver's per-incidence knowledge and, when
+        ``learn_membership``, inform cluster members of their sampled bit
+        (``set_pending`` arms their forwarding broadcast, flood rounds
+        only).
         """
         if len(inbox) == 0:
             return
-        tags = inbox.column("tag")
         slots = net.reverse_slot[inbox.slot]
+        if self.schedule[round_number - 2][0] == "decide":
+            self.edge_alive[net.adj_edge_ids[slots]] = False
+            return
 
-        removals = tags == _TAG_REMOVE
-        if np.any(removals):
-            self.edge_alive[net.adj_edge_ids[slots[removals]]] = False
-
-        floods = tags == _TAG_FLOOD
-        if np.any(floods):
-            f_slots = slots[floods]
-            f_center = inbox.column("center")[floods]
-            f_sampled = inbox.column("sampled")[floods]
-            self.known_center[f_slots] = f_center
-            self.known_sampled[f_slots] = f_sampled
-            if learn_membership:
-                dst = net.slot_owner[f_slots]
-                matches = (
-                    ~self.informed[dst] & (self.center[dst] >= 0) & (f_center == self.center[dst])
-                )
-                if np.any(matches):
-                    hit = dst[matches]
-                    self.informed[hit] = True
-                    # All tuples of one cluster carry the same bit, so
-                    # last-write-wins matches the reference "first
-                    # matching message" exactly.
-                    self.sampled[hit] = f_sampled[matches]
-                    if set_pending:
-                        self.pending[hit] = True
+        f_center = inbox.column("center")
+        f_sampled = inbox.column("sampled")
+        self.known_center[slots] = f_center
+        self.known_sampled[slots] = f_sampled
+        if learn_membership:
+            dst = net.slot_owner[slots]
+            matches = ~self.informed[dst] & (self.center[dst] >= 0) & (f_center == self.center[dst])
+            if np.any(matches):
+                hit = dst[matches]
+                self.informed[hit] = True
+                # All tuples of one cluster carry the same bit, so
+                # last-write-wins matches the reference "first matching
+                # message" exactly.
+                self.sampled[hit] = f_sampled[matches]
+                if set_pending:
+                    self.pending[hit] = True
 
     # -------------------------------------------------------------- #
     # Grouped per-(vertex, cluster) minima
@@ -211,28 +211,26 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
             self.known_sampled[:] = False
             centres = np.flatnonzero(self.center == np.arange(self.n, dtype=np.int64))
             # One draw per centre from its private stream — the only
-            # randomness in the protocol, and the draw order across nodes
-            # is irrelevant because the streams are independent.
-            p = self.sample_probability
-            for c in centres:
-                self.sampled[c] = net.node_rngs[c].random() < p
+            # randomness in the protocol.
+            self.sampled[centres] = net.node_streams.random(centres) < self.sample_probability
             self.informed[centres] = True
             self.pending[centres] = True
-        self._process_inbox(net, inbox, learn_membership=True, set_pending=True)
+        self._process_inbox(net, round_number, inbox, learn_membership=True, set_pending=True)
         broadcasters = np.flatnonzero(self.pending)
         self.pending[:] = False
         return net.broadcast_block(
             broadcasters,
             _FLOOD_WORDS,
-            tag=np.full(broadcasters.shape[0], _TAG_FLOOD, dtype=np.int64),
             center=self.center[broadcasters],
             sampled=self.sampled[broadcasters],
         )
 
-    def _decide_round(self, net: ColumnarSimulator, inbox: MessageBlock) -> MessageBlock:
+    def _decide_round(
+        self, net: ColumnarSimulator, round_number: int, inbox: MessageBlock
+    ) -> MessageBlock:
         # Late flood arrivals may still be in the inbox (no forwarding
         # armed at this point, mirroring the reference decide phase).
-        self._process_inbox(net, inbox, learn_membership=True, set_pending=False)
+        self._process_inbox(net, round_number, inbox, learn_membership=True, set_pending=False)
 
         acting = ~((self.center >= 0) & self.sampled)
         slot_mask = (
@@ -283,24 +281,24 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
         return MessageBlock(
             slot=killed_slots,
             words=np.full(killed_slots.shape[0], _REMOVE_WORDS, dtype=np.int64),
-            columns={"tag": np.full(killed_slots.shape[0], _TAG_REMOVE, dtype=np.int64)},
         )
 
-    def _final_exchange(self, net: ColumnarSimulator, inbox: MessageBlock) -> MessageBlock:
-        self._process_inbox(net, inbox, learn_membership=False, set_pending=False)
+    def _final_exchange(
+        self, net: ColumnarSimulator, round_number: int, inbox: MessageBlock
+    ) -> MessageBlock:
+        self._process_inbox(net, round_number, inbox, learn_membership=False, set_pending=False)
         self.known_center[:] = -1
         self.known_sampled[:] = False
         clustered = np.flatnonzero(self.center >= 0)
         return net.broadcast_block(
             clustered,
             _FLOOD_WORDS,
-            tag=np.full(clustered.shape[0], _TAG_FLOOD, dtype=np.int64),
             center=self.center[clustered],
             sampled=np.zeros(clustered.shape[0], dtype=bool),
         )
 
-    def _final_decide(self, net: ColumnarSimulator, inbox: MessageBlock) -> None:
-        self._process_inbox(net, inbox, learn_membership=False, set_pending=False)
+    def _final_decide(self, net: ColumnarSimulator, round_number: int, inbox: MessageBlock) -> None:
+        self._process_inbox(net, round_number, inbox, learn_membership=False, set_pending=False)
         slot_mask = self.edge_alive[net.adj_edge_ids] & (self.known_center >= 0)
         _, _, _, _, g_min_slot, _, _ = self._cluster_groups(net, slot_mask)
         self._record_slots(net, g_min_slot)
@@ -316,11 +314,11 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
         if phase == "flood":
             return self._flood_round(net, round_number, inbox), False
         if phase == "decide":
-            return self._decide_round(net, inbox), False
+            return self._decide_round(net, round_number, inbox), False
         if phase == "final_exchange":
-            return self._final_exchange(net, inbox), False
+            return self._final_exchange(net, round_number, inbox), False
         if phase == "final_decide":
-            self._final_decide(net, inbox)
+            self._final_decide(net, round_number, inbox)
             return None, True
         raise AssertionError(f"unknown protocol phase {phase!r}")  # pragma: no cover
 

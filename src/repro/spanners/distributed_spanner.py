@@ -110,6 +110,8 @@ def _protocol_inputs(
     """``(coalesced graph, k, round cap)`` for one protocol run."""
     if max_rounds is not None and max_rounds < 1:
         raise GraphError(f"max_rounds must be >= 1, got {max_rounds}")
+    if k is not None and k < 1:
+        raise GraphError(f"spanner parameter k must be >= 1, got {k}")
     simple = graph.coalesce()
     if k is None:
         k = max(1, int(np.ceil(np.log2(max(simple.num_vertices, 2)))))
@@ -214,8 +216,9 @@ def distributed_bundle_spanner(
     ----------
     graph:
         Simple input graph (one edge per endpoint pair); shard subgraphs
-        of a coalesced graph qualify.  ``edge_indices`` refer to this
-        graph's edge arrays.
+        of a coalesced graph qualify, and parallel edges raise
+        :class:`GraphError`.  ``edge_indices`` refer to this graph's edge
+        arrays.
     t:
         Number of bundle components requested.
     k:
@@ -243,6 +246,17 @@ def _peel_bundle(
     """
     if t < 1:
         raise GraphError(f"bundle size t must be >= 1, got {t}")
+    # Components are matched back to ``graph`` by edge key, so two edges
+    # on one endpoint pair would both be taken.  Pipeline inputs arrive
+    # key-sorted: one strict-increase pass accepts them without a sort.
+    keys = graph.edge_keys()
+    if not np.all(keys[1:] > keys[:-1]):
+        keys = np.sort(keys)
+        if np.any(keys[1:] == keys[:-1]):
+            raise GraphError(
+                "distributed bundle needs a simple graph, but some endpoint pair has "
+                "parallel edges; merge them with graph.coalesce() first"
+            )
     if component_seeds is None:
         component_seeds = split_rng(as_rng(seed), t)
     if len(component_seeds) < t:

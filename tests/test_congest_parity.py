@@ -176,6 +176,12 @@ class TestSpannerParity:
         with pytest.raises(GraphError, match="max_rounds"):
             ENGINES[engine](gen.grid_graph(6, 6), seed=0, max_rounds=max_rounds)
 
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, engine, k):
+        with pytest.raises(GraphError, match="k must be >= 1"):
+            ENGINES[engine](gen.grid_graph(6, 6), k=k, seed=0)
+
 
 class TestGoldens:
     """Both engines must reproduce the frozen reference outputs."""
@@ -386,11 +392,11 @@ class TestColumnarEngine:
         assert concat_ranges(starts, counts).tolist() == [5, 6, 7, 9, 10, 9]
         assert concat_ranges(np.array([], dtype=np.int64), np.array([], dtype=np.int64)).size == 0
 
-    def test_node_rngs_match_reference_spawn(self):
+    def test_node_streams_match_reference_spawn(self):
         """Same seed normalisation: per-node streams agree across engines."""
         g = gen.cycle_graph(6)
         reference = DistributedSimulator(g, seed=5)
         columnar = ColumnarSimulator(g, seed=5)
         ref_draws = [ctx.rng.random() for ctx in reference.contexts]
-        col_draws = [rng.random() for rng in columnar.node_rngs]
+        col_draws = columnar.node_streams.random(np.arange(g.num_vertices)).tolist()
         assert ref_draws == col_draws

@@ -347,6 +347,20 @@ class TestDistributedBundleSpanner:
             distributed_bundle_spanner(simple, t=0)
         with pytest.raises(GraphError):
             distributed_bundle_spanner(simple, t=3, component_seeds=split_rng(as_rng(0), 2))
+        with pytest.raises(GraphError, match="k must be >= 1"):
+            distributed_bundle_spanner(simple, t=2, k=0)
+
+    def test_rejects_parallel_edges(self):
+        """Both copies of a doubled edge would be matched to one selected pair."""
+        from repro.spanners._reference import reference_distributed_bundle_spanner
+        from repro.spanners.distributed_spanner import distributed_bundle_spanner
+
+        u = np.arange(6)
+        v = (u + 1) % 6
+        doubled = Graph(6, np.r_[u, u], np.r_[v, v])
+        for bundle in (distributed_bundle_spanner, reference_distributed_bundle_spanner):
+            with pytest.raises(GraphError, match="coalesce"):
+                bundle(doubled, t=1, seed=0)
 
     def test_exhausts_small_graph(self):
         from repro.spanners.distributed_spanner import distributed_bundle_spanner

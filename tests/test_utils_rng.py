@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_rng, spawn_rngs, split_rng
+from repro.utils.rng import NodeStreams, as_rng, spawn_rngs, split_rng
 
 
 class TestAsRng:
@@ -54,8 +54,48 @@ class TestSplitAndSpawn:
     def test_spawn_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             spawn_rngs(1, 0)
+        with pytest.raises(ValueError):
+            NodeStreams(1, 0)
 
     def test_spawn_from_generator(self):
         rngs = spawn_rngs(np.random.default_rng(3), 2)
         assert len(rngs) == 2
 
+
+class TestNodeStreams:
+    """``NodeStreams`` is ``spawn_rngs`` in array form, bit for bit.
+
+    Its 128-bit arithmetic relies on uint64 wraparound and promotion
+    rules that differ between NumPy 1.x and 2.x, so this is the check to
+    run after a NumPy upgrade (CI also runs it on the oldest supported
+    NumPy).
+    """
+
+    @staticmethod
+    def assert_same_draws(streams, rngs, n):
+        picker = np.random.default_rng(n)
+        for _ in range(5):
+            nodes = picker.permutation(n)[: picker.integers(1, n + 1)]
+            assert streams.random(nodes).tolist() == [rngs[v].random() for v in nodes]
+
+    @pytest.mark.parametrize("n", [1, 7, 500])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 2])
+    def test_int_seed(self, seed, n):
+        self.assert_same_draws(NodeStreams(seed, n), spawn_rngs(seed, n), n)
+
+    @pytest.mark.parametrize("n", [1, 7, 500])
+    def test_generator_seed_takes_one_draw(self, n):
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        self.assert_same_draws(NodeStreams(ours, n), spawn_rngs(theirs, n), n)
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("n", [1, 7, 500])
+    def test_spawned_seed_sequence_advances_like_spawn(self, n):
+        def spawned_sequence():
+            seq = np.random.SeedSequence(2**70 + 3, spawn_key=(4, 2**33))
+            seq.spawn(5)
+            return seq
+
+        ours, theirs = spawned_sequence(), spawned_sequence()
+        self.assert_same_draws(NodeStreams(ours, n), spawn_rngs(theirs, n), n)
+        assert ours.n_children_spawned == theirs.n_children_spawned == 5 + n
