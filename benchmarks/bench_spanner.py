@@ -2,14 +2,15 @@
 
 The sparsifier stack bottoms out in ``t_bundle_spanner`` calling
 ``baswana_sen_spanner`` t = O(log^2 n / eps^2) times, so this benchmark
-times exactly that hot path before and after the segmented-reduction
-vectorization + zero-copy peeling:
+times exactly that hot path in two implementations:
 
 * **seed**: :mod:`repro.spanners._reference` — the pre-vectorization
   implementation preserved verbatim (per-vertex Python loop, Graph
   rebuild per peel round);
 * **optimized**: the shipped :mod:`repro.spanners.baswana_sen` /
-  :mod:`repro.spanners.bundle`.
+  :mod:`repro.spanners.bundle` — directed edge rows ranked once per
+  bundle, one packed-key sort per clustering iteration, components
+  peeled by masking a live-edge vector.
 
 Workloads cover the scenario matrix the sparsifier meets in practice —
 banded/locality, 2-D grid, power-law (Barabási–Albert), Erdős–Rényi — at
@@ -18,7 +19,8 @@ t in {8, 32}.  Every timed pair also hard-asserts *bit-identical* edge
 selections, so the benchmark doubles as an end-to-end equivalence check.
 
 Results are printed as an experiment table and persisted to
-``BENCH_spanner.json`` at the repo root.  Wall-clock *assertions* are
+``BENCH_spanner.json`` at the repo root, with the CPU count, machine
+and NumPy version they were measured on.  Wall-clock *assertions* are
 gated on ``REPRO_BENCH_ASSERT_SPEEDUP=1`` (the CI container has a single
 usable CPU and timing noise there should not fail the build); the JSON
 always records the measured speedups.
@@ -37,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import time
 from pathlib import Path
 
@@ -126,60 +129,6 @@ def run_case(scenario: str, n: int, bundle_ts: list) -> list:
     return rows
 
 
-def _lexsort_lightest_per_group(group_a, group_b, lengths, payload):
-    """The pre-radix three-key lexsort grouping, kept for the kernel delta."""
-    order = np.lexsort((lengths, group_b, group_a))
-    a_sorted = group_a[order]
-    b_sorted = group_b[order]
-    first = np.concatenate(
-        [[True], (a_sorted[1:] != a_sorted[:-1]) | (b_sorted[1:] != b_sorted[:-1])]
-    )
-    sel = order[first]
-    return group_a[sel], group_b[sel], lengths[sel], payload[sel]
-
-
-def grouping_kernel_rows(smoke: bool) -> list:
-    """Time the (vertex, cluster) grouping kernel: lexsort vs radix bucketing.
-
-    ``_lightest_per_group`` runs once per clustering iteration; at laptop
-    sizes it is no longer the end-to-end bottleneck, so its delta is
-    recorded at the kernel level where it is measurable.  Outputs are
-    hard-asserted identical, pinning the tie-break equivalence.
-    """
-    from repro.spanners.baswana_sen import _lightest_per_group
-
-    rng = np.random.default_rng(SEED)
-    sizes = [(5_000, 500)] if smoke else [(10_000, 1_000), (50_000, 2_000), (200_000, 4_000)]
-    rows = []
-    for m, n in sizes:
-        group_a = rng.integers(0, n, m)
-        group_b = rng.integers(0, max(n // 4, 1), m)
-        lengths = rng.random(m)
-        payload = np.arange(m, dtype=np.int64)
-        reps = max(3, 500_000 // m)
-        timings = {}
-        for name, fn in (("lexsort", _lexsort_lightest_per_group), ("radix", _lightest_per_group)):
-            start = time.perf_counter()
-            for _ in range(reps):
-                fn(group_a, group_b, lengths, payload)
-            timings[name] = (time.perf_counter() - start) / reps
-        old = _lexsort_lightest_per_group(group_a, group_b, lengths, payload)
-        new = _lightest_per_group(group_a, group_b, lengths, payload)
-        assert all(np.array_equal(x, y) for x, y in zip(old, new)), (
-            f"grouping kernels disagree at m={m}"
-        )
-        rows.append(
-            {
-                "entries": m,
-                "vertices": n,
-                "lexsort_seconds": round(timings["lexsort"], 5),
-                "radix_seconds": round(timings["radix"], 5),
-                "speedup": round(timings["lexsort"] / max(timings["radix"], 1e-9), 2),
-            }
-        )
-    return rows
-
-
 def check_determinism(smoke_graph: Graph) -> bool:
     """Two optimized runs with one seed must select identical edges."""
     first = t_bundle_spanner(smoke_graph, t=2, seed=SEED)
@@ -224,16 +173,6 @@ def main() -> None:
         table.add_row(**row)
     print(table.render())
 
-    kernel_rows = grouping_kernel_rows(args.smoke)
-    kernel_table = ExperimentTable(
-        "lightest-per-group-kernel",
-        ["entries", "vertices", "lexsort_seconds", "radix_seconds", "speedup"],
-    )
-    for row in kernel_rows:
-        kernel_table.add_row(**row)
-    print()
-    print(kernel_table.render())
-
     deterministic = check_determinism(build_graph("banded", 64))
     assert deterministic, "optimized bundle is not deterministic for a fixed seed"
 
@@ -253,8 +192,13 @@ def main() -> None:
         "speedup_asserted": assert_speedup and not args.smoke,
         "bit_identical_to_seed": True,  # hard-asserted per row above
         "deterministic": deterministic,
+        "hardware": {
+            "usable_cpus": len(os.sched_getaffinity(0)),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
         "results": rows,
-        "grouping_kernel": kernel_rows,
     }
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     # Emission check: the file must exist and parse back.

@@ -135,10 +135,14 @@ class SparsifierConfig:
             raise SparsificationError("bundle_constant must be positive")
         if self.practical_scale <= 0:
             raise SparsificationError("practical_scale must be positive")
-        if self.bundle_t is not None and self.bundle_t < 1:
-            raise SparsificationError("bundle_t must be >= 1 when given")
-        if self.spanner_k is not None and self.spanner_k < 1:
-            raise SparsificationError("spanner_k must be >= 1 when given")
+        for name in ("bundle_t", "spanner_k"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise SparsificationError(f"{name} must be an integer when given, got {value!r}")
+            if value < 1:
+                raise SparsificationError(f"{name} must be >= 1 when given")
         if self.min_edges_to_sparsify < 0:
             raise SparsificationError("min_edges_to_sparsify must be non-negative")
         if self.backend is not None and self.backend not in available_backends():

@@ -31,16 +31,23 @@ The per-iteration clustering logic follows Baswana–Sen phase 1/phase 2:
 2. Phase 2 joins every vertex to each cluster of the final clustering that
    remains adjacent to it through one lightest edge.
 
-Every per-vertex decision is a *segmented reduction* over the (vertex,
-cluster) groups produced by one stable integer sort of the directed edge
-rows — ``np.minimum.reduceat`` / ``np.logical_or.reduceat`` over group
-boundaries.  Covered edges are then marked by edge id: each kept group's
-verdict is scattered back to its directed rows through the row -> group
-map of that same sort, so no step binary-searches a key table, and one
-clustering iteration is a small constant number of flat NumPy passes with
-no Python loop over vertices.  The pre-vectorization implementation is
-preserved in :mod:`repro.spanners._reference` for golden tests and
-benchmarking; both select bit-identical edge sets for a fixed seed.
+The directed edge rows are built once per input (:class:`_Rows`; a
+t-bundle shares them across its components) and each row carries a
+precomputed *rank* that orders rows by (length, direction, edge
+position) — the earliest-row-at-the-minimum tie-break.  A clustering
+iteration packs (tail, head cluster, rank) of its acting rows into one
+int64 key and value-sorts the keys: equal runs of the (tail, cluster)
+part are the groups and each group's first row is its lightest, so no
+stable argsort, minimum reduction or argmin pass touches the rows.  The
+per-vertex decisions are segmented reductions (``np.minimum.reduceat`` /
+``np.logical_or.reduceat``) over the groups, covered edges are the rows
+of the kept groups, and dead rows are masked by a live-edge vector until
+a quarter of them has died, when the rows are compacted.  One
+clustering iteration is a small constant number of flat NumPy passes
+with no Python loop over vertices.  The pre-vectorization
+implementation is preserved in :mod:`repro.spanners._reference` for
+golden tests and benchmarking; both select bit-identical edge sets for
+a fixed seed.
 """
 
 from __future__ import annotations
@@ -92,13 +99,12 @@ def _segmented_argmin(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Group rows by integer key; per group, locate the minimum value.
 
-    The radix-style bucketing primitive shared by the shared-memory
-    spanner and the columnar CONGEST decide round: a *stable* sort on the
-    integer key (NumPy's stable sort on integer dtypes is a radix sort)
-    buckets the rows while keeping each bucket in input order, so the
-    earliest sorted position achieving the segment minimum is exactly the
-    earliest *input row* at the minimum — the tie-break every golden test
-    pins down.
+    The radix-style bucketing primitive of the columnar CONGEST decide
+    round: a *stable* sort on the integer key (NumPy's stable sort on
+    integer dtypes is a radix sort) buckets the rows while keeping each
+    bucket in input order, so the earliest sorted position achieving the
+    segment minimum is exactly the earliest *input row* at the minimum —
+    the tie-break every golden test pins down.
 
     ``keys`` must be non-empty (callers early-out on empty input).
 
@@ -125,65 +131,149 @@ def _segmented_argmin(
     return order, starts, seg_of, minima, best
 
 
-def _lightest_per_group(
-    group_a: np.ndarray, group_b: np.ndarray, lengths: np.ndarray, payload: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """For each (a, b) group return the row of minimum length.
+# Grouping keys pack (tail, cluster, rank) into one int64 when the three
+# fields fit in this many bits; wider inputs sort the same triples with
+# ``np.lexsort`` instead.
+_KEY_BITS = 63
+# The row arrays are compacted once at least this share of them is dead.
+_COMPACT_FRACTION = 0.25
 
-    Returns arrays (a, b, min_length, payload_at_min) with one entry per
-    distinct (a, b) pair, sorted lexicographically by (a, b), followed by
-    the row -> group map (the group index of every input row).  Ties on
-    length resolve to the earliest input row, which is the tie-breaking
-    order the golden tests pin down.
 
-    Grouping runs through :func:`_segmented_argmin` on the fused integer
-    key ``a * span + b``, replacing the previous three-key ``np.lexsort``
-    whose float comparison sort dominated the per-iteration cost.
+class _Rows:
+    """The directed edge rows of one input, built once and shared by every
+    spanner component a bundle builds on it.
+
+    Rows come in pairs: with ``h = edge.size`` pairs, row ``i`` is edge
+    ``edge[i]`` as ``u -> v`` and row ``h + i`` the same edge as
+    ``v -> u``, so each half's tails are the other half's heads.  Every
+    row has a *rank* in ``[0, 2m)`` ordering rows by (length, direction,
+    edge position): the earliest row of the concatenated ``[u -> v;
+    v -> u]`` view among the lightest, which is the tie-break the goldens
+    pin.  ``base`` holds ``tail << tail_shift | rank``; a clustering
+    iteration ORs the head's cluster in at bit ``rank_bits`` and one value
+    sort of the keys groups the rows by (tail, cluster) with each group's
+    lightest row first.
     """
-    if group_a.size == 0:
-        empty = np.array([], dtype=np.int64)
-        return empty, empty, np.array([]), empty, empty
-    base_a = np.int64(group_a.min())
-    base_b = np.int64(group_b.min())
-    span = np.int64(group_b.max()) - base_b + 1
-    key = (group_a - base_a) * span + (group_b - base_b)
-    order, _, seg_of, _, best = _segmented_argmin(key, lengths)
-    sel = order[best]
-    group_of = np.empty_like(seg_of)
-    group_of[order] = seg_of
-    return group_a[sel], group_b[sel], lengths[sel], payload[sel], group_of
+
+    __slots__ = (
+        "n", "lengths", "base", "head", "edge", "edge_of_rank",
+        "rank_bits", "cluster_bits", "tail_shift", "packed",
+    )
+
+    def __init__(
+        self, n: int, edge_u: np.ndarray, edge_v: np.ndarray, weights: np.ndarray
+    ) -> None:
+        edge_u = np.asarray(edge_u, dtype=np.int64)
+        edge_v = np.asarray(edge_v, dtype=np.int64)
+        m = edge_u.shape[0]
+        self.n = n
+        self.lengths = 1.0 / np.asarray(weights)  # resistive metric
+        self.rank_bits = max(2 * m - 1, 1).bit_length()
+        self.cluster_bits = max(n - 1, 0).bit_length()
+        self.packed = 2 * self.cluster_bits + self.rank_bits <= _KEY_BITS
+        self.tail_shift = self.rank_bits + (self.cluster_bits if self.packed else 0)
+
+        # One stable sort of the m lengths ranks all 2m rows: a run of z
+        # equal lengths at sorted position s ranks its forward rows
+        # 2s .. 2s+z-1 and its backward rows 2s+z .. 2s+2z-1.  Temporaries
+        # are dropped as soon as they are used: the kernel's arrays set
+        # the batch pipeline's peak memory.
+        order = np.argsort(self.lengths, kind="stable")
+        sorted_lengths = self.lengths.take(order)
+        run_head = np.empty(m, dtype=bool)
+        run_head[:1] = True
+        np.not_equal(sorted_lengths[1:], sorted_lengths[:-1], out=run_head[1:])
+        del sorted_lengths
+        run_starts = np.flatnonzero(run_head)
+        run_of = np.cumsum(run_head) - 1
+        del run_head
+        forward = run_starts.take(run_of)
+        forward += np.arange(m, dtype=np.int64)
+        backward = forward + np.diff(np.append(run_starts, m)).take(run_of)
+        del run_starts, run_of
+        rank = np.empty(2 * m, dtype=np.int64)
+        rank[order] = forward
+        rank[m + order] = backward
+        self.edge_of_rank = np.empty(2 * m, dtype=np.int64)
+        self.edge_of_rank[forward] = order
+        self.edge_of_rank[backward] = order
+        del order, forward, backward
+
+        self.head = np.concatenate([edge_v, edge_u])
+        self.base = np.concatenate([edge_u, edge_v])
+        self.base <<= self.tail_shift
+        self.base |= rank
+        del rank
+        self.edge = np.arange(m, dtype=np.int64)
+
+    def groups(
+        self, base: np.ndarray, head_cluster: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sort rows by (tail, cluster, rank) and find the (tail, cluster) groups.
+
+        Returns ``(group_ids, starts, ranks)``: per group, its id ``tail <<
+        cluster_bits | cluster`` (ascending) and the sorted position of its
+        first row, which is its lightest under the rank tie-break; per
+        sorted row, its rank.
+        """
+        rank_mask = (1 << self.rank_bits) - 1
+        if self.packed:
+            # The keys are unique, so a value sort gives the stable order.
+            ids = head_cluster << self.rank_bits
+            ids |= base
+            ids.sort()
+            ranks = ids & rank_mask
+            ids >>= self.rank_bits
+        else:
+            ids = base >> self.tail_shift
+            ranks = base & rank_mask
+            order = np.lexsort((ranks, head_cluster, ids))
+            ids <<= self.cluster_bits
+            ids |= head_cluster
+            ids = ids.take(order)
+            ranks = ranks.take(order)
+        boundary = np.empty(ids.shape[0], dtype=bool)
+        boundary[0] = True
+        np.not_equal(ids[1:], ids[:-1], out=boundary[1:])
+        starts = np.flatnonzero(boundary)
+        return ids.take(starts), starts, ranks
+
+
+def _rows_of_groups(starts: np.ndarray, sizes: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Sorted positions of every row of ``groups`` (runs at ``starts``)."""
+    sizes = sizes.take(groups)
+    positions = np.repeat(starts.take(groups) - (np.cumsum(sizes) - sizes), sizes)
+    positions += np.arange(positions.shape[0], dtype=np.int64)
+    return positions
 
 
 def _spanner_select(
-    n: int,
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    weights: np.ndarray,
-    k: int,
-    rng: RandomState,
-    tracker: PRAMTracker,
+    rows: _Rows, alive: np.ndarray, k: int, rng: RandomState, tracker: PRAMTracker
 ) -> np.ndarray:
-    """Core Baswana–Sen edge selection on raw arrays.
+    """Core Baswana–Sen edge selection over the rows of the ``alive`` edges.
 
-    Returns the sorted unique local indices (into ``edge_u``/``edge_v``)
-    of the spanner edges.  This is the function the bundle peel loop calls
-    directly, so ``t`` rounds never materialise an intermediate ``Graph``.
+    ``alive`` flags the edges (of the input ``rows`` was built from) this
+    spanner runs on; it is consumed as working state.  Returns the sorted
+    input indices of the spanner edges.  The bundle peel calls this
+    directly with one :class:`_Rows` for all ``t`` components, so no
+    component rebuilds rows or materialises an intermediate ``Graph``.
     """
-    # The working arrays are only ever re-bound to fancy-indexed slices,
-    # never mutated in place, so the caller's (possibly read-only) arrays
-    # are used as-is.
-    lengths = 1.0 / weights  # resistive metric
-    m = edge_u.shape[0]
-    edge_idx = np.arange(m, dtype=np.int64)
+    # Rows of dead edges stay until a compaction; ``pairs > live_edges``
+    # says some are present and must be masked out.
+    n = rows.n
+    base, head, edge = rows.base, rows.head, rows.edge
+    live_edges = int(np.count_nonzero(alive))
+    cluster_bits = rows.cluster_bits
+    cluster_mask = (1 << cluster_bits) - 1
 
     # cluster[v] = centre vertex id, or -1 once v leaves the clustering.
     cluster = np.arange(n, dtype=np.int64)
     sample_probability = float(n) ** (-1.0 / k) if n > 1 else 1.0
 
-    chosen = np.zeros(m, dtype=bool)
+    chosen = np.zeros(alive.shape[0], dtype=bool)
 
     for _iteration in range(k - 1):
-        if edge_idx.size == 0:
+        if live_edges == 0:
             break
         # --- sample clusters -------------------------------------------------
         is_center = np.zeros(n, dtype=bool)
@@ -200,54 +290,61 @@ def _spanner_select(
         clustered = cluster >= 0
         in_sampled[clustered] = center_sampled[cluster[clustered]]
 
-        # --- per (vertex, neighbouring cluster) lightest edges --------------
-        # Directed view: each remaining edge appears once per endpoint.
-        du = np.concatenate([edge_u, edge_v])
-        dv = np.concatenate([edge_v, edge_u])
-        dlen = np.concatenate([lengths, lengths])
-        didx = np.concatenate([edge_idx, edge_idx])
-        head_cluster = cluster[dv]
-        # Only clustered heads count, and only vertices outside sampled
+        # --- group the acting rows by (tail, head cluster) -------------------
+        # Only clustered heads count, and only tails outside sampled
         # clusters act this iteration.
-        valid = (head_cluster >= 0) & ~in_sampled[du]
-        du, dlen, didx, head_cluster = (
-            du[valid], dlen[valid], didx[valid], head_cluster[valid]
-        )
-        tracker.charge_parallel_for(2 * edge_idx.size, label="spanner/scan-edges")
+        pairs = edge.shape[0]
+        head_cluster = cluster.take(head)
+        act = head_cluster >= 0
+        act_pairs = act.reshape(2, pairs)
+        outside = ~in_sampled
+        act_pairs[0] &= outside.take(head[pairs:])
+        act_pairs[1] &= outside.take(head[:pairs])
+        if pairs > live_edges:
+            act_pairs &= alive.take(edge)
+        tracker.charge_parallel_for(2 * live_edges, label="spanner/scan-edges")
+        acting_rows = np.flatnonzero(act)
+        del act, act_pairs
+        acting = acting_rows.shape[0]
 
-        if du.size == 0:
+        if acting == 0:
             # Nothing to do; clustering simply persists for sampled clusters.
             cluster = np.where(in_sampled, cluster, -1)
             continue
 
-        grp_v, grp_c, grp_len, grp_edge, grp_of = _lightest_per_group(
-            du, head_cluster, dlen, didx
+        grp_id, starts, ranks = rows.groups(
+            base.take(acting_rows), head_cluster.take(acting_rows)
         )
+        del head_cluster, acting_rows
+        grp_v = grp_id >> cluster_bits
+        grp_c = grp_id & cluster_mask
+        grp_edge = rows.edge_of_rank.take(ranks.take(starts))
+        grp_len = rows.lengths.take(grp_edge)
         # PRAM: grouping/minimum per (v, c) pair is a segmented reduction.
-        tracker.charge_reduction(du.size, label="spanner/group-min")
+        tracker.charge_reduction(acting, label="spanner/group-min")
 
         # --- per-vertex decisions (segmented reductions) --------------------
-        # grp_* arrays are sorted by (vertex, cluster); one segment per
-        # acting vertex.  Case (a) — no adjacent sampled cluster — keeps
-        # every segment entry; case (b) keeps the strictly lighter entries
-        # plus the lightest sampled one (first on ties, matching argmin
-        # over the lexsorted segment).  The removal (vertex, cluster) pairs
-        # coincide with the kept entries in both cases.
+        # Groups are sorted by (vertex, cluster); one segment per acting
+        # vertex.  Case (a) — no adjacent sampled cluster — keeps every
+        # group; case (b) keeps the strictly lighter groups plus the
+        # lightest sampled one (smallest cluster id on ties).  The removal
+        # (vertex, cluster) pairs coincide with the kept groups in both
+        # cases.
         new_cluster = np.where(in_sampled, cluster, -1)
 
-        num_entries = grp_v.size
+        num_groups = grp_v.size
         seg_starts = np.concatenate([[0], np.flatnonzero(grp_v[1:] != grp_v[:-1]) + 1])
-        seg_lengths = np.diff(np.append(seg_starts, num_entries))
+        seg_lengths = np.diff(np.append(seg_starts, num_groups))
         seg_of = np.repeat(np.arange(seg_starts.size, dtype=np.int64), seg_lengths)
 
         entry_sampled = center_sampled[grp_c]
         seg_any_sampled = np.logical_or.reduceat(entry_sampled, seg_starts)
         masked_len = np.where(entry_sampled, grp_len, np.inf)
         seg_best_len = np.minimum.reduceat(masked_len, seg_starts)
-        positions = np.arange(num_entries, dtype=np.int64)
+        positions = np.arange(num_groups, dtype=np.int64)
         at_best = masked_len == seg_best_len[seg_of]
         seg_best_pos = np.minimum.reduceat(
-            np.where(at_best, positions, num_entries), seg_starts
+            np.where(at_best, positions, num_groups), seg_starts
         )
 
         seg_vertices = grp_v[seg_starts]
@@ -255,57 +352,71 @@ def _spanner_select(
         new_cluster[seg_vertices[~case_b]] = -1
         new_cluster[seg_vertices[case_b]] = grp_c[seg_best_pos[case_b]]
 
-        keep_entry = (
+        keep = (
             ~case_b[seg_of]
             | (grp_len < seg_best_len[seg_of])
             | (positions == seg_best_pos[seg_of])
         )
         # PRAM: decisions are per-vertex constant-depth selections (with a
         # log-depth min over the vertex's adjacent clusters).
-        tracker.charge_reduction(num_entries, label="spanner/vertex-decisions")
+        tracker.charge_reduction(num_groups, label="spanner/vertex-decisions")
 
-        chosen[grp_edge[keep_entry]] = True
+        kept = np.flatnonzero(keep)
+        chosen[grp_edge.take(kept)] = True
 
         # --- remove covered edges -------------------------------------------
         # An edge (x, y) is removed if the pair (x, cluster_old(y)) or
         # (y, cluster_old(x)) was scheduled for removal, or if both endpoints
         # now share a cluster (it is covered inside that cluster).  The
-        # removal pairs are exactly the kept (vertex, cluster) groups, and
-        # the directed rows carrying a pair are exactly that group's rows
-        # (vertices of sampled clusters never act, unclustered heads name
-        # no cluster), so scattering each group's verdict back through the
-        # row -> group map marks every covered direction of every edge.
-        covered = np.zeros(valid.shape[0], dtype=bool)
-        covered[valid] = keep_entry[grp_of]
-        removed = covered[: edge_idx.size] | covered[edge_idx.size :]
-        same_new_cluster = (
-            (new_cluster[edge_u] >= 0) & (new_cluster[edge_u] == new_cluster[edge_v])
-        )
-        keep = ~(removed | same_new_cluster)
-        tracker.charge_parallel_for(edge_idx.size, label="spanner/remove-covered")
-
-        edge_u, edge_v, lengths, edge_idx = (
-            edge_u[keep], edge_v[keep], lengths[keep], edge_idx[keep]
-        )
+        # removal pairs are exactly the kept groups, so their rows carry
+        # every covered direction of every edge.  The shared-cluster test
+        # runs once per row pair, on the heads of both halves.
+        group_sizes = np.diff(np.append(starts, acting))
+        covered = _rows_of_groups(starts, group_sizes, kept)
+        alive[rows.edge_of_rank.take(ranks.take(covered))] = False
+        tail_cluster = new_cluster.take(head[pairs:])
+        same = tail_cluster == new_cluster.take(head[:pairs])
+        same &= tail_cluster >= 0
+        alive[edge.take(np.flatnonzero(same))] = False
+        tracker.charge_parallel_for(live_edges, label="spanner/remove-covered")
+        live_edges = int(np.count_nonzero(alive))
         cluster = new_cluster
+
+        if pairs - live_edges >= _COMPACT_FRACTION * pairs:
+            # Replace one array at a time so only one extra copy is live.
+            live_pairs = np.flatnonzero(alive.take(edge))
+            base = base.reshape(2, pairs).take(live_pairs, axis=1).reshape(-1)
+            head = head.reshape(2, pairs).take(live_pairs, axis=1).reshape(-1)
+            edge = edge.take(live_pairs)
 
     # ------------------------------------------------------------------ #
     # Phase 2: vertex-cluster joining on the final clustering.
     # ------------------------------------------------------------------ #
-    if edge_idx.size:
-        du = np.concatenate([edge_u, edge_v])
-        dv = np.concatenate([edge_v, edge_u])
-        dlen = np.concatenate([lengths, lengths])
-        didx = np.concatenate([edge_idx, edge_idx])
-        head_cluster = cluster[dv]
+    if live_edges:
+        pairs = edge.shape[0]
+        head_cluster = cluster.take(head)
         valid = head_cluster >= 0
-        du, dlen, didx, head_cluster = du[valid], dlen[valid], didx[valid], head_cluster[valid]
-        if du.size:
-            _, _, _, phase2_edges, _ = _lightest_per_group(du, head_cluster, dlen, didx)
-            chosen[phase2_edges] = True
-        tracker.charge_reduction(max(du.size, 1), label="spanner/phase2")
+        if pairs > live_edges:
+            valid_pairs = valid.reshape(2, pairs)
+            valid_pairs &= alive.take(edge)
+        valid_rows = np.flatnonzero(valid)
+        if valid_rows.size:
+            _, starts, ranks = rows.groups(
+                base.take(valid_rows), head_cluster.take(valid_rows)
+            )
+            chosen[rows.edge_of_rank.take(ranks.take(starts))] = True
+        tracker.charge_reduction(max(valid_rows.size, 1), label="spanner/phase2")
 
     return np.flatnonzero(chosen)
+
+
+def _check_size(value: object, name: str) -> int:
+    """``value`` as an ``int`` if it is an integer ``>= 1``, else :class:`GraphError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise GraphError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise GraphError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 def _cost_delta(tracker: PRAMTracker, before: PRAMCost) -> PRAMCost:
@@ -346,8 +457,7 @@ def baswana_sen_spanner(
     m = graph.num_edges
     if k is None:
         k = max(1, int(np.ceil(np.log2(max(n, 2)))))
-    if k < 1:
-        raise GraphError(f"spanner parameter k must be >= 1, got {k}")
+    k = _check_size(k, "spanner parameter k")
     rng = as_rng(seed)
     tracker = tracker if tracker is not None else PRAMTracker()
     before = tracker.total
@@ -361,9 +471,8 @@ def baswana_sen_spanner(
             cost=_cost_delta(tracker, before),
         )
 
-    selected = _spanner_select(
-        n, graph.edge_u, graph.edge_v, graph.edge_weights, k, rng, tracker
-    )
+    rows = _Rows(n, graph.edge_u, graph.edge_v, graph.edge_weights)
+    selected = _spanner_select(rows, np.ones(m, dtype=bool), k, rng, tracker)
     return SpannerResult(
         spanner=graph.select_edges(selected),
         edge_indices=selected,

@@ -13,15 +13,16 @@ The key consequence (Lemma 1 / Corollary 1): every edge of ``G`` outside
 the bundle has ``t`` edge-disjoint certified short paths, hence leverage
 score at most ``~log n / t``.
 
-The peel loop operates directly on the working ``(u, v, w, index)``
-arrays: each round calls the raw-array spanner core
-(:func:`repro.spanners.baswana_sen._spanner_select`) and slices the
-arrays down by a boolean mask, the index array mapping every surviving
-position back to the input.  No intermediate :class:`Graph` is
-constructed or validated during the ``t`` rounds; the bundle subgraph is
-built exactly once at the end, by :meth:`Graph.select_edges` on the
-bundle's indices.  The tree bundle and the CONGEST bundle peel the same
-way, on an index array into the input graph.
+The peel loop builds the directed edge rows once
+(:class:`repro.spanners.baswana_sen._Rows`) and runs every component's
+spanner core (:func:`repro.spanners.baswana_sen._spanner_select`) on
+them, peeling by clearing the taken edges in a live-edge vector: no
+round re-slices the edge arrays, and the kernel masks rows of peeled
+edges until it compacts its own copy.  No intermediate :class:`Graph`
+is constructed or validated during the ``t`` rounds; the bundle
+subgraph is built exactly once at the end, by
+:meth:`Graph.select_edges` on the bundle's indices.  The tree bundle and
+the CONGEST bundle peel on an index array into the input graph.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
 from repro.parallel.metrics import PRAMCost
 from repro.parallel.pram import PRAMTracker
-from repro.spanners.baswana_sen import _cost_delta, _spanner_select
+from repro.spanners.baswana_sen import _check_size, _cost_delta, _Rows, _spanner_select
 from repro.utils.rng import SeedLike, as_rng, split_rng
 
 __all__ = [
@@ -125,8 +126,7 @@ def bundle_select(
     of components constructed and ``exhausted`` says the bundle absorbed
     every edge.
     """
-    if t < 1:
-        raise GraphError(f"bundle size t must be >= 1, got {t}")
+    t = _check_size(t, "bundle size t")
     tracker = tracker if tracker is not None else PRAMTracker()
     rng = as_rng(seed)
     component_rngs = split_rng(rng, t)
@@ -135,52 +135,41 @@ def bundle_select(
     if k is None:
         k_eff = max(1, int(np.ceil(np.log2(max(n, 2)))))
     else:
-        k_eff = k
-    if k_eff < 1:
-        raise GraphError(f"spanner parameter k must be >= 1, got {k_eff}")
+        k_eff = _check_size(k, "spanner parameter k")
 
-    # Working edge arrays; ``cur_idx`` maps positions back to the input.
-    cur_u = np.asarray(edge_u)
-    cur_v = np.asarray(edge_v)
-    cur_w = np.asarray(edge_weights)
-    m = cur_u.shape[0]
-    cur_idx = np.arange(m, dtype=np.int64)
+    rows = _Rows(n, edge_u, edge_v, edge_weights)
+    m = rows.edge.shape[0]
+    # The live-edge vector: edges no earlier component has taken.
+    remaining = np.ones(m, dtype=bool)
+    num_remaining = m
     component_indices: List[np.ndarray] = []
     built = 0
     exhausted = False
 
     for i in range(t):
-        if cur_idx.size == 0:
+        if num_remaining == 0:
             exhausted = True
             if stop_when_exhausted:
                 break
             component_indices.append(np.array([], dtype=np.int64))
             built += 1
             continue
-        local = _spanner_select(n, cur_u, cur_v, cur_w, k_eff, component_rngs[i], tracker)
-        # Both ascending (``cur_idx`` is only ever masked), so already sorted.
-        component_indices.append(cur_idx[local])
+        chosen = _spanner_select(rows, remaining.copy(), k_eff, component_rngs[i], tracker)
+        component_indices.append(chosen)
         built += 1
-        if local.size == cur_idx.size:
+        if chosen.size == num_remaining:
             exhausted = True
             if stop_when_exhausted:
                 break
-            cur_u = cur_u[:0]
-            cur_v = cur_v[:0]
-            cur_w = cur_w[:0]
-            cur_idx = cur_idx[:0]
+            num_remaining = 0
             continue
         if i == t - 1:
-            # Final round: the peeled remainder is never used (``local`` is
+            # Final round: the peeled remainder is never used (``chosen`` is
             # a strict subset here, so the bundle did not exhaust the graph).
             break
-        keep_mask = np.ones(cur_idx.size, dtype=bool)
-        keep_mask[local] = False
-        cur_u = cur_u[keep_mask]
-        cur_v = cur_v[keep_mask]
-        cur_w = cur_w[keep_mask]
-        cur_idx = cur_idx[keep_mask]
-        tracker.charge_parallel_for(keep_mask.shape[0], label="bundle/peel-edges")
+        remaining[chosen] = False
+        tracker.charge_parallel_for(num_remaining, label="bundle/peel-edges")
+        num_remaining -= chosen.size
 
     if component_indices:
         num_chosen = int(sum(c.shape[0] for c in component_indices))

@@ -41,6 +41,16 @@ class TestValidation:
         with pytest.raises(SparsificationError):
             SparsifierConfig(min_edges_to_sparsify=-1)
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("field", ["bundle_t", "spanner_k"])
+    def test_sizes_must_be_integers(self, field, value):
+        with pytest.raises(SparsificationError, match=f"{field} must be an integer"):
+            SparsifierConfig(**{field: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        config = SparsifierConfig(bundle_t=np.int64(3), spanner_k=np.int64(2))
+        assert (config.bundle_t, config.spanner_k) == (3, 2)
+
     def test_solver_choices(self):
         assert SparsifierConfig().solver == "cg"
         for choice in ("cg", "chain"):

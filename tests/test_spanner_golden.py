@@ -1,14 +1,15 @@
 """Golden-output tests for the vectorized spanner/bundle hot path.
 
-The segmented-reduction Baswana–Sen and the zero-copy bundle peel must
+The ranked-row Baswana–Sen kernel and the masked bundle peel must
 select *bit-identical* edge sets to the seed implementation for every
-fixed seed.  Two independent guards:
+fixed seed.  Three independent guards:
 
 * ``tests/golden/spanner_goldens.json`` — edge selections frozen from the
   seed code before the refactor (regenerable via
   ``tests/golden/generate_goldens.py``);
 * ``repro.spanners._reference`` — the seed implementation preserved
-  verbatim, compared live on the same inputs.
+  verbatim, compared live on the same inputs;
+* ``BUNDLE_COSTS`` — the bundle's PRAM cost and label breakdown, stored.
 
 Plus the structural guarantee the refactor exists for: zero validated
 ``Graph`` constructions inside the t-round peel loop.
@@ -28,6 +29,7 @@ from repro.spanners._reference import (
     reference_baswana_sen_spanner,
     reference_t_bundle_spanner,
 )
+from repro.spanners import baswana_sen as baswana_sen_module
 from repro.spanners.baswana_sen import baswana_sen_spanner
 from repro.spanners.bundle import t_bundle_spanner
 
@@ -117,13 +119,14 @@ class TestAgainstReference:
             assert np.array_equal(a, b)
 
     @staticmethod
-    def _multigraph(seed):
+    def _multigraph(seed, integer_weights=False):
         """ER graph plus parallel copies of a third of its edges, shuffled in.
 
         Half of the copies tie their original's weight and half draw a new
         one, so covered-edge removal and the earliest-row tie-break both
         see parallel classes (stream working sets and multigraph inputs
-        reach the spanner kernel with them).
+        reach the spanner kernel with them).  ``integer_weights`` rounds
+        every weight up to {1, 2, 3}.
         """
         g = gen.erdos_renyi_graph(
             80, 0.2, seed=seed, weight_range=(0.5, 3.0), ensure_connected=True
@@ -136,12 +139,23 @@ class TestAgainstReference:
         u = np.concatenate([g.edge_u, g.edge_u[dup]])[order]
         v = np.concatenate([g.edge_v, g.edge_v[dup]])[order]
         w = np.concatenate([g.edge_weights, dup_w])[order]
+        if integer_weights:
+            # Weights in {1, 2, 3}: many equal lengths, so groups tie rows
+            # of both directions and the direction tie-break decides.
+            w = np.ceil(w)
         return Graph(g.num_vertices, u, v, w)
 
-    @pytest.mark.parametrize("seed", [2, 17])
-    @pytest.mark.parametrize("k", [2, 3, None])
-    def test_parallel_edges_bit_identical(self, seed, k):
-        g = self._multigraph(seed)
+    @pytest.mark.parametrize(
+        "seed, integer_weights",
+        [
+            pytest.param(2, False, id="2"),
+            pytest.param(17, False, id="17"),
+            pytest.param(2, True, id="w123-2"),
+        ],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3, None])
+    def test_parallel_edges_bit_identical(self, seed, integer_weights, k):
+        g = self._multigraph(seed, integer_weights)
         fast = baswana_sen_spanner(g, k=k, seed=seed + 1)
         slow = reference_baswana_sen_spanner(g, k=k, seed=seed + 1)
         assert np.array_equal(fast.edge_indices, slow.edge_indices)
@@ -152,6 +166,118 @@ class TestAgainstReference:
         assert fast_bundle.exhausted == slow_bundle.exhausted
         for a, b in zip(fast_bundle.component_edge_indices, slow_bundle.component_edge_indices):
             assert np.array_equal(a, b)
+
+
+# name -> ((work, depth) of ``t_bundle_spanner(...).cost``, per-label PRAM
+# breakdown) for the golden cases and ``TestAgainstReference._multigraph(2)``
+# at k=3, t=4.  Stored values, not recomputed: the bundle kernel must charge
+# exactly these costs under exactly these labels.
+BUNDLE_COSTS = {
+    "banded-120-b6": ((22603, 341), {
+        "bundle/assemble": (698, 10), "bundle/peel-edges": (1267, 3),
+        "spanner/group-min": (3565, 125), "spanner/phase2": (74, 7),
+        "spanner/propagate-sampling": (2400, 20), "spanner/remove-covered": (3623, 19),
+        "spanner/sample-clusters": (944, 20), "spanner/scan-edges": (7320, 20),
+        "spanner/vertex-decisions": (2712, 117),
+    }),
+    "grid-10x10": ((2383, 63), {
+        "bundle/assemble": (180, 8), "bundle/peel-edges": (180, 1),
+        "spanner/group-min": (386, 20), "spanner/phase2": (4, 2),
+        "spanner/propagate-sampling": (300, 3), "spanner/remove-covered": (247, 3),
+        "spanner/sample-clusters": (223, 3), "spanner/scan-edges": (494, 3),
+        "spanner/vertex-decisions": (369, 20),
+    }),
+    "powerlaw-150-a3": ((13274, 276), {
+        "bundle/assemble": (444, 9), "bundle/peel-edges": (609, 2),
+        "spanner/group-min": (1458, 93), "spanner/phase2": (6, 3),
+        "spanner/propagate-sampling": (3000, 20), "spanner/remove-covered": (1842, 19),
+        "spanner/sample-clusters": (942, 20), "spanner/scan-edges": (3692, 20),
+        "spanner/vertex-decisions": (1281, 90),
+    }),
+    "er-100-weighted": ((16227, 162), {
+        "bundle/assemble": (880, 10), "bundle/peel-edges": (1164, 2),
+        "spanner/group-min": (3134, 56), "spanner/phase2": (406, 11),
+        "spanner/propagate-sampling": (700, 7), "spanner/remove-covered": (2262, 7),
+        "spanner/sample-clusters": (369, 7), "spanner/scan-edges": (4524, 7),
+        "spanner/vertex-decisions": (2788, 55),
+    }),
+    "cycle-50": ((850, 59), {
+        "bundle/assemble": (50, 6), "spanner/group-min": (80, 16),
+        "spanner/phase2": (4, 2), "spanner/propagate-sampling": (250, 5),
+        "spanner/remove-covered": (92, 4), "spanner/sample-clusters": (106, 5),
+        "spanner/scan-edges": (188, 5), "spanner/vertex-decisions": (80, 16),
+    }),
+    "er-80-dense": ((13762, 105), {
+        "bundle/assemble": (973, 10), "bundle/peel-edges": (1410, 3),
+        "spanner/group-min": (2436, 29), "spanner/phase2": (1634, 18),
+        "spanner/propagate-sampling": (320, 4), "spanner/remove-covered": (1411, 4),
+        "spanner/sample-clusters": (320, 4), "spanner/scan-edges": (2822, 4),
+        "spanner/vertex-decisions": (2436, 29),
+    }),
+    "banded-200-b4-k5": ((18493, 227), {
+        "bundle/assemble": (790, 10), "bundle/peel-edges": (1247, 3),
+        "spanner/group-min": (2980, 80), "spanner/phase2": (8, 3),
+        "spanner/propagate-sampling": (2800, 14), "spanner/remove-covered": (2331, 13),
+        "spanner/sample-clusters": (1201, 14), "spanner/scan-edges": (4664, 14),
+        "spanner/vertex-decisions": (2472, 76),
+    }),
+    "multigraph-2": ((17707, 177), {
+        "bundle/assemble": (946, 10), "bundle/peel-edges": (1467, 3),
+        "spanner/group-min": (3487, 57), "spanner/phase2": (928, 18),
+        "spanner/propagate-sampling": (640, 8), "spanner/remove-covered": (2418, 8),
+        "spanner/sample-clusters": (403, 8), "spanner/scan-edges": (4836, 8),
+        "spanner/vertex-decisions": (2582, 57),
+    }),
+}
+
+
+@pytest.fixture(scope="module")
+def cost_cases(golden_cases):
+    multigraph = ("multigraph-2", TestAgainstReference._multigraph(2), 2, 3, 4)
+    return list(golden_cases) + [multigraph]
+
+
+def _bundle_with_costs(graph, seed, k, t):
+    tracker = PRAMTracker()
+    result = t_bundle_spanner(graph, t=t, k=k, seed=seed, tracker=tracker)
+    breakdown = {label: (c.work, c.depth) for label, c in tracker.breakdown().items()}
+    return result, breakdown
+
+
+class TestBundleCostTable:
+    """The bundle kernel's PRAM accounting, pinned label by label."""
+
+    @pytest.mark.parametrize("case_index", range(len(BUNDLE_COSTS)))
+    def test_bundle_cost_matches_table(self, cost_cases, case_index):
+        name, graph, seed, k, t = cost_cases[case_index]
+        result, breakdown = _bundle_with_costs(graph, seed, k, t)
+        cost, labels = BUNDLE_COSTS[name]
+        assert (result.cost.work, result.cost.depth) == cost
+        assert breakdown == labels
+
+
+class TestLexsortBranch:
+    """Inputs past the packed-key bit budget sort the same (tail, cluster,
+    rank) triples with ``np.lexsort``: same selections, same costs."""
+
+    @pytest.mark.parametrize("case_index", range(len(BUNDLE_COSTS)))
+    def test_lexsort_branch_matches(self, monkeypatch, cost_cases, case_index):
+        name, graph, seed, k, t = cost_cases[case_index]
+        packed_spanner = baswana_sen_spanner(graph, k=k, seed=seed)
+        packed_bundle, packed_costs = _bundle_with_costs(graph, seed, k, t)
+        monkeypatch.setattr(baswana_sen_module, "_KEY_BITS", 0)
+        rows = baswana_sen_module._Rows(
+            graph.num_vertices, graph.edge_u, graph.edge_v, graph.edge_weights
+        )
+        assert not rows.packed
+        spanner = baswana_sen_spanner(graph, k=k, seed=seed)
+        bundle, costs = _bundle_with_costs(graph, seed, k, t)
+        assert np.array_equal(spanner.edge_indices, packed_spanner.edge_indices)
+        assert spanner.cost == packed_spanner.cost
+        assert len(bundle.component_edge_indices) == len(packed_bundle.component_edge_indices)
+        for got, want in zip(bundle.component_edge_indices, packed_bundle.component_edge_indices):
+            assert np.array_equal(got, want)
+        assert costs == packed_costs == BUNDLE_COSTS[name][1]
 
 
 class TestZeroValidationPeel:

@@ -10,7 +10,12 @@ from repro.graphs.graph import Graph
 from repro.parallel.pram import PRAMTracker
 from repro.resistance.stretch import stretch_over_subgraph
 from repro.spanners.baswana_sen import baswana_sen_spanner
-from repro.spanners.bundle import bundle_for_epsilon, bundle_size_for_epsilon, t_bundle_spanner
+from repro.spanners.bundle import (
+    bundle_for_epsilon,
+    bundle_select,
+    bundle_size_for_epsilon,
+    t_bundle_spanner,
+)
 from repro.spanners.greedy import greedy_spanner
 from repro.spanners.low_stretch_tree import low_stretch_tree, tree_bundle
 from repro.spanners.verification import (
@@ -71,6 +76,17 @@ class TestBaswanaSen:
     def test_k_validation(self, triangle_graph):
         with pytest.raises(GraphError):
             baswana_sen_spanner(triangle_graph, k=0)
+
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_k_must_be_an_integer(self, triangle_graph, k):
+        with pytest.raises(GraphError, match="k must be an integer"):
+            baswana_sen_spanner(triangle_graph, k=k)
+
+    def test_numpy_integer_k_accepted(self, triangle_graph):
+        result = baswana_sen_spanner(triangle_graph, k=np.int64(2), seed=0)
+        expected = baswana_sen_spanner(triangle_graph, k=2, seed=0)
+        assert result.k == 2
+        assert np.array_equal(result.edge_indices, expected.edge_indices)
 
     def test_empty_graph(self):
         result = baswana_sen_spanner(Graph(5), seed=0)
@@ -200,6 +216,23 @@ class TestBundle:
     def test_t_validation(self, triangle_graph):
         with pytest.raises(GraphError):
             t_bundle_spanner(triangle_graph, t=0)
+
+    @pytest.mark.parametrize("t", [2.5, True])
+    def test_t_must_be_an_integer(self, triangle_graph, t):
+        with pytest.raises(GraphError, match="t must be an integer"):
+            t_bundle_spanner(triangle_graph, t=t)
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, True])
+    def test_bundle_select_k_must_be_an_integer(self, triangle_graph, k):
+        g = triangle_graph
+        with pytest.raises(GraphError, match="k must be an integer"):
+            bundle_select(g.num_vertices, g.edge_u, g.edge_v, g.edge_weights, 2, k=k)
+
+    def test_numpy_integer_t_and_k_accepted(self, medium_er_graph):
+        result = t_bundle_spanner(medium_er_graph, t=np.int64(2), k=np.int64(3), seed=4)
+        expected = t_bundle_spanner(medium_er_graph, t=2, k=3, seed=4)
+        assert result.requested_t == 2
+        assert np.array_equal(result.edge_indices, expected.edge_indices)
 
     def test_bundle_size_for_epsilon_formula(self):
         assert bundle_size_for_epsilon(1024, 1.0, constant=24.0) == 2400
