@@ -135,25 +135,26 @@ class SparsifierConfig:
             raise SparsificationError("bundle_constant must be positive")
         if self.practical_scale <= 0:
             raise SparsificationError("practical_scale must be positive")
-        for name in ("bundle_t", "spanner_k"):
+        # Integer sizes: (field, least value, whether None is allowed).
+        for name, least, optional in (
+            ("bundle_t", 1, True),
+            ("spanner_k", 1, True),
+            ("max_workers", 1, True),
+            ("num_shards", 1, False),
+            ("min_edges_to_sparsify", 0, False),
+        ):
             value = getattr(self, name)
-            if value is None:
+            if value is None and optional:
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise SparsificationError(f"{name} must be an integer when given, got {value!r}")
-            if value < 1:
-                raise SparsificationError(f"{name} must be >= 1 when given")
-        if self.min_edges_to_sparsify < 0:
-            raise SparsificationError("min_edges_to_sparsify must be non-negative")
+                raise SparsificationError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise SparsificationError(f"{name} must be >= {least}, got {value}")
         if self.backend is not None and self.backend not in available_backends():
             raise SparsificationError(
                 f"backend must be one of {', '.join(available_backends())} or None, "
                 f"got {self.backend!r}"
             )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise SparsificationError("max_workers must be >= 1 when given")
-        if self.num_shards < 1:
-            raise SparsificationError("num_shards must be >= 1")
         if self.solver not in ("cg", "chain"):
             raise SparsificationError(
                 f"solver must be 'cg' or 'chain', got {self.solver!r}"

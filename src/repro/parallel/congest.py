@@ -31,7 +31,10 @@ construction, and a slot outside ``[0, 2m)`` raises
 :class:`repro.exceptions.SimulationError`.  The simulator pairs the two
 slots of every edge once per network in ``reverse_slot``; a message sent
 on slot ``s`` arrives on the receiver's slot ``reverse_slot[s]``, with no
-search per message.
+search per message.  :meth:`ColumnarSimulator.restrict` derives the
+network of a subset of the edges with one compress of the slot arrays,
+so a sequence of runs on shrinking edge sets (the components of a
+spanner bundle) sorts the adjacency once.
 
 Per-node RNG streams are the reference simulator's streams in array
 form: ``node_streams`` is a :class:`repro.utils.rng.NodeStreams` over the
@@ -196,7 +199,15 @@ class ColumnarSimulator:
     neighbour arrays exactly — tie-breaking code can rely on it),
     ``slot_owner[s]`` names the vertex owning incidence slot ``s``, and
     ``reverse_slot[s]`` is the other slot of the same edge (an involution:
-    ``adj[reverse_slot] == slot_owner``).
+    ``adj[reverse_slot] == slot_owner``).  ``slot_rank`` orders the slots
+    by (length ``1 / weight``, slot), so a node's lightest port is its
+    lowest-ranked one and equal lengths resolve to the earliest slot, as a
+    scan of the node's ports in CSR order finds them; ``slot_of_rank`` is
+    its inverse.
+
+    :meth:`restrict` derives the network of a subset of the edges with one
+    compress of these arrays; ``graph`` stays the graph the first network
+    was built on, whose edges ``adj_edge_ids`` keep naming.
     """
 
     def __init__(
@@ -205,34 +216,94 @@ class ColumnarSimulator:
         seed: SeedLike = None,
         message_word_limit: Optional[int] = None,
     ) -> None:
-        self.graph = graph
         n = graph.num_vertices
-        self.num_vertices = n
         if message_word_limit is None:
             message_word_limit = 4 * int(np.ceil(np.log2(max(n, 2)))) + 16
-        self.message_word_limit = int(message_word_limit)
-        self.node_streams = NodeStreams(seed if seed is not None else 0, max(n, 1))
-
         indptr, adj, weights, edge_ids = graph.neighbor_lists()
-        self.indptr = indptr
-        self.adj = adj
-        self.adj_weights = weights
-        self.adj_edge_ids = edge_ids
-        self.degrees = np.diff(indptr)
-        self.slot_owner = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+        slot_owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
         # Pair the two ports of every edge: edge e leaves its u end as
         # directed row e and its v end as row e + m, so a slot's partner is
         # the slot holding the opposite row (self loops are not allowed).
         m = graph.num_edges
-        rows = edge_ids + np.int64(m) * (self.slot_owner != graph.edge_u[edge_ids])
+        rows = edge_ids + np.int64(m) * (slot_owner != graph.edge_u[edge_ids])
         slot_of_row = np.empty(2 * m, dtype=np.int64)
         slot_of_row[rows] = np.arange(2 * m, dtype=np.int64)
-        self.reverse_slot = slot_of_row[np.where(rows < m, rows + m, rows - m)]
+        reverse_slot = slot_of_row[np.where(rows < m, rows + m, rows - m)]
+        del rows, slot_of_row
+        slot_of_rank = np.argsort(1.0 / weights, kind="stable")
+        self._set_ports(
+            graph, int(message_word_limit), seed,
+            indptr, adj, weights, edge_ids, slot_owner, reverse_slot, slot_of_rank,
+        )
 
-        self._total_messages = 0
-        self._max_message_words = 0
-        self._rounds = 0
-        self._messages_per_round: List[int] = []
+    def _set_ports(
+        self,
+        graph: Graph,
+        message_word_limit: int,
+        seed: SeedLike,
+        indptr: np.ndarray,
+        adj: np.ndarray,
+        adj_weights: np.ndarray,
+        adj_edge_ids: np.ndarray,
+        slot_owner: np.ndarray,
+        reverse_slot: np.ndarray,
+        slot_of_rank: np.ndarray,
+    ) -> None:
+        """Install the slot arrays (``slot_rank`` is derived), fresh node
+        streams and zeroed counters."""
+        n = graph.num_vertices
+        self.graph = graph
+        self.num_vertices = n
+        self.message_word_limit = message_word_limit
+        self.node_streams = NodeStreams(seed if seed is not None else 0, max(n, 1))
+        self.indptr = indptr
+        self.adj = adj
+        self.adj_weights = adj_weights
+        self.adj_edge_ids = adj_edge_ids
+        self.degrees = np.diff(indptr)
+        self.slot_owner = slot_owner
+        self.reverse_slot = reverse_slot
+        self.slot_of_rank = slot_of_rank
+        self.slot_rank = np.empty_like(slot_of_rank)
+        self.slot_rank[slot_of_rank] = np.arange(slot_of_rank.shape[0], dtype=np.int64)
+        self.reset_counters()
+
+    def restrict(self, keep_edges: np.ndarray, seed: SeedLike = None) -> "ColumnarSimulator":
+        """This network with only the edges ``keep_edges`` flags, on fresh node streams.
+
+        ``keep_edges`` is a boolean mask over ``graph``'s edges.  The slots
+        of the kept edges are compressed in slot order, so slot order,
+        port pairing, slot ranks and edge ids carry over: the result equals
+        a network built on ``graph.select_edges(keep_edges)`` except that
+        ``adj_edge_ids`` still name ``graph``'s edges.  No neighbour sort
+        runs.  ``seed`` seeds the new ``node_streams`` as the constructor
+        does; the word limit carries over.
+        """
+        keep_edges = np.asarray(keep_edges, dtype=bool)
+        if keep_edges.shape != (self.graph.num_edges,):
+            raise SimulationError(
+                f"edge mask must have shape ({self.graph.num_edges},), got {keep_edges.shape}"
+            )
+        keep = keep_edges.take(self.adj_edge_ids)
+        # kept_before[s]: kept slots before slot s, i.e. the new index of a
+        # kept slot s; kept_before[indptr] is the new indptr.
+        kept_before = np.zeros(keep.shape[0] + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        new_slot = kept_before[:-1]
+        net = ColumnarSimulator.__new__(ColumnarSimulator)
+        net._set_ports(
+            self.graph,
+            self.message_word_limit,
+            seed,
+            kept_before.take(self.indptr),
+            self.adj[keep],
+            self.adj_weights[keep],
+            self.adj_edge_ids[keep],
+            self.slot_owner[keep],
+            new_slot.take(self.reverse_slot[keep]),
+            new_slot.take(self.slot_of_rank[keep.take(self.slot_of_rank)]),
+        )
+        return net
 
     # ------------------------------------------------------------------ #
     # Topology helpers for programs
@@ -332,4 +403,4 @@ class ColumnarSimulator:
         self._total_messages = 0
         self._max_message_words = 0
         self._rounds = 0
-        self._messages_per_round = []
+        self._messages_per_round: List[int] = []

@@ -17,7 +17,10 @@ replaced, off the hot path and outside the package's exports:
   (:mod:`repro.parallel.congest` running
   :class:`~repro.spanners.congest_spanner.ColumnarBaswanaSenProgram`)
   replaced, driven by ``reference_distributed_spanner`` /
-  ``reference_distributed_bundle_spanner``.
+  ``reference_distributed_bundle_spanner``.  The bundle twin keeps the
+  peel the columnar bundle used before it restricted one network per
+  bundle: a fresh ``select_edges`` sub-graph per component, matched back
+  to the input by edge key.
 
 It exists for two reasons:
 
@@ -44,13 +47,13 @@ from repro.exceptions import GraphError, MessageTooLargeError, SimulationError
 from repro.graphs.graph import Graph
 from repro.parallel.metrics import DistributedCost
 from repro.parallel.pram import PRAMTracker
-from repro.spanners.baswana_sen import SpannerResult
+from repro.spanners.baswana_sen import SpannerResult, _check_size
 from repro.spanners.bundle import BundleResult
 from repro.spanners.congest_spanner import build_schedule
 from repro.spanners.distributed_spanner import (
     DistributedBundleResult,
     DistributedSpannerResult,
-    _peel_bundle,
+    _key_order,
     _protocol_inputs,
     _spanner_result,
 )
@@ -748,6 +751,21 @@ class _BaswanaSenProgram(NodeProgram):
         return set(ctx.state["spanner_pairs"])
 
 
+def _sorted_membership(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Membership mask of ``keys`` in the sorted unique array ``sorted_keys``.
+
+    Two binary searches replace the ``np.isin`` sort-per-call: O(|keys|
+    log |sorted_keys|) with no temporary sort of the haystack.
+    """
+    if sorted_keys.size == 0:
+        return np.zeros(keys.shape[0], dtype=bool)
+    pos = np.searchsorted(sorted_keys, keys)
+    inside = pos < sorted_keys.size
+    out = np.zeros(keys.shape[0], dtype=bool)
+    out[inside] = sorted_keys[pos[inside]] == keys[inside]
+    return out
+
+
 def reference_distributed_spanner(
     graph: Graph,
     k: Optional[int] = None,
@@ -762,7 +780,8 @@ def reference_distributed_spanner(
     for node_pairs in result.outputs.values():
         pairs.update(node_pairs)
     keys = np.array([lo * n + hi for lo, hi in sorted(pairs)], dtype=np.int64)
-    return _spanner_result(simple, k, keys, result.cost, result.completed)
+    edge_indices = np.flatnonzero(_sorted_membership(keys, simple.edge_keys()))
+    return _spanner_result(simple, k, edge_indices, result.cost, result.completed)
 
 
 def reference_distributed_bundle_spanner(
@@ -771,5 +790,45 @@ def reference_distributed_bundle_spanner(
     k: Optional[int] = None,
     seed: SeedLike = None,
 ) -> DistributedBundleResult:
-    """Per-node-simulator twin of :func:`~repro.spanners.distributed_spanner.distributed_bundle_spanner`."""
-    return _peel_bundle(graph, t, k, seed, None, reference_distributed_spanner)
+    """Per-node-simulator twin of :func:`~repro.spanners.distributed_spanner.distributed_bundle_spanner`.
+
+    Peels the way the columnar bundle did before it kept one network per
+    bundle: each component runs on a fresh ``graph.select_edges`` of the
+    remaining edges, and its selection is matched back by edge key.
+    """
+    t = _check_size(t, "bundle size t")
+    _key_order(graph)  # refuses parallel edges
+    component_seeds = split_rng(as_rng(seed), t)
+
+    remaining = np.arange(graph.num_edges, dtype=np.int64)
+    component_indices: List[np.ndarray] = []
+    total_cost = DistributedCost()
+    completed = True
+
+    for i in range(t):
+        if remaining.size == 0:
+            break
+        sub = graph.select_edges(remaining)
+        result = reference_distributed_spanner(sub, k=k, seed=component_seeds[i])
+        total_cost = total_cost + result.cost
+        completed = completed and result.completed
+        # ``result.edge_indices`` refer to ``result.simple_graph`` (the
+        # coalesced, key-sorted view the protocol ran on), which need not
+        # share ``sub``'s edge order — translate through edge keys.
+        selected_keys = result.simple_graph.edge_keys()[result.edge_indices]
+        in_spanner = _sorted_membership(selected_keys, sub.edge_keys())
+        component_indices.append(remaining[in_spanner])
+        remaining = remaining[~in_spanner]
+
+    if component_indices:
+        edge_indices = np.unique(np.concatenate(component_indices))
+    else:
+        edge_indices = np.array([], dtype=np.int64)
+
+    return DistributedBundleResult(
+        edge_indices=edge_indices,
+        component_edge_indices=component_indices,
+        components_built=len(component_indices),
+        cost=total_cost,
+        completed=completed,
+    )

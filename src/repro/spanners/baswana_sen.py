@@ -36,7 +36,8 @@ t-bundle shares them across its components) and each row carries a
 precomputed *rank* that orders rows by (length, direction, edge
 position) — the earliest-row-at-the-minimum tie-break.  A clustering
 iteration packs (tail, head cluster, rank) of its acting rows into one
-int64 key and value-sorts the keys: equal runs of the (tail, cluster)
+int64 key and value-sorts the keys (:class:`_KeyLayout`, which the
+CONGEST decision round shares): equal runs of the (tail, cluster)
 part are the groups and each group's first row is its lightest, so no
 stable argsort, minimum reduction or argmin pass touches the rows.  The
 per-vertex decisions are segmented reductions (``np.minimum.reduceat`` /
@@ -94,43 +95,6 @@ class SpannerResult:
     cost: PRAMCost = field(default_factory=PRAMCost)
 
 
-def _segmented_argmin(
-    keys: np.ndarray, values: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group rows by integer key; per group, locate the minimum value.
-
-    The radix-style bucketing primitive of the columnar CONGEST decide
-    round: a *stable* sort on the integer key (NumPy's stable sort on
-    integer dtypes is a radix sort) buckets the rows while keeping each
-    bucket in input order, so the earliest sorted position achieving the
-    segment minimum is exactly the earliest *input row* at the minimum —
-    the tie-break every golden test pins down.
-
-    ``keys`` must be non-empty (callers early-out on empty input).
-
-    Returns
-    -------
-    order : permutation sorting the rows by key (stable)
-    starts : segment start offsets into the sorted order, one per group
-             (groups appear in ascending key order)
-    seg_of : per sorted row, the index of its group
-    minima : per group, the minimum value
-    best : per group, the *sorted position* of the earliest row achieving
-           the minimum (``order[best]`` gives original row indices)
-    """
-    order = np.argsort(keys, kind="stable")
-    keys_sorted = keys[order]
-    starts = np.flatnonzero(np.r_[True, keys_sorted[1:] != keys_sorted[:-1]])
-    counts = np.diff(np.append(starts, keys_sorted.size))
-    seg_of = np.repeat(np.arange(starts.size, dtype=np.int64), counts)
-    values_sorted = values[order]
-    minima = np.minimum.reduceat(values_sorted, starts)
-    positions = np.arange(keys_sorted.size, dtype=np.int64)
-    at_min = values_sorted == minima[seg_of]
-    best = np.minimum.reduceat(np.where(at_min, positions, keys_sorted.size), starts)
-    return order, starts, seg_of, minima, best
-
-
 # Grouping keys pack (tail, cluster, rank) into one int64 when the three
 # fields fit in this many bits; wider inputs sort the same triples with
 # ``np.lexsort`` instead.
@@ -139,7 +103,61 @@ _KEY_BITS = 63
 _COMPACT_FRACTION = 0.25
 
 
-class _Rows:
+class _KeyLayout:
+    """Bit layout of the (tail, cluster, rank) grouping keys.
+
+    Both Baswana–Sen engines group their acting rows — directed edge rows
+    here, incidence slots in :mod:`repro.spanners.congest_spanner` — by
+    (tail vertex, cluster of the other end) and want each group's lightest
+    row first.  Over ``n`` vertices and ``num_ranks`` distinct ranks, a
+    row's *base* key is ``tail << tail_shift | rank``; :meth:`groups` ORs
+    the cluster in at bit ``rank_bits`` and value-sorts the keys.  Inputs
+    whose three fields exceed ``_KEY_BITS`` keep the same base and sort
+    the triples with ``np.lexsort``.
+    """
+
+    __slots__ = ("rank_bits", "cluster_bits", "tail_shift", "packed")
+
+    def __init__(self, n: int, num_ranks: int) -> None:
+        self.rank_bits = max(num_ranks - 1, 1).bit_length()
+        self.cluster_bits = max(n - 1, 0).bit_length()
+        self.packed = 2 * self.cluster_bits + self.rank_bits <= _KEY_BITS
+        self.tail_shift = self.rank_bits + (self.cluster_bits if self.packed else 0)
+
+    def groups(
+        self, base: np.ndarray, cluster: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sort rows by (tail, cluster, rank) and find the (tail, cluster) groups.
+
+        Returns ``(group_ids, starts, ranks)``: per group, its id ``tail <<
+        cluster_bits | cluster`` (ascending) and the sorted position of its
+        first row, which is its lightest under the rank tie-break; per
+        sorted row, its rank.
+        """
+        rank_mask = (1 << self.rank_bits) - 1
+        if self.packed:
+            # The keys are unique, so a value sort gives the stable order.
+            ids = cluster << self.rank_bits
+            ids |= base
+            ids.sort()
+            ranks = ids & rank_mask
+            ids >>= self.rank_bits
+        else:
+            ids = base >> self.tail_shift
+            ranks = base & rank_mask
+            order = np.lexsort((ranks, cluster, ids))
+            ids <<= self.cluster_bits
+            ids |= cluster
+            ids = ids.take(order)
+            ranks = ranks.take(order)
+        boundary = np.empty(ids.shape[0], dtype=bool)
+        boundary[0] = True
+        np.not_equal(ids[1:], ids[:-1], out=boundary[1:])
+        starts = np.flatnonzero(boundary)
+        return ids.take(starts), starts, ranks
+
+
+class _Rows(_KeyLayout):
     """The directed edge rows of one input, built once and shared by every
     spanner component a bundle builds on it.
 
@@ -149,16 +167,11 @@ class _Rows:
     row has a *rank* in ``[0, 2m)`` ordering rows by (length, direction,
     edge position): the earliest row of the concatenated ``[u -> v;
     v -> u]`` view among the lightest, which is the tie-break the goldens
-    pin.  ``base`` holds ``tail << tail_shift | rank``; a clustering
-    iteration ORs the head's cluster in at bit ``rank_bits`` and one value
-    sort of the keys groups the rows by (tail, cluster) with each group's
-    lightest row first.
+    pin.  ``base`` holds each row's base key ``tail << tail_shift | rank``
+    (see :class:`_KeyLayout`).
     """
 
-    __slots__ = (
-        "n", "lengths", "base", "head", "edge", "edge_of_rank",
-        "rank_bits", "cluster_bits", "tail_shift", "packed",
-    )
+    __slots__ = ("n", "lengths", "base", "head", "edge", "edge_of_rank")
 
     def __init__(
         self, n: int, edge_u: np.ndarray, edge_v: np.ndarray, weights: np.ndarray
@@ -166,12 +179,9 @@ class _Rows:
         edge_u = np.asarray(edge_u, dtype=np.int64)
         edge_v = np.asarray(edge_v, dtype=np.int64)
         m = edge_u.shape[0]
+        super().__init__(n, 2 * m)
         self.n = n
         self.lengths = 1.0 / np.asarray(weights)  # resistive metric
-        self.rank_bits = max(2 * m - 1, 1).bit_length()
-        self.cluster_bits = max(n - 1, 0).bit_length()
-        self.packed = 2 * self.cluster_bits + self.rank_bits <= _KEY_BITS
-        self.tail_shift = self.rank_bits + (self.cluster_bits if self.packed else 0)
 
         # One stable sort of the m lengths ranks all 2m rows: a run of z
         # equal lengths at sorted position s ranks its forward rows
@@ -205,38 +215,6 @@ class _Rows:
         self.base |= rank
         del rank
         self.edge = np.arange(m, dtype=np.int64)
-
-    def groups(
-        self, base: np.ndarray, head_cluster: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sort rows by (tail, cluster, rank) and find the (tail, cluster) groups.
-
-        Returns ``(group_ids, starts, ranks)``: per group, its id ``tail <<
-        cluster_bits | cluster`` (ascending) and the sorted position of its
-        first row, which is its lightest under the rank tie-break; per
-        sorted row, its rank.
-        """
-        rank_mask = (1 << self.rank_bits) - 1
-        if self.packed:
-            # The keys are unique, so a value sort gives the stable order.
-            ids = head_cluster << self.rank_bits
-            ids |= base
-            ids.sort()
-            ranks = ids & rank_mask
-            ids >>= self.rank_bits
-        else:
-            ids = base >> self.tail_shift
-            ranks = base & rank_mask
-            order = np.lexsort((ranks, head_cluster, ids))
-            ids <<= self.cluster_bits
-            ids |= head_cluster
-            ids = ids.take(order)
-            ranks = ranks.take(order)
-        boundary = np.empty(ids.shape[0], dtype=bool)
-        boundary[0] = True
-        np.not_equal(ids[1:], ids[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        return ids.take(starts), starts, ranks
 
 
 def _rows_of_groups(starts: np.ndarray, sizes: np.ndarray, groups: np.ndarray) -> np.ndarray:

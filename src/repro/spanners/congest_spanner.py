@@ -31,14 +31,28 @@ down.  The equivalence rests on four invariants:
   order, keeping the *earliest* slot on equal lengths, and its
   per-cluster minima dict iterates in first-occurrence order, which is
   what breaks ties between equally-near sampled clusters.  The columnar
-  decision reproduces both: segmented minima keep the earliest slot at
-  the minimum, and the candidate target cluster with the smallest
-  first-occurrence slot wins.
+  decision reproduces both.  The network ranks its slots once by
+  (length, slot) (``ColumnarSimulator.slot_rank``), and a decision
+  round value-sorts packed (owner, known centre, slot rank) int64 keys
+  of its acting slots — the grouping primitive of
+  :mod:`repro.spanners.baswana_sen` — so each (owner, cluster) group
+  starts with its lightest, earliest slot.  One minimum reduction per
+  group gives its first-occurrence slot, and the candidate target
+  cluster with the smallest one wins.
 * **Knowledge locality.**  Cluster/sampled knowledge about a neighbour
   is only ever updated from a delivered message, on the port it arrives
   at (``ColumnarSimulator.reverse_slot`` of the sending slot), never
   read from global state, so the program remains a faithful CONGEST
-  protocol rather than a shared-memory shortcut.
+  protocol rather than a shared-memory shortcut.  Liveness is per port
+  too: the acting side clears the ports it kills in the decision round,
+  and the other endpoint clears its port when the removal notification
+  arrives one round later.  Only decision rounds read liveness, and
+  every removal is delivered before the next one.
+
+The program marks the edges it chooses in a vector over
+``net.graph``'s edges (``adj_edge_ids``), so a run on a restricted
+network (:meth:`ColumnarSimulator.restrict`) reports the ids of the
+bundle's input edges directly.
 """
 
 from __future__ import annotations
@@ -48,7 +62,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.parallel.congest import ColumnarProgram, ColumnarSimulator, MessageBlock
-from repro.spanners.baswana_sen import _segmented_argmin
+from repro.spanners.baswana_sen import _KeyLayout, _rows_of_groups
 
 __all__ = ["ColumnarBaswanaSenProgram", "build_schedule"]
 
@@ -73,13 +87,6 @@ _FLOOD_WORDS = 3
 _REMOVE_WORDS = 1
 
 
-def _segment_starts(sorted_keys: np.ndarray) -> np.ndarray:
-    """Start offsets of the equal-key runs of a sorted key array."""
-    if sorted_keys.size == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-
-
 class ColumnarBaswanaSenProgram(ColumnarProgram):
     """Columnar per-round program computing the Baswana–Sen spanner."""
 
@@ -96,19 +103,24 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
         num_slots = net.adj.shape[0]
         self.center = np.arange(n, dtype=np.int64)
         self.sampled = np.zeros(n, dtype=bool)
-        self.informed = np.zeros(n, dtype=bool)
+        # The centre whose flood tuple a node still waits for this
+        # iteration (its own cluster's), or -1 once informed or unclustered.
+        self.waiting = np.full(n, -1, dtype=np.int64)
         self.pending = np.zeros(n, dtype=bool)
-        # Live flags per *undirected* edge: a kill is applied to both
-        # sides the round it happens (the reference engine applies the
-        # receiving side one round later via the "R" notification, but
-        # nothing reads liveness in between, so the runs coincide).
-        self.edge_alive = np.ones(net.graph.num_edges, dtype=bool)
+        # Per-port liveness: the acting side clears the ports it kills,
+        # the other side clears its port when the removal arrives.
+        self.slot_alive = np.ones(num_slots, dtype=bool)
         # Per-incidence knowledge gathered from this iteration's floods:
         # what the slot's owner knows about the neighbour's cluster.
         self.known_center = np.full(num_slots, -1, dtype=np.int64)
         self.known_sampled = np.zeros(num_slots, dtype=bool)
-        self.slot_lengths = 1.0 / net.adj_weights
-        self.spanner_keys: List[np.ndarray] = []
+        # Grouping keys (owner, known centre, slot rank): equal runs of the
+        # first two fields are a node's ports into one cluster, lightest
+        # and then earliest first.
+        self.layout = _KeyLayout(n, num_slots)
+        self.slot_keys = net.slot_owner << self.layout.tail_shift
+        self.slot_keys |= net.slot_rank
+        self.chosen = np.zeros(net.graph.num_edges, dtype=bool)
 
     # -------------------------------------------------------------- #
     # Inbox processing
@@ -125,30 +137,29 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
         """Apply one round's delivered messages to the state arrays.
 
         The inbox holds what the previous round sent, so its phase fixes
-        the kind.  Removal notifications (after a decision round) kill
-        the edge (idempotent — the sending side already killed it); flood
-        tuples update the receiver's per-incidence knowledge and, when
-        ``learn_membership``, inform cluster members of their sampled bit
-        (``set_pending`` arms their forwarding broadcast, flood rounds
-        only).
+        the kind.  A removal notification (after a decision round) clears
+        the receiving port; flood tuples update the receiver's
+        per-incidence knowledge and, when ``learn_membership``, inform
+        cluster members of their sampled bit (``set_pending`` arms their
+        forwarding broadcast, flood rounds only).
         """
         if len(inbox) == 0:
             return
-        slots = net.reverse_slot[inbox.slot]
+        ports = net.reverse_slot[inbox.slot]
         if self.schedule[round_number - 2][0] == "decide":
-            self.edge_alive[net.adj_edge_ids[slots]] = False
+            self.slot_alive[ports] = False
             return
 
         f_center = inbox.column("center")
         f_sampled = inbox.column("sampled")
-        self.known_center[slots] = f_center
-        self.known_sampled[slots] = f_sampled
+        self.known_center[ports] = f_center
+        self.known_sampled[ports] = f_sampled
         if learn_membership:
-            dst = net.slot_owner[slots]
-            matches = ~self.informed[dst] & (self.center[dst] >= 0) & (f_center == self.center[dst])
+            receivers = net.adj[inbox.slot]
+            matches = f_center == self.waiting[receivers]
             if np.any(matches):
-                hit = dst[matches]
-                self.informed[hit] = True
+                hit = receivers[matches]
+                self.waiting[hit] = -1
                 # All tuples of one cluster carry the same bit, so
                 # last-write-wins matches the reference "first matching
                 # message" exactly.
@@ -160,39 +171,22 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
     # Grouped per-(vertex, cluster) minima
     # -------------------------------------------------------------- #
 
-    def _cluster_groups(self, net: ColumnarSimulator, slot_mask: np.ndarray):
-        """Segment the selected incidence slots by (owner, known cluster).
+    def _cluster_groups(
+        self, net: ColumnarSimulator, slot_mask: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Group the selected incidence slots by (owner, known cluster).
 
-        Returns per-group arrays: owner, cluster centre, first-occurrence
-        slot, lightest length, slot achieving it (earliest on ties), plus
-        the sorted slot array and each sorted entry's group id — exactly
-        the quantities the reference node derives from its minima dict.
+        Returns ``(group_ids, starts, slots)``: per group, its id ``owner
+        << cluster_bits | centre`` (ascending) and the position of its
+        first slot, which is its lightest (earliest on ties) — the
+        reference node's scan-order minimum; per position, the slot.
         """
         s = np.flatnonzero(slot_mask)
         if s.size == 0:
             empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, np.empty(0), empty, empty, empty
-        owner = net.slot_owner[s]
-        centre = self.known_center[s]
-        key = owner * np.int64(self.n) + centre
-        # Shared radix-bucketing primitive: stable key sort keeps each
-        # group in ascending-slot order, so "earliest at the minimum" is
-        # the reference node's scan-order tie-break.
-        order, starts, seg_of, g_min_len, g_min_pos = _segmented_argmin(key, self.slot_lengths[s])
-        s_s = s[order]
-        g_owner = owner[order][starts]
-        g_centre = centre[order][starts]
-        g_first_slot = s_s[starts]
-        g_min_slot = s_s[g_min_pos]
-        return g_owner, g_centre, g_first_slot, g_min_len, g_min_slot, s_s, seg_of
-
-    def _record_slots(self, net: ColumnarSimulator, slots: np.ndarray) -> None:
-        """Record the spanner pairs (lo, hi) selected via incidence slots."""
-        if slots.size == 0:
-            return
-        a = net.slot_owner[slots]
-        b = net.adj[slots]
-        self.spanner_keys.append(np.minimum(a, b) * np.int64(self.n) + np.maximum(a, b))
+            return empty, empty, empty
+        ids, starts, ranks = self.layout.groups(self.slot_keys[s], self.known_center[s])
+        return ids, starts, net.slot_of_rank[ranks]
 
     # -------------------------------------------------------------- #
     # Phases
@@ -204,16 +198,16 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
         is_first = round_number == 1 or self.schedule[round_number - 2][0] != "flood"
         if is_first:
             # New iteration: reset per-iteration state; centres sample.
-            self.informed[:] = False
             self.sampled[:] = False
             self.pending[:] = False
             self.known_center[:] = -1
             self.known_sampled[:] = False
             centres = np.flatnonzero(self.center == np.arange(self.n, dtype=np.int64))
+            self.waiting[:] = self.center
+            self.waiting[centres] = -1
             # One draw per centre from its private stream — the only
             # randomness in the protocol.
             self.sampled[centres] = net.node_streams.random(centres) < self.sample_probability
-            self.informed[centres] = True
             self.pending[centres] = True
         self._process_inbox(net, round_number, inbox, learn_membership=True, set_pending=True)
         broadcasters = np.flatnonzero(self.pending)
@@ -233,39 +227,44 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
         self._process_inbox(net, round_number, inbox, learn_membership=True, set_pending=False)
 
         acting = ~((self.center >= 0) & self.sampled)
-        slot_mask = (
-            acting[net.slot_owner] & self.edge_alive[net.adj_edge_ids] & (self.known_center >= 0)
-        )
-        g_owner, g_centre, g_first_slot, g_min_len, g_min_slot, s_sorted, seg_of = (
-            self._cluster_groups(net, slot_mask)
-        )
-        if g_owner.size == 0:
+        slot_mask = np.repeat(acting, net.degrees)
+        slot_mask &= self.slot_alive
+        slot_mask &= self.known_center >= 0
+        g_id, starts, slots = self._cluster_groups(net, slot_mask)
+        if g_id.size == 0:
             return MessageBlock.empty()
 
+        g_owner = g_id >> self.layout.cluster_bits
+        g_centre = g_id & ((1 << self.layout.cluster_bits) - 1)
+        g_min_slot = slots[starts]
+        g_first_slot = np.minimum.reduceat(slots, starts)
+        g_min_len = 1.0 / net.adj_weights[g_min_slot]
         g_sampled = self.known_sampled[g_min_slot]
 
-        o_starts = _segment_starts(g_owner)
-        o_counts = np.diff(np.append(o_starts, g_owner.size))
-        o_seg = np.repeat(np.arange(o_starts.size, dtype=np.int64), o_counts)
-        o_any_sampled = np.logical_or.reduceat(g_sampled, o_starts)
+        o_head = np.empty(g_owner.shape[0], dtype=bool)
+        o_head[0] = True
+        np.not_equal(g_owner[1:], g_owner[:-1], out=o_head[1:])
+        o_starts = np.flatnonzero(o_head)
+        o_seg = np.cumsum(o_head) - 1
 
         # Case (b) target: the nearest sampled cluster; equal lengths
-        # resolve to the cluster first encountered in slot order.
+        # resolve to the cluster first encountered in slot order.  An owner
+        # with no sampled cluster keeps ``big`` as its best first slot.
         masked_len = np.where(g_sampled, g_min_len, np.inf)
-        o_best_len = np.minimum.reduceat(masked_len, o_starts)
-        big = np.int64(net.adj.shape[0] + 1)
-        candidate = g_sampled & (masked_len == o_best_len[o_seg])
+        best_len = np.minimum.reduceat(masked_len, o_starts)[o_seg]
+        big = np.int64(net.adj.shape[0])
+        candidate = g_sampled & (masked_len == best_len)
         o_best_first = np.minimum.reduceat(np.where(candidate, g_first_slot, big), o_starts)
+        o_any_sampled = o_best_first < big
         is_target = candidate & (g_first_slot == o_best_first[o_seg])
-        o_target_len = np.minimum.reduceat(np.where(is_target, g_min_len, np.inf), o_starts)
 
         # Case (a) owners connect to *every* adjacent cluster; case (b)
-        # owners connect to the target plus strictly lighter clusters.
-        # The killed clusters coincide with the connected ones.
-        case_b = o_any_sampled[o_seg]
-        recorded = np.where(case_b, is_target | (g_min_len < o_target_len[o_seg]), True)
-
-        self._record_slots(net, g_min_slot[recorded])
+        # owners connect to the target (which lies at ``best_len``) plus
+        # strictly lighter clusters.  The killed clusters coincide with
+        # the connected ones.
+        recorded = np.where(o_any_sampled[o_seg], is_target | (g_min_len < best_len), True)
+        kept = np.flatnonzero(recorded)
+        self.chosen[net.adj_edge_ids[g_min_slot[kept]]] = True
 
         # Centre reassignment (does not feed back into this round: the
         # decision read only the flood-time knowledge).
@@ -273,11 +272,11 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
         self.center[owners[~o_any_sampled]] = -1
         self.center[g_owner[is_target]] = g_centre[is_target]
 
-        # Kill every live incidence into a connected cluster: one removal
-        # notification per incidence from the acting side, and the edge
-        # goes dead for both endpoints.
-        killed_slots = s_sorted[recorded[seg_of]]
-        self.edge_alive[net.adj_edge_ids[killed_slots]] = False
+        # Kill every live incidence into a connected cluster: the acting
+        # side clears its ports and sends one removal notification on each.
+        sizes = np.diff(np.append(starts, slots.size))
+        killed_slots = slots[_rows_of_groups(starts, sizes, kept)]
+        self.slot_alive[killed_slots] = False
         return MessageBlock(
             slot=killed_slots,
             words=np.full(killed_slots.shape[0], _REMOVE_WORDS, dtype=np.int64),
@@ -299,9 +298,9 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
 
     def _final_decide(self, net: ColumnarSimulator, round_number: int, inbox: MessageBlock) -> None:
         self._process_inbox(net, round_number, inbox, learn_membership=False, set_pending=False)
-        slot_mask = self.edge_alive[net.adj_edge_ids] & (self.known_center >= 0)
-        _, _, _, _, g_min_slot, _, _ = self._cluster_groups(net, slot_mask)
-        self._record_slots(net, g_min_slot)
+        slot_mask = self.slot_alive & (self.known_center >= 0)
+        _, starts, slots = self._cluster_groups(net, slot_mask)
+        self.chosen[net.adj_edge_ids[slots[starts]]] = True
 
     # -------------------------------------------------------------- #
 
@@ -323,7 +322,5 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
         raise AssertionError(f"unknown protocol phase {phase!r}")  # pragma: no cover
 
     def finalize(self, net: ColumnarSimulator) -> np.ndarray:
-        """Sorted unique canonical keys ``lo * n + hi`` of the spanner pairs."""
-        if not self.spanner_keys:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(self.spanner_keys))
+        """Sorted ids (into ``net.graph``) of the spanner edges."""
+        return np.flatnonzero(self.chosen)

@@ -32,21 +32,25 @@ The protocol identifies edges by endpoint pairs, so the input is
 coalesced to a simple graph first; the result records both the coalesced
 graph and the selected edge indices into it.  :func:`distributed_bundle_spanner`
 peels ``t`` protocol runs off one graph the way the shared-memory bundle
-does: it keeps an index array of the input edges no component has taken
-and builds each run's input once with :meth:`Graph.select_edges`.
+does, on one network: the first component runs on the network of the
+key-sorted input, and each later one on the previous network restricted
+to the edges no component has taken (:meth:`ColumnarSimulator.restrict`,
+one compress with no neighbour sort).  The program marks the edges it
+chooses by id, so no component builds a graph or matches edges by key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
-from repro.parallel.congest import ColumnarSimulator
+from repro.parallel.congest import ColumnarSimulationResult, ColumnarSimulator
 from repro.parallel.metrics import DistributedCost
+from repro.spanners.baswana_sen import _check_size
 from repro.spanners.congest_spanner import ColumnarBaswanaSenProgram, build_schedule
 from repro.utils.rng import RandomState, SeedLike, as_rng, split_rng
 
@@ -89,19 +93,11 @@ class DistributedSpannerResult:
     completed: bool
 
 
-def _sorted_membership(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Membership mask of ``keys`` in the sorted unique array ``sorted_keys``.
-
-    Two binary searches replace the ``np.isin`` sort-per-call: O(|keys|
-    log |sorted_keys|) with no temporary sort of the haystack.
-    """
-    if sorted_keys.size == 0:
-        return np.zeros(keys.shape[0], dtype=bool)
-    pos = np.searchsorted(sorted_keys, keys)
-    inside = pos < sorted_keys.size
-    out = np.zeros(keys.shape[0], dtype=bool)
-    out[inside] = sorted_keys[pos[inside]] == keys[inside]
-    return out
+def _spanner_k(k: Optional[int], num_vertices: int) -> int:
+    """``k`` checked to be an integer ``>= 1``, or ``ceil(log2 n)`` when omitted."""
+    if k is None:
+        return max(1, int(np.ceil(np.log2(max(num_vertices, 2)))))
+    return _check_size(k, "spanner parameter k")
 
 
 def _protocol_inputs(
@@ -110,22 +106,15 @@ def _protocol_inputs(
     """``(coalesced graph, k, round cap)`` for one protocol run."""
     if max_rounds is not None and max_rounds < 1:
         raise GraphError(f"max_rounds must be >= 1, got {max_rounds}")
-    if k is not None and k < 1:
-        raise GraphError(f"spanner parameter k must be >= 1, got {k}")
     simple = graph.coalesce()
-    if k is None:
-        k = max(1, int(np.ceil(np.log2(max(simple.num_vertices, 2)))))
+    k = _spanner_k(k, simple.num_vertices)
     return simple, k, max_rounds or (len(build_schedule(k)) + 4)
 
 
 def _spanner_result(
-    simple: Graph, k: int, wanted_keys: np.ndarray, cost: DistributedCost, completed: bool
+    simple: Graph, k: int, edge_indices: np.ndarray, cost: DistributedCost, completed: bool
 ) -> DistributedSpannerResult:
-    """Resolve the selected ``lo * n + hi`` keys into edge indices of ``simple``."""
-    if wanted_keys.size:
-        edge_indices = np.flatnonzero(_sorted_membership(wanted_keys, simple.edge_keys()))
-    else:
-        edge_indices = np.array([], dtype=np.int64)
+    """Wrap the sorted indices of the edges the protocol chose in ``simple``."""
     return DistributedSpannerResult(
         spanner=simple.select_edges(edge_indices),
         edge_indices=edge_indices,
@@ -135,6 +124,11 @@ def _spanner_result(
         cost=cost,
         completed=completed,
     )
+
+
+def _run_protocol(net: ColumnarSimulator, k: int, max_rounds: int) -> ColumnarSimulationResult:
+    """One protocol run on ``net``; ``outputs`` are the sorted ids of the chosen edges."""
+    return net.run(ColumnarBaswanaSenProgram(net.num_vertices, k), max_rounds=max_rounds)
 
 
 def distributed_baswana_sen_spanner(
@@ -151,7 +145,8 @@ def distributed_baswana_sen_spanner(
         Input graph; parallel edges are coalesced before the protocol runs
         (the protocol identifies edges by endpoint pairs).
     k:
-        Number of clustering levels; defaults to ``ceil(log2 n)``.
+        Number of clustering levels, an integer ``>= 1``
+        (:class:`GraphError` otherwise); defaults to ``ceil(log2 n)``.
     seed:
         Simulator seed (drives every node's private RNG stream).
     max_rounds:
@@ -159,10 +154,7 @@ def distributed_baswana_sen_spanner(
         defaults to a generous multiple of the schedule length.
     """
     simple, k, cap = _protocol_inputs(graph, k, max_rounds)
-    run = ColumnarSimulator(simple, seed=seed).run(
-        ColumnarBaswanaSenProgram(simple.num_vertices, k), max_rounds=cap
-    )
-    # run.outputs: sorted unique lo * n + hi keys of the selected edges.
+    run = _run_protocol(ColumnarSimulator(simple, seed=seed), k, cap)
     return _spanner_result(simple, k, run.outputs, run.cost, run.completed)
 
 
@@ -195,6 +187,27 @@ class DistributedBundleResult:
     completed: bool
 
 
+def _key_order(graph: Graph) -> Optional[np.ndarray]:
+    """The permutation that key-sorts ``graph``'s edges, or ``None`` if they are.
+
+    Raises :class:`GraphError` when two edges share an endpoint pair: the
+    protocol identifies edges by endpoint pairs, so a bundle would take
+    both.  Pipeline inputs arrive key-sorted: one strict-increase pass
+    accepts them without a sort.
+    """
+    keys = graph.edge_keys()
+    if np.all(keys[1:] > keys[:-1]):
+        return None
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    if np.any(keys[1:] == keys[:-1]):
+        raise GraphError(
+            "distributed bundle needs a simple graph, but some endpoint pair has "
+            "parallel edges; merge them with graph.coalesce() first"
+        )
+    return order
+
+
 def distributed_bundle_spanner(
     graph: Graph,
     t: int,
@@ -220,43 +233,16 @@ def distributed_bundle_spanner(
         :class:`GraphError`.  ``edge_indices`` refer to this graph's edge
         arrays.
     t:
-        Number of bundle components requested.
+        Number of bundle components requested, an integer ``>= 1``.
     k:
         Baswana–Sen parameter per component (default ``ceil(log2 n)``).
     seed / component_seeds:
         Either a single seed (split into ``t`` sub-streams here) or the
         pre-split per-component streams; ``component_seeds`` wins.
     """
-    return _peel_bundle(graph, t, k, seed, component_seeds, distributed_baswana_sen_spanner)
-
-
-def _peel_bundle(
-    graph: Graph,
-    t: int,
-    k: Optional[int],
-    seed: SeedLike,
-    component_seeds: Optional[List[RandomState]],
-    spanner: Callable[..., DistributedSpannerResult],
-) -> DistributedBundleResult:
-    """The peel loop of :func:`distributed_bundle_spanner`, over any protocol runner.
-
-    ``spanner(graph, k=..., seed=...)`` runs one component's protocol;
-    the reference module passes its per-node runner here so both engines
-    peel through the very same loop.
-    """
-    if t < 1:
-        raise GraphError(f"bundle size t must be >= 1, got {t}")
-    # Components are matched back to ``graph`` by edge key, so two edges
-    # on one endpoint pair would both be taken.  Pipeline inputs arrive
-    # key-sorted: one strict-increase pass accepts them without a sort.
-    keys = graph.edge_keys()
-    if not np.all(keys[1:] > keys[:-1]):
-        keys = np.sort(keys)
-        if np.any(keys[1:] == keys[:-1]):
-            raise GraphError(
-                "distributed bundle needs a simple graph, but some endpoint pair has "
-                "parallel edges; merge them with graph.coalesce() first"
-            )
+    t = _check_size(t, "bundle size t")
+    k = _spanner_k(k, graph.num_vertices)
+    order = _key_order(graph)
     if component_seeds is None:
         component_seeds = split_rng(as_rng(seed), t)
     if len(component_seeds) < t:
@@ -264,39 +250,41 @@ def _peel_bundle(
             f"need {t} component seeds, got {len(component_seeds)}"
         )
 
-    # Indices of the input edges no component has taken yet; each round
-    # builds its protocol input once through the trusted ``select_edges``.
-    remaining = np.arange(graph.num_edges, dtype=np.int64)
+    # One network for the whole bundle, on the key-sorted edges (the order
+    # the protocol's tie-breaks are defined on).  Each later component runs
+    # on the previous network restricted to the edges still remaining.
+    simple = graph if order is None else graph.select_edges(order)
+    cap = len(build_schedule(k)) + 4
+    remaining = np.ones(simple.num_edges, dtype=bool)
+    left = simple.num_edges
+    net: Optional[ColumnarSimulator] = None
     component_indices: List[np.ndarray] = []
     total_cost = DistributedCost()
-    components_built = 0
     completed = True
 
     for i in range(t):
-        if remaining.size == 0:
+        if left == 0:
             break
-        sub = graph.select_edges(remaining)
-        result = spanner(sub, k=k, seed=component_seeds[i])
-        total_cost = total_cost + result.cost
-        completed = completed and result.completed
-        components_built += 1
-        # ``result.edge_indices`` refer to ``result.simple_graph`` (the
-        # coalesced, key-sorted view the protocol ran on), which need not
-        # share ``sub``'s edge order — translate through edge keys.
-        selected_keys = result.simple_graph.edge_keys()[result.edge_indices]
-        in_spanner = _sorted_membership(selected_keys, sub.edge_keys())
-        component_indices.append(remaining[in_spanner])
-        remaining = remaining[~in_spanner]
+        if net is None:
+            net = ColumnarSimulator(simple, seed=component_seeds[i])
+        else:
+            net = net.restrict(remaining, seed=component_seeds[i])
+        run = _run_protocol(net, k, cap)
+        total_cost = total_cost + run.cost
+        completed = completed and run.completed
+        chosen = run.outputs
+        remaining[chosen] = False
+        left -= chosen.size
+        component_indices.append(chosen if order is None else np.sort(order[chosen]))
 
-    if component_indices:
-        edge_indices = np.unique(np.concatenate(component_indices))
-    else:
-        edge_indices = np.array([], dtype=np.int64)
+    edge_indices = np.flatnonzero(~remaining)
+    if order is not None:
+        edge_indices = np.sort(order[edge_indices])
 
     return DistributedBundleResult(
         edge_indices=edge_indices,
         component_edge_indices=component_indices,
-        components_built=components_built,
+        components_built=len(component_indices),
         cost=total_cost,
         completed=completed,
     )

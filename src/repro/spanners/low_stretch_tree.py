@@ -33,6 +33,7 @@ import numpy as np
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
 from repro.parallel.pram import PRAMTracker
+from repro.spanners.baswana_sen import _check_size
 from repro.spanners.bundle import BundleResult
 from repro.utils.rng import SeedLike, as_rng, split_rng
 
@@ -142,8 +143,7 @@ def tree_bundle(
     stretch can exceed ``2 log n`` on adversarial edges), which is exactly
     what the E10 ablation quantifies.
     """
-    if t < 1:
-        raise GraphError(f"bundle size t must be >= 1, got {t}")
+    t = _check_size(t, "bundle size t")
     tracker = tracker if tracker is not None else PRAMTracker()
     rng = as_rng(seed)
     component_rngs = split_rng(rng, t)

@@ -17,6 +17,10 @@ behaviour.  Three layers of guards:
   reproduce, bit for bit, what they produced on the per-node engine
   (``PER_NODE_OUTPUTS`` below, stored when the pipeline could still
   select that engine), sharded or not.
+
+The bundle peel runs each component on the previous component's network
+restricted to the remaining edges; ``TestNetworkRestriction`` pins a
+restricted network to one built fresh on the same edges, array for array.
 """
 
 import hashlib
@@ -41,6 +45,7 @@ from repro.parallel.congest import (
     MessageBlock,
     concat_ranges,
 )
+from repro.spanners import baswana_sen as baswana_sen_module
 from repro.spanners._reference import (
     DistributedSimulator,
     _BaswanaSenProgram,
@@ -159,6 +164,22 @@ class TestSpannerParity:
         assert reference.rounds_executed == columnar.rounds_executed
         assert reference.completed and columnar.completed
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_length_clusters_parity(self, seed):
+        """Weights in {1, 2} make equally near sampled clusters common, and
+        a cluster's first port need not be its lightest: the case-(b)
+        target is the one first met in slot order, as the reference finds."""
+        graph = gen.erdos_renyi_graph(60, 0.25, seed=seed, ensure_connected=True)
+        graph = graph.with_weights(np.random.default_rng(seed).integers(1, 3, graph.num_edges))
+        reference = reference_distributed_spanner(graph, k=3, seed=seed)
+        columnar = distributed_baswana_sen_spanner(graph, k=3, seed=seed)
+        assert np.array_equal(reference.edge_indices, columnar.edge_indices)
+        assert reference.cost == columnar.cost
+        ref_bundle = reference_distributed_bundle_spanner(graph, t=3, k=3, seed=seed)
+        col_bundle = distributed_bundle_spanner(graph, t=3, k=3, seed=seed)
+        assert np.array_equal(ref_bundle.edge_indices, col_bundle.edge_indices)
+        assert ref_bundle.cost == col_bundle.cost
+
     def test_truncated_run_parity(self):
         """Hitting max_rounds mid-protocol leaves both engines in the same state."""
         graph = gen.banded_graph(60, 5)
@@ -181,6 +202,19 @@ class TestSpannerParity:
     def test_k_below_one_rejected(self, engine, k):
         with pytest.raises(GraphError, match="k must be >= 1"):
             ENGINES[engine](gen.grid_graph(6, 6), k=k, seed=0)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_k_must_be_an_integer(self, engine, k):
+        with pytest.raises(GraphError, match="k must be an integer"):
+            ENGINES[engine](gen.grid_graph(6, 6), k=k, seed=0)
+
+    def test_numpy_integer_k_accepted(self):
+        graph = gen.grid_graph(6, 6)
+        result = distributed_baswana_sen_spanner(graph, k=np.int64(3), seed=0)
+        expected = distributed_baswana_sen_spanner(graph, k=3, seed=0)
+        assert result.k == 3 and type(result.k) is int
+        assert np.array_equal(result.edge_indices, expected.edge_indices)
 
 
 class TestGoldens:
@@ -400,3 +434,117 @@ class TestColumnarEngine:
         ref_draws = [ctx.rng.random() for ctx in reference.contexts]
         col_draws = columnar.node_streams.random(np.arange(g.num_vertices)).tolist()
         assert ref_draws == col_draws
+
+
+def _restriction_inputs():
+    """ER, banded, BA and grid inputs, plus a simple graph stored unsorted."""
+    er = gen.erdos_renyi_graph(70, 0.15, seed=3, ensure_connected=True)
+    return {
+        "er": er,
+        "banded": gen.banded_graph(80, 5, weight_range=(0.5, 2.0), seed=1),
+        "ba": gen.barabasi_albert_graph(90, 4, seed=2),
+        "grid": gen.grid_graph(7, 8),
+        "unsorted": er.select_edges(np.random.default_rng(7).permutation(er.num_edges)),
+    }
+
+
+RESTRICTION_INPUTS = _restriction_inputs()
+
+
+def assert_same_network(restricted, fresh, kept_edges):
+    """``restricted`` equals ``fresh`` (built on ``kept_edges``, in order)."""
+    assert restricted.num_vertices == fresh.num_vertices
+    assert restricted.message_word_limit == fresh.message_word_limit
+    for name in (
+        "indptr", "degrees", "adj", "adj_weights", "slot_owner", "reverse_slot",
+        "slot_rank", "slot_of_rank",
+    ):
+        got, want = getattr(restricted, name), getattr(fresh, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    # Edge ids keep naming the edges of the graph the first network was
+    # built on; the fresh network numbers its own.
+    assert np.array_equal(restricted.adj_edge_ids, kept_edges[fresh.adj_edge_ids])
+
+
+class TestNetworkRestriction:
+    """``ColumnarSimulator.restrict`` equals a fresh build on the kept edges."""
+
+    @pytest.mark.parametrize("name", sorted(RESTRICTION_INPUTS))
+    @pytest.mark.parametrize("keep_share", [0.0, 0.3, 0.8, 1.0])
+    def test_restrict_matches_fresh_build(self, name, keep_share):
+        graph = RESTRICTION_INPUTS[name]
+        # The bundle's network is built on the coalesced graph; the
+        # equality holds for a network on any edge order too.
+        for base in (graph.coalesce(), graph):
+            mask = np.random.default_rng(11).random(base.num_edges) < keep_share
+            restricted = ColumnarSimulator(base, seed=0).restrict(mask, seed=4)
+            fresh = ColumnarSimulator(base.select_edges(mask), seed=4)
+            assert_same_network(restricted, fresh, np.flatnonzero(mask))
+            assert restricted.graph is base
+            nodes = np.arange(base.num_vertices)
+            assert np.array_equal(
+                restricted.node_streams.random(nodes), fresh.node_streams.random(nodes)
+            )
+
+    @pytest.mark.parametrize("name", sorted(RESTRICTION_INPUTS))
+    def test_chained_restrictions(self, name):
+        simple = RESTRICTION_INPUTS[name].coalesce()
+        rng = np.random.default_rng(5)
+        net = ColumnarSimulator(simple, seed=0)
+        kept = np.ones(simple.num_edges, dtype=bool)
+        for _ in range(4):
+            # Masks need not nest: a restriction keeps only edges still present.
+            mask = rng.random(simple.num_edges) < 0.75
+            net = net.restrict(mask, seed=1)
+            kept &= mask
+            fresh = ColumnarSimulator(simple.select_edges(kept), seed=1)
+            assert_same_network(net, fresh, np.flatnonzero(kept))
+
+    @pytest.mark.parametrize("name", sorted(RESTRICTION_INPUTS))
+    def test_protocol_runs_identically(self, name):
+        simple = RESTRICTION_INPUTS[name].coalesce()
+        mask = np.random.default_rng(9).random(simple.num_edges) < 0.6
+        k = 4
+        cap = len(build_schedule(k)) + 4
+        restricted = ColumnarSimulator(simple, seed=0).restrict(mask, seed=6)
+        fresh = ColumnarSimulator(simple.select_edges(mask), seed=6)
+        got = restricted.run(ColumnarBaswanaSenProgram(simple.num_vertices, k), max_rounds=cap)
+        want = fresh.run(ColumnarBaswanaSenProgram(simple.num_vertices, k), max_rounds=cap)
+        assert np.array_equal(got.outputs, np.flatnonzero(mask)[want.outputs])
+        assert got.cost == want.cost
+        assert got.messages_per_round == want.messages_per_round
+
+    def test_restrict_rejects_a_mask_of_the_wrong_length(self):
+        net = ColumnarSimulator(gen.cycle_graph(5), seed=0)
+        with pytest.raises(SimulationError, match="edge mask"):
+            net.restrict(np.ones(4, dtype=bool))
+
+
+class TestLexsortBranch:
+    """Past the packed-key bit budget the decide step sorts the same
+    (owner, centre, rank) triples with ``np.lexsort``: same outputs."""
+
+    @pytest.fixture
+    def lexsort_only(self, monkeypatch):
+        monkeypatch.setattr(baswana_sen_module, "_KEY_BITS", 0)
+        assert not baswana_sen_module._KeyLayout(10, 100).packed
+
+    @pytest.mark.parametrize("case_index", range(6))
+    def test_goldens(self, lexsort_only, goldens, golden_cases, case_index):
+        name, graph, seed, k = golden_cases[case_index]
+        golden = goldens[name]
+        result = distributed_baswana_sen_spanner(graph, k=k, seed=seed)
+        assert result.edge_indices.tolist() == golden["edge_indices"], name
+        assert result.cost.rounds == golden["rounds"]
+        assert result.cost.messages == golden["messages"]
+        assert result.cost.max_message_words == golden["max_message_words"]
+        assert result.completed == golden["completed"]
+
+    def test_bundle(self, lexsort_only):
+        graph = gen.barabasi_albert_graph(90, 4, seed=2).coalesce()
+        expected = PER_NODE_OUTPUTS["bundle"]
+        columnar = distributed_bundle_spanner(graph, t=3, seed=8)
+        assert digest(columnar.edge_indices) == expected["edges"]
+        assert [digest(c) for c in columnar.component_edge_indices] == expected["components"]
+        assert cost_triple(columnar.cost) == expected["cost"]

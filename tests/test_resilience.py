@@ -461,13 +461,14 @@ class TestDistributedPolicyRouting:
         ids=["serial", "thread"],
     )
     def test_retry_after_failure_part_way_through_a_shard(self, execution, fail_once_part_way):
-        # On the serial backend the second call is shard 0's second bundle
+        # The bundle peel runs each component through ``_run_protocol``. On
+        # the serial backend its second call is shard 0's second bundle
         # component: the shard has already drawn from its streams.
         graph = generators.banded_graph(200, 6)
         config = SparsifierConfig(bundle_t=3, num_shards=2, **execution)
         baseline = distributed_parallel_sample(graph, config=config, seed=3)
 
-        fired = fail_once_part_way(distributed_spanner, "distributed_baswana_sen_spanner")
+        fired = fail_once_part_way(distributed_spanner, "_run_protocol")
         policy = FailurePolicy(on_error="retry", max_attempts=3)
         recovered = distributed_parallel_sample(
             graph, config=config, seed=3, failure_policy=policy

@@ -306,6 +306,11 @@ class TestLowStretchTree:
         with pytest.raises(GraphError):
             tree_bundle(triangle_graph, t=0)
 
+    @pytest.mark.parametrize("t", [2.5, True])
+    def test_tree_bundle_t_must_be_an_integer(self, triangle_graph, t):
+        with pytest.raises(GraphError, match="t must be an integer"):
+            tree_bundle(triangle_graph, t=t)
+
 
 class TestVerificationAndRepair:
     def test_max_stretch_zero_when_all_edges_in_spanner(self, triangle_graph):
@@ -382,6 +387,25 @@ class TestDistributedBundleSpanner:
             distributed_bundle_spanner(simple, t=3, component_seeds=split_rng(as_rng(0), 2))
         with pytest.raises(GraphError, match="k must be >= 1"):
             distributed_bundle_spanner(simple, t=2, k=0)
+
+    @pytest.mark.parametrize("size", [{"t": 2.5}, {"t": True}, {"t": 2, "k": 2.5}, {"t": 2, "k": True}])
+    def test_sizes_must_be_integers(self, small_er_graph, size):
+        from repro.spanners._reference import reference_distributed_bundle_spanner
+        from repro.spanners.distributed_spanner import distributed_bundle_spanner
+
+        simple = small_er_graph.coalesce()
+        for bundle in (distributed_bundle_spanner, reference_distributed_bundle_spanner):
+            with pytest.raises(GraphError, match="must be an integer"):
+                bundle(simple, seed=0, **size)
+
+    def test_numpy_integer_t_and_k_accepted(self, small_er_graph):
+        from repro.spanners.distributed_spanner import distributed_bundle_spanner
+
+        simple = small_er_graph.coalesce()
+        result = distributed_bundle_spanner(simple, t=np.int64(2), k=np.int64(3), seed=5)
+        expected = distributed_bundle_spanner(simple, t=2, k=3, seed=5)
+        assert np.array_equal(result.edge_indices, expected.edge_indices)
+        assert result.cost == expected.cost
 
     def test_rejects_parallel_edges(self):
         """Both copies of a doubled edge would be matched to one selected pair."""
