@@ -12,7 +12,9 @@ reference per-node simulator (:mod:`repro.spanners._reference`) against
 the columnar engine (:mod:`repro.parallel.congest`) on banded and
 power-law graphs up to
 n = 4096, hard-asserts bit-identical spanner selections and identical
-cost triples per pair, and persists ``BENCH_distributed.json``.  Timing
+cost triples per pair, and persists ``BENCH_distributed.json``.  Each
+engine's time is the median of ``REPEATS`` calls (recorded as
+``repeats``), so one slow call does not move a row's speedup.  Timing
 *assertions* (>= 5x at n = 2048) are gated on
 ``REPRO_BENCH_ASSERT_SPEEDUP=1`` — the CI container has a single usable
 CPU and its timing noise should not fail the build; the JSON always
@@ -27,6 +29,7 @@ Usage::
 import argparse
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -174,6 +177,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_distributed.json"
 SMOKE_RESULT_PATH = REPO_ROOT / "BENCH_distributed_smoke.json"
 SEED = 20140623  # SPAA'14
+REPEATS = 3  # timed calls per engine per row; a row reports their median
 
 
 def build_graph(scenario: str, n: int):
@@ -185,9 +189,13 @@ def build_graph(scenario: str, n: int):
 
 
 def _timed(fn, *args, **kwargs):
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - start
+    """``(result, median seconds)`` over REPEATS identical calls."""
+    seconds = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        seconds.append(time.perf_counter() - start)
+    return result, statistics.median(seconds)
 
 
 def run_spanner_case(scenario: str, n: int) -> dict:
@@ -303,6 +311,7 @@ def main() -> None:
         "seed": SEED,
         "smoke": args.smoke,
         "speedup_asserted": assert_speedup and not args.smoke,
+        "repeats": REPEATS,
         "bit_identical_across_engines": True,  # hard-asserted per row above
         "deterministic": deterministic,
         "results": rows,

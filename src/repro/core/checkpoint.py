@@ -169,7 +169,9 @@ def _decode_record(line: bytes) -> Optional[Dict[str, Any]]:
     return record if isinstance(record, dict) else None
 
 
-def _parse_segment(path: Path) -> Tuple[List[Dict[str, Any]], int, str]:
+def _parse_segment(
+    path: Path, advisory: Optional[bytes] = None
+) -> Tuple[List[Dict[str, Any]], int, str]:
     """Parse one segment's lines: ``(records, valid_end_offset, status)``.
 
     ``valid_end_offset`` is the byte offset just past the last complete,
@@ -178,7 +180,9 @@ def _parse_segment(path: Path) -> Tuple[List[Dict[str, Any]], int, str]:
     signature of a crash mid-append, droppable), or ``"interior"`` (a
     complete line that does not decode to a record: an append that
     finished and was then damaged, which is real corruption wherever it
-    sits).
+    sits).  A complete line that starts with ``advisory`` holds data the
+    reader can recompute, so when it does not decode it reads as an empty
+    record instead of ending the parse.
     """
     data = path.read_bytes()
     records: List[Dict[str, Any]] = []
@@ -193,7 +197,9 @@ def _parse_segment(path: Path) -> Tuple[List[Dict[str, Any]], int, str]:
         if line.strip():
             record = _decode_record(line)
             if record is None:
-                return records, offset, "interior"
+                if advisory is None or not line.startswith(advisory):
+                    return records, offset, "interior"
+                record = {}
             records.append(record)
         offset = newline + 1
     return records, offset, "clean"

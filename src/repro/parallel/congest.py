@@ -59,6 +59,7 @@ from repro.exceptions import MessageTooLargeError, SimulationError
 from repro.graphs.graph import Graph
 from repro.parallel.metrics import DistributedCost
 from repro.utils.rng import NodeStreams, SeedLike
+from repro.utils.validation import check_count
 
 __all__ = [
     "MessageBlock",
@@ -338,9 +339,10 @@ class ColumnarSimulator:
 
         Counters are reset at the start of every call, so ``cost`` always
         describes the most recent run (per-run-delta accounting).
+        ``max_rounds`` must be an integer of at least 1
+        (:class:`SimulationError` otherwise).
         """
-        if max_rounds < 1:
-            raise SimulationError(f"max_rounds must be >= 1, got {max_rounds}")
+        max_rounds = check_count(max_rounds, "max_rounds", SimulationError)
         self.reset_counters()
         program.setup(self)
         inbox = MessageBlock.empty()

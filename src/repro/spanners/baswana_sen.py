@@ -63,6 +63,7 @@ from repro.graphs.graph import Graph
 from repro.parallel.metrics import PRAMCost
 from repro.parallel.pram import PRAMTracker
 from repro.utils.rng import RandomState, SeedLike, as_rng
+from repro.utils.validation import check_count
 
 __all__ = ["SpannerResult", "baswana_sen_spanner"]
 
@@ -390,11 +391,7 @@ def _spanner_select(
 
 def _check_size(value: object, name: str) -> int:
     """``value`` as an ``int`` if it is an integer ``>= 1``, else :class:`GraphError`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise GraphError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise GraphError(f"{name} must be >= 1, got {value}")
-    return int(value)
+    return check_count(value, name, GraphError)
 
 
 def _cost_delta(tracker: PRAMTracker, before: PRAMCost) -> PRAMCost:

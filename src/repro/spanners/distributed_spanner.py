@@ -104,8 +104,8 @@ def _protocol_inputs(
     graph: Graph, k: Optional[int], max_rounds: Optional[int]
 ) -> Tuple[Graph, int, int]:
     """``(coalesced graph, k, round cap)`` for one protocol run."""
-    if max_rounds is not None and max_rounds < 1:
-        raise GraphError(f"max_rounds must be >= 1, got {max_rounds}")
+    if max_rounds is not None:
+        max_rounds = _check_size(max_rounds, "max_rounds")
     simple = graph.coalesce()
     k = _spanner_k(k, simple.num_vertices)
     return simple, k, max_rounds or (len(build_schedule(k)) + 4)
@@ -150,8 +150,8 @@ def distributed_baswana_sen_spanner(
     seed:
         Simulator seed (drives every node's private RNG stream).
     max_rounds:
-        Safety cap on rounds, at least 1 (:class:`GraphError` otherwise);
-        defaults to a generous multiple of the schedule length.
+        Safety cap on rounds, an integer of at least 1 (:class:`GraphError`
+        otherwise); defaults to a generous multiple of the schedule length.
     """
     simple, k, cap = _protocol_inputs(graph, k, max_rounds)
     run = _run_protocol(ColumnarSimulator(simple, seed=seed), k, cap)

@@ -11,11 +11,22 @@ reader with the batch checkpoint journal (:mod:`repro.core.checkpoint`):
 
 * **A directory of sealed segments** — the journal is a directory of
   size-bounded JSON-lines segment files (``segment-00000000.jsonl`` …).
-  Each segment opens with a header pinning the stream parameters and the
-  index of its first batch, followed by one line per ingested batch with
-  its exact edge arrays and a content digest.  When the active segment
-  passes the size bound, the next append seals it and opens a new one
-  (with a directory fsync, so the new file survives a crash).
+  Each segment opens with a header pinning the stream parameters, the
+  snapshot cadence and the index of its first batch, followed by one
+  line per ingested batch with its exact edge arrays and a content
+  digest.  When the active segment passes the size bound, the next batch
+  append seals it and opens a new one (with a directory fsync, so the new
+  file survives a crash).
+* **Compaction records** — each compaction a batch triggers appends the
+  outcome of that ``PARALLELSAMPLE`` pass right after the batch: its
+  bundle and kept positions as bitmasks over its working set, a digest
+  of that working set and a digest of the record itself.  Replay applies
+  a record only to a working set with the recorded digest, so recovery
+  skips the spanner work it verifies and recomputes every compaction
+  whose record is missing, damaged or mismatched.
+* **Binary payloads** — every array travels as base64 text of its
+  little-endian bytes (format v3), not as a JSON number list: bit-exact
+  by construction and no per-element encode or decode.
 * **Journal-then-process** — the sparsifier appends a batch *before*
   folding it into its state, so a crash at any point loses at most the
   batch whose append was itself torn; the torn trailing line is detected
@@ -31,18 +42,19 @@ reader with the batch checkpoint journal (:mod:`repro.core.checkpoint`):
   was replayed, what was lost and where the corruption sits in a
   :class:`JournalScanReport`, which is what the recovery ladder in
   :mod:`repro.streaming.store` builds its
-  :class:`~repro.streaming.store.RecoveryReport` from.
-* **Bit-exact round-trip** — weights survive JSON exactly (shortest
-  round-trip float repr), and replaying the journaled batches through a
-  fresh sparsifier reproduces the crashed stream's state bit for bit.
+  :class:`~repro.streaming.store.RecoveryReport` from.  A compaction
+  record is advisory: one that does not decode is dropped, not treated
+  as corruption, because replay can recompute it.
 """
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,20 +63,23 @@ from repro.core.checkpoint import (
     DurableIO,
     _decode_record,
     _parse_segment,
+    _record_digest,
     edge_array_digest,
 )
 from repro.exceptions import CheckpointError
+from repro.utils.validation import check_count
 
 __all__ = [
     "StreamJournal",
     "JournalScanReport",
     "SegmentInfo",
     "canonical_stream_params",
+    "working_set_digest",
     "STREAM_JOURNAL_VERSION",
     "DEFAULT_SEGMENT_BYTES",
 ]
 
-STREAM_JOURNAL_VERSION = 2
+STREAM_JOURNAL_VERSION = 3
 
 # Size bound after which the active segment is sealed and a new one
 # opened.  Small enough that resume-after-snapshot touches little data,
@@ -93,7 +108,63 @@ _PINNED_KEYS = (
     "level_capacity",
 )
 
-Batch = Tuple[int, np.ndarray, np.ndarray, np.ndarray]
+# Every compaction record line starts with these bytes (``json.dumps``
+# keeps key order), which is how a reader tells a damaged compaction
+# record, which replay recomputes, from a damaged batch record.
+_COMPACTION_PREFIX = b'{"kind": "compaction"'
+
+_INT = np.dtype("<i8")
+_FLOAT = np.dtype("<f8")
+_BYTE = np.dtype("u1")
+
+# ``(index, u, v, w, compactions)``: a journaled batch and the verified
+# outcomes of the compactions it triggered, in journal order.
+Batch = Tuple[int, np.ndarray, np.ndarray, np.ndarray, List[Dict[str, Any]]]
+
+
+def _pack(array: np.ndarray, dtype: np.dtype) -> str:
+    """``array`` as base64 text of its little-endian bytes: one binary payload."""
+    return base64.b64encode(np.ascontiguousarray(array, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _unpack(text: Any, dtype: np.dtype) -> np.ndarray:
+    """The array :func:`_pack` wrote, in native byte order; ``ValueError`` otherwise."""
+    if not isinstance(text, str):
+        raise ValueError(f"payload is {type(text).__name__}, not base64 text")
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) % dtype.itemsize:
+        raise ValueError(f"a {len(raw)}-byte payload is not a whole number of {dtype} items")
+    return np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("="))
+
+
+def _pack_positions(positions: np.ndarray, size: int) -> str:
+    """Ascending positions among ``size`` items as a base64 bitmask."""
+    mask = np.zeros(size, dtype=bool)
+    mask[positions] = True
+    return _pack(np.packbits(mask), _BYTE)
+
+
+def _unpack_positions(text: Any, size: int) -> np.ndarray:
+    """The ascending positions a :func:`_pack_positions` bitmask holds."""
+    bits = _unpack(text, _BYTE)
+    if bits.shape[0] != (size + 7) // 8:
+        raise ValueError(f"a {bits.shape[0]}-byte bitmask does not cover {size} positions")
+    return np.flatnonzero(np.unpackbits(bits, count=size))
+
+
+def working_set_digest(
+    u: np.ndarray, v: np.ndarray, w: np.ndarray, b: np.ndarray
+) -> str:
+    """Content hash of the working set one compaction ran on.
+
+    ``w`` is the weight the selection saw (decay applied) and ``b`` the
+    arrival batches.  A journaled compaction outcome is applied only to
+    a working set with the digest it records.
+    """
+    digest = hashlib.blake2b(digest_size=16)
+    for array, dtype in ((u, _INT), (v, _INT), (w, _FLOAT), (b, _INT)):
+        digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    return digest.hexdigest()
 
 
 def canonical_stream_params(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -128,6 +199,7 @@ class SegmentInfo:
     path: Path
     sequence: int
     first_batch: int
+    snapshot_every: Optional[int] = None
 
 
 @dataclass
@@ -142,6 +214,8 @@ class JournalScanReport:
     segment's prefix so the recovery ladder can rewrite them into a fresh
     segment after quarantining the damaged file; ``corrupt_batch`` is the
     index of the first batch the journal could not supply.
+    ``compactions_dropped`` counts compaction records in the replayed
+    segments that did not verify: replay recomputes those compactions.
     """
 
     segments_seen: int = 0
@@ -154,6 +228,7 @@ class JournalScanReport:
     corrupt_segment: Optional[str] = None
     corrupt_batch: Optional[int] = None
     corruption: Optional[str] = None
+    compactions_dropped: int = 0
     salvaged: List[Batch] = field(default_factory=list)
 
 
@@ -177,12 +252,13 @@ def _segment_files(path: Path) -> List[Path]:
 
 
 def _record_lines(path: Path) -> int:
-    """Best-effort count of the records after a segment's header, damaged ones included."""
+    """Best-effort count of the batch records after a segment's header, damaged ones included."""
     try:
         data = path.read_bytes()
     except OSError:
         return 0
-    return max(0, sum(1 for line in data.split(b"\n") if line.strip()) - 1)
+    lines = [line for line in data.split(b"\n") if line.strip()]
+    return sum(1 for line in lines[1:] if not line.startswith(_COMPACTION_PREFIX))
 
 
 def _validate_header(record: Optional[Dict[str, Any]], path: Path) -> Dict[str, Any]:
@@ -196,7 +272,7 @@ def _validate_header(record: Optional[Dict[str, Any]], path: Path) -> Dict[str, 
             f"stream journal segment {path} has version {record.get('version')}, "
             f"expected {STREAM_JOURNAL_VERSION}"
         )
-    missing = [key for key in _PINNED_KEYS if key not in record]
+    missing = [key for key in (*_PINNED_KEYS, "snapshot_every") if key not in record]
     if missing:
         raise CheckpointError(
             f"stream journal segment {path} header is missing keys: "
@@ -205,6 +281,11 @@ def _validate_header(record: Optional[Dict[str, Any]], path: Path) -> Dict[str, 
     if not isinstance(record.get("first_batch"), int):
         raise CheckpointError(
             f"stream journal segment {path} header has no integer first_batch"
+        )
+    if record["snapshot_every"] is not None:
+        check_count(
+            record["snapshot_every"], f"stream journal segment {path} snapshot_every",
+            CheckpointError,
         )
     return record
 
@@ -219,9 +300,11 @@ def _batch_from_record(
         )
     try:
         index = int(record["index"])
-        u = np.asarray(record["u"], dtype=np.int64)
-        v = np.asarray(record["v"], dtype=np.int64)
-        w = np.asarray(record["w"], dtype=np.float64)
+        u = _unpack(record["u"], _INT)
+        v = _unpack(record["v"], _INT)
+        w = _unpack(record["w"], _FLOAT)
+        if not u.shape == v.shape == w.shape:
+            raise ValueError("the u, v and w payloads differ in length")
         digest = record["digest"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
@@ -239,7 +322,50 @@ def _batch_from_record(
             f"stream journal segment {path}: batch {index} does not match its "
             "recorded digest — refusing to replay corrupted edges"
         )
-    return index, u, v, w
+    return index, u, v, w, []
+
+
+def _compaction_line(
+    index: int, size: int, work_digest: str, outcome: Mapping[str, Any]
+) -> str:
+    """One compaction record, sealed by a digest of everything else in it."""
+    body = {
+        "kind": "compaction",
+        "index": int(index),
+        "size": int(size),
+        "work_digest": work_digest,
+        "outside": int(outcome["outside"]),
+        "built": int(outcome["built"]),
+        "exhausted": bool(outcome["exhausted"]),
+        "bundle": _pack_positions(outcome["bundle"], size),
+        "kept": _pack_positions(outcome["kept"], size),
+    }
+    return json.dumps({**body, "digest": _record_digest(body)})
+
+
+def _compaction_from_record(record: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    """A compaction record's outcome, or ``None`` when the record does not verify.
+
+    The outcome has the keys of the compaction worker's result plus the
+    ``index``, ``size`` and ``work_digest`` replay matches it by.
+    """
+    try:
+        body = {key: value for key, value in record.items() if key != "digest"}
+        if record["digest"] != _record_digest(body):
+            return None
+        size = int(record["size"])
+        return {
+            "index": int(record["index"]),
+            "size": size,
+            "work_digest": str(record["work_digest"]),
+            "bundle": _unpack_positions(record["bundle"], size),
+            "kept": _unpack_positions(record["kept"], size),
+            "outside": int(record["outside"]),
+            "built": int(record["built"]),
+            "exhausted": bool(record["exhausted"]),
+        }
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 class StreamJournal:
@@ -252,6 +378,7 @@ class StreamJournal:
         *,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         start_index: int = 0,
+        snapshot_every: Optional[int] = None,
         io: Optional[DurableIO] = None,
     ) -> None:
         self.path = Path(path)
@@ -260,12 +387,14 @@ class StreamJournal:
             raise CheckpointError(
                 f"stream journal header is missing pinned keys: {', '.join(missing)}"
             )
-        if segment_bytes < 1:
-            raise CheckpointError(
-                f"segment_bytes must be >= 1, got {segment_bytes}"
-            )
         self._params = canonical_stream_params(params)
-        self._segment_bytes = int(segment_bytes)
+        self._segment_bytes = check_count(segment_bytes, "segment_bytes", CheckpointError)
+        self._snapshot_every = (
+            None
+            if snapshot_every is None
+            else check_count(snapshot_every, "snapshot_every", CheckpointError)
+        )
+        self._seal_active = False
         self._io = io if io is not None else DEFAULT_IO
         if self.has_content(self.path):
             raise CheckpointError(
@@ -314,16 +443,18 @@ class StreamJournal:
         journal = cls.__new__(cls)
         journal.path = path
         journal._params = params
-        journal._segment_bytes = int(segment_bytes)
+        journal._segment_bytes = check_count(segment_bytes, "segment_bytes", CheckpointError)
         journal._io = io if io is not None else DEFAULT_IO
         last = infos[-1]
+        journal._snapshot_every = last.snapshot_every
+        journal._seal_active = False
         # A crash during rotation can leave a trailing segment file whose
         # header never made it to disk; it holds no applied batches and
         # would poison future scans once it is no longer the last file.
         for stray in _segment_files(path):
             if stray.name > last.path.name:
                 journal._io.remove(stray)
-        records, valid_end, status = _parse_segment(last.path)
+        records, valid_end, status = _parse_segment(last.path, advisory=_COMPACTION_PREFIX)
         if status == "interior":
             raise CheckpointError(
                 f"stream journal segment {last.path} is corrupt mid-journal; "
@@ -345,6 +476,17 @@ class StreamJournal:
         """Index the next appended batch must carry."""
         return self._next_index
 
+    def set_snapshot_every(self, snapshot_every: Optional[int]) -> None:
+        """Record the snapshot cadence in force from the next segment header on.
+
+        Recovery reads the cadence off the newest segment header, so a
+        changed cadence seals the active segment: the next batch opens a
+        segment whose header records it.
+        """
+        if snapshot_every != self._snapshot_every:
+            self._snapshot_every = snapshot_every
+            self._seal_active = self._active is not None
+
     # ------------------------------------------------------------------ #
     # Appending
     # ------------------------------------------------------------------ #
@@ -357,6 +499,7 @@ class StreamJournal:
                 "segment": int(sequence),
                 "first_batch": int(first_batch),
                 **self._params,
+                "snapshot_every": self._snapshot_every,
             }
         )
 
@@ -373,15 +516,15 @@ class StreamJournal:
             {
                 "kind": "batch",
                 "index": int(index),
-                "u": np.asarray(u, dtype=np.int64).tolist(),
-                "v": np.asarray(v, dtype=np.int64).tolist(),
-                "w": np.asarray(w, dtype=np.float64).tolist(),
+                "u": _pack(u, _INT),
+                "v": _pack(v, _INT),
+                "w": _pack(w, _FLOAT),
                 "digest": edge_array_digest(self._params["num_vertices"], u, v, w),
             }
         )
         if self._active is None:
             self._io.mkdir(self.path)
-        if self._active is None or self._active_size >= self._segment_bytes:
+        if self._active is None or self._seal_active or self._active_size >= self._segment_bytes:
             # Seal the active segment and open the next one.  The header
             # is fsync'd, then the *directory* is fsync'd: without the
             # second step a crash here can lose the new file entirely.
@@ -390,6 +533,7 @@ class StreamJournal:
             self._next_sequence = sequence + 1
             self._active = segment
             self._active_size = 0
+            self._seal_active = False
         if self._active_size == 0:
             header = self._header_line(first_batch=index, sequence=_segment_sequence(self._active))
             self._io.append_line(self._active, header + "\n")
@@ -398,6 +542,21 @@ class StreamJournal:
         self._io.append_line(self._active, line + "\n")
         self._active_size += len(line) + 1
         self._next_index += 1
+
+    def append_compaction(
+        self, index: int, size: int, work_digest: str, outcome: Mapping[str, Any]
+    ) -> None:
+        """Append the outcome of compaction ``index`` after the batch that triggered it.
+
+        ``outcome`` holds the compaction worker's ``bundle`` and ``kept``
+        positions among the ``size`` working-set edges and its
+        ``outside``, ``built`` and ``exhausted`` results; ``work_digest``
+        is the :func:`working_set_digest` of that working set.  The record
+        never opens a segment: it stays with its batch.
+        """
+        line = _compaction_line(index, size, work_digest, outcome)
+        self._io.append_line(self._active, line + "\n")
+        self._active_size += len(line) + 1
 
     def truncate_before(self, batch_index: int) -> List[str]:
         """Delete sealed segments whose batches all precede ``batch_index``.
@@ -452,6 +611,7 @@ class StreamJournal:
                     path=entry,
                     sequence=_segment_sequence(entry),
                     first_batch=int(header["first_batch"]),
+                    snapshot_every=header["snapshot_every"],
                 )
             )
         for info, successor in zip(infos[:-1], infos[1:]):
@@ -483,7 +643,11 @@ class StreamJournal:
     ) -> Iterator[Batch]:
         """Stream journaled batches back, one segment in memory at a time.
 
-        ``start_batch`` skips batches a snapshot already covers: segments
+        Each batch comes as ``(index, u, v, w, compactions)``, where
+        ``compactions`` lists the verified outcomes of the compaction
+        records that follow it (see :meth:`append_compaction`); a record
+        that fails to verify is left out and counted in
+        ``report.compactions_dropped``.  ``start_batch`` skips batches a snapshot already covers: segments
         that end before it are skipped *by header* (their bodies are never
         read — the accounting in ``report`` proves bounded resume).  In
         strict mode (default) any invalid record besides a torn trailing
@@ -543,9 +707,18 @@ class StreamJournal:
                     "are missing"
                 )
             else:
-                records, _, status = _parse_segment(info.path)
+                records, _, status = _parse_segment(info.path, advisory=_COMPACTION_PREFIX)
                 report.segments_replayed += 1
                 for record in records[1:]:  # records[0] is the header
+                    if not record or record.get("kind") == "compaction":
+                        # The outcome of a compaction the batch before it
+                        # triggered; replay recomputes one that fails to verify.
+                        outcome = _compaction_from_record(record) if segment_batches else None
+                        if outcome is None:
+                            report.compactions_dropped += 1
+                        else:
+                            segment_batches[-1][4].append(outcome)
+                        continue
                     try:
                         batch = _batch_from_record(record, num_vertices, expected, info.path)
                     except CheckpointError as exc:

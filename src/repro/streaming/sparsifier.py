@@ -43,7 +43,9 @@ Design
   *before* it is processed (:class:`~repro.streaming.journal.StreamJournal`
   inside a :class:`~repro.streaming.store.StreamStateStore`), so
   :meth:`~StreamingSparsifier.recover` rebuilds a crashed stream losing at
-  most the one batch whose append was torn; compaction work runs through
+  most the one batch whose append was torn.  Each compaction's outcome is
+  journaled after its batch, so recovery applies the outcomes it can
+  verify instead of re-running the spanners.  Compaction work runs through
   the configured execution backend under an optional
   :class:`~repro.parallel.failure.FailurePolicy`, and retries are
   output-neutral because every compaction rebuilds its RNG from
@@ -53,7 +55,7 @@ Design
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -71,9 +73,10 @@ from repro.graphs.kout import k_out_keep_probabilities, k_out_select
 from repro.parallel.failure import FailurePolicy
 from repro.resistance.solver_select import ResistanceSolveStats
 from repro.spanners.bundle import bundle_select
-from repro.streaming.journal import DEFAULT_SEGMENT_BYTES, StreamJournal
-from repro.streaming.store import StreamStateStore
+from repro.streaming.journal import DEFAULT_SEGMENT_BYTES, StreamJournal, working_set_digest
+from repro.streaming.store import StreamStateStore, _check_store_options
 from repro.utils.rng import as_rng, fresh_entropy_seed
+from repro.utils.validation import check_count
 
 __all__ = [
     "CompactionRecord",
@@ -168,6 +171,46 @@ def _compaction_worker(item: int, shared: Dict[str, Any]) -> Dict[str, Any]:
         "built": built,
         "exhausted": exhausted or outside == 0,
     }
+
+
+@dataclass
+class _Replay:
+    """Journaled compaction outcomes offered to replay, and what became of them.
+
+    The recovery ladder offers each replayed batch the outcomes journaled
+    after it (keyed by compaction index); :meth:`take` hands one to the
+    compaction with that index only when its working-set size and digest
+    match, and otherwise counts the compaction as recomputed.
+    """
+
+    offered: Dict[int, Dict[str, Any]] = field(default_factory=dict)
+    reused: int = 0
+    recomputed: int = 0
+    notes: List[str] = field(default_factory=list)
+
+    def offer(self, outcomes: List[Dict[str, Any]]) -> None:
+        """Offer the outcomes journaled after the batch replayed next."""
+        self.settle()
+        self.offered = {outcome["index"]: outcome for outcome in outcomes}
+
+    def settle(self) -> None:
+        """Note every offered outcome that no replayed compaction took."""
+        for index in sorted(self.offered):
+            self.notes.append(f"journaled compaction {index} matched no replayed compaction")
+        self.offered = {}
+
+    def take(self, index: int, size: int, work_digest: str) -> Optional[Dict[str, Any]]:
+        """The outcome to apply to compaction ``index``, or ``None`` to recompute it."""
+        outcome = self.offered.pop(index, None)
+        if outcome is not None and outcome["size"] == size and outcome["work_digest"] == work_digest:
+            self.reused += 1
+            return outcome
+        if outcome is not None:
+            self.notes.append(
+                f"journaled compaction {index} does not match its working set; recomputed"
+            )
+        self.recomputed += 1
+        return None
 
 
 @dataclass(frozen=True)
@@ -395,34 +438,26 @@ class StreamingSparsifier:
             )
         self._auto_seeded = seed is None
         self._seed = self._normalize_seed(seed)
-        if window is not None and int(window) < 1:
-            raise StreamingError(f"window must be >= 1 batches, got {window}")
-        self._window = None if window is None else int(window)
+        self._window = None if window is None else check_count(window, "window", StreamingError)
         if decay is not None and not 0 < float(decay) <= 1:
             raise StreamingError(f"decay must lie in (0, 1], got {decay}")
         self._decay = None if decay is None or float(decay) == 1.0 else float(decay)
-        if compaction_interval is None:
-            compaction_interval = max(4096, 2 * self._n)
-        if int(compaction_interval) < 1:
-            raise StreamingError(
-                f"compaction_interval must be >= 1, got {compaction_interval}"
-            )
-        self._interval = int(compaction_interval)
-        if kout_presample is not None and int(kout_presample) < 1:
-            raise StreamingError(
-                f"kout_presample must be >= 1, got {kout_presample}"
-            )
-        self._kout = None if kout_presample is None else int(kout_presample)
-        self._max_levels = 1 if levels is None else int(levels)
-        if self._max_levels < 1:
-            raise StreamingError(f"levels must be >= 1, got {levels}")
-        self._level_capacity = (
-            2 * self._interval if level_capacity is None else int(level_capacity)
+        self._interval = (
+            max(4096, 2 * self._n)
+            if compaction_interval is None
+            else check_count(compaction_interval, "compaction_interval", StreamingError)
         )
-        if self._level_capacity < 1:
-            raise StreamingError(
-                f"level_capacity must be >= 1, got {level_capacity}"
-            )
+        self._kout = (
+            None
+            if kout_presample is None
+            else check_count(kout_presample, "kout_presample", StreamingError)
+        )
+        self._max_levels = 1 if levels is None else check_count(levels, "levels", StreamingError)
+        self._level_capacity = (
+            2 * self._interval
+            if level_capacity is None
+            else check_count(level_capacity, "level_capacity", StreamingError)
+        )
         self._failure_policy = failure_policy
         self._track_exact = bool(track_exact)
 
@@ -447,15 +482,17 @@ class StreamingSparsifier:
         self._presampled_away = 0
         self._ingest_seconds = 0.0
         self.records: List[CompactionRecord] = []
-        self._replaying = False
+        # Set by the recovery ladder while it replays the journal.
+        self._replay: Optional[_Replay] = None
 
+        _check_store_options(segment_bytes, keep_snapshots)
         if snapshot_every is not None and store is None:
             raise StreamingError("snapshot_every requires store=")
-        if snapshot_every is not None and int(snapshot_every) < 1:
-            raise StreamingError(
-                f"snapshot_every must be >= 1 batches, got {snapshot_every}"
-            )
-        self._snapshot_every = None if snapshot_every is None else int(snapshot_every)
+        self._snapshot_every = (
+            None
+            if snapshot_every is None
+            else check_count(snapshot_every, "snapshot_every", StreamingError)
+        )
         self._journal: Optional[StreamJournal] = None
         self._store: Optional[StreamStateStore] = None
         if store is not None:
@@ -471,7 +508,9 @@ class StreamingSparsifier:
                 keep_snapshots=keep_snapshots,
                 io=io,
             )
-            self._journal = self._store.create_journal(self._journal_params())
+            self._journal = self._store.create_journal(
+                self._journal_params(), self._snapshot_every
+            )
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -577,7 +616,8 @@ class StreamingSparsifier:
         damaged files, and returns ``(stream, RecoveryReport)``.  The
         report says whether the restored state is bit-exact with respect
         to the batches whose appends completed, or lossy (and what was
-        lost) — recovery never silently diverges.
+        lost) — recovery never silently diverges.  ``snapshot_every=None``
+        keeps the cadence the journal records; a value replaces it.
         """
         return StreamStateStore.recover(
             store,
@@ -663,7 +703,7 @@ class StreamingSparsifier:
         """
         u, v, w = self._validate_batch(edges, weights)
         batch = self._batches_ingested
-        if self._journal is not None and not self._replaying:
+        if self._journal is not None:
             self._journal.append_batch(batch, u, v, w)
         start = time.perf_counter()
         self._batches_ingested += 1
@@ -692,7 +732,6 @@ class StreamingSparsifier:
         if (
             self._store is not None
             and self._snapshot_every is not None
-            and not self._replaying
             and self._batches_ingested - self._store.last_snapshot_batch
             >= self._snapshot_every
         ):
@@ -937,6 +976,10 @@ class StreamingSparsifier:
         Consumes the next compaction RNG index and appends a
         :class:`CompactionRecord`; shared by the level-0 compaction and
         level promotions so both stay deterministic and retry-neutral.
+        With a store the outcome is journaled after the batch that
+        triggered it; during recovery a journaled outcome whose index,
+        working-set size and working-set digest match is applied instead
+        of running the pass (same state update, same record).
         """
         eff_w = self._effective_weights(work_w, work_b)
         if self._decay is not None:
@@ -948,20 +991,32 @@ class StreamingSparsifier:
                 eff_w = eff_w[alive]
 
         index = self._compactions
-        shared = {
-            "seed": self._seed,
-            "num_vertices": self._n,
-            "u": work_u,
-            "v": work_v,
-            "w": eff_w,  # selection sees decayed weights; state keeps base
-            "t": self._t,
-            "k": self._k,
-            "p": self._p,
-        }
-        backend = self._config.execution_backend()
-        result = backend.map(
-            _compaction_worker, [index], shared=shared, policy=self._failure_policy
-        )[0]
+        size = int(work_u.shape[0])
+        result: Optional[Dict[str, Any]] = None
+        work_digest = (
+            working_set_digest(work_u, work_v, eff_w, work_b)
+            if self._journal is not None or self._replay is not None
+            else ""
+        )
+        if self._replay is not None:
+            result = self._replay.take(index, size, work_digest)
+        if result is None:
+            shared = {
+                "seed": self._seed,
+                "num_vertices": self._n,
+                "u": work_u,
+                "v": work_v,
+                "w": eff_w,  # selection sees decayed weights; state keeps base
+                "t": self._t,
+                "k": self._k,
+                "p": self._p,
+            }
+            backend = self._config.execution_backend()
+            result = backend.map(
+                _compaction_worker, [index], shared=shared, policy=self._failure_policy
+            )[0]
+            if self._journal is not None:
+                self._journal.append_compaction(index, size, work_digest, result)
 
         bundle = result["bundle"]
         kept = result["kept"]
@@ -970,7 +1025,7 @@ class StreamingSparsifier:
         self.records.append(
             CompactionRecord(
                 index=index,
-                working_edges=int(work_u.shape[0]),
+                working_edges=size,
                 bundle_edges=int(bundle.shape[0]),
                 kept_edges=int(kept.shape[0]),
                 outside_edges=int(result["outside"]),

@@ -43,6 +43,7 @@ from repro.core.checkpoint import DEFAULT_IO, DurableIO, _decode_record
 from repro.exceptions import CheckpointError
 from repro.streaming.journal import (
     DEFAULT_SEGMENT_BYTES,
+    Batch,
     JournalScanReport,
     StreamJournal,
     _QUARANTINE_SUFFIX,
@@ -52,6 +53,7 @@ from repro.streaming.journal import (
     canonical_stream_params,
 )
 from repro.streaming.snapshot import list_snapshots, load_snapshot, write_snapshot
+from repro.utils.validation import check_count
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.config import SparsifierConfig
@@ -74,6 +76,12 @@ class RecoveryReport:
     processed — may have been dropped, see ``torn_tail_dropped``).  False
     means data was provably lost; ``batches_lost`` counts journaled batch
     records that could not be applied, and ``notes`` says why.
+
+    ``compactions_reused`` counts replayed compactions whose journaled
+    outcome verified and was applied without running the pass;
+    ``compactions_recomputed`` counts the ones that ran because their
+    record was missing, torn, undecodable or did not match the working
+    set.  Either way the state is the one the pass computes.
     """
 
     store: str
@@ -88,6 +96,8 @@ class RecoveryReport:
     segments_replayed: int
     segments_skipped: int
     torn_tail_dropped: bool
+    compactions_reused: int
+    compactions_recomputed: int
     bit_exact: bool
     notes: Tuple[str, ...]
 
@@ -103,6 +113,8 @@ class RecoveryReport:
             f"  segments: {self.segments_scanned} scanned, "
             f"{self.segments_skipped} skipped (snapshot-covered), "
             f"{self.segments_quarantined} quarantined",
+            f"  compactions: {self.compactions_reused} reused from the journal, "
+            f"{self.compactions_recomputed} recomputed",
         ]
         if self.snapshots_quarantined:
             lines.append(f"  snapshots quarantined: {self.snapshots_quarantined}")
@@ -133,8 +145,8 @@ def _check_store_options(
         ("keep_snapshots", keep_snapshots),
         ("snapshot_every", snapshot_every),
     ):
-        if value is not None and int(value) < 1:
-            raise CheckpointError(f"{name} must be >= 1, got {value}")
+        if value is not None:
+            check_count(value, name, CheckpointError)
 
 
 def _quarantine_unscannable(
@@ -220,12 +232,19 @@ class StreamStateStore:
         """Batch count covered by the newest snapshot (0 when none)."""
         return self._last_snapshot_batch
 
-    def create_journal(self, params: Dict[str, Any]) -> StreamJournal:
-        """A fresh journal under this store (refuses existing content)."""
+    def create_journal(
+        self, params: Dict[str, Any], snapshot_every: Optional[int]
+    ) -> StreamJournal:
+        """A fresh journal under this store (refuses existing content).
+
+        Its headers record ``snapshot_every`` so recovery can restore the
+        cadence.
+        """
         return StreamJournal(
             self.journal_dir,
             params,
             segment_bytes=self._segment_bytes,
+            snapshot_every=snapshot_every,
             io=self._io,
         )
 
@@ -278,16 +297,20 @@ class StreamStateStore:
         """Walk the recovery ladder; returns ``(stream, report)``.
 
         The returned stream is re-attached to the store (journal cursor
-        positioned, snapshot cadence restored), so ``ingest`` can continue
-        immediately.  Raises :class:`CheckpointError` only when there is
-        nothing to recover at all (no valid snapshot *and* no readable
-        journal parameters).
+        positioned), so ``ingest`` can continue immediately.  Its snapshot
+        cadence is ``snapshot_every`` when given, else the one the newest
+        journal segment header records.  Replay applies every journaled
+        compaction outcome that verifies against its working set and
+        recomputes the rest.  Raises :class:`CheckpointError` only when
+        there is nothing to recover at all (no valid snapshot *and* no
+        readable journal parameters).
         """
-        from repro.streaming.sparsifier import StreamingSparsifier, _check_execution
+        from repro.streaming.sparsifier import StreamingSparsifier, _check_execution, _Replay
 
         # Every rung below can quarantine or rewrite files, so a call that
         # is going to be refused must be refused first.
         _check_store_options(segment_bytes, keep_snapshots, snapshot_every)
+        snapshot_every = None if snapshot_every is None else int(snapshot_every)
         _check_execution(config, failure_policy)
         io = io if io is not None else DEFAULT_IO
         path = Path(path)
@@ -368,20 +391,32 @@ class StreamStateStore:
                 "journal parameters disagree with the restored snapshot; "
                 "the journal was quarantined wholesale"
             )
+        if snapshot_every is None:
+            infos = StreamJournal.scan_segments(journal_dir)
+            snapshot_every = infos[-1].snapshot_every if infos else None
 
         # Rung 2 + 3: replay the suffix, salvaging a valid prefix of the
         # first corrupt segment.
         scan = JournalScanReport()
         start_batch = stream._batches_ingested
-        salvaged_to_rewrite: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        stream._replaying = True
+        salvaged_to_rewrite: List[Batch] = []
+        replay = _Replay()
+        stream._replay = replay
         try:
-            for index, u, v, w in StreamJournal.iter_batches(
+            for index, u, v, w, compactions in StreamJournal.iter_batches(
                 journal_dir, start_batch=start_batch, report=scan, salvage=True
             ):
+                replay.offer(compactions)
                 stream.ingest(np.column_stack([u, v]), w)
+            replay.settle()
         finally:
-            stream._replaying = False
+            stream._replay = None
+        notes.extend(replay.notes)
+        if scan.compactions_dropped:
+            notes.append(
+                f"{scan.compactions_dropped} journaled compaction record(s) failed "
+                "verification and were not applied"
+            )
         if scan.corruption is not None:
             notes.append(f"journal corruption: {scan.corruption}")
             # The corrupt segment and everything after it are no longer a
@@ -403,16 +438,22 @@ class StreamStateStore:
             journal = StreamJournal.attach(
                 journal_dir, segment_bytes=segment_bytes, io=io
             )
+            journal.set_snapshot_every(snapshot_every)
         else:
             journal = StreamJournal(
                 journal_dir,
                 canonical_stream_params(stream._journal_params()),
                 segment_bytes=segment_bytes,
                 start_index=stream._batches_ingested - len(salvaged_to_rewrite),
+                snapshot_every=snapshot_every,
                 io=io,
             )
-        for index, u, v, w in salvaged_to_rewrite:
+        for index, u, v, w, compactions in salvaged_to_rewrite:
             journal.append_batch(index, u, v, w)
+            for outcome in compactions:
+                journal.append_compaction(
+                    outcome["index"], outcome["size"], outcome["work_digest"], outcome
+                )
         if journal.next_index != stream._batches_ingested:
             raise CheckpointError(
                 f"recovery invariant breach in {path}: journal cursor at batch "
@@ -428,9 +469,7 @@ class StreamStateStore:
         )
         stream._journal = journal
         stream._store = store
-        stream._snapshot_every = (
-            None if snapshot_every is None else int(snapshot_every)
-        )
+        stream._snapshot_every = snapshot_every
 
         batches_lost = scan.batches_lost + header_lost
         report = RecoveryReport(
@@ -446,6 +485,8 @@ class StreamStateStore:
             segments_replayed=scan.segments_replayed,
             segments_skipped=scan.segments_skipped,
             torn_tail_dropped=scan.torn_tail_dropped,
+            compactions_reused=replay.reused,
+            compactions_recomputed=replay.recomputed,
             bit_exact=scan.corruption is None and batches_lost == 0,
             notes=tuple(notes),
         )

@@ -8,9 +8,23 @@ place gives consistent error messages in the public API.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Type
 
 import numpy as np
+
+
+def check_count(value: Any, name: str, error: Type[Exception] = ValueError) -> int:
+    """``value`` as an ``int`` if it is an integer ``>= 1``, else ``error``.
+
+    ``bool`` and non-integral values (``2.5``, ``2.0``) are refused rather
+    than truncated; Python and NumPy integers are accepted.  Each caller
+    passes the error class its API documents.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise error(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 def check_integer(value: Any, name: str, minimum: Optional[int] = None) -> int:

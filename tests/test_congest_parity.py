@@ -198,6 +198,22 @@ class TestSpannerParity:
             ENGINES[engine](gen.grid_graph(6, 6), seed=0, max_rounds=max_rounds)
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("max_rounds", [2.5, True])
+    def test_non_integer_round_cap_rejected(self, engine, max_rounds):
+        # Truncating would run 3 rounds (2.5) or 1 round (True) and return
+        # a cut-short spanner with completed=False.
+        with pytest.raises(GraphError, match="max_rounds must be an integer"):
+            ENGINES[engine](gen.grid_graph(6, 6), seed=1, max_rounds=max_rounds)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_numpy_integer_round_cap_accepted(self, engine):
+        graph = gen.grid_graph(6, 6)
+        capped = ENGINES[engine](graph, seed=1, max_rounds=np.int64(3))
+        plain = ENGINES[engine](graph, seed=1, max_rounds=3)
+        assert capped.cost == plain.cost and not capped.completed
+        assert np.array_equal(capped.edge_indices, plain.edge_indices)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected(self, engine, k):
         with pytest.raises(GraphError, match="k must be >= 1"):
@@ -384,6 +400,11 @@ class TestColumnarEngine:
     @pytest.mark.parametrize("max_rounds", [0, -3])
     def test_round_cap_below_one_rejected(self, max_rounds):
         with pytest.raises(SimulationError, match="max_rounds"):
+            ColumnarSimulator(gen.cycle_graph(4), seed=0).run(_ColumnarEcho(), max_rounds=max_rounds)
+
+    @pytest.mark.parametrize("max_rounds", [2.5, True])
+    def test_non_integer_round_cap_rejected(self, max_rounds):
+        with pytest.raises(SimulationError, match="max_rounds must be an integer"):
             ColumnarSimulator(gen.cycle_graph(4), seed=0).run(_ColumnarEcho(), max_rounds=max_rounds)
 
     def test_empty_graph(self):

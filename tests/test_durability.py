@@ -35,6 +35,7 @@ Run with ``-m durability`` to select only this file.
 
 from __future__ import annotations
 
+import json
 import re
 import shutil
 
@@ -42,7 +43,7 @@ import numpy as np
 import pytest
 
 from repro.api import Engine, SparsifyRequest
-from repro.core.checkpoint import BatchJournal
+from repro.core.checkpoint import BatchJournal, DurableIO, edge_array_digest
 from repro.exceptions import CheckpointError
 from repro.graphs import generators as gen
 from repro.streaming import (
@@ -394,6 +395,11 @@ def line_span(data, line):
     return start, data.index(b"\n", start)
 
 
+def batch_line(data, index):
+    """Line number of batch ``index``'s record (compaction records sit between batches)."""
+    return data[: data.index(b'{"kind": "batch", "index": %d,' % index)].count(b"\n")
+
+
 def key_name_offsets(data, start=0, end=None):
     """Byte offsets of every character of each distinct JSON key in ``data[start:end]``.
 
@@ -440,8 +446,8 @@ class TestRecoverArguments:
             store, torture_graph, torture_batches[:4], snapshot_every=None, segment_bytes=10**6
         )
         data = (store / SEGMENT).read_bytes()
-        start, _ = line_span(data, 3)
-        flip_bit(store / SEGMENT, data.index(b'"w": [', start) + len(b'"w": ['))
+        start, _ = line_span(data, batch_line(data, 2))
+        flip_bit(store / SEGMENT, data.index(b'"w": "', start) + len(b'"w": "'))
         before = store_files(store)
         with pytest.raises(CheckpointError, match=option):
             StreamStateStore.recover(store, **{option: 0})
@@ -454,10 +460,10 @@ class TestRecoverArguments:
 
 class TestCorruptRecords:
     @pytest.mark.parametrize(
-        "line, snapshot_every", [(3, None), (0, SNAPSHOT_EVERY)], ids=["batch-record", "header"]
+        "batch, snapshot_every", [(2, None), (None, SNAPSHOT_EVERY)], ids=["batch-record", "header"]
     )
     def test_bit7_at_every_byte(
-        self, line, snapshot_every, torture_graph, torture_batches, clean_references, tmp_path
+        self, batch, snapshot_every, torture_graph, torture_batches, clean_references, tmp_path
     ):
         # Batch 2's record of a journal-only store, or the segment header
         # of a store whose snapshots are all that survive the flip.
@@ -466,7 +472,8 @@ class TestCorruptRecords:
             pristine, torture_graph, torture_batches,
             snapshot_every=snapshot_every, segment_bytes=10**6,
         )
-        start, end = line_span((pristine / SEGMENT).read_bytes(), line)
+        data = (pristine / SEGMENT).read_bytes()
+        start, end = line_span(data, 0 if batch is None else batch_line(data, batch))
         for offset in range(start, end + 1):
             stream, report = recover_flipped(pristine, tmp_path / "work", SEGMENT, offset, 7)
             assert_exact_or_declared(stream, report, original, clean_references)
@@ -485,7 +492,8 @@ class TestCorruptRecords:
         if target == "manifest":
             offsets = key_name_offsets(data)
         else:
-            offsets = key_name_offsets(data, *line_span(data, 3 if target == "record" else 0))
+            line = batch_line(data, 2) if target == "record" else 0
+            offsets = key_name_offsets(data, *line_span(data, line))
         assert offsets
         for offset in offsets:
             stream, report = recover_flipped(pristine, tmp_path / "work", victim, offset, 0)
@@ -626,6 +634,243 @@ class TestLeveledState:
         original.ingest(extra_edges, extra_weights)
         stream.ingest(extra_edges, extra_weights)
         assert_same_state(state_fingerprint(stream), state_fingerprint(original))
+
+
+# --------------------------------------------------------------------- #
+# Compaction records: recovery applies verified outcomes, recomputes the rest
+# --------------------------------------------------------------------- #
+
+COMPACTION_PREFIX = b'{"kind": "compaction"'
+
+
+def compaction_lines(data):
+    """Line numbers of every compaction record in a segment."""
+    return [
+        number
+        for number, line in enumerate(data.split(b"\n"))
+        if line.startswith(COMPACTION_PREFIX)
+    ]
+
+
+def payload_offsets(data, line):
+    """Byte offsets of every character of a compaction record's two bitmasks."""
+    start, end = line_span(data, line)
+    offsets = []
+    for key in (b'"bundle": "', b'"kept": "'):
+        first = data.index(key, start, end) + len(key)
+        offsets.extend(range(first, data.index(b'"', first, end)))
+    return offsets
+
+
+class KillBeforeCompactionRecord(DurableIO):
+    """Dies when asked to append compaction record number ``nth`` (from 0)."""
+
+    def __init__(self, nth):
+        self.nth = nth
+        self.seen = 0
+
+    def append_line(self, path, text):
+        if text.startswith(COMPACTION_PREFIX.decode()):
+            if self.seen == self.nth:
+                raise SimulatedCrash(f"killed before compaction record {self.nth}")
+            self.seen += 1
+        super().append_line(path, text)
+
+
+# The torture stream's bundles absorb every working set (``outside`` is
+# 0 in each compaction), so its records hold all-ones bundle masks.  With
+# one spanner per bundle its compactions sample, and a wrongly applied
+# record would change the state.
+SAMPLING = dict(t=1)
+
+
+@pytest.fixture(scope="module")
+def sampling_references(torture_graph, torture_batches):
+    """Fingerprint of a clean ``SAMPLING`` run after each batch count."""
+    stream = StreamingSparsifier(
+        torture_graph.num_vertices, seed=SEED, compaction_interval=COMPACTION_INTERVAL, **SAMPLING
+    )
+    refs = {0: state_fingerprint(stream)}
+    for edges, weights in torture_batches:
+        stream.ingest(edges, weights)
+        refs[stream.batches_ingested] = state_fingerprint(stream)
+    assert sum(record.kept_edges for record in stream.records) > 0
+    return refs
+
+
+class TestCompactionRecords:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            SAMPLING,
+            {"levels": 3, "level_capacity": 30, **SAMPLING},
+            {"window": 3, "decay": 0.8, **SAMPLING},
+        ],
+        ids=["torture", "sampling", "levels-3", "window-decay"],
+    )
+    def test_every_compaction_is_reused_at_every_batch_count(
+        self, overrides, torture_graph, torture_batches, tmp_path
+    ):
+        kwargs = dict(seed=SEED, compaction_interval=COMPACTION_INTERVAL, **overrides)
+        reference = StreamingSparsifier(torture_graph.num_vertices, **kwargs)
+        store = tmp_path / "store"
+        stream = StreamingSparsifier(
+            torture_graph.num_vertices, store=store, segment_bytes=SEGMENT_BYTES, **kwargs
+        )
+        for edges, weights in torture_batches:
+            stream.ingest(edges, weights)
+            reference.ingest(edges, weights)
+            # Journal-only store: recovery replays every compaction so far.
+            recovered, report = StreamStateStore.recover(store)
+            assert report.bit_exact
+            assert report.compactions_recomputed == 0
+            assert report.compactions_reused == reference.compactions
+            assert_same_state(state_fingerprint(recovered), state_fingerprint(reference))
+        assert reference.compactions >= 5
+        if "levels" in overrides:
+            assert any(reference.level_sizes[1:])  # promotions ran, and were reused
+
+    def test_kill_before_a_compaction_record_recomputes_only_that_one(
+        self, torture_graph, torture_batches, sampling_references, tmp_path
+    ):
+        total = sampling_references[len(torture_batches)][0]["compactions"]
+        for nth in range(total):
+            store = tmp_path / f"store-{nth}"
+            with pytest.raises(SimulatedCrash):
+                run_store_stream(
+                    store, torture_graph, torture_batches, snapshot_every=None,
+                    io=KillBeforeCompactionRecord(nth), **SAMPLING,
+                )
+            stream, report = StreamStateStore.recover(store)
+            # The batch that triggered compaction ``nth`` was journaled, so
+            # it replays; only its compaction has no record to apply.
+            assert report.bit_exact
+            assert report.compactions_reused == nth
+            assert report.compactions_recomputed == 1
+            assert stream.compactions == nth + 1
+            assert_same_state(
+                state_fingerprint(stream), sampling_references[stream.batches_ingested]
+            )
+
+    @pytest.mark.parametrize("bit", [0, 7])
+    def test_flipped_payload_bit_is_recomputed_not_applied(
+        self, bit, torture_graph, torture_batches, sampling_references, tmp_path
+    ):
+        pristine = tmp_path / "pristine"
+        original = run_store_stream(
+            pristine, torture_graph, torture_batches, snapshot_every=None, segment_bytes=10**6,
+            **SAMPLING,
+        )
+        data = (pristine / SEGMENT).read_bytes()
+        line = compaction_lines(data)[-1]  # 136 working edges, 24 outside, 6 kept
+        assert json.loads(data.split(b"\n")[line])["outside"] > 0
+        for offset in payload_offsets(data, line):
+            stream, report = recover_flipped(pristine, tmp_path / "work", SEGMENT, offset, bit)
+            assert report.bit_exact, offset
+            assert report.compactions_recomputed == 1, offset
+            assert report.compactions_reused == original.compactions - 1
+            assert any("failed verification" in note for note in report.notes)
+            assert_same_state(
+                state_fingerprint(stream), sampling_references[len(torture_batches)]
+            )
+
+    def test_record_of_another_working_set_is_recomputed_not_applied(
+        self, torture_graph, torture_batches, sampling_references, tmp_path
+    ):
+        store, other = tmp_path / "store", tmp_path / "other"
+        options = dict(snapshot_every=None, segment_bytes=10**6, **SAMPLING)
+        original = run_store_stream(store, torture_graph, torture_batches, **options)
+        # Same stream parameters and batch sizes, batch 2 at doubled weight:
+        # compaction 1 runs on a working set of the same size, another digest.
+        doubled = [
+            (edges, weights * 2 if index == 2 else weights)
+            for index, (edges, weights) in enumerate(torture_batches)
+        ]
+        run_store_stream(other, torture_graph, doubled, **options)
+        lines = (store / SEGMENT).read_bytes().split(b"\n")
+        foreign = (other / SEGMENT).read_bytes().split(b"\n")
+        target = compaction_lines(b"\n".join(lines))[1]
+        ours, theirs = json.loads(lines[target]), json.loads(foreign[target])
+        assert (ours["index"], ours["size"]) == (theirs["index"], theirs["size"])
+        assert ours["work_digest"] != theirs["work_digest"]
+        lines[target] = foreign[target]  # a self-consistent record, the wrong working set
+        (store / SEGMENT).write_bytes(b"\n".join(lines))
+        stream, report = StreamStateStore.recover(store)
+        assert report.bit_exact
+        assert report.compactions_recomputed == 1
+        assert report.compactions_reused == original.compactions - 1
+        assert any("does not match its working set" in note for note in report.notes)
+        assert_same_state(state_fingerprint(stream), sampling_references[len(torture_batches)])
+
+    def test_record_under_another_index_is_not_applied(
+        self, torture_graph, torture_batches, sampling_references, tmp_path
+    ):
+        store = tmp_path / "store"
+        original = run_store_stream(
+            store, torture_graph, torture_batches, snapshot_every=None, segment_bytes=10**6,
+            **SAMPLING,
+        )
+        lines = (store / SEGMENT).read_bytes().split(b"\n")
+        first, second = compaction_lines(b"\n".join(lines))[1:3]
+        # Compaction 1's record moves to where compaction 2's was: neither
+        # compaction finds a record under its own index.
+        lines[second] = lines[first]
+        del lines[first]
+        (store / SEGMENT).write_bytes(b"\n".join(lines))
+        stream, report = StreamStateStore.recover(store)
+        assert report.bit_exact
+        assert report.compactions_recomputed == 2
+        assert report.compactions_reused == original.compactions - 2
+        assert any("compaction 1 matched no replayed compaction" in note for note in report.notes)
+        assert_same_state(state_fingerprint(stream), sampling_references[len(torture_batches)])
+
+    def test_salvage_rewrite_keeps_the_prefix_compaction_records(
+        self, torture_graph, torture_batches, sampling_references, tmp_path
+    ):
+        store = tmp_path / "store"
+        run_store_stream(
+            store, torture_graph, torture_batches, snapshot_every=None, segment_bytes=10**6,
+            **SAMPLING,
+        )
+        data = (store / SEGMENT).read_bytes()
+        start, _ = line_span(data, batch_line(data, 4))
+        flip_bit(store / SEGMENT, data.index(b'"w": "', start) + len(b'"w": "'))
+        stream, report = StreamStateStore.recover(store)
+        assert not report.bit_exact and stream.batches_ingested == 4
+        salvaged = stream.compactions
+        assert salvaged == report.compactions_reused >= 2
+        # The rewritten segment carries the prefix's records along with its
+        # batches, so the next recovery applies them all again.
+        again, report = StreamStateStore.recover(store)
+        assert report.bit_exact
+        assert (report.compactions_reused, report.compactions_recomputed) == (salvaged, 0)
+        assert_same_state(state_fingerprint(again), sampling_references[4])
+
+    def test_version_2_segment_is_never_replayed(self, torture_graph, torture_batches, tmp_path):
+        store = tmp_path / "store"
+        run_store_stream(store, torture_graph, torture_batches[:5], segment_bytes=10**6)
+        params = StreamJournal.read_params(store / "journal")
+        # The same five batches as a version-2 segment: JSON number lists,
+        # no snapshot cadence, no compaction records.
+        lines = [json.dumps({"kind": "header", "version": 2, "segment": 0, "first_batch": 0, **params})]
+        for index, (edges, weights) in enumerate(torture_batches[:5]):
+            u, v = edges.min(axis=1), edges.max(axis=1)
+            lines.append(json.dumps({
+                "kind": "batch", "index": index, "u": u.tolist(), "v": v.tolist(),
+                "w": weights.tolist(),
+                "digest": edge_array_digest(params["num_vertices"], u, v, weights),
+            }))
+        (store / SEGMENT).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CheckpointError, match="version 2, expected 3"):
+            list(StreamJournal.iter_batches(store / "journal"))
+        stream, report = StreamStateStore.recover(store)
+        # The newest snapshot (batch 4) restores; batch 4 itself lived only
+        # in the refused segment, so its loss is declared.
+        assert report.snapshot_used == 4
+        assert not report.bit_exact and report.batches_lost == 5
+        assert stream.batches_ingested == 4
+        assert list((store / "journal").glob("*.quarantined*"))
 
 
 # --------------------------------------------------------------------- #

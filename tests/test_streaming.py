@@ -16,6 +16,7 @@ The contract under test (see ``repro/streaming/sparsifier.py``):
 
 from __future__ import annotations
 
+import base64
 import importlib.util
 import json
 from pathlib import Path
@@ -61,6 +62,19 @@ def run_stream(graph, batch_size, **kwargs):
     for edges, weights in edge_batches(graph, batch_size):
         stream.ingest(edges, weights)
     return stream
+
+
+# Every stream size and the error class its check raises.
+SIZE_ERRORS = {
+    "window": StreamingError,
+    "compaction_interval": StreamingError,
+    "kout_presample": StreamingError,
+    "levels": StreamingError,
+    "level_capacity": StreamingError,
+    "snapshot_every": StreamingError,
+    "segment_bytes": CheckpointError,
+    "keep_snapshots": CheckpointError,
+}
 
 
 class TestIngestValidation:
@@ -116,6 +130,33 @@ class TestIngestValidation:
     def test_spanner_k_below_one_rejected(self, k):
         with pytest.raises(GraphError, match="spanner parameter k must be >= 1"):
             StreamingSparsifier(5, k=k)
+
+    @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("name", SIZE_ERRORS)
+    def test_non_integer_size_refused_before_the_store_exists(self, name, value, tmp_path):
+        # Truncating would run compaction_interval=2.5 as 2, window=True as 1.
+        with pytest.raises(SIZE_ERRORS[name], match=f"{name} must be an integer"):
+            StreamingSparsifier(5, store=tmp_path / "store", **{name: value})
+        assert not (tmp_path / "store").exists()
+
+    def test_numpy_integer_sizes_accepted(self, tmp_path):
+        sizes = {name: np.int64(3) for name in SIZE_ERRORS}
+        stream = StreamingSparsifier(5, store=tmp_path / "store", **sizes)
+        stream.ingest(np.array([[0, 1], [1, 2], [2, 3], [3, 4]]))
+        recovered, report = StreamingSparsifier.recover(
+            tmp_path / "store", snapshot_every=np.int64(3), segment_bytes=np.int64(3),
+            keep_snapshots=np.int64(3),
+        )
+        assert report.bit_exact and recovered.compactions == stream.compactions == 1
+        assert recovered._journal_params() == stream._journal_params()
+
+    @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("name", ["snapshot_every", "segment_bytes", "keep_snapshots"])
+    def test_non_integer_recover_option_refused(self, name, value, tmp_path):
+        store = tmp_path / "store"
+        StreamingSparsifier(5, store=store).ingest(np.array([[0, 1]]))
+        with pytest.raises(CheckpointError, match=f"{name} must be an integer"):
+            StreamingSparsifier.recover(store, **{name: value})
 
 
 class TestBatchParity:
@@ -311,7 +352,7 @@ class TestJournalResume:
 
     def test_corruption_and_misuse_are_refused(self, stream_graph, tmp_path):
         store = tmp_path / "store"
-        run_stream(
+        original = run_stream(
             stream_graph, batch_size=700, seed=9, compaction_interval=500, store=store,
         )
         # A fresh stream must not silently append to an existing store.
@@ -326,7 +367,8 @@ class TestJournalResume:
         with pytest.raises(CheckpointError, match="corrupt"):
             StreamJournal.attach(store / "journal")
         resumed, report = StreamingSparsifier.recover(store)
-        assert not report.bit_exact and report.batches_lost == len(lines) - 1
+        # Every batch is lost (the compaction records between them are not batches).
+        assert not report.bit_exact and report.batches_lost == original.batches_ingested
         assert resumed.batches_ingested == 0
 
     def test_digest_mismatch_refused(self, tmp_path):
@@ -336,7 +378,8 @@ class TestJournalResume:
         active = sorted((store / "journal").glob("segment-*.jsonl"))[-1]
         lines = active.read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[1])
-        record["w"] = [2.0, 2.0]  # tamper with the edges, keep the digest
+        # Tamper with the edges (binary payload of [2.0, 2.0]), keep the digest.
+        record["w"] = base64.b64encode(np.array([2.0, 2.0], dtype="<f8").tobytes()).decode()
         lines[1] = json.dumps(record)
         active.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(CheckpointError, match="digest"):
@@ -391,6 +434,35 @@ class TestJournalResume:
         assert np.array_equal(
             recovered.snapshot().graph.edge_weights, reference.snapshot().graph.edge_weights
         )
+
+    def test_recovered_stream_keeps_its_snapshot_cadence(self, tmp_path):
+        graph = gen.erdos_renyi_graph(80, 0.3, seed=2, weight_range=(0.5, 2.0))
+        batches = list(edge_batches(graph, -(-graph.num_edges // 12)))
+        assert len(batches) == 12
+        store = tmp_path / "store"
+
+        def snapshots():
+            return sorted(p.stem for p in (store / "snapshots").glob("snap-*.json"))
+
+        stream = StreamingSparsifier(
+            graph.num_vertices, seed=3, compaction_interval=200, store=store, snapshot_every=2
+        )
+        for edges, weights in batches[:5]:
+            stream.ingest(edges, weights)
+        assert snapshots() == ["snap-00000002", "snap-00000004"]
+        # No cadence passed: the one the journal header records applies.
+        recovered, report = StreamingSparsifier.recover(store)
+        assert report.bit_exact
+        for edges, weights in batches[5:]:
+            recovered.ingest(edges, weights)
+        assert snapshots() == ["snap-00000010", "snap-00000012"]
+        # An explicit cadence wins, and the next recovery restores it.
+        recovered, _ = StreamingSparsifier.recover(store, snapshot_every=5)
+        for edges, weights in list(edge_batches(graph, 50))[:5]:
+            recovered.ingest(edges, weights)
+        assert snapshots() == ["snap-00000012", "snap-00000017"]
+        recovered, report = StreamingSparsifier.recover(store)
+        assert report.bit_exact and recovered._snapshot_every == 5
 
     def test_missing_or_headerless_journal_refused(self, tmp_path):
         with pytest.raises(CheckpointError, match="nothing to recover"):
