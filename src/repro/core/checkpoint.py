@@ -1,29 +1,37 @@
-"""Durable I/O, the shared journal line reader, and the batch checkpoint.
+"""Durable I/O, the sealed-record codec, the journal line reader and the batch checkpoint.
 
-Both persistence layers — the segmented stream journal
-(:mod:`repro.streaming.journal`) and the batch checkpoint behind
+Both persistence layers — the segmented stream journal and snapshots
+(:mod:`repro.streaming`) and the batch checkpoint behind
 ``Engine.run_many(checkpoint=...)`` — build on this module:
 
 * **One mutation seam.**  Every write goes through :class:`DurableIO`
   (default :data:`DEFAULT_IO`: real, fsync'd filesystem operations), which
   is where the crash harness (:class:`repro.testing.faults.CrashPointIO`)
   kills or tears each write.
+* **One record codec.**  Every JSON record the durability layer writes
+  is a :func:`seal` line: its last key, ``digest``, is a blake2b-128 of
+  the serialized bytes before it.  :func:`unseal` checks that digest on
+  the raw bytes before it decodes anything, so any damaged byte of a
+  record — a header, a counter, a payload, a key name — reads as a
+  record that is not there.  :func:`open_record` opens a file's first
+  record and refuses another kind, another format version (an unsealed
+  older format is named by its version) or a failed seal.
 * **One line reader, one rule.**  :func:`_parse_segment` reads a JSON-lines
   file.  Only an unterminated final fragment is a torn append (the crash
   signature), which the writer cuts off through :meth:`DurableIO.truncate`
-  before its next append; any other line that does not decode is
-  corruption, a :class:`~repro.exceptions.CheckpointError`.
-* **The batch checkpoint.**  :class:`BatchJournal` is a header line
-  pinning every request field that can change a job's output, then one
-  line per completed job.  A job line carries a digest of its input graph
-  (a different batch at that index is refused) and a digest over
-  everything it restores (a damaged result is refused, not returned).
-  Weights and cost scalars survive the JSON round trip exactly (shortest
-  round-trip float repr), so a resumed batch is bit-identical to the run
-  that wrote the journal.
+  before its next append; any other line that fails its seal is
+  corruption.
+* **The batch checkpoint (format v3).**  :class:`BatchJournal` is a
+  header line pinning every request field that can change a job's
+  output, then one line per completed job carrying a digest of its input
+  graph (a different batch at that index is refused).  Weights and cost
+  scalars survive the JSON round trip exactly (shortest round-trip float
+  repr), so a resumed batch is bit-identical to the run that wrote the
+  journal.
 
 Batch jobs finish out of order while stream batches are contiguous, so
-the two journals share the reader and the seam, not a segment format.
+the two journals share the codec, the reader and the seam, not a segment
+format.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,9 +56,12 @@ __all__ = [
     "batch_graph_digest",
     "edge_array_digest",
     "fsync_directory",
+    "open_record",
+    "seal",
+    "unseal",
 ]
 
-_JOURNAL_VERSION = 2
+_JOURNAL_VERSION = 3
 
 
 def fsync_directory(path: Union[str, Path]) -> None:
@@ -160,29 +171,82 @@ def batch_graph_digest(graph: Graph) -> str:
     )
 
 
-def _decode_record(line: bytes) -> Optional[Dict[str, Any]]:
-    """One journal line as a JSON object, or ``None`` when it is damaged."""
+def _seal_tail(head: bytes) -> bytes:
+    """What :func:`seal` appends to a record's serialized bytes ``head``."""
+    digest = hashlib.blake2b(head, digest_size=16).hexdigest()
+    return b', "digest": "%s"}' % digest.encode("ascii")
+
+
+_SEAL_BYTES = len(_seal_tail(b""))
+
+
+def seal(body: Mapping[str, Any]) -> str:
+    """``body`` as one JSON line whose last key, ``digest``, hashes the bytes before it."""
+    head = json.dumps(body)[:-1]
+    return head + _seal_tail(head.encode("ascii")).decode("ascii")
+
+
+def unseal(line: bytes) -> Optional[Dict[str, Any]]:
+    """The body :func:`seal` wrote as ``line``, or ``None`` when ``line`` fails its seal.
+
+    The digest is checked on the raw bytes first: a damaged line is never
+    decoded, and a sealed one is never re-serialized.
+    """
+    head = line[:-_SEAL_BYTES]
+    if line[-_SEAL_BYTES:] != _seal_tail(head):
+        return None
     try:
         record = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError):
+    except ValueError:
         return None
-    return record if isinstance(record, dict) else None
+    del record["digest"]
+    return record
+
+
+def open_record(line: bytes, kind: str, version: int, source: str) -> Dict[str, Any]:
+    """The sealed first record of a durable file, a ``kind`` record at format ``version``.
+
+    Raises :class:`CheckpointError` for a record of another kind, one of
+    another version (an unsealed older-format record is named by its
+    version) and one that fails its seal.
+    """
+    record = unseal(line)
+    found: Any = record
+    if found is None:
+        try:  # older formats were unsealed: decode the line to name its version
+            found = json.loads(line)
+        except ValueError:
+            pass
+    if not isinstance(found, dict) or found.get("kind") != kind:
+        raise CheckpointError(
+            f"{source} does not start with a {kind} record; refusing an "
+            "unrecognized or damaged file"
+        )
+    if found.get("version") != version:
+        raise CheckpointError(
+            f"{source} has version {found.get('version')}, expected {version}"
+        )
+    if record is None:
+        raise CheckpointError(f"{source}: its {kind} record does not match its digest")
+    return record
 
 
 def _parse_segment(
-    path: Path, advisory: Optional[bytes] = None
+    path: Path, check_header: Callable[[bytes], Any], advisory: Optional[bytes] = None
 ) -> Tuple[List[Dict[str, Any]], int, str]:
-    """Parse one segment's lines: ``(records, valid_end_offset, status)``.
+    """Parse one JSON-lines file: ``(records, valid_end_offset, status)``.
 
-    ``valid_end_offset`` is the byte offset just past the last complete,
-    decodable, newline-terminated line.  ``status`` is ``"clean"`` (every
-    byte parsed), ``"torn"`` (an unterminated final fragment — the
-    signature of a crash mid-append, droppable), or ``"interior"`` (a
-    complete line that does not decode to a record: an append that
-    finished and was then damaged, which is real corruption wherever it
-    sits).  A complete line that starts with ``advisory`` holds data the
-    reader can recompute, so when it does not decode it reads as an empty
-    record instead of ending the parse.
+    The first complete line goes to ``check_header``, which raises
+    :class:`CheckpointError` when it is not the file's header; every later
+    one goes through :func:`unseal` into ``records``.  ``valid_end_offset``
+    is the byte offset just past the last complete line that unsealed.
+    ``status`` is ``"clean"`` (every byte parsed), ``"torn"`` (an
+    unterminated final fragment — the signature of a crash mid-append,
+    droppable), or ``"interior"`` (a complete line that fails its seal: an
+    append that finished and was then damaged, which is real corruption
+    wherever it sits).  A complete line that starts with ``advisory``
+    holds data the reader can recompute, so when it fails its seal it
+    reads as an empty record instead of ending the parse.
     """
     data = path.read_bytes()
     records: List[Dict[str, Any]] = []
@@ -190,12 +254,14 @@ def _parse_segment(
     while offset < len(data):
         newline = data.find(b"\n", offset)
         if newline < 0:
-            # Unterminated tail (even if it happens to decode): the
+            # Unterminated tail (even if it happens to unseal): the
             # append never completed, so the batch was never processed.
             return records, offset, "torn"
         line = data[offset:newline]
-        if line.strip():
-            record = _decode_record(line)
+        if offset == 0:
+            check_header(line)
+        else:
+            record = unseal(line)
             if record is None:
                 if advisory is None or not line.startswith(advisory):
                     return records, offset, "interior"
@@ -203,12 +269,6 @@ def _parse_segment(
             records.append(record)
         offset = newline + 1
     return records, offset, "clean"
-
-
-def _record_digest(body: Mapping[str, Any]) -> str:
-    """Content hash of a journal record's canonical JSON form."""
-    text = json.dumps(body, sort_keys=True)
-    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
 
 
 def _serialize_result(result: SparsifyResult) -> Dict[str, Any]:
@@ -286,46 +346,35 @@ class BatchJournal:
         """Read the journal and return ``{job index: result}`` for resumable jobs.
 
         Missing file → empty dict (fresh batch).  A header that pins a
-        different request, a job line whose graph digest does not match
-        the graph now submitted at that index, a job line that does not
-        match its own digest, and a complete line that does not decode
-        all raise :class:`CheckpointError`.  An unterminated final
-        fragment (crash mid-append) is cut off through the journal's
-        :class:`DurableIO`, so the next append starts on a clean line.
+        different request or another format version, a job line whose
+        graph digest does not match the graph now submitted at that index,
+        and a complete line that fails its seal all raise
+        :class:`CheckpointError`.  An unterminated final fragment (crash
+        mid-append) is cut off through the journal's :class:`DurableIO`,
+        so the next append starts on a clean line.
         """
         if not self.path.exists():
             return {}
         try:
-            records, valid_end, status = _parse_segment(self.path)
+            records, valid_end, status = _parse_segment(self.path, self._check_header)
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint journal {self.path}: {exc}") from exc
         if status == "interior":
             raise CheckpointError(
                 f"checkpoint journal {self.path} is corrupt at byte {valid_end}: "
-                "a complete line does not decode (not a torn trailing append)"
+                "a complete line does not match its digest (not a torn trailing append)"
             )
         completed: Dict[int, SparsifyResult] = {}
-        if records:
-            self._check_header(records[0])
-            for record in records[1:]:
-                index, result = self._decode_job(record, graphs)
-                completed[index] = result
-            self._header_written = True
+        for record in records:
+            index, result = self._decode_job(record, graphs)
+            completed[index] = result
+        self._header_written = valid_end > 0
         if status == "torn":
             self._io.truncate(self.path, valid_end)
         return completed
 
-    def _check_header(self, header: Dict[str, Any]) -> None:
-        if header.get("kind") != "header":
-            raise CheckpointError(
-                f"checkpoint journal {self.path} has no header line; "
-                "refusing to resume from an unrecognized file"
-            )
-        if header.get("version") != _JOURNAL_VERSION:
-            raise CheckpointError(
-                f"checkpoint journal {self.path} has version {header.get('version')}, "
-                f"expected {_JOURNAL_VERSION}"
-            )
+    def _check_header(self, line: bytes) -> None:
+        header = open_record(line, "header", _JOURNAL_VERSION, f"checkpoint journal {self.path}")
         for key in sorted(set(header) | set(self._header)):
             if header.get(key) != self._header.get(key):
                 raise CheckpointError(
@@ -339,9 +388,6 @@ class BatchJournal:
         try:
             if record["kind"] != "job":
                 raise ValueError(f"record kind {record['kind']!r} is not 'job'")
-            body = {key: value for key, value in record.items() if key != "digest"}
-            if record["digest"] != _record_digest(body):
-                raise ValueError("the record does not match its digest")
             index = int(record["index"])
             graph_digest = record["graph_digest"]
             result = _deserialize_result(record["result"])
@@ -365,20 +411,21 @@ class BatchJournal:
 
     def record(self, index: int, graph: Graph, result: SparsifyResult) -> None:
         """Append one completed job (writing the header first if needed)."""
-        body = {
-            "kind": "job",
-            "index": int(index),
-            "graph_digest": batch_graph_digest(graph),
-            "result": _serialize_result(result),
-        }
-        line = json.dumps({**body, "digest": _record_digest(body)})
+        line = seal(
+            {
+                "kind": "job",
+                "index": int(index),
+                "graph_digest": batch_graph_digest(graph),
+                "result": _serialize_result(result),
+            }
+        )
         # Both appends route through the DurableIO seam so the crash
         # harness can kill or tear each one.  A crash between them leaves
         # a header-only journal, which load_completed reads as an empty
         # (but valid) batch.
         new_file = not self._header_written
         if new_file:
-            self._io.append_line(self.path, json.dumps(self._header) + "\n")
+            self._io.append_line(self.path, seal(self._header) + "\n")
             self._header_written = True
         self._io.append_line(self.path, line + "\n")
         if new_file:

@@ -6,36 +6,43 @@ given its construction parameters and the exact batch sequence, so it is
 enough to persist those two things.  :class:`StreamJournal` does exactly
 that as the ``journal/`` half of a
 :class:`~repro.streaming.store.StreamStateStore`, sharing the
-:class:`~repro.core.checkpoint.DurableIO` write seam and the JSON-lines
-reader with the batch checkpoint journal (:mod:`repro.core.checkpoint`):
+:class:`~repro.core.checkpoint.DurableIO` write seam, the sealed-record
+codec and the JSON-lines reader with the batch checkpoint journal
+(:mod:`repro.core.checkpoint`):
 
-* **A directory of sealed segments** — the journal is a directory of
+* **A directory of segments** — the journal is a directory of
   size-bounded JSON-lines segment files (``segment-00000000.jsonl`` …).
   Each segment opens with a header pinning the stream parameters, the
   snapshot cadence and the index of its first batch, followed by one
-  line per ingested batch with its exact edge arrays and a content
-  digest.  When the active segment passes the size bound, the next batch
-  append seals it and opens a new one (with a directory fsync, so the new
-  file survives a crash).
+  line per ingested batch with its exact edge arrays.  When the active
+  segment passes the size bound, the next batch append closes it and
+  opens a new one (with a directory fsync, so the new file survives a
+  crash).
+* **Sealed records (format v4)** — every line, header included, is a
+  :func:`~repro.core.checkpoint.seal` record whose last key is a digest
+  of the bytes before it, so a damaged byte anywhere reads as a record
+  that is not there, never as a different parameter or edge.
 * **Compaction records** — each compaction a batch triggers appends the
   outcome of that ``PARALLELSAMPLE`` pass right after the batch: its
-  bundle and kept positions as bitmasks over its working set, a digest
-  of that working set and a digest of the record itself.  Replay applies
-  a record only to a working set with the recorded digest, so recovery
-  skips the spanner work it verifies and recomputes every compaction
-  whose record is missing, damaged or mismatched.
+  bundle and kept positions as bitmasks over its working set and a
+  digest of that working set.  Replay applies a record only to a working
+  set with the recorded digest, so recovery skips the spanner work it
+  verifies and recomputes every compaction whose record is missing,
+  damaged or mismatched.
 * **Binary payloads** — every array travels as base64 text of its
-  little-endian bytes (format v3), not as a JSON number list: bit-exact
-  by construction and no per-element encode or decode.
+  little-endian bytes, not as a JSON number list: bit-exact by
+  construction and no per-element encode or decode.
 * **Journal-then-process** — the sparsifier appends a batch *before*
   folding it into its state, so a crash at any point loses at most the
   batch whose append was itself torn; the torn trailing line is detected
   and dropped (and physically truncated on re-attach).
-* **Bounded resume** — :meth:`iter_batches` streams batches back one
-  segment at a time (memory bounded by one segment, not the journal),
-  and a ``start_batch`` skips whole pre-snapshot segments by header so a
-  snapshot-backed resume replays only the suffix.  After a snapshot,
-  :meth:`truncate_before` deletes segments that are wholly covered.
+* **One pass** — a census reads each segment's header once;
+  :meth:`iter_batches` then parses each replayed segment once, one
+  segment in memory at a time, skipping pre-snapshot segments by header,
+  and decodes payloads only for the batches it yields: records a
+  snapshot already covers are verified by their seal, never decoded.
+  After a snapshot, :meth:`truncate_before` deletes segments that are
+  wholly covered.
 * **Salvage, not all-or-nothing** — strict readers raise
   :class:`~repro.exceptions.CheckpointError` at the first invalid record;
   salvage readers (``salvage=True``) stop there instead, reporting what
@@ -43,7 +50,7 @@ reader with the batch checkpoint journal (:mod:`repro.core.checkpoint`):
   :class:`JournalScanReport`, which is what the recovery ladder in
   :mod:`repro.streaming.store` builds its
   :class:`~repro.streaming.store.RecoveryReport` from.  A compaction
-  record is advisory: one that does not decode is dropped, not treated
+  record is advisory: one that fails its seal is dropped, not treated
   as corruption, because replay can recompute it.
 """
 
@@ -53,19 +60,13 @@ import base64
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.checkpoint import (
-    DEFAULT_IO,
-    DurableIO,
-    _decode_record,
-    _parse_segment,
-    _record_digest,
-    edge_array_digest,
-)
+from repro.core.checkpoint import DEFAULT_IO, DurableIO, _parse_segment, open_record, seal
 from repro.exceptions import CheckpointError
 from repro.utils.validation import check_count
 
@@ -79,9 +80,9 @@ __all__ = [
     "DEFAULT_SEGMENT_BYTES",
 ]
 
-STREAM_JOURNAL_VERSION = 3
+STREAM_JOURNAL_VERSION = 4
 
-# Size bound after which the active segment is sealed and a new one
+# Size bound after which the active segment is closed and a new one
 # opened.  Small enough that resume-after-snapshot touches little data,
 # large enough that rotation is rare on real streams.
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
@@ -117,9 +118,13 @@ _INT = np.dtype("<i8")
 _FLOAT = np.dtype("<f8")
 _BYTE = np.dtype("u1")
 
-# ``(index, u, v, w, compactions)``: a journaled batch and the verified
+# ``(index, u, v, w, compactions)``: a journaled batch and the decoded
 # outcomes of the compactions it triggered, in journal order.
 Batch = Tuple[int, np.ndarray, np.ndarray, np.ndarray, List[Dict[str, Any]]]
+
+# ``(batch record, compaction records)``: a batch as its journal lines
+# unsealed them, payloads not decoded.
+BatchRecords = Tuple[Dict[str, Any], List[Dict[str, Any]]]
 
 
 def _pack(array: np.ndarray, dtype: np.dtype) -> str:
@@ -194,12 +199,17 @@ def canonical_stream_params(params: Dict[str, Any]) -> Dict[str, Any]:
 
 @dataclass(frozen=True)
 class SegmentInfo:
-    """Header-level description of one journal segment."""
+    """Header-level description of one journal segment.
+
+    ``params`` are the pinned stream parameters its header records, in
+    :func:`canonical_stream_params` form.
+    """
 
     path: Path
     sequence: int
     first_batch: int
-    snapshot_every: Optional[int] = None
+    snapshot_every: Optional[int]
+    params: Dict[str, Any] = field(compare=False)
 
 
 @dataclass
@@ -211,11 +221,15 @@ class JournalScanReport:
     asserted through these numbers); ``batches_lost`` counts journaled
     batch records that could not be applied because they sit behind a
     corruption point; ``salvaged`` holds the valid batches of the corrupt
-    segment's prefix so the recovery ladder can rewrite them into a fresh
-    segment after quarantining the damaged file; ``corrupt_batch`` is the
-    index of the first batch the journal could not supply.
-    ``compactions_dropped`` counts compaction records in the replayed
-    segments that did not verify: replay recomputes those compactions.
+    segment's prefix, as their verified records, so the recovery ladder
+    can rewrite them into a fresh segment after quarantining the damaged
+    file; ``corrupt_batch`` is the index of the first batch the journal
+    could not supply.  ``compactions_dropped`` counts compaction records
+    that failed their seal or did not decode: replay recomputes those
+    compactions.  ``next_batch`` (the index after the last valid batch
+    read) and ``tail_bytes`` (the byte offset past the last valid line of
+    the last segment parsed) are the cursor a re-attached journal
+    appends at.
     """
 
     segments_seen: int = 0
@@ -229,7 +243,9 @@ class JournalScanReport:
     corrupt_batch: Optional[int] = None
     corruption: Optional[str] = None
     compactions_dropped: int = 0
-    salvaged: List[Batch] = field(default_factory=list)
+    salvaged: List[BatchRecords] = field(default_factory=list)
+    next_batch: int = 0
+    tail_bytes: int = 0
 
 
 def _segment_name(sequence: int) -> str:
@@ -261,98 +277,87 @@ def _record_lines(path: Path) -> int:
     return sum(1 for line in lines[1:] if not line.startswith(_COMPACTION_PREFIX))
 
 
-def _validate_header(record: Optional[Dict[str, Any]], path: Path) -> Dict[str, Any]:
-    if record is None or record.get("kind") != "header":
-        raise CheckpointError(
-            f"stream journal segment {path} has no header line; "
-            "refusing to resume from an unrecognized file"
-        )
-    if record.get("version") != STREAM_JOURNAL_VERSION:
-        raise CheckpointError(
-            f"stream journal segment {path} has version {record.get('version')}, "
-            f"expected {STREAM_JOURNAL_VERSION}"
-        )
-    missing = [key for key in (*_PINNED_KEYS, "snapshot_every") if key not in record]
+def _segment_info(entry: Path, line: bytes) -> SegmentInfo:
+    """The census entry of segment ``entry``, whose header line is ``line``."""
+    source = f"stream journal segment {entry}"
+    header = open_record(line, "header", STREAM_JOURNAL_VERSION, source)
+    missing = [key for key in (*_PINNED_KEYS, "snapshot_every") if key not in header]
     if missing:
-        raise CheckpointError(
-            f"stream journal segment {path} header is missing keys: "
-            f"{', '.join(missing)}"
-        )
-    if not isinstance(record.get("first_batch"), int):
-        raise CheckpointError(
-            f"stream journal segment {path} header has no integer first_batch"
-        )
-    if record["snapshot_every"] is not None:
-        check_count(
-            record["snapshot_every"], f"stream journal segment {path} snapshot_every",
-            CheckpointError,
-        )
-    return record
+        raise CheckpointError(f"{source} header is missing keys: {', '.join(missing)}")
+    if not isinstance(header.get("first_batch"), int):
+        raise CheckpointError(f"{source} header has no integer first_batch")
+    if header["snapshot_every"] is not None:
+        check_count(header["snapshot_every"], f"{source} snapshot_every", CheckpointError)
+    return SegmentInfo(
+        path=entry,
+        sequence=_segment_sequence(entry),
+        first_batch=header["first_batch"],
+        snapshot_every=header["snapshot_every"],
+        params=canonical_stream_params(header),
+    )
 
 
-def _batch_from_record(
-    record: Dict[str, Any], num_vertices: int, expected_index: int, path: Path
-) -> Batch:
-    if record.get("kind") != "batch":
-        raise CheckpointError(
-            f"stream journal segment {path}: the record where batch "
-            f"{expected_index} was expected is not a batch record"
-        )
-    try:
-        index = int(record["index"])
-        u = _unpack(record["u"], _INT)
-        v = _unpack(record["v"], _INT)
-        w = _unpack(record["w"], _FLOAT)
-        if not u.shape == v.shape == w.shape:
-            raise ValueError("the u, v and w payloads differ in length")
-        digest = record["digest"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"stream journal segment {path}: malformed batch record where batch "
-            f"{expected_index} was expected ({exc!r})"
-        ) from exc
-    if index != expected_index:
-        raise CheckpointError(
-            f"stream journal segment {path} records batch {index} where batch "
-            f"{expected_index} was expected — the journal is not an "
-            "uninterrupted prefix of one stream"
-        )
-    if digest != edge_array_digest(num_vertices, u, v, w):
-        raise CheckpointError(
-            f"stream journal segment {path}: batch {index} does not match its "
-            "recorded digest — refusing to replay corrupted edges"
-        )
-    return index, u, v, w, []
+def _censused(line: bytes) -> None:
+    """The header check of a replayed segment: the census already opened its header."""
 
 
-def _compaction_line(
-    index: int, size: int, work_digest: str, outcome: Mapping[str, Any]
-) -> str:
-    """One compaction record, sealed by a digest of everything else in it."""
-    body = {
-        "kind": "compaction",
-        "index": int(index),
-        "size": int(size),
-        "work_digest": work_digest,
-        "outside": int(outcome["outside"]),
-        "built": int(outcome["built"]),
-        "exhausted": bool(outcome["exhausted"]),
-        "bundle": _pack_positions(outcome["bundle"], size),
-        "kept": _pack_positions(outcome["kept"], size),
-    }
-    return json.dumps({**body, "digest": _record_digest(body)})
+def _census(path: Path, salvage: bool = False) -> Tuple[List[SegmentInfo], List[Path]]:
+    """Read each live segment's header once: ``(readable segments, damaged rest)``.
+
+    A header that fails to open, or that starts before its predecessor,
+    is corruption: the strict census raises, the salvage census returns
+    that segment and every one after it for quarantine.  Only an
+    unterminated header line on the last segment is a torn rotation (the
+    tail segment never got a whole header); the strict census skips it
+    and :meth:`StreamJournal.attach` removes it, the salvage census
+    returns it for quarantine like any other damaged header.
+    """
+    files = _segment_files(path)
+    infos: List[SegmentInfo] = []
+    for position, entry in enumerate(files):
+        with open(entry, "rb") as handle:
+            line = handle.readline()
+        torn = not line.endswith(b"\n")
+        if torn and not salvage and position == len(files) - 1:
+            break
+        try:
+            if torn:
+                raise CheckpointError(f"stream journal segment {entry} has a torn header line")
+            info = _segment_info(entry, line[:-1])
+            if infos and info.first_batch < infos[-1].first_batch:
+                raise CheckpointError(
+                    f"stream journal {path}: segment {entry.name} starts at batch "
+                    f"{info.first_batch}, before its predecessor's {infos[-1].first_batch}"
+                )
+        except CheckpointError:
+            if not salvage:
+                raise
+            return infos, files[position:]
+        infos.append(info)
+    return infos, []
 
 
-def _compaction_from_record(record: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    """A compaction record's outcome, or ``None`` when the record does not verify.
+def _decode_batch(record: Dict[str, Any], compactions: List[Dict[str, Any]]) -> Batch:
+    """A verified batch record's arrays and the outcomes of its compaction records that decode.
+
+    Raises ``KeyError`` or ``ValueError`` when the batch payloads do not decode.
+    """
+    u = _unpack(record["u"], _INT)
+    v = _unpack(record["v"], _INT)
+    w = _unpack(record["w"], _FLOAT)
+    if not u.shape == v.shape == w.shape:
+        raise ValueError("the u, v and w payloads differ in length")
+    outcomes = [outcome for outcome in map(_compaction_outcome, compactions) if outcome]
+    return int(record["index"]), u, v, w, outcomes
+
+
+def _compaction_outcome(record: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    """A compaction record's outcome, or ``None`` when its payloads do not decode.
 
     The outcome has the keys of the compaction worker's result plus the
     ``index``, ``size`` and ``work_digest`` replay matches it by.
     """
     try:
-        body = {key: value for key, value in record.items() if key != "digest"}
-        if record["digest"] != _record_digest(body):
-            return None
         size = int(record["size"])
         return {
             "index": int(record["index"]),
@@ -369,7 +374,7 @@ def _compaction_from_record(record: Dict[str, Any]) -> Optional[Dict[str, Any]]:
 
 
 class StreamJournal:
-    """Append-only journal of ingested stream batches, as sealed segments."""
+    """Append-only journal of ingested stream batches, as segment files of sealed records."""
 
     def __init__(
         self,
@@ -394,7 +399,7 @@ class StreamJournal:
             if snapshot_every is None
             else check_count(snapshot_every, "snapshot_every", CheckpointError)
         )
-        self._seal_active = False
+        self._close_active = False
         self._io = io if io is not None else DEFAULT_IO
         if self.has_content(self.path):
             raise CheckpointError(
@@ -435,40 +440,56 @@ class StreamJournal:
         :class:`CheckpointError` on structural corruption (use the
         recovery ladder in :mod:`repro.streaming.store` to salvage).
         """
-        path = Path(path)
         infos = cls.scan_segments(path)
         if not infos:
             raise CheckpointError(f"stream journal {path} is missing or empty")
-        params = cls.read_params(path)
-        journal = cls.__new__(cls)
-        journal.path = path
-        journal._params = params
-        journal._segment_bytes = check_count(segment_bytes, "segment_bytes", CheckpointError)
-        journal._io = io if io is not None else DEFAULT_IO
         last = infos[-1]
-        journal._snapshot_every = last.snapshot_every
-        journal._seal_active = False
-        # A crash during rotation can leave a trailing segment file whose
-        # header never made it to disk; it holds no applied batches and
-        # would poison future scans once it is no longer the last file.
-        for stray in _segment_files(path):
-            if stray.name > last.path.name:
-                journal._io.remove(stray)
-        records, valid_end, status = _parse_segment(last.path, advisory=_COMPACTION_PREFIX)
+        records, valid_end, status = _parse_segment(
+            last.path, partial(_segment_info, last.path), _COMPACTION_PREFIX
+        )
         if status == "interior":
             raise CheckpointError(
                 f"stream journal segment {last.path} is corrupt mid-journal; "
                 "use StreamingSparsifier.recover() to salvage the valid prefix"
             )
-        if status == "torn":
-            # Physically drop the torn append so future appends cannot
-            # merge into the fragment and corrupt the journal mid-file.
-            journal._io.truncate(last.path, valid_end)
-        batch_records = [r for r in records if r.get("kind") == "batch"]
+        batches = sum(1 for record in records if record.get("kind") == "batch")
+        return cls._reopen(infos, valid_end, last.first_batch + batches, segment_bytes, io)
+
+    @classmethod
+    def _reopen(
+        cls,
+        infos: List[SegmentInfo],
+        tail_bytes: int,
+        next_index: int,
+        segment_bytes: int,
+        io: Optional[DurableIO],
+    ) -> "StreamJournal":
+        """A journal appending to ``infos[-1]`` at byte ``tail_bytes``, next batch ``next_index``.
+
+        Cuts the tail segment back to ``tail_bytes``, physically dropping a
+        torn trailing append so future appends cannot merge into the
+        fragment and corrupt the journal mid-file.
+        """
+        last = infos[-1]
+        journal = cls.__new__(cls)
+        journal.path = last.path.parent
+        journal._params = infos[0].params
+        journal._segment_bytes = check_count(segment_bytes, "segment_bytes", CheckpointError)
+        journal._io = io if io is not None else DEFAULT_IO
+        journal._snapshot_every = last.snapshot_every
+        journal._close_active = False
+        # A crash during rotation can leave a trailing segment file whose
+        # header never made it to disk; it holds no applied batches and
+        # would poison future scans once it is no longer the last file.
+        for stray in _segment_files(journal.path):
+            if stray.name > last.path.name:
+                journal._io.remove(stray)
+        if last.path.stat().st_size > tail_bytes:
+            journal._io.truncate(last.path, tail_bytes)
         journal._active = last.path
-        journal._active_size = valid_end
+        journal._active_size = tail_bytes
         journal._next_sequence = last.sequence + 1
-        journal._next_index = last.first_batch + len(batch_records)
+        journal._next_index = next_index
         return journal
 
     @property
@@ -480,68 +501,30 @@ class StreamJournal:
         """Record the snapshot cadence in force from the next segment header on.
 
         Recovery reads the cadence off the newest segment header, so a
-        changed cadence seals the active segment: the next batch opens a
+        changed cadence closes the active segment: the next batch opens a
         segment whose header records it.
         """
         if snapshot_every != self._snapshot_every:
             self._snapshot_every = snapshot_every
-            self._seal_active = self._active is not None
+            self._close_active = self._active is not None
 
     # ------------------------------------------------------------------ #
     # Appending
     # ------------------------------------------------------------------ #
 
-    def _header_line(self, first_batch: int, sequence: int) -> str:
-        return json.dumps(
-            {
-                "kind": "header",
-                "version": STREAM_JOURNAL_VERSION,
-                "segment": int(sequence),
-                "first_batch": int(first_batch),
-                **self._params,
-                "snapshot_every": self._snapshot_every,
-            }
-        )
-
     def append_batch(
         self, index: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
     ) -> None:
         """Append one ingested batch, rotating to a new segment when full."""
-        if int(index) != self._next_index:
-            raise CheckpointError(
-                f"stream journal {self.path} expected batch {self._next_index}, "
-                f"got {index} — appends must be contiguous"
-            )
-        line = json.dumps(
+        self.append_record(
             {
                 "kind": "batch",
                 "index": int(index),
                 "u": _pack(u, _INT),
                 "v": _pack(v, _INT),
                 "w": _pack(w, _FLOAT),
-                "digest": edge_array_digest(self._params["num_vertices"], u, v, w),
             }
         )
-        if self._active is None:
-            self._io.mkdir(self.path)
-        if self._active is None or self._seal_active or self._active_size >= self._segment_bytes:
-            # Seal the active segment and open the next one.  The header
-            # is fsync'd, then the *directory* is fsync'd: without the
-            # second step a crash here can lose the new file entirely.
-            sequence = self._next_sequence
-            segment = self.path / _segment_name(sequence)
-            self._next_sequence = sequence + 1
-            self._active = segment
-            self._active_size = 0
-            self._seal_active = False
-        if self._active_size == 0:
-            header = self._header_line(first_batch=index, sequence=_segment_sequence(self._active))
-            self._io.append_line(self._active, header + "\n")
-            self._io.fsync_dir(self.path)
-            self._active_size = len(header) + 1
-        self._io.append_line(self._active, line + "\n")
-        self._active_size += len(line) + 1
-        self._next_index += 1
 
     def append_compaction(
         self, index: int, size: int, work_digest: str, outcome: Mapping[str, Any]
@@ -554,12 +537,68 @@ class StreamJournal:
         is the :func:`working_set_digest` of that working set.  The record
         never opens a segment: it stays with its batch.
         """
-        line = _compaction_line(index, size, work_digest, outcome)
-        self._io.append_line(self._active, line + "\n")
-        self._active_size += len(line) + 1
+        self.append_record(
+            {
+                "kind": "compaction",
+                "index": int(index),
+                "size": int(size),
+                "work_digest": work_digest,
+                "outside": int(outcome["outside"]),
+                "built": int(outcome["built"]),
+                "exhausted": bool(outcome["exhausted"]),
+                "bundle": _pack_positions(outcome["bundle"], size),
+                "kept": _pack_positions(outcome["kept"], size),
+            }
+        )
+
+    def append_record(self, record: Mapping[str, Any]) -> None:
+        """Seal and append one batch or compaction record.
+
+        A batch record must carry the next batch index, and it opens a new
+        segment when the active one is full.  :meth:`append_batch` and
+        :meth:`append_compaction` build the records; the recovery ladder
+        hands back the verified records of a salvaged prefix.
+        """
+        line = seal(record) + "\n"
+        batch = record["kind"] == "batch"
+        if batch:
+            if record["index"] != self._next_index:
+                raise CheckpointError(
+                    f"stream journal {self.path} expected batch {self._next_index}, "
+                    f"got {record['index']} — appends must be contiguous"
+                )
+            if self._active is None:
+                self._io.mkdir(self.path)
+            if self._active is None or self._close_active or self._active_size >= self._segment_bytes:
+                # Close the active segment and open the next one.  The
+                # header is fsync'd, then the *directory* is fsync'd:
+                # without the second step a crash here can lose the new
+                # file entirely.
+                self._active = self.path / _segment_name(self._next_sequence)
+                self._next_sequence += 1
+                self._active_size = 0
+                self._close_active = False
+            if self._active_size == 0:
+                header = seal(
+                    {
+                        "kind": "header",
+                        "version": STREAM_JOURNAL_VERSION,
+                        "segment": _segment_sequence(self._active),
+                        "first_batch": int(record["index"]),
+                        **self._params,
+                        "snapshot_every": self._snapshot_every,
+                    }
+                ) + "\n"
+                self._io.append_line(self._active, header)
+                self._io.fsync_dir(self.path)
+                self._active_size = len(header)
+        self._io.append_line(self._active, line)
+        self._active_size += len(line)
+        if batch:
+            self._next_index += 1
 
     def truncate_before(self, batch_index: int) -> List[str]:
-        """Delete sealed segments whose batches all precede ``batch_index``.
+        """Delete closed segments whose batches all precede ``batch_index``.
 
         Called after a durable snapshot covering batches ``< batch_index``:
         replay will never need those segments again.  A segment is deleted
@@ -583,45 +622,13 @@ class StreamJournal:
 
     @staticmethod
     def scan_segments(path: Union[str, Path]) -> List[SegmentInfo]:
-        """Read every segment's *header only*: cheap structural census.
+        """Read every segment's *header only*: the strict census.
 
-        An undecodable header is tolerated only on the final segment (a
-        crash during rotation leaves a torn header there); anywhere else
-        it is corruption and raises.  Empty trailing files are skipped.
+        Raises :class:`CheckpointError` at a damaged or out-of-order
+        header; skips a last segment whose header line never completed
+        (a torn rotation).
         """
-        path = Path(path)
-        files = _segment_files(path)
-        infos: List[SegmentInfo] = []
-        for position, entry in enumerate(files):
-            last = position == len(files) - 1
-            header: Optional[Dict[str, Any]] = None
-            with open(entry, "rb") as handle:
-                first_line = handle.readline()
-            if first_line.endswith(b"\n") and first_line.strip():
-                header = _decode_record(first_line)
-            if header is None:
-                if last:
-                    continue  # torn rotation: the tail segment never got a header
-                raise CheckpointError(
-                    f"stream journal segment {entry} has a corrupt header line"
-                )
-            _validate_header(header, entry)
-            infos.append(
-                SegmentInfo(
-                    path=entry,
-                    sequence=_segment_sequence(entry),
-                    first_batch=int(header["first_batch"]),
-                    snapshot_every=header["snapshot_every"],
-                )
-            )
-        for info, successor in zip(infos[:-1], infos[1:]):
-            if successor.first_batch < info.first_batch:
-                raise CheckpointError(
-                    f"stream journal {path}: segment {successor.path.name} starts at "
-                    f"batch {successor.first_batch}, before its predecessor's "
-                    f"{info.first_batch}"
-                )
-        return infos
+        return _census(Path(path))[0]
 
     @staticmethod
     def read_params(path: Union[str, Path]) -> Dict[str, Any]:
@@ -629,9 +636,7 @@ class StreamJournal:
         infos = StreamJournal.scan_segments(path)
         if not infos:
             raise CheckpointError(f"stream journal {path} is missing or empty")
-        with open(infos[0].path, "rb") as handle:
-            header = _decode_record(handle.readline())
-        return canonical_stream_params(_validate_header(header, infos[0].path))
+        return infos[0].params
 
     @staticmethod
     def iter_batches(
@@ -644,122 +649,132 @@ class StreamJournal:
         """Stream journaled batches back, one segment in memory at a time.
 
         Each batch comes as ``(index, u, v, w, compactions)``, where
-        ``compactions`` lists the verified outcomes of the compaction
+        ``compactions`` lists the decoded outcomes of the compaction
         records that follow it (see :meth:`append_compaction`); a record
-        that fails to verify is left out and counted in
-        ``report.compactions_dropped``.  ``start_batch`` skips batches a snapshot already covers: segments
-        that end before it are skipped *by header* (their bodies are never
-        read — the accounting in ``report`` proves bounded resume).  In
-        strict mode (default) any invalid record besides a torn trailing
-        append raises :class:`CheckpointError`; with ``salvage=True``
-        iteration stops at the corruption instead, and ``report`` records
-        the corrupt segment, the salvageable prefix of its batches, and a
-        best-effort count of batches lost behind the damage.
+        that fails its seal or does not decode is left out and counted in
+        ``report.compactions_dropped``.  ``start_batch`` skips batches a
+        snapshot already covers: segments that end before it are skipped
+        *by header* (their bodies are never read — the accounting in
+        ``report`` proves bounded resume), and covered records of the
+        segments that are read are verified by their seal but never
+        decoded.  In strict mode (default) any invalid record besides a
+        torn trailing append raises :class:`CheckpointError` before any
+        batch of its segment is yielded; with
+        ``salvage=True`` iteration stops at the corruption instead, and
+        ``report`` records the corrupt segment, the salvageable prefix of
+        its batches, and a best-effort count of batches lost behind the
+        damage.
         """
-        path = Path(path)
-        if report is None:
-            report = JournalScanReport()
-        infos = StreamJournal.scan_segments(path)
-        if not infos:
-            return
-        params = StreamJournal.read_params(path)
-        num_vertices = int(params["num_vertices"])
-        report.segments_seen = len(infos)
-
-        # Segments wholly covered by the snapshot: skip without reading.
-        first_replayed = 0
-        for position, info in enumerate(infos):
-            is_last = position == len(infos) - 1
-            end = None if is_last else infos[position + 1].first_batch
-            if end is not None and end <= start_batch:
-                report.segments_skipped += 1
-                report.batches_skipped += end - info.first_batch
-                first_replayed = position + 1
-
-        if first_replayed < len(infos) and infos[first_replayed].first_batch > start_batch:
-            # The journal's retained range begins after the caller's state:
-            # replaying it would skip batches and silently diverge.
-            message = (
-                f"journal resumes at batch {infos[first_replayed].first_batch} but "
-                f"replay was requested from batch {start_batch} — the covering "
-                "segments are gone"
-            )
-            if salvage:
-                report.corrupt_segment = infos[first_replayed].path.name
-                report.corrupt_batch = start_batch
-                report.corruption = message
-                report.batches_lost += _count_remaining_batches(infos[first_replayed:])
-                return
-            raise CheckpointError(f"stream journal {path}: {message}")
-        expected = (
-            infos[first_replayed].first_batch if first_replayed < len(infos) else start_batch
+        report = report if report is not None else JournalScanReport()
+        yield from _replay_segments(
+            Path(path), StreamJournal.scan_segments(path), start_batch, report, salvage
         )
-        for position in range(first_replayed, len(infos)):
-            info = infos[position]
-            is_last = position == len(infos) - 1
-            failure: Optional[str] = None
-            segment_batches: List[Batch] = []
-            records: List[Dict[str, Any]] = []
-            if info.first_batch != expected:
-                failure = (
-                    f"segment {info.path.name} starts at batch {info.first_batch} "
-                    f"where batch {expected} was expected — batches in between "
-                    "are missing"
-                )
-            else:
-                records, _, status = _parse_segment(info.path, advisory=_COMPACTION_PREFIX)
-                report.segments_replayed += 1
-                for record in records[1:]:  # records[0] is the header
-                    if not record or record.get("kind") == "compaction":
-                        # The outcome of a compaction the batch before it
-                        # triggered; replay recomputes one that fails to verify.
-                        outcome = _compaction_from_record(record) if segment_batches else None
-                        if outcome is None:
-                            report.compactions_dropped += 1
-                        else:
-                            segment_batches[-1][4].append(outcome)
-                        continue
-                    try:
-                        batch = _batch_from_record(record, num_vertices, expected, info.path)
-                    except CheckpointError as exc:
-                        failure = str(exc)
-                        break
-                    expected += 1
-                    # Keep even pre-start_batch batches: salvage rewrites
-                    # the full valid prefix of a corrupt segment, which
-                    # must stay contiguous with the preceding segment.
-                    segment_batches.append(batch)
-                if failure is None:
-                    if status == "interior" or (status == "torn" and not is_last):
-                        failure = (
-                            f"segment {info.path.name} is corrupt mid-journal "
-                            "(not a torn trailing append)"
-                        )
-                    elif status == "torn":
-                        report.torn_tail_dropped = True
-            if failure is not None:
-                if not salvage:
-                    raise CheckpointError(f"stream journal {path}: {failure}")
-                report.corrupt_segment = info.path.name
-                report.corrupt_batch = expected
-                report.corruption = failure
-                report.salvaged = segment_batches
-                processed = expected - info.first_batch if records else 0
-                report.batches_lost += max(0, _record_lines(info.path) - processed)
-                report.batches_lost += _count_remaining_batches(infos[position + 1 :])
-                for batch in segment_batches:
-                    if batch[0] < start_batch:
-                        report.batches_skipped += 1
-                        continue
-                    report.batches_replayed += 1
-                    yield batch
-                return
-            for batch in segment_batches:
-                if batch[0] < start_batch:
-                    report.batches_skipped += 1
+
+
+def _replay_segments(
+    path: Path,
+    infos: List[SegmentInfo],
+    start_batch: int,
+    report: JournalScanReport,
+    salvage: bool,
+) -> Iterator[Batch]:
+    """:meth:`StreamJournal.iter_batches` over the census ``infos`` of ``path``."""
+    report.segments_seen = len(infos)
+    if not infos:
+        return
+
+    # Segments wholly covered by the snapshot: skip without reading.
+    first_replayed = 0
+    for position, (info, successor) in enumerate(zip(infos, infos[1:])):
+        if successor.first_batch <= start_batch:
+            report.segments_skipped += 1
+            report.batches_skipped += successor.first_batch - info.first_batch
+            first_replayed = position + 1
+
+    expected = infos[first_replayed].first_batch
+    if expected > start_batch:
+        # The journal's retained range begins after the caller's state:
+        # replaying it would skip batches and silently diverge.
+        message = (
+            f"journal resumes at batch {expected} but replay was requested "
+            f"from batch {start_batch} — the covering segments are gone"
+        )
+        if salvage:
+            report.corrupt_segment = infos[first_replayed].path.name
+            report.corrupt_batch = start_batch
+            report.corruption = message
+            report.batches_lost += _count_remaining_batches(infos[first_replayed:])
+            return
+        raise CheckpointError(f"stream journal {path}: {message}")
+    for position in range(first_replayed, len(infos)):
+        info = infos[position]
+        failure: Optional[str] = None
+        journaled: List[BatchRecords] = []
+        if info.first_batch != expected:
+            failure = (
+                f"segment {info.path.name} starts at batch {info.first_batch} "
+                f"where batch {expected} was expected — batches in between "
+                "are missing"
+            )
+        else:
+            records, valid_end, status = _parse_segment(info.path, _censused, _COMPACTION_PREFIX)
+            report.segments_replayed += 1
+            report.tail_bytes = valid_end
+            for record in records:
+                if not record or record.get("kind") == "compaction":
+                    # The outcome of a compaction the batch before it
+                    # triggered; replay recomputes one that fails its seal.
+                    if record and journaled:
+                        journaled[-1][1].append(record)
+                    else:
+                        report.compactions_dropped += 1
                     continue
-                report.batches_replayed += 1
-                yield batch
+                if record.get("kind") != "batch" or record.get("index") != expected:
+                    failure = (
+                        f"segment {info.path.name} holds a {record.get('kind')} record "
+                        f"{record.get('index')} where batch {expected} was expected — "
+                        "the journal is not an uninterrupted prefix of one stream"
+                    )
+                    break
+                journaled.append((record, []))
+                expected += 1
+            if failure is None and status == "torn" and position == len(infos) - 1:
+                report.torn_tail_dropped = True
+            elif failure is None and status != "clean":
+                failure = (
+                    f"segment {info.path.name} is corrupt mid-journal at byte "
+                    f"{valid_end}: a line that does not match its digest, not a "
+                    "torn trailing append"
+                )
+        batches: List[Batch] = []
+        for count, (record, compactions) in enumerate(journaled):
+            if record["index"] < start_batch:
+                report.batches_skipped += 1
+                continue
+            try:
+                batches.append(_decode_batch(record, compactions))
+            except (KeyError, ValueError) as exc:
+                failure = (
+                    f"segment {info.path.name}: batch {record['index']} has a "
+                    f"malformed payload ({exc!r})"
+                )
+                journaled, expected = journaled[:count], record["index"]
+                break
+            report.compactions_dropped += len(compactions) - len(batches[-1][4])
+        report.next_batch = expected
+        if failure is not None and not salvage:
+            # A strict reader yields nothing of a damaged segment.
+            raise CheckpointError(f"stream journal {path}: {failure}")
+        report.batches_replayed += len(batches)
+        yield from batches
+        if failure is not None:
+            report.corrupt_segment = info.path.name
+            report.corrupt_batch = expected
+            report.corruption = failure
+            report.salvaged = journaled
+            report.batches_lost += max(0, _record_lines(info.path) - len(journaled))
+            report.batches_lost += _count_remaining_batches(infos[position + 1 :])
+            return
 
 
 def _count_remaining_batches(infos: List[SegmentInfo]) -> int:

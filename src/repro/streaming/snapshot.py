@@ -2,38 +2,39 @@
 
 A snapshot captures the *full* deterministic state of a
 :class:`~repro.streaming.sparsifier.StreamingSparsifier` — the leveled
-retained pools, the pending buffer, the exact-reference pools (when
-tracked), and every counter the RNG schedule depends on (compaction
-index, batch index, eviction/presample tallies).  Restoring a snapshot
-and replaying the journal suffix written after it reproduces the stream
-bit for bit, which is what bounds resume cost to O(recent batches)
-instead of O(stream lifetime).
+retained pools, the pending buffer, the exact-reference pools, and every
+counter the RNG schedule depends on (compaction index, batch index,
+eviction/presample tallies).  Restoring a snapshot and replaying the
+journal suffix written after it reproduces the stream bit for bit, which
+is what bounds resume cost to O(recent batches) instead of O(stream
+lifetime).
 
 On-disk format (inside a store's ``snapshots/`` directory)::
 
     snap-00000007.state   # one binary blob: the arrays, concatenated
-    snap-00000007.json    # manifest: params, counters, array table, digest
+    snap-00000007.json    # manifest (format v2): params, counters, array table, digest
 
 The manifest records each array's name, dtype and length plus a blake2b
-digest of the whole blob, so a damaged or torn snapshot is *detected*
-(:class:`~repro.exceptions.CheckpointError`) rather than restored.  The
-write protocol is crash-ordered: blob to a temp file, fsync, rename;
-then manifest to a temp file, fsync, rename; then directory fsync.  A
-manifest therefore never exists without its complete blob — recovery
-treats the manifest as the commit record.
+digest of the whole blob, and is itself one
+:func:`~repro.core.checkpoint.seal` record, so a damaged or torn blob and
+a damaged manifest byte (a counter, a parameter, a key name) are
+*detected* (:class:`~repro.exceptions.CheckpointError`) rather than
+restored.  The write protocol is crash-ordered: blob to a temp file,
+fsync, rename; then manifest to a temp file, fsync, rename; then
+directory fsync.  A manifest therefore never exists without its complete
+blob — recovery treats the manifest as the commit record.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.checkpoint import DEFAULT_IO, DurableIO
+from repro.core.checkpoint import DEFAULT_IO, DurableIO, open_record, seal
 from repro.exceptions import CheckpointError
 
 __all__ = [
@@ -45,7 +46,7 @@ __all__ = [
     "write_snapshot",
 ]
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _STATE_SUFFIX = ".state"
 _MANIFEST_SUFFIX = ".json"
@@ -155,7 +156,7 @@ def write_snapshot(
     io.write_bytes(state_tmp, blob)
     io.replace(state_tmp, state_path)
     manifest_tmp = manifest_path.with_name(manifest_path.name + ".tmp")
-    io.write_bytes(manifest_tmp, json.dumps(manifest).encode("utf-8"))
+    io.write_bytes(manifest_tmp, seal(manifest).encode("ascii"))
     io.replace(manifest_tmp, manifest_path)
     io.fsync_dir(directory)
     return manifest_path
@@ -166,26 +167,20 @@ def load_snapshot(
 ) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[str, np.ndarray]]:
     """Validate and load one snapshot: ``(params, counters, arrays)``.
 
-    Any inconsistency — unreadable or torn manifest, missing blob, size or
-    digest mismatch, malformed array table — raises
+    Any inconsistency — unreadable, torn or unsealed manifest, missing
+    blob, size or digest mismatch, malformed array table — raises
     :class:`CheckpointError`; the recovery ladder treats that as "this
     snapshot does not exist" and falls back to an older one.
     """
     try:
-        manifest = json.loads(info.manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        line = info.manifest_path.read_bytes()
+    except OSError as exc:
         raise CheckpointError(
             f"snapshot manifest {info.manifest_path} is unreadable: {exc}"
         ) from exc
-    if not isinstance(manifest, dict) or manifest.get("kind") != "stream-snapshot":
-        raise CheckpointError(
-            f"snapshot manifest {info.manifest_path} is not a stream snapshot"
-        )
-    if manifest.get("version") != SNAPSHOT_VERSION:
-        raise CheckpointError(
-            f"snapshot manifest {info.manifest_path} has version "
-            f"{manifest.get('version')}, expected {SNAPSHOT_VERSION}"
-        )
+    manifest = open_record(
+        line, "stream-snapshot", SNAPSHOT_VERSION, f"snapshot manifest {info.manifest_path}"
+    )
     if manifest.get("sequence") != info.sequence:
         raise CheckpointError(
             f"snapshot manifest {info.manifest_path} records sequence "

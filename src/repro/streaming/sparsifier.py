@@ -381,11 +381,9 @@ class StreamingSparsifier:
         :class:`~repro.parallel.failure.FailurePolicy` governing the
         compaction work (``raise`` / ``retry``; ``collect`` is rejected —
         a stream cannot skip a compaction without diverging).
-    track_exact:
-        Keep the exact live edge list so :meth:`certify` can measure the
-        snapshot against ground truth (default True; costs O(stream)
-        memory — disable for unbounded production streams and pass your
-        own reference to the certification layer).
+
+    Every stream keeps the exact live edge list (O(stream) memory), so
+    :meth:`certify` can measure a snapshot against ground truth.
     """
 
     def __init__(
@@ -408,7 +406,6 @@ class StreamingSparsifier:
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         keep_snapshots: int = 2,
         failure_policy: Optional[FailurePolicy] = None,
-        track_exact: bool = True,
         sampling_probability: Optional[float] = None,
         io: Optional[DurableIO] = None,
     ) -> None:
@@ -459,7 +456,6 @@ class StreamingSparsifier:
             else check_count(level_capacity, "level_capacity", StreamingError)
         )
         self._failure_policy = failure_policy
-        self._track_exact = bool(track_exact)
 
         # Retained state: LSM-style levels, each [u, v, w, b] arrays —
         # bundle edges at base weight plus sampled survivors at boosted
@@ -561,7 +557,6 @@ class StreamingSparsifier:
         *,
         config: Optional[SparsifierConfig] = None,
         failure_policy: Optional[FailurePolicy] = None,
-        track_exact: bool = True,
     ) -> "StreamingSparsifier":
         """Build a fresh, unattached stream from pinned journal parameters.
 
@@ -586,7 +581,6 @@ class StreamingSparsifier:
                 level_capacity=params.get("level_capacity"),
                 config=config,
                 failure_policy=failure_policy,
-                track_exact=track_exact,
             )
         except (KeyError, TypeError, ValueError, GraphError, StreamingError) as exc:
             raise CheckpointError(f"pinned stream parameters are unusable: {exc!r}") from exc
@@ -603,7 +597,6 @@ class StreamingSparsifier:
         *,
         config: Optional[SparsifierConfig] = None,
         failure_policy: Optional[FailurePolicy] = None,
-        track_exact: bool = True,
         snapshot_every: Optional[int] = None,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         keep_snapshots: int = 2,
@@ -623,7 +616,6 @@ class StreamingSparsifier:
             store,
             config=config,
             failure_policy=failure_policy,
-            track_exact=track_exact,
             snapshot_every=snapshot_every,
             segment_bytes=segment_bytes,
             keep_snapshots=keep_snapshots,
@@ -709,8 +701,7 @@ class StreamingSparsifier:
         self._batches_ingested += 1
         self._batch_sizes.append(int(u.shape[0]))
         self._edges_ingested += int(u.shape[0])
-        if self._track_exact:
-            self._exact.append((batch, u, v, w))
+        self._exact.append((batch, u, v, w))
         evicted = self._evict_expired(batch)
 
         pu, pv, pw = u, v, w
@@ -786,11 +777,11 @@ class StreamingSparsifier:
         """Full sampler state as ``(counters, named arrays)``.
 
         Everything future output depends on is here: the leveled retained
-        pools, the pending buffer, the exact-reference pools (when
-        tracked), batch sizes, and the counters that position the RNG
-        schedule (``compactions``) and the batch index.  The
-        ``records`` telemetry list is deliberately *not* persisted — it
-        describes past passes, nothing downstream replays it.
+        pools, the pending buffer, the exact-reference pools, batch sizes,
+        and the counters that position the RNG schedule (``compactions``)
+        and the batch index.  The ``records`` telemetry list is
+        deliberately *not* persisted — it describes past passes, nothing
+        downstream replays it.
         """
         arrays: Dict[str, np.ndarray] = {}
         for i, level in enumerate(self._levels):
@@ -804,12 +795,11 @@ class StreamingSparsifier:
         arrays["pending/b"] = self._pen_b
         arrays["batch_sizes"] = np.asarray(self._batch_sizes, dtype=np.int64)
         exact_batches: List[int] = []
-        if self._track_exact:
-            for j, (batch, u, v, w) in enumerate(self._exact):
-                arrays[f"exact{j}/u"] = u
-                arrays[f"exact{j}/v"] = v
-                arrays[f"exact{j}/w"] = w
-                exact_batches.append(int(batch))
+        for j, (batch, u, v, w) in enumerate(self._exact):
+            arrays[f"exact{j}/u"] = u
+            arrays[f"exact{j}/v"] = v
+            arrays[f"exact{j}/w"] = w
+            exact_batches.append(int(batch))
         counters = {
             "batches_ingested": int(self._batches_ingested),
             "edges_ingested": int(self._edges_ingested),
@@ -818,7 +808,6 @@ class StreamingSparsifier:
             "presampled_away": int(self._presampled_away),
             "ingest_seconds": float(self._ingest_seconds),
             "num_levels": len(self._levels),
-            "track_exact": bool(self._track_exact),
             "exact_batches": exact_batches,
         }
         return counters, arrays
@@ -848,22 +837,10 @@ class StreamingSparsifier:
             self._pen_w = arrays["pending/w"]
             self._pen_b = arrays["pending/b"]
             self._batch_sizes = [int(size) for size in arrays["batch_sizes"]]
-            self._exact = []
-            if self._track_exact:
-                if not counters.get("track_exact"):
-                    raise CheckpointError(
-                        "snapshot was written with track_exact=False; the "
-                        "exact reference cannot be restored"
-                    )
-                for j, batch in enumerate(counters["exact_batches"]):
-                    self._exact.append(
-                        (
-                            int(batch),
-                            arrays[f"exact{j}/u"],
-                            arrays[f"exact{j}/v"],
-                            arrays[f"exact{j}/w"],
-                        )
-                    )
+            self._exact = [
+                (int(batch), arrays[f"exact{j}/u"], arrays[f"exact{j}/v"], arrays[f"exact{j}/w"])
+                for j, batch in enumerate(counters["exact_batches"])
+            ]
             self._batches_ingested = int(counters["batches_ingested"])
             self._edges_ingested = int(counters["edges_ingested"])
             self._compactions = int(counters["compactions"])
@@ -952,7 +929,7 @@ class StreamingSparsifier:
             self._pen_v = self._pen_v[pen_mask]
             self._pen_w = self._pen_w[pen_mask]
             self._pen_b = self._pen_b[pen_mask]
-        if self._track_exact and self._exact:
+        if self._exact:
             self._exact = [rec for rec in self._exact if rec[0] > horizon]
         self._evicted += evicted
         return evicted
@@ -1142,12 +1119,6 @@ class StreamingSparsifier:
 
     def reference_graph(self) -> Graph:
         """The exact live graph (window/decay applied) — certification ground truth."""
-        if not self._track_exact:
-            raise StreamingError(
-                "this stream was built with track_exact=False, so the exact "
-                "reference graph is gone; pass your own original graph to the "
-                "certification layer instead"
-            )
         if not self._exact:
             return Graph.empty(self._n)
         u = np.concatenate([rec[1] for rec in self._exact])

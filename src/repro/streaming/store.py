@@ -3,27 +3,35 @@
 A :class:`StreamStateStore` owns one directory::
 
     store/
-      journal/    segment-00000000.jsonl ...   (StreamJournal)
-      snapshots/  snap-00000012.{state,json}   (checksummed snapshots)
+      journal/    segment-00000000.jsonl ...   (StreamJournal, format v4)
+      snapshots/  snap-00000012.{state,json}   (checksummed snapshots, format v2)
 
-The sparsifier journals every batch before processing it; on a
-configurable cadence it writes a snapshot of its full state and the
-store deletes journal segments wholly covered by the *oldest retained*
-snapshot — bounding resume replay to the recent suffix while keeping a
-fallback snapshot whose journal suffix is still intact.
+Every JSON record in both directories is sealed
+(:func:`~repro.core.checkpoint.seal`), so a damaged byte in a segment
+header, a batch or compaction record or a manifest reads as a record
+that is not there.  The sparsifier journals every batch before
+processing it; on a configurable cadence it writes a snapshot of its
+full state and the store deletes journal segments wholly covered by the
+*oldest retained* snapshot — bounding resume replay to the recent suffix
+while keeping a fallback snapshot whose journal suffix is still intact.
 
-Recovery (:meth:`StreamStateStore.recover`) walks a ladder instead of
-PR 8's all-or-nothing load:
+Recovery (:meth:`StreamStateStore.recover`) walks a ladder instead of an
+all-or-nothing load, reading the journal once:
 
 1. **Snapshot** — newest valid snapshot restores the sampler state;
-   invalid ones (torn, bit-flipped, truncated) are quarantined and the
-   ladder falls back to older ones, then to an empty state.
-2. **Journal suffix** — batches journaled after the snapshot are
-   replayed; pre-snapshot segments are skipped *by header* (never read).
-3. **Prefix salvage** — a corrupt segment stops strict replay; the
+   invalid ones (torn, bit-flipped, truncated, unsealed) are quarantined
+   and the ladder falls back to older ones, then to an empty state.
+2. **Header census** — every segment header is read once; a damaged or
+   out-of-order header is quarantined with everything after it, and the
+   rest supply the pinned parameters and the snapshot cadence.
+3. **Journal suffix** — batches journaled after the snapshot are
+   replayed, each replayed segment parsed once; pre-snapshot segments are
+   skipped *by header* (never read) and covered records are verified but
+   never decoded.  The re-attached journal appends where replay stopped.
+4. **Prefix salvage** — a corrupt segment stops strict replay; the
    ladder salvages its valid prefix, quarantines the damaged file (and
    everything after it, which is no longer contiguous), and rewrites the
-   salvaged batches into a fresh segment.
+   salvaged records into a fresh segment.
 
 The outcome is a :class:`RecoveryReport`: either the restored state is
 **bit-exact** with respect to every batch whose journal append completed,
@@ -34,22 +42,23 @@ silently wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.checkpoint import DEFAULT_IO, DurableIO, _decode_record
+from repro.core.checkpoint import DEFAULT_IO, DurableIO
 from repro.exceptions import CheckpointError
 from repro.streaming.journal import (
     DEFAULT_SEGMENT_BYTES,
-    Batch,
+    BatchRecords,
     JournalScanReport,
     StreamJournal,
     _QUARANTINE_SUFFIX,
+    _census,
     _record_lines,
-    _segment_files,
-    _validate_header,
+    _replay_segments,
     canonical_stream_params,
 )
 from repro.streaming.snapshot import list_snapshots, load_snapshot, write_snapshot
@@ -149,48 +158,6 @@ def _check_store_options(
             check_count(value, name, CheckpointError)
 
 
-def _quarantine_unscannable(
-    journal_dir: Path, io: DurableIO, notes: List[str]
-) -> Tuple[int, int]:
-    """Quarantine segments the strict scanner cannot even census.
-
-    A torn trailing append only damages batch lines; a bit-flip (or any
-    non-crash corruption) can damage a segment *header*, after which its
-    ``first_batch`` — and therefore the contiguity of everything behind
-    it — cannot be trusted.  The first segment with an unreadable or
-    non-monotone header and every segment after it are quarantined;
-    returns ``(segments quarantined, batch records lost with them)``.
-    """
-    files = _segment_files(journal_dir)
-    bad_from: Optional[int] = None
-    previous_first = -1
-    for position, entry in enumerate(files):
-        with open(entry, "rb") as handle:
-            first_line = handle.readline()
-        header: Optional[Dict[str, Any]] = None
-        if first_line.endswith(b"\n") and first_line.strip():
-            try:
-                header = _validate_header(_decode_record(first_line), entry)
-            except CheckpointError:
-                header = None
-        if header is None or int(header["first_batch"]) < previous_first:
-            bad_from = position
-            break
-        previous_first = int(header["first_batch"])
-    if bad_from is None:
-        return 0, 0
-    quarantined = 0
-    lost = 0
-    for entry in files[bad_from:]:
-        lost += _record_lines(entry)
-        _quarantine(io, entry)
-        quarantined += 1
-        notes.append(
-            f"quarantined segment {entry.name}: unreadable or out-of-order header"
-        )
-    return quarantined, lost
-
-
 class StreamStateStore:
     """Durable home of one stream: its journal, its snapshots, their lifecycle.
 
@@ -288,7 +255,6 @@ class StreamStateStore:
         *,
         config: Optional["SparsifierConfig"] = None,
         failure_policy: Optional["FailurePolicy"] = None,
-        track_exact: bool = True,
         snapshot_every: Optional[int] = None,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         keep_snapshots: int = 2,
@@ -327,17 +293,11 @@ class StreamStateStore:
             try:
                 snap_params, counters, arrays = load_snapshot(info)
                 # Read before the restore validates the rest: a damaged
-                # batch count or exact-tracking flag must not be trusted.
-                if counters.get("batches_ingested") != info.sequence or not isinstance(
-                    counters.get("track_exact"), bool
-                ):
+                # batch count must not be trusted.
+                if counters.get("batches_ingested") != info.sequence:
                     raise CheckpointError("counters are damaged")
-                snap_track = track_exact and bool(counters.get("track_exact"))
                 candidate = StreamingSparsifier.from_stream_params(
-                    snap_params,
-                    config=config,
-                    failure_policy=failure_policy,
-                    track_exact=snap_track,
+                    snap_params, config=config, failure_policy=failure_policy
                 )
                 candidate._restore_state(counters, arrays)
             except CheckpointError as exc:
@@ -348,23 +308,21 @@ class StreamStateStore:
                 if info.state_path.exists():
                     _quarantine(io, info.state_path)
                 continue
-            if track_exact and not snap_track:
-                notes.append(
-                    "snapshot was written with track_exact=False; the exact "
-                    "reference is unavailable in the recovered stream"
-                )
             stream = candidate
             snapshot_used = info.sequence
             break
 
-        # Journal census (quarantining segments whose headers are beyond
-        # even the salvage reader) and parameter source of last resort.
-        segments_quarantined, header_lost = _quarantine_unscannable(
-            journal_dir, io, notes
-        )
-        journal_params: Optional[Dict[str, Any]] = None
-        if StreamJournal.has_content(journal_dir):
-            journal_params = StreamJournal.read_params(journal_dir)
+        # Rung 2: one census of the journal's headers.  The first segment
+        # whose header does not open (or runs out of order) and every
+        # segment after it are quarantined; the rest pin the parameters.
+        segments, damaged = _census(journal_dir, salvage=True)
+        segments_quarantined = len(damaged)
+        header_lost = 0
+        for entry in damaged:
+            header_lost += _record_lines(entry)
+            _quarantine(io, entry)
+            notes.append(f"quarantined segment {entry.name}: unreadable or out-of-order header")
+        journal_params = segments[0].params if segments else None
         if stream is None:
             if journal_params is None:
                 raise CheckpointError(
@@ -372,10 +330,7 @@ class StreamStateStore:
                     "snapshot and no readable journal"
                 )
             stream = StreamingSparsifier.from_stream_params(
-                journal_params,
-                config=config,
-                failure_policy=failure_policy,
-                track_exact=track_exact,
+                journal_params, config=config, failure_policy=failure_policy
             )
         elif journal_params is not None and journal_params != canonical_stream_params(
             stream._journal_params()
@@ -383,28 +338,28 @@ class StreamStateStore:
             # The journal claims different stream parameters than the
             # snapshot that restored — its batches cannot be replayed into
             # this state without diverging.  Quarantine it wholesale.
-            for entry in _segment_files(journal_dir):
-                header_lost += _record_lines(entry)
-                _quarantine(io, entry)
-                segments_quarantined += 1
+            for info in segments:
+                header_lost += _record_lines(info.path)
+                _quarantine(io, info.path)
+            segments_quarantined += len(segments)
+            segments = []
             notes.append(
                 "journal parameters disagree with the restored snapshot; "
                 "the journal was quarantined wholesale"
             )
-        if snapshot_every is None:
-            infos = StreamJournal.scan_segments(journal_dir)
-            snapshot_every = infos[-1].snapshot_every if infos else None
+        if snapshot_every is None and segments:
+            snapshot_every = segments[-1].snapshot_every
 
-        # Rung 2 + 3: replay the suffix, salvaging a valid prefix of the
+        # Rung 3 + 4: replay the suffix, salvaging a valid prefix of the
         # first corrupt segment.
         scan = JournalScanReport()
         start_batch = stream._batches_ingested
-        salvaged_to_rewrite: List[Batch] = []
+        salvaged: List[BatchRecords] = []
         replay = _Replay()
         stream._replay = replay
         try:
-            for index, u, v, w, compactions in StreamJournal.iter_batches(
-                journal_dir, start_batch=start_batch, report=scan, salvage=True
+            for _index, u, v, w, compactions in _replay_segments(
+                journal_dir, segments, start_batch, scan, salvage=True
             ):
                 replay.offer(compactions)
                 stream.ingest(np.column_stack([u, v]), w)
@@ -417,8 +372,16 @@ class StreamStateStore:
                 f"{scan.compactions_dropped} journaled compaction record(s) failed "
                 "verification and were not applied"
             )
-        if scan.corruption is not None:
-            notes.append(f"journal corruption: {scan.corruption}")
+        # A replay that ends clean but short of the restored state read a
+        # journal the census cut off at a damaged header.
+        short = bool(segments) and scan.next_batch < stream._batches_ingested
+        if scan.corruption is not None or short:
+            notes.append(
+                f"journal corruption: {scan.corruption}"
+                if scan.corruption is not None
+                else f"the readable journal ends at batch {scan.next_batch}, "
+                f"before the restored state's batch {stream._batches_ingested}"
+            )
             # The corrupt segment and everything after it are no longer a
             # contiguous suffix — quarantine them, then rewrite the
             # salvaged prefix into a fresh segment below.  Damage inside
@@ -426,17 +389,21 @@ class StreamStateStore:
             # journal that runs contiguously up to the restored state, so
             # then the whole journal is quarantined and restarts there.
             restart = scan.corrupt_batch is None or scan.corrupt_batch < stream._batches_ingested
-            if not restart:
-                salvaged_to_rewrite = scan.salvaged
-            for entry in _segment_files(journal_dir):
-                if restart or entry.name >= scan.corrupt_segment:
-                    _quarantine(io, entry)
-                    segments_quarantined += 1
+            salvaged = [] if restart else scan.salvaged
+            kept = [] if restart else list(takewhile(lambda s: s.path.name != scan.corrupt_segment, segments))
+            for info in segments[len(kept) :]:
+                _quarantine(io, info.path)
+            segments_quarantined += len(segments) - len(kept)
+            segments = kept
 
-        # Re-attach a journal whose cursor agrees with the stream state.
-        if StreamJournal.has_content(journal_dir):
-            journal = StreamJournal.attach(
-                journal_dir, segment_bytes=segment_bytes, io=io
+        # Re-attach a journal at the cursor the replay ended on (after a
+        # quarantine, the end of the last segment that survived it).
+        if segments:
+            tail_bytes = (
+                scan.tail_bytes if scan.corruption is None else segments[-1].path.stat().st_size
+            )
+            journal = StreamJournal._reopen(
+                segments, tail_bytes, scan.next_batch - len(salvaged), segment_bytes, io
             )
             journal.set_snapshot_every(snapshot_every)
         else:
@@ -444,16 +411,13 @@ class StreamStateStore:
                 journal_dir,
                 canonical_stream_params(stream._journal_params()),
                 segment_bytes=segment_bytes,
-                start_index=stream._batches_ingested - len(salvaged_to_rewrite),
+                start_index=stream._batches_ingested - len(salvaged),
                 snapshot_every=snapshot_every,
                 io=io,
             )
-        for index, u, v, w, compactions in salvaged_to_rewrite:
-            journal.append_batch(index, u, v, w)
-            for outcome in compactions:
-                journal.append_compaction(
-                    outcome["index"], outcome["size"], outcome["work_digest"], outcome
-                )
+        for record, compactions in salvaged:
+            for entry in (record, *compactions):
+                journal.append_record(entry)
         if journal.next_index != stream._batches_ingested:
             raise CheckpointError(
                 f"recovery invariant breach in {path}: journal cursor at batch "

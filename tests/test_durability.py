@@ -21,6 +21,12 @@ The contract under test (``repro/streaming/store.py`` + the harness in
   any byte of a batch record, a flipped key name in a record, a segment
   header or a snapshot manifest, an out-of-range pinned parameter — ends
   bit-exact or declared lossy, never in a crash.
+* **Sealed records** — every line of both journals and every manifest
+  unseals; a flipped digit in a segment header or a manifest is refused,
+  declared or falls back, never trusted; an older, unsealed format is
+  refused by its version; and one recovery reads each segment header
+  once, parses each replayed segment once and decodes only the payloads
+  it replays.
 * **Arguments first** — a ``recover()`` call with a bad option is refused
   before it touches a single byte of the store.
 * **Bounded resume** — after a snapshot, recovery replays only the
@@ -35,15 +41,19 @@ Run with ``-m durability`` to select only this file.
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
 import re
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import repro.streaming.journal as journal_module
 from repro.api import Engine, SparsifyRequest
-from repro.core.checkpoint import BatchJournal, DurableIO, edge_array_digest
+from repro.core.checkpoint import BatchJournal, DurableIO, edge_array_digest, seal, unseal
 from repro.exceptions import CheckpointError
 from repro.graphs import generators as gen
 from repro.streaming import (
@@ -116,17 +126,41 @@ def clean_references(torture_batches, torture_graph):
     return refs
 
 
+# The torture stream's bundles absorb every working set (``outside`` is
+# 0 in each compaction), so its records hold all-ones bundle masks.  With
+# one spanner per bundle its compactions sample, and a wrongly applied
+# record would change the state.
+SAMPLING = dict(t=1)
+
+
+@pytest.fixture(scope="module")
+def sampling_references(torture_graph, torture_batches):
+    """Fingerprint of a clean ``SAMPLING`` run after each batch count."""
+    stream = StreamingSparsifier(
+        torture_graph.num_vertices, seed=SEED, compaction_interval=COMPACTION_INTERVAL, **SAMPLING
+    )
+    refs = {0: state_fingerprint(stream)}
+    for edges, weights in torture_batches:
+        stream.ingest(edges, weights)
+        refs[stream.batches_ingested] = state_fingerprint(stream)
+    assert sum(record.kept_edges for record in stream.records) > 0
+    return refs
+
+
 # --------------------------------------------------------------------- #
 # The tentpole guarantee: the kill-point sweep
 # --------------------------------------------------------------------- #
 
 
 class TestKillPointSweep:
+    @pytest.mark.parametrize("overrides", [{}, SAMPLING], ids=["torture", "sampling"])
     @pytest.mark.parametrize("mode", ["clean", "torn", "flip"])
     def test_every_crash_point_recovers_without_silent_divergence(
-        self, mode, torture_graph, torture_batches, clean_references, tmp_path
+        self, mode, overrides, torture_graph, torture_batches, clean_references,
+        sampling_references, tmp_path,
     ):
         stores = iter(range(10**6))
+        references = sampling_references if overrides else clean_references
 
         current = {}
 
@@ -141,6 +175,7 @@ class TestKillPointSweep:
                 snapshot_every=SNAPSHOT_EVERY,
                 segment_bytes=SEGMENT_BYTES,
                 io=io,
+                **overrides,
             )
             for edges, weights in torture_batches:
                 stream.ingest(edges, weights)
@@ -159,7 +194,7 @@ class TestKillPointSweep:
             # store never resurrects a state no uncrashed stream ever had.
             assert_same_state(
                 state_fingerprint(stream),
-                clean_references[stream.batches_ingested],
+                references[stream.batches_ingested],
             )
             # The recovered stream is live: it can keep ingesting.
             assert stream._journal.next_index == stream.batches_ingested
@@ -413,6 +448,11 @@ def key_name_offsets(data, start=0, end=None):
     return [offset + i for key, offset in first.items() for i in range(len(key))]
 
 
+def digit_offsets(data, start=0, end=None):
+    """Byte offsets of every ASCII digit in ``data[start:end]``."""
+    return [start + i for i, byte in enumerate(data[start:end]) if 48 <= byte <= 57]
+
+
 def newest_manifest(store):
     return sorted((store / "snapshots").glob("snap-*.json"))[-1].relative_to(store).as_posix()
 
@@ -481,26 +521,57 @@ class TestCorruptRecords:
                 # Nothing stands in for the damaged batch: the loss is real.
                 assert not report.bit_exact, offset
 
-    @pytest.mark.parametrize("target", ["record", "header", "manifest"])
+    @pytest.mark.parametrize(
+        "target, offsets_in",
+        [
+            ("record", key_name_offsets),
+            ("header", key_name_offsets),
+            ("manifest", key_name_offsets),
+            ("header", digit_offsets),
+            ("newest header", digit_offsets),
+            ("journal-only header", digit_offsets),
+            ("manifest", digit_offsets),
+        ],
+        ids=[
+            "record", "header", "manifest", "header-digits", "newest-header-digits",
+            "journal-only-header-digits", "manifest-digits",
+        ],
+    )
     def test_bit0_on_every_key_name(
-        self, target, torture_graph, torture_batches, clean_references, tmp_path
+        self, target, offsets_in, torture_graph, torture_batches, clean_references, tmp_path
     ):
+        # Every key name, or every digit: a value, a pinned parameter or
+        # the seal's own digest.  The newest header is that of a rotated
+        # journal whose older segments the census keeps.
         pristine = tmp_path / "pristine"
-        original = run_store_stream(pristine, torture_graph, torture_batches, segment_bytes=10**6)
-        victim = newest_manifest(pristine) if target == "manifest" else SEGMENT
+        original = run_store_stream(
+            pristine, torture_graph, torture_batches,
+            snapshot_every=None if target == "journal-only header" else SNAPSHOT_EVERY,
+            segment_bytes=SEGMENT_BYTES if target == "newest header" else 10**6,
+        )
+        newest_segment = max(pristine.glob("journal/segment-*.jsonl"))
+        victim = newest_manifest(pristine) if target == "manifest" else (
+            newest_segment.relative_to(pristine).as_posix()
+        )
         data = (pristine / victim).read_bytes()
         if target == "manifest":
-            offsets = key_name_offsets(data)
+            offsets = offsets_in(data)
         else:
             line = batch_line(data, 2) if target == "record" else 0
-            offsets = key_name_offsets(data, *line_span(data, line))
+            offsets = offsets_in(data, *line_span(data, line))
         assert offsets
         for offset in offsets:
+            if target == "journal-only header":
+                # The journal is all there is, and its parameters are gone.
+                with pytest.raises(CheckpointError, match="nothing to recover"):
+                    recover_flipped(pristine, tmp_path / "work", victim, offset, 0)
+                continue
             stream, report = recover_flipped(pristine, tmp_path / "work", victim, offset, 0)
             assert_exact_or_declared(stream, report, original, clean_references)
             # The previous snapshot's journal suffix is retained, so a bad
             # newest manifest costs nothing.
-            assert report.bit_exact or target != "manifest"
+            assert report.snapshots_quarantined == (target == "manifest"), offset
+            assert report.bit_exact or target != "manifest", offset
 
     @pytest.mark.parametrize("target", ["header", "manifest", "journal-only header"])
     def test_out_of_range_parameter_value(
@@ -517,7 +588,7 @@ class TestCorruptRecords:
         offset = data.index(field + b"0.25") + len(field)  # 0.25 -> 1.25
         if target == "journal-only header":
             # No snapshot and no usable parameters: nothing valid remains.
-            with pytest.raises(CheckpointError, match="unusable"):
+            with pytest.raises(CheckpointError, match="nothing to recover"):
                 recover_flipped(pristine, tmp_path / "work", victim, offset, 0)
             return
         stream, report = recover_flipped(pristine, tmp_path / "work", victim, offset, 0)
@@ -677,27 +748,6 @@ class KillBeforeCompactionRecord(DurableIO):
         super().append_line(path, text)
 
 
-# The torture stream's bundles absorb every working set (``outside`` is
-# 0 in each compaction), so its records hold all-ones bundle masks.  With
-# one spanner per bundle its compactions sample, and a wrongly applied
-# record would change the state.
-SAMPLING = dict(t=1)
-
-
-@pytest.fixture(scope="module")
-def sampling_references(torture_graph, torture_batches):
-    """Fingerprint of a clean ``SAMPLING`` run after each batch count."""
-    stream = StreamingSparsifier(
-        torture_graph.num_vertices, seed=SEED, compaction_interval=COMPACTION_INTERVAL, **SAMPLING
-    )
-    refs = {0: state_fingerprint(stream)}
-    for edges, weights in torture_batches:
-        stream.ingest(edges, weights)
-        refs[stream.batches_ingested] = state_fingerprint(stream)
-    assert sum(record.kept_edges for record in stream.records) > 0
-    return refs
-
-
 class TestCompactionRecords:
     @pytest.mark.parametrize(
         "overrides",
@@ -848,29 +898,176 @@ class TestCompactionRecords:
         assert_same_state(state_fingerprint(again), sampling_references[4])
 
     def test_version_2_segment_is_never_replayed(self, torture_graph, torture_batches, tmp_path):
+        pristine = tmp_path / "pristine"
+        run_store_stream(pristine, torture_graph, torture_batches[:5], segment_bytes=10**6)
+        params = StreamJournal.read_params(pristine / "journal")
+        # The same five batches under an unsealed version-2 header (JSON
+        # number lists, no compaction records) or version-3 header (the
+        # format before every record was sealed).
+        for version in (2, 3):
+            store = tmp_path / f"store-{version}"
+            shutil.copytree(pristine, store)
+            cadence = {"snapshot_every": SNAPSHOT_EVERY} if version == 3 else {}
+            lines = [json.dumps({
+                "kind": "header", "version": version, "segment": 0, "first_batch": 0,
+                **params, **cadence,
+            })]
+            for index, (edges, weights) in enumerate(torture_batches[:5]):
+                u, v = edges.min(axis=1), edges.max(axis=1)
+                lines.append(json.dumps({
+                    "kind": "batch", "index": index, "u": u.tolist(), "v": v.tolist(),
+                    "w": weights.tolist(),
+                    "digest": edge_array_digest(params["num_vertices"], u, v, weights),
+                }))
+            (store / SEGMENT).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            with pytest.raises(CheckpointError, match=f"version {version}, expected 4"):
+                list(StreamJournal.iter_batches(store / "journal"))
+            stream, report = StreamStateStore.recover(store)
+            # The newest snapshot (batch 4) restores; batch 4 itself lived only
+            # in the refused segment, so its loss is declared.
+            assert report.snapshot_used == 4
+            assert not report.bit_exact and report.batches_lost == 5
+            assert stream.batches_ingested == 4
+            assert list((store / "journal").glob("*.quarantined*"))
+
+
+# --------------------------------------------------------------------- #
+# Sealed records: every record verifies, and recovery reads the journal once
+# --------------------------------------------------------------------- #
+
+
+def assert_every_line_unseals(path):
+    lines = path.read_bytes().split(b"\n")
+    assert lines[-1] == b"", path
+    for number, line in enumerate(lines[:-1]):
+        assert unseal(line) is not None, (path, number)
+
+
+class TestSealedRecords:
+    def test_version_1_manifest_is_quarantined_and_named(
+        self, torture_graph, torture_batches, clean_references, tmp_path
+    ):
         store = tmp_path / "store"
-        run_store_stream(store, torture_graph, torture_batches[:5], segment_bytes=10**6)
-        params = StreamJournal.read_params(store / "journal")
-        # The same five batches as a version-2 segment: JSON number lists,
-        # no snapshot cadence, no compaction records.
-        lines = [json.dumps({"kind": "header", "version": 2, "segment": 0, "first_batch": 0, **params})]
-        for index, (edges, weights) in enumerate(torture_batches[:5]):
-            u, v = edges.min(axis=1), edges.max(axis=1)
-            lines.append(json.dumps({
-                "kind": "batch", "index": index, "u": u.tolist(), "v": v.tolist(),
-                "w": weights.tolist(),
-                "digest": edge_array_digest(params["num_vertices"], u, v, weights),
-            }))
-        (store / SEGMENT).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(CheckpointError, match="version 2, expected 3"):
-            list(StreamJournal.iter_batches(store / "journal"))
+        original = run_store_stream(store, torture_graph, torture_batches)
+        manifest = store / newest_manifest(store)
+        body = unseal(manifest.read_bytes())
+        manifest.write_text(json.dumps({**body, "version": 1}), encoding="utf-8")
         stream, report = StreamStateStore.recover(store)
-        # The newest snapshot (batch 4) restores; batch 4 itself lived only
-        # in the refused segment, so its loss is declared.
-        assert report.snapshot_used == 4
-        assert not report.bit_exact and report.batches_lost == 5
-        assert stream.batches_ingested == 4
-        assert list((store / "journal").glob("*.quarantined*"))
+        assert report.snapshots_quarantined == 1
+        assert any("version 1, expected 2" in note for note in report.notes)
+        assert report.snapshot_used < original.batches_ingested and report.bit_exact
+        assert_same_state(state_fingerprint(stream), clean_references[len(torture_batches)])
+
+    def test_every_record_is_sealed(self, torture_graph, torture_batches, tmp_path):
+        # Promotions, segment rotation and snapshots ...
+        leveled = tmp_path / "leveled"
+        run_store_stream(leveled, torture_graph, torture_batches, levels=3, level_capacity=30, **SAMPLING)
+        # ... and window, decay and a salvage rewrite of batches 0-3.
+        salvaged = tmp_path / "salvaged"
+        run_store_stream(
+            salvaged, torture_graph, torture_batches, window=3, decay=0.8,
+            snapshot_every=None, segment_bytes=10**6, **SAMPLING,
+        )
+        data = (salvaged / SEGMENT).read_bytes()
+        start, _ = line_span(data, batch_line(data, 4))
+        flip_bit(salvaged / SEGMENT, data.index(b'"w": "', start) + len(b'"w": "'))
+        stream, report = StreamStateStore.recover(salvaged)
+        assert not report.bit_exact and stream.batches_ingested == 4 and report.compactions_reused
+        assert list((salvaged / "journal").glob("*.quarantined*"))
+        for store in (leveled, salvaged):
+            for segment in (store / "journal").glob("segment-*.jsonl"):
+                assert_every_line_unseals(segment)
+            for manifest in (store / "snapshots").glob("snap-*.json"):
+                assert unseal(manifest.read_bytes()) is not None, manifest
+        assert len(list((leveled / "snapshots").glob("snap-*.json"))) == 2
+        graphs = [gen.erdos_renyi_graph(12, 0.4, seed=20 + i, ensure_connected=True) for i in range(3)]
+        journal = tmp_path / "batch.jsonl"
+        Engine(SparsifyRequest(method="koutis", epsilon=0.5, seed=7)).run_many(graphs, checkpoint=journal)
+        assert_every_line_unseals(journal)
+
+    @pytest.mark.parametrize("damage", ["malformed payload", "digest"])
+    def test_damaged_batch_is_refused_strictly_and_declared_lost(
+        self, damage, torture_graph, torture_batches, clean_references, tmp_path
+    ):
+        store = tmp_path / "store"
+        run_store_stream(
+            store, torture_graph, torture_batches[:4], snapshot_every=None, segment_bytes=10**6
+        )
+        lines = (store / SEGMENT).read_bytes().split(b"\n")
+        number = batch_line(b"\n".join(lines), 2)
+        if damage == "malformed payload":
+            record = unseal(lines[number])
+            record["u"] = record["u"][:-4]  # a valid seal over a payload that does not decode
+            lines[number] = seal(record).encode("ascii")
+        else:
+            lines[number] = lines[number].replace(b'"index": 2', b'"index": 3')
+        (store / SEGMENT).write_bytes(b"\n".join(lines))
+        # The strict reader yields nothing of the damaged segment, not
+        # even the intact batches 0 and 1 before the damage.
+        with pytest.raises(CheckpointError, match=damage):
+            next(StreamJournal.iter_batches(store / "journal"))
+        stream, report = StreamStateStore.recover(store)
+        assert not report.bit_exact and report.batches_lost == 2
+        assert_same_state(state_fingerprint(stream), clean_references[2])
+
+    def test_strict_reader_refuses_a_damaged_last_header(self, tmp_path):
+        store = tmp_path / "store"
+        stream = StreamingSparsifier(6, seed=0, store=store)
+        stream.ingest(np.array([[0, 1], [2, 3]]))
+        stream.ingest(np.array([[1, 2], [3, 4]]))
+        segment = store / SEGMENT
+        flip_bit(segment, 5, 7)  # inside the only segment's complete header line
+        for read in (StreamJournal.scan_segments, lambda path: list(StreamJournal.iter_batches(path))):
+            with pytest.raises(CheckpointError, match="header"):
+                read(store / "journal")
+
+
+class TestOnePassRecovery:
+    @pytest.mark.parametrize(
+        "batches, snapshot_every, segment_bytes",
+        [(5, SNAPSHOT_EVERY, SEGMENT_BYTES), (6, 4, 10**6)],
+        ids=["rotated", "one-segment"],
+    )
+    def test_recovery_reads_each_header_once_and_decodes_only_replayed_records(
+        self, batches, snapshot_every, segment_bytes, torture_graph, torture_batches, monkeypatch,
+        tmp_path,
+    ):
+        store = tmp_path / "store"
+        run_store_stream(
+            store, torture_graph, torture_batches[:batches], snapshot_every=snapshot_every,
+            segment_bytes=segment_bytes,
+        )
+        live = sorted((store / "journal").glob("segment-*.jsonl"))
+        parsed, decoded = Counter(), []
+        parse, unpack = journal_module._parse_segment, journal_module._unpack
+        monkeypatch.setattr(
+            journal_module, "_parse_segment",
+            lambda path, *args, **kwargs: parsed.update([path.name]) or parse(path, *args, **kwargs),
+        )
+        monkeypatch.setattr(
+            journal_module, "_unpack", lambda *args: decoded.append(args) or unpack(*args)
+        )
+        opened, open_file = Counter(), io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened[str(file)] += 1
+            return open_file(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)  # open(path)
+        monkeypatch.setattr(io, "open", counting_open)  # Path.read_bytes()
+        stream, report = StreamStateStore.recover(store)
+        monkeypatch.undo()
+        assert report.bit_exact and report.batches_replayed and report.batches_skipped
+        replayed = live[len(live) - report.segments_replayed :]
+        # One header read per live segment for the census, one parse per replayed one ...
+        assert {path.name: opened[str(path)] for path in live} == {
+            path.name: 1 + (path in replayed) for path in live
+        }
+        assert parsed == Counter(path.name for path in replayed)
+        # ... and payloads decoded for the replayed batches (u, v, w) and
+        # the compactions they triggered (bundle, kept) only.
+        assert len(decoded) == 3 * report.batches_replayed + 2 * report.compactions_reused
+        assert report.compactions_recomputed == 0 and report.compactions_reused
 
 
 # --------------------------------------------------------------------- #

@@ -261,13 +261,15 @@ class TestCheckpointJournal:
             assert self._edges(a) == self._edges(b) == self._edges(c)
 
     def test_version_one_journal_refused(self, graphs, tmp_path):
+        # Versions 1 and 2 wrote unsealed lines.
         journal = tmp_path / "batch.jsonl"
-        journal.write_text(
-            json.dumps({"kind": "header", "version": 1, "epsilon": 0.5, "rho": 4.0,
-                        "num_jobs": 3}) + "\n"
-        )
-        with pytest.raises(CheckpointError, match="version"):
-            checkpointed_batch(graphs, checkpoint=journal)
+        for version in (1, 2):
+            journal.write_text(
+                json.dumps({"kind": "header", "version": version, "epsilon": 0.5, "rho": 4.0,
+                            "num_jobs": 3}) + "\n"
+            )
+            with pytest.raises(CheckpointError, match="version"):
+                checkpointed_batch(graphs, checkpoint=journal)
 
     def test_edited_stored_weight_refused(self, graphs, tmp_path):
         journal = tmp_path / "batch.jsonl"
