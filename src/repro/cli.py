@@ -468,7 +468,13 @@ def _run_stream(args: argparse.Namespace) -> int:
     from repro.core.config import SparsifierConfig
     from repro.streaming import StreamingSparsifier
 
-    config = SparsifierConfig(solver=args.solver) if args.solver else None
+    settings = {
+        "epsilon": args.epsilon,
+        "bundle_t": args.bundle_t,
+        "spanner_k": args.k,
+        "solver": args.solver,
+    }
+    config = SparsifierConfig(**{name: value for name, value in settings.items() if value is not None})
     if args.snapshot_every is not None and not args.store:
         raise ReproError("--snapshot-every requires --store")
     if args.resume:
@@ -505,9 +511,6 @@ def _run_stream(args: argparse.Namespace) -> int:
             raise ReproError("stream needs --n (number of vertices) unless --resume")
         stream = StreamingSparsifier(
             args.n,
-            epsilon=args.epsilon,
-            t=args.bundle_t,
-            k=args.k,
             config=config,
             seed=args.seed,
             window=args.window,

@@ -31,7 +31,6 @@ from repro.linalg.cg import (
 from repro.linalg.pseudoinverse import laplacian_pseudoinverse, solve_via_pseudoinverse
 from repro.linalg.eigen import (
     extreme_generalized_eigenvalues,
-    relative_condition_number,
     smallest_nonzero_eigenvalue,
     largest_eigenvalue,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "laplacian_pseudoinverse",
     "solve_via_pseudoinverse",
     "extreme_generalized_eigenvalues",
-    "relative_condition_number",
     "smallest_nonzero_eigenvalue",
     "largest_eigenvalue",
 ]

@@ -26,7 +26,6 @@ import scipy.sparse.linalg as spla
 
 __all__ = [
     "extreme_generalized_eigenvalues",
-    "relative_condition_number",
     "smallest_nonzero_eigenvalue",
     "largest_eigenvalue",
 ]
@@ -57,13 +56,13 @@ def extreme_generalized_eigenvalues(
     For a sparsifier check, call with ``numerator = L_H`` and
     ``denominator = L_G``; then ``lambda_min * G ⪯ H ⪯ lambda_max * G``.
     """
+    shape, den_shape = np.shape(numerator), np.shape(denominator)
+    if shape != den_shape:
+        raise ValueError(f"matrix shapes differ: {shape} vs {den_shape}")
+    if shape[0] > _DENSE_LIMIT:
+        return _extreme_eigs_iterative(numerator, denominator, null_space_tol)
     num = _dense(numerator)
     den = _dense(denominator)
-    if num.shape != den.shape:
-        raise ValueError(f"matrix shapes differ: {num.shape} vs {den.shape}")
-    n = num.shape[0]
-    if n > _DENSE_LIMIT:
-        return _extreme_eigs_iterative(numerator, denominator, null_space_tol)
     num = 0.5 * (num + num.T)
     den = 0.5 * (den + den.T)
     # Orthonormal basis of range(den).
@@ -125,16 +124,6 @@ def _extreme_eigs_iterative(
         eigvals_only=True,
     )
     return float(gen_eigs[0]), float(gen_eigs[-1])
-
-
-def relative_condition_number(
-    numerator: MatrixLike, denominator: MatrixLike
-) -> float:
-    """Relative condition number ``kappa(H, G) = lambda_max / lambda_min`` of the pencil."""
-    lo, hi = extreme_generalized_eigenvalues(numerator, denominator)
-    if lo <= 0:
-        return float("inf")
-    return hi / lo
 
 
 def smallest_nonzero_eigenvalue(matrix: MatrixLike, null_space_tol: float = 1e-9) -> float:

@@ -36,22 +36,21 @@ codec and the JSON-lines reader with the batch checkpoint journal
   folding it into its state, so a crash at any point loses at most the
   batch whose append was itself torn; the torn trailing line is detected
   and dropped (and physically truncated on re-attach).
-* **One pass** — a census reads each segment's header once;
-  :meth:`iter_batches` then parses each replayed segment once, one
-  segment in memory at a time, skipping pre-snapshot segments by header,
-  and decodes payloads only for the batches it yields: records a
-  snapshot already covers are verified by their seal, never decoded.
-  After a snapshot, :meth:`truncate_before` deletes segments that are
-  wholly covered.
-* **Salvage, not all-or-nothing** — strict readers raise
-  :class:`~repro.exceptions.CheckpointError` at the first invalid record;
-  salvage readers (``salvage=True``) stop there instead, reporting what
-  was replayed, what was lost and where the corruption sits in a
-  :class:`JournalScanReport`, which is what the recovery ladder in
-  :mod:`repro.streaming.store` builds its
-  :class:`~repro.streaming.store.RecoveryReport` from.  A compaction
-  record is advisory: one that fails its seal is dropped, not treated
-  as corruption, because replay can recompute it.
+* **One reader, one pass** — the recovery ladder in
+  :mod:`repro.streaming.store` is the only reader.  Its census reads each
+  segment's header once; its replay then parses each replayed segment
+  once, one segment in memory at a time, skipping pre-snapshot segments
+  by header, and decodes payloads only for the batches it replays:
+  records a snapshot already covers are verified by their seal, never
+  decoded.  After a snapshot, :meth:`StreamJournal.truncate_before`
+  deletes segments that are wholly covered.
+* **Salvage, not all-or-nothing** — the reader stops at the first
+  invalid record, reporting what was replayed, what was lost and where
+  the corruption sits in a :class:`JournalScanReport`, which the ladder
+  builds its :class:`~repro.streaming.store.RecoveryReport` from and
+  uses to quarantine what it cannot replay.  A compaction record is
+  advisory: one that fails its seal is dropped, not treated as
+  corruption, because replay can recompute it.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ import base64
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -214,7 +212,7 @@ class SegmentInfo:
 
 @dataclass
 class JournalScanReport:
-    """Read accounting + salvage outcome of one journal iteration.
+    """Read accounting + salvage outcome of one recovery replay.
 
     ``segments_skipped`` / ``batches_skipped`` count data *not* read
     because a snapshot already covers it (the bounded-resume guarantee is
@@ -301,27 +299,22 @@ def _censused(line: bytes) -> None:
     """The header check of a replayed segment: the census already opened its header."""
 
 
-def _census(path: Path, salvage: bool = False) -> Tuple[List[SegmentInfo], List[Path]]:
-    """Read each live segment's header once: ``(readable segments, damaged rest)``.
+def _census(path: Path) -> Tuple[List[SegmentInfo], List[Path], Optional[str]]:
+    """Read each live segment's header once: ``(readable segments, damaged rest, reason)``.
 
-    A header that fails to open, or that starts before its predecessor,
-    is corruption: the strict census raises, the salvage census returns
-    that segment and every one after it for quarantine.  Only an
-    unterminated header line on the last segment is a torn rotation (the
-    tail segment never got a whole header); the strict census skips it
-    and :meth:`StreamJournal.attach` removes it, the salvage census
-    returns it for quarantine like any other damaged header.
+    A header that fails to open, that never got its newline (a torn
+    rotation), or that starts before its predecessor's is damage: that
+    segment and every one after it come back for quarantine, and
+    ``reason`` says why the first of them failed (``None`` when no header
+    is damaged).
     """
     files = _segment_files(path)
     infos: List[SegmentInfo] = []
     for position, entry in enumerate(files):
         with open(entry, "rb") as handle:
             line = handle.readline()
-        torn = not line.endswith(b"\n")
-        if torn and not salvage and position == len(files) - 1:
-            break
         try:
-            if torn:
+            if not line.endswith(b"\n"):
                 raise CheckpointError(f"stream journal segment {entry} has a torn header line")
             info = _segment_info(entry, line[:-1])
             if infos and info.first_batch < infos[-1].first_batch:
@@ -329,12 +322,10 @@ def _census(path: Path, salvage: bool = False) -> Tuple[List[SegmentInfo], List[
                     f"stream journal {path}: segment {entry.name} starts at batch "
                     f"{info.first_batch}, before its predecessor's {infos[-1].first_batch}"
                 )
-        except CheckpointError:
-            if not salvage:
-                raise
-            return infos, files[position:]
+        except CheckpointError as exc:
+            return infos, files[position:], str(exc)
         infos.append(info)
-    return infos, []
+    return infos, [], None
 
 
 def _decode_batch(record: Dict[str, Any], compactions: List[Dict[str, Any]]) -> Batch:
@@ -425,37 +416,6 @@ class StreamJournal:
         return any(entry.stat().st_size > 0 for entry in _segment_files(Path(path)))
 
     @classmethod
-    def attach(
-        cls,
-        path: Union[str, Path],
-        *,
-        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        io: Optional[DurableIO] = None,
-    ) -> "StreamJournal":
-        """Re-open an existing journal for appending.
-
-        Reads the header parameters, positions the append cursor after the
-        last valid batch, and physically truncates a torn trailing append
-        so future appends cannot merge into the torn fragment.  Raises
-        :class:`CheckpointError` on structural corruption (use the
-        recovery ladder in :mod:`repro.streaming.store` to salvage).
-        """
-        infos = cls.scan_segments(path)
-        if not infos:
-            raise CheckpointError(f"stream journal {path} is missing or empty")
-        last = infos[-1]
-        records, valid_end, status = _parse_segment(
-            last.path, partial(_segment_info, last.path), _COMPACTION_PREFIX
-        )
-        if status == "interior":
-            raise CheckpointError(
-                f"stream journal segment {last.path} is corrupt mid-journal; "
-                "use StreamingSparsifier.recover() to salvage the valid prefix"
-            )
-        batches = sum(1 for record in records if record.get("kind") == "batch")
-        return cls._reopen(infos, valid_end, last.first_batch + batches, segment_bytes, io)
-
-    @classmethod
     def _reopen(
         cls,
         infos: List[SegmentInfo],
@@ -468,7 +428,8 @@ class StreamJournal:
 
         Cuts the tail segment back to ``tail_bytes``, physically dropping a
         torn trailing append so future appends cannot merge into the
-        fragment and corrupt the journal mid-file.
+        fragment and corrupt the journal mid-file.  ``infos`` must be every
+        live segment: recovery quarantines the rest before re-attaching.
         """
         last = infos[-1]
         journal = cls.__new__(cls)
@@ -478,12 +439,6 @@ class StreamJournal:
         journal._io = io if io is not None else DEFAULT_IO
         journal._snapshot_every = last.snapshot_every
         journal._close_active = False
-        # A crash during rotation can leave a trailing segment file whose
-        # header never made it to disk; it holds no applied batches and
-        # would poison future scans once it is no longer the last file.
-        for stray in _segment_files(journal.path):
-            if stray.name > last.path.name:
-                journal._io.remove(stray)
         if last.path.stat().st_size > tail_bytes:
             journal._io.truncate(last.path, tail_bytes)
         journal._active = last.path
@@ -604,9 +559,13 @@ class StreamJournal:
         replay will never need those segments again.  A segment is deleted
         only when the *next* segment's header proves the whole range is
         covered, so the active segment (and any boundary segment) always
-        survives.  Returns the deleted segment names.
+        survives.  Returns the deleted segment names.  Raises
+        :class:`CheckpointError` when a live segment's header is damaged
+        (recovery quarantines such a segment).
         """
-        infos = self.scan_segments(self.path)
+        infos, damaged, reason = _census(self.path)
+        if damaged:
+            raise CheckpointError(f"cannot truncate stream journal {self.path}: {reason}")
         deleted: List[str] = []
         for info, successor in zip(infos[:-1], infos[1:]):
             if successor.first_batch <= batch_index:
@@ -616,69 +575,26 @@ class StreamJournal:
             self._io.fsync_dir(self.path)
         return deleted
 
-    # ------------------------------------------------------------------ #
-    # Reading
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def scan_segments(path: Union[str, Path]) -> List[SegmentInfo]:
-        """Read every segment's *header only*: the strict census.
-
-        Raises :class:`CheckpointError` at a damaged or out-of-order
-        header; skips a last segment whose header line never completed
-        (a torn rotation).
-        """
-        return _census(Path(path))[0]
-
-    @staticmethod
-    def read_params(path: Union[str, Path]) -> Dict[str, Any]:
-        """The pinned stream parameters from the first segment's header."""
-        infos = StreamJournal.scan_segments(path)
-        if not infos:
-            raise CheckpointError(f"stream journal {path} is missing or empty")
-        return infos[0].params
-
-    @staticmethod
-    def iter_batches(
-        path: Union[str, Path],
-        *,
-        start_batch: int = 0,
-        report: Optional[JournalScanReport] = None,
-        salvage: bool = False,
-    ) -> Iterator[Batch]:
-        """Stream journaled batches back, one segment in memory at a time.
-
-        Each batch comes as ``(index, u, v, w, compactions)``, where
-        ``compactions`` lists the decoded outcomes of the compaction
-        records that follow it (see :meth:`append_compaction`); a record
-        that fails its seal or does not decode is left out and counted in
-        ``report.compactions_dropped``.  ``start_batch`` skips batches a
-        snapshot already covers: segments that end before it are skipped
-        *by header* (their bodies are never read — the accounting in
-        ``report`` proves bounded resume), and covered records of the
-        segments that are read are verified by their seal but never
-        decoded.  In strict mode (default) any invalid record besides a
-        torn trailing append raises :class:`CheckpointError` before any
-        batch of its segment is yielded; with
-        ``salvage=True`` iteration stops at the corruption instead, and
-        ``report`` records the corrupt segment, the salvageable prefix of
-        its batches, and a best-effort count of batches lost behind the
-        damage.
-        """
-        report = report if report is not None else JournalScanReport()
-        yield from _replay_segments(
-            Path(path), StreamJournal.scan_segments(path), start_batch, report, salvage
-        )
-
 
 def _replay_segments(
-    path: Path,
     infos: List[SegmentInfo],
     start_batch: int,
     report: JournalScanReport,
-    salvage: bool,
 ) -> Iterator[Batch]:
-    """:meth:`StreamJournal.iter_batches` over the census ``infos`` of ``path``."""
+    """Replay the journaled batches from ``start_batch`` on, over the census ``infos``.
+
+    Each batch comes as ``(index, u, v, w, compactions)``, where
+    ``compactions`` lists the decoded outcomes of the compaction records
+    that follow it (see :meth:`StreamJournal.append_compaction`); a record
+    that fails its seal or does not decode is left out and counted in
+    ``report.compactions_dropped``.  Segments that end before
+    ``start_batch`` are skipped *by header* (their bodies are never read
+    — the accounting in ``report`` proves bounded resume), and covered
+    records of the segments that are read are verified by their seal but
+    never decoded.  Replay stops at the first damaged or missing batch:
+    ``report`` records the corrupt segment, the salvageable prefix of its
+    batches, and a best-effort count of batches lost behind the damage.
+    """
     report.segments_seen = len(infos)
     if not infos:
         return
@@ -695,17 +611,14 @@ def _replay_segments(
     if expected > start_batch:
         # The journal's retained range begins after the caller's state:
         # replaying it would skip batches and silently diverge.
-        message = (
+        report.corrupt_segment = infos[first_replayed].path.name
+        report.corrupt_batch = start_batch
+        report.corruption = (
             f"journal resumes at batch {expected} but replay was requested "
             f"from batch {start_batch} — the covering segments are gone"
         )
-        if salvage:
-            report.corrupt_segment = infos[first_replayed].path.name
-            report.corrupt_batch = start_batch
-            report.corruption = message
-            report.batches_lost += _count_remaining_batches(infos[first_replayed:])
-            return
-        raise CheckpointError(f"stream journal {path}: {message}")
+        report.batches_lost += _count_remaining_batches(infos[first_replayed:])
+        return
     for position in range(first_replayed, len(infos)):
         info = infos[position]
         failure: Optional[str] = None
@@ -762,9 +675,6 @@ def _replay_segments(
                 break
             report.compactions_dropped += len(compactions) - len(batches[-1][4])
         report.next_batch = expected
-        if failure is not None and not salvage:
-            # A strict reader yields nothing of a damaged segment.
-            raise CheckpointError(f"stream journal {path}: {failure}")
         report.batches_replayed += len(batches)
         yield from batches
         if failure is not None:

@@ -37,8 +37,6 @@ _KNOWN_OPTIONS = (
     "kout_presample",
     "levels",
     "level_capacity",
-    "t",
-    "k",
 )
 
 
@@ -72,16 +70,25 @@ def run_streaming(
 
     Options: ``num_batches`` (default 4), ``window``, ``decay``,
     ``compaction_interval`` (default ``ceil(m / num_batches)`` so every
-    batch triggers roughly one compaction), ``kout_presample``, and
-    explicit ``t`` / ``k`` bundle overrides.  ``rho`` has no streaming
-    analogue and is ignored.
+    batch triggers roughly one compaction), ``kout_presample``,
+    ``levels`` and ``level_capacity``.  The bundle size, spanner ``k`` and
+    sampling probability come from ``config``; a request ``epsilon``
+    replaces the config's.  ``rho`` has no streaming analogue and is
+    ignored.
     """
     unknown = sorted(set(options) - set(_KNOWN_OPTIONS))
     if unknown:
+        hint = (
+            "; set SparsifierConfig.bundle_t or spanner_k instead"
+            if {"t", "k"} & set(unknown)
+            else ""
+        )
         raise StreamingError(
             f"unknown streaming option(s): {', '.join(unknown)}; "
-            f"known: {', '.join(_KNOWN_OPTIONS)}"
+            f"known: {', '.join(_KNOWN_OPTIONS)}{hint}"
         )
+    if epsilon is not None:
+        config = config.with_overrides(epsilon=epsilon)
     num_batches = int(options.get("num_batches", 4))
     if num_batches < 1:
         raise StreamingError(f"num_batches must be >= 1, got {num_batches}")
@@ -91,9 +98,6 @@ def run_streaming(
         interval = max(1, -(-m // num_batches))  # ceil(m / num_batches)
     stream = StreamingSparsifier(
         graph.num_vertices,
-        epsilon=epsilon,
-        t=options.get("t"),
-        k=options.get("k"),
         config=config,
         seed=seed,
         window=options.get("window"),

@@ -67,7 +67,7 @@ from repro.core.certificates import ResistanceCertificate, certify_resistances
 from repro.core.checkpoint import DurableIO
 from repro.core.config import SparsifierConfig
 from repro.core.sample import sample_nonbundle_edges
-from repro.exceptions import CheckpointError, GraphError, StreamingError
+from repro.exceptions import CheckpointError, GraphError, SparsificationError, StreamingError
 from repro.graphs.graph import Graph
 from repro.graphs.kout import k_out_keep_probabilities, k_out_select
 from repro.parallel.failure import FailurePolicy
@@ -76,7 +76,7 @@ from repro.spanners.bundle import bundle_select
 from repro.streaming.journal import DEFAULT_SEGMENT_BYTES, StreamJournal, working_set_digest
 from repro.streaming.store import StreamStateStore, _check_store_options
 from repro.utils.rng import as_rng, fresh_entropy_seed
-from repro.utils.validation import check_count
+from repro.utils.validation import check_count, check_integer
 
 __all__ = [
     "CompactionRecord",
@@ -338,14 +338,14 @@ class StreamingSparsifier:
     ----------
     num_vertices:
         Vertex count of the streamed graph (fixed up front).
-    epsilon:
-        Target quality for sizing the bundle (default ``config.epsilon``).
-    t / k:
-        Bundle size and Baswana–Sen parameter; default to the config's
-        sizing (``config.bundle_size`` / ``config.spanner_k``).
     config:
-        :class:`~repro.core.config.SparsifierConfig` supplying the
-        sampling probability, execution backend and default solver.
+        :class:`~repro.core.config.SparsifierConfig`, the one home of the
+        stream's algorithm settings: bundle size ``t =
+        config.bundle_size(num_vertices)`` (``bundle_t``, or sized from
+        ``epsilon``), Baswana–Sen ``k = config.spanner_k`` and sampling
+        probability ``p = config.sampling_probability``, which a stream
+        needs strictly below 1.  It also supplies the execution backend
+        and the default solver.
     seed:
         Integer stream seed (a ``numpy`` Generator is accepted and
         collapsed to one draw; ``None`` draws fresh OS entropy).  The
@@ -390,9 +390,6 @@ class StreamingSparsifier:
         self,
         num_vertices: int,
         *,
-        epsilon: Optional[float] = None,
-        t: Optional[int] = None,
-        k: Optional[int] = None,
         config: Optional[SparsifierConfig] = None,
         seed: Any = 0,
         window: Optional[int] = None,
@@ -406,29 +403,17 @@ class StreamingSparsifier:
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         keep_snapshots: int = 2,
         failure_policy: Optional[FailurePolicy] = None,
-        sampling_probability: Optional[float] = None,
         io: Optional[DurableIO] = None,
     ) -> None:
-        if num_vertices < 0:
-            raise GraphError(f"num_vertices must be >= 0, got {num_vertices}")
-        self._n = int(num_vertices)
+        try:
+            self._n = check_integer(num_vertices, "num_vertices", minimum=0)
+        except (TypeError, ValueError) as exc:
+            raise GraphError(str(exc)) from None
         self._config = config if config is not None else SparsifierConfig()
         _check_execution(self._config, failure_policy)
-        eps = self._config.epsilon if epsilon is None else float(epsilon)
-        self._epsilon = eps
-        self._t = int(t) if t is not None else self._config.bundle_size(self._n, eps)
-        if self._t < 1:
-            raise GraphError(f"bundle size t must be >= 1, got {self._t}")
-        self._k = None if k is None and self._config.spanner_k is None else int(
-            k if k is not None else self._config.spanner_k
-        )
-        if self._k is not None and self._k < 1:
-            raise GraphError(f"spanner parameter k must be >= 1, got {self._k}")
-        self._p = float(
-            self._config.sampling_probability
-            if sampling_probability is None
-            else sampling_probability
-        )
+        self._t = int(self._config.bundle_size(self._n))
+        self._k = None if self._config.spanner_k is None else int(self._config.spanner_k)
+        self._p = float(self._config.sampling_probability)
         if not 0 < self._p < 1:
             raise StreamingError(
                 f"sampling probability must lie in (0, 1), got {self._p}"
@@ -560,18 +545,24 @@ class StreamingSparsifier:
     ) -> "StreamingSparsifier":
         """Build a fresh, unattached stream from pinned journal parameters.
 
-        The parameters come off disk, so missing or out-of-range values are
-        damage, raised as :class:`CheckpointError` for the recovery ladder;
-        a bad ``config`` / ``failure_policy`` is the caller's error and
-        stays a :class:`StreamingError`.
+        The pinned ``t``, ``k`` and ``sampling_probability`` replace the
+        ``bundle_t``, ``spanner_k`` and ``sampling_probability`` of
+        ``config`` (the default config when ``None``).  The parameters come
+        off disk, so missing or out-of-range values, including ones the
+        config refuses, are damage, raised as :class:`CheckpointError` for
+        the recovery ladder; a bad ``config`` / ``failure_policy`` is the
+        caller's error and stays a :class:`StreamingError`.
         """
         _check_execution(config, failure_policy)
         try:
+            pinned = (config if config is not None else SparsifierConfig()).with_overrides(
+                bundle_t=params["t"],
+                spanner_k=params["k"],
+                sampling_probability=params["sampling_probability"],
+            )
             stream = cls(
                 params["num_vertices"],
-                t=params["t"],
-                k=params["k"],
-                sampling_probability=params["sampling_probability"],
+                config=pinned,
                 seed=params["seed"],
                 window=params["window"],
                 decay=params["decay"],
@@ -579,10 +570,11 @@ class StreamingSparsifier:
                 kout_presample=params["kout_presample"],
                 levels=params.get("levels"),
                 level_capacity=params.get("level_capacity"),
-                config=config,
                 failure_policy=failure_policy,
             )
-        except (KeyError, TypeError, ValueError, GraphError, StreamingError) as exc:
+        except (
+            KeyError, TypeError, ValueError, GraphError, SparsificationError, StreamingError
+        ) as exc:
             raise CheckpointError(f"pinned stream parameters are unusable: {exc!r}") from exc
         # The header pins the *resolved* seed, so the rebuilt stream is
         # constructed from an explicit int; restore the provenance flag

@@ -15,23 +15,25 @@ full state and the store deletes journal segments wholly covered by the
 *oldest retained* snapshot — bounding resume replay to the recent suffix
 while keeping a fallback snapshot whose journal suffix is still intact.
 
-Recovery (:meth:`StreamStateStore.recover`) walks a ladder instead of an
-all-or-nothing load, reading the journal once:
+Recovery (:meth:`StreamStateStore.recover`) is the only reader of a
+journal.  It walks a ladder instead of an all-or-nothing load, reading
+the journal once:
 
 1. **Snapshot** — newest valid snapshot restores the sampler state;
    invalid ones (torn, bit-flipped, truncated, unsealed) are quarantined
    and the ladder falls back to older ones, then to an empty state.
 2. **Header census** — every segment header is read once; a damaged or
-   out-of-order header is quarantined with everything after it, and the
-   rest supply the pinned parameters and the snapshot cadence.
+   out-of-order header is quarantined with everything after it (the
+   report's note says why it failed, e.g. an older format's version),
+   and the rest supply the pinned parameters and the snapshot cadence.
 3. **Journal suffix** — batches journaled after the snapshot are
    replayed, each replayed segment parsed once; pre-snapshot segments are
    skipped *by header* (never read) and covered records are verified but
    never decoded.  The re-attached journal appends where replay stopped.
-4. **Prefix salvage** — a corrupt segment stops strict replay; the
-   ladder salvages its valid prefix, quarantines the damaged file (and
-   everything after it, which is no longer contiguous), and rewrites the
-   salvaged records into a fresh segment.
+4. **Prefix salvage** — replay stops at the first damaged record; the
+   ladder keeps that segment's valid prefix, quarantines the damaged file
+   (and everything after it, which is no longer contiguous), and
+   rewrites the salvaged records into a fresh segment.
 
 The outcome is a :class:`RecoveryReport`: either the restored state is
 **bit-exact** with respect to every batch whose journal append completed,
@@ -315,13 +317,15 @@ class StreamStateStore:
         # Rung 2: one census of the journal's headers.  The first segment
         # whose header does not open (or runs out of order) and every
         # segment after it are quarantined; the rest pin the parameters.
-        segments, damaged = _census(journal_dir, salvage=True)
+        segments, damaged, reason = _census(journal_dir)
         segments_quarantined = len(damaged)
         header_lost = 0
         for entry in damaged:
             header_lost += _record_lines(entry)
             _quarantine(io, entry)
-            notes.append(f"quarantined segment {entry.name}: unreadable or out-of-order header")
+        if damaged:
+            names = ", ".join(entry.name for entry in damaged)
+            notes.append(f"quarantined segment(s) {names}: {reason}")
         journal_params = segments[0].params if segments else None
         if stream is None:
             if journal_params is None:
@@ -358,9 +362,7 @@ class StreamStateStore:
         replay = _Replay()
         stream._replay = replay
         try:
-            for _index, u, v, w, compactions in _replay_segments(
-                journal_dir, segments, start_batch, scan, salvage=True
-            ):
+            for _index, u, v, w, compactions in _replay_segments(segments, start_batch, scan):
                 replay.offer(compactions)
                 stream.ingest(np.column_stack([u, v]), w)
             replay.settle()

@@ -1,11 +1,14 @@
 """Tests for repro.linalg.cg, pseudoinverse, and eigen."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import ConvergenceError
 from repro.graphs import generators as gen
+from repro.linalg import eigen as eigen_module
 from repro.linalg.cg import (
     conjugate_gradient,
     deflate_constant,
@@ -15,7 +18,6 @@ from repro.linalg.eigen import (
     condition_number,
     extreme_generalized_eigenvalues,
     largest_eigenvalue,
-    relative_condition_number,
     smallest_nonzero_eigenvalue,
 )
 from repro.linalg.pseudoinverse import laplacian_pseudoinverse, solve_via_pseudoinverse
@@ -181,9 +183,19 @@ class TestEigen:
         with pytest.raises(ValueError):
             extreme_generalized_eigenvalues(np.eye(3), np.zeros((3, 3)))
 
-    def test_relative_condition_number(self, small_er_graph):
-        lap = small_er_graph.laplacian()
-        assert relative_condition_number(lap, lap) == pytest.approx(1.0, abs=1e-6)
+    def test_iterative_path_allocates_no_dense_matrix(self):
+        # Above the dense limit neither Laplacian is densified: the call's
+        # peak stays below one n x n float64 matrix.
+        n = eigen_module._DENSE_LIMIT + 100
+        lap = gen.banded_graph(n, 4).laplacian()
+        tracemalloc.start()
+        try:
+            lo, hi = extreme_generalized_eigenvalues(2.0 * lap, lap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+        assert lo == pytest.approx(2.0) and hi == pytest.approx(2.0)
 
     def test_smallest_nonzero_eigenvalue_path(self):
         # Algebraic connectivity of P_3 is 1 (eigenvalues 0, 1, 3).

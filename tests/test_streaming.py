@@ -31,6 +31,7 @@ from repro.exceptions import (
     CheckpointError,
     FaultInjectionError,
     GraphError,
+    SparsificationError,
     StreamingError,
 )
 from repro.graphs import generators as gen
@@ -43,6 +44,10 @@ from repro.utils.rng import as_rng
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 RETRY = FailurePolicy(on_error="retry", max_attempts=3)
+
+# One spanner per bundle with k=2: small enough that the test graph is
+# genuinely sampled rather than absorbed by the bundle.
+SMALL_BUNDLE = SparsifierConfig(bundle_t=1, spanner_k=2)
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +123,7 @@ class TestIngestValidation:
         with pytest.raises(StreamingError, match="compaction_interval"):
             StreamingSparsifier(5, compaction_interval=0)
         with pytest.raises(StreamingError, match="sampling probability"):
-            StreamingSparsifier(5, sampling_probability=1.0)
+            StreamingSparsifier(5, config=SparsifierConfig(sampling_probability=1.0))
         with pytest.raises(StreamingError, match="cannot skip"):
             StreamingSparsifier(
                 5, failure_policy=FailurePolicy(on_error="collect", max_attempts=2)
@@ -128,8 +133,23 @@ class TestIngestValidation:
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_spanner_k_below_one_rejected(self, k):
-        with pytest.raises(GraphError, match="spanner parameter k must be >= 1"):
-            StreamingSparsifier(5, k=k)
+        # The stream's k is the config's spanner_k, and the config refuses it.
+        with pytest.raises(SparsificationError, match="spanner_k must be >= 1"):
+            StreamingSparsifier(5, config=SparsifierConfig(spanner_k=k))
+
+    @pytest.mark.parametrize(
+        "value", [2.5, True, np.float64(7.9)], ids=["float", "bool", "numpy-float"]
+    )
+    def test_non_integer_vertex_count_refused(self, value):
+        # Truncating would build a 2-, 1- or 7-vertex stream.
+        with pytest.raises(GraphError, match="num_vertices must be an integer"):
+            StreamingSparsifier(value)
+
+    def test_vertex_count_accepts_zero_and_numpy_integers(self):
+        assert StreamingSparsifier(0).num_vertices == 0
+        assert StreamingSparsifier(np.int64(7)).num_vertices == 7
+        with pytest.raises(GraphError, match="num_vertices must be >= 0"):
+            StreamingSparsifier(-1)
 
     @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
     @pytest.mark.parametrize("name", SIZE_ERRORS)
@@ -199,8 +219,7 @@ class TestBatchParity:
         for name, graph, seed, k, t in module.cases():
             stream = StreamingSparsifier(
                 graph.num_vertices,
-                t=t,
-                k=k,
+                config=SparsifierConfig(bundle_t=t, spanner_k=k),
                 seed=seed,
                 compaction_interval=graph.num_edges,
             )
@@ -250,7 +269,7 @@ class TestEndToEnd:
         """>= 3 batches, real sampling, and the snapshot passes the
         ApproximationReport quality gates against the exact live graph."""
         stream = run_stream(
-            stream_graph, batch_size=300, t=1, k=2, seed=11, compaction_interval=400
+            stream_graph, batch_size=300, config=SMALL_BUNDLE, seed=11, compaction_interval=400
         )
         assert stream.batches_ingested >= 3
         assert stream.compactions >= 3
@@ -358,15 +377,14 @@ class TestJournalResume:
         # A fresh stream must not silently append to an existing store.
         with pytest.raises(CheckpointError, match="recover"):
             StreamingSparsifier(stream_graph.num_vertices, store=store)
-        # Mid-segment corruption is not a torn append: the strict reader
-        # refuses it, and recovery declares the loss instead of replaying.
+        # Mid-segment corruption is not a torn append: recovery names it
+        # and declares the loss instead of replaying.
         active = sorted((store / "journal").glob("segment-*.jsonl"))[-1]
         lines = active.read_text(encoding="utf-8").splitlines()
         lines[1] = lines[1][:20]
         active.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(CheckpointError, match="corrupt"):
-            StreamJournal.attach(store / "journal")
         resumed, report = StreamingSparsifier.recover(store)
+        assert any("corrupt" in note for note in report.notes)
         # Every batch is lost (the compaction records between them are not batches).
         assert not report.bit_exact and report.batches_lost == original.batches_ingested
         assert resumed.batches_ingested == 0
@@ -382,28 +400,29 @@ class TestJournalResume:
         record["w"] = base64.b64encode(np.array([2.0, 2.0], dtype="<f8").tobytes()).decode()
         lines[1] = json.dumps(record)
         active.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(CheckpointError, match="digest"):
-            list(StreamJournal.iter_batches(store / "journal"))
         resumed, report = StreamingSparsifier.recover(store)
         assert not report.bit_exact and report.batches_lost == 1
         assert any("digest" in note for note in report.notes)
         assert resumed.batches_ingested == 0
 
     def test_out_of_range_pinned_k_is_damage(self, tmp_path):
-        # A header pinning k=0, written directly: recovery must refuse the
-        # parameters, not replay into a compaction that raises.
+        # A header pinning k=0, a fractional t or vertex count, or a bool k,
+        # written directly: recovery must refuse the parameters, not
+        # truncate them or replay into a compaction that raises.
         params = {
-            "num_vertices": 6, "t": 1, "k": 0, "sampling_probability": 0.5,
+            "num_vertices": 6, "t": 1, "k": 2, "sampling_probability": 0.5,
             "seed": 0, "auto_seeded": False, "window": None, "decay": None,
             "compaction_interval": 2, "kout_presample": None, "levels": 1,
             "level_capacity": 4,
         }
-        journal = StreamJournal(tmp_path / "store" / "journal", params)
-        journal.append_batch(
-            0, np.array([0, 2]), np.array([1, 3]), np.array([1.0, 1.0])
-        )
-        with pytest.raises(CheckpointError, match="pinned stream parameters"):
-            StreamingSparsifier.recover(tmp_path / "store")
+        for name, value in (("k", 0), ("t", 2.5), ("k", True), ("num_vertices", 6.5)):
+            store = tmp_path / f"store-{name}-{value}"
+            journal = StreamJournal(store / "journal", {**params, name: value})
+            journal.append_batch(
+                0, np.array([0, 2]), np.array([1, 3]), np.array([1.0, 1.0])
+            )
+            with pytest.raises(CheckpointError, match="pinned stream parameters"):
+                StreamingSparsifier.recover(store)
 
     def test_flush_is_refused_with_a_store(self, tmp_path):
         rng = as_rng(1)
@@ -472,10 +491,12 @@ class TestJournalResume:
         (journal / "segment-00000000.jsonl").write_text(
             '{"kind": "batch", "index": 0}\n', encoding="utf-8"
         )
-        with pytest.raises(CheckpointError, match="header"):
-            StreamJournal.read_params(journal)
         with pytest.raises(CheckpointError, match="nothing to recover"):
             StreamingSparsifier.recover(tmp_path / "bogus")
+        # The headerless segment was quarantined on the way, not deleted.
+        assert [path.name for path in journal.iterdir()] == [
+            "segment-00000000.jsonl.quarantined"
+        ]
 
 
 class TestWindowAndDecay:
@@ -575,13 +596,13 @@ class TestResilience:
             plan.wrap(sparsifier_module._compaction_worker),
         )
         return run_stream(
-            graph, batch_size=300, t=1, k=2, seed=5, compaction_interval=400,
+            graph, batch_size=300, config=SMALL_BUNDLE, seed=5, compaction_interval=400,
             failure_policy=policy,
         )
 
     def test_retry_is_output_neutral(self, stream_graph, monkeypatch):
         clean = run_stream(
-            stream_graph, batch_size=300, t=1, k=2, seed=5, compaction_interval=400
+            stream_graph, batch_size=300, config=SMALL_BUNDLE, seed=5, compaction_interval=400
         ).snapshot()
         faulted = self.run_fault_stream(
             stream_graph, monkeypatch, RETRY,
@@ -611,7 +632,7 @@ class TestRegistryMethod:
         assert "streaming" in repro.available_methods()
         result = repro.sparsify(
             stream_graph, method="streaming", seed=11, num_batches=3,
-            t=1, k=2, compaction_interval=400,
+            config=SMALL_BUNDLE, compaction_interval=400,
         )
         assert result.method == "streaming"
         assert 0 < result.output_edges < result.input_edges
@@ -631,6 +652,11 @@ class TestRegistryMethod:
     def test_unknown_option_rejected(self, stream_graph):
         with pytest.raises(StreamingError, match="unknown streaming option"):
             repro.sparsify(stream_graph, method="streaming", seed=1, bogus=3)
+
+    @pytest.mark.parametrize("option", ["t", "k"])
+    def test_bundle_options_point_at_the_config(self, stream_graph, option):
+        with pytest.raises(StreamingError, match="SparsifierConfig.bundle_t or spanner_k"):
+            repro.sparsify(stream_graph, method="streaming", seed=1, **{option: 2})
 
     def test_participates_in_compare(self, stream_graph):
         results = repro.compare_methods(
@@ -693,6 +719,26 @@ class TestStreamCLI:
         one_shot = (tmp_path / "one-shot.txt").read_bytes()
         assert (tmp_path / "continued.txt").read_bytes() == one_shot
         assert (tmp_path / "part.txt").read_bytes() != one_shot
+
+    def test_fresh_stream_flags_build_one_config(self, stream_graph, tmp_path):
+        from repro.cli import main
+        from repro.graphs.io import write_edge_list
+
+        batches = tmp_path / "batches.jsonl"
+        self.write_batches(stream_graph, batches, 400)
+        command = [
+            "stream", str(batches), str(tmp_path / "cli.txt"), "--n", str(stream_graph.num_vertices),
+            "--seed", "3", "--compaction-interval", "500",
+        ]
+        assert main([*command, "--epsilon", "0.25", "--bundle-t", "1", "--k", "2"]) == 0
+        config = SparsifierConfig(epsilon=0.25, bundle_t=1, spanner_k=2)
+        stream = run_stream(stream_graph, 400, config=config, seed=3, compaction_interval=500)
+        write_edge_list(stream.snapshot().graph, tmp_path / "library.txt")
+        written = (tmp_path / "cli.txt").read_bytes()
+        assert written == (tmp_path / "library.txt").read_bytes()
+        # The flags matter: the default settings keep another edge set.
+        assert main(command) == 0
+        assert (tmp_path / "cli.txt").read_bytes() != written
 
     def test_recover_subcommand_exit_codes(self, stream_graph, tmp_path, capsys):
         from repro.cli import main
