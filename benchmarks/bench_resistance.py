@@ -3,9 +3,14 @@
 PRs 2 and 4 made *producing* sparsifiers fast at n = 2048–4096; this
 benchmark measures whether *certifying* them keeps up.  Every resistance
 path used to issue one CG solve per pair / per edge / per JL direction in
-a Python loop; they now run through the blocked multi-RHS solver
-(:func:`repro.linalg.cg.laplacian_solve_many`) with deduplicated indicator
-right-hand sides.  Timed head-to-head here:
+a Python loop; they now run down the shipped solve ladder
+(:func:`repro.resistance.solver_select.solve_with_degradation`) with
+deduplicated indicator right-hand sides.  "Blocked" in every row below
+means that ladder with the default ``solver="cg"``: one sparse
+factorization when the factor gate admits the Laplacian (reverse
+Cuthill–McKee envelope <= nnz(L): the banded rows), else blocked
+multi-RHS CG (:func:`repro.linalg.cg.laplacian_solve_many`: the power-law
+and ER rows).  Timed head-to-head here:
 
 * **pairs** — probe-pair resistances (the `approximation_report` /
   `certify_resistances` workload): blocked solve vs. the preserved
@@ -20,16 +25,25 @@ right-hand sides.  Timed head-to-head here:
 * **ss-end-to-end** — `spielman_srivastava_sparsify` with exact blocked
   resistances at n = 4096 (was unusable past ``_PINV_LIMIT``).
 * **chain-pcg** — PR 6's closed loop: the same all-edges workload solved
-  with plain blocked CG vs. blocked CG preconditioned by a Peng–Spielman
-  chain that ``PARALLELSPARSIFY`` itself builds (``solver="chain"``).
-  The machine-independent acceptance quantity is the *total CG iteration
+  with plain blocked CG (``laplacian_solve_many`` called directly on the
+  vertex-indicator columns, since ``solver="cg"`` factors this graph)
+  vs. blocked CG preconditioned by a Peng–Spielman chain that
+  ``PARALLELSPARSIFY`` itself builds (``solver="chain"``).  The
+  machine-independent acceptance quantity is the *total CG iteration
   count*: at banded n >= 4096 the chain must cut it by >= 2x at identical
   tolerance (asserted unconditionally), with the two solution vectors
   agreeing to 1e-8.  ``--full`` adds the n = 8192 row.
+* **ladder** — 64 random probe pairs on e2ebench's two graph families
+  (banded with weights U(0.1, 10), m/(n log2 n) = 5.29; unit ER at 12.6)
+  and on e2ebench's banded-certify main graph: the gate's envelope ratio,
+  the rung the ladder took, and seconds for the ladder, plain blocked CG
+  and (n <= 2500) the dense pseudoinverse, with what ``method="auto"``
+  picks.
 
 Every section records total/mean CG iteration counts and estimated matvec
 work (via :class:`repro.resistance.ResistanceSolveStats`) alongside
-seconds, so solver comparisons survive the 1-CPU CI container.  Every
+seconds, so solver comparisons survive the 1-CPU CI container; a row the
+factor answered records 0 iterations and its factorizations.  Every
 blocked row is parity-checked against its looped counterpart within
 solver tolerance.  Wall-clock *assertions* (>= 5x on the banded n = 2048
 all-edges path) are gated on ``REPRO_BENCH_ASSERT_SPEEDUP=1`` — the CI
@@ -51,16 +65,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.analysis.reporting import ExperimentTable
 from repro.baselines.spielman_srivastava import spielman_srivastava_sparsify
 from repro.graphs import generators as gen
+from repro.graphs.graph import Graph
+from repro.linalg.cg import laplacian_solve_many
 from repro.resistance._reference import (
     looped_approximate_resistances,
     looped_resistances_of_pairs,
@@ -70,7 +88,11 @@ from repro.resistance.exact import (
     effective_resistances_all_edges,
     effective_resistances_of_pairs,
 )
-from repro.resistance.solver_select import ResistanceSolveStats
+from repro.resistance.solver_select import (
+    DENSE_FALLBACK_LIMIT,
+    FactorGate,
+    ResistanceSolveStats,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_resistance.json"
@@ -109,7 +131,40 @@ def _stats_fields(stats: ResistanceSolveStats, prefix: str = "blocked") -> dict:
         f"{prefix}_matvecs": stats.matvecs,
         f"{prefix}_precond_applications": stats.precond_applications,
         f"{prefix}_work": stats.work,
+        f"{prefix}_factorizations": stats.factorizations,
+        f"{prefix}_factor_fill": round(stats.factor_fill, 3),
     }
+
+
+def _plain_cg(graph: Graph, rhs: sp.spmatrix, tol: float, stats: ResistanceSolveStats) -> np.ndarray:
+    """Plain blocked CG on ``rhs``, whatever the factor gate would say.
+
+    ``solver="cg"`` may answer by factorization, so the CG baselines call
+    :func:`repro.linalg.cg.laplacian_solve_many` themselves.
+    """
+    solve = laplacian_solve_many(graph.laplacian(), rhs, tol=tol)
+    stats.record(solve)
+    return solve.x
+
+
+def plain_cg_all_edges(graph: Graph, tol: float, stats: ResistanceSolveStats) -> np.ndarray:
+    """Every edge's resistance from plain blocked CG on vertex-indicator columns."""
+    n = graph.num_vertices
+    x = _plain_cg(graph, sp.identity(n, format="csc"), tol, stats)
+    u, v = graph.edge_u, graph.edge_v
+    return x[u, u] + x[v, v] - x[u, v] - x[v, u]
+
+
+def plain_cg_pairs(graph: Graph, pairs: np.ndarray, tol: float, stats: ResistanceSolveStats) -> np.ndarray:
+    """Resistances of ``pairs`` from plain blocked CG on pair-indicator columns."""
+    k = pairs.shape[0]
+    columns = np.concatenate([np.arange(k), np.arange(k)])
+    rhs = sp.csc_matrix(
+        (np.concatenate([np.ones(k), -np.ones(k)]), (pairs.T.ravel(), columns)),
+        shape=(graph.num_vertices, k),
+    )
+    x = _plain_cg(graph, rhs, tol, stats)
+    return x[pairs[:, 0], np.arange(k)] - x[pairs[:, 1], np.arange(k)]
 
 
 def run_pairs_case(scenario: str, n: int, num_pairs: int, tol: float = 1e-10) -> dict:
@@ -288,10 +343,7 @@ def run_chain_case(
     graph = build_graph(scenario, n)
     m = graph.num_edges
     cg_stats = ResistanceSolveStats()
-    plain, cg_s = _timed(
-        effective_resistances_all_edges, graph, method="solve", tol=tol,
-        solver="cg", stats=cg_stats,
-    )
+    plain, cg_s = _timed(plain_cg_all_edges, graph, tol, cg_stats)
     chain_stats = ResistanceSolveStats()
     chained, chain_s = _timed(
         effective_resistances_all_edges, graph, method="solve", tol=tol,
@@ -327,6 +379,77 @@ def run_chain_case(
         **_stats_fields(cg_stats, prefix="cg"),
         **_stats_fields(chain_stats, prefix="chain"),
     }
+
+
+# e2ebench's two graph families at their regime ratios m / (n log2 n).
+BANDED_RATIO = 5.29
+ER_RATIO = 12.6
+# e2ebench's banded-certify main graph at seed 901, input set 0: the seed
+# its ``derive_seed(901, 0, "main_graph")`` draws.
+BANDED_CERTIFY_SEED = (901, 0, 1)
+
+
+def build_ladder_graph(family: str, n: int, seed) -> Graph:
+    """A graph of e2ebench's ``family`` ("banded" or "er") at its regime ratio."""
+    if family == "banded":
+        band = max(1, round(BANDED_RATIO * math.log2(n)))
+        return gen.banded_graph(n, band, weight_range=(0.1, 10.0), seed=seed)
+    p = 2.0 * ER_RATIO * math.log2(n) / (n - 1)
+    return gen.erdos_renyi_graph(n, min(p, 1.0), seed=seed, ensure_connected=True)
+
+
+def e2ebench_seed(parts) -> int:
+    state = np.random.SeedSequence(list(parts)).generate_state(2, dtype=np.uint32)
+    return int((int(state[0]) << 31) ^ int(state[1]))
+
+
+def run_ladder_case(
+    family: str, n: int, seed=SEED, label: str | None = None, num_pairs: int = 64,
+    tol: float = 1e-10,
+) -> dict:
+    """Probe pairs down the shipped ladder vs. plain blocked CG vs. pinv.
+
+    The ladder is ``effective_resistances_of_pairs(method="solve")``; the
+    gate's envelope ratio says which rung it took.  Pinv runs at
+    ``n <= DENSE_FALLBACK_LIMIT`` only.  ``auto_method`` is the path
+    ``method="auto"`` takes on this graph.
+    """
+    graph = build_ladder_graph(family, n, seed)
+    rng = np.random.default_rng(SEED + n)
+    pairs = rng.integers(0, n, size=(num_pairs, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    gate, gate_s = _timed(FactorGate, graph.laplacian())
+    stats = ResistanceSolveStats()
+    ladder, ladder_s = _timed(
+        effective_resistances_of_pairs, graph, pairs, method="solve", tol=tol, stats=stats
+    )
+    cg_stats = ResistanceSolveStats()
+    plain, cg_s = _timed(plain_cg_pairs, graph, pairs, tol, cg_stats)
+    err = _max_rel_err(ladder, plain)
+    row = {
+        "section": "ladder",
+        "scenario": label or f"{family} n={n}",
+        "n": n,
+        "m": graph.num_edges,
+        "columns": int(pairs.shape[0]),
+        "envelope_ratio": round(gate.envelope_ratio, 3),
+        "gate_seconds": round(gate_s, 4),
+        "rung": "factor" if stats.factorizations else "cg",
+        "auto_method": "solve" if gate.admits or n > DENSE_FALLBACK_LIMIT else "pinv",
+        "ladder_seconds": round(ladder_s, 4),
+        "cg_seconds": round(cg_s, 4),
+        "pinv_seconds": None,
+        "max_rel_err": err,
+        **_stats_fields(stats, prefix="ladder"),
+        **_stats_fields(cg_stats, prefix="cg"),
+    }
+    if n <= DENSE_FALLBACK_LIMIT:
+        by_pinv, pinv_s = _timed(effective_resistances_of_pairs, graph, pairs, method="pinv")
+        row["pinv_seconds"] = round(pinv_s, 4)
+        err = max(err, _max_rel_err(ladder, by_pinv), _max_rel_err(plain, by_pinv))
+        row["max_rel_err"] = err
+    assert err < 1e-8, f"ladder parity drifted on {row['scenario']}: {err:.2e}"
+    return row
 
 
 def check_determinism(scenario: str, n: int) -> bool:
@@ -369,6 +492,7 @@ def main() -> None:
         # Exercise the chain-PCG path end to end (parity + preconditioner
         # accounting); no iteration-ratio claim at toy sizes.
         rows.append(run_chain_case("er", 120))
+        rows.append(run_ladder_case("banded", 300, num_pairs=16))
         deterministic = check_determinism("er", 120)
     else:
         out_path = args.out or RESULT_PATH
@@ -384,6 +508,15 @@ def main() -> None:
         rows.append(run_chain_case("banded", 4096, assert_iteration_ratio=2.0))
         if args.full:
             rows.append(run_chain_case("banded", 8192, assert_iteration_ratio=2.0))
+        rows.append(run_ladder_case("banded", 2400))
+        rows.append(run_ladder_case("er", 2400))
+        rows.append(run_ladder_case("banded", 1200))
+        rows.append(
+            run_ladder_case(
+                "banded", 2600, seed=e2ebench_seed(BANDED_CERTIFY_SEED),
+                label="e2ebench banded-certify main (seed 901, set 0)",
+            )
+        )
         deterministic = check_determinism("banded", 2048)
 
     table = ExperimentTable(
@@ -394,9 +527,19 @@ def main() -> None:
             "blocked_iterations_total", "cg_iterations_total", "chain_iterations_total",
         ],
     )
+    ladder_table = ExperimentTable(
+        "resistance-solve-ladder",
+        [
+            "scenario", "n", "m", "envelope_ratio", "rung", "auto_method",
+            "ladder_seconds", "cg_seconds", "pinv_seconds", "max_rel_err",
+        ],
+    )
     for row in rows:
-        table.add_row(**{key: row.get(key, "") for key in table.columns})
+        target = ladder_table if row["section"] == "ladder" else table
+        target.add_row(**{key: row.get(key, "") for key in target.columns})
     print(table.render())
+    print()
+    print(ladder_table.render())
 
     assert deterministic, "blocked JL sketch is not deterministic for a fixed seed"
 

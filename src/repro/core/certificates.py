@@ -168,17 +168,22 @@ def certify_resistances(
     resistances are computed through the blocked solver paths, so the
     certificate is usable far past the dense-eigensolve limit.
 
-    ``solver`` selects the inner blocked solver (``"cg"`` or ``"chain"``
-    — see :mod:`repro.resistance.solver_select`); with the
-    chain-preconditioned choice the original's and the sparsifier's
-    chains are each built at most once per process thanks to the shared
-    chain cache, so repeated certification stays cheap.
+    ``solver`` selects the inner solver (``"cg"`` or ``"chain"`` — see
+    :mod:`repro.resistance.solver_select`).  With the default ``"cg"``,
+    each graph whose factor gate admits it (reverse Cuthill–McKee
+    envelope at most ``nnz(L)``: banded and path-like graphs) is factored
+    once and answered exactly, and the others run plain blocked CG; a
+    sparsifier can pass the gate where its original does not, or the
+    reverse.  With the chain-preconditioned choice the original's and the
+    sparsifier's chains are each built at most once per process thanks to
+    the shared chain cache, so repeated certification stays cheap.
 
     ``stats`` optionally accumulates the inner solves' iteration/work
-    counts *and* any :class:`~repro.resistance.solver_select.FallbackEvent`
-    taken on the graceful-degradation ladder (``chain → cg → pinv``) —
-    inspect ``stats.fallbacks`` to know whether the certificate's solves
-    ran degraded.
+    counts, the factorizations, *and* any
+    :class:`~repro.resistance.solver_select.FallbackEvent` taken on the
+    graceful-degradation ladder (``factor → cg → pinv`` or
+    ``chain → cg → pinv``) — inspect ``stats.fallbacks`` to know whether
+    the certificate's solves ran degraded.
     """
     if original.num_vertices != sparsifier.num_vertices:
         raise ValueError(

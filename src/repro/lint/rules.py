@@ -385,10 +385,14 @@ def check_broad_except(ctx: FileContext) -> Iterator[Finding]:
 # modules keep their loops on purpose — they are the ground truth the
 # vectorised kernels are pinned against — and are simply not listed.
 HOT_PATH_MODULES = (
+    "repro.core.certificates",
     "repro.core.sample",
     "repro.core.sparsify",
     "repro.graphs.kout",
     "repro.parallel.congest",
+    "repro.resistance.approx",
+    "repro.resistance.exact",
+    "repro.resistance.solver_select",
     "repro.spanners.baswana_sen",
     "repro.spanners.bundle",
     "repro.spanners.congest_spanner",

@@ -5,8 +5,9 @@ Lemma 1 certifies upper bounds on ``w_e * R_e[G]`` (the *leverage score*
 of edge e) from a t-bundle spanner, and those bounds justify uniform
 sampling.  This subpackage provides
 
-* exact effective resistances (dense pseudoinverse or one blocked
-  multi-RHS CG pass over deduplicated indicator columns),
+* exact effective resistances (dense pseudoinverse, or deduplicated
+  indicator columns solved by one sparse factorization on low-fill
+  graphs and one blocked multi-RHS CG pass otherwise),
 * Johnson–Lindenstrauss-sketched approximate resistances in the style of
   Spielman–Srivastava (used by the baseline sparsifier), batched through
   the same blocked solver,
@@ -22,7 +23,9 @@ from repro.resistance.exact import (
 )
 from repro.resistance.solver_select import (
     DENSE_FALLBACK_LIMIT,
+    FACTOR_ENVELOPE_LIMIT,
     SOLVER_CHOICES,
+    FactorGate,
     FallbackEvent,
     ResistanceSolveStats,
     chain_preconditioner_for,
@@ -51,6 +54,8 @@ __all__ = [
     "leverage_scores",
     "SOLVER_CHOICES",
     "DENSE_FALLBACK_LIMIT",
+    "FACTOR_ENVELOPE_LIMIT",
+    "FactorGate",
     "FallbackEvent",
     "ResistanceSolveStats",
     "chain_preconditioner_for",

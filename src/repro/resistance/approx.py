@@ -4,8 +4,10 @@ This is the Spielman–Srivastava construction: effective resistances are
 pairwise squared distances between the columns of ``W^{1/2} B L^+``, so
 projecting onto ``O(log n / delta^2)`` random directions preserves them to
 a ``(1 ± delta)`` factor.  Each random direction costs one Laplacian solve;
-the solves for all directions are batched through the blocked multi-RHS
-solver (:func:`repro.linalg.cg.laplacian_solve_many`): each direction's
+the solves for all directions are batched down the solve ladder of
+:func:`repro.resistance.solver_select.solve_with_degradation` (one sparse
+factorization, built once per call, on low-fill graphs; the blocked
+multi-RHS CG solver otherwise): each direction's
 sign vector comes from its own generator spawned once from the seed (so a
 fixed seed gives the same sketch for *any* ``block_size``), a block of
 sign vectors is scattered into ``(n, block)`` right-hand sides with one
@@ -30,6 +32,7 @@ import numpy as np
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
 from repro.resistance.solver_select import (
+    FactorGate,
     FallbackEvent,
     ResistanceSolveStats,
     resolve_solver,
@@ -149,9 +152,10 @@ def approximate_effective_resistances_detailed(
         Directions solved simultaneously per chunk (bounds peak memory at
         ``O((n + m) * block_size)``).
     solver:
-        Inner blocked-solver choice — ``"cg"`` (plain, the default) or
-        ``"chain"`` (chain-preconditioned, chain cached per graph); see
-        :mod:`repro.resistance.solver_select`.
+        Inner solver choice — ``"cg"`` (the default: one factorization,
+        shared by every chunk, when the factor gate admits the Laplacian,
+        else plain blocked CG) or ``"chain"`` (chain-preconditioned, chain
+        cached per graph); see :mod:`repro.resistance.solver_select`.
     stats:
         Optional :class:`~repro.resistance.solver_select.ResistanceSolveStats`
         accumulating iteration/matvec/work counts of the inner solves.
@@ -204,6 +208,8 @@ def approximate_effective_resistances_detailed(
     direction_rngs = split_rng(rng, num_directions)
 
     resolved = resolve_solver(solver)
+    # One gate decision and at most one factorization for every chunk.
+    gate = FactorGate(lap) if resolved == "cg" else None
     # The degradation ladder reports its rungs on a stats accumulator; run
     # one locally when the caller passed none so fallbacks still reach the
     # result's ``fallbacks`` field.
@@ -235,6 +241,7 @@ def approximate_effective_resistances_detailed(
             block_size=block_size,
             solver=resolved,
             stats=ladder_stats,
+            gate=gate,
         )
         diff = solve.x[u, :] - solve.x[v, :]
         resistance_estimate += np.einsum("ij,ij->i", diff, diff)

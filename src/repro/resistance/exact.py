@@ -7,17 +7,26 @@ is a resistor of resistance ``1 / w_e``.
 
 Two exact paths are provided:
 
-* **Pseudoinverse path** (default for small graphs): one dense ``L^+``,
-  then all resistances are read off with vectorised quadratic forms.
-* **Blocked solver path** (default past ``_PINV_LIMIT``): the requested
-  pairs are deduplicated into indicator right-hand-side columns and solved
-  in one blocked multi-RHS CG pass
-  (:func:`repro.linalg.cg.laplacian_solve_many`), chunked to bound memory.
-  When the pairs reference fewer distinct *vertices* than distinct pairs
-  (the all-edges / leverage-score case: ``n`` vertices vs ``m`` edges),
-  the solver switches to vertex-indicator columns — effectively computing
-  the needed columns of ``L^+`` once and reading every resistance off the
-  same solution block.
+* **Pseudoinverse path** (``method="pinv"``, the explicit oracle): one
+  dense ``L^+``, then all resistances are read off with vectorised
+  quadratic forms.
+* **Blocked solver path** (``method="solve"``): the requested pairs are
+  deduplicated into indicator right-hand-side columns and solved down the
+  ladder of :func:`repro.resistance.solver_select.solve_with_degradation`
+  — with the default ``solver="cg"``, one sparse factorization when the
+  factor gate admits the Laplacian, else one blocked multi-RHS CG pass
+  (:func:`repro.linalg.cg.laplacian_solve_many`), chunked to bound
+  memory.  Every chunk of one call shares one gate decision and one
+  factorization.  When the pairs reference fewer distinct *vertices* than
+  distinct pairs (the all-edges / leverage-score case: ``n`` vertices vs
+  ``m`` edges), the solver switches to vertex-indicator columns —
+  effectively computing the needed columns of ``L^+`` once and reading
+  every resistance off the same solution block.
+
+``method="auto"`` (the default) takes the blocked path whenever the factor
+gate admits the Laplacian or ``n > _PINV_LIMIT``, and the pseudoinverse
+otherwise: on small dense graphs the gate rejects, one dense
+eigendecomposition still beats CG.
 
 The pre-blocking one-solve-per-pair loop is preserved in
 :mod:`repro.resistance._reference` for parity tests and benchmarks.
@@ -37,6 +46,8 @@ from repro.graphs.graph import Graph
 from repro.graphs.operations import induced_subgraph
 from repro.linalg.pseudoinverse import laplacian_pseudoinverse
 from repro.resistance.solver_select import (
+    DENSE_FALLBACK_LIMIT,
+    FactorGate,
     ResistanceSolveStats,
     resolve_solver,
     solve_with_degradation,
@@ -49,7 +60,9 @@ __all__ = [
     "leverage_scores",
 ]
 
-_PINV_LIMIT = 2500
+# Largest n at which ``method="auto"`` takes the dense pseudoinverse (when
+# the factor gate rejects the graph): the ladder's own pinv limit.
+_PINV_LIMIT = DENSE_FALLBACK_LIMIT
 
 # Memory cap for the (n, num_vertex_columns) dense solution block of the
 # vertex-indicator path (which must be held whole: every pair reads two of
@@ -95,15 +108,18 @@ def _blocked_pair_resistances(
     labels: np.ndarray,
     solver: str = "cg",
     stats: Optional[ResistanceSolveStats] = None,
+    gate: Optional[FactorGate] = None,
 ) -> np.ndarray:
-    """Resistances for deduplicated pairs ``(lo[j], hi[j])`` via blocked (P)CG.
+    """Resistances for deduplicated pairs ``(lo[j], hi[j])`` down the solve ladder.
 
-    ``solver`` selects plain blocked CG (``"cg"``) or chain-preconditioned
-    blocked CG (``"chain"`` — the preconditioner chain comes from the
-    process-wide cache and is built at most once per graph); see
-    :mod:`repro.resistance.solver_select`.  ``stats`` optionally
-    accumulates per-column iteration/matvec/work counts across every
-    inner solve.
+    ``solver`` selects the factor-gated ladder (``"cg"``) or
+    chain-preconditioned blocked CG (``"chain"`` — the preconditioner
+    chain comes from the process-wide cache and is built at most once per
+    graph); see :mod:`repro.resistance.solver_select`.  ``gate`` is the
+    caller's factor gate for ``graph`` (``"cg"`` only; built here when
+    ``None``), shared by every chunk so the graph is factored at most
+    once.  ``stats`` optionally accumulates per-column
+    iteration/matvec/work counts across every inner solve.
 
     Chooses between two right-hand-side layouts:
 
@@ -148,12 +164,14 @@ def _blocked_pair_resistances(
             )
         return results
     lap = graph.laplacian().tocsr()
+    resolved = resolve_solver(solver)
+    if gate is None and resolved == "cg":
+        gate = FactorGate(lap)
     use_vertex_columns = (
         connected
         and vertex_path_pays
         and n * vertices.size * 8 <= _VERTEX_BLOCK_BUDGET
     )
-    resolved = resolve_solver(solver)
     if stats is not None:
         stats.solver = resolved
     if use_vertex_columns:
@@ -171,6 +189,7 @@ def _blocked_pair_resistances(
             block_size=block_size,
             solver=resolved,
             stats=stats,
+            gate=gate,
         )
         _warn_if_unconverged(solve, tol, "vertex-indicator columns")
         # Columns of the solve block are L^+ e_v; R_uv reads off four entries.
@@ -199,6 +218,7 @@ def _blocked_pair_resistances(
             block_size=block_size,
             solver=resolved,
             stats=stats,
+            gate=gate,
         )
         _warn_if_unconverged(solve, tol, f"pair-indicator columns {start}:{stop}")
         results[start:stop] = solve.x[chunk_lo, arange] - solve.x[chunk_hi, arange]
@@ -226,17 +246,21 @@ def effective_resistances_of_pairs(
     pairs:
         Sequence of ``(u, v)`` vertex pairs (or an ``(k, 2)`` array).
     method:
-        ``"pinv"``, ``"solve"``, or ``"auto"`` (pinv for small graphs,
-        blocked CG otherwise).
+        ``"pinv"``, ``"solve"``, or ``"auto"`` (the blocked solve when the
+        factor gate admits the Laplacian or ``n > _PINV_LIMIT``, pinv
+        otherwise; with ``solver="chain"``, which never factors, pinv for
+        every ``n <= _PINV_LIMIT``).
     tol:
-        Solver tolerance for the CG path.
+        Relative residual tolerance of every solved column (factor and CG
+        rungs alike).
     block_size:
         Columns per chunk of the blocked solve (bounds peak memory).
     solver:
-        ``"cg"`` (plain blocked CG — the default, identical to prior
-        behavior) or ``"chain"`` (chain-preconditioned blocked CG with a
-        cached Peng–Spielman chain; see
-        :mod:`repro.resistance.solver_select`).  Ignored on the pinv path.
+        ``"cg"`` (the default: one sparse factorization when the factor
+        gate admits the Laplacian, else plain blocked CG) or ``"chain"``
+        (chain-preconditioned blocked CG with a cached Peng–Spielman
+        chain); see :mod:`repro.resistance.solver_select`.  Ignored on the
+        pinv path.
     stats:
         Optional :class:`~repro.resistance.solver_select.ResistanceSolveStats`
         accumulating iteration/matvec/work counts of the inner solves.
@@ -252,28 +276,35 @@ def effective_resistances_of_pairs(
     if np.any(pair_arr[:, 0] == pair_arr[:, 1]):
         raise GraphError("effective resistance of a vertex with itself is zero/undefined; remove such pairs")
     labels = _check_same_component(graph, pair_arr[:, 0], pair_arr[:, 1])
+    if method not in ("auto", "pinv", "solve"):
+        raise ValueError(f"unknown method {method!r}; expected 'pinv', 'solve', or 'auto'")
 
+    # One gate decision per call: it picks auto's path and, on the blocked
+    # path, is shared by every chunk.
+    gate = None
+    if method != "pinv" and resolve_solver(solver) == "cg":
+        gate = FactorGate(graph.laplacian())
     if method == "auto":
-        method = "pinv" if n <= _PINV_LIMIT else "solve"
+        admitted = gate is not None and gate.admits
+        method = "solve" if admitted or n > _PINV_LIMIT else "pinv"
     if method == "pinv":
         pinv = laplacian_pseudoinverse(graph.laplacian())
         uu = pair_arr[:, 0]
         vv = pair_arr[:, 1]
         return pinv[uu, uu] + pinv[vv, vv] - 2.0 * pinv[uu, vv]
-    if method == "solve":
-        # Normalise orientation (resistance is symmetric) and deduplicate:
-        # every distinct pair costs exactly one RHS column.
-        lo = np.minimum(pair_arr[:, 0], pair_arr[:, 1])
-        hi = np.maximum(pair_arr[:, 0], pair_arr[:, 1])
-        keys = lo * np.int64(n) + hi
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-        unique_lo = unique_keys // n
-        unique_hi = unique_keys % n
-        unique_res = _blocked_pair_resistances(
-            graph, unique_lo, unique_hi, tol, block_size, labels, solver=solver, stats=stats
-        )
-        return unique_res[inverse]
-    raise ValueError(f"unknown method {method!r}; expected 'pinv', 'solve', or 'auto'")
+    # Normalise orientation (resistance is symmetric) and deduplicate:
+    # every distinct pair costs exactly one RHS column.
+    lo = np.minimum(pair_arr[:, 0], pair_arr[:, 1])
+    hi = np.maximum(pair_arr[:, 0], pair_arr[:, 1])
+    keys = lo * np.int64(n) + hi
+    unique_keys, inverse = np.unique(keys, return_inverse=True)
+    unique_lo = unique_keys // n
+    unique_hi = unique_keys % n
+    unique_res = _blocked_pair_resistances(
+        graph, unique_lo, unique_hi, tol, block_size, labels,
+        solver=solver, stats=stats, gate=gate,
+    )
+    return unique_res[inverse]
 
 
 def effective_resistance(
@@ -298,24 +329,17 @@ def effective_resistances_all_edges(
 ) -> np.ndarray:
     """Effective resistance ``R_e[G]`` of every edge of the graph.
 
-    Returns an array aligned with the graph's edge arrays.  Past
-    ``_PINV_LIMIT`` vertices the ``"solve"`` path runs as one blocked
-    multi-RHS CG pass over deduplicated indicator columns (vertex columns
-    on connected graphs — ``n`` solves instead of ``m``), so leverage
-    scores stay affordable at the scales the spanner and CONGEST
-    benchmarks reach.  ``solver``/``stats`` select and instrument the
-    blocked solver exactly as in :func:`effective_resistances_of_pairs`.
+    Returns an array aligned with the graph's edge arrays.  The
+    ``"solve"`` path runs over deduplicated indicator columns (vertex
+    columns on connected graphs — ``n`` solves instead of ``m``) down the
+    solve ladder: one factorization on low-fill graphs, blocked CG
+    otherwise, so leverage scores stay affordable at the scales the
+    spanner and CONGEST benchmarks reach.  ``method``, ``solver`` and
+    ``stats`` choose and instrument the path exactly as in
+    :func:`effective_resistances_of_pairs`.
     """
     if graph.num_edges == 0:
         return np.zeros(0)
-    n = graph.num_vertices
-    if method == "auto":
-        method = "pinv" if n <= _PINV_LIMIT else "solve"
-    if method == "pinv":
-        pinv = laplacian_pseudoinverse(graph.laplacian())
-        uu = graph.edge_u
-        vv = graph.edge_v
-        return pinv[uu, uu] + pinv[vv, vv] - 2.0 * pinv[uu, vv]
     pairs = np.stack([graph.edge_u, graph.edge_v], axis=1)
     return effective_resistances_of_pairs(
         graph, pairs, method=method, tol=tol, block_size=block_size,

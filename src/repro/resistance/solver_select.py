@@ -1,14 +1,28 @@
 """Solver selection for the resistance / certification layer.
 
-PR 5 made every resistance route go through the blocked multi-RHS CG
-solver; this module decides *which* blocked solver each call uses:
+Every resistance route solves its Laplacian systems through
+:func:`solve_with_degradation`; this module decides *which* solver each
+call uses:
 
-* ``"cg"`` — plain blocked CG, exactly the PR 5 behavior (the default).
+* ``"cg"`` (the default) — one exact sparse factorization when the
+  Laplacian's fill is low, else plain blocked CG.  :class:`FactorGate`
+  orders the vertices by reverse Cuthill–McKee (RCM) and admits the
+  Laplacian when the envelope of that ordering is at most ``nnz(L)``
+  (:data:`FACTOR_ENVELOPE_LIMIT`).  The factorization runs in the same
+  ordering without pivoting, so its fill stays inside the envelope.
+  Banded and path-like graphs, where CG needs hundreds of iterations per
+  column, factor at about the size of the matrix; dense ER graphs do not,
+  and stay on CG.
 * ``"chain"`` — blocked CG preconditioned with a Peng–Spielman
   approximate inverse chain built by ``PARALLELSPARSIFY`` itself
   (:func:`repro.solvers.chain.build_preconditioner_chain`).  This closes
   the paper's loop: the sparsification machinery accelerates the very
   solves that certify sparsifiers.
+
+The ladders are ``factor → cg → pinv`` and ``chain → cg → pinv``: columns
+a rung cannot answer to ``tol`` drop to the next one as a recorded
+:class:`FallbackEvent`.  A gate that rejects the factorization is a
+choice, not a fallback, and records nothing.
 
 The chain is an explicit opt-in.  On one CPU a chain application costs
 ~25 graph-matvecs of arithmetic, so plain CG still wins wall-clock where
@@ -18,7 +32,9 @@ records both sides.
 Chains are reused through the process-wide
 :func:`repro.solvers.chain.default_chain_cache`, keyed by
 ``(batch_graph_digest(graph), rho, seed)`` — a certification run touching the
-same graph repeatedly builds its chain exactly once.
+same graph repeatedly builds its chain exactly once.  A factorization is
+reused within one call only: the caller builds one :class:`FactorGate`
+per graph and passes it to every chunk's solve.
 
 :class:`ResistanceSolveStats` is the optional accumulator the benchmark
 layer threads through these routes to report iteration counts and matvec
@@ -33,9 +49,16 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from repro.graphs.graph import Graph
-from repro.linalg.cg import BatchSolveResult, SolveStatus, laplacian_solve_many
+from repro.linalg.cg import (
+    BatchSolveResult,
+    SolveStatus,
+    _densify_block,
+    laplacian_solve_many,
+)
 
 # repro.solvers is imported lazily inside the functions below: the solvers
 # package depends on repro.core (chain construction runs PARALLELSPARSIFY),
@@ -45,6 +68,8 @@ from repro.linalg.cg import BatchSolveResult, SolveStatus, laplacian_solve_many
 __all__ = [
     "SOLVER_CHOICES",
     "DENSE_FALLBACK_LIMIT",
+    "FACTOR_ENVELOPE_LIMIT",
+    "FactorGate",
     "FallbackEvent",
     "ResistanceSolveStats",
     "resolve_solver",
@@ -54,11 +79,17 @@ __all__ = [
 
 SOLVER_CHOICES = ("cg", "chain")
 
-# Largest graph for which the last rung of the degradation ladder (dense
-# pseudoinverse) is allowed to fire — an O(n^3) factorization past this is
-# worse than admitting approximate values.  Matches the exact layer's
-# pinv-vs-solve crossover.
+# Largest graph for which a dense pseudoinverse runs: the last rung of the
+# degradation ladder here, and ``method="auto"``'s choice in the exact layer
+# when the factor gate rejects the graph (``repro.resistance.exact`` binds
+# it as ``_PINV_LIMIT``).  An O(n^3) factorization past this is worse than
+# admitting approximate values.
 DENSE_FALLBACK_LIMIT = 2500
+
+# The factor rung runs when the envelope of the Laplacian's RCM ordering is
+# at most this multiple of nnz(L).  Fill without pivoting stays inside the
+# envelope, so the factor is then no larger than about the matrix itself.
+FACTOR_ENVELOPE_LIMIT = 1.0
 
 @dataclass(frozen=True)
 class FallbackEvent:
@@ -66,10 +97,12 @@ class FallbackEvent:
 
     Recorded whenever a resistance solve silently *would have* returned
     inexact values and instead dropped to a cheaper-but-sturdier solver:
-    ``chain → cg`` (preconditioner broke down or failed to build) and
-    ``cg → pinv`` (plain CG still failed and the graph is small enough for
-    a dense pseudoinverse).  Certificates built on a degraded solve carry
-    these events in their stats, so the degradation is auditable.
+    ``factor → cg`` (the factorization failed to build, or a column's
+    residual missed ``tol``), ``chain → cg`` (preconditioner broke down or
+    failed to build) and ``cg → pinv`` (plain CG still failed and the
+    graph is small enough for a dense pseudoinverse).  Certificates built
+    on a degraded solve carry these events in their stats, so the
+    degradation is auditable.
     """
 
     from_solver: str
@@ -99,7 +132,10 @@ class ResistanceSolveStats:
     All counts are *column* quantities (a blocked pass over ``c`` active
     columns counts ``c``), matching :class:`repro.linalg.cg.BatchSolveResult`,
     so they are directly comparable between blocked and looped solvers and
-    across ``solver=`` choices.
+    across ``solver=`` choices.  Columns the factor rung answers count
+    0 iterations and one matvec (the residual check); ``factorizations``,
+    ``factor_columns`` and ``factor_fill`` (the largest ``nnz(L+U) /
+    nnz(L)`` of those factorizations) say how much of the call it took.
     """
 
     solver: str = "cg"
@@ -111,6 +147,9 @@ class ResistanceSolveStats:
     precond_applications: int = 0
     work: float = 0.0
     chain_builds: int = 0
+    factorizations: int = 0
+    factor_columns: int = 0
+    factor_fill: float = 0.0
     fallbacks: List[FallbackEvent] = field(default_factory=list)
 
     @property
@@ -147,8 +186,143 @@ class ResistanceSolveStats:
             "precond_applications": self.precond_applications,
             "work": self.work,
             "chain_builds": self.chain_builds,
+            "factorizations": self.factorizations,
+            "factor_columns": self.factor_columns,
+            "factor_fill": self.factor_fill,
             "fallbacks": [event.to_dict() for event in self.fallbacks],
         }
+
+
+class FactorGate:
+    """The factor rung for one Laplacian: its gate decision and, once built, its factor.
+
+    The gate orders the vertices by reverse Cuthill–McKee and admits the
+    Laplacian when the envelope of that ordering — the sum over rows of
+    the distance from the diagonal back to the row's first nonzero — is
+    at most ``FACTOR_ENVELOPE_LIMIT * nnz(L)``.  The factorization grounds
+    each connected component at its first vertex in that ordering and
+    runs SuperLU in the same ordering without pivoting (the grounded
+    matrix is SPD), so its fill stays inside the envelope:
+    ``nnz(L+U) <= 2 * envelope + 2n``.
+
+    One gate serves every chunk of one call: :meth:`factorize` builds the
+    factorization on first use, and a failed build is re-raised on later
+    calls instead of being retried.
+    """
+
+    def __init__(self, laplacian: Union[sp.spmatrix, np.ndarray]):
+        lap = sp.csr_matrix(laplacian)
+        n = lap.shape[0]
+        self.laplacian = lap
+        self.order = reverse_cuthill_mckee(lap, symmetric_mode=True).astype(np.int64)
+        position = np.empty(n, dtype=np.int64)
+        position[self.order] = np.arange(n)
+        # Each row's distance back to its first nonzero in RCM positions.
+        # Empty rows (isolated vertices) have width 0.
+        widths = np.zeros(n, dtype=np.int64)
+        rows = np.flatnonzero(np.diff(lap.indptr))
+        if rows.size:
+            first = np.minimum.reduceat(position[lap.indices], lap.indptr[rows])
+            widths[rows] = np.maximum(position[rows] - first, 0)
+        self.envelope = int(widths.sum())
+        self.admits = bool(lap.nnz) and self.envelope <= FACTOR_ENVELOPE_LIMIT * lap.nnz
+        # Flops of a factorization confined to the envelope: sum of squared
+        # row widths (one dense triangular solve of width w per row).
+        self.factor_work = float(np.dot(widths, widths))
+        self.fill = 0.0
+        self._lu: Optional[spla.SuperLU] = None
+        self._error: Optional[Exception] = None
+
+    @property
+    def envelope_ratio(self) -> float:
+        """The gate's measure: envelope / nnz(L)."""
+        return self.envelope / max(self.laplacian.nnz, 1)
+
+    def factorize(self) -> bool:
+        """Build the factorization unless built; True when this call built it."""
+        if self._lu is not None:
+            return False
+        if self._error is not None:
+            raise self._error
+        lap = self.laplacian
+        n = lap.shape[0]
+        num_components, labels = connected_components(lap, directed=False)
+        # Ground each component at its first vertex in RCM order.
+        _, first = np.unique(labels[self.order], return_index=True)
+        kept = np.ones(n, dtype=bool)
+        kept[first] = False
+        self._kept = self.order[kept]
+        try:
+            self._lu = self._factor(lap[self._kept][:, self._kept].tocsc())
+        except Exception as exc:  # noqa: BLE001 - remembered, re-raised to every later chunk
+            self._error = exc
+            raise
+        self.fill = self._lu.nnz / max(lap.nnz, 1)
+        sizes = np.bincount(labels, minlength=num_components)
+        self._labels = labels
+        self._averaging = sp.csr_matrix(
+            (1.0 / sizes[labels], (labels, np.arange(n))), shape=(num_components, n)
+        )
+        return True
+
+    @staticmethod
+    def _factor(grounded: sp.csc_matrix) -> spla.SuperLU:
+        # CSC input: SuperLU warns (SparseEfficiencyWarning) on anything else.
+        return spla.splu(
+            grounded,
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+
+    def _triangular_solve(self, block: np.ndarray) -> np.ndarray:
+        return self._lu.solve(block)
+
+    def _project(self, block: np.ndarray) -> np.ndarray:
+        """Subtract each column's mean over every component: project onto range(L)."""
+        return block - (self._averaging @ block)[self._labels]
+
+    def solve(
+        self, rhs: Union[sp.spmatrix, np.ndarray], tol: float, block_size: int
+    ) -> BatchSolveResult:
+        """``L X = B`` through the factorization, one ``block_size`` chunk at a time.
+
+        Each column is projected onto ``range(L)`` first (a vertex
+        indicator ``e_v`` is not in it), and the answer has each
+        component's mean removed, as on the CG and pinv rungs.  A column
+        is converged when its relative residual ``||b - L x|| / ||b||``
+        — CG's own criterion, checked with one block matvec — is within
+        ``tol``; the rest are left for the next rung.  Call
+        :meth:`factorize` first.
+        """
+        lap = self.laplacian
+        n, k = rhs.shape
+        rhs_matrix = rhs.tocsc() if sp.issparse(rhs) else np.asarray(rhs, dtype=float)
+        x = np.zeros((n, k))
+        residual_norms = np.zeros(k)
+        num_blocks = 0
+        for start in range(0, k, block_size):
+            stop = min(start + block_size, k)
+            b = self._project(_densify_block(rhs_matrix, start, stop))
+            block = np.zeros_like(b)
+            block[self._kept] = self._triangular_solve(b[self._kept])
+            block = self._project(block)
+            x[:, start:stop] = block
+            norms = np.linalg.norm(b, axis=0)
+            residuals = np.linalg.norm(b - lap @ block, axis=0)
+            residual_norms[start:stop] = residuals / np.where(norms > 0.0, norms, 1.0)
+            num_blocks += 1
+        # Per column: both triangular solves touch every stored factor
+        # entry once, and the residual check is one matvec.
+        return BatchSolveResult(
+            x=x,
+            converged=residual_norms <= tol,
+            iterations=np.zeros(k, dtype=np.int64),
+            residual_norms=residual_norms,
+            matvecs=k,
+            work=float(k) * (self._lu.nnz + lap.nnz),
+            num_blocks=num_blocks,
+        )
 
 
 def resolve_solver(solver: str) -> str:
@@ -219,32 +393,41 @@ def solve_with_degradation(
     solver: str,
     stats: Optional[ResistanceSolveStats] = None,
     seed: int = 0,
+    gate: Optional[FactorGate] = None,
 ) -> BatchSolveResult:
-    """Blocked Laplacian solve with the ``chain → cg → pinv`` ladder.
+    """Blocked Laplacian solve down the ``factor → cg → pinv`` or ``chain → cg → pinv`` ladder.
 
-    Runs the *resolved* solver (``"cg"`` or ``"chain"``) and, instead of
-    returning silently-inexact columns when something breaks, walks down a
+    Runs the first rung of the *resolved* solver and, instead of returning
+    silently-inexact columns when something breaks, walks down a
     degradation ladder:
 
-    1. ``"chain"`` whose preconditioner fails to build, or whose
+    1. ``"cg"`` first asks the factor gate (``gate``, or one built here
+       for ``laplacian``).  When it admits the Laplacian, the columns are
+       answered by the factorization, built once per gate.  A build that
+       raises sends every column to plain CG; columns whose residual
+       misses ``tol`` go to plain CG alone.  When the gate rejects, the
+       call is exactly one ``laplacian_solve_many`` — bit-identical to
+       calling it directly — and records nothing.
+    2. ``"chain"`` whose preconditioner fails to build, or whose
        preconditioned solve leaves failed columns (breakdown / NaN /
        divergence / stagnation), drops to plain ``"cg"`` — re-solving only
        the failed columns.
-    2. Columns plain CG still cannot converge are answered exactly by a
+    3. Columns plain CG still cannot converge are answered exactly by a
        dense pseudoinverse when the graph is small enough
        (``n <= DENSE_FALLBACK_LIMIT``); their status becomes
        :attr:`~repro.linalg.cg.SolveStatus.FALLBACK_EXACT`.
 
     Every rung taken is recorded as a :class:`FallbackEvent` on ``stats``
     and surfaced as a warning, so certificates built downstream are never
-    silently inexact.  On the happy path (everything converges first try)
-    the call is exactly one ``laplacian_solve_many`` — bit-identical to
-    calling it directly.
+    silently inexact.  Callers that solve several chunks against one
+    Laplacian pass the same ``gate`` to each, so the gate decision and the
+    factorization are made once.
     """
     num_columns = rhs.shape[1]
     preconditioner = None
     precond_work = 0.0
-    active = solver
+    rung = solver
+    solve = None
     if solver == "chain":
         try:
             preconditioner, precond_work = chain_preconditioner_for(
@@ -256,33 +439,59 @@ def solve_with_degradation(
                 f"preconditioner build failed: {type(exc).__name__}: {exc}",
                 num_columns,
             )
-            active = "cg"
+            rung = "cg"
             preconditioner = None
             precond_work = 0.0
+    else:
+        if gate is None:
+            gate = FactorGate(laplacian)
+        if gate.admits:
+            try:
+                built = gate.factorize()
+            except Exception as exc:  # noqa: BLE001 - any factorization failure degrades
+                _record_fallback(
+                    stats, "factor", "cg",
+                    f"factorization failed: {type(exc).__name__}: {exc}",
+                    num_columns,
+                )
+            else:
+                solve = gate.solve(rhs, tol, block_size)
+                if built:
+                    solve.work += gate.factor_work
+                rung = "factor"
+                if stats is not None:
+                    stats.factorizations += int(built)
+                    stats.factor_columns += int(np.count_nonzero(solve.converged))
+                    stats.factor_fill = max(stats.factor_fill, gate.fill)
 
-    solve = laplacian_solve_many(
-        laplacian,
-        rhs,
-        tol=tol,
-        block_size=block_size,
-        preconditioner=preconditioner,
-        precond_work_per_application=precond_work,
-    )
+    if solve is None:
+        solve = laplacian_solve_many(
+            laplacian,
+            rhs,
+            tol=tol,
+            block_size=block_size,
+            preconditioner=preconditioner,
+            precond_work_per_application=precond_work,
+        )
     if stats is not None:
         stats.record(solve)
     if solve.all_converged:
         return solve
 
-    if active == "chain":
-        # Rung 1: the preconditioned solve broke down on some columns —
-        # re-solve exactly those with plain CG (the PR 5 workhorse, which
-        # has no preconditioner to poison).
+    if rung != "cg":
+        # The factorization or the preconditioned solve left some columns
+        # unanswered — re-solve exactly those with plain CG, which has no
+        # factor or preconditioner to poison.
         failed = np.flatnonzero(~solve.converged)
-        _record_fallback(
-            stats, "chain", "cg",
-            f"preconditioned solve failed ({_summarize_failures(solve.status, solve.converged)})",
-            int(failed.size),
-        )
+        if rung == "chain":
+            reason = (
+                "preconditioned solve failed "
+                f"({_summarize_failures(solve.status, solve.converged)})"
+            )
+        else:
+            worst = float(np.max(solve.residual_norms[failed]))
+            reason = f"factor residual above tol={tol:g} (worst {worst:.2e})"
+        _record_fallback(stats, rung, "cg", reason, int(failed.size))
         retry = laplacian_solve_many(
             laplacian,
             rhs[:, failed],
@@ -300,7 +509,7 @@ def solve_with_degradation(
             return solve
 
     if graph.num_vertices <= DENSE_FALLBACK_LIMIT:
-        # Rung 2: answer the holdouts exactly.  O(n^3) — gated to small
+        # Last rung: answer the holdouts exactly.  O(n^3) — gated to small
         # graphs, where it is cheap insurance rather than a footgun.
         from repro.linalg.pseudoinverse import laplacian_pseudoinverse
 

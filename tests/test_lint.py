@@ -303,6 +303,22 @@ class TestPerEdgeLoops:
         """
         assert rules_hit(src, module="repro.spanners._reference", rules=["REP006"]) == []
 
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.core.certificates",
+            "repro.resistance.approx",
+            "repro.resistance.exact",
+            "repro.resistance.solver_select",
+        ],
+    )
+    def test_certify_path_is_scoped(self, module):
+        src = """
+            def slow(graph):
+                return [u for u in graph.edge_u]
+        """
+        assert rules_hit(src, module=module, rules=["REP006"]) == ["REP006"]
+
 
 # --------------------------------------------------------------------- #
 # REP007 — text-mode open without encoding
