@@ -1,53 +1,53 @@
-"""E12 — execution-backend scaling of the shard-parallel sparsifier.
+"""E12 — execution-backend scaling of a batch of independent graphs.
 
-Measures wall-clock of the sharded ``PARALLELSPARSIFY`` pipelines across
-execution backends and worker counts on two workloads:
+Each ``PARALLELSAMPLE`` round runs on the whole graph in one call, so the
+parallelism an execution backend can add is across independent jobs:
+:meth:`repro.api.Engine.run_many` over a batch of graphs.  This
+experiment times one such batch — ``NUM_GRAPHS`` Erdős–Rényi graphs — for
+both engines:
 
-* **pram**: the vectorised pipeline (:func:`repro.core.sparsify.parallel_sparsify`)
-  on a ~50k-edge banded graph split into 8 vertex-range shards — the
-  per-shard kernels are NumPy-dominated, so the thread backend can
-  overlap them where the BLAS/ufunc layer releases the GIL;
-* **distributed**: the CONGEST-simulator pipeline
-  (:func:`repro.core.distributed_sparsify.distributed_parallel_sparsify`)
-  on a smaller banded graph — pure-Python per-node stepping, i.e. the
-  workload shape where only the process backend can help.
+* **koutis**: the vectorised pipeline
+  (:func:`repro.core.sparsify.parallel_sparsify`), NumPy-dominated, so
+  the thread backend overlaps jobs only where the kernels release the
+  GIL;
+* **koutis-distributed**: the CONGEST-simulator pipeline
+  (:func:`repro.core.distributed_sparsify.distributed_parallel_sparsify`),
+  where the process backend is the one that helps.
 
-Banded graphs (vertex ``u`` joined to ``u+1 .. u+band``) are used because
-vertex-range sharding needs id locality: boundary edges are a few percent
-of the total, so the shard fan-out does real work.
-
-Results are printed as an experiment table and persisted to
-``BENCH_backends.json`` at the repo root to seed the performance
-trajectory.  Hard assertion: all backends produce bit-identical
-sparsifiers for a fixed seed.  Speedup assertions are gated on the
-machine actually having more than one usable CPU — on a single-core
-runner no backend can beat serial, and the JSON records that fact
-instead.
+Backends run serial, thread×2 and process×2.  Results are printed as an
+experiment table and persisted to ``BENCH_backends.json`` at the repo
+root.  Hard assertion: every backend returns bit-identical sparsifiers
+for every graph of the batch.  Speedup assertions (process×2 beats
+serial for both engines) are gated on ``REPRO_BENCH_ASSERT_SPEEDUP=1``
+and at least two usable CPUs — on a single-core or busy runner no
+backend can be relied on to beat serial, and the JSON records the
+measured times either way.
 """
 
 import json
 import os
+import platform
 import time
 from pathlib import Path
 
+import numpy as np
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import er_graph, print_table
 from repro.analysis.reporting import ExperimentTable
+from repro.api import Engine, SparsifyRequest
 from repro.core.config import SparsifierConfig
-from repro.core.distributed_sparsify import distributed_parallel_sparsify
-from repro.core.sparsify import parallel_sparsify
-from repro.graphs.generators import banded_graph
-from repro.graphs.graph import Graph
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_backends.json"
-NUM_SHARDS = 8
 SEED = 20140623  # SPAA'14
-
+NUM_GRAPHS = 8
+NUM_VERTICES = 500
+EDGE_PROBABILITY = 0.46
+RHO = 16.0
+METHODS = ("koutis", "koutis-distributed")
 BACKEND_CONFIGS = [
     ("serial", 1),
-    ("thread", 1),
-    ("thread", 4),
-    ("process", 4),
+    ("thread", 2),
+    ("process", 2),
 ]
 
 
@@ -63,97 +63,81 @@ def _edge_tuple(graph):
     return (g.edge_u.tolist(), g.edge_v.tolist(), g.edge_weights.tolist())
 
 
-def _run_workload(pipeline: str, graph: Graph) -> list:
-    """Time the sharded pipeline across backend configs; return row dicts."""
+def _run_batch(method: str, graphs: list) -> list:
+    """Time one ``run_many`` batch per backend config; return row dicts."""
     rows = []
     for backend, workers in BACKEND_CONFIGS:
-        config = SparsifierConfig.practical(
-            bundle_t=2, num_shards=NUM_SHARDS, backend=backend, max_workers=workers
-        )
+        config = SparsifierConfig.practical(backend=backend, max_workers=workers)
+        engine = Engine(SparsifyRequest(method=method, epsilon=0.5, rho=RHO, seed=SEED, config=config))
         start = time.perf_counter()
-        if pipeline == "pram":
-            result = parallel_sparsify(graph, epsilon=0.5, rho=2, config=config, seed=SEED)
-        else:
-            result = distributed_parallel_sparsify(graph, epsilon=0.5, rho=2, config=config, seed=SEED)
+        batch = engine.run_many(graphs)
         elapsed = time.perf_counter() - start
         rows.append(
             {
-                "pipeline": pipeline,
+                "method": method,
                 "backend": backend,
                 "workers": workers,
                 "seconds": round(elapsed, 4),
-                "output_edges": result.output_edges,
-                "edges": _edge_tuple(result.sparsifier),
+                "output_edges": batch.total_output_edges,
+                "edges": [_edge_tuple(result.sparsifier) for result in batch.results],
             }
         )
     return rows
 
 
 def _backend_sweep():
-    pram_graph = banded_graph(2000, 25)       # ~50k-edge shard workload
-    dist_graph = banded_graph(400, 10)        # CONGEST simulator workload
-    rows = _run_workload("pram", pram_graph) + _run_workload("distributed", dist_graph)
+    graphs = [er_graph(NUM_VERTICES, EDGE_PROBABILITY, seed=s) for s in range(NUM_GRAPHS)]
+    rows = [row for method in METHODS for row in _run_batch(method, graphs)]
     table = ExperimentTable(
         "E12-backend-scaling",
-        ["pipeline", "backend", "workers", "seconds", "output_edges", "speedup_vs_serial"],
+        ["method", "backend", "workers", "seconds", "output_edges", "speedup_vs_serial"],
     )
-    serial_times = {
-        row["pipeline"]: row["seconds"]
-        for row in rows
-        if row["backend"] == "serial"
-    }
+    serial_times = {row["method"]: row["seconds"] for row in rows if row["backend"] == "serial"}
     for row in rows:
-        table.add_row(
-            pipeline=row["pipeline"],
-            backend=row["backend"],
-            workers=row["workers"],
-            seconds=row["seconds"],
-            output_edges=row["output_edges"],
-            speedup_vs_serial=round(serial_times[row["pipeline"]] / max(row["seconds"], 1e-9), 2),
-        )
-    return table, rows, {"pram": pram_graph.num_edges, "distributed": dist_graph.num_edges}
+        row["speedup_vs_serial"] = round(serial_times[row["method"]] / max(row["seconds"], 1e-9), 2)
+        table.add_row(**{key: row[key] for key in table.columns})
+    return table, rows, sum(g.num_edges for g in graphs)
 
 
 def test_e12_backend_scaling(benchmark):
-    table, rows, workload_edges = benchmark.pedantic(_backend_sweep, rounds=1, iterations=1)
+    table, rows, input_edges = benchmark.pedantic(_backend_sweep, rounds=1, iterations=1)
     cpus = _usable_cpus()
     print_table(
         table,
         f"Claim: backends change wall-clock, never results (usable CPUs here: {cpus}).\n"
-        "Thread speedup needs GIL-releasing NumPy kernels (pram pipeline); the\n"
-        "pure-Python CONGEST simulator only scales on the process backend.",
+        f"{NUM_GRAPHS} independent graphs per batch; only run_many runs jobs at once.",
     )
 
-    # Hard invariant: every backend/worker combination produced the exact
-    # same sparsifier for the fixed seed, per pipeline.
-    for pipeline in ("pram", "distributed"):
-        edge_sets = [row["edges"] for row in rows if row["pipeline"] == pipeline]
+    # Hard invariant: every backend produced the exact same sparsifier for
+    # every graph of the batch, per method.
+    for method in METHODS:
+        edge_sets = [row["edges"] for row in rows if row["method"] == method]
         assert all(edges == edge_sets[0] for edges in edge_sets)
-        assert len({row["output_edges"] for row in rows if row["pipeline"] == pipeline}) == 1
+        outputs = {row["output_edges"] for row in rows if row["method"] == method}
+        assert len(outputs) == 1 and outputs.pop() < input_edges
 
-    by_key = {(row["pipeline"], row["backend"], row["workers"]): row["seconds"] for row in rows}
-    # 4 workers need ~4 free cores before "faster than serial" is a safe
-    # invariant rather than a scheduling coin-flip; thread speedup further
-    # depends on how much of the shard kernel releases the GIL, so the
-    # pram claim is "some parallel backend wins", not "threads win".
-    multicore = cpus >= 4
-    if multicore:
-        assert (
-            min(by_key[("pram", "thread", 4)], by_key[("pram", "process", 4)])
-            < by_key[("pram", "serial", 1)]
-        )
-        assert by_key[("distributed", "process", 4)] < by_key[("distributed", "serial", 1)]
+    by_key = {(row["method"], row["backend"]): row["seconds"] for row in rows}
+    assert_speedup = os.environ.get("REPRO_BENCH_ASSERT_SPEEDUP") == "1" and cpus >= 2
+    if assert_speedup:
+        for method in METHODS:
+            assert by_key[(method, "process")] < by_key[(method, "serial")], method
 
     payload = {
         "experiment": "E12-backend-scaling",
-        "num_shards": NUM_SHARDS,
         "seed": SEED,
-        "usable_cpus": cpus,
-        "speedup_asserted": multicore,
-        "workload_edges": workload_edges,
-        "results": [
-            {key: row[key] for key in ("pipeline", "backend", "workers", "seconds", "output_edges")}
-            for row in rows
-        ],
+        "workload": {
+            "graphs": NUM_GRAPHS,
+            "generator": f"erdos_renyi_graph({NUM_VERTICES}, {EDGE_PROBABILITY})",
+            "rho": RHO,
+            "input_edges": input_edges,
+        },
+        "speedup_asserted": assert_speedup,
+        "hardware": {
+            "usable_cpus": cpus,
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "results": [{key: row[key] for key in table.columns} for row in rows],
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -108,53 +108,6 @@ def test_e2_distributed_spanner_costs(benchmark):
     assert rounds[-1] / rounds[0] < (256 / 64) / 1.2
 
 
-def _sharded_backend_sweep(graph):
-    """Shard-parallel distributed sample across backends: cost + timing."""
-    table = ExperimentTable(
-        "E2c-sharded-backends",
-        ["num_shards", "backend", "workers", "seconds", "rounds", "messages", "boundary"],
-    )
-    rows = []
-    sweep = [(1, "serial", 1), (8, "serial", 1), (8, "thread", 4), (8, "process", 4)]
-    for num_shards, backend, workers in sweep:
-        config = SparsifierConfig.practical(
-            bundle_t=2, num_shards=num_shards, backend=backend, max_workers=workers
-        )
-        start = time.perf_counter()
-        result = distributed_parallel_sample(graph, epsilon=0.5, config=config, seed=9)
-        elapsed = time.perf_counter() - start
-        table.add_row(
-            num_shards=num_shards,
-            backend=backend,
-            workers=workers,
-            seconds=round(elapsed, 3),
-            rounds=result.cost.rounds,
-            messages=result.cost.messages,
-            boundary=result.boundary_edges,
-        )
-        rows.append((num_shards, backend, workers, result))
-    return table, rows
-
-
-def test_e2_sharded_backend_equivalence(benchmark, grid_16):
-    table, rows = benchmark.pedantic(_sharded_backend_sweep, args=(grid_16,), rounds=1, iterations=1)
-    print_table(
-        table,
-        "Claims: concurrent shard networks cut rounds/communication vs the\n"
-        "whole-graph protocol; backends change wall-clock only, never outputs.",
-    )
-    sharded = [result for num_shards, _, _, result in rows if num_shards == 8]
-    reference = sharded[0]
-    for result in sharded[1:]:
-        assert np.array_equal(result.bundle_edge_indices, reference.bundle_edge_indices)
-        assert np.array_equal(result.sampled_edge_indices, reference.sampled_edge_indices)
-        assert result.cost == reference.cost
-    unsharded = next(result for num_shards, _, _, result in rows if num_shards == 1)
-    # Boundary edges never enter a shard protocol: communication drops.
-    assert reference.cost.messages < unsharded.cost.messages
-    assert reference.cost.rounds <= unsharded.cost.rounds
-
-
 def test_e2_distributed_bundle_costs(benchmark, er_200):
     table, rows = benchmark.pedantic(
         _distributed_bundle_sweep, args=(er_200,), rounds=1, iterations=1

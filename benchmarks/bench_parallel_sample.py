@@ -12,8 +12,6 @@ raw 1/4 keep rate and the resulting size), and the PRAM counters.  The
 theory-mode row documents the threshold-of-applicability degeneracy.
 """
 
-import numpy as np
-
 from benchmarks.conftest import print_table
 from repro.analysis.reporting import ExperimentTable
 from repro.core.certificates import certify_approximation
@@ -81,49 +79,3 @@ def test_e4_sample_timing(benchmark, er_200):
     config = SparsifierConfig.practical()
     result = benchmark(parallel_sample, er_200, 0.5, config, 1)
     assert result.output_edges > 0
-
-
-def _sharded_sample_sweep(graph):
-    """Shard-parallel PARALLELSAMPLE across backends: size + timing."""
-    import time
-
-    table = ExperimentTable(
-        "E4b-sharded-backends",
-        ["num_shards", "backend", "workers", "seconds", "bundle_edges", "output_edges"],
-    )
-    rows = []
-    sweep = [(1, "serial", 1), (4, "serial", 1), (4, "thread", 4), (4, "process", 4)]
-    for num_shards, backend, workers in sweep:
-        config = SparsifierConfig.practical(
-            bundle_t=2, num_shards=num_shards, backend=backend, max_workers=workers
-        )
-        start = time.perf_counter()
-        result = parallel_sample(graph, epsilon=0.5, config=config, seed=31)
-        elapsed = time.perf_counter() - start
-        table.add_row(
-            num_shards=num_shards,
-            backend=backend,
-            workers=workers,
-            seconds=round(elapsed, 3),
-            bundle_edges=len(result.bundle_edge_indices),
-            output_edges=result.output_edges,
-        )
-        rows.append((num_shards, backend, result))
-    return table, rows
-
-
-def test_e4_sharded_sample_backend_equivalence(benchmark, dense_er_300):
-    table, rows = benchmark.pedantic(_sharded_sample_sweep, args=(dense_er_300,), rounds=1, iterations=1)
-    print_table(
-        table,
-        "Claims: the sharded sample keeps boundary edges in the bundle (larger\n"
-        "bundle, denser output) and backends never change the output.",
-    )
-    sharded = [result for num_shards, _, result in rows if num_shards == 4]
-    reference = sharded[0]
-    for result in sharded[1:]:
-        assert np.array_equal(result.bundle_edge_indices, reference.bundle_edge_indices)
-        assert np.array_equal(result.sampled_edge_indices, reference.sampled_edge_indices)
-    for result in sharded:
-        assert not result.degenerate
-        assert result.output_edges < result.input_edges

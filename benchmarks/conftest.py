@@ -1,12 +1,11 @@
 """Shared helpers for the benchmark/experiment harness.
 
-Every benchmark regenerates one experiment from DESIGN.md §4 (E1–E11):
-it runs a parameter sweep, prints the measured table (visible with
-``pytest benchmarks/ --benchmark-only -s``), asserts the qualitative shape
-the paper predicts, and times the core kernel through pytest-benchmark.
+Every benchmark regenerates one experiment (E1–E12): it runs a parameter
+sweep, prints the measured table (visible with ``pytest benchmarks/
+--benchmark-only -s``), asserts the qualitative shape the paper predicts,
+and times the core kernel through pytest-benchmark.
 
-Sizes are chosen so the full suite completes in a few minutes on a laptop;
-EXPERIMENTS.md records a snapshot of the produced tables.
+Sizes are chosen so the full suite completes in a few minutes on a laptop.
 """
 
 from __future__ import annotations
@@ -39,8 +38,3 @@ def dense_er_300():
 @pytest.fixture(scope="session")
 def er_200():
     return er_graph(200, 0.25, seed=3)
-
-
-@pytest.fixture(scope="session")
-def grid_16():
-    return gen.grid_graph(16, 16)

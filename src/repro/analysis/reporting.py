@@ -3,8 +3,8 @@
 The benchmark harness prints rows comparable to what the paper's theorems
 predict; since this is a text-only environment the output is aligned
 monospace tables (and optional CSV files) rather than figures.  Keeping the
-formatting here means every benchmark reports results the same way and the
-EXPERIMENTS.md tables can be regenerated by copy-paste.
+formatting here means every benchmark reports results the same way: the
+E1–E12 tables that ``benchmarks/bench_*.py`` print come from this module.
 """
 
 from __future__ import annotations

@@ -150,7 +150,7 @@ def approximation_report(
     seed: SeedLike = None,
     include_resistances: bool = True,
 ) -> ApproximationReport:
-    """Compute the full quality report used by EXPERIMENTS.md tables.
+    """Compute the full quality report used by the E1–E12 tables in ``benchmarks/``.
 
     Resistance probes ride the blocked multi-RHS solver paths, so the
     report is affordable on disconnected inputs and at large ``n`` (the

@@ -22,8 +22,10 @@ uniform surface, never new randomness.  The parity tests in
 ``tests/test_api_engine.py`` and ``tests/test_batch.py`` pin this.
 
 Where the work runs is the config's business alone: ``run_many`` fans
-its jobs out on ``config.execution_backend()``, the same call the shard
-and compaction fan-outs inside the methods use.
+its jobs out on ``config.execution_backend()``, the same call the stream
+compactions inside the ``streaming`` method use.  ``run_many`` is the
+only fan-out that runs several jobs at once; a single ``run`` computes
+each ``PARALLELSAMPLE`` round on the whole graph in the calling thread.
 """
 
 from __future__ import annotations
@@ -364,8 +366,8 @@ def sparsify(
     it through an :class:`Engine`, and returns the
     :class:`~repro.api.result.UnifiedResult`.  Extra keyword arguments are
     forwarded to the method as its ``options`` (e.g. ``probability=0.3``
-    for ``method="uniform"``).  ``config`` says where the work runs
-    (``SparsifierConfig(backend=..., max_workers=..., num_shards=...)``).
+    for ``method="uniform"``).  ``config`` holds the algorithm settings
+    (``SparsifierConfig(bundle_t=..., sampling_probability=..., ...)``).
 
     >>> import repro
     >>> g = repro.generators.erdos_renyi_graph(200, 0.2, seed=1, ensure_connected=True)

@@ -17,7 +17,7 @@ Every runner is called with keyword arguments only:
 
 ``config``
     The fully resolved :class:`repro.core.config.SparsifierConfig`
-    (request-level backend / worker / shard overrides already applied).
+    (the request's, or the practical defaults).
 ``epsilon``
     The request's epsilon, or ``None`` meaning "use ``config.epsilon``"
     (the same convention the legacy entry points use).

@@ -2,8 +2,8 @@
 
 A :class:`SparsifyRequest` captures *everything* about a sparsification
 call except the graph itself: the method, the spectral parameters, the
-algorithm config (which also says where the work runs: backend, workers
-and shards live in the config and nowhere else), the seed, and any
+algorithm config (which also says where batch jobs run: backend and
+workers live in the config and nowhere else), the seed, and any
 method-specific options.  Requests are immutable
 (frozen dataclass), validate eagerly at construction, and round-trip
 through plain JSON-compatible dicts via :meth:`to_dict` /
@@ -41,9 +41,8 @@ class SparsifyRequest:
         single-shot baselines).
     config:
         Optional :class:`~repro.core.config.SparsifierConfig`; ``None``
-        means the practical defaults (serial, one shard).  Its
-        ``backend`` / ``max_workers`` / ``num_shards`` fields choose
-        where the work runs.
+        means the practical defaults (serial).  Its ``backend`` /
+        ``max_workers`` fields choose where ``Engine.run_many`` jobs run.
     seed:
         Integer RNG seed or ``None`` (OS entropy).  Restricted to ints so
         requests stay JSON-serialisable; pass generators to the legacy

@@ -49,11 +49,10 @@ Subcommands
     contracts — against ``src/`` (or explicit paths).  Any finding exits
     1; ``--list-rules`` prints the rule table.
 
-``sparsify`` / ``batch`` accept ``--backend`` / ``--workers`` /
-``--shards`` to choose where the work executes; they write the request's
-``config`` payload (the one home of execution settings).  Backends never
-change the output for a fixed seed, while the shard count is part of the
-algorithm.
+``sparsify`` / ``batch`` accept ``--backend`` / ``--workers`` to choose
+where the work executes; they write the request's ``config`` payload
+(the one home of execution settings).  Backends never change the output
+for a fixed seed; only ``batch`` runs several graphs at once.
 
 The edge-list format is the one produced by
 :func:`repro.graphs.io.write_edge_list`: a ``# n m`` header followed by
@@ -124,11 +123,9 @@ def _add_method_argument(parser: argparse.ArgumentParser) -> None:
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     """Execution-backend options shared by ``sparsify`` and ``batch``."""
     parser.add_argument("--backend", choices=list(available_backends()), default=None,
-                        help="execution backend for shard/job fan-out (default: serial)")
+                        help="execution backend for batch jobs and stream compactions (default: serial)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker count for the backend (default: backend-specific)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="vertex-range shards for shard-parallel execution (default 1)")
 
 
 def _request_from_args(args: argparse.Namespace) -> SparsifyRequest:
@@ -178,7 +175,6 @@ def _request_from_args(args: argparse.Namespace) -> SparsifyRequest:
         "solver": args.solver,
         "backend": getattr(args, "backend", None),
         "max_workers": getattr(args, "workers", None),
-        "num_shards": getattr(args, "shards", None),
     }
     for key, value in config_fields.items():
         if value is not None:
@@ -413,10 +409,9 @@ def _run_compare(args: argparse.Namespace) -> int:
         methods,
         epsilon=request.epsilon,
         rho=request.rho,
-        # The config's backend / workers / shards apply to every method
-        # (the shard count is part of the algorithm, so compare must see
-        # the same sparsifier the sparsify subcommand writes for the same
-        # --config).
+        # The --config file's algorithm fields apply to every method, so
+        # compare sees the same sparsifier the sparsify subcommand writes
+        # for the same --config.
         config=request.config,
         seed=request.seed,
         certify=request.certify,

@@ -9,8 +9,8 @@ approximation factor of each produced sparsifier.  A
 
 * the certificate ``holds within epsilon`` iff
   ``1 - eps <= lambda_min`` and ``lambda_max <= 1 + eps``;
-* the symmetric quality measure reported in EXPERIMENTS.md is
-  ``max(1 - lambda_min, lambda_max - 1)``.
+* the symmetric quality measure reported in the E1–E12 tables of
+  ``benchmarks/`` is ``max(1 - lambda_min, lambda_max - 1)``.
 """
 
 from __future__ import annotations

@@ -18,14 +18,16 @@ The configuration therefore exposes two modes:
     certificates, which is exactly what the experiments report.
 
 Everything else (sampling probability, spanner parameter, tree bundles,
-stretch certification) is also configurable so the ablations in
-EXPERIMENTS.md are driven by config values rather than code edits.
+stretch certification) is also configurable so the ablations behind the
+E1–E12 tables in ``benchmarks/`` are driven by config values rather than
+code edits.
 
-The config is also the one place that says where work runs: ``backend``,
-``max_workers`` and ``num_shards`` live here and nowhere else, and
+The config is also the one place that says where work runs: ``backend``
+and ``max_workers`` live here and nowhere else, and
 :meth:`SparsifierConfig.execution_backend` is the one call every fan-out
-(shards, stream compactions, ``Engine.run_many`` jobs) uses to get its
-backend.
+(``Engine.run_many`` jobs and stream compactions) uses to get its
+backend.  Neither changes what is computed: each ``PARALLELSAMPLE``
+round runs on the whole graph in the calling thread.
 """
 
 from __future__ import annotations
@@ -81,30 +83,24 @@ class SparsifierConfig:
     backend:
         Execution backend name: ``"serial"``, ``"thread"`` or
         ``"process"``; ``None`` means serial.  Backends only change
-        *where* shard/job work runs — outputs are bit-identical for a
-        fixed seed on every backend and worker count.
+        *where* ``Engine.run_many`` jobs and stream compactions run, and
+        only ``run_many`` runs several jobs at once — outputs are
+        bit-identical for a fixed seed on every backend and worker count.
     max_workers:
         Worker count for the backend; ``None`` uses the backend default.
         Setting ``max_workers > 1`` while ``backend`` is ``None`` raises
         :class:`~repro.exceptions.BackendError` at use time instead of
         silently running sequentially.
-    num_shards:
-        Vertex-range shards for the shard-parallel execution paths of
-        ``PARALLELSAMPLE`` and its distributed driver.  ``1`` (default)
-        keeps the classic single-stream execution; with ``num_shards > 1``
-        each shard's spanner/sampling work is dispatched through the
-        backend and cross-shard boundary edges are kept in the bundle.
-        Note that the shard count (unlike the backend) is part of the
-        algorithm: different ``num_shards`` values give different (equally
-        valid) sparsifiers.
     solver:
         Inner Laplacian-solver choice for the resistance/certification
-        routes that consume this config: ``"cg"`` (plain blocked CG, the
-        default) or ``"chain"`` (blocked CG preconditioned with a cached
-        Peng–Spielman chain — the paper's own machinery accelerating its
-        certification; see :mod:`repro.resistance.solver_select`).  Never
-        changes *what* is computed — only how fast the inner solves
-        converge.
+        routes that consume this config: ``"cg"`` (the default: the
+        ``factor → cg → pinv`` ladder, which answers a low-fill Laplacian
+        with one sparse factorization and the rest with blocked CG) or
+        ``"chain"`` (the ``chain → cg → pinv`` ladder: blocked CG
+        preconditioned with a cached Peng–Spielman chain — the paper's own
+        machinery accelerating its certification; see
+        :mod:`repro.resistance.solver_select`).  Never changes *what* is
+        computed — only how the inner solves get there.
     """
 
     epsilon: float = 0.5
@@ -119,7 +115,6 @@ class SparsifierConfig:
     min_edges_to_sparsify: int = 1
     backend: Optional[str] = None
     max_workers: Optional[int] = None
-    num_shards: int = 1
     solver: str = "cg"
 
     def __post_init__(self) -> None:
@@ -140,7 +135,6 @@ class SparsifierConfig:
             ("bundle_t", 1, True),
             ("spanner_k", 1, True),
             ("max_workers", 1, True),
-            ("num_shards", 1, False),
             ("min_edges_to_sparsify", 0, False),
         ):
             value = getattr(self, name)
@@ -198,8 +192,8 @@ class SparsifierConfig:
     def execution_backend(self) -> ExecutionBackend:
         """The backend every fan-out of this config runs on.
 
-        Shard fan-outs, stream compactions and ``Engine.run_many`` jobs
-        all get their backend here, so a test can substitute one (e.g. a
+        ``Engine.run_many`` jobs and stream compactions both get their
+        backend here, so a test can substitute one (e.g. a
         :class:`repro.testing.faults.InjectingBackend`) by patching this
         one method.
         """

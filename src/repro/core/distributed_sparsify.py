@@ -24,39 +24,22 @@ One round function
 :func:`_distributed_bundle_and_sample` is the whole distributed round:
 it splits one stream into ``t`` component streams plus the coin stream,
 peels the bundle on the graph's simulated network and flips the coins.
-With ``config.num_shards == 1`` it runs inline on the coalesced input,
-on the caller's generator.  With ``config.num_shards > 1`` the graph is
-decomposed into vertex-range shards (:mod:`repro.graphs.sharding`) and
-the same function runs on each shard as an independent simulated
-network, dispatched through the configured execution backend
-(:mod:`repro.parallel.backends`).  Cross-shard boundary edges are kept in
-the bundle outright — they are the inter-machine backbone, and keeping
-an edge exactly never weakens the spectral certificate.  Shard networks
-run concurrently, so their costs combine with max-rounds /
-sum-messages semantics (``DistributedCost.alongside``).  One RNG stream
-per shard is split *before* dispatch, making the output bit-identical on
-every backend and worker count for a fixed seed.
+It runs inline on the coalesced input, on the caller's generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import SparsifierConfig
-from repro.core.sample import (
-    assemble_sample_output,
-    merge_shard_samples,
-    sample_nonbundle_edges,
-)
+from repro.core.sample import assemble_sample_output, sample_nonbundle_edges
 from repro.core.sparsify import sparsify_rounds
-from repro.exceptions import BackendError, SparsificationError
+from repro.exceptions import SparsificationError
 from repro.graphs.graph import Graph
-from repro.graphs.sharding import GraphShards, shard_edges
-from repro.parallel.failure import FailurePolicy
-from repro.parallel.metrics import DistributedCost, combine_concurrent
+from repro.parallel.metrics import DistributedCost
 from repro.spanners.distributed_spanner import (
     DistributedBundleResult,
     distributed_bundle_spanner,
@@ -85,8 +68,6 @@ class DistributedSampleResult:
     degenerate: bool
     cost: DistributedCost = field(default_factory=DistributedCost)
     components_built: int = 0
-    num_shards: int = 1
-    boundary_edges: int = 0
 
 
 @dataclass
@@ -105,73 +86,22 @@ class DistributedSparsifyResult:
 
 def _distributed_bundle_and_sample(
     graph: Graph, t: int, config: SparsifierConfig, stream: RandomState
-) -> Dict[str, Any]:
+) -> Tuple[DistributedBundleResult, np.ndarray, int]:
     """One distributed ``PARALLELSAMPLE`` round on ``graph``'s network.
 
     ``stream`` splits into ``t`` bundle-component streams plus the coin
-    stream.  Returns the bundle and kept positions in ``graph``'s edge
-    order, the number of candidates outside the bundle, the bundle's
-    measured network cost and the number of components built.
+    stream.  Returns the bundle (its edges, measured network cost and
+    components built), the kept positions in ``graph``'s edge order and
+    the number of candidates outside the bundle.
     """
     streams = split_rng(stream, t + 1)
-    bundle: DistributedBundleResult = distributed_bundle_spanner(
+    bundle = distributed_bundle_spanner(
         graph, t=t, k=config.spanner_k, component_seeds=streams[:t]
     )
     kept, outside = sample_nonbundle_edges(
         graph.num_edges, bundle.edge_indices, streams[t], config.sampling_probability
     )
-    return {
-        "bundle": bundle.edge_indices,
-        "kept": kept,
-        "outside": outside,
-        "cost": bundle.cost,
-        "components": bundle.components_built,
-    }
-
-
-def _distributed_sample_shard(item: Tuple[int, RandomState], shared: Dict[str, Any]) -> Dict[str, Any]:
-    """:func:`_distributed_bundle_and_sample` on one shard, as a backend job.
-
-    Module-level (not a closure) so the process backend can pickle it; the
-    bulky payload — the coalesced graph and the per-shard edge index
-    arrays — arrives through ``shared`` and is transmitted once per
-    worker.
-    """
-    shard_id, stream = item
-    idx: np.ndarray = shared["shards"].shard_edge_indices[shard_id]
-    if idx.size == 0:
-        empty = np.array([], dtype=np.int64)
-        return {"bundle": empty, "kept": empty, "outside": 0, "cost": DistributedCost(), "components": 0}
-    result = _distributed_bundle_and_sample(
-        shared["graph"].select_edges(idx), shared["t"], shared["config"], stream
-    )
-    return {**result, "bundle": idx[result["bundle"]], "kept": idx[result["kept"]]}
-
-
-def _distributed_sample_shards(
-    simple: Graph,
-    t: int,
-    config: SparsifierConfig,
-    rng: RandomState,
-    failure_policy: Optional[FailurePolicy],
-) -> Tuple[GraphShards, List[Dict[str, Any]]]:
-    """Fan :func:`_distributed_sample_shard` out over the backend."""
-    # Every shard's output is required to assemble the round, so a policy
-    # may retry a crashed shard (output-neutral: the shard re-runs with its
-    # pre-split stream) but never skip one — "collect" would silently drop
-    # a shard's edges from the sparsifier.
-    if failure_policy is not None and failure_policy.on_error == "collect":
-        raise BackendError(
-            "distributed sharding cannot run with on_error='collect': every "
-            "shard's output is required; use on_error='retry' (or 'raise')"
-        )
-    shards: GraphShards = shard_edges(simple, config.num_shards)
-    items = list(enumerate(split_rng(rng, shards.num_shards)))
-    shared = {"graph": simple, "config": config, "t": t, "shards": shards}
-    results = config.execution_backend().map(
-        _distributed_sample_shard, items, shared=shared, policy=failure_policy
-    )
-    return shards, results
+    return bundle, kept, outside
 
 
 def distributed_parallel_sample(
@@ -179,22 +109,13 @@ def distributed_parallel_sample(
     epsilon: Optional[float] = None,
     config: Optional[SparsifierConfig] = None,
     seed: SeedLike = None,
-    failure_policy: Optional[FailurePolicy] = None,
 ) -> DistributedSampleResult:
     """Distributed Algorithm 1 on the synchronous simulator.
 
     The input is coalesced (the distributed protocol identifies edges by
     endpoint pairs).  Returns the sparsifier plus the summed
     rounds/messages/max-message-size across all bundle components and the
-    sampling round.  With ``config.num_shards > 1`` the per-shard work is
-    fanned out through ``config``'s execution backend (see the module
-    docstring); with one shard the round runs inline on ``seed``'s
-    generator.
-
-    ``failure_policy`` governs transient shard-worker crashes in the
-    sharded fan-out: ``on_error="retry"`` re-runs a crashed shard with its
-    pre-split RNG stream (bit-identical output); ``"collect"`` is rejected
-    because a round cannot be assembled with a shard missing.
+    sampling round.  The round runs inline on ``seed``'s generator.
     """
     config = config if config is not None else SparsifierConfig()
     eps = config.epsilon if epsilon is None else float(epsilon)
@@ -204,23 +125,14 @@ def distributed_parallel_sample(
 
     simple = graph.coalesce()
     m = simple.num_edges
-    sparsifier, cost, components, num_shards, boundary_edges = simple, DistributedCost(), 0, 1, 0
+    sparsifier, cost, components = simple, DistributedCost(), 0
     if m <= config.min_edges_to_sparsify:
         t, outside = 0, 0
         bundle_indices, kept = np.array([], dtype=np.int64), np.arange(m, dtype=np.int64)
     else:
         t = config.bundle_size(simple.num_vertices, eps)
-        if config.num_shards == 1:
-            whole = _distributed_bundle_and_sample(simple, t, config, rng)
-            bundle_indices, kept, outside = whole["bundle"], whole["kept"], whole["outside"]
-            results = [whole]
-        else:
-            shards, results = _distributed_sample_shards(simple, t, config, rng, failure_policy)
-            bundle_indices, kept, outside = merge_shard_samples(results, shards.boundary_edge_indices)
-            num_shards, boundary_edges = shards.num_shards, shards.num_boundary_edges
-        # Shard networks run concurrently: rounds max, messages add.
-        cost = combine_concurrent(r["cost"] for r in results)
-        components = max(r["components"] for r in results)
+        bundle, kept, outside = _distributed_bundle_and_sample(simple, t, config, rng)
+        bundle_indices, cost, components = bundle.edge_indices, bundle.cost, bundle.components_built
         if outside:
             # Sampling round: the lower-id endpoint of every surviving edge
             # draws the coin and informs the other endpoint — one synchronous
@@ -239,8 +151,6 @@ def distributed_parallel_sample(
         degenerate=not outside,
         cost=cost,
         components_built=components,
-        num_shards=num_shards,
-        boundary_edges=boundary_edges,
     )
 
 
@@ -251,17 +161,14 @@ def distributed_parallel_sparsify(
     config: Optional[SparsifierConfig] = None,
     seed: SeedLike = None,
     on_round: Optional[Callable[[int, DistributedSampleResult], None]] = None,
-    failure_policy: Optional[FailurePolicy] = None,
 ) -> DistributedSparsifyResult:
     """Distributed Algorithm 2: iterate distributed ``PARALLELSAMPLE``.
 
     Runs the same loop as :func:`repro.core.sparsify.parallel_sparsify`
     (:func:`repro.core.sparsify.sparsify_rounds`) on the coalesced input.
     The rounds are inherently sequential (round ``i+1`` consumes round
-    ``i``'s output); the parallelism lives inside each round's shard
-    fan-out when ``config.num_shards > 1``.  ``failure_policy`` is passed
-    to every round's shard fan-out (``"collect"`` rejected — see
-    :func:`distributed_parallel_sample`).
+    ``i``'s output); the parallelism lives inside each round's simulated
+    network, whose nodes act concurrently within a synchronous round.
 
     ``on_round`` is an optional progress callback invoked as
     ``on_round(round_index, result)`` (1-based index) the moment each
@@ -271,10 +178,7 @@ def distributed_parallel_sparsify(
     """
 
     def sample_round(round_index, current, round_eps, round_config, rng):
-        result = distributed_parallel_sample(
-            current, epsilon=round_eps, config=round_config, seed=rng,
-            failure_policy=failure_policy,
-        )
+        result = distributed_parallel_sample(current, epsilon=round_eps, config=round_config, seed=rng)
         if on_round is not None:
             on_round(round_index, result)
         return result

@@ -19,35 +19,26 @@ parallel algorithm; the PRAM cost of each step is charged to the tracker
 in :mod:`repro.core.distributed_sparsify`.
 
 Algorithm 1 is one round function, :func:`_bundle_and_sample`: build the
-bundle and draw the coins.  With ``config.num_shards == 1`` it runs inline
-on the whole graph, consuming the caller's generator and charging the
-caller's tracker.  With ``config.num_shards > 1`` the graph is decomposed
-into vertex-range shards (:mod:`repro.graphs.sharding`) and the same
-function runs once per shard as a job on the configured execution backend
-(:mod:`repro.parallel.backends`); cross-shard boundary edges join the
-bundle outright.  RNG sub-streams are split per shard before dispatch, so
-a fixed seed gives bit-identical output on every backend and worker
-count.  Shard costs combine with the PRAM fork/join rule (work adds,
-depth is the max).
+bundle and draw the coins.  It runs inline on the whole graph, consuming
+the caller's generator and charging the caller's tracker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import SparsifierConfig
 from repro.exceptions import SparsificationError
 from repro.graphs.graph import Graph
-from repro.graphs.sharding import GraphShards, shard_edges
 from repro.parallel.metrics import PRAMCost
 from repro.parallel.pram import PRAMTracker
 from repro.spanners.bundle import t_bundle_spanner
 from repro.spanners.low_stretch_tree import tree_bundle
 from repro.spanners.verification import repair_spanner
-from repro.utils.rng import RandomState, SeedLike, as_rng, split_rng
+from repro.utils.rng import RandomState, SeedLike, as_rng
 
 __all__ = ["SampleResult", "parallel_sample", "assemble_sample_output"]
 
@@ -62,9 +53,9 @@ def assemble_sample_output(
 
     Bundle edges keep their original weight; sampled survivors are
     reweighted by ``1/p`` so the Laplacian is preserved in expectation.
-    The sharded, unsharded, and distributed pipelines all build their
-    sparsifier through this one function so the reweighting rule cannot
-    drift between them.
+    The PRAM and distributed pipelines both build their sparsifier
+    through this one function so the reweighting rule cannot drift
+    between them.
     """
     new_u = np.concatenate([graph.edge_u[bundle_indices], graph.edge_u[kept_outside]])
     new_v = np.concatenate([graph.edge_v[bundle_indices], graph.edge_v[kept_outside]])
@@ -96,25 +87,6 @@ def sample_nonbundle_edges(
         return outside, 0
     keep_mask = rng.random(outside.size) < p
     return outside[keep_mask], int(outside.size)
-
-
-def merge_shard_samples(
-    results: list, boundary_edge_indices: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Combine per-shard worker results into global index arrays.
-
-    The bundle is the union of every shard's picks plus all cross-shard
-    boundary edges; the sampled survivors are sorted into a canonical
-    order so the output is independent of shard execution order.  Shared
-    by the PRAM and distributed sharded drivers.
-    """
-    bundle_parts = [r["bundle"] for r in results] + [boundary_edge_indices]
-    bundle_indices = np.unique(np.concatenate(bundle_parts))
-    kept_outside = np.sort(
-        np.concatenate([r["kept"] for r in results] + [np.array([], dtype=np.int64)])
-    )
-    total_outside = sum(r["outside"] for r in results)
-    return bundle_indices, kept_outside, total_outside
 
 
 @dataclass
@@ -167,24 +139,22 @@ def _bundle_and_sample(
     graph: Graph,
     t: int,
     config: SparsifierConfig,
-    bundle_rng: RandomState,
-    sample_rng: RandomState,
+    rng: RandomState,
     tracker: PRAMTracker,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """One ``PARALLELSAMPLE`` round on ``graph``: Step 1, then the Bernoulli step.
 
-    ``graph`` is the whole input or one shard's subgraph.  Builds
-    the ``t``-bundle (spanner or tree components, repaired against the
-    per-component stretch target under ``config.certify_stretch``) from
-    ``bundle_rng``, then samples the edges outside it from
-    ``sample_rng``.  Returns the bundle and kept positions in ``graph``'s
-    edge order and the number of candidates outside the bundle; the
-    Bernoulli pass is charged only when there was something to sample.
+    Builds the ``t``-bundle (spanner or tree components, repaired against
+    the per-component stretch target under ``config.certify_stretch``)
+    from ``rng``, then samples the edges outside it from the same ``rng``.
+    Returns the bundle and kept positions in ``graph``'s edge order and
+    the number of candidates outside the bundle; the Bernoulli pass is
+    charged only when there was something to sample.
     """
     if config.use_tree_bundle:
-        bundle = tree_bundle(graph, t=t, seed=bundle_rng, tracker=tracker)
+        bundle = tree_bundle(graph, t=t, seed=rng, tracker=tracker)
     else:
-        bundle = t_bundle_spanner(graph, t=t, k=config.spanner_k, seed=bundle_rng, tracker=tracker)
+        bundle = t_bundle_spanner(graph, t=t, k=config.spanner_k, seed=rng, tracker=tracker)
     bundle_indices = bundle.edge_indices
     if config.certify_stretch and bundle.component_edge_indices:
         # Repair the *union* against the per-component stretch target so the
@@ -194,59 +164,11 @@ def _bundle_and_sample(
         stretch_target = 2.0 * np.log2(max(graph.num_vertices, 2))
         bundle_indices = repair_spanner(graph, bundle_indices, stretch_target)
     kept, outside = sample_nonbundle_edges(
-        graph.num_edges, bundle_indices, sample_rng, config.sampling_probability
+        graph.num_edges, bundle_indices, rng, config.sampling_probability
     )
     if outside:
         tracker.charge_parallel_for(outside, label="sample/bernoulli")
     return bundle_indices, kept, outside
-
-
-def _sample_shard(item: Tuple[int, RandomState, RandomState], shared: Dict[str, Any]) -> Dict[str, Any]:
-    """:func:`_bundle_and_sample` on one shard's edges, as a backend job.
-
-    Module-level (not a closure) so the process backend can pickle it; the
-    graph and shard index arrays travel through ``shared`` once per
-    worker.  Returns original-graph edge indices plus the shard's PRAM
-    cost so the parent can fork/join-combine the shards.
-    """
-    shard_id, bundle_rng, sample_rng = item
-    graph: Graph = shared["graph"]
-    idx: np.ndarray = shared["shards"].shard_edge_indices[shard_id]
-    if idx.size == 0:
-        empty = np.array([], dtype=np.int64)
-        return {"bundle": empty, "kept": empty, "outside": 0, "cost": PRAMCost()}
-    tracker = PRAMTracker()
-    bundle, kept, outside = _bundle_and_sample(
-        graph.select_edges(idx), shared["t"], shared["config"], bundle_rng, sample_rng, tracker
-    )
-    if not outside:
-        # A shard's fork/join branch spawns its Bernoulli loop even when
-        # the loop is empty: one parallel step of depth.
-        tracker.charge_parallel_for(0, label="sample/bernoulli")
-    return {"bundle": idx[bundle], "kept": idx[kept], "outside": outside, "cost": tracker.total}
-
-
-def _sample_shards(
-    graph: Graph,
-    t: int,
-    config: SparsifierConfig,
-    rng: RandomState,
-    tracker: PRAMTracker,
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Fan :func:`_sample_shard` out over the backend and merge the shards."""
-    shards: GraphShards = shard_edges(graph, config.num_shards)
-    # Two streams per shard (bundle + sampling), split before dispatch so
-    # scheduling order / backend / worker count cannot change the output.
-    streams = split_rng(rng, 2 * shards.num_shards)
-    items = [(s, streams[2 * s], streams[2 * s + 1]) for s in range(shards.num_shards)]
-    shared = {"graph": graph, "config": config, "t": t, "shards": shards}
-    results = config.execution_backend().map(_sample_shard, items, shared=shared)
-
-    # Shards execute concurrently: PRAM fork/join (work adds, depth max).
-    with tracker.parallel_region():
-        for r in results:
-            tracker.charge(r["cost"].work, r["cost"].depth, label="sample/shard")
-    return merge_shard_samples(results, shards.boundary_edge_indices)
 
 
 def parallel_sample(
@@ -267,9 +189,6 @@ def parallel_sample(
         ``config.epsilon``.
     config:
         :class:`SparsifierConfig`; defaults to the practical configuration.
-        With ``config.num_shards > 1`` the bundle/sampling work is sharded
-        and dispatched through ``config``'s execution backend (see the
-        module docstring).
     seed:
         RNG seed (bundle construction and the Bernoulli sampling).
     tracker:
@@ -294,10 +213,7 @@ def parallel_sample(
         bundle_indices, kept = np.array([], dtype=np.int64), np.arange(m, dtype=np.int64)
     else:
         t = config.bundle_size(graph.num_vertices, eps)
-        if config.num_shards == 1:
-            bundle_indices, kept, outside = _bundle_and_sample(graph, t, config, rng, rng, tracker)
-        else:
-            bundle_indices, kept, outside = _sample_shards(graph, t, config, rng, tracker)
+        bundle_indices, kept, outside = _bundle_and_sample(graph, t, config, rng, tracker)
         # outside == 0: the bundle swallowed every edge (theory-mode constants
         # on a small graph, or a graph sparser than the bundle target).
         if outside:

@@ -157,13 +157,10 @@ def parallel_sparsify(
         coalesced, and a degenerate round stops the iteration).
     config:
         :class:`SparsifierConfig` controlling bundle sizes and sampling.
-        Its ``backend`` / ``max_workers`` / ``num_shards`` fields also
-        select the execution substrate: with ``num_shards > 1`` every
-        round's bundle/sampling work is sharded and fanned out through the
-        configured backend (rounds themselves stay sequential — round
-        ``i+1`` consumes round ``i``'s output).  Backends never change the
-        output for a fixed seed; the shard count does (it is part of the
-        algorithm).
+        Every round runs on the whole graph in the calling thread (rounds
+        are sequential — round ``i+1`` consumes round ``i``'s output); the
+        config's ``backend`` / ``max_workers`` matter only when this call
+        is one job of :meth:`repro.api.Engine.run_many`.
     seed:
         RNG seed; each round gets an independent sub-stream.
     on_round:

@@ -1,4 +1,4 @@
-"""Graph substrate: the ``Graph`` container, generators, IO, connectivity, sharding.
+"""Graph substrate: the ``Graph`` container, generators, IO, connectivity.
 
 The central type is :class:`repro.graphs.Graph`, an immutable weighted
 undirected multigraph stored as parallel edge arrays.  Everything else in
@@ -20,7 +20,6 @@ from repro.graphs.connectivity import (
     sample_component_pairs,
 )
 from repro.graphs.operations import induced_subgraph
-from repro.graphs.sharding import GraphShards, partition_vertex_ranges, shard_edges
 from repro.graphs.kout import (
     KOutResult,
     default_k_out,
@@ -33,9 +32,6 @@ from repro.graphs import io
 from repro.graphs import conversion
 
 __all__ = [
-    "GraphShards",
-    "partition_vertex_ranges",
-    "shard_edges",
     "Graph",
     "edge_laplacian",
     "is_laplacian",

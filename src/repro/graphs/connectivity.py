@@ -12,6 +12,8 @@ The sparsification pipeline relies on connectivity in two places:
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from repro.graphs.graph import Graph
 
@@ -21,30 +23,22 @@ __all__ = ["connected_components", "is_connected", "sample_component_pairs"]
 def connected_components(graph: Graph) -> np.ndarray:
     """Component label (0-based, contiguous) for each vertex.
 
-    Uses a vectorised label-propagation over the edge arrays, which runs in
-    O((n + m) * diameter-ish) NumPy passes and avoids per-edge Python work.
-    Falls back nicely for edgeless graphs.
+    Components are numbered by the rank of their least vertex: the probe
+    pairs :func:`sample_component_pairs` draws, and so every certificate,
+    depend on that numbering.  One
+    :func:`scipy.sparse.csgraph.connected_components` call on a CSR matrix
+    of the edge arrays, built here and not cached on ``graph``.  Its data
+    are float64 ones, so parallel edges sum to at least one and never
+    cancel to an explicit zero.
     """
     n = graph.num_vertices
-    labels = np.arange(n, dtype=np.int64)
-    if graph.num_edges == 0 or n == 0:
-        return labels
-    u = graph.edge_u
-    v = graph.edge_v
-    # Pointer-jumping label propagation: repeatedly set both endpoints of each
-    # edge to the minimum label, then compress via labels[labels].
-    while True:
-        edge_min = np.minimum(labels[u], labels[v])
-        new_labels = labels.copy()
-        np.minimum.at(new_labels, u, edge_min)
-        np.minimum.at(new_labels, v, edge_min)
-        # Compress chains.
-        new_labels = new_labels[new_labels]
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    _, compact = np.unique(labels, return_inverse=True)
-    return compact.astype(np.int64)
+    if graph.num_edges == 0:
+        return np.arange(n, dtype=np.int64)
+    pattern = sp.csr_matrix(
+        (np.ones(graph.num_edges), (graph.edge_u, graph.edge_v)), shape=(n, n)
+    )
+    _, labels = csgraph.connected_components(pattern, directed=False)
+    return labels.astype(np.int64)
 
 
 def is_connected(graph: Graph) -> bool:

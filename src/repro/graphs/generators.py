@@ -187,11 +187,9 @@ def banded_graph(
 ) -> Graph:
     """Vertex ``u`` joined to ``u+1 .. u+band``: dense with perfect id locality.
 
-    The canonical sharding-friendly workload: vertex-range shards of a
-    banded graph keep boundary edges to a few percent of the total, so
-    the shard-parallel pipelines do real work (ER-style ids degenerate
-    to all-boundary).  Optionally weighted uniformly from
-    ``weight_range``.
+    Dense yet low-fill: its Laplacian has a narrow envelope, so it is the
+    canonical input for the factorized solve rung and for local memory
+    access.  Optionally weighted uniformly from ``weight_range``.
     """
     if n < 1:
         raise GraphError("banded_graph requires n >= 1")

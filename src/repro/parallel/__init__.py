@@ -23,9 +23,10 @@ this subpackage provides the cost models themselves:
   per-node object simulator it replaced is kept in
   :mod:`repro.spanners._reference` as the parity tests' ground truth;
 * :mod:`repro.parallel.backends` — the three execution backends
-  (serial / thread / process) that actually run shard- and job-level
-  fan-outs concurrently; a :class:`~repro.core.config.SparsifierConfig`
-  names the one a fan-out uses, and
+  (serial / thread / process) that run independent jobs
+  (:meth:`repro.api.Engine.run_many`) and stream compactions; a
+  :class:`~repro.core.config.SparsifierConfig` names the one a fan-out
+  uses, and
   :meth:`~repro.core.config.SparsifierConfig.execution_backend` builds it.
 """
 

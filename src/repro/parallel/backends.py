@@ -1,10 +1,11 @@
-"""Pluggable execution backends for shard- and job-level parallelism.
+"""Execution backends for job-level parallelism.
 
-The sparsification pipeline contains several *embarrassingly parallel*
-fan-outs: per-shard spanner construction inside ``PARALLELSAMPLE``, the
-per-shard protocols of the distributed driver, and independent jobs in a
-batch workload (:meth:`repro.api.Engine.run_many`).  This module
-provides the shared substrate those fan-outs run on:
+Each ``PARALLELSAMPLE`` round runs on the whole graph in one call; the
+work that fans out is a batch of independent jobs
+(:meth:`repro.api.Engine.run_many`, the only fan-out that runs several
+jobs at once) and a stream's compactions (one job per ``map``, which
+carries the stream's retry policy).  This module provides the shared
+substrate those fan-outs run on:
 
 * :class:`SerialBackend` — in-process sequential execution (the default:
   zero overhead, always available, trivially deterministic);

@@ -82,8 +82,8 @@ class DistributedCost:
         )
 
     def alongside(self, other: "DistributedCost") -> "DistributedCost":
-        """Concurrent composition: independent networks (shards) run in
-        lock-step, so rounds take the max while messages add."""
+        """Concurrent composition: independent networks (the jobs of one
+        batch) run in lock-step, so rounds take the max while messages add."""
         return DistributedCost(
             max(self.rounds, other.rounds),
             self.messages + other.messages,
@@ -111,7 +111,7 @@ def combine_parallel(costs: Iterable[PRAMCost]) -> PRAMCost:
 
 
 def combine_concurrent(costs: Iterable[DistributedCost]) -> DistributedCost:
-    """Fold distributed costs of shards executing concurrently."""
+    """Fold distributed costs of independent networks executing concurrently."""
     total = DistributedCost()
     for cost in costs:
         total = total.alongside(cost)

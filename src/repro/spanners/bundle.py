@@ -115,7 +115,7 @@ def bundle_select(
 
     This is the kernel behind :func:`t_bundle_spanner`, exposed so callers
     that already hold validated edge arrays (the streaming sparsifier's
-    compaction step, shard workers) can run the ``t``-round peel without
+    compaction step) can run the ``t``-round peel without
     constructing a :class:`Graph` at all.  RNG discipline is identical to
     :func:`t_bundle_spanner`: ``as_rng(seed)`` then one
     :func:`~repro.utils.rng.split_rng` sub-stream per component, so a
@@ -197,9 +197,8 @@ def t_bundle_spanner(
     Parameters
     ----------
     graph:
-        Input weighted graph (a shard worker passes its shard's
-        :meth:`~repro.graphs.graph.Graph.select_edges` subgraph).
-        ``edge_indices`` are relative to the given graph.
+        Input weighted graph.  ``edge_indices`` are relative to the
+        given graph.
     t:
         Number of edge-disjoint spanner components requested.
     k:

@@ -160,14 +160,13 @@ def distributed_baswana_sen_spanner(
 
 @dataclass
 class DistributedBundleResult:
-    """Outcome of peeling ``t`` distributed spanners off one graph/shard.
+    """Outcome of peeling ``t`` distributed spanners off one graph.
 
     Attributes
     ----------
     edge_indices:
         Sorted indices of all bundle edges into the input graph's edge
-        arrays (the input must be simple, e.g. a coalesced graph or a
-        shard subgraph of one).
+        arrays (the input must be simple, e.g. a coalesced graph).
     component_edge_indices:
         Per-component index arrays in construction order.
     components_built:
@@ -217,19 +216,18 @@ def distributed_bundle_spanner(
 ) -> DistributedBundleResult:
     """Build a t-bundle by iterating the distributed Baswana–Sen protocol.
 
-    This is the per-shard unit of work of the distributed sparsifier:
+    This is the bundle step of the distributed sparsifier's round:
     component ``i`` runs the protocol on the graph with components
     ``1..i-1`` peeled off, exactly as in the sequential bundle
     construction, but with every round/message measured by the simulator.
-    The caller typically pre-splits ``component_seeds`` (one RNG stream
-    per component) before dispatching shards onto an execution backend so
-    the result is independent of where the work runs.
+    The round pre-splits ``component_seeds`` (one RNG stream per
+    component) from its own stream, ahead of its coin stream.
 
     Parameters
     ----------
     graph:
-        Simple input graph (one edge per endpoint pair); shard subgraphs
-        of a coalesced graph qualify, and parallel edges raise
+        Simple input graph (one edge per endpoint pair); a coalesced
+        graph qualifies, and parallel edges raise
         :class:`GraphError`.  ``edge_indices`` refer to this graph's edge
         arrays.
     t:

@@ -149,7 +149,7 @@ def _compaction_worker(item: int, shared: Dict[str, Any]) -> Dict[str, Any]:
     fault-injection wrappers can intercept it.  Bundle selection consumes
     the compaction's stream via ``split_rng``, then the batch path's
     Bernoulli step (:func:`repro.core.sample.sample_nonbundle_edges`)
-    continues on the same generator — the one-shard
+    continues on the same generator — the
     :func:`repro.core.sample.parallel_sample` draw order.
     """
     index = int(item)

@@ -141,13 +141,6 @@ class TestParity:
         assert unified.output_edges == legacy.output_edges
         assert unified.cost == legacy.cost
 
-    def test_koutis_sharded_on_thread_backend(self):
-        graph = generators.grid_graph(12, 12)
-        config = SparsifierConfig(bundle_t=2, num_shards=4, backend="thread", max_workers=2)
-        unified = sparsify(graph, method="koutis", epsilon=0.5, seed=3, config=config)
-        legacy = parallel_sparsify(graph, epsilon=0.5, config=config, seed=3)
-        assert_same_edges(unified.sparsifier, legacy.sparsifier)
-
     def test_koutis_distributed(self, small_er_graph):
         config = SparsifierConfig(bundle_t=2)
         unified = sparsify(

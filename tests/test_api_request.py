@@ -83,7 +83,7 @@ class TestRoundTrip:
             method="koutis-distributed",
             epsilon=0.25,
             rho=8.0,
-            config=SparsifierConfig(bundle_t=3, num_shards=2, backend="thread", max_workers=2),
+            config=SparsifierConfig(bundle_t=3, backend="thread", max_workers=2),
             seed=123,
             certify=True,
             options={"stop_on_degenerate": False},
@@ -106,13 +106,19 @@ class TestRoundTrip:
         with pytest.raises(RequestError, match="sharls"):
             SparsifyRequest.from_dict({"method": "koutis", "sharls": 4})
         # Execution settings live under "config" alone.
-        for key, value in [("backend", "thread"), ("max_workers", 2), ("num_shards", 2)]:
+        for key, value in [("backend", "thread"), ("max_workers", 2)]:
             with pytest.raises(RequestError, match=f"unknown SparsifyRequest key.*{key}"):
                 SparsifyRequest.from_dict({key: value})
 
     def test_from_dict_rejects_bad_config_payload(self):
         with pytest.raises(RequestError):
             SparsifyRequest.from_dict({"config": {"no_such_knob": 1}})
+
+    def test_from_dict_refuses_the_retired_shard_count(self):
+        # Even the old default is refused: no rule drops the retired key.
+        for value in (1, 4):
+            with pytest.raises(RequestError, match="num_shards"):
+                SparsifyRequest.from_dict({"method": "koutis", "config": {"num_shards": value}})
 
     def test_from_dict_rejects_non_mapping(self):
         with pytest.raises(RequestError):

@@ -13,8 +13,7 @@ import pytest
 import repro
 from repro.api import Engine, SparsifyRequest
 from repro.core.config import SparsifierConfig
-from repro.core.distributed_sparsify import distributed_parallel_sample, distributed_parallel_sparsify
-from repro.core.sample import parallel_sample
+from repro.core.distributed_sparsify import distributed_parallel_sparsify
 from repro.core.sparsify import parallel_sparsify
 from repro.exceptions import BackendError, SparsificationError
 from repro.graphs import generators as gen
@@ -79,6 +78,12 @@ class TestRegistry:
         with pytest.raises(BackendError):
             ThreadBackend(max_workers=0)
 
+    def test_config_validates_execution_fields(self):
+        with pytest.raises(SparsificationError):
+            SparsifierConfig(max_workers=0)
+        with pytest.raises(SparsificationError, match="warp-drive"):
+            SparsifierConfig(backend="warp-drive")
+
 
 class TestMapSemantics:
     @pytest.mark.parametrize("name", ALL_BACKENDS)
@@ -129,9 +134,9 @@ class TestMapSemantics:
         assert backend.map(_add_shared, [1, 2, 3, 4], shared=shared) == [6, 7, 8, 9]
 
 
-# Dense enough that a 2-bundle leaves room for sampling even per shard.
+# Dense enough that a 2-bundle leaves room for sampling.
 DENSE = gen.erdos_renyi_graph(96, 0.25, seed=13, ensure_connected=True)
-SHARDED = dict(bundle_t=2, num_shards=4)
+BATCH = [gen.erdos_renyi_graph(60, 0.3, seed=s, ensure_connected=True) for s in range(4)]
 BACKEND_MATRIX = [
     ("serial", 1),
     ("serial", 4),
@@ -147,32 +152,36 @@ def _edge_tuple(graph):
     return (g.edge_u.tolist(), g.edge_v.tolist(), g.edge_weights.tolist())
 
 
+def _batch_edges(method, backend, workers):
+    config = SparsifierConfig.practical(bundle_t=2, backend=backend, max_workers=workers)
+    request = SparsifyRequest(method=method, epsilon=0.5, rho=4, seed=11, config=config)
+    batch = Engine(request).run_many(BATCH)
+    assert batch.backend_name == backend
+    return [_edge_tuple(result.sparsifier) for result in batch.results]
+
+
 class TestBackendDeterminism:
-    """Same seed => bit-identical sparsifiers on every backend/worker count."""
+    """Same seed => bit-identical ``run_many`` batches on every backend/worker count."""
 
     @pytest.fixture(scope="class")
     def pram_reference(self):
-        config = SparsifierConfig.practical(backend="serial", max_workers=1, **SHARDED)
-        return _edge_tuple(parallel_sparsify(DENSE, epsilon=0.5, rho=4, config=config, seed=11).sparsifier)
+        reference = _batch_edges("koutis", "serial", 1)
+        assert any(len(edges[0]) < g.num_edges for edges, g in zip(reference, BATCH))
+        return reference
 
     @pytest.fixture(scope="class")
     def distributed_reference(self):
-        config = SparsifierConfig.practical(backend="serial", max_workers=1, **SHARDED)
-        return _edge_tuple(
-            distributed_parallel_sparsify(DENSE, epsilon=0.5, rho=4, config=config, seed=11).sparsifier
-        )
+        reference = _batch_edges("koutis-distributed", "serial", 1)
+        assert any(len(edges[0]) < g.num_edges for edges, g in zip(reference, BATCH))
+        return reference
 
     @pytest.mark.parametrize("backend,workers", BACKEND_MATRIX)
     def test_parallel_sparsify_identical(self, backend, workers, pram_reference):
-        config = SparsifierConfig.practical(backend=backend, max_workers=workers, **SHARDED)
-        result = parallel_sparsify(DENSE, epsilon=0.5, rho=4, config=config, seed=11)
-        assert _edge_tuple(result.sparsifier) == pram_reference
+        assert _batch_edges("koutis", backend, workers) == pram_reference
 
     @pytest.mark.parametrize("backend,workers", BACKEND_MATRIX)
     def test_distributed_sparsify_identical(self, backend, workers, distributed_reference):
-        config = SparsifierConfig.practical(backend=backend, max_workers=workers, **SHARDED)
-        result = distributed_parallel_sparsify(DENSE, epsilon=0.5, rho=4, config=config, seed=11)
-        assert _edge_tuple(result.sparsifier) == distributed_reference
+        assert _batch_edges("koutis-distributed", backend, workers) == distributed_reference
 
     def test_worker_count_does_not_change_batch_output(self):
         graphs = [gen.erdos_renyi_graph(40, 0.2, seed=i, ensure_connected=True) for i in range(4)]
@@ -188,51 +197,6 @@ class TestBackendDeterminism:
         four = run(4)
         for a, b in zip(one.results, four.results):
             assert _edge_tuple(a.sparsifier) == _edge_tuple(b.sparsifier)
-
-
-class TestShardedPipelines:
-    def test_sharded_sample_output_is_valid_sparsifier(self):
-        from repro.core.certificates import certify_approximation
-        from repro.graphs.connectivity import is_connected
-
-        config = SparsifierConfig.practical(**SHARDED)
-        result = parallel_sparsify(DENSE, epsilon=0.5, rho=4, config=config, seed=2)
-        assert is_connected(result.sparsifier)
-        cert = certify_approximation(DENSE, result.sparsifier)
-        assert 0 < cert.lower <= cert.upper < 5
-
-    def test_sharded_distributed_cost_uses_concurrent_rounds(self):
-        from repro.core.distributed_sparsify import distributed_parallel_sample
-
-        sharded = distributed_parallel_sample(
-            DENSE, epsilon=0.5, config=SparsifierConfig.practical(bundle_t=2, num_shards=4), seed=5
-        )
-        serial = distributed_parallel_sample(
-            DENSE, epsilon=0.5, config=SparsifierConfig.practical(bundle_t=2), seed=5
-        )
-        assert sharded.num_shards == 4
-        assert sharded.boundary_edges > 0
-        # Concurrent shard networks: rounds compose with max (so no worse
-        # than the sequential whole-graph protocol), and communication
-        # drops because boundary edges never enter a protocol.
-        assert sharded.cost.rounds <= serial.cost.rounds
-        assert sharded.cost.messages < serial.cost.messages
-
-    def test_shard_count_is_part_of_the_algorithm(self):
-        config_1 = SparsifierConfig.practical(bundle_t=2, num_shards=1)
-        config_4 = SparsifierConfig.practical(bundle_t=2, num_shards=4)
-        a = parallel_sparsify(DENSE, epsilon=0.5, rho=4, config=config_1, seed=9)
-        b = parallel_sparsify(DENSE, epsilon=0.5, rho=4, config=config_4, seed=9)
-        # Different shard counts are different (equally valid) algorithms.
-        assert _edge_tuple(a.sparsifier) != _edge_tuple(b.sparsifier)
-
-    def test_config_validates_execution_fields(self):
-        with pytest.raises(SparsificationError):
-            SparsifierConfig(num_shards=0)
-        with pytest.raises(SparsificationError):
-            SparsifierConfig(max_workers=0)
-        with pytest.raises(SparsificationError, match="warp-drive"):
-            SparsifierConfig(backend="warp-drive")
 
 
 class _CountingBackend(SerialBackend):
@@ -258,10 +222,7 @@ def _stream_with_a_compaction():
     assert record.compactions_run >= 1
 
 
-SHARDED_2 = SparsifierConfig(bundle_t=2, num_shards=2)
 FAN_OUTS = {
-    "parallel_sample": lambda: parallel_sample(DENSE, config=SHARDED_2, seed=1),
-    "distributed_parallel_sample": lambda: distributed_parallel_sample(DENSE, config=SHARDED_2, seed=1),
     "stream-compaction": _stream_with_a_compaction,
     "run_many": lambda: Engine(SparsifyRequest(method="koutis", seed=1)).run_many([DENSE, DENSE]),
 }
@@ -276,6 +237,16 @@ class TestBackendSeam:
         monkeypatch.setattr(SparsifierConfig, "execution_backend", lambda config: backend)
         FAN_OUTS[fan_out]()
         assert backend.calls >= 1
+
+    @pytest.mark.parametrize("driver", [parallel_sparsify, distributed_parallel_sparsify])
+    def test_one_run_never_fans_out(self, driver, monkeypatch):
+        # Each PARALLELSAMPLE round runs on the whole graph in the caller.
+        backend = _CountingBackend()
+        monkeypatch.setattr(SparsifierConfig, "execution_backend", lambda config: backend)
+        config = SparsifierConfig.practical(bundle_t=2, backend="thread", max_workers=2)
+        result = driver(DENSE, epsilon=0.5, rho=4, config=config, seed=1)
+        assert result.sparsifier.num_edges < DENSE.num_edges
+        assert backend.calls == 0
 
     def test_injecting_is_not_a_backend_name(self):
         # In a fresh interpreter, so "before the import" really is before it.

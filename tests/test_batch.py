@@ -119,14 +119,3 @@ class TestSparsifyMany:
         result = sparsify_batch(graph_batch[:2], config=config, seed=3)
         assert result.backend_name == "thread"
         assert result.max_workers == 2
-
-    def test_jobs_with_sharded_config(self, graph_batch):
-        # num_shards flows into each job; the batch still matches solo runs.
-        config = SparsifierConfig.practical(bundle_t=2, num_shards=2)
-        batch = sparsify_batch(graph_batch[:2], config=config, seed=9)
-        job_rngs = split_rng(as_rng(9), 2)
-        for i in range(2):
-            solo = parallel_sparsify(
-                graph_batch[i], epsilon=0.5, rho=4, config=config, seed=job_rngs[i]
-            )
-            assert _edge_tuple(batch.results[i].sparsifier) == _edge_tuple(solo.sparsifier)

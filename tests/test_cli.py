@@ -33,7 +33,6 @@ class TestParser:
         assert not args.tree_bundle
         assert args.backend is None
         assert args.workers is None
-        assert args.shards is None
         assert args.seed is None
         assert args.config is None
 
@@ -58,11 +57,14 @@ class TestParser:
 
     def test_sparsify_execution_flags(self):
         args = build_parser().parse_args(
-            ["sparsify", "in.txt", "out.txt", "--backend", "thread", "--workers", "4", "--shards", "8"]
+            ["sparsify", "in.txt", "out.txt", "--backend", "thread", "--workers", "4"]
         )
         assert args.backend == "thread"
         assert args.workers == 4
-        assert args.shards == 8
+
+    def test_rejects_the_retired_shards_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sparsify", "a", "b", "--shards", "4"])
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
@@ -278,18 +280,6 @@ class TestBatchCommand:
         assert (out_dir / "graph-1.sparsified.txt").exists()
         assert (out_dir / "graph-1-1.sparsified.txt").exists()
 
-    def test_batch_sharded_run(self, tmp_path):
-        graph = gen.grid_graph(8, 8)
-        path = tmp_path / "grid.txt"
-        write_edge_list(graph, path)
-        out_dir = tmp_path / "out"
-        code = main([
-            "batch", str(path), "--output-dir", str(out_dir),
-            "--bundle-t", "2", "--shards", "4", "--seed", "1",
-        ])
-        assert code == 0
-        assert read_edge_list(out_dir / "grid.sparsified.txt").num_edges > 0
-
 
 class TestCompareCommand:
     def test_side_by_side_table(self, edge_list_file, capsys):
@@ -338,7 +328,7 @@ class TestCompareCommand:
 
     def test_honours_config_file_execution_fields(self, edge_list_file, tmp_path, capsys):
         """compare must see the same sparsifier the sparsify subcommand
-        writes for the same --config (num_shards is part of the algorithm)."""
+        writes for the same --config."""
         import json
 
         from repro.graphs.io import read_edge_list as read
@@ -346,12 +336,18 @@ class TestCompareCommand:
         in_path, _ = edge_list_file
         request_path = tmp_path / "req.json"
         request_path.write_text(json.dumps({
-            "seed": 6, "config": {"bundle_t": 2, "num_shards": 4},
+            "seed": 6, "config": {"bundle_t": 2, "sampling_probability": 0.75},
         }))
-        out_path = tmp_path / "sharded.txt"
+        out_path = tmp_path / "configured.txt"
         assert main(["sparsify", str(in_path), str(out_path),
                      "--config", str(request_path)]) == 0
         written = read(out_path)
+        default_path = tmp_path / "default.txt"
+        assert main(["sparsify", str(in_path), str(default_path),
+                     "--bundle-t", "2", "--seed", "6"]) == 0
+        # The config file's field changes the sparsifier, so the row below
+        # can only match when compare read the file.
+        assert read(default_path).num_edges != written.num_edges
         capsys.readouterr()
         assert main(["compare", str(in_path), "--config", str(request_path),
                      "--methods", "koutis", "uniform"]) == 0

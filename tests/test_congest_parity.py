@@ -16,7 +16,7 @@ behaviour.  Three layers of guards:
 * pipeline parity — the t-bundle peel and the distributed sparsifier
   reproduce, bit for bit, what they produced on the per-node engine
   (``PER_NODE_OUTPUTS`` below, stored when the pipeline could still
-  select that engine), sharded or not.
+  select that engine).
 
 The bundle peel runs each component on the previous component's network
 restricted to the remaining edges; ``TestNetworkRestriction`` pins a
@@ -81,12 +81,6 @@ PER_NODE_OUTPUTS = {
         "sampled": "89b4ef3c8a8f9cfd",
         "sparsifier": "b20cbd49f40c0e4f",
         "cost": (71, 7499, 3),
-    },
-    "sample-4": {
-        "bundle": "065790b344af44d0",
-        "sampled": "d75e852588afabc3",
-        "sparsifier": "04cd41a0b94be99b",
-        "cost": (71, 6799, 3),
     },
     "sparsify": {
         "sparsifier": "7fe2dd5315a3d511",
@@ -268,12 +262,11 @@ class TestBundleAndPipelineParity:
         assert np.array_equal(reference.edge_indices, columnar.edge_indices)
         assert reference.cost == columnar.cost
 
-    @pytest.mark.parametrize("num_shards", [1, 4])
-    def test_parallel_sample_parity(self, num_shards):
+    def test_parallel_sample_parity(self):
         graph = gen.banded_graph(72, 6)
-        config = SparsifierConfig.practical(bundle_t=2, num_shards=num_shards)
+        config = SparsifierConfig.practical(bundle_t=2)
         result = distributed_parallel_sample(graph, epsilon=0.5, config=config, seed=9)
-        expected = PER_NODE_OUTPUTS[f"sample-{num_shards}"]
+        expected = PER_NODE_OUTPUTS["sample-1"]
         assert digest(result.bundle_edge_indices) == expected["bundle"]
         assert digest(result.sampled_edge_indices) == expected["sampled"]
         sparsifier = result.sparsifier

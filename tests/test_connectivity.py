@@ -70,7 +70,7 @@ class TestComponents:
     @given(seed=st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=20, deadline=None)
     def test_components_match_networkx(self, seed):
-        """Cross-check the vectorised component labelling against networkx."""
+        """Cross-check the component labels against networkx, label for label."""
         import networkx as nx
 
         from repro.graphs.conversion import to_networkx
@@ -81,8 +81,17 @@ class TestComponents:
         u = rng.integers(0, n, size=m)
         v = rng.integers(0, n, size=m)
         mask = u != v
-        g = Graph(n, u[mask], v[mask], np.ones(mask.sum()))
-        ours = len(np.unique(connected_components(g)))
-        theirs = nx.number_connected_components(to_networkx(g))
+        # Repeat some edges: parallel edges must not change any label.
+        repeat = rng.integers(0, max(int(mask.sum()), 1), size=int(mask.sum() > 0) * 300)
+        u, v = u[mask], v[mask]
+        g = Graph(n, np.concatenate([u, u[repeat]]), np.concatenate([v, v[repeat]]))
+        labels = connected_components(g)
         # networkx counts isolated vertices as components too; so do we.
-        assert ours == theirs
+        components = list(nx.connected_components(to_networkx(g)))
+        assert labels.max(initial=-1) + 1 == len(components)
+        # Each component is labelled by the rank of its least vertex.
+        expected = np.empty(n, dtype=np.int64)
+        for rank, members in enumerate(sorted(components, key=min)):
+            expected[sorted(members)] = rank
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, expected)

@@ -44,7 +44,7 @@ class TestValidation:
     @pytest.mark.parametrize("value", [2.5, True])
     @pytest.mark.parametrize(
         "field",
-        ["bundle_t", "spanner_k", "num_shards", "max_workers", "min_edges_to_sparsify"],
+        ["bundle_t", "spanner_k", "max_workers", "min_edges_to_sparsify"],
     )
     def test_sizes_must_be_integers(self, field, value):
         with pytest.raises(SparsificationError, match=f"{field} must be an integer"):
@@ -54,12 +54,15 @@ class TestValidation:
         config = SparsifierConfig(
             bundle_t=np.int64(3),
             spanner_k=np.int64(2),
-            num_shards=np.int64(2),
             max_workers=np.int32(2),
             min_edges_to_sparsify=np.int64(0),
         )
         assert (config.bundle_t, config.spanner_k) == (3, 2)
-        assert (config.num_shards, config.max_workers, config.min_edges_to_sparsify) == (2, 2, 0)
+        assert (config.max_workers, config.min_edges_to_sparsify) == (2, 0)
+
+    def test_shard_count_is_not_a_field(self):
+        with pytest.raises(TypeError, match="num_shards"):
+            SparsifierConfig(num_shards=1)
 
     def test_solver_choices(self):
         assert SparsifierConfig().solver == "cg"

@@ -31,6 +31,7 @@ from repro.parallel.failure import FailurePolicy
 from repro.resistance import solver_select
 from repro.resistance.solver_select import ResistanceSolveStats
 from repro.solvers.chain import ChainCache
+from repro.spanners import distributed_spanner
 from repro.testing.faults import (
     FaultPlan,
     InjectingBackend,
@@ -210,23 +211,43 @@ class TestBatchRecovery:
             assert _edges(expected) == _edges(actual)
 
     @pytest.mark.parametrize(
-        "execution",
-        [{"backend": "serial"}, {"backend": "thread", "max_workers": 2}],
-        ids=["serial", "thread"],
+        "method,owner,name,execution",
+        [
+            pytest.param(
+                "koutis", sparsify_module, "parallel_sample", {"backend": "serial"}, id="serial"
+            ),
+            pytest.param(
+                "koutis", sparsify_module, "parallel_sample",
+                {"backend": "thread", "max_workers": 2}, id="thread",
+            ),
+            pytest.param(
+                "koutis-distributed", distributed_spanner, "_run_protocol",
+                {"backend": "serial"}, id="distributed-serial",
+            ),
+            pytest.param(
+                "koutis-distributed", distributed_spanner, "_run_protocol",
+                {"backend": "thread", "max_workers": 2}, id="distributed-thread",
+            ),
+        ],
     )
-    def test_retry_after_failure_part_way_through_a_job(self, execution, fail_once_part_way):
-        # On the serial backend the second call is job 0's round 2: the
-        # job has already split its stream into round streams.
+    def test_retry_after_failure_part_way_through_a_job(
+        self, method, owner, name, execution, fail_once_part_way
+    ):
+        # On the serial backend the second call is job 0's round 2 (koutis:
+        # the job has already split its stream into round streams) or job
+        # 0's second bundle component of round 1 (koutis-distributed: the
+        # peel calls ``_run_protocol`` once per component, after the round
+        # split its component streams).
         graphs = [
             generators.erdos_renyi_graph(120, 0.2, seed=s, ensure_connected=True)
             for s in range(3)
         ]
         request = SparsifyRequest(
-            method="koutis", rho=4, seed=7, config=SparsifierConfig(bundle_t=2, **execution)
+            method=method, rho=4, seed=7, config=SparsifierConfig(bundle_t=2, **execution)
         )
         baseline = Engine(request).run_many(graphs)
 
-        fired = fail_once_part_way(sparsify_module, "parallel_sample")
+        fired = fail_once_part_way(owner, name)
         policy = FailurePolicy(on_error="retry", max_attempts=3)
         recovered = Engine(request).run_many(graphs, failure_policy=policy)
 
@@ -235,6 +256,7 @@ class TestBatchRecovery:
         assert sorted(recovered.attempts) == [1, 1, 2]
         for expected, actual in zip(baseline.results, recovered.results):
             assert _edges(expected) == _edges(actual)
+            assert expected.cost == actual.cost
 
 
 class TestSolverDegradation:

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from repro.api import Engine, SparsifyRequest
-from repro.core.checkpoint import batch_graph_digest
+from repro.core.checkpoint import batch_graph_digest, seal, unseal
 from repro.core.config import SparsifierConfig
-from repro.core.distributed_sparsify import distributed_parallel_sample
 from repro.exceptions import (
     BackendError,
     CheckpointError,
@@ -30,7 +29,6 @@ from repro.graphs.graph import Graph
 from repro.linalg.cg import SolveStatus, laplacian_solve_many
 from repro.parallel.backends import get_backend
 from repro.parallel.failure import BACKOFF_JITTER, BACKOFF_MAX, FailurePolicy, FailureRecord, backoff_delay
-from repro.spanners import distributed_spanner
 from repro.testing.faults import NaNPoisonedOperator
 
 
@@ -220,9 +218,8 @@ class TestCheckpointJournal:
             {"epsilon": 0.25},
             {"rho": 8.0},
             {"options": {"coalesce_between_rounds": False}},
-            {"config": SparsifierConfig(num_shards=2)},
         ],
-        ids=["seed", "config", "epsilon", "rho", "option", "config-shards"],
+        ids=["seed", "config", "epsilon", "rho", "option"],
     )
     def test_resume_under_another_request_is_refused(self, graphs, tmp_path, change):
         journal = tmp_path / "batch.jsonl"
@@ -233,6 +230,18 @@ class TestCheckpointJournal:
             checkpointed_batch(graphs[:2], checkpoint=journal, **change)
         # The refused resume left the journal untouched.
         assert journal.read_text().splitlines() == lines[:2]
+
+    def test_header_pinning_a_retired_config_field_is_refused(self, graphs, tmp_path):
+        # A journal written while the config still had a field it no longer
+        # has pins that field in its header; resuming it names another batch.
+        journal = tmp_path / "batch.jsonl"
+        checkpointed_batch(graphs[:2], checkpoint=journal)
+        lines = journal.read_text().splitlines()
+        header = unseal(lines[0].encode())
+        header["config"] = {**header["config"], "num_shards": 1}
+        journal.write_text(seal(header) + "\n" + lines[1] + "\n")
+        with pytest.raises(CheckpointError, match="different batch"):
+            checkpointed_batch(graphs[:2], checkpoint=journal)
 
     def test_resume_with_another_job_count_is_refused(self, graphs, tmp_path):
         journal = tmp_path / "batch.jsonl"
@@ -432,51 +441,3 @@ class TestValidationHardening:
             Graph(3, [0, 1], [1, 2], [1.0, 0.0])
 
 
-class TestDistributedPolicyRouting:
-    def test_sharded_fanout_rejects_collect(self, small_er_graph):
-        config = SparsifierConfig(num_shards=2)
-        policy = FailurePolicy(on_error="collect", max_attempts=2)
-        with pytest.raises(BackendError, match="collect"):
-            distributed_parallel_sample(
-                small_er_graph, epsilon=0.5, config=config, seed=3,
-                failure_policy=policy,
-            )
-
-    def test_sharded_fanout_accepts_retry(self, small_er_graph):
-        config = SparsifierConfig(num_shards=2)
-        policy = FailurePolicy(on_error="retry", max_attempts=2)
-        baseline = distributed_parallel_sample(
-            small_er_graph, epsilon=0.5, config=config, seed=3
-        )
-        with_policy = distributed_parallel_sample(
-            small_er_graph, epsilon=0.5, config=config, seed=3,
-            failure_policy=policy,
-        )
-        assert np.array_equal(
-            baseline.sparsifier.edge_weights, with_policy.sparsifier.edge_weights
-        )
-
-    @pytest.mark.faults
-    @pytest.mark.parametrize(
-        "execution",
-        [{"backend": "serial"}, {"backend": "thread", "max_workers": 2}],
-        ids=["serial", "thread"],
-    )
-    def test_retry_after_failure_part_way_through_a_shard(self, execution, fail_once_part_way):
-        # The bundle peel runs each component through ``_run_protocol``. On
-        # the serial backend its second call is shard 0's second bundle
-        # component: the shard has already drawn from its streams.
-        graph = generators.banded_graph(200, 6)
-        config = SparsifierConfig(bundle_t=3, num_shards=2, **execution)
-        baseline = distributed_parallel_sample(graph, config=config, seed=3)
-
-        fired = fail_once_part_way(distributed_spanner, "_run_protocol")
-        policy = FailurePolicy(on_error="retry", max_attempts=3)
-        recovered = distributed_parallel_sample(
-            graph, config=config, seed=3, failure_policy=policy
-        )
-
-        assert fired
-        assert np.array_equal(baseline.bundle_edge_indices, recovered.bundle_edge_indices)
-        assert np.array_equal(baseline.sampled_edge_indices, recovered.sampled_edge_indices)
-        assert baseline.cost == recovered.cost

@@ -5,9 +5,9 @@
 inputs and seeds: the bundle and sampled index arrays, the sparsifier's
 edge arrays, the PRAM work and depth, and the per-label PRAM breakdown.
 The values cannot drift with the code, so any change to the draw order,
-the sharding, the bundle repair or the cost accounting of either path
-fails here.  The distributed pipeline has the same kind of table
-(``PER_NODE_OUTPUTS`` in ``test_congest_parity.py``).
+the bundle repair or the cost accounting of either path fails here.  The
+distributed pipeline has the same kind of table (``PER_NODE_OUTPUTS`` in
+``test_congest_parity.py``).
 
 Regenerate a row only for a change that means to alter outputs:
 ``PYTHONPATH=src python tests/test_sample_digests.py`` prints the table.
@@ -49,20 +49,15 @@ def banded():
 # name -> (graph factory, config, seed)
 SAMPLE_CASES = {
     "er300-1": (er300, SparsifierConfig(), 5),
-    "er300-4": (er300, SparsifierConfig(num_shards=4), 5),
     "tree-1": (banded, SparsifierConfig(use_tree_bundle=True, bundle_t=2), 3),
-    "tree-2": (banded, SparsifierConfig(use_tree_bundle=True, bundle_t=2, num_shards=2), 3),
     "certify-1": (banded, SparsifierConfig(certify_stretch=True, bundle_t=2), 3),
-    "certify-2": (banded, SparsifierConfig(certify_stretch=True, bundle_t=2, num_shards=2), 3),
     "theory-1": (er300, SparsifierConfig.theory(), 5),
     "path-1": (lambda: gen.path_graph(60), SparsifierConfig(), 0),
-    "path-2": (lambda: gen.path_graph(60), SparsifierConfig(num_shards=2), 0),
 }
 
 # name -> (graph factory, config, rho, seed)
 SPARSIFY_CASES = {
     "rho16-1": (er300, SparsifierConfig(), 16, 11),
-    "rho16-4": (er300, SparsifierConfig(num_shards=4), 16, 11),
 }
 
 
@@ -104,30 +99,15 @@ STORED_OUTPUTS = {
         "sparsifier": "30814af581d18fb5", "degenerate": False,
         "cost": (33181.0, 277.0), "labels": "cbb59994579e3152",
     },
-    "certify-2": {
-        "bundle": "d38765e5dd14bc5a", "sampled": "e262ee42302ac486",
-        "sparsifier": "daf7eccec196ae24", "degenerate": False,
-        "cost": (35012.0, 231.0), "labels": "f4e793a8e5f0ba91",
-    },
     "er300-1": {
         "bundle": "5132f17c46648080", "sampled": "4585057ccc369c76",
         "sparsifier": "98cab7904fc6e24e", "degenerate": False,
         "cost": (1726747.0, 1125.0), "labels": "02035892da5c1760",
     },
-    "er300-4": {
-        "bundle": "e4915f213a375fb3", "sampled": "2447c432535b359a",
-        "sparsifier": "058be57f3557c9f0", "degenerate": False,
-        "cost": (378420.0, 664.0), "labels": "5c3e7828c833512b",
-    },
     "path-1": {
         "bundle": "7bb223f0d178fb75", "sampled": "e3b0c44298fc1c14",
         "sparsifier": "365a297135a1c8b0", "degenerate": True,
         "cost": (755.0, 46.0), "labels": "6ab96d7aebaac064",
-    },
-    "path-2": {
-        "bundle": "7bb223f0d178fb75", "sampled": "e3b0c44298fc1c14",
-        "sparsifier": "365a297135a1c8b0", "degenerate": True,
-        "cost": (1237.0, 46.0), "labels": "ed84cb8d96abd096",
     },
     "theory-1": {
         "bundle": "bf32b4028140f2c9", "sampled": "e3b0c44298fc1c14",
@@ -139,18 +119,9 @@ STORED_OUTPUTS = {
         "sparsifier": "c0f0c4094da21684", "degenerate": False,
         "cost": (3541.0, 23.0), "labels": "a95a2e36824582bf",
     },
-    "tree-2": {
-        "bundle": "867a131e92e929c4", "sampled": "3fe8c96a14fb3266",
-        "sparsifier": "aa651d778f9d4f21", "degenerate": False,
-        "cost": (3502.0, 21.0), "labels": "9c82126875d649e3",
-    },
     "rho16-1": {
         "sparsifier": "e5827cc4202cfda4", "rounds": "de3c2e853c5d2637",
         "stopped_early": False, "cost": (3359186.0, 4151.0),
-    },
-    "rho16-4": {
-        "sparsifier": "e5f0950b54911473", "rounds": "c2ea49976b47361e",
-        "stopped_early": False, "cost": (1210987.0, 2613.0),
     },
 }
 

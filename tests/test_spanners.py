@@ -352,7 +352,7 @@ class TestVerificationAndRepair:
 
 
 class TestDistributedBundleSpanner:
-    """The per-shard unit of work of the distributed sparsifier."""
+    """The bundle step of the distributed sparsifier's round."""
 
     def test_components_are_edge_disjoint(self, small_er_graph):
         from repro.spanners.distributed_spanner import distributed_bundle_spanner
