@@ -8,9 +8,11 @@ a Python loop; they now run down the shipped solve ladder
 deduplicated indicator right-hand sides.  "Blocked" in every row below
 means that ladder with the default ``solver="cg"``: one sparse
 factorization when the factor gate admits the Laplacian (reverse
-Cuthill–McKee envelope <= nnz(L): the banded rows), else blocked
-multi-RHS CG (:func:`repro.linalg.cg.laplacian_solve_many`: the power-law
-and ER rows).  Timed head-to-head here:
+Cuthill–McKee envelope <= nnz(L): the banded rows), one dense Cholesky
+when it rejects one with n <= ``DENSE_FALLBACK_LIMIT`` (the power-law
+n = 2048 row and the smoke ER rows), else blocked multi-RHS CG
+(:func:`repro.linalg.cg.laplacian_solve_many`: the power-law n = 4096
+row).  Timed head-to-head here:
 
 * **pairs** — probe-pair resistances (the `approximation_report` /
   `certify_resistances` workload): blocked solve vs. the preserved
@@ -34,11 +36,14 @@ and ER rows).  Timed head-to-head here:
   tolerance (asserted unconditionally), with the two solution vectors
   agreeing to 1e-8.  ``--full`` adds the n = 8192 row.
 * **ladder** — 64 random probe pairs on e2ebench's two graph families
-  (banded with weights U(0.1, 10), m/(n log2 n) = 5.29; unit ER at 12.6)
-  and on e2ebench's banded-certify main graph: the gate's envelope ratio,
-  the rung the ladder took, and seconds for the ladder, plain blocked CG
-  and (n <= 2500) the dense pseudoinverse, with what ``method="auto"``
-  picks.
+  (banded with weights U(0.1, 10), m/(n log2 n) = 5.29; unit ER at 12.6),
+  on a grid, on a sparse ER graph (average degree 8: the dense rung's
+  loss case against CG) and on e2ebench's banded-certify main graph: the
+  gate's envelope ratio, the rung the ladder took (``factor``, ``dense``
+  or ``cg``), and seconds for the ladder, plain blocked CG and
+  (n <= 2500) the dense pseudoinverse, with what ``method="auto"`` picks
+  (the ladder, on every graph, since the dense rung replaced its pinv
+  choice).
 
 Every section records total/mean CG iteration counts and estimated matvec
 work (via :class:`repro.resistance.ResistanceSolveStats`) alongside
@@ -132,6 +137,7 @@ def _stats_fields(stats: ResistanceSolveStats, prefix: str = "blocked") -> dict:
         f"{prefix}_precond_applications": stats.precond_applications,
         f"{prefix}_work": stats.work,
         f"{prefix}_factorizations": stats.factorizations,
+        f"{prefix}_dense_factorizations": stats.dense_factorizations,
         f"{prefix}_factor_fill": round(stats.factor_fill, 3),
     }
 
@@ -390,10 +396,21 @@ BANDED_CERTIFY_SEED = (901, 0, 1)
 
 
 def build_ladder_graph(family: str, n: int, seed) -> Graph:
-    """A graph of e2ebench's ``family`` ("banded" or "er") at its regime ratio."""
+    """A ladder input: e2ebench's "banded" or "er" at its regime ratio,
+    a square "grid" of ``n`` vertices, or "sparse-er" of average degree 8.
+
+    (At n = 120 e2ebench's ER ratio asks for p > 1: the complete graph,
+    whose envelope the sparse rung admits, so the smoke row uses sparse-er.)
+    """
     if family == "banded":
         band = max(1, round(BANDED_RATIO * math.log2(n)))
         return gen.banded_graph(n, band, weight_range=(0.1, 10.0), seed=seed)
+    if family == "grid":
+        side = math.isqrt(n)
+        return gen.grid_graph(side, side)
+    if family == "sparse-er":
+        # ~3n ER edges plus the n - 1 edges of the connecting backbone.
+        return gen.erdos_renyi_graph(n, 6.0 / (n - 1), seed=seed, ensure_connected=True)
     p = 2.0 * ER_RATIO * math.log2(n) / (n - 1)
     return gen.erdos_renyi_graph(n, min(p, 1.0), seed=seed, ensure_connected=True)
 
@@ -410,9 +427,9 @@ def run_ladder_case(
     """Probe pairs down the shipped ladder vs. plain blocked CG vs. pinv.
 
     The ladder is ``effective_resistances_of_pairs(method="solve")``; the
-    gate's envelope ratio says which rung it took.  Pinv runs at
+    gate's envelope ratio and ``n`` say which rung it took.  Pinv runs at
     ``n <= DENSE_FALLBACK_LIMIT`` only.  ``auto_method`` is the path
-    ``method="auto"`` takes on this graph.
+    ``method="auto"`` takes on this graph: the ladder, with ``solver="cg"``.
     """
     graph = build_ladder_graph(family, n, seed)
     rng = np.random.default_rng(SEED + n)
@@ -434,8 +451,12 @@ def run_ladder_case(
         "columns": int(pairs.shape[0]),
         "envelope_ratio": round(gate.envelope_ratio, 3),
         "gate_seconds": round(gate_s, 4),
-        "rung": "factor" if stats.factorizations else "cg",
-        "auto_method": "solve" if gate.admits or n > DENSE_FALLBACK_LIMIT else "pinv",
+        "rung": (
+            "dense" if stats.dense_factorizations
+            else "factor" if stats.factorizations
+            else "cg"
+        ),
+        "auto_method": "solve",
         "ladder_seconds": round(ladder_s, 4),
         "cg_seconds": round(cg_s, 4),
         "pinv_seconds": None,
@@ -493,6 +514,7 @@ def main() -> None:
         # accounting); no iteration-ratio claim at toy sizes.
         rows.append(run_chain_case("er", 120))
         rows.append(run_ladder_case("banded", 300, num_pairs=16))
+        rows.append(run_ladder_case("sparse-er", 120, num_pairs=16))
         deterministic = check_determinism("er", 120)
     else:
         out_path = args.out or RESULT_PATH
@@ -510,6 +532,9 @@ def main() -> None:
             rows.append(run_chain_case("banded", 8192, assert_iteration_ratio=2.0))
         rows.append(run_ladder_case("banded", 2400))
         rows.append(run_ladder_case("er", 2400))
+        rows.append(run_ladder_case("er", 600))
+        rows.append(run_ladder_case("grid", 2025, label="grid 45x45"))
+        rows.append(run_ladder_case("sparse-er", 2000, label="sparse-er n=2000 (loss case)"))
         rows.append(run_ladder_case("banded", 1200))
         rows.append(
             run_ladder_case(

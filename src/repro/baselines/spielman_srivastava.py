@@ -6,12 +6,14 @@ scores); each drawn copy of edge ``e`` is added with weight
 ``w_e / (q p_e)``.  With ``q = O(n log n / eps^2)`` the result is a
 ``(1 ± eps)`` sparsifier w.h.p.
 
-The resistances can be exact (dense pseudoinverse on small graphs, one
-blocked multi-RHS CG pass past that) or approximate (JL sketching; the
-original paper's approach, implemented in :mod:`repro.resistance.approx`)
-— either way the scheme needs a Laplacian solver, which is the dependence
-the spanner-based algorithm avoids.  Both paths now run through
-:func:`repro.linalg.cg.laplacian_solve_many`, which is what makes
+The resistances can be exact (one factorization of the Laplacian on
+small or low-fill graphs, one blocked multi-RHS CG pass past that) or
+approximate (JL sketching; the original paper's approach, implemented in
+:mod:`repro.resistance.approx`) — either way the scheme needs a Laplacian
+solver, which is the dependence the spanner-based algorithm avoids.  Both
+paths run down the solve ladder of
+:mod:`repro.resistance.solver_select`, whose blocked CG
+(:func:`repro.linalg.cg.laplacian_solve_many`) is what makes
 leverage-score sampling feasible at the n >= 4096 scales the ROADMAP
 baselines reach.
 """
@@ -108,8 +110,9 @@ def spielman_srivastava_sparsify(
     sample_constant:
         Constant in the default sample count.
     resistance_method:
-        Exact-path resistance method: ``"auto"`` (dense pseudoinverse for
-        small graphs, blocked CG past that), ``"pinv"``, or ``"solve"``.
+        Exact-path resistance method: ``"auto"`` (the solve ladder; with
+        ``solver="chain"``, the dense pseudoinverse up to
+        ``DENSE_FALLBACK_LIMIT`` vertices), ``"pinv"``, or ``"solve"``.
     resistance_tol:
         Solver tolerance of the exact blocked-CG path.  Sampling
         probabilities only need a handful of accurate digits, so this is
@@ -118,7 +121,7 @@ def spielman_srivastava_sparsify(
         Columns per chunk of the blocked solves (both paths).
     solver:
         Inner blocked-solver choice for the resistance computation on
-        either path — ``"cg"`` (plain blocked CG, the default) or
+        either path — ``"cg"`` (the factor → CG ladder, the default) or
         ``"chain"`` (chain-preconditioned); see
         :mod:`repro.resistance.solver_select`.
     """

@@ -170,13 +170,17 @@ def certify_resistances(
 
     ``solver`` selects the inner solver (``"cg"`` or ``"chain"`` — see
     :mod:`repro.resistance.solver_select`).  With the default ``"cg"``,
-    each graph whose factor gate admits it (reverse Cuthill–McKee
-    envelope at most ``nnz(L)``: banded and path-like graphs) is factored
-    once and answered exactly, and the others run plain blocked CG; a
-    sparsifier can pass the gate where its original does not, or the
-    reverse.  With the chain-preconditioned choice the original's and the
-    sparsifier's chains are each built at most once per process thanks to
-    the shared chain cache, so repeated certification stays cheap.
+    each graph is factored once and answered exactly when its factor
+    gate takes it: sparsely when its reverse Cuthill–McKee envelope is at
+    most ``nnz(L)`` (banded and path-like graphs), by a dense Cholesky
+    when the envelope rejects it and ``n <= DENSE_FALLBACK_LIMIT`` (dense
+    ER graphs, grids).  Only rejected graphs past that limit run plain
+    blocked CG, and a sparsifier can take another rung than its original.
+    Each graph's components are labelled once per call: the probe draw
+    and the solves share the labels cached on the graph.  With the
+    chain-preconditioned choice the original's and the sparsifier's
+    chains are each built at most once per process thanks to the shared
+    chain cache, so repeated certification stays cheap.
 
     ``stats`` optionally accumulates the inner solves' iteration/work
     counts, the factorizations, *and* any

@@ -95,7 +95,9 @@ class SparsifierConfig:
         Inner Laplacian-solver choice for the resistance/certification
         routes that consume this config: ``"cg"`` (the default: the
         ``factor → cg → pinv`` ladder, which answers a low-fill Laplacian
-        with one sparse factorization and the rest with blocked CG) or
+        with one sparse factorization, any other Laplacian up to
+        ``DENSE_FALLBACK_LIMIT`` vertices with one dense Cholesky, and the
+        rest with blocked CG) or
         ``"chain"`` (the ``chain → cg → pinv`` ladder: blocked CG
         preconditioned with a cached Peng–Spielman chain — the paper's own
         machinery accelerating its certification; see

@@ -27,18 +27,27 @@ def connected_components(graph: Graph) -> np.ndarray:
     pairs :func:`sample_component_pairs` draws, and so every certificate,
     depend on that numbering.  One
     :func:`scipy.sparse.csgraph.connected_components` call on a CSR matrix
-    of the edge arrays, built here and not cached on ``graph``.  Its data
-    are float64 ones, so parallel edges sum to at least one and never
-    cancel to an explicit zero.
+    of the edge arrays, made on the first call for ``graph``; the labels
+    are cached on ``graph`` and returned read-only, so every later call
+    (a certificate's probe draw, then its resistance solves) reads the
+    same array.  The matrix data are float64 ones, so parallel edges sum
+    to at least one and never cancel to an explicit zero.
     """
+    labels = graph._labels_cache
+    if labels is not None:
+        return labels
     n = graph.num_vertices
     if graph.num_edges == 0:
-        return np.arange(n, dtype=np.int64)
-    pattern = sp.csr_matrix(
-        (np.ones(graph.num_edges), (graph.edge_u, graph.edge_v)), shape=(n, n)
-    )
-    _, labels = csgraph.connected_components(pattern, directed=False)
-    return labels.astype(np.int64)
+        labels = np.arange(n, dtype=np.int64)
+    else:
+        pattern = sp.csr_matrix(
+            (np.ones(graph.num_edges), (graph.edge_u, graph.edge_v)), shape=(n, n)
+        )
+        _, raw = csgraph.connected_components(pattern, directed=False)
+        labels = raw.astype(np.int64)
+    labels.setflags(write=False)
+    graph._labels_cache = labels
+    return labels
 
 
 def is_connected(graph: Graph) -> bool:

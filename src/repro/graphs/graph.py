@@ -67,7 +67,7 @@ class Graph:
     summing their weights — the Laplacian is identical either way.
     """
 
-    __slots__ = ("_n", "_u", "_v", "_w", "_adj_cache", "_lap_cache")
+    __slots__ = ("_n", "_u", "_v", "_w", "_adj_cache", "_lap_cache", "_labels_cache")
 
     def __init__(
         self,
@@ -126,6 +126,8 @@ class Graph:
         self._w.setflags(write=False)
         self._adj_cache: Optional[sp.csr_matrix] = None
         self._lap_cache: Optional[sp.csr_matrix] = None
+        # Component labels, filled by repro.graphs.connectivity.connected_components.
+        self._labels_cache: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -179,6 +181,7 @@ class Graph:
         graph._w.setflags(write=False)
         graph._adj_cache = None
         graph._lap_cache = None
+        graph._labels_cache = None
         return graph
 
     # ------------------------------------------------------------------ #

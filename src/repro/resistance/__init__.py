@@ -7,7 +7,9 @@ sampling.  This subpackage provides
 
 * exact effective resistances (dense pseudoinverse, or deduplicated
   indicator columns solved by one sparse factorization on low-fill
-  graphs and one blocked multi-RHS CG pass otherwise),
+  graphs, one dense Cholesky on other graphs up to
+  ``DENSE_FALLBACK_LIMIT`` vertices, and one blocked multi-RHS CG pass
+  past that),
 * Johnson–Lindenstrauss-sketched approximate resistances in the style of
   Spielman–Srivastava (used by the baseline sparsifier), batched through
   the same blocked solver,

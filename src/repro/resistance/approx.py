@@ -5,9 +5,10 @@ pairwise squared distances between the columns of ``W^{1/2} B L^+``, so
 projecting onto ``O(log n / delta^2)`` random directions preserves them to
 a ``(1 ± delta)`` factor.  Each random direction costs one Laplacian solve;
 the solves for all directions are batched down the solve ladder of
-:func:`repro.resistance.solver_select.solve_with_degradation` (one sparse
-factorization, built once per call, on low-fill graphs; the blocked
-multi-RHS CG solver otherwise): each direction's
+:func:`repro.resistance.solver_select.solve_with_degradation` (one
+factorization, built once per call: sparse on low-fill graphs, a dense
+Cholesky on other graphs up to ``DENSE_FALLBACK_LIMIT`` vertices; the
+blocked multi-RHS CG solver past that): each direction's
 sign vector comes from its own generator spawned once from the seed (so a
 fixed seed gives the same sketch for *any* ``block_size``), a block of
 sign vectors is scattered into ``(n, block)`` right-hand sides with one
@@ -153,7 +154,7 @@ def approximate_effective_resistances_detailed(
         ``O((n + m) * block_size)``).
     solver:
         Inner solver choice — ``"cg"`` (the default: one factorization,
-        shared by every chunk, when the factor gate admits the Laplacian,
+        shared by every chunk, when the factor gate takes the Laplacian,
         else plain blocked CG) or ``"chain"`` (chain-preconditioned, chain
         cached per graph); see :mod:`repro.resistance.solver_select`.
     stats:

@@ -14,19 +14,22 @@ Two exact paths are provided:
   deduplicated into indicator right-hand-side columns and solved down the
   ladder of :func:`repro.resistance.solver_select.solve_with_degradation`
   — with the default ``solver="cg"``, one sparse factorization when the
-  factor gate admits the Laplacian, else one blocked multi-RHS CG pass
-  (:func:`repro.linalg.cg.laplacian_solve_many`), chunked to bound
-  memory.  Every chunk of one call shares one gate decision and one
-  factorization.  When the pairs reference fewer distinct *vertices* than
-  distinct pairs (the all-edges / leverage-score case: ``n`` vertices vs
-  ``m`` edges), the solver switches to vertex-indicator columns —
-  effectively computing the needed columns of ``L^+`` once and reading
-  every resistance off the same solution block.
+  factor gate admits the Laplacian, one dense Cholesky when it rejects a
+  Laplacian with ``n <= DENSE_FALLBACK_LIMIT``, else one blocked
+  multi-RHS CG pass (:func:`repro.linalg.cg.laplacian_solve_many`),
+  chunked to bound memory.  Every chunk of one call shares one gate
+  decision and one factorization.  When the pairs reference fewer
+  distinct *vertices* than distinct pairs (the all-edges /
+  leverage-score case: ``n`` vertices vs ``m`` edges), the solver
+  switches to vertex-indicator columns — effectively computing the
+  needed columns of ``L^+`` once and reading every resistance off the
+  same solution block.
 
-``method="auto"`` (the default) takes the blocked path whenever the factor
-gate admits the Laplacian or ``n > _PINV_LIMIT``, and the pseudoinverse
-otherwise: on small dense graphs the gate rejects, one dense
-eigendecomposition still beats CG.
+``method="auto"`` (the default) takes the blocked path with
+``solver="cg"`` on every graph: below ``_PINV_LIMIT`` the ladder's dense
+Cholesky costs a fraction of the eigendecomposition behind ``L^+``.  With
+``solver="chain"``, which never factors, it takes the pseudoinverse at
+``n <= _PINV_LIMIT`` and the blocked path past it.
 
 The pre-blocking one-solve-per-pair loop is preserved in
 :mod:`repro.resistance._reference` for parity tests and benchmarks.
@@ -60,8 +63,8 @@ __all__ = [
     "leverage_scores",
 ]
 
-# Largest n at which ``method="auto"`` takes the dense pseudoinverse (when
-# the factor gate rejects the graph): the ladder's own pinv limit.
+# Largest n at which ``method="auto"`` with ``solver="chain"`` takes the
+# dense pseudoinverse: the ladder's own dense limit.
 _PINV_LIMIT = DENSE_FALLBACK_LIMIT
 
 # Memory cap for the (n, num_vertex_columns) dense solution block of the
@@ -116,9 +119,9 @@ def _blocked_pair_resistances(
     chain-preconditioned blocked CG (``"chain"`` — the preconditioner
     chain comes from the process-wide cache and is built at most once per
     graph); see :mod:`repro.resistance.solver_select`.  ``gate`` is the
-    caller's factor gate for ``graph`` (``"cg"`` only; built here when
-    ``None``), shared by every chunk so the graph is factored at most
-    once.  ``stats`` optionally accumulates per-column
+    caller's factor gate for ``graph`` (``"cg"`` only; built here from
+    ``labels`` when ``None``), shared by every chunk so the graph is
+    factored at most once.  ``stats`` optionally accumulates per-column
     iteration/matvec/work counts across every inner solve.
 
     Chooses between two right-hand-side layouts:
@@ -166,7 +169,7 @@ def _blocked_pair_resistances(
     lap = graph.laplacian().tocsr()
     resolved = resolve_solver(solver)
     if gate is None and resolved == "cg":
-        gate = FactorGate(lap)
+        gate = FactorGate(lap, labels=labels)
     use_vertex_columns = (
         connected
         and vertex_path_pays
@@ -246,10 +249,10 @@ def effective_resistances_of_pairs(
     pairs:
         Sequence of ``(u, v)`` vertex pairs (or an ``(k, 2)`` array).
     method:
-        ``"pinv"``, ``"solve"``, or ``"auto"`` (the blocked solve when the
-        factor gate admits the Laplacian or ``n > _PINV_LIMIT``, pinv
-        otherwise; with ``solver="chain"``, which never factors, pinv for
-        every ``n <= _PINV_LIMIT``).
+        ``"pinv"``, ``"solve"``, or ``"auto"`` (the blocked solve with
+        ``solver="cg"``, whose ladder factors every graph up to
+        ``_PINV_LIMIT``; with ``solver="chain"``, which never factors,
+        pinv for every ``n <= _PINV_LIMIT``).
     tol:
         Relative residual tolerance of every solved column (factor and CG
         rungs alike).
@@ -257,7 +260,8 @@ def effective_resistances_of_pairs(
         Columns per chunk of the blocked solve (bounds peak memory).
     solver:
         ``"cg"`` (the default: one sparse factorization when the factor
-        gate admits the Laplacian, else plain blocked CG) or ``"chain"``
+        gate admits the Laplacian, one dense Cholesky when it rejects one
+        with ``n <= _PINV_LIMIT``, else plain blocked CG) or ``"chain"``
         (chain-preconditioned blocked CG with a cached Peng–Spielman
         chain); see :mod:`repro.resistance.solver_select`.  Ignored on the
         pinv path.
@@ -279,14 +283,12 @@ def effective_resistances_of_pairs(
     if method not in ("auto", "pinv", "solve"):
         raise ValueError(f"unknown method {method!r}; expected 'pinv', 'solve', or 'auto'")
 
-    # One gate decision per call: it picks auto's path and, on the blocked
-    # path, is shared by every chunk.
+    # One gate decision per call, shared by every chunk of the blocked path.
     gate = None
     if method != "pinv" and resolve_solver(solver) == "cg":
-        gate = FactorGate(graph.laplacian())
+        gate = FactorGate(graph.laplacian(), labels=labels)
     if method == "auto":
-        admitted = gate is not None and gate.admits
-        method = "solve" if admitted or n > _PINV_LIMIT else "pinv"
+        method = "solve" if gate is not None or n > _PINV_LIMIT else "pinv"
     if method == "pinv":
         pinv = laplacian_pseudoinverse(graph.laplacian())
         uu = pair_arr[:, 0]
@@ -332,8 +334,9 @@ def effective_resistances_all_edges(
     Returns an array aligned with the graph's edge arrays.  The
     ``"solve"`` path runs over deduplicated indicator columns (vertex
     columns on connected graphs — ``n`` solves instead of ``m``) down the
-    solve ladder: one factorization on low-fill graphs, blocked CG
-    otherwise, so leverage scores stay affordable at the scales the
+    solve ladder: one sparse factorization on low-fill graphs, one dense
+    Cholesky on other graphs up to ``_PINV_LIMIT``, blocked CG past it,
+    so leverage scores stay affordable at the scales the
     spanner and CONGEST benchmarks reach.  ``method``, ``solver`` and
     ``stats`` choose and instrument the path exactly as in
     :func:`effective_resistances_of_pairs`.

@@ -4,25 +4,31 @@ Every resistance route solves its Laplacian systems through
 :func:`solve_with_degradation`; this module decides *which* solver each
 call uses:
 
-* ``"cg"`` (the default) — one exact sparse factorization when the
-  Laplacian's fill is low, else plain blocked CG.  :class:`FactorGate`
-  orders the vertices by reverse Cuthill–McKee (RCM) and admits the
-  Laplacian when the envelope of that ordering is at most ``nnz(L)``
-  (:data:`FACTOR_ENVELOPE_LIMIT`).  The factorization runs in the same
-  ordering without pivoting, so its fill stays inside the envelope.
-  Banded and path-like graphs, where CG needs hundreds of iterations per
-  column, factor at about the size of the matrix; dense ER graphs do not,
-  and stay on CG.
+* ``"cg"`` (the default) — one exact factorization of the Laplacian when
+  it is cheap, else plain blocked CG.  :class:`FactorGate` orders the
+  vertices by reverse Cuthill–McKee (RCM) and picks the factorization:
+
+  - *sparse*, when the envelope of that ordering is at most ``nnz(L)``
+    (:data:`FACTOR_ENVELOPE_LIMIT`).  SuperLU factors L in the same
+    ordering without pivoting, so its fill stays inside the envelope.
+    Banded and path-like graphs, where CG needs hundreds of iterations
+    per column, factor at about the size of the matrix.
+  - *dense*, when the envelope rejects L and ``n <=``
+    :data:`DENSE_FALLBACK_LIMIT`.  One dense Cholesky of the grounded
+    Laplacian (``scipy.linalg.cho_factor``, O(n^3)) then answers every
+    column with two triangular solves: small dense ER graphs and grids.
+
+  Larger rejected graphs run plain blocked CG.
 * ``"chain"`` — blocked CG preconditioned with a Peng–Spielman
   approximate inverse chain built by ``PARALLELSPARSIFY`` itself
   (:func:`repro.solvers.chain.build_preconditioner_chain`).  This closes
   the paper's loop: the sparsification machinery accelerates the very
   solves that certify sparsifiers.
 
-The ladders are ``factor → cg → pinv`` and ``chain → cg → pinv``: columns
-a rung cannot answer to ``tol`` drop to the next one as a recorded
-:class:`FallbackEvent`.  A gate that rejects the factorization is a
-choice, not a fallback, and records nothing.
+The ladders are ``factor (sparse | dense) → cg → pinv`` and
+``chain → cg → pinv``: columns a rung cannot answer to ``tol`` drop to the
+next one as a recorded :class:`FallbackEvent`.  A gate that takes neither
+factorization is a choice, not a fallback, and records nothing.
 
 The chain is an explicit opt-in.  On one CPU a chain application costs
 ~25 graph-matvecs of arithmetic, so plain CG still wins wall-clock where
@@ -50,6 +56,7 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from repro.graphs.graph import Graph
@@ -79,11 +86,11 @@ __all__ = [
 
 SOLVER_CHOICES = ("cg", "chain")
 
-# Largest graph for which a dense pseudoinverse runs: the last rung of the
-# degradation ladder here, and ``method="auto"``'s choice in the exact layer
-# when the factor gate rejects the graph (``repro.resistance.exact`` binds
-# it as ``_PINV_LIMIT``).  An O(n^3) factorization past this is worse than
-# admitting approximate values.
+# Largest graph for which the ladder accepts O(n^3) work and an n x n
+# float64 array (50 MB at the limit): the dense Cholesky a rejected envelope
+# takes instead of CG, the dense pseudoinverse of the last rung, and
+# ``method="auto"``'s pinv choice under ``solver="chain"``
+# (``repro.resistance.exact`` binds it as ``_PINV_LIMIT``).
 DENSE_FALLBACK_LIMIT = 2500
 
 # The factor rung runs when the envelope of the Laplacian's RCM ordering is
@@ -133,9 +140,11 @@ class ResistanceSolveStats:
     columns counts ``c``), matching :class:`repro.linalg.cg.BatchSolveResult`,
     so they are directly comparable between blocked and looped solvers and
     across ``solver=`` choices.  Columns the factor rung answers count
-    0 iterations and one matvec (the residual check); ``factorizations``,
-    ``factor_columns`` and ``factor_fill`` (the largest ``nnz(L+U) /
-    nnz(L)`` of those factorizations) say how much of the call it took.
+    0 iterations and one matvec (the residual check); ``factorizations``
+    (``dense_factorizations`` of them dense Cholesky), ``factor_columns``
+    and ``factor_fill`` (the largest stored factor / ``nnz(L)`` of those
+    factorizations: ``nnz(L+U)`` sparse, the ``n (n + 1) / 2`` triangle
+    dense) say how much of the call it took.
     """
 
     solver: str = "cg"
@@ -148,6 +157,7 @@ class ResistanceSolveStats:
     work: float = 0.0
     chain_builds: int = 0
     factorizations: int = 0
+    dense_factorizations: int = 0
     factor_columns: int = 0
     factor_fill: float = 0.0
     fallbacks: List[FallbackEvent] = field(default_factory=list)
@@ -187,6 +197,7 @@ class ResistanceSolveStats:
             "work": self.work,
             "chain_builds": self.chain_builds,
             "factorizations": self.factorizations,
+            "dense_factorizations": self.dense_factorizations,
             "factor_columns": self.factor_columns,
             "factor_fill": self.factor_fill,
             "fallbacks": [event.to_dict() for event in self.fallbacks],
@@ -196,21 +207,35 @@ class ResistanceSolveStats:
 class FactorGate:
     """The factor rung for one Laplacian: its gate decision and, once built, its factor.
 
-    The gate orders the vertices by reverse Cuthill–McKee and admits the
-    Laplacian when the envelope of that ordering — the sum over rows of
-    the distance from the diagonal back to the row's first nonzero — is
-    at most ``FACTOR_ENVELOPE_LIMIT * nnz(L)``.  The factorization grounds
-    each connected component at its first vertex in that ordering and
-    runs SuperLU in the same ordering without pivoting (the grounded
-    matrix is SPD), so its fill stays inside the envelope:
-    ``nnz(L+U) <= 2 * envelope + 2n``.
+    The gate orders the vertices by reverse Cuthill–McKee and picks one
+    of two factorizations:
+
+    * sparse (:attr:`admits`), when the envelope of that ordering — the
+      sum over rows of the distance from the diagonal back to the row's
+      first nonzero — is at most ``FACTOR_ENVELOPE_LIMIT * nnz(L)``.
+      SuperLU factors the grounded matrix in that ordering without
+      pivoting (it is SPD), so its fill stays inside the envelope:
+      ``nnz(L+U) <= 2 * envelope + 2n``.
+    * dense (:attr:`dense`), when the envelope rejects the Laplacian and
+      ``n <= DENSE_FALLBACK_LIMIT``.  One Cholesky factor of the grounded
+      matrix, built in place in the one ``n × n`` array it holds.
+
+    Both ground each connected component at its first vertex in RCM
+    order.  The dense kind keeps those vertices as identity rows instead
+    of cutting them out, so it needs no second copy of the matrix.
+    ``labels`` are the caller's component labels of the Laplacian's
+    graph, if it holds them; otherwise :meth:`factorize` labels L.
 
     One gate serves every chunk of one call: :meth:`factorize` builds the
     factorization on first use, and a failed build is re-raised on later
     calls instead of being retried.
     """
 
-    def __init__(self, laplacian: Union[sp.spmatrix, np.ndarray]):
+    def __init__(
+        self,
+        laplacian: Union[sp.spmatrix, np.ndarray],
+        labels: Optional[np.ndarray] = None,
+    ):
         lap = sp.csr_matrix(laplacian)
         n = lap.shape[0]
         self.laplacian = lap
@@ -226,11 +251,18 @@ class FactorGate:
             widths[rows] = np.maximum(position[rows] - first, 0)
         self.envelope = int(widths.sum())
         self.admits = bool(lap.nnz) and self.envelope <= FACTOR_ENVELOPE_LIMIT * lap.nnz
-        # Flops of a factorization confined to the envelope: sum of squared
-        # row widths (one dense triangular solve of width w per row).
-        self.factor_work = float(np.dot(widths, widths))
+        self.dense = bool(lap.nnz) and not self.admits and n <= DENSE_FALLBACK_LIMIT
+        if self.dense:
+            # Flops of a dense Cholesky.
+            self.factor_work = n ** 3 / 3.0
+        else:
+            # Flops of a factorization confined to the envelope: sum of
+            # squared row widths (one dense triangular solve of width w per row).
+            self.factor_work = float(np.dot(widths, widths))
         self.fill = 0.0
+        self._labels = labels
         self._lu: Optional[spla.SuperLU] = None
+        self._cholesky: Optional[Tuple[np.ndarray, bool]] = None
         self._error: Optional[Exception] = None
 
     @property
@@ -240,24 +272,35 @@ class FactorGate:
 
     def factorize(self) -> bool:
         """Build the factorization unless built; True when this call built it."""
-        if self._lu is not None:
+        if self._lu is not None or self._cholesky is not None:
             return False
         if self._error is not None:
             raise self._error
         lap = self.laplacian
         n = lap.shape[0]
-        num_components, labels = connected_components(lap, directed=False)
+        labels = self._labels
+        if labels is None:
+            _, labels = connected_components(lap, directed=False)
+        num_components = int(labels.max(initial=-1)) + 1
         # Ground each component at its first vertex in RCM order.
         _, first = np.unique(labels[self.order], return_index=True)
+        self._grounded = self.order[first]
         kept = np.ones(n, dtype=bool)
         kept[first] = False
         self._kept = self.order[kept]
         try:
-            self._lu = self._factor(lap[self._kept][:, self._kept].tocsc())
+            if self.dense:
+                self._cholesky = self._dense_factor(lap, self._grounded)
+            else:
+                self._lu = self._factor(lap[self._kept][:, self._kept].tocsc())
         except Exception as exc:  # noqa: BLE001 - remembered, re-raised to every later chunk
             self._error = exc
             raise
-        self.fill = self._lu.nnz / max(lap.nnz, 1)
+        # Stored factor entries, and the entries one column's two triangular
+        # solves touch: the dense triangle twice, both sparse triangles once.
+        stored = n * (n + 1) // 2 if self.dense else self._lu.nnz
+        self._solve_entries = n * n if self.dense else stored
+        self.fill = stored / max(lap.nnz, 1)
         sizes = np.bincount(labels, minlength=num_components)
         self._labels = labels
         self._averaging = sp.csr_matrix(
@@ -275,8 +318,31 @@ class FactorGate:
             options={"SymmetricMode": True},
         )
 
+    @staticmethod
+    def _dense_factor(lap: sp.csr_matrix, grounded: np.ndarray) -> Tuple[np.ndarray, bool]:
+        # Column-major, so LAPACK factors this one array in place.  Each
+        # grounded vertex becomes an identity row and column: the factor
+        # then solves the other rows exactly as if they were cut out.
+        matrix = lap.toarray(order="F")
+        matrix[grounded, :] = 0.0
+        matrix[:, grounded] = 0.0
+        matrix[grounded, grounded] = 1.0
+        return cho_factor(matrix, overwrite_a=True, check_finite=False)
+
     def _triangular_solve(self, block: np.ndarray) -> np.ndarray:
+        if self.dense:
+            return cho_solve(self._cholesky, block, check_finite=False)
         return self._lu.solve(block)
+
+    def _solve_grounded(self, b: np.ndarray) -> np.ndarray:
+        """Solution of the grounded system, 0 at every grounded vertex."""
+        if self.dense:
+            x = self._triangular_solve(b)
+            x[self._grounded] = 0.0
+            return x
+        x = np.zeros_like(b)
+        x[self._kept] = self._triangular_solve(b[self._kept])
+        return x
 
     def _project(self, block: np.ndarray) -> np.ndarray:
         """Subtract each column's mean over every component: project onto range(L)."""
@@ -304,23 +370,21 @@ class FactorGate:
         for start in range(0, k, block_size):
             stop = min(start + block_size, k)
             b = self._project(_densify_block(rhs_matrix, start, stop))
-            block = np.zeros_like(b)
-            block[self._kept] = self._triangular_solve(b[self._kept])
-            block = self._project(block)
+            block = self._project(self._solve_grounded(b))
             x[:, start:stop] = block
             norms = np.linalg.norm(b, axis=0)
             residuals = np.linalg.norm(b - lap @ block, axis=0)
             residual_norms[start:stop] = residuals / np.where(norms > 0.0, norms, 1.0)
             num_blocks += 1
-        # Per column: both triangular solves touch every stored factor
-        # entry once, and the residual check is one matvec.
+        # Per column: the two triangular solves, and the residual check's
+        # one matvec.
         return BatchSolveResult(
             x=x,
             converged=residual_norms <= tol,
             iterations=np.zeros(k, dtype=np.int64),
             residual_norms=residual_norms,
             matvecs=k,
-            work=float(k) * (self._lu.nnz + lap.nnz),
+            work=float(k) * (self._solve_entries + lap.nnz),
             num_blocks=num_blocks,
         )
 
@@ -402,10 +466,11 @@ def solve_with_degradation(
     degradation ladder:
 
     1. ``"cg"`` first asks the factor gate (``gate``, or one built here
-       for ``laplacian``).  When it admits the Laplacian, the columns are
-       answered by the factorization, built once per gate.  A build that
-       raises sends every column to plain CG; columns whose residual
-       misses ``tol`` go to plain CG alone.  When the gate rejects, the
+       for ``laplacian``).  When it takes a factorization, sparse or
+       dense, the columns are answered by it, built once per gate.  A
+       build that raises sends every column to plain CG; columns whose
+       residual misses ``tol`` go to plain CG alone.  When the gate takes
+       neither (a rejected envelope past ``DENSE_FALLBACK_LIMIT``), the
        call is exactly one ``laplacian_solve_many`` — bit-identical to
        calling it directly — and records nothing.
     2. ``"chain"`` whose preconditioner fails to build, or whose
@@ -445,7 +510,7 @@ def solve_with_degradation(
     else:
         if gate is None:
             gate = FactorGate(laplacian)
-        if gate.admits:
+        if gate.admits or gate.dense:
             try:
                 built = gate.factorize()
             except Exception as exc:  # noqa: BLE001 - any factorization failure degrades
@@ -461,6 +526,7 @@ def solve_with_degradation(
                 rung = "factor"
                 if stats is not None:
                     stats.factorizations += int(built)
+                    stats.dense_factorizations += int(built and gate.dense)
                     stats.factor_columns += int(np.count_nonzero(solve.converged))
                     stats.factor_fill = max(stats.factor_fill, gate.fill)
 

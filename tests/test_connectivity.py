@@ -40,6 +40,14 @@ class TestComponents:
         g = Graph(4)
         assert len(np.unique(connected_components(g))) == 4
 
+    def test_labels_are_cached_read_only(self, triangle_graph):
+        g = disjoint_union(triangle_graph, Graph(2))
+        labels = connected_components(g)
+        assert connected_components(g) is labels
+        assert not labels.flags.writeable
+        # A derived graph is labelled afresh.
+        assert connected_components(g.select_edges(np.arange(1))).tolist() == [0, 0, 1, 2, 3]
+
     def test_single_vertex_connected(self):
         assert is_connected(Graph(1))
         assert is_connected(Graph(0))

@@ -2,19 +2,24 @@
 
 :class:`repro.resistance.solver_select.FactorGate` admits a Laplacian when
 the envelope of its reverse Cuthill–McKee ordering is at most ``nnz(L)``
-and then answers every column with one grounded sparse factorization.
-Pinned here: agreement with the dense pseudoinverse in both right-hand-side
-layouts (connected, path-like and multi-component graphs), the JL sketch
+and then answers every column with one grounded sparse factorization; a
+Laplacian it rejects with ``n <= DENSE_FALLBACK_LIMIT`` is answered by
+one grounded dense Cholesky instead.  Pinned here, for both kinds:
+agreement with the dense pseudoinverse in both right-hand-side layouts
+(connected, path-like, grid and multi-component graphs), the JL sketch
 against plain CG at the same seed, the gate's decisions on the suite's
 graphs, one factorization per call across chunks, the ``factor → cg``
-fallbacks, and ``method="auto"``'s choice.
+fallbacks, the dense kind's memory, ``method="auto"``'s choice, and one
+component labelling per graph in a certificate.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph as csgraph
 
 from repro.core.certificates import certify_resistances
 from repro.core.sparsify import parallel_sparsify
@@ -22,7 +27,7 @@ from repro.graphs import generators as gen
 from repro.graphs.connectivity import connected_components, sample_component_pairs
 from repro.graphs.graph import Graph
 from repro.graphs.operations import disjoint_union
-from repro.resistance import solver_select
+from repro.resistance import exact, solver_select
 from repro.resistance.approx import approximate_effective_resistances_detailed
 from repro.resistance.exact import (
     effective_resistances_all_edges,
@@ -35,10 +40,14 @@ def _banded():
     return gen.banded_graph(600, 20, weight_range=(0.1, 10.0), seed=3)
 
 
+def _with_an_isolated_vertex(parts):
+    return Graph(parts.num_vertices + 1, parts.edge_u, parts.edge_v, parts.edge_weights)
+
+
 def _two_components_and_an_isolated_vertex():
-    parts = disjoint_union(gen.banded_graph(40, 3, weight_range=(0.5, 2.0), seed=4), gen.path_graph(30))
-    n = parts.num_vertices + 1
-    return Graph(n, parts.edge_u, parts.edge_v, parts.edge_weights)
+    return _with_an_isolated_vertex(
+        disjoint_union(gen.banded_graph(40, 3, weight_range=(0.5, 2.0), seed=4), gen.path_graph(30))
+    )
 
 
 def _dense_er():
@@ -46,6 +55,19 @@ def _dense_er():
     n = 600
     p = 2.0 * 12.6 * math.log2(n) / (n - 1)
     return gen.erdos_renyi_graph(n, p, seed=921, ensure_connected=True)
+
+
+def _dense_er_and_a_grid_and_an_isolated_vertex():
+    return _with_an_isolated_vertex(
+        disjoint_union(
+            gen.erdos_renyi_graph(80, 0.2, seed=5, ensure_connected=True), gen.grid_graph(8, 8)
+        )
+    )
+
+
+def _fresh(graph):
+    """Same edges, no cached Laplacian or labels."""
+    return Graph(graph.num_vertices, graph.edge_u, graph.edge_v, graph.edge_weights)
 
 
 def _relative(a, b):
@@ -62,8 +84,9 @@ def _pairs_across(graph, count, seed):
 
 
 def _force_cg(monkeypatch):
-    """Make the gate reject every graph with an edge, so ``"cg"`` means plain CG."""
+    """Make the gate take neither factorization, so ``"cg"`` means plain CG."""
     monkeypatch.setattr(solver_select, "FACTOR_ENVELOPE_LIMIT", 0.0)
+    monkeypatch.setattr(solver_select, "DENSE_FALLBACK_LIMIT", 0)
 
 
 @pytest.fixture(scope="module")
@@ -106,14 +129,26 @@ class TestGate:
 
 
 class TestAgreementWithPinv:
-    @pytest.mark.parametrize("name", ["banded", "sparsifier", "path", "two-components"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "banded", "sparsifier", "path", "two-components",
+            "dense-er", "grid", "dense-two-components",
+        ],
+    )
     def test_both_layouts_match_pinv(self, name, banded_and_sparsifier):
+        dense = name in ("dense-er", "grid", "dense-two-components")
         graph = {
             "banded": banded_and_sparsifier[0],
             "sparsifier": banded_and_sparsifier[1],
             "path": gen.path_graph(300, weight=2.0),
             "two-components": _two_components_and_an_isolated_vertex(),
+            "dense-er": _dense_er(),
+            "grid": gen.grid_graph(20, 20),
+            "dense-two-components": _dense_er_and_a_grid_and_an_isolated_vertex(),
         }[name]
+        gate = FactorGate(graph.laplacian())
+        assert (gate.admits, gate.dense) == (not dense, dense)
         # Pair-indicator layout: more distinct vertices than pairs.
         pairs = _pairs_across(graph, 40, seed=1)
         stats = ResistanceSolveStats()
@@ -121,15 +156,18 @@ class TestAgreementWithPinv:
         by_pinv = effective_resistances_of_pairs(graph, pairs, method="pinv")
         assert _relative(by_factor, by_pinv) < 1e-9
         assert stats.factorizations == 1
+        assert stats.dense_factorizations == int(dense)
         assert stats.factor_columns == stats.columns == len(pairs)
         assert stats.iterations_total == 0
         assert not stats.fallbacks
-        # Vertex-indicator layout: all edges, n columns instead of m.
+        # Vertex-indicator layout: all edges, n columns instead of m (one
+        # factorization per component, each of the whole graph's kind).
         stats = ResistanceSolveStats()
         by_factor = effective_resistances_all_edges(graph, method="solve", stats=stats)
         by_pinv = effective_resistances_all_edges(graph, method="pinv")
         assert _relative(by_factor, by_pinv) < 1e-9
         assert stats.factorizations >= 1
+        assert stats.dense_factorizations == (stats.factorizations if dense else 0)
         assert stats.iterations_total == 0
         assert not stats.fallbacks
 
@@ -219,7 +257,8 @@ class TestFallbacks:
         assert not stats.fallbacks
         assert stats.solver == "cg"
 
-    def test_rejected_gate_records_nothing(self, small_er_graph):
+    def test_rejected_gate_records_nothing(self, small_er_graph, monkeypatch):
+        _force_cg(monkeypatch)
         stats = ResistanceSolveStats()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -237,14 +276,33 @@ class TestAutoMethod:
         assert stats.factorizations == 1
         assert _relative(by_auto, effective_resistances_all_edges(graph, method="pinv")) < 1e-9
 
-    def test_auto_takes_pinv_on_dense_graphs(self):
+    def test_auto_takes_the_dense_rung_on_dense_graphs(self, monkeypatch):
         graph = _dense_er()
         pairs = _pairs_across(graph, 16, seed=4)
+        by_pinv = effective_resistances_of_pairs(graph, pairs, method="pinv")
+
+        def no_pinv(laplacian):
+            raise AssertionError("auto took the pseudoinverse")
+
+        monkeypatch.setattr(exact, "laplacian_pseudoinverse", no_pinv)
         stats = ResistanceSolveStats()
         by_auto = effective_resistances_of_pairs(graph, pairs, stats=stats)
-        assert stats.solves == 0  # the pinv path runs no ladder solve
-        by_pinv = effective_resistances_of_pairs(graph, pairs, method="pinv")
-        assert np.array_equal(by_auto, by_pinv)
+        assert stats.factorizations == stats.dense_factorizations == 1
+        assert stats.iterations_total == 0
+        assert _relative(by_auto, by_pinv) < 1e-9
+
+    def test_rejected_graph_past_the_limit_runs_cg(self):
+        n = solver_select.DENSE_FALLBACK_LIMIT + 1
+        graph = gen.barabasi_albert_graph(n, 4, seed=8)
+        gate = FactorGate(graph.laplacian())
+        assert not gate.admits and not gate.dense
+        stats = ResistanceSolveStats()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            effective_resistances_of_pairs(graph, _pairs_across(graph, 8, seed=8), stats=stats)
+        assert stats.factorizations == 0
+        assert stats.iterations_total > 0
+        assert not stats.fallbacks
 
     def test_auto_with_chain_keeps_pinv_below_the_limit(self):
         graph = _banded()
@@ -255,6 +313,125 @@ class TestAutoMethod:
         assert np.array_equal(by_auto, effective_resistances_of_pairs(graph, pairs, method="pinv"))
 
     def test_dense_limits_are_one_constant(self):
-        from repro.resistance import exact
-
         assert exact._PINV_LIMIT == solver_select.DENSE_FALLBACK_LIMIT == 2500
+
+
+class TestDenseRung:
+    def test_stats_charge_the_dense_factor(self):
+        graph = _dense_er()
+        n, nnz = graph.num_vertices, graph.laplacian().nnz
+        pairs = _pairs_across(graph, 16, seed=6)
+        stats = ResistanceSolveStats()
+        effective_resistances_of_pairs(graph, pairs, method="solve", stats=stats)
+        assert stats.factor_fill == pytest.approx(n * (n + 1) / 2 / nnz)
+        assert stats.work == pytest.approx(n ** 3 / 3 + len(pairs) * (n * n + nnz))
+        assert stats.matvecs == len(pairs)
+
+    def test_failed_dense_build_falls_back_to_cg(self, monkeypatch):
+        graph = _dense_er()
+        pairs = _pairs_across(graph, 40, seed=2)
+
+        def broken(*args):
+            raise np.linalg.LinAlgError("injected: leading minor not positive definite")
+
+        monkeypatch.setattr(FactorGate, "_dense_factor", broken)
+        stats = ResistanceSolveStats()
+        with pytest.warns(UserWarning, match="factor -> cg"):
+            degraded = effective_resistances_of_pairs(graph, pairs, method="solve", stats=stats)
+        assert len(stats.fallbacks) == 1
+        event = stats.fallbacks[0]
+        assert (event.from_solver, event.to_solver, event.columns) == ("factor", "cg", len(pairs))
+        assert "LinAlgError" in event.reason
+        assert stats.factorizations == stats.dense_factorizations == 0
+        _force_cg(monkeypatch)
+        plain = effective_resistances_of_pairs(graph, pairs, method="solve")
+        assert np.array_equal(degraded, plain)
+
+    def test_failed_dense_build_is_not_retried_across_chunks(self, monkeypatch):
+        graph = _dense_er()
+        pairs = _pairs_across(graph, 40, seed=2)
+        builds = []
+
+        def broken(*args):
+            builds.append(1)
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(FactorGate, "_dense_factor", broken)
+        stats = ResistanceSolveStats()
+        with pytest.warns(UserWarning, match="factor -> cg"):
+            effective_resistances_of_pairs(
+                graph, pairs, method="solve", block_size=16, stats=stats
+            )
+        assert len(builds) == 1
+        assert [event.columns for event in stats.fallbacks] == [16, 16, 8]
+
+    def test_columns_that_miss_tol_go_to_cg_alone(self, monkeypatch):
+        graph = _dense_er()
+        pairs = _pairs_across(graph, 40, seed=3)
+        real = FactorGate._triangular_solve
+
+        def perturbed(self, block):
+            x = real(self, block)
+            x[:, [0, 3]] += np.linspace(0.0, 1e-3, x.shape[0])[:, None]
+            return x
+
+        monkeypatch.setattr(FactorGate, "_triangular_solve", perturbed)
+        stats = ResistanceSolveStats()
+        with pytest.warns(UserWarning, match="factor -> cg"):
+            values = effective_resistances_of_pairs(graph, pairs, method="solve", stats=stats)
+        assert [(e.from_solver, e.to_solver, e.columns) for e in stats.fallbacks] == [
+            ("factor", "cg", 2)
+        ]
+        assert stats.dense_factorizations == 1
+        assert stats.factor_columns == len(pairs) - 2
+        assert stats.iterations_total > 0
+        by_pinv = effective_resistances_of_pairs(graph, pairs, method="pinv")
+        assert _relative(values, by_pinv) < 1e-8
+
+    def test_peak_memory_stays_below_two_dense_matrices(self):
+        n = 2000
+        graph = gen.barabasi_albert_graph(n, 4, seed=9)
+        pairs = _pairs_across(graph, 64, seed=9)
+        stats = ResistanceSolveStats()
+        tracemalloc.start()
+        try:
+            effective_resistances_of_pairs(graph, pairs, method="solve", stats=stats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.dense_factorizations == 1
+        assert peak < 2 * 8 * n * n
+
+    def test_certify_dense_er_factors_g_and_h_once_each(self):
+        graph = _dense_er()
+        sparsifier = parallel_sparsify(graph, epsilon=0.5, seed=5).sparsifier
+        stats = ResistanceSolveStats()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = certify_resistances(
+                graph, sparsifier, num_pairs=64, seed=9, method="solve", stats=stats
+            )
+        assert cert.num_pairs_used == 64
+        assert stats.factorizations == stats.dense_factorizations == 2
+        assert stats.iterations_total == 0
+        assert not stats.fallbacks
+
+
+class TestOneLabellingPerGraph:
+    def test_certify_labels_each_graph_once(self, banded_and_sparsifier, monkeypatch):
+        graph, sparsifier = (_fresh(g) for g in banded_and_sparsifier)
+        calls = []
+        real = csgraph.connected_components
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        # repro.graphs.connectivity calls it through the csgraph module;
+        # the gate labels a Laplacian it was given no labels for.
+        monkeypatch.setattr(csgraph, "connected_components", counting)
+        monkeypatch.setattr(solver_select, "connected_components", counting)
+        stats = ResistanceSolveStats()
+        certify_resistances(graph, sparsifier, num_pairs=64, seed=9, method="solve", stats=stats)
+        assert stats.factorizations == 2
+        assert len(calls) == 2  # G and H, once each

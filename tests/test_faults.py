@@ -326,9 +326,12 @@ class TestSolverDegradation:
             raise RuntimeError("injected chain build failure")
 
         monkeypatch.setattr(solver_select, "chain_preconditioner_for", broken_build)
-        baseline = certify_resistances(
-            original, sparsifier, num_pairs=8, seed=3, solver="cg", method="solve"
-        )
+        with monkeypatch.context() as plain_cg:
+            # No dense factor either: the baseline is plain CG.
+            plain_cg.setattr(solver_select, "DENSE_FALLBACK_LIMIT", 0)
+            baseline = certify_resistances(
+                original, sparsifier, num_pairs=8, seed=3, solver="cg", method="solve"
+            )
         stats = ResistanceSolveStats(solver="chain")
         with pytest.warns(UserWarning, match="build failed"):
             degraded = certify_resistances(

@@ -622,9 +622,12 @@ class TestSolverKnobRouting:
             )
         assert repeat.chain_builds == 0  # cache hit: no new build
 
-    def test_stats_accumulate_on_plain_path(self, small_er_graph):
+    def test_stats_accumulate_on_plain_path(self, small_er_graph, monkeypatch):
+        from repro.resistance import solver_select
         from repro.resistance.solver_select import ResistanceSolveStats
 
+        # The gate rejects this ER graph; with no dense factor it runs plain CG.
+        monkeypatch.setattr(solver_select, "DENSE_FALLBACK_LIMIT", 0)
         stats = ResistanceSolveStats()
         effective_resistances_all_edges(
             small_er_graph, method="solve", solver="cg", stats=stats
