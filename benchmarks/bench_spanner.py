@@ -9,8 +9,9 @@ times exactly that hot path in two implementations:
   rebuild per peel round);
 * **optimized**: the shipped :mod:`repro.spanners.baswana_sen` /
   :mod:`repro.spanners.bundle` — directed edge rows ranked once per
-  bundle, one packed-key sort per clustering iteration, components
-  peeled by masking a live-edge vector.
+  bundle, one packed-key sort and one segmented minimum per clustering
+  iteration in a row workspace the call allocates once, components
+  peeled on a live-edge vector.
 
 Workloads cover the scenario matrix the sparsifier meets in practice —
 banded/locality, 2-D grid, power-law (Barabási–Albert), Erdős–Rényi — at
@@ -19,11 +20,11 @@ t in {8, 32}.  Every timed pair also hard-asserts *bit-identical* edge
 selections, so the benchmark doubles as an end-to-end equivalence check.
 
 Results are printed as an experiment table and persisted to
-``BENCH_spanner.json`` at the repo root, with the CPU count, machine
-and NumPy version they were measured on.  Wall-clock *assertions* are
-gated on ``REPRO_BENCH_ASSERT_SPEEDUP=1`` (the CI container has a single
-usable CPU and timing noise there should not fail the build); the JSON
-always records the measured speedups.
+``BENCH_spanner.json`` at the repo root, with the CPU count, machine,
+NumPy version and BLAS/OpenMP thread settings they were measured on.
+Wall-clock *assertions* are gated on ``REPRO_BENCH_ASSERT_SPEEDUP=1``
+(the CI container has a single usable CPU and timing noise there should
+not fail the build); the JSON always records the measured speedups.
 
 Usage::
 
@@ -197,6 +198,10 @@ def main() -> None:
             "machine": platform.machine(),
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "thread_env": {
+                name: os.environ.get(name)
+                for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+            },
         },
         "results": rows,
     }

@@ -25,12 +25,14 @@ Where the work runs is the config's business alone: ``run_many`` fans
 its jobs out on ``config.execution_backend()``, the same call the stream
 compactions inside the ``streaming`` method use.  ``run_many`` is the
 only fan-out that runs several jobs at once; a single ``run`` computes
-each ``PARALLELSAMPLE`` round on the whole graph in the calling thread.
+each ``PARALLELSAMPLE`` round on the whole graph in the calling thread,
+and warns when its config names a backend only ``streaming`` would use.
 """
 
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -178,7 +180,20 @@ class Engine:
 
         Deterministic for a fixed integer seed: repeated calls return
         bit-identical sparsifiers, exactly like the legacy entry points.
+        One run is serial: a config naming a backend other than serial,
+        or ``max_workers > 1``, gets a :class:`UserWarning` here unless
+        the method is ``streaming``, whose compactions use the backend.
         """
+        config = self._config
+        parallel = config.backend not in (None, "serial") or (config.max_workers or 1) > 1
+        if parallel and self._spec.name != "streaming":
+            warnings.warn(
+                f"backend={config.backend!r}, max_workers={config.max_workers!r} does "
+                f"nothing for one {self._spec.name!r} run, which is serial: only "
+                "run_many jobs and stream compactions use a backend",
+                UserWarning,
+                stacklevel=2,
+            )
         emit = self._make_emit()
         native, wall_seconds = _run_adapter(
             self._spec,

@@ -32,7 +32,7 @@ Modules
 """
 
 from repro.spanners.baswana_sen import SpannerResult, baswana_sen_spanner
-from repro.spanners.bundle import BundleResult, t_bundle_spanner, bundle_for_epsilon
+from repro.spanners.bundle import BundleResult, t_bundle_spanner
 from repro.spanners.greedy import greedy_spanner
 from repro.spanners.low_stretch_tree import low_stretch_tree, tree_bundle
 from repro.spanners.verification import (
@@ -51,7 +51,6 @@ __all__ = [
     "baswana_sen_spanner",
     "BundleResult",
     "t_bundle_spanner",
-    "bundle_for_epsilon",
     "greedy_spanner",
     "low_stretch_tree",
     "tree_bundle",

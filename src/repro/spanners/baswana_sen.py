@@ -34,21 +34,25 @@ The per-iteration clustering logic follows Baswana–Sen phase 1/phase 2:
 The directed edge rows are built once per input (:class:`_Rows`; a
 t-bundle shares them across its components) and each row carries a
 precomputed *rank* that orders rows by (length, direction, edge
-position) — the earliest-row-at-the-minimum tie-break.  A clustering
-iteration packs (tail, head cluster, rank) of its acting rows into one
-int64 key and value-sorts the keys (:class:`_KeyLayout`, which the
-CONGEST decision round shares): equal runs of the (tail, cluster)
-part are the groups and each group's first row is its lightest, so no
-stable argsort, minimum reduction or argmin pass touches the rows.  The
-per-vertex decisions are segmented reductions (``np.minimum.reduceat`` /
-``np.logical_or.reduceat``) over the groups, covered edges are the rows
-of the kept groups, and dead rows are masked by a live-edge vector until
-a quarter of them has died, when the rows are compacted.  One
-clustering iteration is a small constant number of flat NumPy passes
-with no Python loop over vertices.  The pre-vectorization
-implementation is preserved in :mod:`repro.spanners._reference` for
-golden tests and benchmarking; both select bit-identical edge sets for
-a fixed seed.
+position) — the earliest-row-at-the-minimum tie-break — and a length
+*class* (equal lengths share one).  A clustering iteration packs
+(tail, head cluster, rank) of its acting rows into one int64 key and
+value-sorts the keys (:class:`_KeyLayout`, which the CONGEST decision
+round shares): equal runs of the (tail, cluster) part are the groups
+and each group's first row is its lightest.  Each vertex is decided by
+one segmented minimum over packed (unsampled flag, class, group start)
+keys of its groups, the covered edges are the rows of the kept groups,
+and the head clusters the same-cluster test gathers carry over to the
+next iteration's scan.  The passes write into row-length buffers the
+:class:`_Rows` allocates once, so a call's iterations reuse them.  A
+component starts on its live rows only (a bundle's later components
+compact the taken edges' rows away first); rows that die inside it
+are masked by a live-edge vector until a quarter of them is dead, when
+the rows are compacted again.  One clustering iteration is a small
+constant number of flat NumPy passes with no Python loop over
+vertices.  The pre-vectorization implementation is preserved in
+:mod:`repro.spanners._reference` for golden tests and benchmarking;
+both select bit-identical edge sets for a fixed seed.
 """
 
 from __future__ import annotations
@@ -100,8 +104,26 @@ class SpannerResult:
 # fields fit in this many bits; wider inputs sort the same triples with
 # ``np.lexsort`` instead.
 _KEY_BITS = 63
+# Decision keys pack (unsampled flag, length class, group start) into one
+# int64 when the three fields fit in this many bits; wider inputs take
+# two minimum reductions instead.
+_DECISION_BITS = 63
 # The row arrays are compacted once at least this share of them is dead.
 _COMPACT_FRACTION = 0.25
+
+
+def _run_bounds(ids: np.ndarray, flags: Optional[np.ndarray] = None) -> np.ndarray:
+    """Start of every run of equal values in ``ids``, then ``ids.size``.
+
+    ``flags`` is a scratch bool buffer of at least ``ids.size + 1``
+    entries (one is allocated when it is omitted).
+    """
+    size = ids.shape[0]
+    head = np.empty(size + 1, dtype=bool) if flags is None else flags[: size + 1]
+    head[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=head[1:size])
+    head[size] = True
+    return np.flatnonzero(head)
 
 
 class _KeyLayout:
@@ -130,37 +152,48 @@ class _KeyLayout:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sort rows by (tail, cluster, rank) and find the (tail, cluster) groups.
 
-        Returns ``(group_ids, starts, ranks)``: per group, its id ``tail <<
-        cluster_bits | cluster`` (ascending) and the sorted position of its
-        first row, which is its lightest under the rank tie-break; per
-        sorted row, its rank.
+        Returns ``(group_ids, bounds, ranks)``: per group, its id ``tail <<
+        cluster_bits | cluster`` (ascending); the sorted position of each
+        group's first row, which is its lightest under the rank
+        tie-break, followed by the number of rows; per sorted row, its
+        rank.
         """
-        rank_mask = (1 << self.rank_bits) - 1
         if self.packed:
-            # The keys are unique, so a value sort gives the stable order.
-            ids = cluster << self.rank_bits
-            ids |= base
-            ids.sort()
-            ranks = ids & rank_mask
-            ids >>= self.rank_bits
-        else:
-            ids = base >> self.tail_shift
-            ranks = base & rank_mask
-            order = np.lexsort((ranks, cluster, ids))
-            ids <<= self.cluster_bits
-            ids |= cluster
-            ids = ids.take(order)
-            ranks = ranks.take(order)
-        boundary = np.empty(ids.shape[0], dtype=bool)
-        boundary[0] = True
-        np.not_equal(ids[1:], ids[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        return ids.take(starts), starts, ranks
+            keys = cluster << self.rank_bits
+            keys |= base
+            return self.split(keys)
+        ids = base >> self.tail_shift
+        ranks = base & ((1 << self.rank_bits) - 1)
+        order = np.lexsort((ranks, cluster, ids))
+        ids <<= self.cluster_bits
+        ids |= cluster
+        ids = ids.take(order)
+        bounds = _run_bounds(ids)
+        return ids.take(bounds[:-1]), bounds, ranks.take(order)
+
+    def split(
+        self,
+        keys: np.ndarray,
+        ranks: Optional[np.ndarray] = None,
+        flags: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`groups` of packed keys, which are sorted in place.
+
+        The keys are unique, so a value sort gives the stable order.
+        ``ranks`` (int64, ``keys.size``) receives the sorted ranks and
+        ``flags`` is the run-boundary scratch of :func:`_run_bounds`.
+        """
+        keys.sort()
+        ranks = np.bitwise_and(keys, (1 << self.rank_bits) - 1, out=ranks)
+        keys >>= self.rank_bits
+        bounds = _run_bounds(keys, flags)
+        return keys.take(bounds[:-1]), bounds, ranks
 
 
 class _Rows(_KeyLayout):
     """The directed edge rows of one input, built once and shared by every
-    spanner component a bundle builds on it.
+    spanner component a bundle builds on it, with the row workspace those
+    components run in.
 
     Rows come in pairs: with ``h = edge.size`` pairs, row ``i`` is edge
     ``edge[i]`` as ``u -> v`` and row ``h + i`` the same edge as
@@ -169,10 +202,22 @@ class _Rows(_KeyLayout):
     edge position): the earliest row of the concatenated ``[u -> v;
     v -> u]`` view among the lightest, which is the tie-break the goldens
     pin.  ``base`` holds each row's base key ``tail << tail_shift | rank``
-    (see :class:`_KeyLayout`).
+    (see :class:`_KeyLayout`).  Equal lengths share one *class*, numbered
+    in rank order, so comparing classes compares lengths:
+    ``class_of_rank`` maps ranks to classes, and is ``None`` when all
+    lengths differ and ``rank >> 1`` is the class.
+
+    ``scan``, ``flags`` and ``ranks`` are row-length scratch buffers that
+    every clustering iteration writes into.  They live as long as the
+    rows, that is one :func:`baswana_sen_spanner` or
+    :func:`~repro.spanners.bundle.bundle_select` call, so concurrent
+    calls never share them.
     """
 
-    __slots__ = ("n", "lengths", "base", "head", "edge", "edge_of_rank")
+    __slots__ = (
+        "n", "base", "head", "edge", "edge_of_rank", "class_of_rank", "class_bits",
+        "cluster_shift", "scan", "flags", "ranks",
+    )
 
     def __init__(
         self, n: int, edge_u: np.ndarray, edge_v: np.ndarray, weights: np.ndarray
@@ -182,29 +227,37 @@ class _Rows(_KeyLayout):
         m = edge_u.shape[0]
         super().__init__(n, 2 * m)
         self.n = n
-        self.lengths = 1.0 / np.asarray(weights)  # resistive metric
 
-        # One stable sort of the m lengths ranks all 2m rows: a run of z
-        # equal lengths at sorted position s ranks its forward rows
-        # 2s .. 2s+z-1 and its backward rows 2s+z .. 2s+2z-1.  Temporaries
-        # are dropped as soon as they are used: the kernel's arrays set
-        # the batch pipeline's peak memory.
-        order = np.argsort(self.lengths, kind="stable")
-        sorted_lengths = self.lengths.take(order)
-        run_head = np.empty(m, dtype=bool)
-        run_head[:1] = True
-        np.not_equal(sorted_lengths[1:], sorted_lengths[:-1], out=run_head[1:])
-        del sorted_lengths
-        run_starts = np.flatnonzero(run_head)
-        run_of = np.cumsum(run_head) - 1
-        del run_head
-        forward = run_starts.take(run_of)
+        # One sort of the m lengths ranks all 2m rows: a run of z equal
+        # lengths at sorted position s ranks its forward rows 2s .. 2s+z-1
+        # and its backward rows 2s+z .. 2s+2z-1.  An unstable sort gives
+        # the stable order when no two lengths are equal; ties need the
+        # stable one, which orders them by edge position.  Temporaries are
+        # dropped as soon as they are used: the kernel's arrays set the
+        # batch pipeline's peak memory.
+        lengths = 1.0 / np.asarray(weights)  # resistive metric
+        order = np.argsort(lengths)
+        run_bounds = _run_bounds(lengths.take(order))
+        num_classes = run_bounds.shape[0] - 1
+        if num_classes < m:
+            order = np.argsort(lengths, kind="stable")
+        del lengths
+        run_sizes = np.diff(run_bounds)
+        classes = np.arange(num_classes, dtype=np.int64)
+        run_of = np.repeat(classes, run_sizes)
+        forward = run_bounds.take(run_of)
         forward += np.arange(m, dtype=np.int64)
-        backward = forward + np.diff(np.append(run_starts, m)).take(run_of)
-        del run_starts, run_of
+        backward = run_sizes.take(run_of)
+        backward += forward
+        del run_of, run_bounds
+        # With distinct lengths sorted position s ranks rows 2s and 2s+1,
+        # so ``rank >> 1`` is the class and no table is kept.
+        self.class_bits = max(num_classes - 1, 1).bit_length()
+        self.class_of_rank = None if num_classes == m else np.repeat(classes, 2 * run_sizes)
+        del classes, run_sizes
         rank = np.empty(2 * m, dtype=np.int64)
         rank[order] = forward
-        rank[m + order] = backward
+        rank[m:][order] = backward
         self.edge_of_rank = np.empty(2 * m, dtype=np.int64)
         self.edge_of_rank[forward] = order
         self.edge_of_rank[backward] = order
@@ -217,13 +270,125 @@ class _Rows(_KeyLayout):
         del rank
         self.edge = np.arange(m, dtype=np.int64)
 
+        # Head clusters travel pre-shifted to their place in the packed key.
+        self.cluster_shift = self.rank_bits if self.packed else 0
+        self.scan = np.empty(2 * m, dtype=bool)
+        self.flags = np.empty(2 * m + 1, dtype=bool)
+        self.ranks = np.empty(2 * m, dtype=np.int64)
 
-def _rows_of_groups(starts: np.ndarray, sizes: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Sorted positions of every row of ``groups`` (runs at ``starts``)."""
-    sizes = sizes.take(groups)
-    positions = np.repeat(starts.take(groups) - (np.cumsum(sizes) - sizes), sizes)
+    def group(
+        self, mask: np.ndarray, head_cluster: np.ndarray, base: np.ndarray
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """:meth:`groups` of the rows flagged in ``mask``, in the workspace.
+
+        ``head_cluster`` holds each row's head cluster shifted by
+        ``cluster_shift``; the packed path overwrites it with the rows'
+        keys.  Returns ``None`` when no row is flagged.
+        """
+        if self.packed:
+            keys = np.bitwise_or(head_cluster, base, out=head_cluster)
+            keys = keys.take(np.flatnonzero(mask))
+            if keys.shape[0] == 0:
+                return None
+            return self.split(keys, self.ranks[: keys.shape[0]], self.flags)
+        rows = np.flatnonzero(mask)
+        if rows.shape[0] == 0:
+            return None
+        return self.groups(base.take(rows), head_cluster.take(rows))
+
+
+def _rows_of_groups(bounds: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Sorted positions of every row of ``groups`` (runs between ``bounds``)."""
+    first = bounds.take(groups)
+    sizes = bounds.take(groups + 1)
+    sizes -= first
+    offsets = np.cumsum(sizes)
+    offsets -= sizes
+    first -= offsets
+    positions = np.repeat(first, sizes)
     positions += np.arange(positions.shape[0], dtype=np.int64)
     return positions
+
+
+def _take_pairs(row_values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Both rows of each of ``pairs`` from a pair-layout row array."""
+    return row_values.reshape(2, -1).take(pairs, axis=1).reshape(-1)
+
+
+def _vertex_decisions(
+    rows: _Rows,
+    group_ids: np.ndarray,
+    bounds: np.ndarray,
+    ranks: np.ndarray,
+    center_sampled: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-vertex Baswana–Sen decisions over the (vertex, cluster) groups.
+
+    Groups are sorted by (vertex, cluster), one segment per acting
+    vertex.  Case (a) — no adjacent sampled cluster — keeps every group;
+    case (b) keeps the groups of strictly smaller length class plus the
+    *target*, the lightest sampled group (smallest cluster id on equal
+    classes), whose cluster the vertex joins.  The removal (vertex,
+    cluster) pairs coincide with the kept groups in both cases.  One
+    minimum reduction over packed (unsampled flag, class, group start)
+    keys decides every vertex: the flag marks case (a), and since group
+    starts ascend with the cluster id inside a segment, equal classes
+    resolve to the smallest cluster.
+
+    Returns ``(kept, group_ranks, joining_vertices, their_clusters)``:
+    the kept group positions, each group's rank, and the case (b)
+    vertices with their targets' clusters.  ``group_ids`` is consumed.
+    """
+    num_groups = group_ids.shape[0]
+    starts = bounds[:-1]
+    group_cluster = group_ids & ((1 << rows.cluster_bits) - 1)
+    group_vertex = np.right_shift(group_ids, rows.cluster_bits, out=group_ids)
+    segments = _run_bounds(group_vertex, rows.flags)
+    seg_starts = segments[:-1]
+    seg_sizes = np.diff(segments)
+    group_rank = ranks.take(starts)
+    if rows.class_of_rank is None:
+        group_class = group_rank >> 1
+    else:
+        group_class = rows.class_of_rank.take(group_rank)
+
+    start_bits = max(ranks.shape[0] - 1, 1).bit_length()
+    if rows.class_bits + start_bits + 1 <= _DECISION_BITS:
+        keys = group_class
+        keys <<= start_bits
+        keys |= starts
+        flag = 1 << (rows.class_bits + start_bits)
+        masked = np.where(center_sampled, 0, flag).take(group_cluster)
+        masked |= keys
+        best = np.minimum.reduceat(masked, seg_starts)
+        joins = best < flag
+        target = np.searchsorted(starts, best[joins] & ((1 << start_bits) - 1))
+        # A case (a) minimum keeps its flag, so every key of its segment
+        # lies below the class bound.
+        best >>= start_bits
+        best <<= start_bits
+        keep = np.less(keys, np.repeat(best, seg_sizes), out=rows.flags[:num_groups])
+    else:
+        sampled = center_sampled.take(group_cluster)
+        none = 1 << rows.class_bits
+        masked = np.where(sampled, group_class, none)
+        best = np.minimum.reduceat(masked, seg_starts)
+        joins = best < none
+        best_of_group = np.repeat(best, seg_sizes)
+        candidate = masked == best_of_group
+        candidate &= sampled
+        first = np.minimum.reduceat(
+            np.where(candidate, np.arange(num_groups, dtype=np.int64), num_groups), seg_starts
+        )
+        target = first[joins]
+        keep = group_class < best_of_group
+    keep[target] = True
+    return (
+        np.flatnonzero(keep),
+        group_rank,
+        group_vertex.take(seg_starts[joins]),
+        group_cluster.take(target),
+    )
 
 
 def _spanner_select(
@@ -237,16 +402,24 @@ def _spanner_select(
     directly with one :class:`_Rows` for all ``t`` components, so no
     component rebuilds rows or materialises an intermediate ``Graph``.
     """
-    # Rows of dead edges stay until a compaction; ``pairs > live_edges``
-    # says some are present and must be masked out.
     n = rows.n
+    shift = rows.cluster_shift
     base, head, edge = rows.base, rows.head, rows.edge
     live_edges = int(np.count_nonzero(alive))
-    cluster_bits = rows.cluster_bits
-    cluster_mask = (1 << cluster_bits) - 1
+    if live_edges < edge.shape[0]:
+        # Rows of the edges earlier components took are compacted away
+        # before the first iteration; rows that die later stay until a
+        # quarter of them is dead, and ``pairs > live_edges`` says some
+        # are present and must be masked out.
+        edge = np.flatnonzero(alive)
+        base = _take_pairs(base, edge)
+        head = _take_pairs(head, edge)
 
-    # cluster[v] = centre vertex id, or -1 once v leaves the clustering.
+    # cluster[v] = centre vertex id, or -1 once v leaves the clustering;
+    # head_cluster[r] = cluster[head[r]] << shift, carried from the
+    # same-cluster test of one iteration to the scan of the next.
     cluster = np.arange(n, dtype=np.int64)
+    head_cluster = head << shift
     sample_probability = float(n) ** (-1.0 / k) if n > 1 else 1.0
 
     chosen = np.zeros(alive.shape[0], dtype=bool)
@@ -255,8 +428,9 @@ def _spanner_select(
         if live_edges == 0:
             break
         # --- sample clusters -------------------------------------------------
+        clustered = cluster >= 0
         is_center = np.zeros(n, dtype=bool)
-        is_center[cluster[cluster >= 0]] = True
+        is_center[cluster[clustered]] = True
         active_centers = np.flatnonzero(is_center)
         sampled_flags = rng.random(active_centers.shape[0]) < sample_probability
         center_sampled = np.zeros(n, dtype=bool)
@@ -265,16 +439,16 @@ def _spanner_select(
         tracker.charge_parallel_for(active_centers.shape[0], label="spanner/sample-clusters")
         tracker.charge_parallel_for(n, label="spanner/propagate-sampling")
 
-        in_sampled = np.zeros(n, dtype=bool)
-        clustered = cluster >= 0
-        in_sampled[clustered] = center_sampled[cluster[clustered]]
+        # (An unclustered vertex reads entry -1, which ``clustered`` masks.)
+        in_sampled = center_sampled.take(cluster)
+        in_sampled &= clustered
+        new_cluster = np.where(in_sampled, cluster, -1)
 
         # --- group the acting rows by (tail, head cluster) -------------------
         # Only clustered heads count, and only tails outside sampled
         # clusters act this iteration.
         pairs = edge.shape[0]
-        head_cluster = cluster.take(head)
-        act = head_cluster >= 0
+        act = np.greater_equal(head_cluster, 0, out=rows.scan[: 2 * pairs])
         act_pairs = act.reshape(2, pairs)
         outside = ~in_sampled
         act_pairs[0] &= outside.take(head[pairs:])
@@ -282,66 +456,26 @@ def _spanner_select(
         if pairs > live_edges:
             act_pairs &= alive.take(edge)
         tracker.charge_parallel_for(2 * live_edges, label="spanner/scan-edges")
-        acting_rows = np.flatnonzero(act)
-        del act, act_pairs
-        acting = acting_rows.shape[0]
+        grouped = rows.group(act, head_cluster, base)
 
-        if acting == 0:
+        if grouped is None:
             # Nothing to do; clustering simply persists for sampled clusters.
-            cluster = np.where(in_sampled, cluster, -1)
+            cluster = new_cluster
+            head_cluster = (cluster << shift).take(head)
             continue
 
-        grp_id, starts, ranks = rows.groups(
-            base.take(acting_rows), head_cluster.take(acting_rows)
-        )
-        del head_cluster, acting_rows
-        grp_v = grp_id >> cluster_bits
-        grp_c = grp_id & cluster_mask
-        grp_edge = rows.edge_of_rank.take(ranks.take(starts))
-        grp_len = rows.lengths.take(grp_edge)
+        group_ids, bounds, ranks = grouped
         # PRAM: grouping/minimum per (v, c) pair is a segmented reduction.
-        tracker.charge_reduction(acting, label="spanner/group-min")
-
-        # --- per-vertex decisions (segmented reductions) --------------------
-        # Groups are sorted by (vertex, cluster); one segment per acting
-        # vertex.  Case (a) — no adjacent sampled cluster — keeps every
-        # group; case (b) keeps the strictly lighter groups plus the
-        # lightest sampled one (smallest cluster id on ties).  The removal
-        # (vertex, cluster) pairs coincide with the kept groups in both
-        # cases.
-        new_cluster = np.where(in_sampled, cluster, -1)
-
-        num_groups = grp_v.size
-        seg_starts = np.concatenate([[0], np.flatnonzero(grp_v[1:] != grp_v[:-1]) + 1])
-        seg_lengths = np.diff(np.append(seg_starts, num_groups))
-        seg_of = np.repeat(np.arange(seg_starts.size, dtype=np.int64), seg_lengths)
-
-        entry_sampled = center_sampled[grp_c]
-        seg_any_sampled = np.logical_or.reduceat(entry_sampled, seg_starts)
-        masked_len = np.where(entry_sampled, grp_len, np.inf)
-        seg_best_len = np.minimum.reduceat(masked_len, seg_starts)
-        positions = np.arange(num_groups, dtype=np.int64)
-        at_best = masked_len == seg_best_len[seg_of]
-        seg_best_pos = np.minimum.reduceat(
-            np.where(at_best, positions, num_groups), seg_starts
+        tracker.charge_reduction(ranks.shape[0], label="spanner/group-min")
+        num_groups = group_ids.shape[0]
+        kept, group_rank, joining, targets = _vertex_decisions(
+            rows, group_ids, bounds, ranks, center_sampled
         )
-
-        seg_vertices = grp_v[seg_starts]
-        case_b = seg_any_sampled
-        new_cluster[seg_vertices[~case_b]] = -1
-        new_cluster[seg_vertices[case_b]] = grp_c[seg_best_pos[case_b]]
-
-        keep = (
-            ~case_b[seg_of]
-            | (grp_len < seg_best_len[seg_of])
-            | (positions == seg_best_pos[seg_of])
-        )
+        new_cluster[joining] = targets
         # PRAM: decisions are per-vertex constant-depth selections (with a
         # log-depth min over the vertex's adjacent clusters).
         tracker.charge_reduction(num_groups, label="spanner/vertex-decisions")
-
-        kept = np.flatnonzero(keep)
-        chosen[grp_edge.take(kept)] = True
+        chosen[rows.edge_of_rank.take(group_rank.take(kept))] = True
 
         # --- remove covered edges -------------------------------------------
         # An edge (x, y) is removed if the pair (x, cluster_old(y)) or
@@ -349,14 +483,14 @@ def _spanner_select(
         # now share a cluster (it is covered inside that cluster).  The
         # removal pairs are exactly the kept groups, so their rows carry
         # every covered direction of every edge.  The shared-cluster test
-        # runs once per row pair, on the heads of both halves.
-        group_sizes = np.diff(np.append(starts, acting))
-        covered = _rows_of_groups(starts, group_sizes, kept)
+        # runs once per row pair, on the new head clusters of both halves,
+        # which the next iteration scans.
+        covered = _rows_of_groups(bounds, kept)
         alive[rows.edge_of_rank.take(ranks.take(covered))] = False
-        tail_cluster = new_cluster.take(head[pairs:])
-        same = tail_cluster == new_cluster.take(head[:pairs])
-        same &= tail_cluster >= 0
-        alive[edge.take(np.flatnonzero(same))] = False
+        head_cluster = (new_cluster << shift).take(head)
+        tail_cluster = head_cluster[pairs:]
+        same = np.flatnonzero(np.equal(tail_cluster, head_cluster[:pairs], out=rows.scan[:pairs]))
+        alive[edge.take(same[tail_cluster.take(same) >= 0])] = False
         tracker.charge_parallel_for(live_edges, label="spanner/remove-covered")
         live_edges = int(np.count_nonzero(alive))
         cluster = new_cluster
@@ -364,8 +498,9 @@ def _spanner_select(
         if pairs - live_edges >= _COMPACT_FRACTION * pairs:
             # Replace one array at a time so only one extra copy is live.
             live_pairs = np.flatnonzero(alive.take(edge))
-            base = base.reshape(2, pairs).take(live_pairs, axis=1).reshape(-1)
-            head = head.reshape(2, pairs).take(live_pairs, axis=1).reshape(-1)
+            base = _take_pairs(base, live_pairs)
+            head = _take_pairs(head, live_pairs)
+            head_cluster = _take_pairs(head_cluster, live_pairs)
             edge = edge.take(live_pairs)
 
     # ------------------------------------------------------------------ #
@@ -373,18 +508,17 @@ def _spanner_select(
     # ------------------------------------------------------------------ #
     if live_edges:
         pairs = edge.shape[0]
-        head_cluster = cluster.take(head)
-        valid = head_cluster >= 0
+        valid = np.greater_equal(head_cluster, 0, out=rows.scan[: 2 * pairs])
         if pairs > live_edges:
             valid_pairs = valid.reshape(2, pairs)
             valid_pairs &= alive.take(edge)
-        valid_rows = np.flatnonzero(valid)
-        if valid_rows.size:
-            _, starts, ranks = rows.groups(
-                base.take(valid_rows), head_cluster.take(valid_rows)
-            )
-            chosen[rows.edge_of_rank.take(ranks.take(starts))] = True
-        tracker.charge_reduction(max(valid_rows.size, 1), label="spanner/phase2")
+        grouped = rows.group(valid, head_cluster, base)
+        valid_rows = 0
+        if grouped is not None:
+            _, bounds, ranks = grouped
+            valid_rows = ranks.shape[0]
+            chosen[rows.edge_of_rank.take(ranks.take(bounds[:-1]))] = True
+        tracker.charge_reduction(max(valid_rows, 1), label="spanner/phase2")
 
     return np.flatnonzero(chosen)
 

@@ -13,16 +13,17 @@ The key consequence (Lemma 1 / Corollary 1): every edge of ``G`` outside
 the bundle has ``t`` edge-disjoint certified short paths, hence leverage
 score at most ``~log n / t``.
 
-The peel loop builds the directed edge rows once
+The peel loop builds the directed edge rows and their workspace once
 (:class:`repro.spanners.baswana_sen._Rows`) and runs every component's
 spanner core (:func:`repro.spanners.baswana_sen._spanner_select`) on
 them, peeling by clearing the taken edges in a live-edge vector: no
-round re-slices the edge arrays, and the kernel masks rows of peeled
-edges until it compacts its own copy.  No intermediate :class:`Graph`
-is constructed or validated during the ``t`` rounds; the bundle
-subgraph is built exactly once at the end, by
-:meth:`Graph.select_edges` on the bundle's indices.  The tree bundle and
-the CONGEST bundle peel on an index array into the input graph.
+round re-slices the input's edge arrays, and each component compacts
+the rows of the edges earlier components took before its first
+clustering iteration.  No intermediate :class:`Graph` is constructed
+or validated during the ``t`` rounds; the bundle subgraph is built
+exactly once at the end, by :meth:`Graph.select_edges` on the
+bundle's indices.  The tree bundle and the CONGEST bundle peel on an
+index array into the input graph.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "bundle_select",
     "t_bundle_spanner",
     "bundle_size_for_epsilon",
-    "bundle_for_epsilon",
 ]
 
 
@@ -239,16 +239,3 @@ def t_bundle_spanner(
         exhausted=exhausted,
         cost=_cost_delta(tracker, before),
     )
-
-
-def bundle_for_epsilon(
-    graph: Graph,
-    epsilon: float,
-    constant: float = 24.0,
-    k: Optional[int] = None,
-    seed: SeedLike = None,
-    tracker: Optional[PRAMTracker] = None,
-) -> BundleResult:
-    """Bundle with the Algorithm-1 size ``t = constant * log^2 n / epsilon^2``."""
-    t = bundle_size_for_epsilon(graph.num_vertices, epsilon, constant=constant)
-    return t_bundle_spanner(graph, t=t, k=k, seed=seed, tracker=tracker)

@@ -176,17 +176,18 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Group the selected incidence slots by (owner, known cluster).
 
-        Returns ``(group_ids, starts, slots)``: per group, its id ``owner
+        Returns ``(group_ids, bounds, slots)``: per group, its id ``owner
         << cluster_bits | centre`` (ascending) and the position of its
         first slot, which is its lightest (earliest on ties) — the
-        reference node's scan-order minimum; per position, the slot.
+        reference node's scan-order minimum — followed by the number of
+        slots; per position, the slot.
         """
         s = np.flatnonzero(slot_mask)
         if s.size == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, empty
-        ids, starts, ranks = self.layout.groups(self.slot_keys[s], self.known_center[s])
-        return ids, starts, net.slot_of_rank[ranks]
+        ids, bounds, ranks = self.layout.groups(self.slot_keys[s], self.known_center[s])
+        return ids, bounds, net.slot_of_rank[ranks]
 
     # -------------------------------------------------------------- #
     # Phases
@@ -230,9 +231,10 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
         slot_mask = np.repeat(acting, net.degrees)
         slot_mask &= self.slot_alive
         slot_mask &= self.known_center >= 0
-        g_id, starts, slots = self._cluster_groups(net, slot_mask)
+        g_id, bounds, slots = self._cluster_groups(net, slot_mask)
         if g_id.size == 0:
             return MessageBlock.empty()
+        starts = bounds[:-1]
 
         g_owner = g_id >> self.layout.cluster_bits
         g_centre = g_id & ((1 << self.layout.cluster_bits) - 1)
@@ -274,8 +276,7 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
 
         # Kill every live incidence into a connected cluster: the acting
         # side clears its ports and sends one removal notification on each.
-        sizes = np.diff(np.append(starts, slots.size))
-        killed_slots = slots[_rows_of_groups(starts, sizes, kept)]
+        killed_slots = slots[_rows_of_groups(bounds, kept)]
         self.slot_alive[killed_slots] = False
         return MessageBlock(
             slot=killed_slots,
@@ -299,8 +300,8 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
     def _final_decide(self, net: ColumnarSimulator, round_number: int, inbox: MessageBlock) -> None:
         self._process_inbox(net, round_number, inbox, learn_membership=False, set_pending=False)
         slot_mask = self.slot_alive & (self.known_center >= 0)
-        _, starts, slots = self._cluster_groups(net, slot_mask)
-        self.chosen[net.adj_edge_ids[slots[starts]]] = True
+        _, bounds, slots = self._cluster_groups(net, slot_mask)
+        self.chosen[net.adj_edge_ids[slots[bounds[:-1]]]] = True
 
     # -------------------------------------------------------------- #
 

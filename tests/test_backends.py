@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,51 @@ class TestBackendSeam:
         result = driver(DENSE, epsilon=0.5, rho=4, config=config, seed=1)
         assert result.sparsifier.num_edges < DENSE.num_edges
         assert backend.calls == 0
+
+    @pytest.mark.parametrize(
+        "execution",
+        [
+            {"backend": "thread", "max_workers": 2},
+            {"backend": "process"},
+            {"backend": "serial", "max_workers": 4},
+        ],
+        ids=["thread-2", "process", "serial-4"],
+    )
+    @pytest.mark.parametrize("method", ["koutis", "koutis-distributed", "uniform"])
+    def test_one_run_warns_that_its_backend_does_nothing(self, method, execution):
+        config = SparsifierConfig.practical(bundle_t=2, **execution)
+        with pytest.warns(UserWarning, match="only run_many jobs and stream compactions") as caught:
+            result = repro.sparsify(DENSE, method=method, rho=4, config=config, seed=1)
+        assert len([w for w in caught if "use a backend" in str(w.message)]) == 1
+        assert result.output_edges <= DENSE.num_edges
+
+    @pytest.mark.parametrize(
+        "run, config",
+        [
+            pytest.param(
+                lambda config: Engine(
+                    SparsifyRequest(method="koutis", seed=1, config=config)
+                ).run_many([DENSE, DENSE]),
+                SparsifierConfig(backend="thread", max_workers=2),
+                id="run_many",
+            ),
+            pytest.param(
+                lambda config: repro.sparsify(DENSE, method="streaming", config=config, seed=1),
+                SparsifierConfig(backend="thread", max_workers=2),
+                id="streaming",
+            ),
+            pytest.param(
+                lambda config: repro.sparsify(DENSE, method="koutis", config=config, seed=1),
+                SparsifierConfig(backend="serial", max_workers=1),
+                id="serial",
+            ),
+        ],
+    )
+    def test_fan_outs_and_serial_runs_do_not_warn(self, run, config):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(config)
+        assert not [w for w in caught if "use a backend" in str(w.message)]
 
     def test_injecting_is_not_a_backend_name(self):
         # In a fresh interpreter, so "before the import" really is before it.

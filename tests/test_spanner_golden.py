@@ -280,6 +280,89 @@ class TestLexsortBranch:
         assert costs == packed_costs == BUNDLE_COSTS[name][1]
 
 
+class TestDecisionKeyFallback:
+    """Inputs past the decision key's bit budget decide each vertex with
+    two minimum reductions instead of one packed one: same selections,
+    same costs."""
+
+    @pytest.mark.parametrize("case_index", range(len(BUNDLE_COSTS)))
+    def test_fallback_matches_packed(self, monkeypatch, cost_cases, case_index):
+        name, graph, seed, k, t = cost_cases[case_index]
+        packed_spanner = baswana_sen_spanner(graph, k=k, seed=seed)
+        packed_bundle, packed_costs = _bundle_with_costs(graph, seed, k, t)
+        monkeypatch.setattr(baswana_sen_module, "_DECISION_BITS", 0)
+        spanner = baswana_sen_spanner(graph, k=k, seed=seed)
+        bundle, costs = _bundle_with_costs(graph, seed, k, t)
+        assert np.array_equal(spanner.edge_indices, packed_spanner.edge_indices)
+        assert spanner.cost == packed_spanner.cost
+        assert len(bundle.component_edge_indices) == len(packed_bundle.component_edge_indices)
+        for got, want in zip(bundle.component_edge_indices, packed_bundle.component_edge_indices):
+            assert np.array_equal(got, want)
+        assert costs == packed_costs == BUNDLE_COSTS[name][1]
+
+
+class TestRowRanks:
+    """``_Rows`` ranks rows by (length, direction, edge position) on every
+    sort path: the stable argsort of the concatenated ``[u -> v; v -> u]``
+    lengths."""
+
+    @pytest.mark.parametrize("lengths", ["distinct", "all-equal", "partly-tied"])
+    def test_ranks_match_stable_argsort(self, lengths):
+        rng = np.random.default_rng(11)
+        m = 500
+        u = rng.integers(0, 40, m)
+        v = (u + rng.integers(1, 40, m)) % 40
+        if lengths == "distinct":
+            weights = rng.uniform(0.5, 3.0, m)
+        elif lengths == "all-equal":
+            weights = np.ones(m)
+        else:
+            weights = rng.uniform(0.5, 3.0, m)
+            tied = rng.random(m) < 0.4
+            weights[tied] = rng.integers(1, 4, int(tied.sum()))
+        rows = baswana_sen_module._Rows(40, u, v, weights)
+        order = np.argsort(np.concatenate([1.0 / weights, 1.0 / weights]), kind="stable")
+        expected = np.empty(2 * m, dtype=np.int64)
+        expected[order] = np.arange(2 * m)
+        assert np.array_equal(rows.base & ((1 << rows.rank_bits) - 1), expected)
+        assert np.array_equal(rows.edge_of_rank[expected], np.tile(np.arange(m), 2))
+        # Classes number the distinct lengths in rank order.
+        ranks = np.arange(2 * m)
+        classes = ranks >> 1 if rows.class_of_rank is None else rows.class_of_rank
+        assert (rows.class_of_rank is None) == (lengths == "distinct")
+        by_rank = 1.0 / weights[rows.edge_of_rank]
+        assert classes[0] == 0
+        assert np.array_equal(np.diff(classes), (np.diff(by_rank) > 0).astype(np.int64))
+
+
+class TestPeeledRows:
+    """Later bundle components start on rows compacted past the edges
+    earlier components took."""
+
+    def test_bundle_with_mostly_peeled_rows_matches_reference(self):
+        g = gen.erdos_renyi_graph(100, 0.6, seed=1, weight_range=(0.5, 3.0), ensure_connected=True)
+        fast = t_bundle_spanner(g, t=6, seed=11)
+        slow = reference_t_bundle_spanner(g, t=6, seed=11)
+        assert fast.t == slow.t == 6
+        taken = np.cumsum([c.size for c in fast.component_edge_indices])
+        # Components 3 to 6 start with more than a quarter of the rows peeled.
+        assert taken[1] > 0.25 * g.num_edges
+        assert np.array_equal(fast.edge_indices, slow.edge_indices)
+        for a, b in zip(fast.component_edge_indices, slow.component_edge_indices):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed, integer_weights", [(17, False), (2, True)])
+    def test_multigraph_bundle_matches_reference(self, seed, integer_weights):
+        g = TestAgainstReference._multigraph(seed, integer_weights)
+        fast = t_bundle_spanner(g, t=6, seed=seed)
+        slow = reference_t_bundle_spanner(g, t=6, seed=seed)
+        assert fast.t == slow.t
+        assert fast.exhausted == slow.exhausted
+        assert np.array_equal(fast.edge_indices, slow.edge_indices)
+        for a, b in zip(fast.component_edge_indices, slow.component_edge_indices):
+            assert np.array_equal(a, b)
+
+
 class TestZeroValidationPeel:
     """The t-round peel must not run a single validated Graph construction."""
 
