@@ -20,7 +20,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 try:
     from benchmarks.conftest import print_table

@@ -56,7 +56,6 @@ from repro.graphs import Graph, generators
 # Spanners.
 from repro.spanners import (
     baswana_sen_spanner,
-    greedy_spanner,
     t_bundle_spanner,
     distributed_baswana_sen_spanner,
 )
@@ -76,10 +75,8 @@ from repro.core import (
 
 # Resistances.
 from repro.resistance import (
-    effective_resistance,
     effective_resistances_all_edges,
     leverage_scores,
-    approximate_effective_resistances,
     approximate_effective_resistances_detailed,
 )
 
@@ -111,7 +108,6 @@ from repro.api import (
     available_methods,
     compare_methods,
     get_method,
-    method_descriptions,
     sparsify,
 )
 
@@ -130,7 +126,6 @@ __all__ = [
     "Graph",
     "generators",
     "baswana_sen_spanner",
-    "greedy_spanner",
     "t_bundle_spanner",
     "distributed_baswana_sen_spanner",
     "SparsifierConfig",
@@ -142,10 +137,8 @@ __all__ = [
     "ResistanceCertificate",
     "distributed_parallel_sample",
     "distributed_parallel_sparsify",
-    "effective_resistance",
     "effective_resistances_all_edges",
     "leverage_scores",
-    "approximate_effective_resistances",
     "approximate_effective_resistances_detailed",
     "laplacian_solve_many",
     "BatchSolveResult",
@@ -168,7 +161,6 @@ __all__ = [
     "get_method",
     "available_methods",
     "available_method_names",
-    "method_descriptions",
     "PRAMTracker",
     "PRAMCost",
     "DistributedCost",

@@ -2,18 +2,16 @@
 
 The benchmark harness prints rows comparable to what the paper's theorems
 predict; since this is a text-only environment the output is aligned
-monospace tables (and optional CSV files) rather than figures.  Keeping the
+monospace tables rather than figures.  Keeping the
 formatting here means every benchmark reports results the same way: the
 E1–E12 tables that ``benchmarks/bench_*.py`` print come from this module.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence
 
 __all__ = ["ExperimentTable", "format_table", "comparison_table"]
 
@@ -93,7 +91,7 @@ def comparison_table(results: Sequence[Any], title: Optional[str] = None) -> str
 
 @dataclass
 class ExperimentTable:
-    """Accumulates rows for one experiment and renders/saves them.
+    """Accumulates rows for one experiment and renders them.
 
     Example
     -------
@@ -117,12 +115,3 @@ class ExperimentTable:
             self.columns, self.rows, title=title or f"Experiment {self.experiment_id}"
         )
 
-    def to_csv(self, path: Union[str, Path]) -> None:
-        path = Path(path)
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(self.columns)
-            writer.writerows(self.rows)
-
-    def as_dicts(self) -> List[Dict[str, Any]]:
-        return [dict(zip(self.columns, row)) for row in self.rows]

@@ -40,7 +40,6 @@ from repro.api.registry import (
     available_method_names,
     available_methods,
     get_method,
-    method_descriptions,
 )
 from repro.api.request import SparsifyRequest
 from repro.api.result import ProgressEvent, UnifiedBatchResult, UnifiedResult
@@ -53,7 +52,6 @@ __all__ = [
     "get_method",
     "available_methods",
     "available_method_names",
-    "method_descriptions",
     "SparsifyRequest",
     "UnifiedResult",
     "UnifiedBatchResult",

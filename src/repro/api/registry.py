@@ -8,10 +8,11 @@ changed — which is exactly the method-ablation workflow the paper's
 experiments need.
 
 The methods live in one fixed table (:func:`_method_table`) of seven
-rows: name, runner, description and aliases.  Adding a built-in method
-means writing its runner next to the others in its adapter module
-(:mod:`repro.core.methods`, :mod:`repro.baselines.methods` or
-:mod:`repro.streaming.method`) and adding one row here.
+rows: name, runner and aliases (README's method table describes each).
+Adding a built-in method means writing its runner next to the others in
+its adapter module (:mod:`repro.core.methods`,
+:mod:`repro.baselines.methods` or :mod:`repro.streaming.method`) and
+adding one row here.
 
 Every runner is called with keyword arguments only:
 
@@ -48,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Mapping, Tuple
 
 from repro.exceptions import MethodError
 
@@ -57,17 +58,15 @@ __all__ = [
     "get_method",
     "available_methods",
     "available_method_names",
-    "method_descriptions",
 ]
 
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One method of the table: the runner plus its metadata."""
+    """One method of the table: its canonical name, runner and aliases."""
 
     name: str
     runner: Callable[..., object]
-    description: str = ""
     aliases: Tuple[str, ...] = ()
 
 
@@ -89,26 +88,13 @@ def _method_table() -> Mapping[str, MethodSpec]:
     from repro.streaming.method import run_streaming
 
     specs = (
-        MethodSpec("koutis", run_koutis,
-                   "PARALLELSPARSIFY: spanner-bundle sampling (Koutis SPAA'14, Algorithm 2)",
-                   ("parallel-sparsify",)),
-        MethodSpec("koutis-distributed", run_koutis_distributed,
-                   "PARALLELSPARSIFY on the synchronous CONGEST simulator (Theorems 4-5 costs)",
-                   ("distributed",)),
-        MethodSpec("spielman-srivastava", run_spielman_srivastava,
-                   "effective-resistance importance sampling (Spielman-Srivastava [23])",
-                   ("ss",)),
-        MethodSpec("uniform", run_uniform,
-                   "uniform edge sampling without a certificate (counter-example baseline)"),
-        MethodSpec("kapralov-panigrahi", run_kapralov_panigrahi,
-                   "spanner oversampling with 1/eps^4 size (Kapralov-Panigrahi [7])",
-                   ("kp",)),
-        MethodSpec("k-out", run_k_out,
-                   "random k-out sampling, Horvitz-Thompson reweighted (Holm et al.)",
-                   ("kout",)),
-        MethodSpec("streaming", run_streaming,
-                   "incremental ingest via StreamingSparsifier (batched replay of the input)",
-                   ("stream",)),
+        MethodSpec("koutis", run_koutis, ("parallel-sparsify",)),
+        MethodSpec("koutis-distributed", run_koutis_distributed, ("distributed",)),
+        MethodSpec("spielman-srivastava", run_spielman_srivastava, ("ss",)),
+        MethodSpec("uniform", run_uniform),
+        MethodSpec("kapralov-panigrahi", run_kapralov_panigrahi, ("kp",)),
+        MethodSpec("k-out", run_k_out, ("kout",)),
+        MethodSpec("streaming", run_streaming, ("stream",)),
     )
     return MappingProxyType({name: spec for spec in specs for name in (spec.name, *spec.aliases)})
 
@@ -135,7 +121,3 @@ def available_method_names() -> Tuple[str, ...]:
     """Every name :func:`get_method` accepts: canonical names plus aliases."""
     return tuple(sorted(_method_table()))
 
-
-def method_descriptions() -> Dict[str, str]:
-    """Mapping of canonical method name to its one-line description."""
-    return {name: get_method(name).description for name in available_methods()}

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graphs.connectivity import connected_components, sample_component_pairs
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, _pair_array
 from repro.linalg.eigen import extreme_generalized_eigenvalues
 from repro.resistance.exact import effective_resistances_of_pairs
 from repro.resistance.solver_select import ResistanceSolveStats
@@ -163,8 +163,11 @@ def certify_resistances(
     Probe pairs are drawn *within* the original graph's connected
     components (direct sampling — the requested count is met whenever any
     component has two vertices, even on graphs with many small
-    components).  Pairs that end up disconnected in the sparsifier are
-    reported as an infinite ratio rather than an error.  Both graphs'
+    components).  Explicit ``pairs`` must be shaped ``(k, 2)`` with
+    integral endpoints, or :class:`~repro.exceptions.GraphError` is
+    raised; an empty sequence gives the vacuous certificate.  Pairs that
+    end up disconnected in the sparsifier are reported as an infinite
+    ratio rather than an error.  Both graphs'
     resistances are computed through the blocked solver paths, so the
     certificate is usable far past the dense-eigensolve limit.
 
@@ -200,7 +203,7 @@ def certify_resistances(
         pair_arr = sample_component_pairs(labels, num_pairs, rng)
         requested = num_pairs
     else:
-        pair_arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        pair_arr = _pair_array(pairs)
         requested = pair_arr.shape[0]
     if pair_arr.shape[0] == 0:
         return ResistanceCertificate(

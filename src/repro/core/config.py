@@ -12,15 +12,17 @@ The configuration therefore exposes two modes:
     the identity (which is *correct*, just not useful); benchmarks use this
     mode only to demonstrate the threshold.
 ``practical``
-    Use a bundle of ``ceil(practical_scale * log2 n)`` components
+    Use a bundle of ``ceil(log2(n) / 2)`` components
     (independent of epsilon).  The spectral guarantee is then no longer
     implied by Theorem 4's union bound — instead it is *measured* by the
     certificates, which is exactly what the experiments report.
 
+Both sizes are fixed formulas; ``bundle_t`` sets any other bundle size.
 Everything else (sampling probability, spanner parameter, tree bundles,
 stretch certification) is also configurable so the ablations behind the
 E1–E12 tables in ``benchmarks/`` are driven by config values rather than
-code edits.
+code edits.  An input with at most :data:`MIN_EDGES_TO_SPARSIFY` edges
+comes back unchanged: it has nothing to sample.
 
 The config is also the one place that says where work runs: ``backend``
 and ``max_workers`` live here and nowhere else, and
@@ -44,6 +46,12 @@ from repro.utils.validation import check_epsilon, check_probability
 
 __all__ = ["SparsifierConfig"]
 
+# Practical-mode bundle size: ``ceil(_PRACTICAL_SCALE * log2 n)`` components.
+_PRACTICAL_SCALE = 0.5
+
+# ``PARALLELSAMPLE`` returns inputs with at most this many edges unchanged.
+MIN_EDGES_TO_SPARSIFY = 1
+
 
 @dataclass(frozen=True)
 class SparsifierConfig:
@@ -55,12 +63,9 @@ class SparsifierConfig:
         Target spectral approximation parameter of the *overall* call
         (Algorithm 2 divides it by ``ceil(log2 rho)`` per round).
     mode:
-        ``"theory"`` or ``"practical"`` — see module docstring.
-    bundle_constant:
-        The constant in the theory-mode bundle size
-        ``bundle_constant * log2(n)^2 / epsilon^2`` (paper: 24).
-    practical_scale:
-        Practical-mode bundle size is ``ceil(practical_scale * log2 n)``.
+        ``"theory"`` (bundle size ``24 log2(n)^2 / epsilon^2``, the
+        paper's) or ``"practical"`` (``ceil(log2(n) / 2)``) — see module
+        docstring.
     bundle_t:
         Explicit bundle size overriding both modes (useful in ablations).
     sampling_probability:
@@ -77,9 +82,6 @@ class SparsifierConfig:
         After building each bundle component, repair it so every
         non-component edge provably meets the stretch target (makes the
         Lemma 1 certificate unconditional at a small extra cost).
-    min_edges_to_sparsify:
-        Inputs with fewer edges are returned unchanged — mirrors the
-        "threshold of applicability" logic of Section 4.
     backend:
         Execution backend name: ``"serial"``, ``"thread"`` or
         ``"process"``; ``None`` means serial.  Backends only change
@@ -107,14 +109,11 @@ class SparsifierConfig:
 
     epsilon: float = 0.5
     mode: str = "practical"
-    bundle_constant: float = 24.0
-    practical_scale: float = 0.5
     bundle_t: Optional[int] = None
     sampling_probability: float = 0.25
     spanner_k: Optional[int] = None
     use_tree_bundle: bool = False
     certify_stretch: bool = False
-    min_edges_to_sparsify: int = 1
     backend: Optional[str] = None
     max_workers: Optional[int] = None
     solver: str = "cg"
@@ -128,24 +127,15 @@ class SparsifierConfig:
             raise SparsificationError(
                 f"mode must be 'theory' or 'practical', got {self.mode!r}"
             )
-        if self.bundle_constant <= 0:
-            raise SparsificationError("bundle_constant must be positive")
-        if self.practical_scale <= 0:
-            raise SparsificationError("practical_scale must be positive")
-        # Integer sizes: (field, least value, whether None is allowed).
-        for name, least, optional in (
-            ("bundle_t", 1, True),
-            ("spanner_k", 1, True),
-            ("max_workers", 1, True),
-            ("min_edges_to_sparsify", 0, False),
-        ):
+        # Integer sizes: each is None or at least 1.
+        for name in ("bundle_t", "spanner_k", "max_workers"):
             value = getattr(self, name)
-            if value is None and optional:
+            if value is None:
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise SparsificationError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise SparsificationError(f"{name} must be >= {least}, got {value}")
+            if value < 1:
+                raise SparsificationError(f"{name} must be >= 1, got {value}")
         if self.backend is not None and self.backend not in available_backends():
             raise SparsificationError(
                 f"backend must be one of {', '.join(available_backends())} or None, "
@@ -169,18 +159,13 @@ class SparsifierConfig:
         if self.bundle_t is not None:
             return self.bundle_t
         if self.mode == "theory":
-            return bundle_size_for_epsilon(num_vertices, eps, self.bundle_constant)
-        return max(1, int(np.ceil(self.practical_scale * np.log2(max(num_vertices, 2)))))
+            return bundle_size_for_epsilon(num_vertices, eps)
+        return max(1, int(np.ceil(_PRACTICAL_SCALE * np.log2(max(num_vertices, 2)))))
 
     @property
     def weight_multiplier(self) -> float:
         """Weight applied to kept non-bundle edges: ``1 / p`` (paper: 4)."""
         return 1.0 / self.sampling_probability
-
-    def per_round_epsilon(self, rho: float) -> float:
-        """Epsilon used by each round of ``PARALLELSPARSIFY``: ``eps / ceil(log2 rho)``."""
-        rounds = self.num_rounds(rho)
-        return self.epsilon / max(rounds, 1)
 
     @staticmethod
     def num_rounds(rho: float) -> int:

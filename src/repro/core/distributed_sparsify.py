@@ -34,7 +34,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.config import SparsifierConfig
+from repro.core.config import MIN_EDGES_TO_SPARSIFY, SparsifierConfig
 from repro.core.sample import assemble_sample_output, sample_nonbundle_edges
 from repro.core.sparsify import sparsify_rounds
 from repro.exceptions import SparsificationError
@@ -126,7 +126,7 @@ def distributed_parallel_sample(
     simple = graph.coalesce()
     m = simple.num_edges
     sparsifier, cost, components = simple, DistributedCost(), 0
-    if m <= config.min_edges_to_sparsify:
+    if m <= MIN_EDGES_TO_SPARSIFY:
         t, outside = 0, 0
         bundle_indices, kept = np.array([], dtype=np.int64), np.arange(m, dtype=np.int64)
     else:

@@ -30,11 +30,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.config import SparsifierConfig
+from repro.core.config import MIN_EDGES_TO_SPARSIFY, SparsifierConfig
 from repro.exceptions import SparsificationError
 from repro.graphs.graph import Graph
 from repro.parallel.metrics import PRAMCost
 from repro.parallel.pram import PRAMTracker
+from repro.resistance.stretch import spanner_stretch_bound
 from repro.spanners.bundle import t_bundle_spanner
 from repro.spanners.low_stretch_tree import tree_bundle
 from repro.spanners.verification import repair_spanner
@@ -161,8 +162,7 @@ def _bundle_and_sample(
         # Lemma 1 certificate holds deterministically: any edge whose stretch
         # over the full bundle exceeds the single-spanner target joins the
         # bundle outright.
-        stretch_target = 2.0 * np.log2(max(graph.num_vertices, 2))
-        bundle_indices = repair_spanner(graph, bundle_indices, stretch_target)
+        bundle_indices = repair_spanner(graph, bundle_indices, spanner_stretch_bound(graph.num_vertices))
     kept, outside = sample_nonbundle_edges(
         graph.num_edges, bundle_indices, rng, config.sampling_probability
     )
@@ -207,7 +207,7 @@ def parallel_sample(
 
     m = graph.num_edges
     sparsifier = graph
-    if m <= config.min_edges_to_sparsify:
+    if m <= MIN_EDGES_TO_SPARSIFY:
         # Below the applicability threshold: the input comes back unchanged.
         t, outside = 0, 0
         bundle_indices, kept = np.array([], dtype=np.int64), np.arange(m, dtype=np.int64)

@@ -6,14 +6,14 @@ the package (spanners, sparsifiers, solvers) operates on this type, and
 each graph operation has one implementation: the Laplacian, incidence
 matrix, quadratic form, weighted degrees, ``+``, ``*``, ``select_edges``
 and ``coalesce`` are ``Graph`` methods.  The modules here hold only what
-no method covers: single-edge Laplacians (:mod:`~repro.graphs.laplacian`),
+no method covers: the Laplacian check (:mod:`~repro.graphs.laplacian`),
 connected components (:mod:`~repro.graphs.connectivity`), induced
 subgraphs and disjoint unions (:mod:`~repro.graphs.operations`), and
 networkx / Laplacian conversion (:mod:`~repro.graphs.conversion`).
 """
 
 from repro.graphs.graph import Graph
-from repro.graphs.laplacian import edge_laplacian, is_laplacian
+from repro.graphs.laplacian import is_laplacian
 from repro.graphs.connectivity import (
     connected_components,
     is_connected,
@@ -33,7 +33,6 @@ from repro.graphs import conversion
 
 __all__ = [
     "Graph",
-    "edge_laplacian",
     "is_laplacian",
     "connected_components",
     "is_connected",

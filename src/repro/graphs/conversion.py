@@ -21,7 +21,7 @@ from repro.graphs.graph import Graph
 if TYPE_CHECKING:
     import networkx as nx
 
-__all__ = ["to_networkx", "from_networkx", "from_laplacian"]
+__all__ = ["to_networkx", "from_laplacian"]
 
 
 def to_networkx(graph: Graph, coalesce: bool = True) -> nx.Graph:
@@ -44,24 +44,6 @@ def to_networkx(graph: Graph, coalesce: bool = True) -> nx.Graph:
         (int(u), int(v), float(w)) for u, v, w in source.edges()
     )
     return out
-
-
-def from_networkx(nx_graph: nx.Graph, weight_attr: str = "weight") -> Graph:
-    """Convert a ``networkx`` (multi)graph with integer-like nodes to a Graph.
-
-    Nodes are relabelled to ``0..n-1`` in sorted order; missing weight
-    attributes default to 1.
-    """
-    nodes = sorted(nx_graph.nodes())
-    index = {node: i for i, node in enumerate(nodes)}
-    us, vs, ws = [], [], []
-    for a, b, data in nx_graph.edges(data=True):
-        if a == b:
-            continue  # Laplacians ignore self loops.
-        us.append(index[a])
-        vs.append(index[b])
-        ws.append(float(data.get(weight_attr, 1.0)))
-    return Graph(len(nodes), us, vs, ws)
 
 
 def from_laplacian(laplacian: sp.spmatrix, tol: float = 0.0) -> Graph:

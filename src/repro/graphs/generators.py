@@ -6,10 +6,10 @@ motivation mentions dense instances, SDD systems from PDE discretisations
 Peng--Spielman chain whose intermediate graphs densify.  The generators
 below cover those regimes:
 
-* structured sparse graphs (paths, cycles, 2-D/3-D grids, tori),
-* random sparse/dense models (Erdős–Rényi, random regular, preferential
-  attachment, random geometric),
-* worst-case-ish shapes for resistance (dumbbells, barbells, stars),
+* structured sparse graphs (paths, cycles, 2-D grids, bands),
+* random sparse/dense models (Erdős–Rényi, preferential attachment,
+  random geometric),
+* worst-case-ish shapes for resistance (dumbbells, stars),
 * weighted image-affinity grids (Remark 1) with synthetic images,
 * dense complete graphs for sanity-checking the sparsifiers.
 
@@ -32,18 +32,12 @@ __all__ = [
     "star_graph",
     "complete_graph",
     "grid_graph",
-    "grid_graph_3d",
-    "torus_graph",
     "banded_graph",
     "erdos_renyi_graph",
-    "random_regular_graph",
     "barabasi_albert_graph",
     "random_geometric_graph",
     "dumbbell_graph",
-    "barbell_graph",
     "image_affinity_graph",
-    "random_weighted",
-    "random_spanning_tree_plus",
 ]
 
 
@@ -102,48 +96,6 @@ def grid_graph(rows: int, cols: int, weight: float = 1.0) -> Graph:
     return Graph(rows * cols, u, v, np.full(u.shape[0], float(weight)))
 
 
-def grid_graph_3d(nx: int, ny: int, nz: int, weight: float = 1.0) -> Graph:
-    """Six-connected 3-D grid (the standard PDE discretisation stencil)."""
-    if min(nx, ny, nz) < 1:
-        raise GraphError("grid dimensions must be positive")
-    def vid(x, y, z):
-        return (x * ny + y) * nz + z
-
-    xs, ys, zs = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-    idx = vid(xs, ys, zs).astype(np.int64)
-    edges_u = []
-    edges_v = []
-    if nx > 1:
-        edges_u.append(idx[:-1, :, :].ravel())
-        edges_v.append(idx[1:, :, :].ravel())
-    if ny > 1:
-        edges_u.append(idx[:, :-1, :].ravel())
-        edges_v.append(idx[:, 1:, :].ravel())
-    if nz > 1:
-        edges_u.append(idx[:, :, :-1].ravel())
-        edges_v.append(idx[:, :, 1:].ravel())
-    if edges_u:
-        u = np.concatenate(edges_u)
-        v = np.concatenate(edges_v)
-    else:
-        u = np.array([], dtype=np.int64)
-        v = np.array([], dtype=np.int64)
-    return Graph(nx * ny * nz, u, v, np.full(u.shape[0], float(weight)))
-
-
-def torus_graph(rows: int, cols: int, weight: float = 1.0) -> Graph:
-    """2-D torus (grid with wrap-around edges)."""
-    if rows < 3 or cols < 3:
-        raise GraphError("torus_graph requires rows, cols >= 3")
-    r, c = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    idx = (r * cols + c).astype(np.int64)
-    right = np.roll(idx, -1, axis=1)
-    down = np.roll(idx, -1, axis=0)
-    u = np.concatenate([idx.ravel(), idx.ravel()])
-    v = np.concatenate([right.ravel(), down.ravel()])
-    return Graph(rows * cols, u, v, np.full(u.shape[0], float(weight)))
-
-
 def dumbbell_graph(clique_size: int, path_length: int = 1) -> Graph:
     """Two cliques of size ``clique_size`` joined by a path of ``path_length`` edges.
 
@@ -168,11 +120,6 @@ def dumbbell_graph(clique_size: int, path_length: int = 1) -> Graph:
     uu = np.concatenate(u)
     vv = np.concatenate(v)
     return Graph(n, uu, vv, np.ones(uu.shape[0]))
-
-
-def barbell_graph(clique_size: int) -> Graph:
-    """Two cliques joined by a single edge (``dumbbell_graph`` with path 1)."""
-    return dumbbell_graph(clique_size, path_length=1)
 
 
 # --------------------------------------------------------------------- #
@@ -255,37 +202,6 @@ def erdos_renyi_graph(
     return graph
 
 
-def random_regular_graph(n: int, degree: int, seed: SeedLike = None) -> Graph:
-    """Random ``degree``-regular graph via the configuration model.
-
-    Retries the pairing until it is simple (no loops / parallel edges) —
-    for the moderate degrees used in experiments this converges quickly.
-    Random regular graphs are expanders w.h.p., giving near-uniform
-    effective resistances (the easiest case for uniform sampling).
-    """
-    if degree < 1 or degree >= n:
-        raise GraphError("random_regular_graph requires 1 <= degree < n")
-    if (n * degree) % 2 != 0:
-        raise GraphError("n * degree must be even")
-    rng = as_rng(seed)
-    for _ in range(200):
-        stubs = np.repeat(np.arange(n, dtype=np.int64), degree)
-        rng.shuffle(stubs)
-        u = stubs[0::2]
-        v = stubs[1::2]
-        if np.any(u == v):
-            continue
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        keys = lo * np.int64(n) + hi
-        if np.unique(keys).shape[0] != keys.shape[0]:
-            continue
-        return Graph(n, lo, hi, np.ones(lo.shape[0]))
-    raise GraphError(
-        "failed to generate a simple random regular graph; try a smaller degree"
-    )
-
-
 def barabasi_albert_graph(n: int, attachment: int, seed: SeedLike = None) -> Graph:
     """Preferential-attachment (Barabási–Albert) graph.
 
@@ -345,61 +261,6 @@ def random_geometric_graph(
     mask = (dist < radius) & (dist > 1e-12)
     weights = 1.0 / dist[mask]
     return Graph(n, iu[mask].astype(np.int64), iv[mask].astype(np.int64), weights)
-
-
-def random_weighted(graph: Graph, low: float, high: float, seed: SeedLike = None) -> Graph:
-    """Replace the weights of ``graph`` with uniform random draws in [low, high]."""
-    if not (0 < low <= high):
-        raise GraphError("weights must satisfy 0 < low <= high")
-    rng = as_rng(seed)
-    return graph.with_weights(rng.uniform(low, high, size=graph.num_edges))
-
-
-def random_spanning_tree_plus(
-    n: int, extra_edges: int, seed: SeedLike = None, weight_range: Tuple[float, float] = (1.0, 1.0)
-) -> Graph:
-    """Random tree on ``n`` vertices plus ``extra_edges`` random chords.
-
-    Convenient family when a connected graph with a precisely controlled
-    edge count m = n - 1 + extra_edges is needed.
-    """
-    if n < 2:
-        raise GraphError("random_spanning_tree_plus requires n >= 2")
-    rng = as_rng(seed)
-    # Random attachment tree: vertex i >= 1 attaches to a uniform earlier vertex.
-    parents = np.array([rng.integers(0, i) for i in range(1, n)], dtype=np.int64)
-    u = [parents]
-    v = [np.arange(1, n, dtype=np.int64)]
-    existing = set(zip(np.minimum(parents, np.arange(1, n)).tolist(),
-                       np.maximum(parents, np.arange(1, n)).tolist()))
-    added = 0
-    attempts = 0
-    max_attempts = 50 * max(extra_edges, 1) + 100
-    chord_u = []
-    chord_v = []
-    max_extra = n * (n - 1) // 2 - (n - 1)
-    extra_edges = min(extra_edges, max_extra)
-    while added < extra_edges and attempts < max_attempts:
-        attempts += 1
-        a = int(rng.integers(0, n))
-        b = int(rng.integers(0, n))
-        if a == b:
-            continue
-        key = (min(a, b), max(a, b))
-        if key in existing:
-            continue
-        existing.add(key)
-        chord_u.append(key[0])
-        chord_v.append(key[1])
-        added += 1
-    if chord_u:
-        u.append(np.asarray(chord_u, dtype=np.int64))
-        v.append(np.asarray(chord_v, dtype=np.int64))
-    uu = np.concatenate(u)
-    vv = np.concatenate(v)
-    lo, hi = weight_range
-    weights = rng.uniform(lo, hi, size=uu.shape[0]) if hi > lo else np.full(uu.shape[0], float(lo))
-    return Graph(n, uu, vv, weights)
 
 
 # --------------------------------------------------------------------- #

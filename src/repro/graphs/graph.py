@@ -31,7 +31,7 @@ from repro.utils.validation import check_integer
 __all__ = ["Graph"]
 
 
-def _endpoint_array(values: Optional[Sequence[int]]) -> np.ndarray:
+def _endpoint_array(values: Optional[Sequence[int]], what: str = "edge endpoints") -> np.ndarray:
     """Endpoint input as a flat int64 array; non-integer values raise."""
     if values is None:
         return np.empty(0, dtype=np.int64)
@@ -41,8 +41,23 @@ def _endpoint_array(values: Optional[Sequence[int]]) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         ints = raw.astype(np.int64).ravel()
     if not np.array_equal(ints, raw.ravel()):
-        raise GraphError("edge endpoints must be integers")
+        raise GraphError(f"{what} must be integers")
     return ints
+
+
+def _pair_array(pairs: Sequence[Tuple[int, int]] | np.ndarray) -> np.ndarray:
+    """Vertex pairs as a ``(k, 2)`` int64 array, checked like edge endpoints.
+
+    An empty input is zero pairs.  Any other input not shaped ``(k, 2)``,
+    and non-integral endpoints (``0.5``; ``2.0`` is accepted), raise
+    :class:`~repro.exceptions.GraphError`.
+    """
+    raw = np.asarray(pairs)
+    if raw.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if raw.ndim != 2 or raw.shape[1] != 2:
+        raise GraphError(f"pairs must be a sequence of (u, v) tuples, got shape {raw.shape}")
+    return _endpoint_array(raw, "pair endpoints").reshape(-1, 2)
 
 
 class Graph:

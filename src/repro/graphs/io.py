@@ -1,11 +1,8 @@
-"""Reading and writing graphs.
+"""Reading and writing graphs as plain-text weighted edge lists.
 
-Two formats are supported:
-
-* a plain-text weighted edge list (one ``u v w`` triple per line with a
-  ``# n m`` header), convenient for interoperability and eyeballing; and
-* a NumPy ``.npz`` container with the raw edge arrays, convenient for
-  large benchmark inputs.
+One ``u v w`` triple per line under a ``# n m`` header: the format every
+CLI command reads and writes, convenient for interoperability and
+eyeballing.
 """
 
 from __future__ import annotations
@@ -14,12 +11,10 @@ import os
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
 
-__all__ = ["write_edge_list", "read_edge_list", "save_npz", "load_npz"]
+__all__ = ["write_edge_list", "read_edge_list"]
 
 PathLike = Union[str, os.PathLike]
 
@@ -72,23 +67,3 @@ def read_edge_list(path: PathLike) -> Graph:
         num_vertices = (max(max(us, default=-1), max(vs, default=-1)) + 1) if us else 0
     return Graph(num_vertices, us, vs, ws)
 
-
-def save_npz(graph: Graph, path: PathLike) -> None:
-    """Save a graph's edge arrays to a compressed ``.npz`` file."""
-    np.savez_compressed(
-        Path(path),
-        num_vertices=np.int64(graph.num_vertices),
-        u=graph.edge_u,
-        v=graph.edge_v,
-        w=graph.edge_weights,
-    )
-
-
-def load_npz(path: PathLike) -> Graph:
-    """Load a graph saved with :func:`save_npz`."""
-    with np.load(Path(path)) as data:
-        required = {"num_vertices", "u", "v", "w"}
-        missing = required - set(data.files)
-        if missing:
-            raise GraphError(f"npz file missing arrays: {sorted(missing)}")
-        return Graph(int(data["num_vertices"]), data["u"], data["v"], data["w"])

@@ -1,12 +1,11 @@
-"""Laplacian helpers that no :class:`repro.graphs.Graph` method covers.
+"""The check that a matrix is a graph Laplacian.
 
 A graph's Laplacian, incidence matrix, weighted degrees and quadratic
 form are :meth:`Graph.laplacian`, :meth:`Graph.incidence`,
 :meth:`Graph.weighted_degrees` and :meth:`Graph.quadratic_form`; from raw
-edge arrays, build ``Graph(n, u, v, w)`` first.  This module keeps the
-single-edge Laplacian ``B_e`` of the matrix-Chernoff argument and the
-check that a matrix is a graph Laplacian
-(:func:`repro.graphs.conversion.from_laplacian` turns one into a graph).
+edge arrays (a single edge's ``w * B_e`` included), build
+``Graph(n, u, v, w)`` first.  :func:`repro.graphs.conversion.from_laplacian`
+turns a Laplacian back into a graph.
 """
 
 from __future__ import annotations
@@ -14,24 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.exceptions import GraphError
-
-__all__ = ["edge_laplacian", "is_laplacian"]
-
-
-def edge_laplacian(num_vertices: int, a: int, b: int, weight: float = 1.0) -> sp.csr_matrix:
-    """Laplacian ``w * B_e`` of the single edge ``(a, b)``.
-
-    This is the rank-one matrix ``w (e_a - e_b)(e_a - e_b)^T`` used in the
-    matrix-Chernoff argument of Theorem 4: zero everywhere except a 2x2
-    submatrix.
-    """
-    if a == b:
-        raise GraphError("edge Laplacian of a self loop is undefined")
-    rows = np.array([a, b, a, b], dtype=np.int64)
-    cols = np.array([a, b, b, a], dtype=np.int64)
-    data = np.array([weight, weight, -weight, -weight], dtype=np.float64)
-    return sp.csr_matrix((data, (rows, cols)), shape=(num_vertices, num_vertices))
+__all__ = ["is_laplacian"]
 
 
 def is_laplacian(matrix: sp.spmatrix | np.ndarray, tol: float = 1e-8) -> bool:

@@ -16,9 +16,7 @@ resistance computations and the Peng--Spielman solver framework depend on:
 from repro.linalg.sdd import (
     SDDMatrix,
     is_sdd,
-    is_spd_sdd,
     laplacian_of_sdd,
-    sdd_to_laplacian_system,
     recover_sdd_solution,
 )
 from repro.linalg.cg import (
@@ -28,7 +26,7 @@ from repro.linalg.cg import (
     laplacian_solve,
     laplacian_solve_many,
 )
-from repro.linalg.pseudoinverse import laplacian_pseudoinverse, solve_via_pseudoinverse
+from repro.linalg.pseudoinverse import laplacian_pseudoinverse
 from repro.linalg.eigen import (
     extreme_generalized_eigenvalues,
     smallest_nonzero_eigenvalue,
@@ -38,9 +36,7 @@ from repro.linalg.eigen import (
 __all__ = [
     "SDDMatrix",
     "is_sdd",
-    "is_spd_sdd",
     "laplacian_of_sdd",
-    "sdd_to_laplacian_system",
     "recover_sdd_solution",
     "BatchSolveResult",
     "SolveResult",
@@ -48,7 +44,6 @@ __all__ = [
     "laplacian_solve",
     "laplacian_solve_many",
     "laplacian_pseudoinverse",
-    "solve_via_pseudoinverse",
     "extreme_generalized_eigenvalues",
     "smallest_nonzero_eigenvalue",
     "largest_eigenvalue",

@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["laplacian_pseudoinverse", "solve_via_pseudoinverse"]
+__all__ = ["laplacian_pseudoinverse"]
 
 MatrixLike = Union[sp.spmatrix, np.ndarray]
 
@@ -56,13 +56,3 @@ def laplacian_pseudoinverse(laplacian: MatrixLike, rcond: float = 1e-10) -> np.n
     inv = np.where(eigenvalues > cutoff, 1.0 / np.where(eigenvalues > cutoff, eigenvalues, 1.0), 0.0)
     return (eigenvectors * inv) @ eigenvectors.T
 
-
-def solve_via_pseudoinverse(
-    laplacian: MatrixLike, rhs: np.ndarray, rcond: float = 1e-10
-) -> np.ndarray:
-    """Minimum-norm solution of ``L x = b`` via the dense pseudoinverse."""
-    pinv = laplacian_pseudoinverse(laplacian, rcond=rcond)
-    rhs = np.asarray(rhs, dtype=float).ravel()
-    if rhs.shape[0] != pinv.shape[0]:
-        raise ValueError(f"rhs must have length {pinv.shape[0]}, got {rhs.shape[0]}")
-    return pinv @ rhs

@@ -23,9 +23,7 @@ from repro.graphs.graph import Graph
 __all__ = [
     "SDDMatrix",
     "is_sdd",
-    "is_spd_sdd",
     "laplacian_of_sdd",
-    "sdd_to_laplacian_system",
     "recover_sdd_solution",
     "split_sdd",
 ]
@@ -51,14 +49,6 @@ def is_sdd(matrix: sp.spmatrix | np.ndarray, tol: float = 1e-10) -> bool:
     row_off = np.asarray(abs_off.sum(axis=1)).ravel()
     scale = np.maximum(1.0, np.abs(diag))
     return bool(np.all(diag >= row_off - tol * scale))
-
-
-def is_spd_sdd(matrix: sp.spmatrix | np.ndarray, tol: float = 1e-10) -> bool:
-    """True for SDD matrices with strictly positive diagonal (PSD guaranteed)."""
-    if not is_sdd(matrix, tol=tol):
-        return False
-    diag = _as_csr(matrix).diagonal()
-    return bool(np.all(diag > -tol))
 
 
 def split_sdd(
@@ -153,21 +143,6 @@ def laplacian_of_sdd(matrix: sp.spmatrix | np.ndarray) -> Tuple[sp.csr_matrix, i
     return graph.laplacian(), n
 
 
-def sdd_to_laplacian_system(
-    matrix: sp.spmatrix | np.ndarray, rhs: np.ndarray
-) -> Tuple[sp.csr_matrix, np.ndarray, int]:
-    """Reduce ``M x = b`` (SDD) to an equivalent Laplacian system ``L y = c``.
-
-    Returns ``(L, c, n)`` with ``c = (b, -b, 0)`` and ``n`` the original size.
-    """
-    rhs = np.asarray(rhs, dtype=float).ravel()
-    lap, n = laplacian_of_sdd(matrix)
-    if rhs.shape[0] != n:
-        raise ValueError(f"rhs must have length {n}, got {rhs.shape[0]}")
-    c = np.concatenate([rhs, -rhs, [0.0]])
-    return lap, c, n
-
-
 def recover_sdd_solution(y: np.ndarray, n: int) -> np.ndarray:
     """Recover the SDD solution from the doubled Laplacian solution.
 
@@ -217,12 +192,6 @@ class SDDMatrix:
     @property
     def nnz(self) -> int:
         return int(self.matrix.nnz)
-
-    def to_graph(self) -> Graph:
-        """Graph of the doubled Laplacian (vertex count ``2 n``)."""
-        from repro.graphs.conversion import from_laplacian
-
-        return from_laplacian(self.laplacian)
 
     def reduce_rhs(self, rhs: np.ndarray) -> np.ndarray:
         """Right-hand side for the doubled Laplacian system."""

@@ -9,7 +9,7 @@ package checks the conventions themselves, statically, on every change:
 >>> report = lint_paths(["src"])          # doctest: +SKIP
 >>> [f.format() for f in report.findings] # doctest: +SKIP
 
-Run it as ``repro-sparsify lint`` or ``python -m repro.lint``; any
+Run it as ``repro-sparsify lint`` (``python -m repro.cli lint``); any
 finding fails the run.  The rules live in one table,
 :data:`~repro.lint.rules.RULES`, which ``--list-rules`` prints.
 """

@@ -1,10 +1,4 @@
-"""CLI for the invariant linter.
-
-Reachable two ways with identical behavior:
-
-* ``repro-sparsify lint ...`` — subcommand of the main console script.
-* ``python -m repro.lint ...`` — standalone, importable without the rest
-  of the CLI.
+"""The ``repro-sparsify lint`` subcommand: its options and its run.
 
 Exit codes: 0 clean (no finding after suppressions), 1 any finding,
 2 usage errors (no such path, unknown rule id).
@@ -16,12 +10,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from repro.lint.engine import lint_paths
 from repro.lint.rules import RULES
 
-__all__ = ["add_lint_arguments", "run_lint_command", "build_parser", "main"]
+__all__ = ["add_lint_arguments", "run_lint_command"]
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -110,21 +104,3 @@ def run_lint_command(args: argparse.Namespace) -> int:
     )
     return 1 if failed else 0
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.lint",
-        description="AST invariant checker for the repro codebase "
-        "(determinism, durability, and degradation contracts).",
-    )
-    add_lint_arguments(parser)
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run_lint_command(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

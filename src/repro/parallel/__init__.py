@@ -35,7 +35,6 @@ from repro.parallel.metrics import (
     PRAMCost,
     combine_concurrent,
     combine_parallel,
-    combine_sequential,
 )
 from repro.parallel.pram import PRAMTracker
 from repro.parallel.congest import (
@@ -62,7 +61,6 @@ __all__ = [
     "PRAMCost",
     "DistributedCost",
     "combine_parallel",
-    "combine_sequential",
     "combine_concurrent",
     "PRAMTracker",
     "ColumnarProgram",

@@ -17,7 +17,6 @@ from typing import Iterable
 __all__ = [
     "PRAMCost",
     "DistributedCost",
-    "combine_sequential",
     "combine_parallel",
     "combine_concurrent",
 ]
@@ -92,14 +91,6 @@ class DistributedCost:
 
     def __add__(self, other: "DistributedCost") -> "DistributedCost":
         return self.then(other)
-
-
-def combine_sequential(costs: Iterable[PRAMCost]) -> PRAMCost:
-    """Fold a sequence of PRAM costs executed one after another."""
-    total = PRAMCost()
-    for cost in costs:
-        total = total.then(cost)
-    return total
 
 
 def combine_parallel(costs: Iterable[PRAMCost]) -> PRAMCost:

@@ -14,11 +14,10 @@ with max-depth semantics.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
-
-import numpy as np
 
 from repro.parallel.metrics import PRAMCost
 
@@ -49,7 +48,9 @@ class PRAMTracker:
 
     def __init__(self) -> None:
         self._stack: List[_Frame] = [_Frame(parallel=False)]
-        self._by_label: Dict[str, PRAMCost] = {}
+        # label -> [work, depth], summed as floats on every labelled charge;
+        # ``breakdown()`` builds the ``PRAMCost`` records only when read.
+        self._by_label: Dict[str, List[float]] = {}
 
     # ------------------------------------------------------------------ #
     # Charging
@@ -66,8 +67,11 @@ class PRAMTracker:
         else:
             frame.depth += depth
         if label is not None:
-            prev = self._by_label.get(label, PRAMCost())
-            self._by_label[label] = prev.then(PRAMCost(work, depth))
+            totals = self._by_label.get(label)
+            if totals is None:
+                totals = self._by_label[label] = [0.0, 0.0]
+            totals[0] += work
+            totals[1] += depth
 
     def charge_parallel_for(
         self, num_items: int, work_per_item: float = 1.0, label: Optional[str] = None
@@ -84,12 +88,8 @@ class PRAMTracker:
         of min/sum/concatenate reductions used by the spanner and sampling
         steps.
         """
-        depth = float(np.ceil(np.log2(max(num_items, 2))))
+        depth = float(math.ceil(math.log2(max(num_items, 2))))
         self.charge(work=float(max(num_items, 1)), depth=depth, label=label)
-
-    def charge_cost(self, cost: PRAMCost, label: Optional[str] = None) -> None:
-        """Charge a pre-composed :class:`PRAMCost`."""
-        self.charge(cost.work, cost.depth, label=label)
 
     # ------------------------------------------------------------------ #
     # Parallel regions
@@ -137,24 +137,5 @@ class PRAMTracker:
 
     def breakdown(self) -> Dict[str, PRAMCost]:
         """Per-label cost breakdown (labels charged via ``charge(label=...)``)."""
-        return dict(self._by_label)
+        return {label: PRAMCost(work, depth) for label, (work, depth) in self._by_label.items()}
 
-    def merge_from(self, other: "PRAMTracker", parallel: bool = False) -> None:
-        """Fold another tracker's total into this one.
-
-        With ``parallel=True`` the other tracker's depth competes with the
-        current frame (max), matching a fork/join of independent tasks.
-        """
-        cost = other.total
-        if parallel:
-            with self.parallel_region():
-                self.charge(cost.work, cost.depth)
-        else:
-            self.charge(cost.work, cost.depth)
-        for label, label_cost in other.breakdown().items():
-            prev = self._by_label.get(label, PRAMCost())
-            self._by_label[label] = prev.then(label_cost)
-
-    def reset(self) -> None:
-        self._stack = [_Frame(parallel=False)]
-        self._by_label = {}

@@ -13,12 +13,11 @@ sampling.  This subpackage provides
 * Johnson–Lindenstrauss-sketched approximate resistances in the style of
   Spielman–Srivastava (used by the baseline sparsifier), batched through
   the same blocked solver,
-* stretch computations over paths, trees, and subgraphs, and the
-  spanner-certified resistance upper bounds of Lemma 1.
+* the stretch of edges over a subgraph, and the spanner-certified
+  resistance upper bounds of Lemma 1.
 """
 
 from repro.resistance.exact import (
-    effective_resistance,
     effective_resistances_all_edges,
     effective_resistances_of_pairs,
     leverage_scores,
@@ -36,21 +35,12 @@ from repro.resistance.solver_select import (
 )
 from repro.resistance.approx import (
     ApproxResistanceResult,
-    approximate_effective_resistances,
     approximate_effective_resistances_detailed,
     jl_direction_count,
 )
-from repro.resistance.stretch import (
-    path_resistance,
-    stretch_of_edge_over_path,
-    stretch_over_subgraph,
-    stretches_over_tree,
-    bundle_leverage_bound,
-    parallel_paths_resistance,
-)
+from repro.resistance.stretch import stretch_over_subgraph, bundle_leverage_bound
 
 __all__ = [
-    "effective_resistance",
     "effective_resistances_all_edges",
     "effective_resistances_of_pairs",
     "leverage_scores",
@@ -64,13 +54,8 @@ __all__ = [
     "resolve_solver",
     "solve_with_degradation",
     "ApproxResistanceResult",
-    "approximate_effective_resistances",
     "approximate_effective_resistances_detailed",
     "jl_direction_count",
-    "path_resistance",
-    "stretch_of_edge_over_path",
     "stretch_over_subgraph",
-    "stretches_over_tree",
     "bundle_leverage_bound",
-    "parallel_paths_resistance",
 ]

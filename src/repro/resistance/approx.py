@@ -43,7 +43,6 @@ from repro.utils.rng import SeedLike, as_rng, split_rng
 
 __all__ = [
     "ApproxResistanceResult",
-    "approximate_effective_resistances",
     "approximate_effective_resistances_detailed",
     "jl_direction_count",
 ]
@@ -265,28 +264,3 @@ def approximate_effective_resistances_detailed(
         fallbacks=tuple(ladder_stats.fallbacks[fallbacks_before:]),
     )
 
-
-def approximate_effective_resistances(
-    graph: Graph,
-    delta: float = 0.3,
-    num_directions: Optional[int] = None,
-    seed: SeedLike = None,
-    solver_tol: float = 1e-8,
-    block_size: int = 128,
-    solver: str = "cg",
-) -> np.ndarray:
-    """Approximate ``R_e[G]`` for every edge via JL sketching.
-
-    Thin wrapper over :func:`approximate_effective_resistances_detailed`
-    returning just the resistance array; see there for parameters and for
-    the recorded effective accuracy.
-    """
-    return approximate_effective_resistances_detailed(
-        graph,
-        delta=delta,
-        num_directions=num_directions,
-        seed=seed,
-        solver_tol=solver_tol,
-        block_size=block_size,
-        solver=solver,
-    ).resistances

@@ -45,7 +45,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import DisconnectedGraphError, GraphError
 from repro.graphs.connectivity import connected_components
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, _pair_array
 from repro.graphs.operations import induced_subgraph
 from repro.linalg.pseudoinverse import laplacian_pseudoinverse
 from repro.resistance.solver_select import (
@@ -57,7 +57,6 @@ from repro.resistance.solver_select import (
 )
 
 __all__ = [
-    "effective_resistance",
     "effective_resistances_of_pairs",
     "effective_resistances_all_edges",
     "leverage_scores",
@@ -247,7 +246,10 @@ def effective_resistances_of_pairs(
     graph:
         Input graph.
     pairs:
-        Sequence of ``(u, v)`` vertex pairs (or an ``(k, 2)`` array).
+        Sequence of ``(u, v)`` vertex pairs (or an ``(k, 2)`` array) with
+        integral endpoints; any other shape raises
+        :class:`~repro.exceptions.GraphError`, as do non-integral
+        endpoints (``0.5``; ``2.0`` is accepted).
     method:
         ``"pinv"``, ``"solve"``, or ``"auto"`` (the blocked solve with
         ``solver="cg"``, whose ladder factors every graph up to
@@ -269,9 +271,7 @@ def effective_resistances_of_pairs(
         Optional :class:`~repro.resistance.solver_select.ResistanceSolveStats`
         accumulating iteration/matvec/work counts of the inner solves.
     """
-    pair_arr = np.asarray(pairs, dtype=np.int64)
-    if pair_arr.ndim != 2 or pair_arr.shape[1] != 2:
-        raise GraphError("pairs must be a sequence of (u, v) tuples")
+    pair_arr = _pair_array(pairs)
     if pair_arr.size == 0:
         return np.zeros(0)
     n = graph.num_vertices
@@ -307,18 +307,6 @@ def effective_resistances_of_pairs(
         solver=solver, stats=stats, gate=gate,
     )
     return unique_res[inverse]
-
-
-def effective_resistance(
-    graph: Graph, u: int, v: int, method: str = "auto", tol: float = 1e-10,
-    solver: str = "cg",
-) -> float:
-    """Effective resistance between a single pair of vertices."""
-    return float(
-        effective_resistances_of_pairs(
-            graph, [(u, v)], method=method, tol=tol, solver=solver
-        )[0]
-    )
 
 
 def effective_resistances_all_edges(

@@ -20,8 +20,6 @@ most ``2 log n / (t w_e)``; Rayleigh monotonicity transfers the bound to G.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
@@ -30,45 +28,10 @@ from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
 
 __all__ = [
-    "path_resistance",
-    "parallel_paths_resistance",
-    "stretch_of_edge_over_path",
     "stretch_over_subgraph",
-    "stretches_over_tree",
     "bundle_leverage_bound",
     "spanner_stretch_bound",
 ]
-
-
-def path_resistance(weights: Sequence[float]) -> float:
-    """Resistance of a path: series formula ``sum_e 1 / w_e``."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.size == 0:
-        return 0.0
-    if np.any(weights <= 0):
-        raise GraphError("path edge weights must be positive")
-    return float(np.sum(1.0 / weights))
-
-
-def parallel_paths_resistance(path_resistances: Sequence[float]) -> float:
-    """Resistance of vertex-disjoint paths in parallel (equation 2.1).
-
-    ``R = (sum_i 1 / R_i)^{-1}`` — the harmonic combination of the
-    individual path resistances.
-    """
-    values = np.asarray(path_resistances, dtype=float)
-    if values.size == 0:
-        raise GraphError("need at least one path")
-    if np.any(values <= 0):
-        raise GraphError("path resistances must be positive")
-    return float(1.0 / np.sum(1.0 / values))
-
-
-def stretch_of_edge_over_path(edge_weight: float, path_weights: Sequence[float]) -> float:
-    """Stretch ``st_p(e) = w_e * sum_{e' in p} 1 / w_{e'}`` of an edge over a path."""
-    if edge_weight <= 0:
-        raise GraphError("edge weight must be positive")
-    return float(edge_weight) * path_resistance(path_weights)
 
 
 def _resistive_distance_matrix(subgraph: Graph, sources: np.ndarray) -> np.ndarray:
@@ -123,16 +86,6 @@ def stretch_over_subgraph(
     return w * dist_uv
 
 
-def stretches_over_tree(graph: Graph, tree: Graph) -> np.ndarray:
-    """Stretch of every edge of ``graph`` over a spanning tree ``tree``.
-
-    Equivalent to :func:`stretch_over_subgraph` but named separately
-    because the low-stretch-tree variant (Remark 2) reasons about the
-    *average* of exactly this quantity.
-    """
-    return stretch_over_subgraph(graph, tree)
-
-
 def spanner_stretch_bound(num_vertices: int) -> float:
     """The stretch target ``2 log2 n`` used for (log n)-spanners in the paper."""
     return 2.0 * np.log2(max(num_vertices, 2))
@@ -149,4 +102,4 @@ def bundle_leverage_bound(num_vertices: int, t: int) -> float:
     """
     if t <= 0:
         raise GraphError(f"bundle size t must be positive, got {t}")
-    return 2.0 * np.log2(max(num_vertices, 2)) / float(t)
+    return spanner_stretch_bound(num_vertices) / float(t)

@@ -1,4 +1,4 @@
-"""Spanner construction: Baswana–Sen, t-bundles, baselines, verification.
+"""Spanner construction: Baswana–Sen, t-bundles, tree bundles, verification.
 
 Spanners are the combinatorial engine of the paper's sparsifier: a
 (2 log n)-spanner of the *resistive metric* (edge lengths ``1 / w``)
@@ -22,9 +22,6 @@ Modules
     triples, orders of magnitude faster stepping.
 ``bundle``
     t-bundle spanner construction (Definition 1, Corollaries 2–3).
-``greedy``
-    The classical greedy (2k-1)-spanner, used as a deterministic baseline
-    and in tests as an independent implementation.
 ``low_stretch_tree``
     Low-stretch spanning trees and tree bundles (Remark 2 ablation).
 ``verification``
@@ -33,7 +30,6 @@ Modules
 
 from repro.spanners.baswana_sen import SpannerResult, baswana_sen_spanner
 from repro.spanners.bundle import BundleResult, t_bundle_spanner
-from repro.spanners.greedy import greedy_spanner
 from repro.spanners.low_stretch_tree import low_stretch_tree, tree_bundle
 from repro.spanners.verification import (
     max_stretch_of_nonspanner_edges,
@@ -51,7 +47,6 @@ __all__ = [
     "baswana_sen_spanner",
     "BundleResult",
     "t_bundle_spanner",
-    "greedy_spanner",
     "low_stretch_tree",
     "tree_bundle",
     "max_stretch_of_nonspanner_edges",

@@ -87,17 +87,17 @@ class BundleResult:
         return int(self.edge_indices.shape[0])
 
 
-def bundle_size_for_epsilon(num_vertices: int, epsilon: float, constant: float = 24.0) -> int:
-    """The bundle size ``t = constant * log2(n)^2 / epsilon^2`` used by Algorithm 1.
+def bundle_size_for_epsilon(num_vertices: int, epsilon: float) -> int:
+    """The bundle size ``t = 24 log2(n)^2 / epsilon^2`` of Algorithm 1.
 
-    The paper's PARALLELSAMPLE uses ``24 log^2 n / eps^2``; the constant is
-    exposed so the "practical" configuration can scale it down (see
-    :class:`repro.core.config.SparsifierConfig`).
+    This is the paper's constant, used by the "theory" mode of
+    :class:`repro.core.config.SparsifierConfig`; other sizes are set
+    through ``bundle_t``.
     """
     if epsilon <= 0:
         raise GraphError(f"epsilon must be positive, got {epsilon}")
     log_n = np.log2(max(num_vertices, 2))
-    return max(1, int(np.ceil(constant * log_n * log_n / (epsilon * epsilon))))
+    return max(1, int(np.ceil(24.0 * log_n * log_n / (epsilon * epsilon))))
 
 
 def bundle_select(

@@ -139,11 +139,3 @@ class TestReporting:
         table = ExperimentTable("E1", ["n", "edges"])
         with pytest.raises(ValueError):
             table.add_row(n=10)
-
-    def test_experiment_table_csv_and_dicts(self, tmp_path):
-        table = ExperimentTable("E2", ["x", "y"])
-        table.add_row(x=1, y=2)
-        path = tmp_path / "table.csv"
-        table.to_csv(path)
-        assert path.read_text().startswith("x,y")
-        assert table.as_dicts() == [{"x": 1, "y": 2}]

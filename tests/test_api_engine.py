@@ -19,7 +19,6 @@ from repro.api import (
     available_methods,
     compare_methods,
     get_method,
-    method_descriptions,
     sparsify,
 )
 from repro.baselines.kapralov_panigrahi import kapralov_panigrahi_sparsify
@@ -72,11 +71,6 @@ class TestRegistry:
     def test_unknown_method_raises_with_listing(self):
         with pytest.raises(MethodError, match="koutis"):
             get_method("quantum-annealer")
-
-    def test_descriptions_present(self):
-        descriptions = method_descriptions()
-        for method in BUILTIN_METHODS:
-            assert descriptions[method]
 
     def test_engine_resolves_method_eagerly(self):
         with pytest.raises(MethodError):

@@ -113,6 +113,10 @@ class TestRoundTrip:
     def test_from_dict_rejects_bad_config_payload(self):
         with pytest.raises(RequestError):
             SparsifyRequest.from_dict({"config": {"no_such_knob": 1}})
+        # Retired fields are refused even at their old defaults.
+        for key, value in [("bundle_constant", 24.0), ("practical_scale", 0.5), ("min_edges_to_sparsify", 1)]:
+            with pytest.raises(RequestError, match=key):
+                SparsifyRequest.from_dict({"method": "koutis", "config": {key: value}})
 
     def test_from_dict_refuses_the_retired_shard_count(self):
         # Even the old default is refused: no rule drops the retired key.

@@ -31,20 +31,14 @@ class TestValidation:
 
     def test_bad_constants(self):
         with pytest.raises(SparsificationError):
-            SparsifierConfig(bundle_constant=0.0)
-        with pytest.raises(SparsificationError):
-            SparsifierConfig(practical_scale=-1.0)
-        with pytest.raises(SparsificationError):
             SparsifierConfig(bundle_t=0)
         with pytest.raises(SparsificationError):
             SparsifierConfig(spanner_k=0)
-        with pytest.raises(SparsificationError):
-            SparsifierConfig(min_edges_to_sparsify=-1)
 
     @pytest.mark.parametrize("value", [2.5, True])
     @pytest.mark.parametrize(
         "field",
-        ["bundle_t", "spanner_k", "max_workers", "min_edges_to_sparsify"],
+        ["bundle_t", "spanner_k", "max_workers"],
     )
     def test_sizes_must_be_integers(self, field, value):
         with pytest.raises(SparsificationError, match=f"{field} must be an integer"):
@@ -55,14 +49,16 @@ class TestValidation:
             bundle_t=np.int64(3),
             spanner_k=np.int64(2),
             max_workers=np.int32(2),
-            min_edges_to_sparsify=np.int64(0),
         )
-        assert (config.bundle_t, config.spanner_k) == (3, 2)
-        assert (config.max_workers, config.min_edges_to_sparsify) == (2, 0)
+        assert (config.bundle_t, config.spanner_k, config.max_workers) == (3, 2, 2)
 
     def test_shard_count_is_not_a_field(self):
         with pytest.raises(TypeError, match="num_shards"):
             SparsifierConfig(num_shards=1)
+        # The bundle constants and the size threshold are fixed.
+        for retired in ("bundle_constant", "practical_scale", "min_edges_to_sparsify"):
+            with pytest.raises(TypeError, match=retired):
+                SparsifierConfig(**{retired: 1})
 
     def test_solver_choices(self):
         assert SparsifierConfig().solver == "cg"
@@ -89,17 +85,18 @@ class TestBundleSize:
         assert config.bundle_size(1024, epsilon=0.5) == 4 * config.bundle_size(1024, epsilon=1.0)
 
     def test_practical_mode_scales_with_log_n(self):
-        config = SparsifierConfig.practical(practical_scale=1.0)
-        assert config.bundle_size(1024) == 10
-        assert config.bundle_size(2 ** 20) == 20
+        config = SparsifierConfig.practical()
+        assert config.bundle_size(1024) == 5
+        assert config.bundle_size(2 ** 20) == 10
+        assert config.bundle_size(2 ** 20 + 1) == 11
 
     def test_explicit_bundle_t_wins(self):
         config = SparsifierConfig(bundle_t=7, mode="theory")
         assert config.bundle_size(10_000) == 7
 
     def test_bundle_size_at_least_one(self):
-        config = SparsifierConfig.practical(practical_scale=0.01)
-        assert config.bundle_size(4) >= 1
+        config = SparsifierConfig.practical()
+        assert config.bundle_size(1) == config.bundle_size(2) == 1
 
     def test_bundle_size_epsilon_validated(self):
         with pytest.raises(ValueError):
@@ -121,11 +118,6 @@ class TestDerivedQuantities:
     def test_num_rounds_rejects_below_one(self):
         with pytest.raises(SparsificationError):
             SparsifierConfig.num_rounds(0.5)
-
-    def test_per_round_epsilon(self):
-        config = SparsifierConfig(epsilon=0.8)
-        assert config.per_round_epsilon(4) == pytest.approx(0.4)
-        assert config.per_round_epsilon(1) == pytest.approx(0.8)
 
     def test_with_overrides(self):
         base = SparsifierConfig(epsilon=0.5)

@@ -14,7 +14,7 @@ from repro.graphs.graph import Graph
 from repro.parallel.pram import PRAMTracker
 
 
-PRACTICAL = SparsifierConfig.practical(practical_scale=0.5)
+PRACTICAL = SparsifierConfig.practical()
 
 
 class TestMechanics:

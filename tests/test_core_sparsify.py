@@ -11,7 +11,7 @@ from repro.graphs import generators as gen
 from repro.graphs.connectivity import is_connected
 from repro.graphs.graph import Graph
 
-PRACTICAL = SparsifierConfig.practical(practical_scale=0.5)
+PRACTICAL = SparsifierConfig.practical()
 SMALL_BUNDLE = SparsifierConfig.practical(bundle_t=1)
 
 

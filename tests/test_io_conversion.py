@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import GraphError
-from repro.graphs.conversion import from_laplacian, from_networkx, to_networkx
+from repro.graphs.conversion import from_laplacian, to_networkx
 from repro.graphs.graph import Graph
-from repro.graphs.io import load_npz, read_edge_list, save_npz, write_edge_list
+from repro.graphs.io import read_edge_list, write_edge_list
 
 
 class TestEdgeListIO:
@@ -49,25 +49,11 @@ class TestEdgeListIO:
         assert loaded.num_edges == 1
 
 
-class TestNpzIO:
-    def test_roundtrip(self, weighted_er_graph, tmp_path):
-        path = tmp_path / "graph.npz"
-        save_npz(weighted_er_graph, path)
-        loaded = load_npz(path)
-        assert loaded.same_edge_set(weighted_er_graph)
-        assert loaded.num_vertices == weighted_er_graph.num_vertices
-
-    def test_missing_arrays_raise(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, u=np.array([0]))
-        with pytest.raises(GraphError):
-            load_npz(path)
-
-
 class TestNetworkxConversion:
     def test_roundtrip(self, weighted_er_graph):
         nx_graph = to_networkx(weighted_er_graph)
-        back = from_networkx(nx_graph)
+        u, v, w = zip(*((a, b, data["weight"]) for a, b, data in nx_graph.edges(data=True)))
+        back = Graph(nx_graph.number_of_nodes(), u, v, w)
         assert back.same_edge_set(weighted_er_graph)
 
     def test_to_networkx_node_count_preserved(self):
@@ -79,19 +65,6 @@ class TestNetworkxConversion:
         doubled = triangle_graph + triangle_graph
         multi = to_networkx(doubled, coalesce=False)
         assert multi.number_of_edges() == 6
-
-    def test_from_networkx_skips_self_loops(self):
-        nx_graph = nx.Graph()
-        nx_graph.add_edge(0, 0)
-        nx_graph.add_edge(0, 1, weight=2.0)
-        g = from_networkx(nx_graph)
-        assert g.num_edges == 1
-
-    def test_from_networkx_default_weight(self):
-        nx_graph = nx.Graph()
-        nx_graph.add_edge(0, 1)
-        g = from_networkx(nx_graph)
-        assert g.edge_weights[0] == pytest.approx(1.0)
 
     def test_laplacians_agree_with_networkx(self, small_er_graph):
         ours = small_er_graph.laplacian().toarray()

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from repro.exceptions import GraphError
 from repro.graphs.conversion import from_laplacian
 from repro.graphs.graph import Graph
-from repro.graphs.laplacian import edge_laplacian, is_laplacian
+from repro.graphs.laplacian import is_laplacian
 
 
 class TestLaplacianFromEdges:
@@ -46,32 +46,21 @@ class TestIncidenceAndEdgeLaplacian:
         reconstructed = inc.T @ sp.diags(g.edge_weights) @ inc
         assert np.allclose(reconstructed.toarray(), g.laplacian().toarray())
 
-    def test_edge_laplacian_structure(self):
-        be = edge_laplacian(4, 1, 3, weight=2.0).toarray()
-        expected = np.zeros((4, 4))
-        expected[1, 1] = expected[3, 3] = 2.0
-        expected[1, 3] = expected[3, 1] = -2.0
-        assert np.allclose(be, expected)
-
-    def test_edge_laplacian_rejects_self_loop(self):
-        with pytest.raises(GraphError):
-            edge_laplacian(3, 1, 1)
-
     def test_edge_laplacian_sum_equals_graph_laplacian(self, weighted_path):
         total = sum(
-            edge_laplacian(weighted_path.num_vertices, u, v, w).toarray()
+            Graph(weighted_path.num_vertices, [u], [v], [w]).laplacian().toarray()
             for u, v, w in weighted_path.edges()
         )
         assert np.allclose(total, weighted_path.laplacian().toarray())
 
     def test_edge_laplacian_psd_dominated_by_resistance(self, triangle_graph):
         # B_e <= R_e * L_G  (the algebraic fact quoted before Corollary 1).
-        from repro.resistance.exact import effective_resistance
+        from repro.resistance.exact import effective_resistances_of_pairs
 
         lap = triangle_graph.laplacian().toarray()
         for u, v, w in triangle_graph.edges():
-            be = edge_laplacian(3, u, v, 1.0).toarray()
-            r = effective_resistance(triangle_graph, u, v)
+            be = Graph(3, [u], [v], [1.0]).laplacian().toarray()
+            r = effective_resistances_of_pairs(triangle_graph, [(u, v)])[0]
             diff = r * lap - be
             eigenvalues = np.linalg.eigvalsh(0.5 * (diff + diff.T))
             assert eigenvalues.min() >= -1e-9

@@ -20,7 +20,7 @@ from repro.linalg.eigen import (
     largest_eigenvalue,
     smallest_nonzero_eigenvalue,
 )
-from repro.linalg.pseudoinverse import laplacian_pseudoinverse, solve_via_pseudoinverse
+from repro.linalg.pseudoinverse import laplacian_pseudoinverse
 
 
 def _spd_matrix(n: int, seed: int) -> np.ndarray:
@@ -135,17 +135,6 @@ class TestPseudoinverse:
         n = lap.shape[0]
         projector = np.eye(n) - np.ones((n, n)) / n
         assert np.allclose(lap @ pinv, projector, atol=1e-7)
-
-    def test_solve_via_pseudoinverse(self, grid_graph_8x8):
-        lap = grid_graph_8x8.laplacian()
-        b = np.zeros(grid_graph_8x8.num_vertices)
-        b[0], b[-1] = 1.0, -1.0
-        x = solve_via_pseudoinverse(lap, b)
-        assert np.linalg.norm(lap @ x - b) < 1e-8
-
-    def test_solve_length_checked(self):
-        with pytest.raises(ValueError):
-            solve_via_pseudoinverse(np.eye(3), np.ones(4))
 
     def test_dimension_limit_enforced(self):
         big = sp.identity(10_000, format="csr")

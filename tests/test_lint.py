@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.lint import RULES, lint_paths, lint_source
-from repro.lint.cli import main as lint_main
 from repro.lint.engine import SYNTAX_ERROR_RULE, UNUSED_SUPPRESSION_RULE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -444,12 +444,12 @@ def lint_tree(tmp_path, monkeypatch):
 
 class TestCli:
     def test_violation_exits_1(self, lint_tree, capsys):
-        assert lint_main(["src"]) == 1
+        assert cli_main(["lint", "src"]) == 1
         out = capsys.readouterr().out
         assert "REP001" in out and "dirty.py" in out
 
     def test_json_output_shape(self, lint_tree, capsys):
-        code = lint_main(["src", "--json"])
+        code = cli_main(["lint", "src", "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1 and payload["ok"] is False
         assert payload["files_checked"] == 2
@@ -457,20 +457,20 @@ class TestCli:
         assert payload["findings"][0]["path"] == "src/pkg/dirty.py"
 
     def test_missing_path_exits_2(self, lint_tree, capsys):
-        assert lint_main(["does-not-exist"]) == 2
+        assert cli_main(["lint", "does-not-exist"]) == 2
 
     def test_list_rules_table(self, capsys):
-        assert lint_main(["--list-rules"]) == 0
+        assert cli_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in ("REP001", "REP007"):
             assert rule_id in out
 
     def test_rules_filter(self, lint_tree, capsys):
         # REP001 violation present, but only REP007 requested → clean.
-        assert lint_main(["src", "--rules", "REP007"]) == 0
+        assert cli_main(["lint", "src", "--rules", "REP007"]) == 0
 
     def test_unknown_rule_id_exits_2(self, lint_tree, capsys):
-        assert lint_main(["src", "--rules", "REP001", "REP123"]) == 2
+        assert cli_main(["lint", "src", "--rules", "REP001", "REP123"]) == 2
         err = capsys.readouterr().err
         assert "REP123" in err and "REP001," in err  # names the unknown id, lists the table
 

@@ -7,7 +7,6 @@ from repro.parallel.metrics import (
     PRAMCost,
     combine_concurrent,
     combine_parallel,
-    combine_sequential,
 )
 from repro.parallel.pram import PRAMTracker
 
@@ -37,7 +36,7 @@ class TestPRAMCost:
 
     def test_combine_helpers(self):
         costs = [PRAMCost(1, 1), PRAMCost(2, 2), PRAMCost(3, 3)]
-        seq = combine_sequential(costs)
+        seq = sum(costs, PRAMCost())
         par = combine_parallel(costs)
         assert seq.work == par.work == 6
         assert seq.depth == 6
@@ -100,6 +99,12 @@ class TestPRAMTracker:
         tracker.charge_reduction(1024)
         assert tracker.depth == pytest.approx(10.0)
         assert tracker.work == 1024
+        # ceil(log2 n) exactly, on both sides of every power of two.
+        for k in range(1, 40):
+            for n, depth in ((2**k - 1, k), (2**k, k), (2**k + 1, k + 1)):
+                single = PRAMTracker()
+                single.charge_reduction(n)
+                assert single.depth == depth
 
     def test_parallel_region_max_depth(self):
         tracker = PRAMTracker()
@@ -133,33 +138,3 @@ class TestPRAMTracker:
         breakdown = tracker.breakdown()
         assert breakdown["a"].work == 15
         assert breakdown["b"].work == 3
-
-    def test_merge_from_sequential(self):
-        main = PRAMTracker()
-        child = PRAMTracker()
-        child.charge(work=7, depth=2, label="x")
-        main.merge_from(child)
-        assert main.work == 7
-        assert main.depth == 2
-        assert "x" in main.breakdown()
-
-    def test_merge_from_parallel(self):
-        main = PRAMTracker()
-        main.charge(work=1, depth=1)
-        child = PRAMTracker()
-        child.charge(work=5, depth=10)
-        main.merge_from(child, parallel=True)
-        assert main.work == 6
-        assert main.depth == 11
-
-    def test_reset(self):
-        tracker = PRAMTracker()
-        tracker.charge(work=5, depth=5, label="x")
-        tracker.reset()
-        assert tracker.work == 0
-        assert tracker.breakdown() == {}
-
-    def test_charge_cost_object(self):
-        tracker = PRAMTracker()
-        tracker.charge_cost(PRAMCost(work=3, depth=2))
-        assert tracker.total == PRAMCost(3, 2)

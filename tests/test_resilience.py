@@ -238,10 +238,12 @@ class TestCheckpointJournal:
         checkpointed_batch(graphs[:2], checkpoint=journal)
         lines = journal.read_text().splitlines()
         header = unseal(lines[0].encode())
-        header["config"] = {**header["config"], "num_shards": 1}
-        journal.write_text(seal(header) + "\n" + lines[1] + "\n")
-        with pytest.raises(CheckpointError, match="different batch"):
-            checkpointed_batch(graphs[:2], checkpoint=journal)
+        retired = {"num_shards": 1, "bundle_constant": 24.0, "practical_scale": 0.5, "min_edges_to_sparsify": 1}
+        for key, old_default in retired.items():
+            pinned = {**header, "config": {**header["config"], key: old_default}}
+            journal.write_text(seal(pinned) + "\n" + lines[1] + "\n")
+            with pytest.raises(CheckpointError, match="different batch"):
+                checkpointed_batch(graphs[:2], checkpoint=journal)
 
     def test_resume_with_another_job_count_is_refused(self, graphs, tmp_path):
         journal = tmp_path / "batch.jsonl"

@@ -8,21 +8,16 @@ from repro.exceptions import DisconnectedGraphError, GraphError
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 from repro.graphs.operations import disjoint_union
-from repro.resistance.approx import approximate_effective_resistances
+from repro.resistance.approx import approximate_effective_resistances_detailed
 from repro.resistance.exact import (
-    effective_resistance,
     effective_resistances_all_edges,
     effective_resistances_of_pairs,
     leverage_scores,
 )
 from repro.resistance.stretch import (
     bundle_leverage_bound,
-    parallel_paths_resistance,
-    path_resistance,
     spanner_stretch_bound,
-    stretch_of_edge_over_path,
     stretch_over_subgraph,
-    stretches_over_tree,
 )
 from repro.spanners.bundle import t_bundle_spanner
 
@@ -30,27 +25,27 @@ from repro.spanners.bundle import t_bundle_spanner
 class TestExactResistance:
     def test_single_edge(self):
         g = Graph(2, [0], [1], [4.0])
-        assert effective_resistance(g, 0, 1) == pytest.approx(0.25)
+        assert effective_resistances_of_pairs(g, [(0, 1)])[0] == pytest.approx(0.25)
 
     def test_series_path(self):
         """Resistors in series add: R = sum 1/w."""
         g = Graph(4, [0, 1, 2], [1, 2, 3], [1.0, 2.0, 4.0])
-        assert effective_resistance(g, 0, 3) == pytest.approx(1.0 + 0.5 + 0.25)
+        assert effective_resistances_of_pairs(g, [(0, 3)])[0] == pytest.approx(1.0 + 0.5 + 0.25)
 
     def test_parallel_edges(self):
         """Two parallel unit edges halve the resistance."""
         g = Graph(2, [0, 0], [1, 1], [1.0, 1.0])
-        assert effective_resistance(g, 0, 1) == pytest.approx(0.5)
+        assert effective_resistances_of_pairs(g, [(0, 1)])[0] == pytest.approx(0.5)
 
     def test_triangle(self, triangle_graph):
         # Edge in a unit triangle: 1 || 2 = 2/3.
-        assert effective_resistance(triangle_graph, 0, 1) == pytest.approx(2.0 / 3.0)
+        assert effective_resistances_of_pairs(triangle_graph, [(0, 1)])[0] == pytest.approx(2.0 / 3.0)
 
     def test_complete_graph_formula(self):
         # K_n with unit weights: R_uv = 2/n for every pair.
         n = 7
         g = gen.complete_graph(n)
-        assert effective_resistance(g, 2, 5) == pytest.approx(2.0 / n)
+        assert effective_resistances_of_pairs(g, [(2, 5)])[0] == pytest.approx(2.0 / n)
 
     def test_pinv_and_solve_agree(self, weighted_er_graph):
         pairs = [(0, 5), (3, 17), (10, 40)]
@@ -67,7 +62,7 @@ class TestExactResistance:
     def test_disconnected_pair_raises(self, triangle_graph):
         g = disjoint_union(triangle_graph, triangle_graph)
         with pytest.raises(DisconnectedGraphError):
-            effective_resistance(g, 0, 4)
+            effective_resistances_of_pairs(g, [(0, 4)])
 
     def test_self_pair_rejected(self, triangle_graph):
         with pytest.raises(GraphError):
@@ -76,6 +71,14 @@ class TestExactResistance:
     def test_bad_pair_shape(self, triangle_graph):
         with pytest.raises(GraphError):
             effective_resistances_of_pairs(triangle_graph, [(0, 1, 2)])
+
+    def test_non_integral_pair_rejected(self):
+        # Truncating would answer R(0, 2) for a pair nobody asked about.
+        with pytest.raises(GraphError, match="integers"):
+            effective_resistances_of_pairs(gen.path_graph(4), [(0.5, 2.9)])
+
+    def test_integral_float_pair_accepted(self):
+        assert effective_resistances_of_pairs(gen.path_graph(4), [(0.0, 2.0)])[0] == pytest.approx(2.0)
 
     def test_out_of_range_pair(self, triangle_graph):
         with pytest.raises(GraphError):
@@ -136,7 +139,7 @@ class TestLeverageScores:
 class TestApproximateResistance:
     def test_close_to_exact(self, small_er_graph):
         exact = effective_resistances_all_edges(small_er_graph)
-        approx = approximate_effective_resistances(small_er_graph, delta=0.3, seed=0)
+        approx = approximate_effective_resistances_detailed(small_er_graph, delta=0.3, seed=0).resistances
         ratio = approx / exact
         # JL approximation: most edges within (1 +- delta); allow modest tails.
         assert np.median(np.abs(ratio - 1.0)) < 0.3
@@ -146,46 +149,29 @@ class TestApproximateResistance:
     def test_explicit_direction_count(self, small_er_graph):
         # 5 directions carry no JL guarantee at this n: the sketch warns.
         with pytest.warns(UserWarning, match="guarantee"):
-            approx = approximate_effective_resistances(small_er_graph, num_directions=5, seed=1)
+            approx = approximate_effective_resistances_detailed(
+                small_er_graph, num_directions=5, seed=1
+            ).resistances
         assert approx.shape == (small_er_graph.num_edges,)
         assert np.all(approx >= 0)
 
     def test_empty_graph(self):
-        assert approximate_effective_resistances(Graph(3)).shape == (0,)
+        assert approximate_effective_resistances_detailed(Graph(3)).resistances.shape == (0,)
 
     def test_bad_delta(self, triangle_graph):
         with pytest.raises(GraphError):
-            approximate_effective_resistances(triangle_graph, delta=1.5)
+            approximate_effective_resistances_detailed(triangle_graph, delta=1.5)
 
     def test_reproducible_with_seed(self, small_er_graph):
         with pytest.warns(UserWarning, match="guarantee"):
-            a = approximate_effective_resistances(small_er_graph, num_directions=8, seed=7)
-            b = approximate_effective_resistances(small_er_graph, num_directions=8, seed=7)
+            a, b = (
+                approximate_effective_resistances_detailed(small_er_graph, num_directions=8, seed=7).resistances
+                for _ in range(2)
+            )
         assert np.allclose(a, b)
 
 
 class TestStretch:
-    def test_path_resistance(self):
-        assert path_resistance([1.0, 2.0, 4.0]) == pytest.approx(1.75)
-        assert path_resistance([]) == 0.0
-
-    def test_path_resistance_rejects_nonpositive(self):
-        with pytest.raises(GraphError):
-            path_resistance([1.0, 0.0])
-
-    def test_parallel_paths_formula(self):
-        # Two paths of resistance 1 and 1 in parallel: 0.5 (equation 2.1).
-        assert parallel_paths_resistance([1.0, 1.0]) == pytest.approx(0.5)
-        assert parallel_paths_resistance([2.0]) == pytest.approx(2.0)
-
-    def test_parallel_paths_rejects_empty(self):
-        with pytest.raises(GraphError):
-            parallel_paths_resistance([])
-
-    def test_stretch_of_edge_over_path(self):
-        # Edge weight 2, path of resistive length 1.75 -> stretch 3.5.
-        assert stretch_of_edge_over_path(2.0, [1.0, 2.0, 4.0]) == pytest.approx(3.5)
-
     def test_stretch_over_subgraph_direct_edge(self, triangle_graph):
         """If the subgraph contains the edge itself the stretch is 1."""
         stretches = stretch_over_subgraph(triangle_graph, triangle_graph)
@@ -201,7 +187,7 @@ class TestStretch:
         # Cycle C_4 over a path subgraph: the chord (0,3) must go around, stretch 3.
         cycle = gen.cycle_graph(4)
         tree = cycle.select_edges(np.array([0, 1, 2]))  # path 0-1-2-3
-        stretches = stretches_over_tree(cycle, tree)
+        stretches = stretch_over_subgraph(cycle, tree)
         chord_index = 3
         assert stretches[chord_index] == pytest.approx(3.0)
 

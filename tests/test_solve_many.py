@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.exceptions import ConvergenceError
+from repro.exceptions import ConvergenceError, GraphError
 from repro.graphs import generators as gen
 from repro.graphs.connectivity import connected_components, sample_component_pairs
 from repro.graphs.graph import Graph
@@ -25,7 +25,6 @@ from repro.resistance._reference import (
     looped_resistances_of_pairs,
 )
 from repro.resistance.approx import (
-    approximate_effective_resistances,
     approximate_effective_resistances_detailed,
     jl_direction_count,
 )
@@ -253,12 +252,12 @@ class TestBlockedJLSketch:
 
     def test_fixed_seed_reproducible_across_block_sizes(self, small_er_graph):
         with pytest.warns(UserWarning):
-            a = approximate_effective_resistances(
+            a = approximate_effective_resistances_detailed(
                 small_er_graph, num_directions=16, seed=42, block_size=4
-            )
-            b = approximate_effective_resistances(
+            ).resistances
+            b = approximate_effective_resistances_detailed(
                 small_er_graph, num_directions=16, seed=42, block_size=16
-            )
+            ).resistances
         assert np.allclose(a, b)
 
     def test_no_direction_cap_on_sparse_graphs(self):
@@ -284,9 +283,9 @@ class TestBlockedJLSketch:
     def test_statistical_agreement_with_looped(self, small_er_graph):
         exact = effective_resistances_all_edges(small_er_graph, method="pinv")
         with pytest.warns(UserWarning):
-            blocked = approximate_effective_resistances(
+            blocked = approximate_effective_resistances_detailed(
                 small_er_graph, num_directions=64, seed=9
-            )
+            ).resistances
         looped = looped_approximate_resistances(small_er_graph, 64, seed=9)
         # Different sign draws, same estimator: both concentrate around exact.
         assert np.median(np.abs(blocked / exact - 1.0)) < 0.4
@@ -344,6 +343,16 @@ class TestResistanceCertificate:
         assert np.isnan(cert.ratio_min)
         assert np.isnan(cert.epsilon_refuted_below)
         assert cert.holds(0.1)  # vacuously consistent, not refuted
+
+    def test_malformed_probe_pairs_are_refused(self):
+        from repro.core.certificates import certify_resistances
+
+        path = gen.path_graph(6)
+        # Two triples are not three pairs.
+        with pytest.raises(GraphError, match="shape"):
+            certify_resistances(path, path, pairs=[(0, 1, 2), (3, 4, 5)])
+        with pytest.raises(GraphError, match="integers"):
+            certify_resistances(path, path, pairs=[(0.5, 2.9)])
 
     def test_disconnection_shows_as_infinite_and_fails(self, small_er_graph):
         from repro.core.certificates import certify_resistances
@@ -565,14 +574,14 @@ class TestSolverKnobRouting:
     def test_jl_chain_same_seed_matches_cg(self, small_er_graph):
         """Same seed -> same sign matrix; only solver tolerance separates them."""
         with pytest.warns(UserWarning):
-            by_cg = approximate_effective_resistances(
+            by_cg = approximate_effective_resistances_detailed(
                 small_er_graph, num_directions=16, seed=7, solver="cg",
                 solver_tol=1e-10,
-            )
-            by_chain = approximate_effective_resistances(
+            ).resistances
+            by_chain = approximate_effective_resistances_detailed(
                 small_er_graph, num_directions=16, seed=7, solver="chain",
                 solver_tol=1e-10,
-            )
+            ).resistances
         assert np.allclose(by_chain, by_cg, rtol=1e-6)
 
     def test_disconnected_graph_chain_solver(self, triangle_graph):

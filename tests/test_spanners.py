@@ -1,4 +1,4 @@
-"""Tests for repro.spanners: Baswana–Sen, greedy, bundles, trees, verification."""
+"""Tests for repro.spanners: Baswana–Sen, bundles, trees, verification."""
 
 import tracemalloc
 
@@ -17,7 +17,6 @@ from repro.spanners.bundle import (
     bundle_size_for_epsilon,
     t_bundle_spanner,
 )
-from repro.spanners.greedy import greedy_spanner
 from repro.spanners.low_stretch_tree import low_stretch_tree, tree_bundle
 from repro.spanners.verification import (
     max_stretch_of_nonspanner_edges,
@@ -136,40 +135,6 @@ class TestBaswanaSen:
         assert verify_spanner(g, result)
 
 
-class TestGreedySpanner:
-    def test_stretch_guarantee(self, small_er_graph):
-        result = greedy_spanner(small_er_graph)
-        assert verify_spanner(small_er_graph, result)
-
-    def test_weighted_stretch_guarantee(self, weighted_er_graph):
-        result = greedy_spanner(weighted_er_graph, k=3)
-        assert verify_spanner(weighted_er_graph, result)
-
-    def test_greedy_no_sparser_than_tree(self, small_er_graph):
-        result = greedy_spanner(small_er_graph)
-        assert result.spanner.num_edges >= small_er_graph.num_vertices - 1
-
-    def test_k1_keeps_everything(self, triangle_graph):
-        result = greedy_spanner(triangle_graph, k=1)
-        assert result.spanner.num_edges == 3
-
-    def test_deterministic(self, small_er_graph):
-        a = greedy_spanner(small_er_graph)
-        b = greedy_spanner(small_er_graph)
-        assert np.array_equal(a.edge_indices, b.edge_indices)
-
-    def test_k_validation(self, triangle_graph):
-        with pytest.raises(GraphError):
-            greedy_spanner(triangle_graph, k=0)
-
-    def test_greedy_at_most_baswana_sen_size_on_dense_graph(self):
-        """Greedy is the size-optimal classical construction; it should not be larger."""
-        g = gen.erdos_renyi_graph(120, 0.5, seed=3, ensure_connected=True)
-        greedy = greedy_spanner(g)
-        randomized = baswana_sen_spanner(g, seed=4)
-        assert greedy.spanner.num_edges <= randomized.spanner.num_edges
-
-
 class TestBundle:
     def test_components_are_edge_disjoint(self, medium_er_graph):
         bundle = t_bundle_spanner(medium_er_graph, t=3, seed=0)
@@ -236,8 +201,8 @@ class TestBundle:
         assert np.array_equal(result.edge_indices, expected.edge_indices)
 
     def test_bundle_size_for_epsilon_formula(self):
-        assert bundle_size_for_epsilon(1024, 1.0, constant=24.0) == 2400
-        assert bundle_size_for_epsilon(1024, 0.5, constant=24.0) == 9600
+        assert bundle_size_for_epsilon(1024, 1.0) == 2400
+        assert bundle_size_for_epsilon(1024, 0.5) == 9600
 
     def test_bundle_size_rejects_bad_epsilon(self):
         with pytest.raises(GraphError):
