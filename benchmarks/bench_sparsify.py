@@ -8,7 +8,7 @@ Measured: output edges and certificates across rho, the per-round edge
 counts, and how the m/rho term shows up for a dense input.
 """
 
-
+import repro
 from benchmarks.conftest import print_table
 from repro.analysis.reporting import ExperimentTable
 from repro.core.certificates import certify_approximation
@@ -25,11 +25,11 @@ def _rho_sweep(graph):
     )
     rows = []
     for rho in (2, 4, 8, 16):
-        result = parallel_sparsify(graph, epsilon=0.5, rho=rho, config=CONFIG, seed=1)
+        result = repro.sparsify(graph, method="koutis", epsilon=0.5, rho=rho, config=CONFIG, seed=1)
         cert = certify_approximation(graph, result.sparsifier)
         table.add_row(
             rho=rho,
-            rounds=len(result.rounds),
+            rounds=result.num_rounds,
             output_edges=result.output_edges,
             reduction=round(result.reduction_factor, 2),
             eps_achieved=round(cert.epsilon_achieved, 3),

@@ -135,12 +135,6 @@ class ApproximationReport:
     num_probes_used: int = 0
     num_resistance_pairs_used: int = 0
 
-    @property
-    def edge_reduction(self) -> float:
-        if self.edges_sparsifier == 0:
-            return float("inf") if self.edges_original else 1.0
-        return self.edges_original / self.edges_sparsifier
-
 
 def approximation_report(
     original: Graph,

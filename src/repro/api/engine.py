@@ -33,15 +33,12 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import asdict, replace
-from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.registry import MethodSpec, get_method
 from repro.api.request import SparsifyRequest
 from repro.api.result import ProgressEvent, UnifiedBatchResult, UnifiedResult
 from repro.core.certificates import certify_approximation
-from repro.core.checkpoint import BatchJournal, DurableIO
 from repro.core.config import SparsifierConfig
 from repro.exceptions import MethodError
 from repro.graphs.graph import Graph
@@ -82,14 +79,14 @@ def _run_adapter(
     return native, time.perf_counter() - start
 
 
-def _engine_job(item: Tuple[int, Graph, Any], shared: Dict[str, Any]) -> Tuple[Any, float]:
+def _engine_job(item: Tuple[Graph, Any], shared: Dict[str, Any]) -> Tuple[Any, float]:
     """One ``run_many`` job; module-level so the process backend can pickle it.
 
     The per-job RNG stream arrives in the item (split before dispatch, so
     the output is bit-identical on every backend and worker count); the
     request-shaped payload travels through ``shared`` once per worker.
     """
-    _job_index, graph, seed = item
+    graph, seed = item
     return _run_adapter(
         shared["spec"],
         graph,
@@ -213,31 +210,10 @@ class Engine:
         )
         return result
 
-    def _checkpoint_pins(self, num_jobs: int) -> Dict[str, Any]:
-        """Every request field that can change a job's output.
-
-        The config's ``backend`` and ``max_workers`` are left out: outputs
-        are bit-identical across them.  ``certify`` is left out because
-        certificates are recomputed on every run.
-        """
-        config = asdict(self._config)
-        del config["backend"], config["max_workers"]
-        return {
-            "method": self._spec.name,
-            "epsilon": self.request.epsilon,
-            "rho": self.request.rho,
-            "seed": self.request.seed,
-            "options": dict(self.request.options),
-            "config": config,
-            "num_jobs": num_jobs,
-        }
-
     def run_many(
         self,
         graphs: Iterable[Graph],
         failure_policy: Optional[FailurePolicy] = None,
-        checkpoint: Optional[Union[str, Path]] = None,
-        checkpoint_io: Optional[DurableIO] = None,
     ) -> UnifiedBatchResult:
         """Execute the request independently on many graphs.
 
@@ -246,8 +222,8 @@ class Engine:
         and runs its internal work serially, so job ``i`` is bit-identical
         to a solo run on that sub-stream, on every backend and worker
         count.  Because the sub-streams are pre-split, a job retried under
-        a failure policy reproduces the same output as a run that never
-        crashed.
+        a failure policy, or a rerun of the whole batch, reproduces the
+        same output as a run that never crashed.
 
         ``failure_policy`` governs worker failures: ``"raise"`` fails fast
         (default), ``"retry"`` re-runs crashed jobs with seeded backoff,
@@ -255,55 +231,18 @@ class Engine:
         :class:`~repro.parallel.failure.FailureRecord` entries on the
         batch result instead of raising.
 
-        ``checkpoint`` names a JSON-lines journal
-        (:class:`~repro.core.checkpoint.BatchJournal`).  Pending jobs then
-        run in waves and each wave's completed jobs are appended as it
-        lands; re-running the same request on the same graphs skips them
-        (``resumed_jobs`` counts them, and their ``wall_time_seconds`` is
-        0).  A journal written for a different request or different graphs
-        raises :class:`~repro.exceptions.CheckpointError`.  Only
-        ``method="koutis"`` can be checkpointed (its
-        :class:`~repro.core.sparsify.SparsifyResult` is the one native
-        result with a journal codec); any other method raises
-        :class:`~repro.exceptions.MethodError` before a job runs.
-        ``checkpoint_io`` is the :class:`~repro.core.checkpoint.DurableIO`
-        the journal writes through (default: the real fsync'd
-        filesystem); the crash harness passes a
-        :class:`~repro.testing.faults.CrashPointIO`.
-
         Per-job ``"result"`` events (with ``job_index``) are emitted in
         input order after the fan-out completes, so telemetry behaves the
         same on in-process and multi-process backends.
         """
-        if checkpoint is not None and self._spec.name != "koutis":
-            raise MethodError(
-                f"checkpoint= supports only method 'koutis' (the one native result "
-                f"with a journal codec), not {self._spec.name!r}"
-            )
         graph_list = list(graphs)
         backend = self._config.execution_backend()
-        attempts = [1] * len(graph_list)
-        failures: List[FailureRecord] = []
-        journal: Optional[BatchJournal] = None
-        completed: Dict[int, Any] = {}
-        if checkpoint is not None and graph_list:
-            journal = BatchJournal(
-                checkpoint, self._checkpoint_pins(len(graph_list)), io=checkpoint_io
-            )
-            completed = journal.load_completed(graph_list)
-        outcomes: List[Optional[Tuple[Any, float]]] = [
-            (completed[i], 0.0) if i in completed else None for i in range(len(graph_list))
-        ]
         # Jobs run their internal work serially: the batch IS the fan-out
         # (avoids nested pools; output-neutral because backends never
         # change results).
         job_config = self._config.with_overrides(backend="serial", max_workers=None)
         job_rngs = split_rng(as_rng(self.request.seed), len(graph_list)) if graph_list else []
-        pending = [
-            (i, graph, job_rngs[i])
-            for i, graph in enumerate(graph_list)
-            if outcomes[i] is None
-        ]
+        jobs = list(zip(graph_list, job_rngs))
         shared = {
             "spec": self._spec,
             "config": job_config,
@@ -311,29 +250,15 @@ class Engine:
             "rho": self.request.rho,
             "options": dict(self.request.options),
         }
-        # With a journal, run the pending jobs in waves and append each
-        # wave's results as they land: a crash mid-batch loses at most one
-        # wave, not the whole run.  Without one, a single fan-out is cheapest.
-        wave_size = max(backend.max_workers * 4, 8) if journal is not None else max(len(pending), 1)
-        for start in range(0, len(pending), wave_size):
-            wave = pending[start:start + wave_size]
-            if failure_policy is None or failure_policy.is_fail_fast:
-                values = backend.map(_engine_job, wave, shared=shared)
-            else:
-                mapped = backend.map_outcomes(
-                    _engine_job, wave, shared=shared, policy=failure_policy
-                )
-                values = mapped.values
-                # Re-key failure records from wave-local to batch job indices.
-                failures.extend(
-                    replace(record, index=wave[record.index][0]) for record in mapped.failures
-                )
-                for (job_index, _graph, _seed), count in zip(wave, mapped.attempts):
-                    attempts[job_index] = count
-            for (job_index, graph, _seed), value in zip(wave, values):
-                outcomes[job_index] = value
-                if journal is not None and value is not None:
-                    journal.record(job_index, graph, value[0])
+        failures: List[FailureRecord] = []
+        attempts: Optional[List[int]] = None
+        if failure_policy is None or failure_policy.is_fail_fast:
+            outcomes = backend.map(_engine_job, jobs, shared=shared)
+            if failure_policy is not None:
+                attempts = [1] * len(jobs)
+        else:
+            mapped = backend.map_outcomes(_engine_job, jobs, shared=shared, policy=failure_policy)
+            outcomes, failures, attempts = mapped.values, mapped.failures, mapped.attempts
         results: List[Optional[UnifiedResult]] = []
         for job_index, (graph, outcome) in enumerate(zip(graph_list, outcomes)):
             if outcome is None:
@@ -353,8 +278,7 @@ class Engine:
             backend_name=backend.name,
             max_workers=backend.max_workers,
             failures=failures,
-            attempts=attempts if failure_policy is not None else None,
-            resumed_jobs=len(completed),
+            attempts=attempts,
         )
 
 

@@ -17,9 +17,15 @@ from typing import Any, Dict, List, Optional
 from repro.core.certificates import SpectralCertificate
 from repro.graphs.graph import Graph
 from repro.parallel.failure import FailureRecord
-from repro.parallel.metrics import DistributedCost, PRAMCost, combine_concurrent, combine_parallel
 
 __all__ = ["ProgressEvent", "UnifiedResult", "UnifiedBatchResult"]
+
+
+def _reduction(input_edges: int, output_edges: int) -> float:
+    """Input edges divided by output edges (>= 1 for real reductions)."""
+    if output_edges == 0:
+        return float("inf") if input_edges else 1.0
+    return input_edges / output_edges
 
 
 @dataclass(frozen=True)
@@ -82,16 +88,9 @@ class UnifiedResult:
     certificate: Optional[SpectralCertificate] = None
 
     @property
-    def num_edges(self) -> int:
-        """Edges in the sparsifier (alias of ``output_edges``)."""
-        return self.output_edges
-
-    @property
     def reduction_factor(self) -> float:
         """Input edges divided by output edges (>= 1 for real reductions)."""
-        if self.output_edges == 0:
-            return float("inf") if self.input_edges else 1.0
-        return self.input_edges / self.output_edges
+        return _reduction(self.input_edges, self.output_edges)
 
     @property
     def num_rounds(self) -> int:
@@ -122,15 +121,16 @@ class UnifiedBatchResult:
     Holds one :class:`UnifiedResult` per job in input order, so batch
     workloads of *any* method report uniformly; for
     ``method="koutis"`` each ``results[i].native`` is the job's
-    :class:`~repro.core.sparsify.SparsifyResult`.
+    :class:`~repro.core.sparsify.SparsifyResult`.  The aggregates are
+    edge counts and their reduction; each job's measured cost stays on
+    ``results[i].cost``.
 
     Under a ``failure_policy`` with ``on_error="collect"`` a permanently
     failed job leaves ``None`` in its ``results`` slot and a
     :class:`~repro.parallel.failure.FailureRecord` in ``failures``; the
     aggregate accessors skip the ``None`` slots.  ``attempts`` holds
     per-job attempt counts when a policy governed the run (``None``
-    otherwise).  ``resumed_jobs`` counts the jobs restored from the
-    ``checkpoint=`` journal instead of recomputed (0 without one).
+    otherwise).
     """
 
     results: List[Optional[UnifiedResult]] = field(default_factory=list)
@@ -139,7 +139,6 @@ class UnifiedBatchResult:
     max_workers: int = 1
     failures: List[FailureRecord] = field(default_factory=list)
     attempts: Optional[List[int]] = None
-    resumed_jobs: int = 0
 
     def __iter__(self):
         return iter(self.results)
@@ -159,10 +158,6 @@ class UnifiedBatchResult:
         return len(self.failures)
 
     @property
-    def all_succeeded(self) -> bool:
-        return not self.failures
-
-    @property
     def total_input_edges(self) -> int:
         return sum(r.input_edges for r in self.results if r is not None)
 
@@ -173,25 +168,4 @@ class UnifiedBatchResult:
     @property
     def reduction_factor(self) -> float:
         """Aggregate input edges divided by aggregate output edges."""
-        out = self.total_output_edges
-        if out == 0:
-            return float("inf") if self.total_input_edges else 1.0
-        return self.total_input_edges / out
-
-    @property
-    def cost(self) -> Optional[Any]:
-        """Aggregate measured cost across the jobs (they ran concurrently).
-
-        PRAM costs combine with the fork/join rule (work adds, depth is
-        the max, as for independent jobs); distributed costs combine with
-        max-rounds / sum-messages.  ``None`` when the
-        method reports no cost (the baselines).
-        """
-        costs = [r.cost for r in self.results if r is not None and r.cost is not None]
-        if not costs:
-            return None
-        if isinstance(costs[0], DistributedCost):
-            return combine_concurrent(costs)
-        if isinstance(costs[0], PRAMCost):
-            return combine_parallel(costs)
-        return None
+        return _reduction(self.total_input_edges, self.total_output_edges)

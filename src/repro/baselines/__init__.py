@@ -13,12 +13,12 @@
   paying the ``1/eps^4``-type dependence Remark 4 contrasts with this
   paper's ``1/eps^2``.
 
-All three result types share one accessor set (``sparsifier`` /
-``input_edges`` / ``output_edges`` / ``num_edges`` /
-``reduction_factor``), and every baseline is a row of the unified method
+All three result types carry ``sparsifier``, ``input_edges`` and
+``output_edges``, and every baseline is a row of the unified method
 table (runners in :mod:`repro.baselines.methods`), so
 ``repro.sparsify(g, method="uniform")`` and friends go through the same
-engine as the paper's algorithm.
+engine as the paper's algorithm and report the same
+:class:`~repro.api.result.UnifiedResult` (``reduction_factor`` included).
 """
 
 from repro.baselines.spielman_srivastava import (

@@ -34,7 +34,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines._shared import UnifiedResultAccessors
 from repro.exceptions import SparsificationError
 from repro.graphs.graph import Graph
 from repro.resistance.stretch import stretch_over_subgraph
@@ -45,12 +44,12 @@ __all__ = ["KPResult", "kapralov_panigrahi_sparsify", "kp_sample_count"]
 
 
 @dataclass
-class KPResult(UnifiedResultAccessors):
+class KPResult:
     """Output of the Kapralov–Panigrahi-style sampler.
 
-    Exposes the unified accessor set shared by every baseline result:
-    ``sparsifier`` / ``input_edges`` / ``output_edges`` / ``num_edges`` /
-    ``reduction_factor``.
+    Carries ``sparsifier``, ``input_edges`` and ``output_edges``, the
+    fields :class:`~repro.api.result.UnifiedResult` is built from; the
+    reduction is ``UnifiedResult.reduction_factor``.
     """
 
     sparsifier: Graph

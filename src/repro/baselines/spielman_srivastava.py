@@ -25,7 +25,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines._shared import UnifiedResultAccessors
 from repro.exceptions import SparsificationError
 from repro.graphs.graph import Graph
 from repro.resistance.approx import approximate_effective_resistances_detailed
@@ -36,12 +35,12 @@ __all__ = ["SSResult", "spielman_srivastava_sparsify", "ss_sample_count"]
 
 
 @dataclass
-class SSResult(UnifiedResultAccessors):
+class SSResult:
     """Output of the Spielman–Srivastava sampler.
 
-    Exposes the unified accessor set shared by every baseline result:
-    ``sparsifier`` / ``input_edges`` / ``output_edges`` / ``num_edges`` /
-    ``reduction_factor``.
+    Carries ``sparsifier``, ``input_edges`` and ``output_edges``, the
+    fields :class:`~repro.api.result.UnifiedResult` is built from; the
+    reduction is ``UnifiedResult.reduction_factor``.
 
     ``resistance_delta_effective`` records the JL accuracy the sketch
     actually achieved (None on the exact path).

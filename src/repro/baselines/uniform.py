@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines._shared import UnifiedResultAccessors
 from repro.exceptions import SparsificationError
 from repro.graphs.graph import Graph
 from repro.utils.rng import SeedLike, as_rng
@@ -39,12 +38,12 @@ DEFAULT_PROBABILITY = 0.25
 
 
 @dataclass
-class UniformSampleResult(UnifiedResultAccessors):
+class UniformSampleResult:
     """Output of uniform sampling.
 
-    Exposes the unified accessor set shared by every baseline result:
-    ``sparsifier`` / ``input_edges`` / ``output_edges`` / ``num_edges`` /
-    ``reduction_factor``.
+    Carries ``sparsifier``, ``input_edges`` and ``output_edges``, the
+    fields :class:`~repro.api.result.UnifiedResult` is built from; the
+    reduction is ``UnifiedResult.reduction_factor``.
     """
 
     sparsifier: Graph

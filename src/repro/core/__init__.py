@@ -13,8 +13,8 @@
 * :mod:`repro.core.distributed_sparsify` — the same pipeline driven
   through the synchronous distributed simulator, with round/message
   accounting (the distributed halves of Theorems 4–5).
-* :mod:`repro.core.checkpoint` — the durable-write seam and the batch
-  checkpoint journal behind ``Engine.run_many(checkpoint=...)``.
+* :mod:`repro.core.checkpoint` — the durable-write seam, the sealed-record
+  codec and the journal line reader the stream store builds on.
 * :mod:`repro.core.methods` — the engine runners of the two core
   entry points (``koutis`` / ``koutis-distributed``), two rows of the
   method table of :mod:`repro.api`.

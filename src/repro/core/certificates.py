@@ -47,13 +47,6 @@ class SpectralCertificate:
         """Smallest epsilon for which the (1 ± eps) guarantee holds."""
         return max(1.0 - self.lower, self.upper - 1.0)
 
-    @property
-    def condition_number(self) -> float:
-        """Relative condition number ``upper / lower`` of the pair."""
-        if self.lower <= 0:
-            return float("inf")
-        return self.upper / self.lower
-
     def holds(self, epsilon: float, slack: float = 1e-7) -> bool:
         """True if ``(1 - eps) G ⪯ H ⪯ (1 + eps) G`` (up to numerical slack)."""
         return (self.lower >= 1.0 - epsilon - slack) and (self.upper <= 1.0 + epsilon + slack)

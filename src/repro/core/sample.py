@@ -128,13 +128,6 @@ class SampleResult:
     degenerate: bool
     cost: PRAMCost = field(default_factory=PRAMCost)
 
-    @property
-    def reduction_ratio(self) -> float:
-        """Output edges divided by input edges (1.0 when degenerate)."""
-        if self.input_edges == 0:
-            return 1.0
-        return self.output_edges / self.input_edges
-
 
 def _bundle_and_sample(
     graph: Graph,

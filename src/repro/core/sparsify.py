@@ -81,13 +81,6 @@ class SparsifyResult:
     cost: PRAMCost = field(default_factory=PRAMCost)
     stopped_early: bool = False
 
-    @property
-    def reduction_factor(self) -> float:
-        """Input edges divided by output edges (>= 1)."""
-        if self.output_edges == 0:
-            return float("inf") if self.input_edges else 1.0
-        return self.input_edges / self.output_edges
-
 
 def sparsify_rounds(
     graph: Graph,

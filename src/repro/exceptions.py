@@ -60,7 +60,7 @@ class BackendError(ReproError):
 
 
 class CheckpointError(BackendError):
-    """A batch checkpoint journal is unreadable or inconsistent with the batch."""
+    """A durable stream record (journal, snapshot, manifest) is unreadable or inconsistent."""
 
 
 class StreamingError(ReproError):

@@ -3,9 +3,10 @@
 ``networkx`` graphs serve visual inspection and an independent
 implementation to cross-check algorithms against in tests; networkx is
 not a dependency of the package, and only :func:`to_networkx` imports it.
-A Laplacian matrix becomes a graph through :func:`from_laplacian`.  The
-SciPy adjacency and Laplacian are :meth:`Graph.adjacency`,
-:meth:`Graph.laplacian` and :meth:`Graph.from_sparse_adjacency`.
+A graph's SciPy adjacency and Laplacian are :meth:`Graph.adjacency` and
+:meth:`Graph.laplacian`.  A Laplacian matrix becomes a graph through
+:func:`from_laplacian`, and so does an adjacency matrix ``a``, as
+``from_laplacian(-a)``: both read the strict upper triangle.
 """
 
 from __future__ import annotations

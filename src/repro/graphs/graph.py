@@ -32,10 +32,12 @@ __all__ = ["Graph"]
 
 
 def _endpoint_array(values: Optional[Sequence[int]], what: str = "edge endpoints") -> np.ndarray:
-    """Endpoint input as a flat int64 array; non-integer values raise."""
+    """Endpoint input as a flat int64 array; non-integer and boolean values raise."""
     if values is None:
         return np.empty(0, dtype=np.int64)
     raw = np.asarray(values)
+    if raw.dtype.kind == "b":
+        raise GraphError(f"{what} must be integers, not booleans")
     if raw.dtype.kind in "iu":
         return raw.astype(np.int64, copy=False).ravel()
     with np.errstate(invalid="ignore"):
@@ -49,8 +51,8 @@ def _pair_array(pairs: Sequence[Tuple[int, int]] | np.ndarray) -> np.ndarray:
     """Vertex pairs as a ``(k, 2)`` int64 array, checked like edge endpoints.
 
     An empty input is zero pairs.  Any other input not shaped ``(k, 2)``,
-    and non-integral endpoints (``0.5``; ``2.0`` is accepted), raise
-    :class:`~repro.exceptions.GraphError`.
+    and non-integral or boolean endpoints (``0.5``, ``True``; ``2.0`` is
+    accepted), raise :class:`~repro.exceptions.GraphError`.
     """
     raw = np.asarray(pairs)
     if raw.size == 0:
@@ -69,9 +71,9 @@ class Graph:
         Number of vertices ``n``.  Vertices are integers ``0..n-1``.
     u, v:
         Integer arrays of equal length giving edge endpoints (integral
-        floats such as ``2.0`` are accepted, ``0.7`` is rejected).  Self
-        loops are rejected; orientation is normalised so ``u < v``
-        internally.
+        floats such as ``2.0`` are accepted; ``0.7`` and booleans are
+        rejected).  Self loops are rejected; orientation is normalised so
+        ``u < v`` internally.
     w:
         Positive edge weights.  If omitted, all weights are 1.
 
@@ -149,24 +151,6 @@ class Graph:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def from_sparse_adjacency(cls, adjacency: sp.spmatrix) -> "Graph":
-        """Build a graph from a symmetric sparse adjacency matrix.
-
-        The inverse of :meth:`adjacency` (parallel edges come back merged).
-        A matrix that is not square, or not symmetric up to rounding, raises
-        :class:`GraphError`; the strictly upper triangle gives the edges.
-        """
-        adjacency = sp.csr_matrix(adjacency)
-        n_rows, n_cols = adjacency.shape
-        if n_rows != n_cols:
-            raise GraphError(f"adjacency matrix must be square, got {adjacency.shape}")
-        asymmetry = abs(adjacency - adjacency.T)
-        if asymmetry.nnz and asymmetry.max() > 1e-12 * abs(adjacency).max():
-            raise GraphError("adjacency matrix must be symmetric")
-        upper = sp.triu(adjacency, k=1).tocoo()
-        return cls(n_rows, upper.row, upper.col, upper.data)
-
-    @classmethod
     def empty(cls, num_vertices: int) -> "Graph":
         """Graph with ``num_vertices`` vertices and no edges."""
         return cls(num_vertices)
@@ -241,21 +225,6 @@ class Graph:
     def edge_keys(self) -> np.ndarray:
         """Canonical integer key ``u * n + v`` per edge (vectorised identity)."""
         return self._u * np.int64(self._n) + self._v
-
-    def has_edge(self, a: int, b: int) -> bool:
-        """True if at least one edge joins vertices ``a`` and ``b``."""
-        if a == b:
-            return False
-        lo, hi = (a, b) if a < b else (b, a)
-        return bool(np.any((self._u == lo) & (self._v == hi)))
-
-    def degrees(self) -> np.ndarray:
-        """Unweighted vertex degrees (parallel edges counted separately)."""
-        deg = np.zeros(self._n, dtype=np.int64)
-        if self.num_edges:
-            np.add.at(deg, self._u, 1)
-            np.add.at(deg, self._v, 1)
-        return deg
 
     def weighted_degrees(self) -> np.ndarray:
         """Weighted vertex degrees: sum of incident edge weights."""
@@ -340,13 +309,6 @@ class Graph:
         indptr = np.zeros(self._n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         return indptr, other[order], weights[order], edge_ids[order]
-
-    def neighbors(self, vertex: int) -> np.ndarray:
-        """Distinct neighbours of ``vertex`` (sorted)."""
-        mask_u = self._u == vertex
-        mask_v = self._v == vertex
-        nbrs = np.concatenate([self._v[mask_u], self._u[mask_v]])
-        return np.unique(nbrs)
 
     # ------------------------------------------------------------------ #
     # Edge-level transformations (all return new graphs)

@@ -73,12 +73,6 @@ class KOutResult:
     output_edges: int
     reweighted: bool
 
-    @property
-    def reduction_factor(self) -> float:
-        if self.output_edges == 0:
-            return float("inf") if self.input_edges else 1.0
-        return self.input_edges / self.output_edges
-
 
 def k_out_select(
     num_vertices: int,

@@ -12,7 +12,7 @@ Running on one laptop we cannot measure those costs with a stopwatch, so
 this subpackage provides the cost models themselves:
 
 * :mod:`repro.parallel.metrics` — work/depth and rounds/messages records
-  with sequential and parallel composition rules;
+  with their sequential composition rule;
 * :mod:`repro.parallel.pram` — a tracker that algorithm implementations
   charge as they execute their (vectorised) steps, reproducing the
   quantities bounded by Corollary 2 and Theorems 4–5;
@@ -30,12 +30,7 @@ this subpackage provides the cost models themselves:
   :meth:`~repro.core.config.SparsifierConfig.execution_backend` builds it.
 """
 
-from repro.parallel.metrics import (
-    DistributedCost,
-    PRAMCost,
-    combine_concurrent,
-    combine_parallel,
-)
+from repro.parallel.metrics import DistributedCost, PRAMCost
 from repro.parallel.pram import PRAMTracker
 from repro.parallel.congest import (
     ColumnarProgram,
@@ -60,8 +55,6 @@ from repro.parallel.failure import (
 __all__ = [
     "PRAMCost",
     "DistributedCost",
-    "combine_parallel",
-    "combine_concurrent",
     "PRAMTracker",
     "ColumnarProgram",
     "ColumnarSimulationResult",

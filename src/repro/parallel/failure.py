@@ -188,10 +188,6 @@ class MapOutcome:
     def num_failed(self) -> int:
         return len(self.failures)
 
-    @property
-    def all_succeeded(self) -> bool:
-        return not self.failures
-
 
 @dataclass(frozen=True)
 class _ItemOutcome:

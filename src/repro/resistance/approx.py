@@ -103,11 +103,6 @@ class ApproxResistanceResult:
     precond_applications: int = 0
     fallbacks: Tuple[FallbackEvent, ...] = ()
 
-    @property
-    def degraded(self) -> bool:
-        """True when any inner solve fell down the degradation ladder."""
-        return bool(self.fallbacks)
-
 
 def _effective_delta(num_vertices: int, num_directions: int) -> float:
     """Invert the JL bound: the delta that ``num_directions`` buys at this n."""

@@ -167,11 +167,6 @@ class ResistanceSolveStats:
         """Mean CG iterations per right-hand-side column."""
         return self.iterations_total / self.columns if self.columns else 0.0
 
-    @property
-    def degraded(self) -> bool:
-        """True when any solve fell down the degradation ladder."""
-        return bool(self.fallbacks)
-
     def record(self, solve: BatchSolveResult) -> None:
         self.solves += 1
         self.columns += solve.num_columns

@@ -457,10 +457,11 @@ class ChainCache:
     columns.  Chains are keyed by ``(batch_graph_digest(graph), rho,
     seed)`` and evicted LRU beyond ``max_entries`` (each cached chain holds
     ``total_nnz`` CSR entries, roughly ``25 * total_nnz`` bytes across its
-    Laplacian + adjacency copies).  The digest is the batch journal's
-    content hash: blake2b-128 over the vertex count and the exact edge
-    arrays.  A reordered but Laplacian-equal edge list hashes
-    differently, which costs a redundant build, never a stale hit.
+    Laplacian + adjacency copies).  The digest,
+    :func:`~repro.core.checkpoint.batch_graph_digest`, is a content hash:
+    blake2b-128 over the vertex count and the exact edge arrays.  A
+    reordered but Laplacian-equal edge list hashes differently, which
+    costs a redundant build, never a stale hit.
 
     ``builds`` counts chain constructions over the cache's lifetime and is
     asserted on in tests: repeated certification of the same graph must

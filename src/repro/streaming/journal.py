@@ -5,10 +5,9 @@ A stream that dies mid-ingest should resume *bit-exactly*: the
 given its construction parameters and the exact batch sequence, so it is
 enough to persist those two things.  :class:`StreamJournal` does exactly
 that as the ``journal/`` half of a
-:class:`~repro.streaming.store.StreamStateStore`, sharing the
+:class:`~repro.streaming.store.StreamStateStore`, built on the
 :class:`~repro.core.checkpoint.DurableIO` write seam, the sealed-record
-codec and the JSON-lines reader with the batch checkpoint journal
-(:mod:`repro.core.checkpoint`):
+codec and the JSON-lines reader of :mod:`repro.core.checkpoint`:
 
 * **A directory of segments** — the journal is a directory of
   size-bounded JSON-lines segment files (``segment-00000000.jsonl`` …).

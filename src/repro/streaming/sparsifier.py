@@ -632,11 +632,6 @@ class StreamingSparsifier:
         return self._seed
 
     @property
-    def auto_seeded(self) -> bool:
-        """True when the seed was drawn from OS entropy (``seed=None``)."""
-        return self._auto_seeded
-
-    @property
     def t(self) -> int:
         return self._t
 

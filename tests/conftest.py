@@ -2,58 +2,19 @@
 
 Graphs used across many test modules are built once per session (they are
 immutable, so sharing is safe).  Sizes are kept small enough that the exact
-(dense pseudoinverse / dense eigensolver) reference paths stay fast.
-
-Also installs a global per-test timeout (``session_timeout`` in
-pyproject.toml): the resilience layer's retry/backoff loops mean a bug can
-hang instead of fail, and a hung test must fail the build, not stall it.
-Implemented with ``SIGALRM`` (no third-party plugin available in the
-pinned environment); on platforms without ``SIGALRM`` the hook is a no-op.
+(dense pseudoinverse / dense eigensolver) reference paths stay fast.  The
+per-test timeout lives in the repository's root ``conftest.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-import signal
 
 import numpy as np
 import pytest
 
 from repro.graphs import generators
 from repro.graphs.graph import Graph
-
-_HAS_SIGALRM = hasattr(signal, "SIGALRM")
-
-
-def pytest_addoption(parser):
-    parser.addini(
-        "session_timeout",
-        "per-test timeout in seconds enforced via SIGALRM (0 disables)",
-        default="0",
-    )
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_call(item):
-    timeout = float(item.config.getini("session_timeout"))
-    if not _HAS_SIGALRM or timeout <= 0:
-        yield
-        return
-
-    def _on_timeout(signum, frame):
-        pytest.fail(
-            f"test exceeded the global {timeout:.0f}s timeout "
-            "(hung retry/backoff loop?)",
-            pytrace=False,
-        )
-
-    previous = signal.signal(signal.SIGALRM, _on_timeout)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -100,7 +100,7 @@ class TestApproximationReport:
         assert report.connectivity_preserved
         assert report.num_probes_used == 32
         assert report.num_resistance_pairs_used == 16
-        assert report.edge_reduction >= 1.0
+        assert report.edges_original / report.edges_sparsifier >= 1.0
         assert report.certificate.lower <= report.quadratic_ratio_min + 1e-9
         assert report.quadratic_ratio_max <= report.certificate.upper + 1e-9
         # Resistance ratios of a (1 +- eps)-ish sparsifier stay within the inverse band.

@@ -30,7 +30,6 @@ from repro.core.sparsify import parallel_sparsify
 from repro.exceptions import MethodError
 from repro.graphs import generators
 from repro.graphs.graph import Graph
-from repro.parallel.metrics import combine_parallel
 from repro.utils.rng import as_rng, split_rng
 
 # Every name the table accepts, mapped to the canonical method it resolves to.
@@ -224,6 +223,7 @@ class TestRunMany:
         assert batch.num_jobs == len(solo) == 3
         for unified, job in zip(batch.results, solo):
             assert_same_edges(unified.sparsifier, job.sparsifier)
+            assert unified.cost == job.cost
         assert batch.total_input_edges == sum(job.input_edges for job in solo)
         assert batch.total_output_edges == sum(job.output_edges for job in solo)
 
@@ -245,22 +245,6 @@ class TestRunMany:
         batch = Engine(SparsifyRequest(method="koutis")).run_many([])
         assert batch.num_jobs == 0
         assert batch.reduction_factor == 1.0
-        assert batch.cost is None
-
-    def test_aggregate_cost_matches_legacy_batch(self):
-        graphs = self._graphs()
-        config = SparsifierConfig(bundle_t=2)
-        batch = Engine(
-            SparsifyRequest(method="koutis", epsilon=0.5, seed=21, config=config)
-        ).run_many(graphs)
-        solo = self._solo_runs(graphs, 21, config)
-        assert batch.cost == combine_parallel(job.cost for job in solo)
-
-    def test_aggregate_cost_none_for_baselines(self):
-        batch = Engine(SparsifyRequest(method="uniform", seed=1)).run_many(
-            self._graphs()
-        )
-        assert batch.cost is None
 
     def test_per_job_events_in_input_order(self):
         graphs = self._graphs()
@@ -338,7 +322,7 @@ class TestUnifiedResult:
         assert summary["rounds"] == 1
         assert summary["input_edges"] == small_er_graph.num_edges
         assert summary["wall_seconds"] >= 0
-        assert result.num_edges == result.output_edges
+        assert summary["output_edges"] == result.sparsifier.num_edges
 
     def test_comparison_table_renders(self, small_er_graph):
         from repro.analysis.reporting import comparison_table

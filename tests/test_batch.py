@@ -2,7 +2,7 @@
 
 Job ``i`` of a batch must be bit-identical to a solo ``parallel_sparsify``
 run on the ``i``-th pre-split RNG stream of the batch seed, on every
-backend and worker count, with and without a checkpoint journal.
+backend and worker count.
 """
 
 import pytest
@@ -11,7 +11,6 @@ from repro.api import Engine, SparsifyRequest, UnifiedBatchResult
 from repro.core.config import SparsifierConfig
 from repro.core.sparsify import parallel_sparsify
 from repro.graphs import generators as gen
-from repro.parallel.metrics import combine_parallel
 from repro.utils.rng import as_rng, split_rng
 
 
@@ -25,11 +24,11 @@ def _edge_tuple(graph):
     return (g.edge_u.tolist(), g.edge_v.tolist(), g.edge_weights.tolist())
 
 
-def sparsify_batch(graphs, *, epsilon=0.5, rho=4, seed=None, config=None, checkpoint=None):
+def sparsify_batch(graphs, *, epsilon=0.5, rho=4, seed=None, config=None):
     request = SparsifyRequest(
         method="koutis", epsilon=epsilon, rho=rho, seed=seed, config=config,
     )
-    return Engine(request).run_many(graphs, checkpoint=checkpoint)
+    return Engine(request).run_many(graphs)
 
 
 def _solo_edges(graphs, seed):
@@ -66,38 +65,14 @@ class TestSparsifyMany:
         for a, b in zip(serial.results, other.results):
             assert _edge_tuple(a.sparsifier) == _edge_tuple(b.sparsifier)
 
-    @pytest.mark.parametrize("checkpoint", [False, True])
     @pytest.mark.parametrize(
         "backend,workers", [("serial", None), ("thread", 4), ("process", 2)]
     )
-    def test_matches_solo_runs_on_every_backend(
-        self, graph_batch, backend, workers, checkpoint, tmp_path
-    ):
+    def test_matches_solo_runs_on_every_backend(self, graph_batch, backend, workers):
         expected = _solo_edges(graph_batch, seed=5)
-        journal = tmp_path / "batch.jsonl" if checkpoint else None
         config = SparsifierConfig(backend=backend, max_workers=workers)
-        batch = sparsify_batch(graph_batch, seed=5, config=config, checkpoint=journal)
-        assert batch.resumed_jobs == 0
+        batch = sparsify_batch(graph_batch, seed=5, config=config)
         assert [_edge_tuple(r.sparsifier) for r in batch.results] == expected
-        if not checkpoint:
-            return
-        # A partial journal (header + job 0) resumes the rest bit-identically,
-        # and a full one restores every job.
-        lines = journal.read_text().splitlines()
-        journal.write_text("\n".join(lines[:2]) + "\n")
-        for resumed_jobs in (1, len(graph_batch)):
-            resumed = sparsify_batch(graph_batch, seed=5, config=config, checkpoint=journal)
-            assert resumed.resumed_jobs == resumed_jobs
-            assert [_edge_tuple(r.sparsifier) for r in resumed.results] == expected
-
-    def test_aggregate_cost_is_fork_join(self, graph_batch):
-        result = sparsify_batch(graph_batch, seed=1)
-        expected = combine_parallel(r.cost for r in result.results)
-        assert result.cost.work == pytest.approx(expected.work)
-        assert result.cost.depth == pytest.approx(expected.depth)
-        # Fork/join: total work adds, depth is the max over jobs.
-        assert result.cost.work == pytest.approx(sum(r.cost.work for r in result.results))
-        assert result.cost.depth == pytest.approx(max(r.cost.depth for r in result.results))
 
     def test_totals_and_reduction_factor(self, graph_batch):
         result = sparsify_batch(graph_batch, seed=1)

@@ -107,7 +107,8 @@ class TestSimulator:
         result = sim.run(EchoProgram())
         assert result.completed
         for node, heard in result.outputs.items():
-            expected = sorted(int(x) for x in g.neighbors(node))
+            neighbours = np.concatenate([g.edge_v[g.edge_u == node], g.edge_u[g.edge_v == node]])
+            expected = sorted(int(x) for x in np.unique(neighbours))
             assert heard == expected
 
     def test_flood_min_converges(self):

@@ -10,9 +10,8 @@ The contract under test (``repro/streaming/store.py`` + the harness in
   rebuilds a state bit-identical to a clean run over the surviving batch
   prefix — or reports the loss explicitly.  Zero silent divergence, in
   all three crash modes (clean kill, torn write, bit-flipped write).
-* **Torn-write fuzz** — truncating a journal at *every byte offset*
-  yields either a bit-exact prefix replay or a clean refusal, for both
-  the stream store's journal and the batch checkpoint journal.
+* **Torn-write fuzz** — truncating the stream store's journal at *every
+  byte offset* yields either a bit-exact prefix replay or a clean refusal.
 * **Media corruption** — a flipped bit mid-journal is never silently
   replayed: the recovery ladder quarantines and accounts for the loss;
   a flipped bit in the newest snapshot makes the ladder fall back to the
@@ -21,12 +20,11 @@ The contract under test (``repro/streaming/store.py`` + the harness in
   record, a flipped key name in a record, a segment header or a snapshot
   manifest, an out-of-range pinned parameter — ends bit-exact or
   declared lossy, never in a crash.
-* **Sealed records** — every line of both journals and every manifest
-  unseals; a flipped digit in a segment header or a manifest is refused,
-  declared or falls back, never trusted; an older, unsealed format is
-  refused by its version; and one recovery reads each segment header
-  once, parses each replayed segment once and decodes only the payloads
-  it replays.
+* **Sealed records** — every journal line and every manifest unseals; a
+  flipped digit in a segment header or a manifest is refused, declared
+  or falls back, never trusted; an older, unsealed format is refused by
+  its version; and one recovery reads each segment header once, parses
+  each replayed segment once and decodes only the payloads it replays.
 * **Arguments first** — a ``recover()`` call with a bad option is refused
   before it touches a single byte of the store.
 * **Bounded resume** — after a snapshot, recovery replays only the
@@ -52,11 +50,11 @@ import numpy as np
 import pytest
 
 import repro.streaming.journal as journal_module
-from repro.api import Engine, SparsifyRequest
-from repro.core.checkpoint import BatchJournal, DurableIO, edge_array_digest, seal, unseal
+from repro.core.checkpoint import DurableIO, batch_graph_digest, seal, unseal
 from repro.core.config import SparsifierConfig
 from repro.exceptions import CheckpointError
 from repro.graphs import generators as gen
+from repro.graphs.graph import Graph
 from repro.streaming import (
     LEVEL_FANOUT,
     StreamingSparsifier,
@@ -68,7 +66,6 @@ from repro.testing.faults import (
     SimulatedCrash,
     flip_bit,
     kill_point_sweep,
-    truncate_file_at,
 )
 
 pytestmark = pytest.mark.durability
@@ -208,56 +205,8 @@ class TestKillPointSweep:
             StreamStateStore.recover(tmp_path / "void")
 
 
-def batch_edges(result):
-    g = result.sparsifier
-    return (g.edge_u.tolist(), g.edge_v.tolist(), g.edge_weights.tolist())
-
-
-class TestBatchCheckpointKillPoints:
-    """Every write point of a checkpointed 4-job ``Engine.run_many``."""
-
-    @pytest.fixture(scope="class")
-    def batch(self):
-        graphs = [
-            gen.erdos_renyi_graph(20, 0.3, seed=40 + i, ensure_connected=True)
-            for i in range(4)
-        ]
-        engine = Engine(SparsifyRequest(method="koutis", epsilon=0.5, seed=7))
-        reference = [batch_edges(r) for r in engine.run_many(graphs)]
-        return engine, graphs, reference
-
-    @pytest.mark.parametrize("mode", ["clean", "torn", "flip"])
-    def test_every_kill_point_resumes_or_refuses(self, mode, batch, tmp_path):
-        engine, graphs, reference = batch
-        journal = tmp_path / "batch.jsonl"
-
-        def workload(io: CrashPointIO):
-            journal.unlink(missing_ok=True)
-            engine.run_many(graphs, checkpoint=journal, checkpoint_io=io)
-
-        def verify(point: int) -> None:
-            resumed = []
-            for _ in range(3):
-                try:
-                    result = engine.run_many(graphs, checkpoint=journal)
-                except CheckpointError:
-                    resumed.append(None)  # refused loudly: never silent
-                    continue
-                # Never a different result.
-                assert [batch_edges(r) for r in result.results] == reference
-                resumed.append(result.resumed_jobs)
-            if mode != "flip":
-                # A crash loses at most the torn append: the first resume
-                # completes the batch and the next ones restore all of it.
-                assert resumed[0] is not None, f"kill point {point}: resume refused"
-                assert resumed[1:] == [len(graphs)] * 2, f"kill point {point}: {resumed}"
-
-        points = kill_point_sweep(workload, verify, mode=mode)
-        assert points == 6  # header, four job appends and one directory fsync
-
-
 # --------------------------------------------------------------------- #
-# Satellite: torn-write fuzz at every byte offset, both journals
+# Torn-write fuzz at every byte offset
 # --------------------------------------------------------------------- #
 
 
@@ -297,32 +246,6 @@ class TestTornWriteFuzz:
             assert report.bit_exact
             assert recovered.batches_ingested == complete
             assert_same_state(state_fingerprint(recovered), prefixes[complete])
-
-    def test_batch_journal_truncated_at_every_offset(self, tmp_path):
-        graphs = [
-            gen.erdos_renyi_graph(12, 0.4, seed=20 + i, ensure_connected=True)
-            for i in range(3)
-        ]
-        journal = tmp_path / "batch.jsonl"
-        engine = Engine(SparsifyRequest(method="koutis", epsilon=0.5, seed=7))
-        full = engine.run_many(graphs, checkpoint=journal)
-        reference = {i: batch_edges(r) for i, r in enumerate(full.results)}
-        pristine = journal.read_bytes()
-        loader = BatchJournal(journal, engine._checkpoint_pins(len(graphs)))
-        for offset in range(len(pristine)):
-            journal.write_bytes(pristine)
-            truncate_file_at(journal, offset)
-            # A cut is always a torn append: the complete prefix resumes.
-            completed = loader.load_completed(graphs)
-            whole_jobs = max(0, pristine[:offset].count(b"\n") - 1)
-            assert sorted(completed) == list(range(whole_jobs))
-            # Whatever resumes is bit-identical to the clean run's results.
-            for index, result in completed.items():
-                assert batch_edges(result) == reference[index]
-            # The torn fragment is gone before anything appends after it.
-            assert journal.read_bytes() == pristine[: pristine.rfind(b"\n", 0, offset) + 1]
-        journal.write_bytes(pristine)
-
 
 # --------------------------------------------------------------------- #
 # Media corruption: flipped bits are refused or quarantined, never replayed
@@ -916,7 +839,7 @@ class TestCompactionRecords:
                 lines.append(json.dumps({
                     "kind": "batch", "index": index, "u": u.tolist(), "v": v.tolist(),
                     "w": weights.tolist(),
-                    "digest": edge_array_digest(params["num_vertices"], u, v, weights),
+                    "digest": batch_graph_digest(Graph(params["num_vertices"], u, v, weights)),
                 }))
             (store / SEGMENT).write_text("\n".join(lines) + "\n", encoding="utf-8")
             stream, report = StreamStateStore.recover(store)
@@ -979,10 +902,6 @@ class TestSealedRecords:
             for manifest in (store / "snapshots").glob("snap-*.json"):
                 assert unseal(manifest.read_bytes()) is not None, manifest
         assert len(list((leveled / "snapshots").glob("snap-*.json"))) == 2
-        graphs = [gen.erdos_renyi_graph(12, 0.4, seed=20 + i, ensure_connected=True) for i in range(3)]
-        journal = tmp_path / "batch.jsonl"
-        Engine(SparsifyRequest(method="koutis", epsilon=0.5, seed=7)).run_many(graphs, checkpoint=journal)
-        assert_every_line_unseals(journal)
 
     @pytest.mark.parametrize("damage", ["malformed payload", "digest"])
     def test_damaged_batch_is_refused_strictly_and_declared_lost(

@@ -89,7 +89,7 @@ class TestInjectingBackend:
         outcome = backend.map_outcomes(_double, [0, 1, 2, 3], policy=policy)
         assert outcome.values == [0, 2, 4, 6]
         assert outcome.attempts == [1, 1, 2, 1]
-        assert outcome.all_succeeded
+        assert not outcome.failures
 
     def test_permanent_crash_collected(self):
         backend = InjectingBackend(plan=FaultPlan(crash_index=1, crash_attempts=99))
@@ -156,7 +156,7 @@ class TestBatchRecovery:
         policy = FailurePolicy(on_error="retry", max_attempts=3)
         recovered = _run_many(graphs, backend=backend, failure_policy=policy)
 
-        assert recovered.all_succeeded
+        assert not recovered.failures
         assert recovered.attempts == [1, 2, 1, 1]
         for expected, actual in zip(baseline.results, recovered.results):
             assert _edges(expected) == _edges(actual)
@@ -189,26 +189,6 @@ class TestBatchRecovery:
         baseline = _run_many(graphs, backend="serial")
         for i in (0, 1, 3):
             assert _edges(batch.results[i]) == _edges(baseline.results[i])
-
-    def test_checkpointed_batch_survives_mid_run_crash(self, tmp_path):
-        graphs = _batch_graphs()
-        journal = tmp_path / "journal.jsonl"
-        crashing = InjectingBackend(
-            inner="serial", plan=FaultPlan(crash_index=3, crash_attempts=99)
-        )
-        policy = FailurePolicy(on_error="collect", max_attempts=1)
-        first = _run_many(
-            graphs, backend=crashing, failure_policy=policy, checkpoint=journal
-        )
-        assert first.num_failed == 1
-
-        # Second run: fault gone; only the crashed job is recomputed.
-        second = _run_many(graphs, checkpoint=journal)
-        assert second.resumed_jobs == 3
-        assert second.all_succeeded
-        baseline = _run_many(graphs)
-        for expected, actual in zip(baseline.results, second.results):
-            assert _edges(expected) == _edges(actual)
 
     @pytest.mark.parametrize(
         "method,owner,name,execution",
@@ -252,7 +232,7 @@ class TestBatchRecovery:
         recovered = Engine(request).run_many(graphs, failure_policy=policy)
 
         assert fired
-        assert recovered.all_succeeded
+        assert not recovered.failures
         assert sorted(recovered.attempts) == [1, 1, 2]
         for expected, actual in zip(baseline.results, recovered.results):
             assert _edges(expected) == _edges(actual)
@@ -289,7 +269,7 @@ class TestSolverDegradation:
                 original, sparsifier, num_pairs=8, seed=3, solver="chain", method="solve", stats=stats,
             )
 
-        assert stats.degraded
+        assert stats.fallbacks
         assert any(
             event.from_solver == "chain" and event.to_solver == "cg"
             for event in stats.fallbacks
@@ -337,7 +317,7 @@ class TestSolverDegradation:
             degraded = certify_resistances(
                 original, sparsifier, num_pairs=8, seed=3, solver="chain", method="solve", stats=stats,
             )
-        assert stats.degraded
+        assert stats.fallbacks
         assert all(event.to_solver == "cg" for event in stats.fallbacks)
         # With the build failing up front the run IS the plain-CG run.
         assert degraded.ratio_min == baseline.ratio_min

@@ -78,7 +78,7 @@ class TestScipyConversion:
     def test_adjacency_roundtrip(self, weighted_er_graph):
         # The adjacency sums parallel edges, so they come back merged.
         doubled = weighted_er_graph + weighted_er_graph
-        back = Graph.from_sparse_adjacency(doubled.adjacency())
+        back = from_laplacian(-doubled.adjacency())
         assert back.num_edges == weighted_er_graph.num_edges
         assert back.same_edge_set(doubled)
 

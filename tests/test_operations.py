@@ -79,4 +79,4 @@ class TestSubgraphAndReweight:
         assert combined.num_vertices == 7
         assert combined.num_edges == 6
         # No edges between the two blocks.
-        assert not combined.has_edge(0, 4)
+        assert not np.any((combined.edge_u < 3) & (combined.edge_v >= 3))
