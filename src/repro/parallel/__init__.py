@@ -17,9 +17,10 @@ this subpackage provides the cost models themselves:
   charge as they execute their (vectorised) steps, reproducing the
   quantities bounded by Corollary 2 and Theorems 4–5;
 * :mod:`repro.parallel.congest` — the synchronous message-passing (CONGEST)
-  round engine: one round is a handful of flat NumPy passes over
-  struct-of-arrays message buffers, and the engine counts
-  rounds/messages/sizes and enforces the word limit (Corollary 3); the
+  round engine: one round is a handful of flat NumPy passes, with a
+  broadcast held as its senders and point-to-point messages as their
+  slots, and the engine counts rounds/messages/sizes and enforces the
+  word limit (Corollary 3); the
   per-node object simulator it replaced is kept in
   :mod:`repro.spanners._reference` as the parity tests' ground truth;
 * :mod:`repro.parallel.backends` — the three execution backends
@@ -33,6 +34,7 @@ this subpackage provides the cost models themselves:
 from repro.parallel.metrics import DistributedCost, PRAMCost
 from repro.parallel.pram import PRAMTracker
 from repro.parallel.congest import (
+    BroadcastBlock,
     ColumnarProgram,
     ColumnarSimulationResult,
     ColumnarSimulator,
@@ -60,6 +62,7 @@ __all__ = [
     "ColumnarSimulationResult",
     "ColumnarSimulator",
     "MessageBlock",
+    "BroadcastBlock",
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",

@@ -9,16 +9,25 @@ semantics, but it caps the headline distributed experiments (Theorem 2 /
 Corollary 3) at toy sizes.
 
 This module keeps the model and changes the representation: one round is
-a constant number of flat NumPy passes over struct-of-arrays message
-buffers.  A :class:`MessageBlock` holds every message of a round as
-parallel columns (the incidence *slot* each message leaves on, a
-per-message word count, and named payload columns); a
-:class:`ColumnarProgram` consumes the previous round's block and emits
+a constant number of flat NumPy passes, and no round builds an array with
+one entry per message.  A round's outbox is one of two blocks:
+
+* a :class:`BroadcastBlock` holds the round's broadcasts as their
+  *senders*: the sender ids, one payload value per sender in named
+  columns, and one word count.  A broadcast carries the same payload on
+  every port of its sender, so nothing per message needs storing; a
+  program that wants the per-message slots derives them with
+  :func:`concat_ranges` over the senders' CSR ranges;
+* a :class:`MessageBlock` holds point-to-point messages: the incidence
+  *slot* each leaves on and one word count for the block.
+
+A :class:`ColumnarProgram` consumes the previous round's block and emits
 the next one; the :class:`ColumnarSimulator` drives the lock-step loop
 and does exactly the accounting the legacy simulator does:
 
 * rounds executed,
-* messages per round (and their total),
+* messages per round (and their total) — a broadcast counts one message
+  per port of its sender, the senders' degree sum,
 * the largest message payload in words, enforced against the same
   ``message_word_limit`` budget — an oversized message raises
   :class:`repro.exceptions.MessageTooLargeError` in the round it is
@@ -27,14 +36,15 @@ and does exactly the accounting the legacy simulator does:
 Messages are addressed by port, as in the port-numbering CONGEST model:
 a node sends on one of its incidence slots (an entry of the CSR
 adjacency), so every message travels along an existing edge by
-construction, and a slot outside ``[0, 2m)`` raises
-:class:`repro.exceptions.SimulationError`.  The simulator pairs the two
-slots of every edge once per network in ``reverse_slot``; a message sent
-on slot ``s`` arrives on the receiver's slot ``reverse_slot[s]``, with no
-search per message.  :meth:`ColumnarSimulator.restrict` derives the
-network of a subset of the edges with one compress of the slot arrays,
-so a sequence of runs on shrinking edge sets (the components of a
-spanner bundle) sorts the adjacency once.
+construction.  A slot outside ``[0, 2m)`` or a broadcast sender outside
+``[0, n)`` raises :class:`repro.exceptions.SimulationError`.  The
+simulator pairs the two slots of every edge once per network in
+``reverse_slot``; a message sent on slot ``s`` arrives on the receiver's
+slot ``reverse_slot[s]``, with no search per message.
+:meth:`ColumnarSimulator.restrict` derives the network of a subset of
+the edges with one compress of the slot arrays, so a sequence of runs on
+shrinking edge sets (the components of a spanner bundle) sorts the
+adjacency once.
 
 Per-node RNG streams are the reference simulator's streams in array
 form: ``node_streams`` is a :class:`repro.utils.rng.NodeStreams` over the
@@ -51,7 +61,7 @@ the per-round message histogram.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -63,6 +73,7 @@ from repro.utils.validation import check_count
 
 __all__ = [
     "MessageBlock",
+    "BroadcastBlock",
     "ColumnarProgram",
     "ColumnarSimulationResult",
     "ColumnarSimulator",
@@ -91,7 +102,10 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MessageBlock:
-    """All messages of one round as struct-of-arrays columns.
+    """The point-to-point messages of one round.
+
+    They carry no payload beyond their word count: a payload travels in a
+    :class:`BroadcastBlock`, one value per sender.
 
     Attributes
     ----------
@@ -101,28 +115,55 @@ class MessageBlock:
         the receiver ``adj[slot]``, and the receiver's port for the same
         edge ``reverse_slot[slot]``.
     words:
-        Per-message payload size in machine words — the quantity the
-        CONGEST model bounds by O(log n).  Programs declare it explicitly
-        (there is no Python payload object to measure), mirroring
-        :func:`repro.spanners._reference.payload_words` for the
+        Payload size of every message of the block in machine words — the
+        quantity the CONGEST model bounds by O(log n).  Programs declare
+        it explicitly (there is no Python payload object to measure),
+        mirroring :func:`repro.spanners._reference.payload_words` for the
         equivalent object payload.
-    columns:
-        Named payload columns, each an array of the block's length.
     """
 
     slot: np.ndarray
-    words: np.ndarray
-    columns: Dict[str, np.ndarray] = field(default_factory=dict)
+    words: int
 
     def __post_init__(self) -> None:
         self.slot = np.asarray(self.slot, dtype=np.int64)
-        self.words = np.asarray(self.words, dtype=np.int64)
-        size = self.slot.shape[0]
-        if self.words.shape[0] != size:
-            raise SimulationError(
-                f"message block columns disagree on length: slot {size}, "
-                f"words {self.words.shape[0]}"
-            )
+        self.words = check_count(self.words, "message words", SimulationError)
+
+    def __len__(self) -> int:
+        return int(self.slot.shape[0])
+
+    @classmethod
+    def empty(cls) -> "MessageBlock":
+        return cls(slot=np.empty(0, dtype=np.int64), words=1)
+
+
+@dataclass
+class BroadcastBlock:
+    """The broadcasts of one round, held as their senders.
+
+    Each sender sends one message on every one of its ports, all with the
+    same payload, so the block stores one record per sender and the
+    simulator counts the round as the senders' degree sum — the flat
+    equivalent of ``NodeContext.broadcast``.
+
+    Attributes
+    ----------
+    senders:
+        Node id of each sender.
+    words:
+        Payload size of every message of the block in machine words.
+    columns:
+        Named payload columns, one value per sender.
+    """
+
+    senders: np.ndarray
+    words: int
+    columns: Dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.senders = np.asarray(self.senders, dtype=np.int64)
+        self.words = check_count(self.words, "message words", SimulationError)
+        size = self.senders.shape[0]
         for name, col in self.columns.items():
             if np.asarray(col).shape[0] != size:
                 raise SimulationError(
@@ -130,16 +171,8 @@ class MessageBlock:
                     f"expected {size}"
                 )
 
-    def __len__(self) -> int:
-        return int(self.slot.shape[0])
 
-    @classmethod
-    def empty(cls) -> "MessageBlock":
-        e = np.empty(0, dtype=np.int64)
-        return cls(slot=e, words=e.copy())
-
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
+Block = Union[MessageBlock, BroadcastBlock]
 
 
 @dataclass
@@ -163,18 +196,18 @@ class ColumnarProgram:
     """Base class for columnar round programs.
 
     Subclasses implement :meth:`round`: consume the previous round's
-    delivered :class:`MessageBlock`, update flat per-node / per-edge
-    state arrays, and return ``(outbox, all_done)``.  The simulator never
-    sees per-node objects; the program owns the whole network state as
-    arrays.
+    delivered block (a :class:`MessageBlock` or a :class:`BroadcastBlock`),
+    update flat per-node / per-edge state arrays, and return ``(outbox,
+    all_done)``.  The simulator never sees per-node objects; the program
+    owns the whole network state as arrays.
     """
 
     def setup(self, net: "ColumnarSimulator") -> None:
         """Initialise program state before round 1. Default: no-op."""
 
     def round(
-        self, net: "ColumnarSimulator", round_number: int, inbox: MessageBlock
-    ) -> Tuple[Optional[MessageBlock], bool]:
+        self, net: "ColumnarSimulator", round_number: int, inbox: Block
+    ) -> Tuple[Optional[Block], bool]:
         """Execute one synchronous round; return the outbox and a done flag."""
         raise NotImplementedError
 
@@ -189,9 +222,10 @@ class ColumnarSimulator:
     Drop-in counterpart of
     :class:`repro.spanners._reference.DistributedSimulator` — same
     constructor signature, same default ``message_word_limit``
-    (``4 * ceil(log2 n) + 16``), the same per-node RNG streams (held as
-    arrays in ``node_streams``) — but one round is a handful of flat array
-    passes instead of ``n`` Python ``step()`` calls.
+    (``4 * ceil(log2 n) + 16``; a given limit must be an integer ``>= 1``,
+    :class:`SimulationError` otherwise), the same per-node RNG streams
+    (held as arrays in ``node_streams``) — but one round is a handful of
+    flat array passes instead of ``n`` Python ``step()`` calls.
 
     The topology is exposed to programs in columnar form: ``indptr`` /
     ``adj`` / ``adj_weights`` / ``adj_edge_ids`` are the CSR neighbour
@@ -220,6 +254,7 @@ class ColumnarSimulator:
         n = graph.num_vertices
         if message_word_limit is None:
             message_word_limit = 4 * int(np.ceil(np.log2(max(n, 2)))) + 16
+        message_word_limit = check_count(message_word_limit, "message_word_limit", SimulationError)
         indptr, adj, weights, edge_ids = graph.neighbor_lists()
         slot_owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
         # Pair the two ports of every edge: edge e leaves its u end as
@@ -233,7 +268,7 @@ class ColumnarSimulator:
         del rows, slot_of_row
         slot_of_rank = np.argsort(1.0 / weights, kind="stable")
         self._set_ports(
-            graph, int(message_word_limit), seed,
+            graph, message_word_limit, seed,
             indptr, adj, weights, edge_ids, slot_owner, reverse_slot, slot_of_rank,
         )
 
@@ -312,25 +347,15 @@ class ColumnarSimulator:
 
     def broadcast_block(
         self, nodes: np.ndarray, words: int, **node_columns: np.ndarray
-    ) -> MessageBlock:
+    ) -> BroadcastBlock:
         """One message from every node in ``nodes`` to each of its neighbours.
 
-        ``node_columns`` give one payload value per *sending node*; they
-        are repeated across that node's neighbours.  This is the flat
-        equivalent of ``NodeContext.broadcast``: message count equals the
-        sum of the senders' degrees.
+        ``node_columns`` give one payload value per *sending node*, which
+        every one of its messages carries.  This is the flat equivalent of
+        ``NodeContext.broadcast``: the round counts the sum of the
+        senders' degrees, and no per-message array is built.
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        counts = self.degrees[nodes]
-        slots = concat_ranges(self.indptr[nodes], counts)
-        columns = {
-            name: np.repeat(np.asarray(values), counts) for name, values in node_columns.items()
-        }
-        return MessageBlock(
-            slot=slots,
-            words=np.full(slots.shape[0], int(words), dtype=np.int64),
-            columns=columns,
-        )
+        return BroadcastBlock(senders=nodes, words=words, columns=node_columns)
 
     # ------------------------------------------------------------------ #
 
@@ -367,28 +392,46 @@ class ColumnarSimulator:
             messages_per_round=list(self._messages_per_round),
         )
 
-    def _account(self, outbox: MessageBlock, round_number: int) -> None:
-        """Validate one round's outbox and fold it into the counters."""
-        count = len(outbox)
-        if count:
-            # The model only allows communication along graph edges, and a
-            # message names its edge by the slot it leaves on.
+    def _account(self, outbox: Block, round_number: int) -> None:
+        """Validate one round's outbox and fold it into the counters.
+
+        The model only allows communication along graph edges: a message
+        names its edge by the slot it leaves on, and a broadcast leaves on
+        every slot of its sender, so a broadcast counts its sender's
+        degree.
+        """
+        if isinstance(outbox, BroadcastBlock):
+            senders = outbox.senders
+            n = self.num_vertices
+            if senders.size and (senders.min() < 0 or senders.max() >= n):
+                i = int(np.flatnonzero((senders < 0) | (senders >= n))[0])
+                raise SimulationError(
+                    f"node {int(senders[i])} broadcast in round {round_number}, "
+                    f"outside the network's {n} nodes"
+                )
+            sender_degrees = self.degrees.take(senders)
+            count = int(sender_degrees.sum())
+        else:
             slot = outbox.slot
             num_slots = self.adj.shape[0]
-            if slot.min() < 0 or slot.max() >= num_slots:
+            if slot.size and (slot.min() < 0 or slot.max() >= num_slots):
                 i = int(np.flatnonzero((slot < 0) | (slot >= num_slots))[0])
                 raise SimulationError(
                     f"message sent on slot {int(slot[i])} in round {round_number}, "
                     f"outside the network's {num_slots} incidence slots"
                 )
-            largest = int(outbox.words.max())
-            if largest > self.message_word_limit:
-                i = int(np.argmax(outbox.words > self.message_word_limit))
+            count = len(outbox)
+        if count:
+            if outbox.words > self.message_word_limit:
+                if isinstance(outbox, BroadcastBlock):
+                    sender = outbox.senders[np.argmax(sender_degrees > 0)]
+                else:
+                    sender = self.slot_owner[outbox.slot[0]]
                 raise MessageTooLargeError(
-                    f"node {int(self.slot_owner[slot[i]])} sent a {int(outbox.words[i])}-word "
-                    f"message (limit {self.message_word_limit}) in round {round_number}"
+                    f"node {int(sender)} sent a {outbox.words}-word message "
+                    f"(limit {self.message_word_limit}) in round {round_number}"
                 )
-            self._max_message_words = max(self._max_message_words, largest)
+            self._max_message_words = max(self._max_message_words, outbox.words)
         self._total_messages += count
         self._messages_per_round.append(count)
 

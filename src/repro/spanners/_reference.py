@@ -58,6 +58,7 @@ from repro.spanners.distributed_spanner import (
     _spanner_result,
 )
 from repro.utils.rng import RandomState, SeedLike, as_rng, spawn_rngs, split_rng
+from repro.utils.validation import check_count
 
 __all__ = [
     "DistributedSimulator",
@@ -454,7 +455,8 @@ class DistributedSimulator:
     seed:
         Seed for the per-node RNG streams.
     message_word_limit:
-        Maximum allowed payload size in words.  Defaults to
+        Maximum allowed payload size in words, an integer ``>= 1``
+        (:class:`SimulationError` otherwise).  Defaults to
         ``4 * ceil(log2 n) + 16`` which generously covers "a constant
         number of vertex ids and weights" while still catching violations
         of the O(log n) model restriction.
@@ -470,7 +472,7 @@ class DistributedSimulator:
         n = graph.num_vertices
         if message_word_limit is None:
             message_word_limit = 4 * int(np.ceil(np.log2(max(n, 2)))) + 16
-        self.message_word_limit = int(message_word_limit)
+        self.message_word_limit = check_count(message_word_limit, "message_word_limit", SimulationError)
         rngs = spawn_rngs(seed if seed is not None else 0, max(n, 1))
         indptr, neighbors, weights, _ = graph.neighbor_lists()
         self.contexts: List[NodeContext] = []

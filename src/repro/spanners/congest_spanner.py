@@ -22,11 +22,14 @@ down.  The equivalence rests on four invariants:
   (frontier expansion), every clustered node forwards its cluster's
   tuple to *all* neighbours exactly once per phase, and removal
   notifications are sent per killed incidence in the decision round:
-  message counts match the reference engine round by round.  The
-  schedule also fixes every inbox's kind — removals in the round after
-  a decision round, flood tuples otherwise — so messages carry no kind
-  column; their word counts stay those of the reference payloads, whose
-  kind tag is one of the words.
+  message counts match the reference engine round by round.  A flood
+  round and the final exchange send one
+  :class:`~repro.parallel.congest.BroadcastBlock` — the senders and one
+  tuple each, never a per-message array — and a decision round sends
+  its removals as a :class:`~repro.parallel.congest.MessageBlock` of
+  killed slots, so an inbox's block type is its kind and messages carry
+  no kind column; their word counts stay those of the reference
+  payloads, whose kind tag is one of the words.
 * **Tie-breaking.**  The reference node scans its incident slots in CSR
   order, keeping the *earliest* slot on equal lengths, and its
   per-cluster minima dict iterates in first-occurrence order, which is
@@ -39,15 +42,25 @@ down.  The equivalence rests on four invariants:
   starts with its lightest, earliest slot.  One minimum reduction per
   group gives its first-occurrence slot, and the candidate target
   cluster with the smallest one wins.
-* **Knowledge locality.**  Cluster/sampled knowledge about a neighbour
-  is only ever updated from a delivered message, on the port it arrives
-  at (``ColumnarSimulator.reverse_slot`` of the sending slot), never
-  read from global state, so the program remains a faithful CONGEST
-  protocol rather than a shared-memory shortcut.  Liveness is per port
-  too: the acting side clears the ports it kills in the decision round,
-  and the other endpoint clears its port when the removal notification
-  arrives one round later.  Only decision rounds read liveness, and
-  every removal is delivered before the next one.
+* **Knowledge locality.**  Knowledge about a neighbour comes only from
+  that neighbour's broadcast in the current phase, and only decision
+  rounds read it, after the phase's last broadcast is delivered.  A node
+  broadcasts at most once per phase, with the same tuple on every port,
+  so the program records each delivered broadcast once, by sender
+  (``heard_center`` / ``heard_sampled``), and a port's knowledge is the
+  record of the node at its other end: what that port received.
+  Membership follows the same messages: a delivered tuple informs the
+  waiting receivers at the other end of its sender's same-cluster
+  ports, dead ones included (a broadcast goes out on every port),
+  exactly where the reference's per-message test matches.  So the
+  informed nodes, their rounds and their sampled bits are unchanged, and
+  with them the RNG draws, the message counts, the per-round histogram
+  and the round in which the word limit triggers.  Liveness is per port:
+  the acting side clears the ports it kills in the decision round, and
+  the other endpoint clears its port when the removal notification
+  arrives one round later (at ``ColumnarSimulator.reverse_slot`` of the
+  sending slot).  Only decision rounds read liveness, and every removal
+  is delivered before the next one.
 
 The program marks the edges it chooses in a vector over
 ``net.graph``'s edges (``adj_edge_ids``), so a run on a restricted
@@ -61,7 +74,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.parallel.congest import ColumnarProgram, ColumnarSimulator, MessageBlock
+from repro.parallel.congest import (
+    Block,
+    BroadcastBlock,
+    ColumnarProgram,
+    ColumnarSimulator,
+    MessageBlock,
+    concat_ranges,
+)
 from repro.spanners.baswana_sen import _KeyLayout, _rows_of_groups
 
 __all__ = ["ColumnarBaswanaSenProgram", "build_schedule"]
@@ -110,10 +130,15 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
         # Per-port liveness: the acting side clears the ports it kills,
         # the other side clears its port when the removal arrives.
         self.slot_alive = np.ones(num_slots, dtype=bool)
-        # Per-incidence knowledge gathered from this iteration's floods:
-        # what the slot's owner knows about the neighbour's cluster.
-        self.known_center = np.full(num_slots, -1, dtype=np.int64)
-        self.known_sampled = np.zeros(num_slots, dtype=bool)
+        # What each node broadcast this phase (-1: nothing delivered yet).
+        # A port knows the tuple of the node at its other end.
+        self.heard_center = np.full(n, -1, dtype=np.int64)
+        self.heard_sampled = np.zeros(n, dtype=bool)
+        # The same-cluster ports of each node, dead ones included, indexed
+        # at each iteration start: node v's are
+        # same_slots[same_indptr[v]:same_indptr[v + 1]].
+        self.same_slots = np.empty(0, dtype=np.int64)
+        self.same_indptr = np.zeros(n + 1, dtype=np.int64)
         # Grouping keys (owner, known centre, slot rank): equal runs of the
         # first two fields are a node's ports into one cluster, lightest
         # and then earliest first.
@@ -129,41 +154,41 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
     def _process_inbox(
         self,
         net: ColumnarSimulator,
-        round_number: int,
-        inbox: MessageBlock,
+        inbox: Block,
         learn_membership: bool,
         set_pending: bool,
     ) -> None:
         """Apply one round's delivered messages to the state arrays.
 
-        The inbox holds what the previous round sent, so its phase fixes
-        the kind.  A removal notification (after a decision round) clears
-        the receiving port; flood tuples update the receiver's
-        per-incidence knowledge and, when ``learn_membership``, inform
-        cluster members of their sampled bit (``set_pending`` arms their
-        forwarding broadcast, flood rounds only).
+        A removal notification (a :class:`MessageBlock` of killed slots)
+        clears the receiving port.  A broadcast of flood tuples records
+        what each sender broadcast and, when ``learn_membership``, informs
+        the waiting members at the other end of the senders' same-cluster
+        ports of their sampled bit (``set_pending`` arms their forwarding
+        broadcast, flood rounds only).
         """
-        if len(inbox) == 0:
+        if isinstance(inbox, MessageBlock):
+            if len(inbox):
+                self.slot_alive[net.reverse_slot.take(inbox.slot)] = False
             return
-        ports = net.reverse_slot[inbox.slot]
-        if self.schedule[round_number - 2][0] == "decide":
-            self.slot_alive[ports] = False
-            return
-
-        f_center = inbox.column("center")
-        f_sampled = inbox.column("sampled")
-        self.known_center[ports] = f_center
-        self.known_sampled[ports] = f_sampled
-        if learn_membership:
-            receivers = net.adj[inbox.slot]
-            matches = f_center == self.waiting[receivers]
-            if np.any(matches):
-                hit = receivers[matches]
+        senders = inbox.senders
+        f_sampled = inbox.columns["sampled"]
+        self.heard_center[senders] = inbox.columns["center"]
+        self.heard_sampled[senders] = f_sampled
+        if learn_membership and senders.size:
+            starts = self.same_indptr.take(senders)
+            counts = self.same_indptr.take(senders + 1) - starts
+            receivers = net.adj.take(self.same_slots.take(concat_ranges(starts, counts)))
+            # A same-cluster tuple matches exactly the receivers still
+            # waiting for their cluster's tuple.
+            matches = np.flatnonzero(self.waiting.take(receivers) >= 0)
+            if matches.size:
+                hit = receivers.take(matches)
                 self.waiting[hit] = -1
                 # All tuples of one cluster carry the same bit, so
                 # last-write-wins matches the reference "first matching
                 # message" exactly.
-                self.sampled[hit] = f_sampled[matches]
+                self.sampled[hit] = np.repeat(f_sampled, counts).take(matches)
                 if set_pending:
                     self.pending[hit] = True
 
@@ -172,9 +197,10 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
     # -------------------------------------------------------------- #
 
     def _cluster_groups(
-        self, net: ColumnarSimulator, slot_mask: np.ndarray
+        self, net: ColumnarSimulator, slot_mask: np.ndarray, known_center: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Group the selected incidence slots by (owner, known cluster).
+        """Group the selected incidence slots by (owner, ``known_center``),
+        each slot's knowledge of its neighbour's cluster.
 
         Returns ``(group_ids, bounds, slots)``: per group, its id ``owner
         << cluster_bits | centre`` (ascending) and the position of its
@@ -186,23 +212,38 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
         if s.size == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, empty
-        ids, bounds, ranks = self.layout.groups(self.slot_keys[s], self.known_center[s])
+        ids, bounds, ranks = self.layout.groups(self.slot_keys[s], known_center[s])
         return ids, bounds, net.slot_of_rank[ranks]
 
     # -------------------------------------------------------------- #
     # Phases
     # -------------------------------------------------------------- #
 
+    def _index_same_cluster_ports(self, net: ColumnarSimulator) -> None:
+        """Index each node's ports into its own cluster for this iteration.
+
+        Dead ports stay in: a broadcast goes out on every port, and a node
+        that joined a cluster killed every port into it, so most members
+        hear their cluster's tuple over dead ports.
+        """
+        center = self.center
+        same = np.repeat(center, net.degrees) == center.take(net.adj)
+        self.same_slots = np.flatnonzero(same)
+        # A cumsum over the 2m flags costs as much as it saves; the same
+        # per-node offsets come from n + 1 binary searches.
+        self.same_indptr = np.searchsorted(self.same_slots, net.indptr)
+
     def _flood_round(
-        self, net: ColumnarSimulator, round_number: int, inbox: MessageBlock
-    ) -> MessageBlock:
+        self, net: ColumnarSimulator, round_number: int, inbox: Block
+    ) -> BroadcastBlock:
         is_first = round_number == 1 or self.schedule[round_number - 2][0] != "flood"
         if is_first:
             # New iteration: reset per-iteration state; centres sample.
             self.sampled[:] = False
             self.pending[:] = False
-            self.known_center[:] = -1
-            self.known_sampled[:] = False
+            self.heard_center[:] = -1
+            self.heard_sampled[:] = False
+            self._index_same_cluster_ports(net)
             centres = np.flatnonzero(self.center == np.arange(self.n, dtype=np.int64))
             self.waiting[:] = self.center
             self.waiting[centres] = -1
@@ -210,7 +251,7 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
             # randomness in the protocol.
             self.sampled[centres] = net.node_streams.random(centres) < self.sample_probability
             self.pending[centres] = True
-        self._process_inbox(net, round_number, inbox, learn_membership=True, set_pending=True)
+        self._process_inbox(net, inbox, learn_membership=True, set_pending=True)
         broadcasters = np.flatnonzero(self.pending)
         self.pending[:] = False
         return net.broadcast_block(
@@ -220,18 +261,17 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
             sampled=self.sampled[broadcasters],
         )
 
-    def _decide_round(
-        self, net: ColumnarSimulator, round_number: int, inbox: MessageBlock
-    ) -> MessageBlock:
+    def _decide_round(self, net: ColumnarSimulator, inbox: Block) -> MessageBlock:
         # Late flood arrivals may still be in the inbox (no forwarding
         # armed at this point, mirroring the reference decide phase).
-        self._process_inbox(net, round_number, inbox, learn_membership=True, set_pending=False)
+        self._process_inbox(net, inbox, learn_membership=True, set_pending=False)
 
+        known_center = self.heard_center.take(net.adj)
         acting = ~((self.center >= 0) & self.sampled)
         slot_mask = np.repeat(acting, net.degrees)
         slot_mask &= self.slot_alive
-        slot_mask &= self.known_center >= 0
-        g_id, bounds, slots = self._cluster_groups(net, slot_mask)
+        slot_mask &= known_center >= 0
+        g_id, bounds, slots = self._cluster_groups(net, slot_mask, known_center)
         if g_id.size == 0:
             return MessageBlock.empty()
         starts = bounds[:-1]
@@ -241,7 +281,7 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
         g_min_slot = slots[starts]
         g_first_slot = np.minimum.reduceat(slots, starts)
         g_min_len = 1.0 / net.adj_weights[g_min_slot]
-        g_sampled = self.known_sampled[g_min_slot]
+        g_sampled = self.heard_sampled[net.adj[g_min_slot]]
 
         o_head = np.empty(g_owner.shape[0], dtype=bool)
         o_head[0] = True
@@ -278,17 +318,12 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
         # side clears its ports and sends one removal notification on each.
         killed_slots = slots[_rows_of_groups(bounds, kept)]
         self.slot_alive[killed_slots] = False
-        return MessageBlock(
-            slot=killed_slots,
-            words=np.full(killed_slots.shape[0], _REMOVE_WORDS, dtype=np.int64),
-        )
+        return MessageBlock(slot=killed_slots, words=_REMOVE_WORDS)
 
-    def _final_exchange(
-        self, net: ColumnarSimulator, round_number: int, inbox: MessageBlock
-    ) -> MessageBlock:
-        self._process_inbox(net, round_number, inbox, learn_membership=False, set_pending=False)
-        self.known_center[:] = -1
-        self.known_sampled[:] = False
+    def _final_exchange(self, net: ColumnarSimulator, inbox: Block) -> BroadcastBlock:
+        self._process_inbox(net, inbox, learn_membership=False, set_pending=False)
+        self.heard_center[:] = -1
+        self.heard_sampled[:] = False
         clustered = np.flatnonzero(self.center >= 0)
         return net.broadcast_block(
             clustered,
@@ -297,28 +332,29 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
             sampled=np.zeros(clustered.shape[0], dtype=bool),
         )
 
-    def _final_decide(self, net: ColumnarSimulator, round_number: int, inbox: MessageBlock) -> None:
-        self._process_inbox(net, round_number, inbox, learn_membership=False, set_pending=False)
-        slot_mask = self.slot_alive & (self.known_center >= 0)
-        _, bounds, slots = self._cluster_groups(net, slot_mask)
+    def _final_decide(self, net: ColumnarSimulator, inbox: Block) -> None:
+        self._process_inbox(net, inbox, learn_membership=False, set_pending=False)
+        known_center = self.heard_center.take(net.adj)
+        slot_mask = self.slot_alive & (known_center >= 0)
+        _, bounds, slots = self._cluster_groups(net, slot_mask, known_center)
         self.chosen[net.adj_edge_ids[slots[bounds[:-1]]]] = True
 
     # -------------------------------------------------------------- #
 
     def round(
-        self, net: ColumnarSimulator, round_number: int, inbox: MessageBlock
-    ) -> Tuple[Optional[MessageBlock], bool]:
+        self, net: ColumnarSimulator, round_number: int, inbox: Block
+    ) -> Tuple[Optional[Block], bool]:
         if round_number > len(self.schedule):
             return None, True
         phase, _iteration = self.schedule[round_number - 1]
         if phase == "flood":
             return self._flood_round(net, round_number, inbox), False
         if phase == "decide":
-            return self._decide_round(net, round_number, inbox), False
+            return self._decide_round(net, inbox), False
         if phase == "final_exchange":
-            return self._final_exchange(net, round_number, inbox), False
+            return self._final_exchange(net, inbox), False
         if phase == "final_decide":
-            self._final_decide(net, round_number, inbox)
+            self._final_decide(net, inbox)
             return None, True
         raise AssertionError(f"unknown protocol phase {phase!r}")  # pragma: no cover
 

@@ -40,6 +40,7 @@ from repro.exceptions import GraphError, MessageTooLargeError, SimulationError
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 from repro.parallel.congest import (
+    BroadcastBlock,
     ColumnarProgram,
     ColumnarSimulator,
     MessageBlock,
@@ -120,6 +121,43 @@ def goldens():
     return json.loads(GOLDEN_PATH.read_text())
 
 
+@pytest.fixture
+def histograms(monkeypatch):
+    """The ``messages_per_round`` of every run of either engine, in run order."""
+    recorded = {"reference": [], "columnar": []}
+    for engine, simulator in (("reference", DistributedSimulator), ("columnar", ColumnarSimulator)):
+        def run(self, *args, _run=simulator.run, _log=recorded[engine], **kwargs):
+            result = _run(self, *args, **kwargs)
+            _log.append(result.messages_per_round)
+            return result
+
+        monkeypatch.setattr(simulator, "run", run)
+    return recorded
+
+
+def _weights_one_or_two(seed):
+    graph = gen.erdos_renyi_graph(60, 0.25, seed=seed, ensure_connected=True)
+    return graph.with_weights(np.random.default_rng(seed).integers(1, 3, graph.num_edges))
+
+
+# (input, k, protocol seed).  Weights in {1, 2} make equally near sampled
+# clusters common; the unit-weight ER n=150, p=0.5 input (m/(n log2 n)
+# ~5.2) ties every length and floods over nearly every port, the regime
+# of the e2ebench dense-er side graph.
+EQUAL_LENGTH_CASES = [
+    pytest.param(lambda seed=seed: _weights_one_or_two(seed), 3, seed, id=str(seed))
+    for seed in range(3)
+] + [
+    pytest.param(
+        lambda: gen.erdos_renyi_graph(150, 0.5, seed=1, ensure_connected=True),
+        4,
+        seed,
+        id=f"dense-er150-seed{seed}",
+    )
+    for seed in (1, 2)
+]
+
+
 def run_both_simulators(graph: Graph, seed, k=None, max_rounds=None):
     """Drive both engines directly; returns (reference, columnar) results."""
     simple = graph.coalesce()
@@ -158,21 +196,23 @@ class TestSpannerParity:
         assert reference.rounds_executed == columnar.rounds_executed
         assert reference.completed and columnar.completed
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_equal_length_clusters_parity(self, seed):
-        """Weights in {1, 2} make equally near sampled clusters common, and
-        a cluster's first port need not be its lightest: the case-(b)
-        target is the one first met in slot order, as the reference finds."""
-        graph = gen.erdos_renyi_graph(60, 0.25, seed=seed, ensure_connected=True)
-        graph = graph.with_weights(np.random.default_rng(seed).integers(1, 3, graph.num_edges))
-        reference = reference_distributed_spanner(graph, k=3, seed=seed)
-        columnar = distributed_baswana_sen_spanner(graph, k=3, seed=seed)
+    @pytest.mark.parametrize("make_graph,k,seed", EQUAL_LENGTH_CASES)
+    def test_equal_length_clusters_parity(self, histograms, make_graph, k, seed):
+        """Equal lengths make equally near sampled clusters common, and a
+        cluster's first port need not be its lightest: the case-(b) target
+        is the one first met in slot order, as the reference finds."""
+        graph = make_graph()
+        reference = reference_distributed_spanner(graph, k=k, seed=seed)
+        columnar = distributed_baswana_sen_spanner(graph, k=k, seed=seed)
         assert np.array_equal(reference.edge_indices, columnar.edge_indices)
         assert reference.cost == columnar.cost
-        ref_bundle = reference_distributed_bundle_spanner(graph, t=3, k=3, seed=seed)
-        col_bundle = distributed_bundle_spanner(graph, t=3, k=3, seed=seed)
+        ref_bundle = reference_distributed_bundle_spanner(graph, t=3, k=k, seed=seed)
+        col_bundle = distributed_bundle_spanner(graph, t=3, k=k, seed=seed)
         assert np.array_equal(ref_bundle.edge_indices, col_bundle.edge_indices)
         assert ref_bundle.cost == col_bundle.cost
+        # One spanner run and one run per bundle component, round by round.
+        assert len(histograms["columnar"]) == 1 + col_bundle.components_built
+        assert histograms["reference"] == histograms["columnar"]
 
     def test_truncated_run_parity(self):
         """Hitting max_rounds mid-protocol leaves both engines in the same state."""
@@ -338,6 +378,40 @@ class TestWordLimitProperty:
             assert reference is None
 
 
+SIMULATORS = {"reference": DistributedSimulator, "columnar": ColumnarSimulator}
+
+
+class TestWordCountValidation:
+    """Word limits and block word counts are integers ``>= 1`` in both
+    engines: ``3.9`` would run with limit 3 and ``True`` with limit 1, and
+    a limit below 1 would fail at round 1 as if a flood tuple were
+    oversized."""
+
+    @pytest.mark.parametrize("engine", sorted(SIMULATORS))
+    @pytest.mark.parametrize("limit", [3.9, True, 0, -5])
+    def test_word_limit_must_be_a_positive_integer(self, engine, limit):
+        with pytest.raises(SimulationError, match="message_word_limit must be"):
+            SIMULATORS[engine](gen.grid_graph(6, 6), seed=0, message_word_limit=limit)
+
+    @pytest.mark.parametrize("engine", sorted(SIMULATORS))
+    def test_numpy_integer_word_limit_accepted(self, engine):
+        simulator = SIMULATORS[engine](gen.grid_graph(6, 6), seed=0, message_word_limit=np.int64(3))
+        assert simulator.message_word_limit == 3 and type(simulator.message_word_limit) is int
+
+    @pytest.mark.parametrize("words", [2.7, True, 0, -1])
+    def test_block_word_count_must_be_a_positive_integer(self, words):
+        net = ColumnarSimulator(gen.grid_graph(6, 6), seed=0)
+        with pytest.raises(SimulationError, match="message words must be"):
+            net.broadcast_block(np.arange(3), words)
+        with pytest.raises(SimulationError, match="message words must be"):
+            MessageBlock(slot=np.array([0]), words=words)
+
+    def test_numpy_integer_block_word_count_accepted(self):
+        net = ColumnarSimulator(gen.grid_graph(6, 6), seed=0)
+        assert net.broadcast_block(np.arange(3), np.int64(2)).words == 2
+        assert MessageBlock(slot=np.array([0]), words=np.int64(2)).words == 2
+
+
 class _ColumnarEcho(ColumnarProgram):
     """Every node broadcasts once; round 2 collects what was heard."""
 
@@ -345,7 +419,11 @@ class _ColumnarEcho(ColumnarProgram):
         if round_number == 1:
             nodes = np.arange(net.num_vertices, dtype=np.int64)
             return net.broadcast_block(nodes, 1, tag=np.zeros(net.num_vertices, np.int64)), False
-        self.heard = np.sort(net.slot_owner[inbox.slot])
+        # A broadcast is held as its senders; its messages leave on every
+        # slot of each sender's CSR range.
+        senders = inbox.senders
+        slots = concat_ranges(net.indptr[senders], net.degrees[senders])
+        self.heard = np.sort(net.slot_owner[slots])
         return None, True
 
     def finalize(self, net):
@@ -356,7 +434,7 @@ class _ColumnarRogue(ColumnarProgram):
     """Attempts to send on a slot the network does not have."""
 
     def round(self, net, round_number, inbox):
-        block = MessageBlock(slot=np.array([net.adj.shape[0]]), words=np.array([1]))
+        block = MessageBlock(slot=np.array([net.adj.shape[0]]), words=1)
         return block, True
 
 
@@ -364,8 +442,19 @@ class _ColumnarChatty(ColumnarProgram):
     """Sends one over-long message."""
 
     def round(self, net, round_number, inbox):
-        block = MessageBlock(slot=np.array([0]), words=np.array([10_000]))
+        block = MessageBlock(slot=np.array([0]), words=10_000)
         return block, True
+
+
+class _ColumnarBroadcaster(ColumnarProgram):
+    """Broadcasts once from the given node ids, which may lie outside the network."""
+
+    def __init__(self, *senders, words=1):
+        self.senders = np.array(senders, dtype=np.int64)
+        self.words = words
+
+    def round(self, net, round_number, inbox):
+        return net.broadcast_block(self.senders, self.words), True
 
 
 class TestColumnarEngine:
@@ -414,14 +503,27 @@ class TestColumnarEngine:
         assert first.messages_per_round == second.messages_per_round
 
     def test_message_block_validates_lengths(self):
-        with pytest.raises(SimulationError):
-            MessageBlock(slot=np.array([0, 1]), words=np.array([1]))
-        with pytest.raises(SimulationError):
-            MessageBlock(
-                slot=np.array([0]),
-                words=np.array([1]),
-                columns={"tag": np.array([0, 1])},
-            )
+        # A broadcast carries one payload value per sender.
+        with pytest.raises(SimulationError, match="'tag' has length 2, expected 1"):
+            BroadcastBlock(senders=np.array([0]), words=1, columns={"tag": np.array([0, 1])})
+        with pytest.raises(SimulationError, match="'tag' has length 1, expected 2"):
+            BroadcastBlock(senders=np.array([0, 1]), words=1, columns={"tag": np.array([0])})
+
+    @pytest.mark.parametrize("sender", [-3, -7, -1, 36])
+    def test_broadcast_from_outside_the_network_rejected(self, sender):
+        # grid_graph(6, 6) has nodes 0..35: a negative id must not wrap
+        # around to a node at the end, nor an id past the end fail unnamed.
+        with pytest.raises(SimulationError, match=rf"node {sender} broadcast in round 1, outside"):
+            ColumnarSimulator(gen.grid_graph(6, 6), seed=0).run(_ColumnarBroadcaster(sender))
+
+    def test_oversized_broadcast_names_a_sender_with_a_port(self):
+        # Node 0 is isolated: its broadcast sends nothing, so it neither
+        # trips the word limit nor is blamed for node 2's.
+        graph = Graph(4, [1, 2], [2, 3])
+        alone = ColumnarSimulator(graph, seed=0).run(_ColumnarBroadcaster(0, words=10_000))
+        assert alone.messages_per_round == [0] and alone.cost.max_message_words == 0
+        with pytest.raises(MessageTooLargeError, match="node 2 sent a 10000-word message"):
+            ColumnarSimulator(graph, seed=0).run(_ColumnarBroadcaster(0, 2, words=10_000))
 
     def test_reverse_slot_roundtrip(self):
         g = gen.grid_graph(4, 4)
