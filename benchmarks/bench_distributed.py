@@ -13,8 +13,11 @@ the columnar engine (:mod:`repro.parallel.congest`) on banded and
 power-law graphs up to
 n = 4096, hard-asserts bit-identical spanner selections and identical
 cost triples per pair, and persists ``BENCH_distributed.json``.  Each
-engine's time is the median of ``REPEATS`` calls (recorded as
-``repeats``), so one slow call does not move a row's speedup.  Timing
+engine's time is the median of its calls, and each engine is called at
+least ``MIN_CALLS`` times and until its calls add up to ``MIN_SECONDS``
+(each row records its ``reference_calls`` and ``columnar_calls``): one
+slow call does not move a row's speedup, and a columnar row of 10-50 ms
+takes a median of 10-50 calls, not of 3.  Timing
 *assertions* (>= 5x at n = 2048) are gated on
 ``REPRO_BENCH_ASSERT_SPEEDUP=1`` — the CI container has a single usable
 CPU and its timing noise should not fail the build; the JSON always
@@ -130,7 +133,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_distributed.json"
 SMOKE_RESULT_PATH = REPO_ROOT / "BENCH_distributed_smoke.json"
 SEED = 20140623  # SPAA'14
-REPEATS = 3  # timed calls per engine per row; a row reports their median
+MIN_CALLS = 3  # timed calls per engine per row, at least; a row reports their median
+MIN_SECONDS = 0.5  # ... and calls until they add up to this many seconds
 
 
 def build_graph(scenario: str, n: int):
@@ -142,20 +146,20 @@ def build_graph(scenario: str, n: int):
 
 
 def _timed(fn, *args, **kwargs):
-    """``(result, median seconds)`` over REPEATS identical calls."""
+    """``(result, median seconds, calls)`` over at least MIN_CALLS calls and MIN_SECONDS of them."""
     seconds = []
-    for _ in range(REPEATS):
+    while len(seconds) < MIN_CALLS or sum(seconds) < MIN_SECONDS:
         start = time.perf_counter()
         result = fn(*args, **kwargs)
         seconds.append(time.perf_counter() - start)
-    return result, statistics.median(seconds)
+    return result, statistics.median(seconds), len(seconds)
 
 
 def run_spanner_case(scenario: str, n: int) -> dict:
     """Time one distributed spanner on both engines; assert exact parity."""
     graph = build_graph(scenario, n)
-    ref, ref_s = _timed(reference_distributed_spanner, graph, seed=SEED + n)
-    col, col_s = _timed(distributed_baswana_sen_spanner, graph, seed=SEED + n)
+    ref, ref_s, ref_calls = _timed(reference_distributed_spanner, graph, seed=SEED + n)
+    col, col_s, col_calls = _timed(distributed_baswana_sen_spanner, graph, seed=SEED + n)
     assert np.array_equal(ref.edge_indices, col.edge_indices), (
         f"engine outputs drifted on {scenario} n={n}"
     )
@@ -168,6 +172,8 @@ def run_spanner_case(scenario: str, n: int) -> dict:
         "t": 1,
         "reference_seconds": round(ref_s, 4),
         "columnar_seconds": round(col_s, 4),
+        "reference_calls": ref_calls,
+        "columnar_calls": col_calls,
         "speedup": round(ref_s / max(col_s, 1e-9), 2),
         "rounds": col.cost.rounds,
         "messages": col.cost.messages,
@@ -178,8 +184,8 @@ def run_spanner_case(scenario: str, n: int) -> dict:
 def run_bundle_case(scenario: str, n: int, t: int) -> dict:
     """Time one t-bundle peel on both engines; assert exact parity."""
     graph = build_graph(scenario, n).coalesce()
-    ref, ref_s = _timed(reference_distributed_bundle_spanner, graph, t=t, seed=SEED + t)
-    col, col_s = _timed(distributed_bundle_spanner, graph, t=t, seed=SEED + t)
+    ref, ref_s, ref_calls = _timed(reference_distributed_bundle_spanner, graph, t=t, seed=SEED + t)
+    col, col_s, col_calls = _timed(distributed_bundle_spanner, graph, t=t, seed=SEED + t)
     assert np.array_equal(ref.edge_indices, col.edge_indices), (
         f"bundle outputs drifted on {scenario} n={n} t={t}"
     )
@@ -192,6 +198,8 @@ def run_bundle_case(scenario: str, n: int, t: int) -> dict:
         "t": t,
         "reference_seconds": round(ref_s, 4),
         "columnar_seconds": round(col_s, 4),
+        "reference_calls": ref_calls,
+        "columnar_calls": col_calls,
         "speedup": round(ref_s / max(col_s, 1e-9), 2),
         "rounds": col.cost.rounds,
         "messages": col.cost.messages,
@@ -239,7 +247,7 @@ def main() -> None:
         "distributed-round-engine",
         [
             "scenario", "n", "m", "workload", "t",
-            "reference_seconds", "columnar_seconds", "speedup",
+            "reference_seconds", "columnar_seconds", "reference_calls", "columnar_calls", "speedup",
             "rounds", "messages", "max_message_words",
         ],
     )
@@ -264,7 +272,8 @@ def main() -> None:
         "seed": SEED,
         "smoke": args.smoke,
         "speedup_asserted": assert_speedup and not args.smoke,
-        "repeats": REPEATS,
+        "min_calls": MIN_CALLS,
+        "min_seconds": MIN_SECONDS,
         "bit_identical_across_engines": True,  # hard-asserted per row above
         "deterministic": deterministic,
         "results": rows,

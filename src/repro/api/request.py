@@ -44,9 +44,9 @@ class SparsifyRequest:
         means the practical defaults (serial).  Its ``backend`` /
         ``max_workers`` fields choose where ``Engine.run_many`` jobs run.
     seed:
-        Integer RNG seed or ``None`` (OS entropy).  Restricted to ints so
-        requests stay JSON-serialisable; pass generators to the legacy
-        functions directly if you need them.
+        Non-negative integer RNG seed or ``None`` (OS entropy).
+        Restricted to ints so requests stay JSON-serialisable; pass
+        generators to the legacy functions directly if you need them.
     certify:
         Measure the spectral certificate of the output (dense eigensolve
         — small graphs only).
@@ -84,10 +84,10 @@ class SparsifyRequest:
                 f"config must be a SparsifierConfig or None, got {type(self.config).__name__}"
             )
         if self.seed is not None and (
-            not isinstance(self.seed, int) or isinstance(self.seed, bool)
+            not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0
         ):
             raise RequestError(
-                f"seed must be an int or None (JSON-serialisable), got {self.seed!r}"
+                f"seed must be a non-negative int or None (JSON-serialisable), got {self.seed!r}"
             )
         if not isinstance(self.certify, bool):
             raise RequestError(f"certify must be a bool, got {self.certify!r}")

@@ -264,14 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="inner Laplacian solver for --certify-resistances")
     stream.add_argument("--window", type=int, default=None,
                         help="keep only edges from the last WINDOW ingest batches")
-    stream.add_argument("--decay", type=float, default=None,
-                        help="exponential per-batch weight decay in (0, 1]")
     stream.add_argument("--compaction-interval", type=int, default=None,
                         help="ingested edges per compaction block (default max(4096, 2n))")
-    stream.add_argument("--kout-presample", type=int, default=None, metavar="K",
-                        help="k-out presample ingest batches larger than K * n edges")
-    stream.add_argument("--levels", type=int, default=None,
-                        help="LSM-style retained levels (default 1 = classic single pool)")
     stream.add_argument("--store", default=None, metavar="DIR",
                         help="durable state store: journal every batch before processing "
                              "(plus checksummed snapshots with --snapshot-every); with "
@@ -483,10 +477,7 @@ def _run_stream(args: argparse.Namespace) -> int:
                 ("--bundle-t", args.bundle_t),
                 ("--k", args.k),
                 ("--window", args.window),
-                ("--decay", args.decay),
                 ("--compaction-interval", args.compaction_interval),
-                ("--kout-presample", args.kout_presample),
-                ("--levels", args.levels),
             )
             if value is not None
         ]
@@ -509,10 +500,7 @@ def _run_stream(args: argparse.Namespace) -> int:
             config=config,
             seed=args.seed,
             window=args.window,
-            decay=args.decay,
             compaction_interval=args.compaction_interval,
-            kout_presample=args.kout_presample,
-            levels=args.levels,
             store=args.store,
             snapshot_every=args.snapshot_every,
         )
@@ -525,8 +513,6 @@ def _run_stream(args: argparse.Namespace) -> int:
                 edges, weights = _parse_stream_batch(line, line_number)
                 record = stream.ingest(edges, weights)
                 print(f"  batch {record.batch_index}: +{record.edges} edges"
-                      + (f" (presampled to {record.edges_after_presample})"
-                         if record.edges_after_presample != record.edges else "")
                       + (f", {record.compactions_run} compaction(s)"
                          if record.compactions_run else "")
                       + (f", {record.evicted_edges} evicted"

@@ -4,10 +4,10 @@ Each vertex independently picks ``min(k, deg)`` of its incident edges
 uniformly at random; the sample is the union of all picks.  Holm,
 King, Thorup, Zamir and Zwick show that ``k = Omega(log n)`` random
 out-edges per vertex leave only ``O(n / k)`` inter-component edges —
-which is what makes the sample an ultra-cheap *presampling* stage in
-front of heavier machinery (the t-bundle spanner, the streaming
-sparsifier's compaction): connectivity survives w.h.p. while dense
-bursts collapse to ``O(n k)`` edges.  GBBS's ``kout_sampling.h`` is the
+which is what makes the sample an ultra-cheap *presampling* stage a
+caller can put in front of heavier machinery (the t-bundle spanner, or
+a stream's ``ingest``): connectivity survives w.h.p. while dense bursts
+collapse to ``O(n k)`` edges.  GBBS's ``kout_sampling.h`` is the
 exemplar implementation at scale (SNIPPETS.md, Snippet 2).
 
 The selection is fully vectorised: one random key per half-edge, one

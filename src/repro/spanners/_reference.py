@@ -504,8 +504,10 @@ class DistributedSimulator:
         per-round histogram always describe the most recent run; costs of
         successive runs on one simulator no longer bleed into each other
         (the same per-call-delta rule the spanner results apply to shared
-        PRAM trackers).
+        PRAM trackers).  ``max_rounds`` must be an integer of at least 1
+        (:class:`SimulationError` otherwise), as in the columnar engine.
         """
+        max_rounds = check_count(max_rounds, "max_rounds", SimulationError)
         self.reset_counters()
         n = self.graph.num_vertices
         for ctx in self.contexts:

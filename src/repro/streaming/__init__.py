@@ -15,7 +15,6 @@ from repro.streaming.journal import (
 )
 from repro.streaming.snapshot import SNAPSHOT_VERSION
 from repro.streaming.sparsifier import (
-    LEVEL_FANOUT,
     CompactionRecord,
     IngestRecord,
     StreamCertificate,
@@ -28,7 +27,6 @@ from repro.streaming.store import RecoveryReport, StreamStateStore
 
 __all__ = [
     "DEFAULT_SEGMENT_BYTES",
-    "LEVEL_FANOUT",
     "SNAPSHOT_VERSION",
     "STREAM_JOURNAL_VERSION",
     "JournalScanReport",

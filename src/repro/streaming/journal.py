@@ -11,12 +11,16 @@ codec and the JSON-lines reader of :mod:`repro.core.checkpoint`:
 
 * **A directory of segments** — the journal is a directory of
   size-bounded JSON-lines segment files (``segment-00000000.jsonl`` …).
-  Each segment opens with a header pinning the stream parameters, the
-  snapshot cadence and the index of its first batch, followed by one
-  line per ingested batch with its exact edge arrays.  When the active
-  segment passes the size bound, the next batch append closes it and
-  opens a new one (with a directory fsync, so the new file survives a
-  crash).
+  Each segment opens with a header pinning the stream parameters (vertex
+  count, ``t``, ``k``, sampling probability, seed and its provenance,
+  ``window`` and compaction interval), the snapshot cadence and the index
+  of its first batch, followed by one line per ingested batch with its
+  exact edge arrays.  When the active segment passes the size bound, the
+  next batch append closes it and opens a new one (with a directory
+  fsync, so the new file survives a crash).  A header or snapshot
+  manifest an older version wrote with an option this version no longer
+  has (more than one retained level, a k-out presample or a weight
+  decay) is refused by name, never replayed as a different stream.
 * **Sealed records (format v4)** — every line, header included, is a
   :func:`~repro.core.checkpoint.seal` record whose last key is a digest
   of the bytes before it, so a damaged byte anywhere reads as a record
@@ -64,7 +68,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.checkpoint import DEFAULT_IO, DurableIO, _parse_segment, open_record, seal
-from repro.exceptions import CheckpointError
+from repro.exceptions import CheckpointError, StreamingError
 from repro.utils.validation import check_count
 
 __all__ = [
@@ -99,12 +103,14 @@ _PINNED_KEYS = (
     "seed",
     "auto_seeded",
     "window",
-    "decay",
     "compaction_interval",
-    "kout_presample",
-    "levels",
-    "level_capacity",
 )
+
+# Options older versions pinned, each with the one value that replays as
+# this version's stream: one retained level, no k-out presample, no decay.
+# (Their ``level_capacity`` only sized levels past the first, so any value
+# replays.)
+_DELETED_OPTIONS = {"levels": 1, "kout_presample": None, "decay": None}
 
 # Every compaction record line starts with these bytes (``json.dumps``
 # keeps key order), which is how a reader tells a damaged compaction
@@ -159,14 +165,28 @@ def working_set_digest(
 ) -> str:
     """Content hash of the working set one compaction ran on.
 
-    ``w`` is the weight the selection saw (decay applied) and ``b`` the
-    arrival batches.  A journaled compaction outcome is applied only to
-    a working set with the digest it records.
+    ``w`` holds the weights the selection saw and ``b`` the arrival
+    batches.  A journaled compaction outcome is applied only to a working
+    set with the digest it records.
     """
     digest = hashlib.blake2b(digest_size=16)
     for array, dtype in ((u, _INT), (v, _INT), (w, _FLOAT), (b, _INT)):
         digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
     return digest.hexdigest()
+
+
+def _refuse_deleted_options(params: Mapping[str, Any]) -> None:
+    """Raise :class:`StreamingError` naming the first deleted option ``params`` sets.
+
+    A store an older version wrote with such an option is intact, so this
+    is not damage: recovery must stop before it quarantines anything.
+    """
+    for key, unset in _DELETED_OPTIONS.items():
+        if params.get(key, unset) != unset:
+            raise StreamingError(
+                f"the stream pins {key}={params[key]!r}, an option this version does not "
+                "have; recover it with the version that wrote it"
+            )
 
 
 def canonical_stream_params(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -285,6 +305,7 @@ def _segment_info(entry: Path, line: bytes) -> SegmentInfo:
         raise CheckpointError(f"{source} header has no integer first_batch")
     if header["snapshot_every"] is not None:
         check_count(header["snapshot_every"], f"{source} snapshot_every", CheckpointError)
+    _refuse_deleted_options(header)
     return SegmentInfo(
         path=entry,
         sequence=_segment_sequence(entry),

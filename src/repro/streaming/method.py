@@ -29,15 +29,7 @@ from repro.streaming.sparsifier import (
 
 __all__ = ["StreamMethodResult", "run_streaming"]
 
-_KNOWN_OPTIONS = (
-    "num_batches",
-    "window",
-    "decay",
-    "compaction_interval",
-    "kout_presample",
-    "levels",
-    "level_capacity",
-)
+_KNOWN_OPTIONS = ("num_batches", "window", "compaction_interval")
 
 
 @dataclass(frozen=True)
@@ -68,13 +60,12 @@ def run_streaming(
 ):
     """Replay ``graph`` through a :class:`StreamingSparsifier` and snapshot.
 
-    Options: ``num_batches`` (default 4), ``window``, ``decay``,
+    Options: ``num_batches`` (default 4), ``window`` and
     ``compaction_interval`` (default ``ceil(m / num_batches)`` so every
-    batch triggers roughly one compaction), ``kout_presample``,
-    ``levels`` and ``level_capacity``.  The bundle size, spanner ``k`` and
-    sampling probability come from ``config``; a request ``epsilon``
-    replaces the config's.  ``rho`` has no streaming analogue and is
-    ignored.
+    batch triggers roughly one compaction).  The bundle size, spanner
+    ``k`` and sampling probability come from ``config``; a request
+    ``epsilon`` replaces the config's.  ``rho`` has no streaming analogue
+    and is ignored.
     """
     unknown = sorted(set(options) - set(_KNOWN_OPTIONS))
     if unknown:
@@ -101,11 +92,7 @@ def run_streaming(
         config=config,
         seed=seed,
         window=options.get("window"),
-        decay=options.get("decay"),
         compaction_interval=interval,
-        kout_presample=options.get("kout_presample"),
-        levels=options.get("levels"),
-        level_capacity=options.get("level_capacity"),
     )
     # Contiguous slices preserve the input edge order, so num_batches=1
     # reproduces the batch sample bit for bit.

@@ -1,10 +1,10 @@
 """Checksummed, atomically-written snapshots of streaming sampler state.
 
 A snapshot captures the *full* deterministic state of a
-:class:`~repro.streaming.sparsifier.StreamingSparsifier` — the leveled
-retained pools, the pending buffer, the exact-reference pools, and every
-counter the RNG schedule depends on (compaction index, batch index,
-eviction/presample tallies).  Restoring a snapshot and replaying the
+:class:`~repro.streaming.sparsifier.StreamingSparsifier` — the retained
+pool, the pending buffer, the exact-reference pools, and every counter
+the RNG schedule depends on (compaction index, batch index, eviction
+tally).  Restoring a snapshot and replaying the
 journal suffix written after it reproduces the stream bit for bit, which
 is what bounds resume cost to O(recent batches) instead of O(stream
 lifetime).

@@ -26,19 +26,17 @@ Design
 * **Snapshots are split-invariant.**  Because compaction points depend
   only on the cumulative edge count, the state after ingesting a given
   edge sequence is bit-identical no matter how the sequence was split
-  into ``ingest`` calls (default mode; windowing, decay and k-out
-  presampling are batch-indexed by design and documented exceptions).
+  into ``ingest`` calls (default mode; windowing is batch-indexed by
+  design and the one documented exception).
 * **Batch parity.**  Compaction ``c`` draws from an RNG stream that is a
   pure function of ``(seed, c)``; compaction 0's stream is exactly
   ``as_rng(seed)`` — the stream the batch path consumes — so a stream
   whose first block is the whole graph reproduces
   :func:`repro.core.sample.parallel_sample` (and the golden-pinned
   :func:`repro.spanners.bundle.t_bundle_spanner` selection) bit for bit.
-* **Windowed / decayed views.**  ``window=w`` keeps only edges from the
-  last ``w`` ingest batches (older edges are evicted from state and
-  reference alike); ``decay=gamma`` scales an edge arriving in batch
-  ``a`` by ``gamma^(b - a)`` at current batch ``b`` (applied lazily, so
-  recovery replay is bit-exact).
+* **Windowed views.**  ``window=w`` keeps only edges from the last ``w``
+  ingest batches (older edges are evicted from state and reference
+  alike).
 * **Resilient ingestion.**  With ``store=``, each batch is journaled
   *before* it is processed (:class:`~repro.streaming.journal.StreamJournal`
   inside a :class:`~repro.streaming.store.StreamStateStore`), so
@@ -68,12 +66,16 @@ from repro.core.checkpoint import DurableIO
 from repro.core.config import SparsifierConfig
 from repro.core.sample import sample_nonbundle_edges
 from repro.exceptions import CheckpointError, GraphError, SparsificationError, StreamingError
-from repro.graphs.graph import Graph
-from repro.graphs.kout import k_out_keep_probabilities, k_out_select
+from repro.graphs.graph import Graph, _endpoint_array
 from repro.parallel.failure import FailurePolicy
 from repro.resistance.solver_select import ResistanceSolveStats
 from repro.spanners.bundle import bundle_select
-from repro.streaming.journal import DEFAULT_SEGMENT_BYTES, StreamJournal, working_set_digest
+from repro.streaming.journal import (
+    DEFAULT_SEGMENT_BYTES,
+    StreamJournal,
+    _refuse_deleted_options,
+    working_set_digest,
+)
 from repro.streaming.store import StreamStateStore, _check_store_options
 from repro.utils.rng import as_rng, fresh_entropy_seed
 from repro.utils.validation import check_count, check_integer
@@ -85,21 +87,19 @@ __all__ = [
     "StreamSnapshot",
     "StreamCertificate",
     "StreamingSparsifier",
-    "LEVEL_FANOUT",
     "compaction_rng",
 ]
 
-# Each retained level holds LEVEL_FANOUT times the capacity of the level
-# below it before overflowing into the next merge (LSM-style geometric
-# growth: deeper levels hold older, already-resampled edges and are
-# touched exponentially less often).
-LEVEL_FANOUT = 4
-
-# spawn_key tags partitioning the seed's stream space: compactions after
-# the first, and per-batch k-out presampling.  Compaction 0 uses the bare
-# ``as_rng(seed)`` stream for batch parity (see module docstring).
+# spawn_key tag of the compactions after the first.  Compaction 0 uses the
+# bare ``as_rng(seed)`` stream for batch parity (see module docstring).
 _COMPACTION_KEY = 1
-_PRESAMPLE_KEY = 2
+
+# The arrays of an edge pool, in order: endpoints, weights, arrival batches.
+_POOL_KEYS = ("u", "v", "w", "b")
+
+
+def _empty_pool() -> List[np.ndarray]:
+    return [np.empty(0, dtype=dtype) for dtype in (np.int64, np.int64, np.float64, np.int64)]
 
 
 def compaction_rng(seed: int, index: int) -> np.random.Generator:
@@ -117,12 +117,6 @@ def compaction_rng(seed: int, index: int) -> np.random.Generator:
         return as_rng(int(seed))
     return np.random.default_rng(
         np.random.SeedSequence(int(seed), spawn_key=(_COMPACTION_KEY, int(index)))
-    )
-
-
-def _presample_rng(seed: int, batch_index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(int(seed), spawn_key=(_PRESAMPLE_KEY, int(batch_index)))
     )
 
 
@@ -242,7 +236,6 @@ class IngestRecord:
 
     batch_index: int
     edges: int
-    edges_after_presample: int
     compactions_run: int
     evicted_edges: int
 
@@ -257,7 +250,7 @@ class IngestRecord:
 
     @property
     def output_edges(self) -> int:
-        return self.edges_after_presample
+        return self.edges
 
 
 @dataclass(frozen=True)
@@ -278,7 +271,6 @@ class StreamStats:
     pending_edges: int
     compactions: int
     evicted_edges: int
-    presampled_away: int
     ingest_seconds: float
     seed: int = 0
     auto_seeded: bool = False
@@ -347,26 +339,18 @@ class StreamingSparsifier:
         needs strictly below 1.  It also supplies the execution backend
         and the default solver.
     seed:
-        Integer stream seed (a ``numpy`` Generator is accepted and
-        collapsed to one draw; ``None`` draws fresh OS entropy).  The
-        whole stream is deterministic given the seed and the batch
-        sequence.
+        Non-negative integer stream seed (a ``numpy`` Generator is
+        accepted and collapsed to one draw; ``None`` draws fresh OS
+        entropy).  The whole stream is deterministic given the seed and
+        the batch sequence.
     window:
         Keep only edges from the last ``window`` ingest batches
         (``None`` = cumulative).
-    decay:
-        Exponential weight decay per batch in ``(0, 1]``; an edge from
-        batch ``a`` weighs ``w * decay**(b - a)`` at current batch ``b``.
     compaction_interval:
         Ingested edges per compaction block (default
         ``max(4096, 2 * num_vertices)``).  Compaction points depend only
         on the cumulative count, which is what makes snapshots invariant
         to batch splits.
-    kout_presample:
-        When set, ingest batches carrying more than ``kout_presample *
-        num_vertices`` edges are first reduced by a random k-out sample
-        with Horvitz–Thompson reweighting
-        (:mod:`repro.graphs.kout`) — the ultra-cheap dense-burst guard.
     store:
         Directory of a fresh :class:`~repro.streaming.store.StreamStateStore`.
         Every batch is journaled *before* processing, so a crash loses at
@@ -393,11 +377,7 @@ class StreamingSparsifier:
         config: Optional[SparsifierConfig] = None,
         seed: Any = 0,
         window: Optional[int] = None,
-        decay: Optional[float] = None,
         compaction_interval: Optional[int] = None,
-        kout_presample: Optional[int] = None,
-        levels: Optional[int] = None,
-        level_capacity: Optional[int] = None,
         store: Optional[Union[str, Path]] = None,
         snapshot_every: Optional[int] = None,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
@@ -421,46 +401,25 @@ class StreamingSparsifier:
         self._auto_seeded = seed is None
         self._seed = self._normalize_seed(seed)
         self._window = None if window is None else check_count(window, "window", StreamingError)
-        if decay is not None and not 0 < float(decay) <= 1:
-            raise StreamingError(f"decay must lie in (0, 1], got {decay}")
-        self._decay = None if decay is None or float(decay) == 1.0 else float(decay)
         self._interval = (
             max(4096, 2 * self._n)
             if compaction_interval is None
             else check_count(compaction_interval, "compaction_interval", StreamingError)
         )
-        self._kout = (
-            None
-            if kout_presample is None
-            else check_count(kout_presample, "kout_presample", StreamingError)
-        )
-        self._max_levels = 1 if levels is None else check_count(levels, "levels", StreamingError)
-        self._level_capacity = (
-            2 * self._interval
-            if level_capacity is None
-            else check_count(level_capacity, "level_capacity", StreamingError)
-        )
         self._failure_policy = failure_policy
 
-        # Retained state: LSM-style levels, each [u, v, w, b] arrays —
-        # bundle edges at base weight plus sampled survivors at boosted
-        # weight, tagged with their arrival batch.  Level 0 is the classic
-        # retained pool; deeper levels hold older, already-resampled edges.
-        self._levels: List[List[np.ndarray]] = [
-            self._empty_level() for _ in range(self._max_levels)
-        ]
-        empty_i = np.array([], dtype=np.int64)
-        empty_f = np.array([], dtype=np.float64)
-        # Pending buffer: ingested edges not yet consumed by a compaction.
-        self._pen_u, self._pen_v = empty_i.copy(), empty_i.copy()
-        self._pen_w, self._pen_b = empty_f.copy(), empty_i.copy()
+        # Two [u, v, w, b] pools, b the arrival batch of each edge.  The
+        # retained pool holds the bundle edges at base weight and the
+        # sampled survivors at boosted weight; the pending pool holds the
+        # ingested edges no compaction has consumed yet.
+        self._retained = _empty_pool()
+        self._pending = _empty_pool()
         self._exact: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
         self._batch_sizes: List[int] = []
         self._batches_ingested = 0
         self._edges_ingested = 0
         self._compactions = 0
         self._evicted = 0
-        self._presampled_away = 0
         self._ingest_seconds = 0.0
         self.records: List[CompactionRecord] = []
         # Set by the recovery ladder while it replays the journal.
@@ -498,15 +457,6 @@ class StreamingSparsifier:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _empty_level() -> List[np.ndarray]:
-        return [
-            np.array([], dtype=np.int64),
-            np.array([], dtype=np.int64),
-            np.array([], dtype=np.float64),
-            np.array([], dtype=np.int64),
-        ]
-
-    @staticmethod
     def _normalize_seed(seed: Any) -> int:
         if isinstance(seed, np.random.Generator):
             # Batch fan-outs hand methods pre-split generators; collapse
@@ -517,7 +467,10 @@ class StreamingSparsifier:
             # recorded (journal header, StreamStats.seed), so even an
             # auto-seeded stream recovers bit-exactly.
             return fresh_entropy_seed()
-        return int(seed)
+        try:
+            return check_integer(seed, "seed", minimum=0)
+        except (TypeError, ValueError) as exc:
+            raise StreamingError(str(exc)) from None
 
     def _journal_params(self) -> Dict[str, Any]:
         return {
@@ -528,11 +481,7 @@ class StreamingSparsifier:
             "seed": self._seed,
             "auto_seeded": self._auto_seeded,
             "window": self._window,
-            "decay": self._decay,
             "compaction_interval": self._interval,
-            "kout_presample": self._kout,
-            "levels": self._max_levels,
-            "level_capacity": self._level_capacity,
         }
 
     @classmethod
@@ -551,9 +500,11 @@ class StreamingSparsifier:
         off disk, so missing or out-of-range values, including ones the
         config refuses, are damage, raised as :class:`CheckpointError` for
         the recovery ladder; a bad ``config`` / ``failure_policy`` is the
-        caller's error and stays a :class:`StreamingError`.
+        caller's error and stays a :class:`StreamingError`, and so does a
+        parameter that pins an option this version does not have.
         """
         _check_execution(config, failure_policy)
+        _refuse_deleted_options(params)
         try:
             pinned = (config if config is not None else SparsifierConfig()).with_overrides(
                 bundle_t=params["t"],
@@ -565,11 +516,7 @@ class StreamingSparsifier:
                 config=pinned,
                 seed=params["seed"],
                 window=params["window"],
-                decay=params["decay"],
                 compaction_interval=params["compaction_interval"],
-                kout_presample=params["kout_presample"],
-                levels=params.get("levels"),
-                level_capacity=params.get("level_capacity"),
                 failure_policy=failure_policy,
             )
         except (
@@ -619,10 +566,6 @@ class StreamingSparsifier:
     # ------------------------------------------------------------------ #
 
     @property
-    def num_vertices(self) -> int:
-        return self._n
-
-    @property
     def seed(self) -> int:
         """The resolved integer seed every stream draw derives from.
 
@@ -630,10 +573,6 @@ class StreamingSparsifier:
         entropy draw — pass it back as ``seed=`` to reproduce the run.
         """
         return self._seed
-
-    @property
-    def t(self) -> int:
-        return self._t
 
     @property
     def batches_ingested(self) -> int:
@@ -649,20 +588,15 @@ class StreamingSparsifier:
 
     @property
     def pending_edges(self) -> int:
-        return int(self._pen_u.shape[0])
+        return int(self._pending[0].shape[0])
 
     @property
     def retained_edges(self) -> int:
-        return int(sum(level[0].shape[0] for level in self._levels))
-
-    @property
-    def level_sizes(self) -> List[int]:
-        """Edge count per retained level (level 0 first)."""
-        return [int(level[0].shape[0]) for level in self._levels]
+        return int(self._retained[0].shape[0])
 
     @property
     def live_input_edges(self) -> int:
-        """Exact edges currently in scope (window-aware, pre-presampling)."""
+        """Exact edges currently in scope (window-aware)."""
         if self._window is None:
             return self._edges_ingested
         return int(sum(self._batch_sizes[-self._window:]))
@@ -690,21 +624,12 @@ class StreamingSparsifier:
         self._edges_ingested += int(u.shape[0])
         self._exact.append((batch, u, v, w))
         evicted = self._evict_expired(batch)
-
-        pu, pv, pw = u, v, w
-        if self._kout is not None and u.shape[0] > self._kout * max(self._n, 1):
-            pu, pv, pw = self._presample(batch, u, v, w)
-            self._presampled_away += int(u.shape[0] - pu.shape[0])
-        self._pen_u = np.concatenate([self._pen_u, pu])
-        self._pen_v = np.concatenate([self._pen_v, pv])
-        self._pen_w = np.concatenate([self._pen_w, pw])
-        self._pen_b = np.concatenate(
-            [self._pen_b, np.full(pu.shape[0], batch, dtype=np.int64)]
-        )
+        arrived = (u, v, w, np.full(u.shape[0], batch, dtype=np.int64))
+        self._pending = [np.concatenate(pair) for pair in zip(self._pending, arrived)]
 
         compactions_run = 0
-        while self._pen_u.shape[0] >= self._interval:
-            self._compact(self._interval)
+        while self.pending_edges >= self._interval:
+            self._compact()
             compactions_run += 1
         self._ingest_seconds += time.perf_counter() - start
         if (
@@ -717,31 +642,9 @@ class StreamingSparsifier:
         return IngestRecord(
             batch_index=batch,
             edges=int(u.shape[0]),
-            edges_after_presample=int(pu.shape[0]),
             compactions_run=compactions_run,
             evicted_edges=evicted,
         )
-
-    def flush(self) -> Optional[CompactionRecord]:
-        """Force-compact the pending buffer (one pass over the tail).
-
-        Consumes the next compaction index, so — unlike plain ingestion —
-        the resulting state depends on *when* flush was called.  Returns
-        the compaction record, or ``None`` when nothing was pending.
-
-        Raises :class:`StreamingError` on a stream with a store: the
-        journal records ingested batches only, so recovery could not
-        replay the flush and would rebuild a different state.
-        """
-        if self._store is not None:
-            raise StreamingError(
-                "flush() is refused on a stream with a store: the journal cannot "
-                "replay a flush, so recovery would rebuild a different state"
-            )
-        if self._pen_u.shape[0] == 0:
-            return None
-        self._compact(int(self._pen_u.shape[0]))
-        return self.records[-1]
 
     def checkpoint(self) -> Path:
         """Force a durable snapshot now (requires a store); returns its manifest.
@@ -763,23 +666,17 @@ class StreamingSparsifier:
     def _state_payload(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
         """Full sampler state as ``(counters, named arrays)``.
 
-        Everything future output depends on is here: the leveled retained
-        pools, the pending buffer, the exact-reference pools, batch sizes,
+        Everything future output depends on is here: the retained pool
+        (under the ``level0/`` names older snapshots use, so they still
+        load), the pending buffer, the exact-reference pools, batch sizes,
         and the counters that position the RNG schedule (``compactions``)
         and the batch index.  The ``records`` telemetry list is
         deliberately *not* persisted — it describes past passes, nothing
         downstream replays it.
         """
         arrays: Dict[str, np.ndarray] = {}
-        for i, level in enumerate(self._levels):
-            arrays[f"level{i}/u"] = level[0]
-            arrays[f"level{i}/v"] = level[1]
-            arrays[f"level{i}/w"] = level[2]
-            arrays[f"level{i}/b"] = level[3]
-        arrays["pending/u"] = self._pen_u
-        arrays["pending/v"] = self._pen_v
-        arrays["pending/w"] = self._pen_w
-        arrays["pending/b"] = self._pen_b
+        for name, pool in (("level0", self._retained), ("pending", self._pending)):
+            arrays.update((f"{name}/{key}", array) for key, array in zip(_POOL_KEYS, pool))
         arrays["batch_sizes"] = np.asarray(self._batch_sizes, dtype=np.int64)
         exact_batches: List[int] = []
         for j, (batch, u, v, w) in enumerate(self._exact):
@@ -792,9 +689,7 @@ class StreamingSparsifier:
             "edges_ingested": int(self._edges_ingested),
             "compactions": int(self._compactions),
             "evicted": int(self._evicted),
-            "presampled_away": int(self._presampled_away),
             "ingest_seconds": float(self._ingest_seconds),
-            "num_levels": len(self._levels),
             "exact_batches": exact_batches,
         }
         return counters, arrays
@@ -804,25 +699,8 @@ class StreamingSparsifier:
     ) -> None:
         """Overwrite this (fresh) stream's state with a snapshot payload."""
         try:
-            num_levels = int(counters["num_levels"])
-            if num_levels != self._max_levels:
-                raise CheckpointError(
-                    f"snapshot holds {num_levels} retained levels but the "
-                    f"stream parameters pin {self._max_levels}"
-                )
-            self._levels = [
-                [
-                    arrays[f"level{i}/u"],
-                    arrays[f"level{i}/v"],
-                    arrays[f"level{i}/w"],
-                    arrays[f"level{i}/b"],
-                ]
-                for i in range(num_levels)
-            ]
-            self._pen_u = arrays["pending/u"]
-            self._pen_v = arrays["pending/v"]
-            self._pen_w = arrays["pending/w"]
-            self._pen_b = arrays["pending/b"]
+            self._retained = [arrays[f"level0/{key}"] for key in _POOL_KEYS]
+            self._pending = [arrays[f"pending/{key}"] for key in _POOL_KEYS]
             self._batch_sizes = [int(size) for size in arrays["batch_sizes"]]
             self._exact = [
                 (int(batch), arrays[f"exact{j}/u"], arrays[f"exact{j}/v"], arrays[f"exact{j}/w"])
@@ -832,7 +710,6 @@ class StreamingSparsifier:
             self._edges_ingested = int(counters["edges_ingested"])
             self._compactions = int(counters["compactions"])
             self._evicted = int(counters["evicted"])
-            self._presampled_away = int(counters["presampled_away"])
             self._ingest_seconds = float(counters.get("ingest_seconds", 0.0))
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
@@ -858,11 +735,7 @@ class StreamingSparsifier:
                     "weights passed both inside the edge array and separately"
                 )
             weights = arr[:, 2]
-        u_raw, v_raw = arr[:, 0], arr[:, 1]
-        u = np.asarray(u_raw, dtype=np.int64)
-        v = np.asarray(v_raw, dtype=np.int64)
-        if not (np.array_equal(u, u_raw) and np.array_equal(v, v_raw)):
-            raise GraphError("edge endpoints must be integers")
+        u, v = _endpoint_array(arr[:, 0]), _endpoint_array(arr[:, 1])
         m = u.shape[0]
         if weights is None:
             w = np.ones(m, dtype=np.float64)
@@ -886,47 +759,21 @@ class StreamingSparsifier:
             raise GraphError("edge weights must be finite and positive")
         return np.minimum(u, v), np.maximum(u, v), w
 
-    def _presample(
-        self, batch: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """k-out reduce a dense burst, Horvitz–Thompson reweighted."""
-        rng = _presample_rng(self._seed, batch)
-        kept = k_out_select(self._n, u, v, self._kout, rng)
-        probabilities = k_out_keep_probabilities(self._n, u, v, self._kout)
-        return u[kept], v[kept], w[kept] / probabilities[kept]
-
     def _evict_expired(self, batch: int) -> int:
         """Drop state/reference edges outside the sliding window."""
         if self._window is None:
             return 0
         horizon = batch - self._window  # live: batch id > horizon
         evicted = 0
-        for level in self._levels:
-            ret_mask = level[3] > horizon
-            if not ret_mask.all():
-                evicted += int(ret_mask.shape[0] - ret_mask.sum())
-                level[0] = level[0][ret_mask]
-                level[1] = level[1][ret_mask]
-                level[2] = level[2][ret_mask]
-                level[3] = level[3][ret_mask]
-        pen_mask = self._pen_b > horizon
-        if not pen_mask.all():
-            evicted += int(pen_mask.shape[0] - pen_mask.sum())
-            self._pen_u = self._pen_u[pen_mask]
-            self._pen_v = self._pen_v[pen_mask]
-            self._pen_w = self._pen_w[pen_mask]
-            self._pen_b = self._pen_b[pen_mask]
+        for pool in (self._retained, self._pending):
+            live = pool[3] > horizon
+            if not live.all():
+                evicted += int(live.shape[0] - live.sum())
+                pool[:] = [array[live] for array in pool]
         if self._exact:
             self._exact = [rec for rec in self._exact if rec[0] > horizon]
         self._evicted += evicted
         return evicted
-
-    def _effective_weights(self, w: np.ndarray, batch_ids: np.ndarray) -> np.ndarray:
-        """Apply lazy exponential decay relative to the latest batch."""
-        if self._decay is None or w.shape[0] == 0:
-            return w
-        now = self._batches_ingested - 1
-        return w * np.power(self._decay, (now - batch_ids).astype(np.float64))
 
     def _sample_pass(
         self,
@@ -938,27 +785,17 @@ class StreamingSparsifier:
         """One PARALLELSAMPLE pass over a working set: bundle + survivors.
 
         Consumes the next compaction RNG index and appends a
-        :class:`CompactionRecord`; shared by the level-0 compaction and
-        level promotions so both stay deterministic and retry-neutral.
+        :class:`CompactionRecord`, deterministically and retry-neutrally.
         With a store the outcome is journaled after the batch that
         triggered it; during recovery a journaled outcome whose index,
         working-set size and working-set digest match is applied instead
         of running the pass (same state update, same record).
         """
-        eff_w = self._effective_weights(work_w, work_b)
-        if self._decay is not None:
-            alive = eff_w > 0.0  # underflowed weights are numerically dead
-            if not alive.all():
-                self._evicted += int(alive.shape[0] - alive.sum())
-                work_u, work_v = work_u[alive], work_v[alive]
-                work_w, work_b = work_w[alive], work_b[alive]
-                eff_w = eff_w[alive]
-
         index = self._compactions
         size = int(work_u.shape[0])
         result: Optional[Dict[str, Any]] = None
         work_digest = (
-            working_set_digest(work_u, work_v, eff_w, work_b)
+            working_set_digest(work_u, work_v, work_w, work_b)
             if self._journal is not None or self._replay is not None
             else ""
         )
@@ -970,7 +807,7 @@ class StreamingSparsifier:
                 "num_vertices": self._n,
                 "u": work_u,
                 "v": work_v,
-                "w": eff_w,  # selection sees decayed weights; state keeps base
+                "w": work_w,
                 "t": self._t,
                 "k": self._k,
                 "p": self._p,
@@ -1006,66 +843,16 @@ class StreamingSparsifier:
             np.concatenate([work_b[bundle], work_b[kept]]),
         ]
 
-    def _compact(self, take: int) -> None:
-        """Fold the earliest ``take`` pending edges into level 0.
-
-        Only level 0 participates in the routine pass — deeper levels hold
-        already-resampled older edges and are only re-sampled when an
-        overflow promotes a level into them (:meth:`_promote`), which is
-        what stops long streams from re-sampling their whole history on
-        every compaction.  With ``levels=1`` (the default) there is a
-        single level and the behaviour is the classic, parity-pinned one.
-        """
-        level0 = self._levels[0]
-        work_u = np.concatenate([level0[0], self._pen_u[:take]])
-        work_v = np.concatenate([level0[1], self._pen_v[:take]])
-        work_w = np.concatenate([level0[2], self._pen_w[:take]])
-        work_b = np.concatenate([level0[3], self._pen_b[:take]])
-        self._pen_u = self._pen_u[take:]
-        self._pen_v = self._pen_v[take:]
-        self._pen_w = self._pen_w[take:]
-        self._pen_b = self._pen_b[take:]
-        self._levels[0] = self._sample_pass(work_u, work_v, work_w, work_b)
-        self._promote()
-
-    def _promote(self) -> None:
-        """Merge overflowing levels downward, re-sampling only what moved.
-
-        Level ``i`` overflows at ``level_capacity * LEVEL_FANOUT**i``
-        edges; its contents are merged into level ``i+1`` by one sampling
-        pass (consuming the next compaction index, so the schedule stays a
-        pure function of the ingested sequence) and level ``i`` empties.
-        The deepest level is uncapped.  Ascending order lets a promotion
-        cascade in a single sweep.
-        """
-        for i in range(self._max_levels - 1):
-            capacity = self._level_capacity * (LEVEL_FANOUT**i)
-            if self._levels[i][0].shape[0] <= capacity:
-                continue
-            merged_u = np.concatenate([self._levels[i + 1][0], self._levels[i][0]])
-            merged_v = np.concatenate([self._levels[i + 1][1], self._levels[i][1]])
-            merged_w = np.concatenate([self._levels[i + 1][2], self._levels[i][2]])
-            merged_b = np.concatenate([self._levels[i + 1][3], self._levels[i][3]])
-            self._levels[i + 1] = self._sample_pass(
-                merged_u, merged_v, merged_w, merged_b
-            )
-            self._levels[i] = self._empty_level()
+    def _compact(self) -> None:
+        """Fold the earliest ``compaction_interval`` pending edges into the retained pool."""
+        take = self._interval
+        work = [np.concatenate([kept, new[:take]]) for kept, new in zip(self._retained, self._pending)]
+        self._pending = [new[take:] for new in self._pending]
+        self._retained = self._sample_pass(*work)
 
     # ------------------------------------------------------------------ #
     # Snapshot / certification
     # ------------------------------------------------------------------ #
-
-    def _live_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        u = np.concatenate([level[0] for level in self._levels] + [self._pen_u])
-        v = np.concatenate([level[1] for level in self._levels] + [self._pen_v])
-        w = self._effective_weights(
-            np.concatenate([level[2] for level in self._levels] + [self._pen_w]),
-            np.concatenate([level[3] for level in self._levels] + [self._pen_b]),
-        )
-        if self._decay is not None and w.shape[0]:
-            alive = w > 0.0
-            u, v, w = u[alive], v[alive], w[alive]
-        return u, v, w
 
     def _stats(self) -> StreamStats:
         return StreamStats(
@@ -1076,7 +863,6 @@ class StreamingSparsifier:
             pending_edges=self.pending_edges,
             compactions=self._compactions,
             evicted_edges=self._evicted,
-            presampled_away=self._presampled_away,
             ingest_seconds=self._ingest_seconds,
             seed=self._seed,
             auto_seeded=self._auto_seeded,
@@ -1087,11 +873,11 @@ class StreamingSparsifier:
 
         The graph holds the retained state plus pending edges; repeated
         snapshots without intervening ``ingest`` calls are identical, and
-        in the default (unwindowed, undecayed, unpresampled) mode the
-        snapshot after a given edge sequence is bit-identical no matter
-        how the sequence was split into batches.
+        in the default (unwindowed) mode the snapshot after a given edge
+        sequence is bit-identical no matter how the sequence was split
+        into batches.
         """
-        u, v, w = self._live_arrays()
+        u, v, w = (np.concatenate(pair) for pair in zip(self._retained[:3], self._pending[:3]))
         graph = Graph._from_trusted(self._n, u, v, w)
         stats = self._stats()
         unified = UnifiedResult(
@@ -1105,19 +891,10 @@ class StreamingSparsifier:
         return StreamSnapshot(graph=graph, unified=unified, stats=stats)
 
     def reference_graph(self) -> Graph:
-        """The exact live graph (window/decay applied) — certification ground truth."""
+        """The exact live graph (window applied) — certification ground truth."""
         if not self._exact:
             return Graph.empty(self._n)
-        u = np.concatenate([rec[1] for rec in self._exact])
-        v = np.concatenate([rec[2] for rec in self._exact])
-        w = np.concatenate([rec[3] for rec in self._exact])
-        b = np.concatenate(
-            [np.full(rec[1].shape[0], rec[0], dtype=np.int64) for rec in self._exact]
-        )
-        w = self._effective_weights(w, b)
-        if self._decay is not None and w.shape[0]:
-            alive = w > 0.0
-            u, v, w = u[alive], v[alive], w[alive]
+        u, v, w = (np.concatenate([rec[i] for rec in self._exact]) for i in (1, 2, 3))
         return Graph._from_trusted(self._n, u, v, w)
 
     def certify(

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+import repro
 from repro.api import SparsifyRequest
 from repro.core.config import SparsifierConfig
 from repro.exceptions import RequestError
+from repro.graphs.generators import path_graph
 
 
 class TestValidation:
@@ -43,6 +45,14 @@ class TestValidation:
             SparsifyRequest(seed="entropy")
         with pytest.raises(RequestError):
             SparsifyRequest(seed=True)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(RequestError, match="non-negative"):
+            SparsifyRequest(seed=-1)
+        # Refused before any method runs, not as NumPy's bare ValueError.
+        for method in ("koutis", "streaming"):
+            with pytest.raises(RequestError, match="non-negative"):
+                repro.sparsify(path_graph(6), method=method, seed=-1)
 
     def test_rejects_non_string_option_keys(self):
         with pytest.raises(RequestError):

@@ -127,6 +127,13 @@ class TestSimulator:
         assert all(value == 0 for value in result.outputs.values())
         assert result.cost.messages <= 20 * 25
 
+    @pytest.mark.parametrize("max_rounds", [0, 2.5, True])
+    def test_round_cap_must_be_a_positive_integer(self, max_rounds):
+        # Run as a cap, these gave completed=False after 0, 3 and 1 rounds.
+        sim = DistributedSimulator(gen.grid_graph(6, 6), seed=0)
+        with pytest.raises(SimulationError, match="max_rounds must be"):
+            sim.run(EchoProgram(), max_rounds=max_rounds)
+
     def test_cost_counters(self):
         g = gen.cycle_graph(5)
         sim = DistributedSimulator(g, seed=0)

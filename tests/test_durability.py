@@ -30,9 +30,10 @@ The contract under test (``repro/streaming/store.py`` + the harness in
 * **Bounded resume** — after a snapshot, recovery replays only the
   post-snapshot journal suffix, proven through the scan's read
   accounting, not timing.
-* **Leveled retained state** — multi-level compaction is deterministic,
-  bounds the per-level sizes it promises, and round-trips through
-  snapshot/recover bit-exactly.
+* **Older-version stores** — a store whose headers and manifests pin the
+  options this version no longer has recovers bit-exactly when each
+  holds the value that means "unset", and is otherwise refused by name
+  without a byte of it changed.
 
 Run with ``-m durability`` to select only this file.
 """
@@ -52,14 +53,10 @@ import pytest
 import repro.streaming.journal as journal_module
 from repro.core.checkpoint import DurableIO, batch_graph_digest, seal, unseal
 from repro.core.config import SparsifierConfig
-from repro.exceptions import CheckpointError
+from repro.exceptions import CheckpointError, StreamingError
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
-from repro.streaming import (
-    LEVEL_FANOUT,
-    StreamingSparsifier,
-    StreamStateStore,
-)
+from repro.streaming import StreamingSparsifier, StreamStateStore
 from repro.streaming.journal import canonical_stream_params
 from repro.testing.faults import (
     CrashPointIO,
@@ -561,75 +558,6 @@ class TestSnapshotBoundedResume:
 
 
 # --------------------------------------------------------------------- #
-# Leveled retained state
-# --------------------------------------------------------------------- #
-
-
-class TestLeveledState:
-    def test_leveled_compaction_is_deterministic_and_bounded(self, torture_graph):
-        capacity = 40
-        runs = []
-        for _ in range(2):
-            stream = StreamingSparsifier(
-                torture_graph.num_vertices,
-                seed=SEED,
-                compaction_interval=25,
-                levels=3,
-                level_capacity=capacity,
-            )
-            edges = np.column_stack([torture_graph.edge_u, torture_graph.edge_v])
-            for lo in range(0, torture_graph.num_edges, 40):
-                stream.ingest(
-                    edges[lo : lo + 40], torture_graph.edge_weights[lo : lo + 40]
-                )
-            runs.append(stream)
-        assert_same_state(state_fingerprint(runs[0]), state_fingerprint(runs[1]))
-        sizes = runs[0].level_sizes
-        assert len(sizes) == 3
-        # Every level but the deepest honors its geometric capacity.
-        for depth, size in enumerate(sizes[:-1]):
-            assert size <= capacity * LEVEL_FANOUT**depth
-
-    def test_single_level_matches_the_classic_pool(self, torture_graph):
-        kwargs = dict(seed=SEED, compaction_interval=25)
-        edges = np.column_stack([torture_graph.edge_u, torture_graph.edge_v])
-
-        def run(**extra):
-            stream = StreamingSparsifier(
-                torture_graph.num_vertices, **kwargs, **extra
-            )
-            for lo in range(0, torture_graph.num_edges, 40):
-                stream.ingest(
-                    edges[lo : lo + 40], torture_graph.edge_weights[lo : lo + 40]
-                )
-            return stream
-
-        classic, single = run(), run(levels=1)
-        snap_a, snap_b = classic.snapshot(), single.snapshot()
-        assert np.array_equal(snap_a.graph.edge_u, snap_b.graph.edge_u)
-        assert np.array_equal(snap_a.graph.edge_v, snap_b.graph.edge_v)
-        assert np.array_equal(snap_a.graph.edge_weights, snap_b.graph.edge_weights)
-
-    def test_leveled_state_round_trips_through_recovery(
-        self, torture_graph, torture_batches, tmp_path
-    ):
-        store = tmp_path / "store"
-        original = run_store_stream(
-            store, torture_graph, torture_batches, levels=3, level_capacity=30
-        )
-        stream, report = StreamStateStore.recover(store)
-        assert report.bit_exact
-        assert stream.level_sizes == original.level_sizes
-        assert_same_state(state_fingerprint(stream), state_fingerprint(original))
-        # The recovered stream keeps leveling: one more batch lands
-        # identically on both sides.
-        extra_edges, extra_weights = torture_batches[0]
-        original.ingest(extra_edges, extra_weights)
-        stream.ingest(extra_edges, extra_weights)
-        assert_same_state(state_fingerprint(stream), state_fingerprint(original))
-
-
-# --------------------------------------------------------------------- #
 # Compaction records: recovery applies verified outcomes, recomputes the rest
 # --------------------------------------------------------------------- #
 
@@ -676,10 +604,9 @@ class TestCompactionRecords:
         [
             {},
             SAMPLING,
-            {"levels": 3, "level_capacity": 30, **SAMPLING},
-            {"window": 3, "decay": 0.8, **SAMPLING},
+            {"window": 3, **SAMPLING},
         ],
-        ids=["torture", "sampling", "levels-3", "window-decay"],
+        ids=["torture", "sampling", "window"],
     )
     def test_every_compaction_is_reused_at_every_batch_count(
         self, overrides, torture_graph, torture_batches, tmp_path
@@ -700,8 +627,6 @@ class TestCompactionRecords:
             assert report.compactions_reused == reference.compactions
             assert_same_state(state_fingerprint(recovered), state_fingerprint(reference))
         assert reference.compactions >= 5
-        if "levels" in overrides:
-            assert any(reference.level_sizes[1:])  # promotions ran, and were reused
 
     def test_kill_before_a_compaction_record_recomputes_only_that_one(
         self, torture_graph, torture_batches, sampling_references, tmp_path
@@ -881,13 +806,13 @@ class TestSealedRecords:
         assert_same_state(state_fingerprint(stream), clean_references[len(torture_batches)])
 
     def test_every_record_is_sealed(self, torture_graph, torture_batches, tmp_path):
-        # Promotions, segment rotation and snapshots ...
-        leveled = tmp_path / "leveled"
-        run_store_stream(leveled, torture_graph, torture_batches, levels=3, level_capacity=30, **SAMPLING)
-        # ... and window, decay and a salvage rewrite of batches 0-3.
+        # Segment rotation and snapshots ...
+        rotated = tmp_path / "rotated"
+        run_store_stream(rotated, torture_graph, torture_batches, **SAMPLING)
+        # ... and a window and a salvage rewrite of batches 0-3.
         salvaged = tmp_path / "salvaged"
         run_store_stream(
-            salvaged, torture_graph, torture_batches, window=3, decay=0.8,
+            salvaged, torture_graph, torture_batches, window=3,
             snapshot_every=None, segment_bytes=10**6, **SAMPLING,
         )
         data = (salvaged / SEGMENT).read_bytes()
@@ -896,12 +821,12 @@ class TestSealedRecords:
         stream, report = StreamStateStore.recover(salvaged)
         assert not report.bit_exact and stream.batches_ingested == 4 and report.compactions_reused
         assert list((salvaged / "journal").glob("*.quarantined*"))
-        for store in (leveled, salvaged):
+        for store in (rotated, salvaged):
             for segment in (store / "journal").glob("segment-*.jsonl"):
                 assert_every_line_unseals(segment)
             for manifest in (store / "snapshots").glob("snap-*.json"):
                 assert unseal(manifest.read_bytes()) is not None, manifest
-        assert len(list((leveled / "snapshots").glob("snap-*.json"))) == 2
+        assert len(list((rotated / "snapshots").glob("snap-*.json"))) == 2
 
     @pytest.mark.parametrize("damage", ["malformed payload", "digest"])
     def test_damaged_batch_is_refused_strictly_and_declared_lost(
@@ -973,6 +898,67 @@ class TestOnePassRecovery:
         # the compactions they triggered (bundle, kept) only.
         assert len(decoded) == 3 * report.batches_replayed + 2 * report.compactions_reused
         assert report.compactions_recomputed == 0 and report.compactions_reused
+
+
+# --------------------------------------------------------------------- #
+# Older-version stores: options this version lacks are refused by name
+# --------------------------------------------------------------------- #
+
+# The stream options an older version pinned and this one lacks, at the
+# values that replay as this version's stream.
+UNSET_OPTIONS = {"decay": None, "kout_presample": None, "levels": 1, "level_capacity": 60}
+
+
+def pin_deleted_options(store, options):
+    """Re-seal every segment header and snapshot manifest of ``store`` with ``options`` pinned.
+
+    That is how the version that had those options wrote them; its
+    manifests also counted ``presampled_away`` and ``num_levels``.
+    """
+    for segment in (store / "journal").glob("segment-*.jsonl"):
+        header, rest = segment.read_bytes().split(b"\n", 1)
+        segment.write_bytes(seal({**unseal(header), **options}).encode("ascii") + b"\n" + rest)
+    for manifest in (store / "snapshots").glob("snap-*.json"):
+        body = unseal(manifest.read_bytes())
+        body["params"].update(options)
+        body["counters"].update(presampled_away=0, num_levels=1)
+        manifest.write_text(seal(body), encoding="ascii")
+
+
+class TestOlderVersionStores:
+    @pytest.mark.parametrize("snapshot_every", [None, SNAPSHOT_EVERY], ids=["journal", "snapshots"])
+    @pytest.mark.parametrize("overrides", [{}, {"window": 3}], ids=["default", "window"])
+    def test_unset_options_recover_bit_exactly(
+        self, overrides, snapshot_every, torture_graph, torture_batches, tmp_path
+    ):
+        store = tmp_path / "store"
+        original = run_store_stream(
+            store, torture_graph, torture_batches, snapshot_every=snapshot_every, **overrides
+        )
+        pin_deleted_options(store, UNSET_OPTIONS)
+        stream, report = StreamStateStore.recover(store)
+        assert report.bit_exact and report.compactions_recomputed == 0
+        assert report.snapshot_used == (None if snapshot_every is None else len(torture_batches))
+        assert_same_state(state_fingerprint(stream), state_fingerprint(original))
+        assert not list(store.rglob("*.quarantined*"))
+
+    @pytest.mark.parametrize("snapshot_every", [None, SNAPSHOT_EVERY], ids=["journal", "snapshots"])
+    @pytest.mark.parametrize(
+        "key, value", [("levels", 3), ("kout_presample", 2), ("decay", 0.8)],
+        ids=["levels", "kout_presample", "decay"],
+    )
+    def test_set_option_is_refused_by_name(
+        self, key, value, snapshot_every, torture_graph, torture_batches, tmp_path
+    ):
+        # The store is intact: refusing it must not quarantine or rewrite a byte.
+        store = tmp_path / "store"
+        run_store_stream(store, torture_graph, torture_batches, snapshot_every=snapshot_every)
+        pin_deleted_options(store, {**UNSET_OPTIONS, key: value})
+        before = store_files(store)
+        with pytest.raises(StreamingError, match=f"pins {key}={value}"):
+            StreamStateStore.recover(store)
+        assert store_files(store) == before
+        assert not list(store.rglob("*.quarantined*"))
 
 
 # --------------------------------------------------------------------- #

@@ -45,10 +45,8 @@ TEST_ONLY = frozenset(
 )
 
 # Methods kept with no caller outside the tests, by qualified name:
-# ``edge_weight_map`` is a test oracle like ``to_networkx``, and
-# ``level_sizes`` is read by the durability tests and goes or stays with
-# the stream's ``levels`` option.
-TEST_ONLY_METHODS = frozenset({"Graph.edge_weight_map", "StreamingSparsifier.level_sizes"})
+# ``edge_weight_map`` is a test oracle like ``to_networkx``.
+TEST_ONLY_METHODS = frozenset({"Graph.edge_weight_map"})
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 

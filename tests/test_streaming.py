@@ -73,9 +73,6 @@ def run_stream(graph, batch_size, **kwargs):
 SIZE_ERRORS = {
     "window": StreamingError,
     "compaction_interval": StreamingError,
-    "kout_presample": StreamingError,
-    "levels": StreamingError,
-    "level_capacity": StreamingError,
     "snapshot_every": StreamingError,
     "segment_bytes": CheckpointError,
     "keep_snapshots": CheckpointError,
@@ -99,6 +96,19 @@ class TestIngestValidation:
             stream.ingest(np.array([[0.0, 1.0, 2.0]]), np.array([1.0]))
         assert stream.batches_ingested == 0
 
+    def test_boolean_endpoints_refused(self, tmp_path):
+        from repro.cli import main
+
+        # Stored as edge 0-1 otherwise, from an array or a JSON-lines batch.
+        stream = StreamingSparsifier(5, seed=0)
+        with pytest.raises(GraphError, match="not booleans"):
+            stream.ingest(np.array([[True, False]]))
+        assert stream.batches_ingested == 0
+        batches = tmp_path / "batches.jsonl"
+        batches.write_text('{"edges": [[true, false]]}\n', encoding="utf-8")
+        with pytest.raises(GraphError, match="not booleans"):
+            main(["stream", str(batches), str(tmp_path / "out.txt"), "--n", "5"])
+
     def test_inline_weights_and_orientation(self):
         stream = StreamingSparsifier(5, seed=0, compaction_interval=10**6)
         stream.ingest(np.array([[3.0, 1.0, 2.5], [4.0, 0.0, 1.5]]))
@@ -118,8 +128,6 @@ class TestIngestValidation:
     def test_misconfiguration_rejected(self):
         with pytest.raises(StreamingError, match="window"):
             StreamingSparsifier(5, window=0)
-        with pytest.raises(StreamingError, match="decay"):
-            StreamingSparsifier(5, decay=1.5)
         with pytest.raises(StreamingError, match="compaction_interval"):
             StreamingSparsifier(5, compaction_interval=0)
         with pytest.raises(StreamingError, match="sampling probability"):
@@ -146,10 +154,22 @@ class TestIngestValidation:
             StreamingSparsifier(value)
 
     def test_vertex_count_accepts_zero_and_numpy_integers(self):
-        assert StreamingSparsifier(0).num_vertices == 0
-        assert StreamingSparsifier(np.int64(7)).num_vertices == 7
+        assert StreamingSparsifier(0).snapshot().graph.num_vertices == 0
+        assert StreamingSparsifier(np.int64(7)).snapshot().graph.num_vertices == 7
         with pytest.raises(GraphError, match="num_vertices must be >= 0"):
             StreamingSparsifier(-1)
+
+    @pytest.mark.parametrize("seed", [2.7, True, "3", -1], ids=["float", "bool", "str", "negative"])
+    def test_bad_seed_refused_before_the_store_exists(self, seed, tmp_path):
+        # Truncating would run seed=2.7 as 2, True as 1 and "3" as 3; a
+        # journaled -1 would fail the first compaction and every recovery.
+        with pytest.raises(StreamingError, match="seed must be"):
+            StreamingSparsifier(5, seed=seed, store=tmp_path / "store")
+        assert not (tmp_path / "store").exists()
+
+    def test_seed_accepts_numpy_integers_and_generators(self):
+        assert StreamingSparsifier(5, seed=np.int64(3)).seed == 3
+        assert StreamingSparsifier(5, seed=np.random.default_rng(1)).seed >= 0
 
     @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
     @pytest.mark.parametrize("name", SIZE_ERRORS)
@@ -321,13 +341,6 @@ class TestEndToEnd:
         assert unified.native.batches_ingested == stream.batches_ingested
         repr(unified)  # lightweight native: no recursive repr
 
-    def test_flush_compacts_the_tail(self, stream_graph):
-        stream = run_stream(stream_graph, batch_size=450, seed=2, compaction_interval=10**6)
-        assert stream.compactions == 0 and stream.pending_edges == stream_graph.num_edges
-        record = stream.flush()
-        assert record is not None and stream.pending_edges == 0
-        assert stream.flush() is None  # nothing left
-
 
 class TestJournalResume:
     """``store=`` + ``recover()``: the one way to persist and restore a stream."""
@@ -424,36 +437,6 @@ class TestJournalResume:
             with pytest.raises(CheckpointError, match="pinned stream parameters"):
                 StreamingSparsifier.recover(store)
 
-    def test_flush_is_refused_with_a_store(self, tmp_path):
-        rng = as_rng(1)
-        batches = []
-        for _ in range(3):
-            u = rng.integers(0, 60, 300)
-            v = (u + rng.integers(1, 60, 300)) % 60
-            batches.append((np.column_stack([u, v]), rng.uniform(0.5, 2.0, 300)))
-        store = tmp_path / "store"
-        stream = StreamingSparsifier(60, seed=1, compaction_interval=500, store=store)
-        for edges, weights in batches[:2]:
-            stream.ingest(edges, weights)
-        before = stream.snapshot().graph
-        # The journal holds batches only: a flush it cannot replay would
-        # make recovery rebuild another state and still call it bit-exact.
-        with pytest.raises(StreamingError, match="cannot replay a flush"):
-            stream.flush()
-        recovered, report = StreamingSparsifier.recover(store)
-        assert report.bit_exact
-        after = recovered.snapshot().graph
-        assert np.array_equal(before.edge_u, after.edge_u)
-        assert np.array_equal(before.edge_v, after.edge_v)
-        assert np.array_equal(before.edge_weights, after.edge_weights)
-        recovered.ingest(*batches[2])
-        reference = StreamingSparsifier(60, seed=1, compaction_interval=500)
-        for edges, weights in batches:
-            reference.ingest(edges, weights)
-        assert np.array_equal(
-            recovered.snapshot().graph.edge_weights, reference.snapshot().graph.edge_weights
-        )
-
     def test_recovered_stream_keeps_its_snapshot_cadence(self, tmp_path):
         graph = gen.erdos_renyi_graph(80, 0.3, seed=2, weight_range=(0.5, 2.0))
         batches = list(edge_batches(graph, -(-graph.num_edges // 12)))
@@ -526,64 +509,6 @@ class TestWindowAndDecay:
         assert stream.live_input_edges == 300
         snap = stream.snapshot()
         assert snap.num_edges <= 300
-
-    def test_decay_scales_weights_lazily(self):
-        stream = StreamingSparsifier(20, seed=0, decay=0.5, compaction_interval=10**6)
-        first = np.array([[0, 1], [1, 2]])
-        second = np.array([[2, 3]])
-        stream.ingest(first, np.array([2.0, 4.0]))
-        stream.ingest(second, np.array([8.0]))
-        snap = stream.snapshot()
-        assert np.allclose(snap.graph.edge_weights, [1.0, 2.0, 8.0])
-        assert np.allclose(stream.reference_graph().edge_weights, [1.0, 2.0, 8.0])
-
-    def test_decay_underflow_drops_dead_edges(self):
-        stream = StreamingSparsifier(10, seed=0, decay=1e-300, compaction_interval=10**6)
-        stream.ingest(np.array([[0, 1]]), np.array([1.0]))
-        for _ in range(3):
-            stream.ingest(np.empty((0, 2), dtype=np.int64))
-        snap = stream.snapshot()  # 1e-900 underflows to 0: edge is dead
-        assert snap.num_edges == 0
-        assert snap.graph.num_vertices == 10
-
-
-class TestKOutPresampling:
-    def test_dense_burst_is_reduced(self):
-        graph = gen.erdos_renyi_graph(60, 0.6, seed=4, weight_range=(0.5, 2.0))
-        stream = StreamingSparsifier(
-            graph.num_vertices, seed=3, kout_presample=3, compaction_interval=10**6
-        )
-        record = stream.ingest(
-            np.column_stack([graph.edge_u, graph.edge_v]), graph.edge_weights
-        )
-        assert record.edges == graph.num_edges
-        assert record.edges_after_presample < record.edges
-        snap = stream.snapshot()
-        assert snap.num_edges == record.edges_after_presample
-        # HT reweighting: kept weights are boosted above their originals.
-        assert snap.graph.total_weight == pytest.approx(
-            graph.total_weight, rel=0.35
-        )
-
-    def test_small_batches_pass_through_untouched(self):
-        stream = StreamingSparsifier(100, seed=3, kout_presample=3, compaction_interval=10**6)
-        record = stream.ingest(np.array([[0, 1], [1, 2]]))
-        assert record.edges_after_presample == record.edges == 2
-
-    def test_presample_is_deterministic_and_journal_replayable(self, tmp_path):
-        graph = gen.erdos_renyi_graph(60, 0.6, seed=4)
-        store = tmp_path / "store"
-        stream = StreamingSparsifier(
-            graph.num_vertices, seed=3, kout_presample=2, compaction_interval=800,
-            store=store,
-        )
-        stream.ingest(np.column_stack([graph.edge_u, graph.edge_v]), graph.edge_weights)
-        resumed, report = StreamingSparsifier.recover(store)
-        assert report.bit_exact and report.batches_replayed == 1
-        assert np.array_equal(
-            stream.snapshot().graph.edge_weights,
-            resumed.snapshot().graph.edge_weights,
-        )
 
 
 class TestResilience:
@@ -782,14 +707,17 @@ class TestStreamCLI:
         resume = ["stream", str(tmp_path / "resumed.txt"), *store, "--resume"]
         pinned = [
             ["--n", "7"], ["--epsilon", "0.25"], ["--bundle-t", "1"], ["--k", "2"],
-            ["--window", "1"], ["--decay", "0.5"], ["--compaction-interval", "150"],
-            ["--kout-presample", "2"], ["--levels", "3"],
+            ["--window", "1"], ["--compaction-interval", "150"],
         ]
         for flag in pinned:
             with pytest.raises(ReproError, match=f"store pins.*{flag[0]}"):
                 main([*resume, *flag])
-        with pytest.raises(ReproError, match="--n, --window, --levels"):
-            main([*resume, "--window", "1", "--n", "7", "--levels", "3"])
+        with pytest.raises(ReproError, match="--n, --window, --compaction-interval"):
+            main([*resume, "--window", "1", "--n", "7", "--compaction-interval", "150"])
+        # The deleted stream flags are unknown to argparse.
+        for flag in (["--levels", "3"], ["--kout-presample", "2"], ["--decay", "0.5"]):
+            with pytest.raises(SystemExit):
+                main([*resume, *flag])
         # The probe seed, the solver and the snapshot cadence still apply.
         assert main([*resume, "--seed", "4", "--solver", "chain", "--snapshot-every", "2"]) == 0
         assert "bit-exact" in capsys.readouterr().out
