@@ -49,6 +49,10 @@ Subcommands
     contracts — against ``src/`` (or explicit paths).  Any finding exits
     1; ``--list-rules`` prints the rule table.
 
+A refused input or store (any :class:`~repro.exceptions.ReproError`)
+prints one ``repro-sparsify: error: <message>`` line to stderr and exits
+2, the status argparse gives a usage error.
+
 ``sparsify`` / ``batch`` accept ``--backend`` / ``--workers`` to choose
 where the work executes; they write the request's ``config`` payload
 (the one home of execution settings).  Backends never change the output
@@ -563,26 +567,33 @@ def _run_recover(args: argparse.Namespace) -> int:
     return 0 if report.bit_exact else 1
 
 
+_COMMANDS = {
+    "sparsify": _run_sparsify,
+    "batch": _run_batch,
+    "compare": _run_compare,
+    "spanner": _run_spanner,
+    "stream": _run_stream,
+    "recover": _run_recover,
+    "lint": run_lint_command,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    0 is success, and 1 keeps each command's own meaning: failed jobs for
+    ``batch``, recovered but lossy for ``recover``, findings for ``lint``.
+    A :class:`~repro.exceptions.ReproError` prints one ``repro-sparsify:
+    error: <message>`` line to stderr and returns 2.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sparsify":
-        return _run_sparsify(args)
-    if args.command == "batch":
-        return _run_batch(args)
-    if args.command == "compare":
-        return _run_compare(args)
-    if args.command == "spanner":
-        return _run_spanner(args)
-    if args.command == "stream":
-        return _run_stream(args)
-    if args.command == "recover":
-        return _run_recover(args)
-    if args.command == "lint":
-        return run_lint_command(args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"{parser.prog}: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -177,16 +177,17 @@ def distributed_parallel_sparsify(
     never affects the output.
     """
 
+    rounds: List[DistributedSampleResult] = []
+
     def sample_round(round_index, current, round_eps, round_config, rng):
         result = distributed_parallel_sample(current, epsilon=round_eps, config=round_config, seed=rng)
+        rounds.append(result)
         if on_round is not None:
             on_round(round_index, result)
         return result
 
     simple = graph.coalesce()
-    eps, final, rounds, stopped_early = sparsify_rounds(
-        simple, epsilon, rho, config, seed, sample_round
-    )
+    eps, final, stopped_early = sparsify_rounds(simple, epsilon, rho, config, seed, sample_round)
     return DistributedSparsifyResult(
         sparsifier=final,
         rounds=rounds,

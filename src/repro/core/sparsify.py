@@ -89,7 +89,7 @@ def sparsify_rounds(
     config: Optional[SparsifierConfig],
     seed: SeedLike,
     sample_round: Callable[..., Any],
-) -> Tuple[float, Graph, List[Any], bool]:
+) -> Tuple[float, Graph, bool]:
     """Algorithm 2's loop, shared by :func:`parallel_sparsify` and its distributed twin.
 
     Checks ``epsilon`` (default ``config.epsilon``) lies in ``(0, 1]`` and
@@ -102,10 +102,14 @@ def sparsify_rounds(
     consumes it (the multigraph and the coalesced graph are spectrally
     identical; coalescing keeps the working arrays, and so the measured
     work, small), and a degenerate round — its bundle absorbed every
-    edge, so no further reduction is possible — ends the loop.
+    edge, so no further reduction is possible — ends the loop.  The loop
+    keeps no round result: only the coalesced output outlives its round,
+    so no round's uncoalesced output or index arrays are held while the
+    next round runs.  A caller that wants per-round records keeps them in
+    ``sample_round``.
 
-    Returns ``(epsilon, output graph, round results, stopped_early)``;
-    with ``rho == 1`` no round runs and the output is ``graph`` itself.
+    Returns ``(epsilon, output graph, stopped_early)``; with ``rho == 1``
+    no round runs and the output is ``graph`` itself.
     """
     config = config if config is not None else SparsifierConfig()
     eps = config.epsilon if epsilon is None else float(epsilon)
@@ -118,14 +122,13 @@ def sparsify_rounds(
     per_round_eps = eps / max(num_rounds, 1)
     round_rngs = split_rng(as_rng(seed), max(num_rounds, 1))
     current = graph
-    results: List[Any] = []
     for round_index in range(num_rounds):
         result = sample_round(round_index + 1, current, per_round_eps, config, round_rngs[round_index])
-        results.append(result)
-        current = result.sparsifier.coalesce()
-        if result.degenerate:
-            return eps, current, results, True
-    return eps, current, results, False
+        current, degenerate = result.sparsifier.coalesce(), result.degenerate
+        del result  # else it holds this round's arrays through the next one
+        if degenerate:
+            return eps, current, True
+    return eps, current, False
 
 
 def parallel_sparsify(
@@ -187,9 +190,7 @@ def parallel_sparsify(
             on_round(record)
         return result
 
-    eps, final, results, stopped_early = sparsify_rounds(
-        graph, epsilon, rho, config, seed, sample_round
-    )
+    eps, final, stopped_early = sparsify_rounds(graph, epsilon, rho, config, seed, sample_round)
     return SparsifyResult(
         sparsifier=final,
         rounds=records,
@@ -197,6 +198,6 @@ def parallel_sparsify(
         rho=float(rho),
         input_edges=graph.num_edges,
         output_edges=final.num_edges,
-        cost=sum((r.cost for r in results), PRAMCost()),
+        cost=sum((PRAMCost(r.work, r.depth) for r in records), PRAMCost()),
         stopped_early=stopped_early,
     )

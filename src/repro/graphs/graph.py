@@ -31,12 +31,25 @@ from repro.utils.validation import check_integer
 __all__ = ["Graph"]
 
 
+def _holds_booleans(values: object) -> bool:
+    """True if ``values``, a (nested) Python sequence or an object array, holds a bool.
+
+    ``np.asarray([True, 2])`` is already an int64 array, so mixed input is
+    told apart by its elements' types.  A numeric ndarray cannot hold a
+    bool, so this reads no element of one.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind != "O":
+        return False
+    types = set(map(type, np.asarray(values, dtype=object).ravel()))
+    return bool(types & {bool, np.bool_})
+
+
 def _endpoint_array(values: Optional[Sequence[int]], what: str = "edge endpoints") -> np.ndarray:
     """Endpoint input as a flat int64 array; non-integer and boolean values raise."""
     if values is None:
         return np.empty(0, dtype=np.int64)
     raw = np.asarray(values)
-    if raw.dtype.kind == "b":
+    if raw.dtype.kind == "b" or _holds_booleans(values):
         raise GraphError(f"{what} must be integers, not booleans")
     if raw.dtype.kind in "iu":
         return raw.astype(np.int64, copy=False).ravel()
@@ -59,7 +72,7 @@ def _pair_array(pairs: Sequence[Tuple[int, int]] | np.ndarray) -> np.ndarray:
         return np.empty((0, 2), dtype=np.int64)
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise GraphError(f"pairs must be a sequence of (u, v) tuples, got shape {raw.shape}")
-    return _endpoint_array(raw, "pair endpoints").reshape(-1, 2)
+    return _endpoint_array(pairs, "pair endpoints").reshape(-1, 2)
 
 
 class Graph:
@@ -84,7 +97,7 @@ class Graph:
     summing their weights — the Laplacian is identical either way.
     """
 
-    __slots__ = ("_n", "_u", "_v", "_w", "_adj_cache", "_lap_cache", "_labels_cache")
+    __slots__ = ("_n", "_u", "_v", "_w", "_lap_cache", "_labels_cache")
 
     def __init__(
         self,
@@ -141,7 +154,6 @@ class Graph:
         self._u.setflags(write=False)
         self._v.setflags(write=False)
         self._w.setflags(write=False)
-        self._adj_cache: Optional[sp.csr_matrix] = None
         self._lap_cache: Optional[sp.csr_matrix] = None
         # Component labels, filled by repro.graphs.connectivity.connected_components.
         self._labels_cache: Optional[np.ndarray] = None
@@ -178,7 +190,6 @@ class Graph:
         graph._u.setflags(write=False)
         graph._v.setflags(write=False)
         graph._w.setflags(write=False)
-        graph._adj_cache = None
         graph._lap_cache = None
         graph._labels_cache = None
         return graph
@@ -239,17 +250,22 @@ class Graph:
     # ------------------------------------------------------------------ #
 
     def adjacency(self) -> sp.csr_matrix:
-        """Symmetric weighted adjacency matrix (CSR, parallel edges summed)."""
-        if self._adj_cache is None:
-            rows = np.concatenate([self._u, self._v])
-            cols = np.concatenate([self._v, self._u])
-            data = np.concatenate([self._w, self._w])
-            adj = sp.coo_matrix((data, (rows, cols)), shape=(self._n, self._n))
-            self._adj_cache = adj.tocsr()
-        return self._adj_cache
+        """Symmetric weighted adjacency matrix (CSR, parallel edges summed).
+
+        Each call builds a new matrix: the graph does not cache it, so a
+        caller that reads it more than once keeps its own reference.
+        """
+        rows = np.concatenate([self._u, self._v])
+        cols = np.concatenate([self._v, self._u])
+        data = np.concatenate([self._w, self._w])
+        return sp.coo_matrix((data, (rows, cols)), shape=(self._n, self._n)).tocsr()
 
     def laplacian(self) -> sp.csr_matrix:
-        """Graph Laplacian ``L = D - A`` as a CSR matrix."""
+        """Graph Laplacian ``L = D - A`` as a CSR matrix.
+
+        Built on the first call and cached: the graph keeps the Laplacian
+        and nothing else (the adjacency it is assembled from is dropped).
+        """
         if self._lap_cache is None:
             adj = self.adjacency()
             degree = np.asarray(adj.sum(axis=1)).ravel()

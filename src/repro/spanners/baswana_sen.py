@@ -45,14 +45,18 @@ keys of its groups, the covered edges are the rows of the kept groups,
 and the head clusters the same-cluster test gathers carry over to the
 next iteration's scan.  The passes write into row-length buffers the
 :class:`_Rows` allocates once, so a call's iterations reuse them.  A
-component starts on its live rows only (a bundle's later components
-compact the taken edges' rows away first); rows that die inside it
-are masked by a live-edge vector until a quarter of them is dead, when
-the rows are compacted again.  One clustering iteration is a small
-constant number of flat NumPy passes with no Python loop over
-vertices.  The pre-vectorization implementation is preserved in
-:mod:`repro.spanners._reference` for golden tests and benchmarking;
-both select bit-identical edge sets for a fixed seed.
+component starts on exactly its live rows: a bundle compacts the
+shared rows past the edges each component took (:meth:`_Rows.compact`)
+before the next one starts.  Rows that die inside a component are
+masked by a live-edge vector until a quarter of them is dead, when the
+component compacts its own copies of the rows.  The tables whose
+values are ranks, classes or edge ids are int32 while ``2m`` is below
+``_INT32_LIMIT``; the packed keys and the ``head`` gather index stay
+int64.  One clustering iteration is a small constant number of flat
+NumPy passes with no Python loop over vertices.  The pre-vectorization
+implementation is preserved in :mod:`repro.spanners._reference` for
+golden tests and benchmarking; both select bit-identical edge sets for
+a fixed seed.
 """
 
 from __future__ import annotations
@@ -110,6 +114,11 @@ _KEY_BITS = 63
 _DECISION_BITS = 63
 # The row arrays are compacted once at least this share of them is dead.
 _COMPACT_FRACTION = 0.25
+# The rank, class and edge tables (``edge_of_rank``, ``class_of_rank``,
+# ``edge`` and the ``ranks`` scratch) hold values below 2m: int32 while
+# 2m is below this bound, int64 past it.  Packed keys, and the ``head``
+# array every iteration gathers through, are int64 at any size.
+_INT32_LIMIT = 1 << 31
 
 
 def _run_bounds(ids: np.ndarray, flags: Optional[np.ndarray] = None) -> np.ndarray:
@@ -180,8 +189,9 @@ class _KeyLayout:
         """:meth:`groups` of packed keys, which are sorted in place.
 
         The keys are unique, so a value sort gives the stable order.
-        ``ranks`` (int64, ``keys.size``) receives the sorted ranks and
-        ``flags`` is the run-boundary scratch of :func:`_run_bounds`.
+        ``ranks`` (``keys.size`` entries of any integer type that holds
+        a rank) receives the sorted ranks and ``flags`` is the
+        run-boundary scratch of :func:`_run_bounds`.
         """
         keys.sort()
         ranks = np.bitwise_and(keys, (1 << self.rank_bits) - 1, out=ranks)
@@ -207,6 +217,14 @@ class _Rows(_KeyLayout):
     ``class_of_rank`` maps ranks to classes, and is ``None`` when all
     lengths differ and ``rank >> 1`` is the class.
 
+    ``edge`` names the input edge of each row pair.  A bundle drops the
+    pairs of the edges a component took with :meth:`compact`, so every
+    component starts on exactly the rows of its live edges; the rank
+    tables, indexed by rank, keep all ``2m`` entries.  ``edge``,
+    ``edge_of_rank``, ``class_of_rank`` and ``ranks`` are int32 while
+    ``2m < _INT32_LIMIT``; ``base`` (packed keys) and ``head`` (a gather
+    index of every iteration) are int64.
+
     ``scan``, ``flags`` and ``ranks`` are row-length scratch buffers that
     every clustering iteration writes into.  They live as long as the
     rows, that is one :func:`baswana_sen_spanner` or
@@ -227,6 +245,7 @@ class _Rows(_KeyLayout):
         m = edge_u.shape[0]
         super().__init__(n, 2 * m)
         self.n = n
+        table = np.int32 if 2 * m < _INT32_LIMIT else np.int64
 
         # One sort of the m lengths ranks all 2m rows: a run of z equal
         # lengths at sorted position s ranks its forward rows 2s .. 2s+z-1
@@ -243,7 +262,7 @@ class _Rows(_KeyLayout):
             order = np.argsort(lengths, kind="stable")
         del lengths
         run_sizes = np.diff(run_bounds)
-        classes = np.arange(num_classes, dtype=np.int64)
+        classes = np.arange(num_classes, dtype=table)
         run_of = np.repeat(classes, run_sizes)
         forward = run_bounds.take(run_of)
         forward += np.arange(m, dtype=np.int64)
@@ -258,7 +277,7 @@ class _Rows(_KeyLayout):
         rank = np.empty(2 * m, dtype=np.int64)
         rank[order] = forward
         rank[m:][order] = backward
-        self.edge_of_rank = np.empty(2 * m, dtype=np.int64)
+        self.edge_of_rank = np.empty(2 * m, dtype=table)
         self.edge_of_rank[forward] = order
         self.edge_of_rank[backward] = order
         del order, forward, backward
@@ -268,13 +287,24 @@ class _Rows(_KeyLayout):
         self.base <<= self.tail_shift
         self.base |= rank
         del rank
-        self.edge = np.arange(m, dtype=np.int64)
+        self.edge = np.arange(m, dtype=table)
 
         # Head clusters travel pre-shifted to their place in the packed key.
         self.cluster_shift = self.rank_bits if self.packed else 0
         self.scan = np.empty(2 * m, dtype=bool)
         self.flags = np.empty(2 * m + 1, dtype=bool)
-        self.ranks = np.empty(2 * m, dtype=np.int64)
+        self.ranks = np.empty(2 * m, dtype=table)
+
+    def compact(self, remaining: np.ndarray) -> None:
+        """Drop the row pairs of the edges ``remaining`` no longer flags.
+
+        The arrays are replaced one at a time, so only one extra copy is
+        live.
+        """
+        pairs = np.flatnonzero(remaining.take(self.edge))
+        self.base = _take_pairs(self.base, pairs)
+        self.head = _take_pairs(self.head, pairs)
+        self.edge = self.edge.take(pairs)
 
     def group(
         self, mask: np.ndarray, head_cluster: np.ndarray, base: np.ndarray
@@ -354,13 +384,15 @@ def _vertex_decisions(
 
     start_bits = max(ranks.shape[0] - 1, 1).bit_length()
     if rows.class_bits + start_bits + 1 <= _DECISION_BITS:
-        keys = group_class
+        # Classes may sit in an int32 table; the shifted key needs 64 bits.
+        keys = group_class.astype(np.int64, copy=False)
         keys <<= start_bits
         keys |= starts
         flag = 1 << (rows.class_bits + start_bits)
         masked = np.where(center_sampled, 0, flag).take(group_cluster)
         masked |= keys
         best = np.minimum.reduceat(masked, seg_starts)
+        del masked  # before the widest temporary below
         joins = best < flag
         target = np.searchsorted(starts, best[joins] & ((1 << start_bits) - 1))
         # A case (a) minimum keeps its flag, so every key of its segment
@@ -396,24 +428,21 @@ def _spanner_select(
 ) -> np.ndarray:
     """Core Baswana–Sen edge selection over the rows of the ``alive`` edges.
 
-    ``alive`` flags the edges (of the input ``rows`` was built from) this
-    spanner runs on; it is consumed as working state.  Returns the sorted
+    ``alive`` is a vector over the input edges ``rows`` was built from.
+    It flags the edges this spanner runs on, which are the edges whose
+    rows ``rows`` holds (a bundle compacts the rows before each later
+    component), and it is consumed as working state.  Returns the sorted
     input indices of the spanner edges.  The bundle peel calls this
     directly with one :class:`_Rows` for all ``t`` components, so no
     component rebuilds rows or materialises an intermediate ``Graph``.
+    Rows that die inside the component stay until a quarter of them is
+    dead, when the component compacts its own copies; until then
+    ``pairs > live_edges`` says some are present and must be masked out.
     """
     n = rows.n
     shift = rows.cluster_shift
     base, head, edge = rows.base, rows.head, rows.edge
     live_edges = int(np.count_nonzero(alive))
-    if live_edges < edge.shape[0]:
-        # Rows of the edges earlier components took are compacted away
-        # before the first iteration; rows that die later stay until a
-        # quarter of them is dead, and ``pairs > live_edges`` says some
-        # are present and must be masked out.
-        edge = np.flatnonzero(alive)
-        base = _take_pairs(base, edge)
-        head = _take_pairs(head, edge)
 
     # cluster[v] = centre vertex id, or -1 once v leaves the clustering;
     # head_cluster[r] = cluster[head[r]] << shift, carried from the
@@ -457,6 +486,9 @@ def _spanner_select(
             act_pairs &= alive.take(edge)
         tracker.charge_parallel_for(2 * live_edges, label="spanner/scan-edges")
         grouped = rows.group(act, head_cluster, base)
+        # The packed grouping keeps its keys in head_cluster; both branches
+        # below gather the next head clusters afresh.
+        del head_cluster
 
         if grouped is None:
             # Nothing to do; clustering simply persists for sampled clusters.
@@ -491,6 +523,7 @@ def _spanner_select(
         tail_cluster = head_cluster[pairs:]
         same = np.flatnonzero(np.equal(tail_cluster, head_cluster[:pairs], out=rows.scan[:pairs]))
         alive[edge.take(same[tail_cluster.take(same) >= 0])] = False
+        del tail_cluster  # a view: it would keep a compacted-away head_cluster alive
         tracker.charge_parallel_for(live_edges, label="spanner/remove-covered")
         live_edges = int(np.count_nonzero(alive))
         cluster = new_cluster

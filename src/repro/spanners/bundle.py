@@ -16,14 +16,16 @@ score at most ``~log n / t``.
 The peel loop builds the directed edge rows and their workspace once
 (:class:`repro.spanners.baswana_sen._Rows`) and runs every component's
 spanner core (:func:`repro.spanners.baswana_sen._spanner_select`) on
-them, peeling by clearing the taken edges in a live-edge vector: no
-round re-slices the input's edge arrays, and each component compacts
-the rows of the edges earlier components took before its first
-clustering iteration.  No intermediate :class:`Graph` is constructed
-or validated during the ``t`` rounds; the bundle subgraph is built
-exactly once at the end, by :meth:`Graph.select_edges` on the
-bundle's indices.  The tree bundle and the CONGEST bundle peel on an
-index array into the input graph.
+them, peeling by clearing the taken edges in a live-edge vector.  After
+each component it compacts the shared rows past the taken edges
+(:meth:`~repro.spanners.baswana_sen._Rows.compact`), so the rows are
+held once and every component starts on exactly its live rows: no
+round re-slices the input's edge arrays or copies the rows at its
+start.  No intermediate :class:`Graph` is constructed or validated
+during the ``t`` rounds; the bundle subgraph is built exactly once at
+the end, by :meth:`Graph.select_edges` on the bundle's indices.  The
+tree bundle and the CONGEST bundle peel on an index array into the
+input graph.
 """
 
 from __future__ import annotations
@@ -168,6 +170,7 @@ def bundle_select(
             # a strict subset here, so the bundle did not exhaust the graph).
             break
         remaining[chosen] = False
+        rows.compact(remaining)
         tracker.charge_parallel_for(num_remaining, label="bundle/peel-edges")
         num_remaining -= chosen.size
 

@@ -735,7 +735,10 @@ class StreamingSparsifier:
                     "weights passed both inside the edge array and separately"
                 )
             weights = arr[:, 2]
-        u, v = _endpoint_array(arr[:, 0]), _endpoint_array(arr[:, 1])
+        # A Python batch keeps its elements' types, so a bool mixed in
+        # with integers is refused like an all-bool column.
+        ends = arr if isinstance(edges, np.ndarray) else np.asarray(edges, dtype=object).reshape(arr.shape)
+        u, v = _endpoint_array(ends[:, 0]), _endpoint_array(ends[:, 1])
         m = u.shape[0]
         if weights is None:
             w = np.ones(m, dtype=np.float64)

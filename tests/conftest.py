@@ -46,6 +46,22 @@ def fail_once_part_way(monkeypatch):
     return install
 
 
+@pytest.fixture
+def cli_error(capsys):
+    """Read what a refused ``repro.cli.main`` call wrote to stderr.
+
+    ``read()`` checks it is one ``repro-sparsify: error:`` line and
+    returns it, for the test to match its message.
+    """
+
+    def read():
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("repro-sparsify: error: "), err
+        return err
+
+    return read
+
+
 @pytest.fixture(scope="session")
 def triangle_graph() -> Graph:
     """Unweighted triangle: the smallest graph with a cycle."""

@@ -960,6 +960,18 @@ class TestOlderVersionStores:
         assert store_files(store) == before
         assert not list(store.rglob("*.quarantined*"))
 
+    def test_cli_recover_exits_2_naming_the_key(self, torture_graph, torture_batches, tmp_path, cli_error):
+        # Status 1 would read as "recovered but lossy".
+        from repro.cli import main
+
+        store = tmp_path / "store"
+        run_store_stream(store, torture_graph, torture_batches)
+        pin_deleted_options(store, {**UNSET_OPTIONS, "levels": 3})
+        before = store_files(store)
+        assert main(["recover", str(store)]) == 2
+        assert re.search("pins levels=3", cli_error())
+        assert store_files(store) == before
+
 
 # --------------------------------------------------------------------- #
 # Harness self-tests: the torturer must itself be trustworthy

@@ -1,12 +1,14 @@
 """Tests for the Graph container (repro.graphs.graph)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import GraphError
-from repro.graphs.generators import path_graph
+from repro.graphs.generators import banded_graph, path_graph
 from repro.graphs.graph import Graph
 from repro.resistance.exact import effective_resistances_of_pairs
 
@@ -61,12 +63,22 @@ class TestConstruction:
         # Integral floats are endpoints like any other.
         assert Graph(3, [0.0], [2.0]).edge_weight_map() == {(0, 2): 1.0}
 
-    def test_rejects_boolean_endpoints(self):
-        # True/False are not vertex ids 1/0, for edges or for probe pairs.
+    @pytest.mark.parametrize(
+        "u, v, pairs",
+        [
+            ([True], [False], np.array([[True, False]])),
+            ([True, 0], [2, 2], [(0, 3), (True, 2)]),
+            (np.array([True, 0], dtype=object), [2, 2], np.array([[True, 2]], dtype=object)),
+        ],
+        ids=["all-bool", "mixed-list", "object-array"],
+    )
+    def test_rejects_boolean_endpoints(self, u, v, pairs):
+        # True/False are not vertex ids 1/0, for edges or for probe pairs,
+        # not even mixed with integers (np.asarray([True, 2]) is int64).
         with pytest.raises(GraphError, match="boolean"):
-            Graph(3, [True], [False])
+            Graph(3, u, v)
         with pytest.raises(GraphError, match="boolean"):
-            effective_resistances_of_pairs(path_graph(4), np.array([[True, False]]))
+            effective_resistances_of_pairs(path_graph(4), pairs)
 
     def test_edge_arrays_readonly(self, triangle_graph):
         with pytest.raises(ValueError):
@@ -110,6 +122,23 @@ class TestMatrices:
     def test_adjacency_symmetric(self, small_er_graph):
         adj = small_er_graph.adjacency()
         assert abs(adj - adj.T).max() < 1e-12
+
+    def test_laplacian_keeps_only_its_own_bytes(self):
+        # The graph caches the Laplacian, not the adjacency it is built
+        # from (about as large).  Graph has __slots__ and no weakref, so
+        # the retained bytes are read from tracemalloc; 16 kB covers the
+        # matrix objects.
+        graph = banded_graph(600, 20, seed=1)
+        banded_graph(60, 2).laplacian()  # warm scipy up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lap = graph.laplacian()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert graph.laplacian() is lap
+        assert kept <= lap.data.nbytes + lap.indices.nbytes + lap.indptr.nbytes + 16 * 1024
 
     def test_incidence_factorisation(self, weighted_er_graph):
         incidence = weighted_er_graph.incidence()

@@ -280,6 +280,40 @@ class TestLexsortBranch:
         assert costs == packed_costs == BUNDLE_COSTS[name][1]
 
 
+class TestWideTables:
+    """Inputs with ``2m`` past ``_INT32_LIMIT`` keep the rank, class and
+    edge tables in int64: same selections, same costs."""
+
+    @staticmethod
+    def _tables(graph):
+        rows = baswana_sen_module._Rows(
+            graph.num_vertices, graph.edge_u, graph.edge_v, graph.edge_weights
+        )
+        tables = [rows.edge, rows.edge_of_rank, rows.ranks]
+        if rows.class_of_rank is not None:
+            tables.append(rows.class_of_rank)
+        assert rows.base.dtype == rows.head.dtype == np.int64
+        return {table.dtype for table in tables}
+
+    @pytest.mark.parametrize("case_index", range(len(BUNDLE_COSTS)))
+    def test_int64_tables_match(self, monkeypatch, cost_cases, case_index):
+        name, graph, seed, k, t = cost_cases[case_index]
+        assert self._tables(graph) == {np.dtype(np.int32)}
+        narrow_spanner = baswana_sen_spanner(graph, k=k, seed=seed)
+        narrow_bundle, narrow_costs = _bundle_with_costs(graph, seed, k, t)
+        monkeypatch.setattr(baswana_sen_module, "_INT32_LIMIT", 0)
+        assert self._tables(graph) == {np.dtype(np.int64)}
+        spanner = baswana_sen_spanner(graph, k=k, seed=seed)
+        bundle, costs = _bundle_with_costs(graph, seed, k, t)
+        assert np.array_equal(spanner.edge_indices, narrow_spanner.edge_indices)
+        assert spanner.cost == narrow_spanner.cost
+        assert len(bundle.component_edge_indices) == len(narrow_bundle.component_edge_indices)
+        for got, want in zip(bundle.component_edge_indices, narrow_bundle.component_edge_indices):
+            assert np.array_equal(got, want)
+        assert bundle.cost == narrow_bundle.cost
+        assert costs == narrow_costs == BUNDLE_COSTS[name][1]
+
+
 class TestDecisionKeyFallback:
     """Inputs past the decision key's bit budget decide each vertex with
     two minimum reductions instead of one packed one: same selections,

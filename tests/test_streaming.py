@@ -19,6 +19,7 @@ from __future__ import annotations
 import base64
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -96,18 +97,27 @@ class TestIngestValidation:
             stream.ingest(np.array([[0.0, 1.0, 2.0]]), np.array([1.0]))
         assert stream.batches_ingested == 0
 
-    def test_boolean_endpoints_refused(self, tmp_path):
+    @pytest.mark.parametrize(
+        "edges, line",
+        [
+            (np.array([[True, False]]), '{"edges": [[true, false]]}'),
+            ([[True, 2]], '{"edges": [[true, 2]]}'),
+        ],
+        ids=["all-bool", "mixed"],
+    )
+    def test_boolean_endpoints_refused(self, edges, line, tmp_path, cli_error):
         from repro.cli import main
 
-        # Stored as edge 0-1 otherwise, from an array or a JSON-lines batch.
+        # Stored as edge 0-1 (or 1-2: np.asarray([True, 2]) is int64)
+        # otherwise, from an array, a list or a JSON-lines batch.
         stream = StreamingSparsifier(5, seed=0)
         with pytest.raises(GraphError, match="not booleans"):
-            stream.ingest(np.array([[True, False]]))
+            stream.ingest(edges)
         assert stream.batches_ingested == 0
         batches = tmp_path / "batches.jsonl"
-        batches.write_text('{"edges": [[true, false]]}\n', encoding="utf-8")
-        with pytest.raises(GraphError, match="not booleans"):
-            main(["stream", str(batches), str(tmp_path / "out.txt"), "--n", "5"])
+        batches.write_text(line + "\n", encoding="utf-8")
+        assert main(["stream", str(batches), str(tmp_path / "out.txt"), "--n", "5"]) == 2
+        assert re.search("not booleans", cli_error())
 
     def test_inline_weights_and_orientation(self):
         stream = StreamingSparsifier(5, seed=0, compaction_interval=10**6)
@@ -682,22 +692,31 @@ class TestStreamCLI:
         assert main(["recover", str(store)]) == 1
         assert "LOSSY" in capsys.readouterr().out
 
-    def test_stream_subcommand_validation(self, tmp_path):
+    def test_stream_subcommand_validation(self, tmp_path, cli_error):
         from repro.cli import main
-        from repro.exceptions import ReproError
 
         batches = tmp_path / "bad.jsonl"
         batches.write_text('{"no_edges": []}\n', encoding="utf-8")
-        with pytest.raises(ReproError, match="--n"):
-            main(["stream", str(batches), str(tmp_path / "out.txt")])
-        with pytest.raises(ReproError, match="edges"):
-            main(["stream", str(batches), str(tmp_path / "out.txt"), "--n", "5"])
-        with pytest.raises(ReproError, match="--store"):
-            main(["stream", str(tmp_path / "out.txt"), "--resume"])
+        assert main(["stream", str(batches), str(tmp_path / "out.txt")]) == 2
+        assert re.search("--n", cli_error())
+        assert main(["stream", str(batches), str(tmp_path / "out.txt"), "--n", "5"]) == 2
+        assert re.search("edges", cli_error())
+        assert main(["stream", str(tmp_path / "out.txt"), "--resume"]) == 2
+        assert re.search("--store", cli_error())
 
-    def test_resume_refuses_the_flags_the_store_pins(self, stream_graph, tmp_path, capsys):
+    def test_bad_seed_exits_2_before_the_store_exists(self, tmp_path, cli_error):
         from repro.cli import main
-        from repro.exceptions import ReproError
+
+        batches = tmp_path / "batches.jsonl"
+        batches.write_text('{"edges": [[0, 1]]}\n', encoding="utf-8")
+        store = tmp_path / "store"
+        command = ["stream", str(batches), str(tmp_path / "out.txt"), "--n", "5"]
+        assert main([*command, "--seed", "-1", "--store", str(store)]) == 2
+        assert re.search("seed must be", cli_error())
+        assert not store.exists() and not (tmp_path / "out.txt").exists()
+
+    def test_resume_refuses_the_flags_the_store_pins(self, stream_graph, tmp_path, capsys, cli_error):
+        from repro.cli import main
 
         batches = tmp_path / "batches.jsonl"
         self.write_batches(stream_graph, batches, 400)
@@ -709,11 +728,12 @@ class TestStreamCLI:
             ["--n", "7"], ["--epsilon", "0.25"], ["--bundle-t", "1"], ["--k", "2"],
             ["--window", "1"], ["--compaction-interval", "150"],
         ]
+        capsys.readouterr()
         for flag in pinned:
-            with pytest.raises(ReproError, match=f"store pins.*{flag[0]}"):
-                main([*resume, *flag])
-        with pytest.raises(ReproError, match="--n, --window, --compaction-interval"):
-            main([*resume, "--window", "1", "--n", "7", "--compaction-interval", "150"])
+            assert main([*resume, *flag]) == 2
+            assert re.search(f"store pins.*{flag[0]}", cli_error())
+        assert main([*resume, "--window", "1", "--n", "7", "--compaction-interval", "150"]) == 2
+        assert re.search("--n, --window, --compaction-interval", cli_error())
         # The deleted stream flags are unknown to argparse.
         for flag in (["--levels", "3"], ["--kout-presample", "2"], ["--decay", "0.5"]):
             with pytest.raises(SystemExit):
